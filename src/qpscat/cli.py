@@ -4,9 +4,10 @@
                      [--override section.key=value ...]
 
 Commands: solve, modes, lap, dispersion, slab, maxwell-check.  Exit codes:
-0 success, 2 configuration error, 3 numerical failure (near-singular solve
-without limiting-absorption routing, cut-off violation), 4 hypothesis
-warning escalated by --strict.
+0 success, 2 configuration error, 3 numerical failure (any solver error,
+e.g. a near-singular solve without limiting-absorption routing, a cut-off
+violation or an aliased sampled medium; reported as one `error:` line),
+4 hypothesis warning escalated by --strict.
 
 Configuration grammar (INI; keys grouped by section; CLI overrides win):
 
@@ -33,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, CutoffViolation, NearSingular, QpscatError
+from .errors import ConfigError, NearSingular, QpscatError
 from .helmholtz import Discretization, assemble, rayleigh_data, rhs, solve
 from .lap import LapScenario, constrained_solve, eps_sweep, write_sweep_csv
 from .medium import MediumModel, load_sampled_medium, validate
@@ -332,7 +333,7 @@ def run(cfg: RunConfig) -> int:
 
     except ConfigError:
         raise
-    except (NearSingular, CutoffViolation) as e:
+    except QpscatError as e:
         print(f"error: {e}", file=sys.stderr)
         if isinstance(e, NearSingular):
             print("hint: the operator is singular at this quasi-momentum; "

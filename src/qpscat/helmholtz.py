@@ -26,8 +26,6 @@ W^{-1/2} G W^{-1/2}, whose conditioning stays O(1) in the resolution.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,10 +212,6 @@ class DepthGrid:
         t = (x3 - self.nodes[j]) / (self.nodes[j + 1] - self.nodes[j])
         return complex((1 - t) * values[j] + t * values[j + 1])
 
-    def integrate_product(self, f: np.ndarray, g: np.ndarray) -> complex:
-        """int f(x3) conj(g(x3)) dx3 through the mass matrix."""
-        return complex(np.conj(g) @ (self.mass @ f))
-
 
 # ---------------------------------------------------------------------------
 # discrete field space (layout + weighted inner product)
@@ -286,23 +280,6 @@ class FieldSpace:
         return np.stack([self.w_isqrt(n) @ y[i] for i, n in enumerate(self.modes)])
 
 
-def _thread_count() -> int:
-    """Worker count for block-parallel assembly (QPSCAT_THREADS, default 1)."""
-    try:
-        return max(1, int(os.environ.get("QPSCAT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Map over independent work items, threaded when QPSCAT_THREADS > 1."""
-    nt = _thread_count()
-    if nt <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=nt) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # the discrete operator
 
@@ -312,8 +289,8 @@ class DiscreteOperator:
 
     Block-diagonal over the transverse modes whenever the medium is
     transversely uniform; otherwise dense over the full layout.  `matrix`
-    and `basis_map` expose the flat representation with row
-    (mode index) * M + (depth index).
+    exposes the flat representation with row (mode index) * M + (depth
+    index).
     """
 
     def __init__(self, inc, disc, space, betas, blocks=None, dense=None,
@@ -347,12 +324,6 @@ class DiscreteOperator:
         for i, n in enumerate(self.space.modes):
             out[i * M:(i + 1) * M, i * M:(i + 1) * M] = self.blocks[i]
         return out
-
-    @property
-    def basis_map(self) -> dict[tuple[ModeIndex, int], int]:
-        M = self.space.M
-        return {(n, j): i * M + j
-                for i, n in enumerate(self.space.modes) for j in range(M)}
 
     def block(self, n: ModeIndex) -> np.ndarray:
         i = self.space.mode_index[tuple(n)]
@@ -412,8 +383,7 @@ class DiscreteOperator:
 def _medium_profiles(medium: MediumModel, grid: DepthGrid, N: int):
     """qhat_d(x3) at the quadrature depths for every difference |d|_inf <= 2N."""
     if medium.transversely_uniform:
-        prof0 = np.array([medium.mean_at(z) for z in grid.quad_x])
-        return {(0, 0): prof0}
+        return medium.fourier_profiles(grid.quad_x, 0)
     res = medium.transverse_resolution()
     need = 2 * (2 * N + 1)
     if res[0] < need or res[1] < need:
@@ -422,6 +392,44 @@ def _medium_profiles(medium: MediumModel, grid: DepthGrid, N: int):
             f"need at least {need} points per period to resolve the "
             f"qhat_(n-m) couplings without aliasing")
     return medium.fourier_profiles(grid.quad_x, 2 * N)
+
+
+def _build_operator(inc, medium, disc, space, betas, volume, boundary, scale,
+                    kind) -> DiscreteOperator:
+    """Assemble the operator for both `assemble` and `assemble_eps_derivative`.
+
+    Mode n gets the diagonal block volume(n) - scale C_0, with i boundary[n]
+    subtracted at both end nodes; off the diagonal, block (n, m) is
+    -scale C_{n-m}.  Here C_d = int qhat_d(x3) l_i l_j dx3, except that C_0
+    integrates qhat_0 - 1 (the background sits in volume(n)).
+    """
+    grid = space.grid
+    profs = _medium_profiles(medium, grid, disc.N)
+    c0 = scale * grid.weighted_mass(profs[(0, 0)] - np.ones_like(grid.quad_x))
+    blocks = []
+    for n in space.modes:
+        B = volume(n) - c0
+        B[0, 0] -= 1j * boundary[n]
+        B[-1, -1] -= 1j * boundary[n]
+        blocks.append(B)
+    if medium.transversely_uniform:
+        return DiscreteOperator(inc, disc, space, betas, blocks=blocks,
+                                medium=medium, kind=kind)
+    # -scale C_d for every |d|_inf <= 2N, as 0 - x so a vanishing coupling
+    # gives +0.0 entries
+    N2 = 2 * disc.N
+    span = range(-N2, N2 + 1)
+    coupling = np.subtract(0.0, np.array(
+        [[scale * grid.weighted_mass(profs[(d1, d2)]) for d2 in span] for d1 in span]))
+    nm, M = len(space.modes), space.M
+    n = np.array(space.modes)
+    d = n[:, None, :] - n[None, :, :] + N2  # (n - m) + 2N, shape (nm, nm, 2)
+    dense = np.empty((nm, M, nm, M), dtype=complex)
+    dense.transpose(0, 2, 1, 3)[...] = coupling[d[..., 0], d[..., 1]]
+    diag = np.arange(nm)
+    dense[diag, :, diag, :] = blocks
+    return DiscreteOperator(inc, disc, space, betas, dense=dense.reshape(space.size, -1),
+                            medium=medium, kind=kind)
 
 
 def assemble(inc: IncidenceSpec, medium: MediumModel, disc: Discretization,
@@ -443,41 +451,12 @@ def assemble(inc: IncidenceSpec, medium: MediumModel, disc: Discretization,
     else:
         betas = {n: beta(n, inc) for n in space.modes}
 
-    profs = _medium_profiles(medium, grid, disc.N)
-    ones = np.ones_like(grid.quad_x)
-
-    def diag_block(n):
+    def volume(n):
         b = betas[n]
-        qprof = profs[(0, 0)]
-        B = grid.stiffness.astype(complex) - (b * b) * grid.mass
-        B -= k * k * grid.weighted_mass(qprof - ones)
-        B[0, 0] -= 1j * b
-        B[-1, -1] -= 1j * b
-        return B
+        return grid.stiffness.astype(complex) - (b * b) * grid.mass
 
-    if medium.transversely_uniform:
-        blocks = parallel_map(diag_block, space.modes)
-        return DiscreteOperator(inc, disc, space, betas, blocks=blocks, medium=medium)
-
-    M = space.M
-    size = space.size
-    dense = np.zeros((size, size), dtype=complex)
-    coupling = {}
-    for d, prof in profs.items():
-        if d == (0, 0):
-            coupling[d] = grid.weighted_mass(prof - ones)
-        elif np.max(np.abs(prof)) > 0:
-            coupling[d] = grid.weighted_mass(prof)
-    for i, n in enumerate(space.modes):
-        dense[i * M:(i + 1) * M, i * M:(i + 1) * M] = diag_block(n)
-    for i, n in enumerate(space.modes):
-        for j, m in enumerate(space.modes):
-            if i == j:
-                continue
-            d = (n[0] - m[0], n[1] - m[1])
-            if d in coupling:
-                dense[i * M:(i + 1) * M, j * M:(j + 1) * M] -= k * k * coupling[d]
-    return DiscreteOperator(inc, disc, space, betas, dense=dense, medium=medium)
+    return _build_operator(inc, medium, disc, space, betas, volume, betas,
+                           k * k, "operator")
 
 
 def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
@@ -496,45 +475,15 @@ def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
     k = inc.k.real
     tt = inc.tilde_theta
     c2 = inc.cos2_theta1
-    bt = beta_table(inc, disc.N)
+    betas = dict(beta_table(inc, disc.N).entries)
     dbetas = {n: d_beta_d_eps(n, inc) for n in space.modes}
 
-    profs = _medium_profiles(medium, grid, disc.N)
-    ones = np.ones_like(grid.quad_x)
-
-    def diag_block(n):
+    def volume(n):
         nv = np.asarray(n, dtype=float)
-        B = (-2j * (k * c2 - float(nv @ tt))) * grid.mass.astype(complex)
-        B -= 2j * k * grid.weighted_mass(profs[(0, 0)] - ones)
-        db = dbetas[n]
-        B[0, 0] -= 1j * db
-        B[-1, -1] -= 1j * db
-        return B
+        return (-2j * (k * c2 - float(nv @ tt))) * grid.mass.astype(complex)
 
-    betas = dict(bt.entries)
-    if medium.transversely_uniform:
-        blocks = parallel_map(diag_block, space.modes)
-        return DiscreteOperator(inc, disc, space, betas, blocks=blocks,
-                                medium=medium, kind="eps_derivative")
-    M = space.M
-    dense = np.zeros((space.size, space.size), dtype=complex)
-    coupling = {}
-    for d, prof in profs.items():
-        if d == (0, 0):
-            coupling[d] = grid.weighted_mass(prof - ones)
-        elif np.max(np.abs(prof)) > 0:
-            coupling[d] = grid.weighted_mass(prof)
-    for i, n in enumerate(space.modes):
-        dense[i * M:(i + 1) * M, i * M:(i + 1) * M] = diag_block(n)
-    for i, n in enumerate(space.modes):
-        for j, m in enumerate(space.modes):
-            if i == j:
-                continue
-            d = (n[0] - m[0], n[1] - m[1])
-            if d in coupling:
-                dense[i * M:(i + 1) * M, j * M:(j + 1) * M] -= 2j * k * coupling[d]
-    return DiscreteOperator(inc, disc, space, betas, dense=dense,
-                            medium=medium, kind="eps_derivative")
+    return _build_operator(inc, medium, disc, space, betas, volume, dbetas,
+                           2j * k, "eps_derivative")
 
 
 def rhs(inc: IncidenceSpec, disc: Discretization,
@@ -597,26 +546,22 @@ def solve(op: DiscreteOperator, load: np.ndarray) -> FieldCoefficients:
             f"operator numerically singular: sigma_min/sigma_max = "
             f"{smin / smax:.3e} (propagative wave vector?)",
             smallest_singular_value=smin, sigma_max=smax)
-    space = op.space
-    if op.block_diagonal:
-        vals = np.stack([np.linalg.solve(B, load[i])
-                         for i, B in enumerate(op.blocks)])
-    else:
-        vals = np.linalg.solve(op.dense, load.reshape(-1)).reshape(load.shape)
+
+    def direct(b):
+        if op.block_diagonal:
+            return np.stack([np.linalg.solve(B, b[i]) for i, B in enumerate(op.blocks)])
+        return np.linalg.solve(op.dense, b.reshape(-1)).reshape(b.shape)
+
+    vals = direct(load)
     resid = np.linalg.norm((op.apply(vals) - load).ravel())
     scale = np.linalg.norm(load.ravel())
     if scale > 0 and resid > 1e-10 * scale:
         # one sweep of iterative refinement
-        corr = load - op.apply(vals)
-        if op.block_diagonal:
-            vals = vals + np.stack([np.linalg.solve(B, corr[i])
-                                    for i, B in enumerate(op.blocks)])
-        else:
-            vals = vals + np.linalg.solve(op.dense, corr.reshape(-1)).reshape(load.shape)
+        vals = vals + direct(load - op.apply(vals))
         resid = np.linalg.norm((op.apply(vals) - load).ravel())
         if resid > 1e-10 * scale:
             raise SolveFailed(f"residual {resid / scale:.3e} above 1e-10")
-    return FieldCoefficients(space=space, inc=op.inc, values=vals)
+    return FieldCoefficients(space=op.space, inc=op.inc, values=vals)
 
 
 @dataclass
@@ -664,6 +609,16 @@ def rayleigh_data(v: FieldCoefficients, inc: IncidenceSpec,
                         efficiencies_down=eff_dn, balance_residual=balance)
 
 
+def _interior_field(v: FieldCoefficients, inc: IncidenceSpec, x) -> complex:
+    """e^{i alpha.x~} sum_n v_n(x3) e^{i n.x~} at a point x inside the layer."""
+    xt, x3 = x[:2], x[2]
+    total = 0.0 + 0.0j
+    for i, n in enumerate(v.space.modes):
+        total += v.space.grid.interpolate(v.values[i], x3) * \
+            np.exp(1j * (n[0] * xt[0] + n[1] * xt[1]))
+    return complex(np.exp(1j * (inc.alpha_vec @ xt)) * total)
+
+
 def quasiperiodic_lift(v: FieldCoefficients, inc: IncidenceSpec, x) -> complex:
     """Total quasi-periodic field u(x) = e^{i alpha.x~} v(x) everywhere.
 
@@ -674,12 +629,7 @@ def quasiperiodic_lift(v: FieldCoefficients, inc: IncidenceSpec, x) -> complex:
     xt, x3 = x[:2], x[2]
     h = inc.h
     if abs(x3) <= h:
-        phase = np.exp(1j * (inc.alpha_vec @ xt))
-        total = 0.0 + 0.0j
-        for i, n in enumerate(v.space.modes):
-            total += v.space.grid.interpolate(v.values[i], x3) * \
-                np.exp(1j * (n[0] * xt[0] + n[1] * xt[1]))
-        return complex(phase * total)
+        return _interior_field(v, inc, x)
     rd = rayleigh_data(v, inc)
     if x3 > h:
         inc_wave = np.exp(1j * (inc.alpha_vec @ xt) - 1j * inc.k * inc.cos_theta1 * x3)

@@ -26,9 +26,9 @@ import numpy as np
 from .errors import ConstraintSingular, NonEvanescentMode
 from .helmholtz import Discretization, DiscreteOperator, FieldCoefficients, \
     FieldSpace, _medium_profiles, assemble, assemble_eps_derivative, \
-    parallel_map, rhs, rhs_eps_derivative, solve
+    rayleigh_data, rhs, rhs_eps_derivative, solve
 from .medium import MediumModel
-from .modes import KernelBasis, LiftedMode
+from .modes import KernelBasis, LiftedMode, mode_lift
 from .qpcore import IncidenceSpec, beta, classify_modes
 
 DEFAULT_EPS_SCHEDULE = tuple(0.1 * 2.0 ** -j for j in range(11))
@@ -77,15 +77,6 @@ class KernelProjector:
         for v in self.basis.vectors:
             out += self.basis.space.inner(u, v) * v
         return out
-
-    def matrix(self) -> np.ndarray:
-        sp = self.basis.space
-        size = sp.size
-        P = np.zeros((size, size), dtype=complex)
-        for v in self.basis.vectors:
-            wv = np.stack([sp.w_block(n) @ v[i] for i, n in enumerate(sp.modes)])
-            P += np.outer(v.ravel(), np.conj(wv.ravel()))
-        return P
 
 
 def projection(scn: LapScenario) -> KernelProjector:
@@ -219,7 +210,7 @@ def eps_sweep(scn: LapScenario, load_provider=None, load_deriv=None,
             return rhs(inc_e, scn.disc, sp)
     limit = constrained_solve(scn, load=load_provider(scn.inc),
                               load_deriv=load_deriv)
-    lifted = mode_basis_of(scn)
+    lifted = mode_lift(scn.kernel, scn.inc)
 
     def solve_at(eps):
         inc_e = scn.inc.with_k(k + 1j * eps)
@@ -227,9 +218,8 @@ def eps_sweep(scn: LapScenario, load_provider=None, load_deriv=None,
         smin, smax = op_e.singularity_report()
         return solve(op_e, load_provider(inc_e)), smax / smin
 
-    solved = parallel_map(solve_at, list(scn.eps_schedule))
     v_eps, deltas, conds, res_eps = [], [], [], []
-    for ve, cond in solved:
+    for ve, cond in map(solve_at, scn.eps_schedule):
         v_eps.append(ve)
         deltas.append(sp.norm(ve.values - limit.field.values))
         conds.append(cond)
@@ -257,11 +247,6 @@ def eps_sweep(scn: LapScenario, load_provider=None, load_deriv=None,
                      constraint_residuals=res_limit, slope=slope)
 
 
-def mode_basis_of(scn: LapScenario) -> list[LiftedMode]:
-    from .modes import mode_lift
-    return mode_lift(scn.kernel, scn.inc)
-
-
 def constraint_residual(u: FieldCoefficients, mode_basis: list[LiftedMode],
                         inc: IncidenceSpec, medium: MediumModel,
                         form: str = "theta",
@@ -285,10 +270,10 @@ def constraint_residual(u: FieldCoefficients, mode_basis: list[LiftedMode],
     tt = inc.tilde_theta
     al = inc.alpha_vec
     cls = classify_modes(inc, sp.disc.N)
-    profs = _medium_profiles(medium, grid, sp.disc.N)
-    uniform = medium.transversely_uniform
-
-    from .helmholtz import rayleigh_data
+    # C_d = int qhat_d l_i l_j, built once; vanishing couplings are skipped
+    masses = {d: grid.weighted_mass(p)
+              for d, p in _medium_profiles(medium, grid, sp.disc.N).items()
+              if np.max(np.abs(p)) > 0}
     rd = rayleigh_data(u, inc)
 
     if form == "theta":
@@ -307,7 +292,6 @@ def constraint_residual(u: FieldCoefficients, mode_basis: list[LiftedMode],
             nv = np.asarray(n, dtype=float)
             return 1j * float(nv @ al) - 1j * k2c2
 
-    qm_uniform = grid.weighted_mass(profs[(0, 0)]) if uniform else None
     out = []
     for phi in mode_basis:
         nrm = max(sp.norm(phi.field.values), 1e-300)
@@ -325,14 +309,10 @@ def constraint_residual(u: FieldCoefficients, mode_basis: list[LiftedMode],
             c_grad, c_shift, c_pot = vol_coeff(n)
             vn = u.values[i]
             total += (c_grad + c_shift) * (np.conj(psi) @ (grid.mass @ vn))
-            if uniform:
-                total += c_pot * (np.conj(psi) @ (qm_uniform @ vn))
-            else:
-                for j, mmode in enumerate(sp.modes):
-                    d = (n[0] - mmode[0], n[1] - mmode[1])
-                    if d in profs and np.max(np.abs(profs[d])) > 0:
-                        qm = grid.weighted_mass(profs[d])
-                        total += c_pot * (np.conj(psi) @ (qm @ u.values[j]))
+            for j, m in enumerate(sp.modes):
+                qm = masses.get((n[0] - m[0], n[1] - m[1]))
+                if qm is not None:
+                    total += c_pot * (np.conj(psi) @ (qm @ u.values[j]))
         # evanescent tails
         for n in cls.evanescent:
             pp = phi.tail_plus.get(n, 0.0)

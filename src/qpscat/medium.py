@@ -94,6 +94,8 @@ class MediumModel:
 
     def _check_values(self):
         re, im = self._extents()
+        if not np.all(np.isfinite(re + im)):
+            raise ValueError("q values must be finite (no NaN or inf)")
         if re[0] < self.q_floor:
             raise ValueError(
                 f"min Re q = {re[0]:g} below q_floor = {self.q_floor:g}")
@@ -115,18 +117,9 @@ class MediumModel:
     def transversely_uniform(self) -> bool:
         return self.kind in ("homogeneous", "slab_stack")
 
-    @property
-    def is_real(self) -> bool:
-        return self._extents()[1][1] == 0.0
-
     def mean_at(self, x3: float) -> complex:
         """Transverse mean of q at depth x3 (= coefficient q_hat_0)."""
         return self.fourier_slice(x3, 0)[(0, 0)]
-
-    def _depth_cell(self, x3: float) -> int:
-        n3 = self.values.shape[2]
-        j = int(np.floor((x3 + self.h) / (2 * self.h / n3)))
-        return min(max(j, 0), n3 - 1)
 
     def fourier_slice(self, x3: float, M: int) -> FourierSlice:
         """Coefficients q_hat_m(x3) for |m|_inf <= M at the containing depth cell.
@@ -134,41 +127,32 @@ class MediumModel:
         Homogeneous and stacked slabs have q_hat_0 = q(x3) and zero otherwise;
         sampled grids are transformed by 2-d DFT of the nearest-depth slice.
         """
-        if abs(x3) > self.h + 1e-12:
-            raise OutOfLayer(f"|x3| = {abs(x3):g} exceeds h = {self.h:g}")
-        coeffs: dict[tuple[int, int], complex] = {}
-        if self.kind == "homogeneous":
-            q0 = self.q0
-        elif self.kind == "slab_stack":
-            q0 = None
-            for a, b, q in self.layers:
-                if a - 1e-12 <= x3 <= b + 1e-12:
-                    q0 = q
-                    break
-            if q0 is None:  # pragma: no cover - layers tile [-h, h]
-                raise OutOfLayer(f"x3 = {x3:g} not covered by slab stack")
-        else:
-            slab = self.values[:, :, self._depth_cell(x3)]
-            fh = np.fft.fft2(slab) / slab.size
-            n1, n2 = slab.shape
-            for m1 in range(-M, M + 1):
-                for m2 in range(-M, M + 1):
-                    coeffs[(m1, m2)] = complex(fh[m1 % n1, m2 % n2])
-            return FourierSlice(depth=float(x3), coeffs=coeffs)
-        for m1 in range(-M, M + 1):
-            for m2 in range(-M, M + 1):
-                coeffs[(m1, m2)] = 0.0 + 0.0j
-        coeffs[(0, 0)] = complex(q0)
-        return FourierSlice(depth=float(x3), coeffs=coeffs)
+        profs = self.fourier_profiles([x3], M)
+        return FourierSlice(depth=float(x3),
+                            coeffs={m: complex(p[0]) for m, p in profs.items()})
 
     def fourier_profiles(self, depths, M: int) -> dict[tuple[int, int], np.ndarray]:
-        """q_hat_m evaluated along an array of depths, for |m|_inf <= M."""
+        """q_hat_m evaluated along an array of depths, for |m|_inf <= M.
+
+        A sampled grid is transformed once (one fft2 over the transverse
+        axes of every depth cell); each depth then picks its cell.
+        """
         depths = np.asarray(depths, dtype=float)
-        out = {}
-        slices = [self.fourier_slice(z, M) for z in depths]
-        for m1 in range(-M, M + 1):
-            for m2 in range(-M, M + 1):
-                out[(m1, m2)] = np.array([s[(m1, m2)] for s in slices])
+        if np.any(np.abs(depths) > self.h + 1e-12):
+            raise OutOfLayer(f"|x3| = {np.max(np.abs(depths)):g} exceeds h = {self.h:g}")
+        orders = [(m1, m2) for m1 in range(-M, M + 1) for m2 in range(-M, M + 1)]
+        if self.kind == "sampled":
+            n1, n2, n3 = self.values.shape
+            cells = np.clip(np.floor((depths + self.h) / (2 * self.h / n3)).astype(int),
+                            0, n3 - 1)
+            fh = np.fft.fft2(self.values, axes=(0, 1)) / (n1 * n2)
+            return {m: fh[m[0] % n1, m[1] % n2, cells] for m in orders}
+        out = {m: np.zeros(len(depths), dtype=complex) for m in orders}
+        if self.kind == "homogeneous":
+            out[(0, 0)][:] = self.q0
+        else:
+            out[(0, 0)][:] = [next(q for a, b, q in self.layers
+                                   if a - 1e-12 <= z <= b + 1e-12) for z in depths]
         return out
 
     def transverse_resolution(self) -> tuple[int, int] | None:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ThresholdAmbiguity
-from .helmholtz import DiscreteOperator, FieldCoefficients
-from .qpcore import IncidenceSpec, ModeIndex, beta, classify_modes
+from .helmholtz import DiscreteOperator, FieldCoefficients, _interior_field
+from .qpcore import IncidenceSpec, ModeIndex, beta, classify_modes, rayleigh_eval
 
 DEFAULT_SVD_THRESHOLD = 1e-8
 
@@ -167,35 +167,23 @@ class LiftedMode:
     """Quasi-periodic guided mode: interior samples plus evanescent tails.
 
     phi(x) = e^{i alpha.x~} sum_n v_n(x3) e^{i n.x~} inside the layer and the
-    matching evanescent Rayleigh tails outside.
+    matching evanescent Rayleigh tails outside.  interior_potential is
+    k^2 (q0 - 1) of a constant layer, used by `interior_residual` only.
     """
 
     field: FieldCoefficients
     inc: IncidenceSpec
     tail_plus: dict[ModeIndex, complex]
     tail_minus: dict[ModeIndex, complex]
-    _pot: complex = 0.0
+    interior_potential: complex = 0.0
 
     def __call__(self, x) -> complex:
         x = np.asarray(x, dtype=float)
-        xt, x3 = x[:2], x[2]
-        h = self.inc.h
-        al = self.inc.alpha_vec
-        if abs(x3) <= h:
-            total = 0.0 + 0.0j
-            sp = self.field.space
-            for i, n in enumerate(sp.modes):
-                total += sp.grid.interpolate(self.field.values[i], x3) * \
-                    np.exp(1j * (n[0] * xt[0] + n[1] * xt[1]))
-            return complex(np.exp(1j * (al @ xt)) * total)
-        coeffs = self.tail_plus if x3 > h else self.tail_minus
-        z = abs(x3) - h  # e^{+-i beta (x3 -+ h)} = e^{i beta z} on either side
-        total = 0.0 + 0.0j
-        for n, c in coeffs.items():
-            an = np.asarray(n, dtype=float) + al
-            b = beta(n, self.inc)
-            total += c * np.exp(1j * (an @ xt) + 1j * b * z)
-        return complex(total)
+        if abs(x[2]) <= self.inc.h:
+            return _interior_field(self.field, self.inc, x)
+        if x[2] > 0:
+            return rayleigh_eval(self.tail_plus, "above", self.inc, x)
+        return rayleigh_eval(self.tail_minus, "below", self.inc, x)
 
     def interior_residual(self) -> float:
         """Collocation residual of Delta phi + k^2 q phi at interior depth nodes.
@@ -206,7 +194,6 @@ class LiftedMode:
         """
         sp = self.field.space
         g = sp.grid
-        k = self.inc.k
         worst = 0.0
         scale = max(np.max(np.abs(self.field.values)), 1e-300)
         for i, n in enumerate(sp.modes):
@@ -214,7 +201,7 @@ class LiftedMode:
             if np.max(np.abs(prof)) < 1e-13 * scale:
                 continue
             b = beta(n, self.inc)
-            res = g.diff @ (g.diff @ prof) + (b * b + self._pot) * prof
+            res = g.diff @ (g.diff @ prof) + (b * b + self.interior_potential) * prof
             worst = max(worst, float(np.max(np.abs(res[1:-1])) / scale))
         return worst
 
@@ -229,10 +216,9 @@ def mode_lift(basis: KernelBasis, inc: IncidenceSpec,
     out = []
     for v, tails in zip(basis.vectors, basis.tail_coeffs):
         fc = FieldCoefficients(space=basis.space, inc=inc, values=v.copy())
-        lm = LiftedMode(field=fc, inc=inc,
-                        tail_plus={n: t[0] for n, t in tails.items()},
-                        tail_minus={n: t[1] for n, t in tails.items()})
-        if interior_potential is not None:
-            lm._pot = complex(interior_potential)
-        out.append(lm)
+        out.append(LiftedMode(
+            field=fc, inc=inc,
+            tail_plus={n: t[0] for n, t in tails.items()},
+            tail_minus={n: t[1] for n, t in tails.items()},
+            interior_potential=complex(interior_potential or 0.0)))
     return out

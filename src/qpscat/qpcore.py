@@ -73,6 +73,9 @@ class IncidenceSpec:
     theta2: float | None = None
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.k, self.h, *self.alpha])):
+            raise ValueError(f"k, h and alpha must be finite, got "
+                             f"k={self.k}, h={self.h}, alpha={self.alpha}")
         if self.k.real <= 0:
             raise ValueError(f"Re(k) must be positive, got {self.k}")
         if self.k.imag < 0:

@@ -225,3 +225,21 @@ def test_sampled_medium_through_cli(tmp_path):
     rd = q.transfer_matrix_scattering(q.SlabParams(q0=2.0, h=1.0, k=1.0), inc)
     got = complex(*payload["u_plus"]["0,0"])
     assert abs(got - rd.u_plus[(0, 0)]) < 1e-10
+
+
+def test_aliased_medium_exits_3_with_one_line_error(tmp_path, capsys):
+    # 4 points per period cannot resolve the couplings of N = 2 (needs 10)
+    med_path = tmp_path / "medium.dat"
+    x = 2 * np.pi * np.arange(4) / 4
+    q.save_sampled_medium(med_path, (2.0 + 0.5 * np.cos(x))[:, None, None]
+                          * np.ones((4, 4, 1)), 1.0)
+    text = SLAB_SOLVE.replace(
+        "kind = homogeneous\nq0 = 2.0",
+        f"kind = sampled\npath = {med_path}").replace("N = 0", "N = 2").replace(
+        "k = 1.0", "k = 1.3")
+    cfg = write_cfg(tmp_path, text)
+    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "too coarse" in err[0]

@@ -77,6 +77,66 @@ class TestAssemble:
             q.assemble(inc, med, q.Discretization(N=2, M=12))  # needs >= 10 points
 
 
+def coupled_medium(n=12, h=1.0):
+    """12 x 12 x 3 sampled grid varying in x1, x2 and x3."""
+    x = 2 * np.pi * np.arange(n) / n
+    c1, s2 = np.cos(x)[:, None, None], np.sin(x)[None, :, None]
+    z = np.array([-0.5, 0.1, 0.7])[None, None, :]
+    vals = 2.0 + 0.4 * c1 + 0.3 * s2 * (1 + z) + 0.2 * c1 * s2 * z
+    return q.MediumModel.sampled(vals, h)
+
+
+class TestCoupledMedium:
+    N, M = 2, 16
+
+    def setup_method(self):
+        self.med = coupled_medium()
+        self.disc = q.Discretization(N=self.N, M=self.M)
+        self.space = q.FieldSpace(self.disc, 1.0)
+        # criterion 10's incidence; its FD constant is set by the beta_n
+        # curvature near cut-off and is the same on a homogeneous layer
+        self.inc = q.IncidenceSpec.from_alpha(K_EX, ALPHA_EX, 1.0)
+
+    def test_dense_blocks_are_fourier_coupling_masses(self):
+        grid, M, k = self.space.grid, self.M, self.inc.k
+        slices = [self.med.fourier_slice(z, 2 * self.N) for z in grid.quad_x]
+        G = q.assemble(self.inc, self.med, self.disc, self.space).matrix
+        for i, n in enumerate(self.space.modes):
+            for j, m in enumerate(self.space.modes):
+                if i == j:
+                    continue
+                d = (n[0] - m[0], n[1] - m[1])
+                qhat = np.array([s[d] for s in slices])
+                want = -k * k * grid.weighted_mass(qhat)
+                assert np.array_equal(G[i * M:(i + 1) * M, j * M:(j + 1) * M], want)
+
+    def test_eps_derivative_matches_finite_difference(self):
+        A0 = q.assemble(self.inc, self.med, self.disc, self.space).matrix
+        Ap = q.assemble_eps_derivative(self.inc, self.med, self.disc, self.space).matrix
+        nm = len(self.space.modes)
+        assert np.abs(Ap.reshape(nm, self.M, nm, self.M)[0, :, 1]).max() > 0  # coupled
+        errs = []
+        for delta in (1e-4, 1e-5):
+            Ad = q.assemble(self.inc.with_k(K_EX + 1j * delta), self.med, self.disc,
+                            self.space).matrix
+            errs.append(np.linalg.norm((Ad - A0) / delta - Ap) / np.linalg.norm(Ap))
+            assert errs[-1] <= 5 * delta
+        assert 2.0 < errs[0] / errs[1] < 50.0  # first order
+
+    def test_fourier_profiles_match_per_depth_slices(self):
+        depths = self.space.grid.quad_x
+        vals = self.med.values
+        profs = self.med.fourier_profiles(depths, 2 * self.N)
+        assert sorted(profs) == sorted(q.mode_range(2 * self.N))
+        for a, z in enumerate(depths):
+            cell = min(int((z + 1.0) // (2.0 / 3)), 2)
+            fh = np.fft.fft2(vals[:, :, cell]) / vals[:, :, cell].size
+            fs = self.med.fourier_slice(z, 2 * self.N)
+            for m, p in profs.items():
+                assert p[a] == fs[m]
+                assert p[a] == pytest.approx(fh[m[0] % 12, m[1] % 12], abs=1e-15)
+
+
 class TestRhs:
     def test_plugin_value(self):
         inc = q.IncidenceSpec.from_angles(2.0, 0.0, 0.0, 1.0)

@@ -110,6 +110,22 @@ class TestValidate:
         with pytest.raises(ValueError):
             q.MediumModel.homogeneous(2.0 - 0.1j, 1.0)  # gain medium
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(2.0, np.nan),
+                                     complex(2.0, np.inf)])
+    def test_constructor_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            q.MediumModel.homogeneous(bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            q.MediumModel.slab_stack([(-1.0, 0.0, 2.0), (0.0, 1.0, bad)], 1.0)
+        vals = np.full((8, 8, 1), 2.0, dtype=complex)
+        vals[3, 5, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            q.MediumModel.sampled(vals, 1.0)
+
+    def test_all_nan_sampled_medium_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            q.MediumModel.sampled(np.full((8, 8, 1), np.nan), 1.0)
+
 
 class TestIngestion:
     def test_round_trip_file(self, tmp_path):

@@ -76,6 +76,23 @@ class TestIncidenceSpec:
         with pytest.raises(ValueError):
             q.IncidenceSpec.from_alpha(2.0 - 0.1j, (0, 0), 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            q.IncidenceSpec.from_alpha(bad, (0.1, 0.0), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            q.IncidenceSpec.from_alpha(complex(1.0, bad), (0.1, 0.0), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            q.IncidenceSpec.from_alpha(1.0, (bad, 0.0), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            q.IncidenceSpec.from_alpha(1.0, (0.1, bad), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            q.IncidenceSpec.from_alpha(1.0, (0.1, 0.0), bad)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            q.IncidenceSpec.from_angles(bad, 0.2, 0.0, 1.0)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            q.IncidenceSpec.from_angles(1.0, 0.2, bad, 1.0)
+
     def test_direct_alpha_complex_k_uses_fixed_tilde_theta(self):
         inc = q.IncidenceSpec.from_alpha(2.0, (0.5, -0.2), 1.0)
         inc_e = inc.with_k(2.0 + 0.01j)
