@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from .errors import (AliasError, ConfigError, ConstraintSingular, CutoffViolation,
                      CutProximity, DomainError, NearSingular, NonEvanescentMode,
-                     OutOfLayer, QpscatError, SolveFailed, ThresholdAmbiguity,
-                     UnsupportedMedium, WrongSide)
+                     OperatorTooLarge, OutOfLayer, QpscatError, SolveFailed,
+                     ThresholdAmbiguity, UnsupportedMedium, WrongSide)
 from .qpcore import (BetaTable, IncidenceSpec, ModeClassification, beta,
                      beta_table, branch_sqrt, classify_modes, d_beta_d_eps,
                      dtn_symbol, min_im_beta, mode_range, rayleigh_eval)

@@ -38,6 +38,10 @@ class NearSingular(QpscatError):
         self.sigma_max = sigma_max
 
 
+class OperatorTooLarge(QpscatError):
+    """The assembled operator would not fit in the machine's physical memory."""
+
+
 class SolveFailed(QpscatError):
     """Direct solve did not reach the required residual."""
 

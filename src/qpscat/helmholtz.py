@@ -26,11 +26,12 @@ W^{-1/2} G W^{-1/2}, whose conditioning stays O(1) in the resolution.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasError, NearSingular, SolveFailed
+from .errors import AliasError, NearSingular, OperatorTooLarge, SolveFailed
 from .medium import MediumModel
 from .qpcore import IncidenceSpec, ModeIndex, beta, beta_table, \
     classify_modes, d_beta_d_eps, mode_range, rayleigh_eval
@@ -40,6 +41,10 @@ FINITE_DIFFERENCE = "finite_difference_order2"
 
 #: relative smallest singular value below which a solve refuses to proceed
 NEAR_SINGULAR_THRESHOLD = 1e-8
+
+#: relative Frobenius norm of the even/odd cross blocks below which a dense
+#: operator counts as mirror-symmetric in depth (round-off leaves ~1e-15)
+_PARITY_CROSS_TOL = 1e-13
 
 #: mass matrix of the second-order depth scheme: average of the consistent
 #: and lumped P1 masses.  The average cancels the leading interior dispersion
@@ -365,19 +370,87 @@ class DiscreteOperator:
         return self._whitened
 
     def whitened_singular_values(self) -> np.ndarray:
-        """All singular values of the whitened matrix, descending."""
+        """All singular values of W^{-1/2} G W^{-1/2}, descending, cached.
+
+        Block-diagonal operators are decomposed block by block.  Dense ones
+        go through `_dense_singular_values`: two half-size blocks when the
+        operator is mirror-symmetric in depth, else the full whitened matrix.
+        """
         if self._svals is None:
-            wh = self.whitened()
             if self.block_diagonal:
-                s = np.concatenate([np.linalg.svd(B, compute_uv=False) for B in wh])
+                s = np.concatenate([np.linalg.svd(B, compute_uv=False)
+                                    for B in self.whitened()])
                 self._svals = np.sort(s)[::-1]
             else:
-                self._svals = np.linalg.svd(wh, compute_uv=False)
+                self._svals = _dense_singular_values(self)
         return self._svals
 
     def singularity_report(self) -> tuple[float, float]:
         s = self.whitened_singular_values()
         return float(s[-1]), float(s[0])
+
+
+def _dense_singular_values(op: DiscreteOperator) -> np.ndarray:
+    """Singular values of a dense operator's whitened matrix, descending.
+
+    The depth reflection x3 -> -x3 maps node j to M-1-j, and every W_n
+    commutes with it.  For even M the orthonormal parity basis
+    (e_j +- e_{M-1-j}) / sqrt(2), j < M/2, splits each mode block of G into
+    even/even, even/odd, odd/even and odd/odd parts.  When the cross parts
+    vanish (a medium mirror-symmetric in depth, e.g. z-invariant), the
+    whitened matrix is orthogonally similar to the direct sum of its even
+    and odd halves, whitened by the parity parts of W_n^{-1/2}; one batched
+    SVD of the two halves costs about a quarter of the full one.  The
+    halves are built one mode row at a time, so the full whitened matrix
+    is never formed.  For odd M, or cross parts above _PARITY_CROSS_TOL of
+    the total, the full whitened matrix is decomposed instead.
+    """
+    sp = op.space
+    nm, M = len(sp.modes), sp.M
+    if M % 2 == 0:
+        h = M // 2
+        j = np.arange(h)
+        P = np.zeros((M, M))  # columns: the even basis, then the odd one
+        P[j, j] = P[M - 1 - j, j] = P[j, h + j] = np.sqrt(0.5)
+        P[M - 1 - j, h + j] = -np.sqrt(0.5)
+        S = P.T @ np.stack([sp.w_isqrt(n) for n in sp.modes]) @ P
+        parts = [(slice(None, h), S[:, :h, :h]), (slice(h, None), S[:, h:, h:])]
+        halves = np.empty((2, nm, h, nm, h), dtype=complex)
+        cross = total = 0.0
+        for i, row in enumerate(op.dense.reshape(nm, M, nm * M)):
+            t = ((P.T @ row).reshape(M * nm, M) @ P).reshape(M, nm, M)
+            eo, oe = t[:h, :, h:], t[h:, :, :h]
+            cross += np.vdot(eo, eo).real + np.vdot(oe, oe).real
+            total += np.vdot(t, t).real
+            for p, (sl, Sp) in enumerate(parts):
+                # column mode m times Sp[m], then row mode i times Sp[i]
+                b = np.matmul(t[sl, :, sl].transpose(1, 0, 2), Sp)
+                halves[p, i] = (Sp[i] @ b).transpose(1, 0, 2)
+        if cross <= _PARITY_CROSS_TOL ** 2 * total:
+            s = np.linalg.svd(halves.reshape(2, nm * h, nm * h), compute_uv=False)
+            return np.sort(s.ravel())[::-1]
+    return np.linalg.svd(op.whitened(), compute_uv=False)
+
+
+def _check_operator_bytes(medium: MediumModel, disc: Discretization) -> None:
+    """Raise OperatorTooLarge if the operator cannot fit in physical memory.
+
+    A dense operator takes unknowns^2 complex entries, a block-diagonal one
+    (2N+1)^2 blocks of M^2.  Checked before anything is allocated.
+    """
+    if medium.transversely_uniform:
+        need = 16 * (2 * disc.N + 1) ** 2 * disc.M ** 2
+    else:
+        need = 16 * disc.unknowns ** 2
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: no guard
+        return
+    if 0 < have < need:
+        raise OperatorTooLarge(
+            f"operator with {disc.unknowns} unknowns (N={disc.N}, M={disc.M}) "
+            f"needs {need / 2**30:.4g} GiB, more than the {have / 2**30:.4g} "
+            f"GiB of physical memory; lower N or M")
 
 
 def _medium_profiles(medium: MediumModel, grid: DepthGrid, N: int):
@@ -437,10 +510,13 @@ def assemble(inc: IncidenceSpec, medium: MediumModel, disc: Discretization,
     """Assemble the layer operator at inc.k (real or complex).
 
     Raises CutoffViolation if some order sits at a grazing cut-off (real k
-    only) and AliasError if a sampled medium under-resolves the couplings.
+    only), AliasError if a sampled medium under-resolves the couplings, and
+    OperatorTooLarge, before allocating, if the operator exceeds physical
+    memory.
     """
     if abs(inc.h - medium.h) > 1e-12:
         raise ValueError("incidence h and medium h disagree")
+    _check_operator_bytes(medium, disc)
     if space is None:
         space = FieldSpace(disc, inc.h)
     grid = space.grid
@@ -469,6 +545,7 @@ def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
     """
     if inc.k.imag != 0:
         raise ValueError("derivative operator is defined at real k")
+    _check_operator_bytes(medium, disc)
     if space is None:
         space = FieldSpace(disc, inc.h)
     grid = space.grid

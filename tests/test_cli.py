@@ -243,3 +243,19 @@ def test_aliased_medium_exits_3_with_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ") and "too coarse" in err[0]
+
+
+def test_oversized_operator_exits_3_with_one_line_error(tmp_path, capsys):
+    # N = 40, M = 64 on a sampled medium: a dense operator of about 2.8 TB
+    med_path = tmp_path / "medium.dat"
+    q.save_sampled_medium(med_path, np.full((4, 4, 1), 2.0), 1.0)
+    text = SLAB_SOLVE.replace(
+        "kind = homogeneous\nq0 = 2.0",
+        f"kind = sampled\npath = {med_path}").replace("N = 0", "N = 40").replace(
+        "M = 32", "M = 64")
+    cfg = write_cfg(tmp_path, text)
+    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "physical memory" in err[0]

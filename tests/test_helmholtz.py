@@ -1,4 +1,6 @@
 """Assembly, solve, Rayleigh extraction, lift: oracles and invariants."""
+import time
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,78 @@ class TestCoupledMedium:
             for m, p in profs.items():
                 assert p[a] == fs[m]
                 assert p[a] == pytest.approx(fh[m[0] % 12, m[1] % 12], abs=1e-15)
+
+
+def inclusion_medium(n=12, h=1.0):
+    """z-invariant disc of index 2.5 in a square of index 1.5, n x n x 1."""
+    x = (np.arange(n) + 0.5) * 2 * np.pi / n
+    r2 = (x[:, None] - np.pi) ** 2 + (x[None, :] - np.pi) ** 2
+    vals = np.where(r2 < (0.35 * 2 * np.pi) ** 2, 2.5, 1.5)
+    return q.MediumModel.sampled(vals[:, :, None], h)
+
+
+class TestParityScreen:
+    """The dense singularity screen against a full SVD of the whitened matrix."""
+
+    def svd_shapes(self, monkeypatch, op):
+        """Singular values from the screen, and the shape of each SVD it ran."""
+        shapes, svd = [], np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "svd", recording)
+            return op.whitened_singular_values(), shapes
+
+    @pytest.mark.parametrize("scheme", [q.CHEBYSHEV, q.FINITE_DIFFERENCE])
+    @pytest.mark.parametrize("k", [1.3, 1.3 + 0.05j])
+    def test_symmetric_medium_splits_into_two_halves(self, monkeypatch, scheme, k):
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0).with_k(k)
+        disc = q.Discretization(N=2, M=16, depth_scheme=scheme)
+        op = q.assemble(inc, inclusion_medium(), disc)
+        s, shapes = self.svd_shapes(monkeypatch, op)
+        half = disc.unknowns // 2
+        assert shapes == [(2, half, half)]  # one batched call per screen
+        full = np.linalg.svd(op.whitened(), compute_uv=False)
+        assert np.all(np.diff(s) <= 0)
+        assert np.max(np.abs(s - full)) <= 1e-13 * full[0]
+
+    @pytest.mark.parametrize("medium, M", [(coupled_medium, 16), (inclusion_medium, 15)])
+    def test_fallback_is_the_full_svd(self, monkeypatch, medium, M):
+        # a depth-asymmetric medium, and odd M, keep the full whitened SVD
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        disc = q.Discretization(N=2, M=M)
+        op = q.assemble(inc, medium(), disc)
+        s, shapes = self.svd_shapes(monkeypatch, op)
+        assert shapes == [(disc.unknowns, disc.unknowns)]
+        assert np.array_equal(s, np.linalg.svd(op.whitened(), compute_uv=False))
+
+    def test_near_singular_on_guided_sampled_medium(self):
+        inc = q.IncidenceSpec.from_alpha(K_EX, ALPHA_EX, 1.0)
+        med = q.MediumModel.sampled(np.full((8, 8, 1), 2.0), 1.0)
+        disc = q.Discretization(N=1, M=16)
+        op = q.assemble(inc, med, disc)
+        assert not op.block_diagonal
+        with pytest.raises(q.NearSingular) as exc:
+            q.solve(op, q.rhs(inc, disc, op.space))
+        assert exc.value.smallest_singular_value < 1e-8 * exc.value.sigma_max
+
+
+class TestOperatorSizeGuard:
+    def test_terabyte_dense_operator_fails_before_allocating(self):
+        # 81^2 modes x 64 nodes: a dense operator of about 2.8 TB; the 4 x 4
+        # grid would also alias at N = 40, so only the guard can raise first
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        med = q.MediumModel.sampled(np.full((4, 4, 1), 2.0), 1.0)
+        disc = q.Discretization(N=40, M=64)
+        assert 16 * disc.unknowns ** 2 > 2.8e12
+        for build in (q.assemble, q.assemble_eps_derivative):
+            t0 = time.perf_counter()
+            with pytest.raises(q.OperatorTooLarge, match="physical memory"):
+                build(inc, med, disc)
+            assert time.perf_counter() - t0 < 0.1
 
 
 class TestRhs:

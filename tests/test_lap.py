@@ -221,6 +221,22 @@ class TestEpsSweep:
         assert 0.8 <= res.slope <= 1.2
         assert res.final_relative_delta < 1e-3
 
+    def test_dense_cond_estimates_match_full_svd(self):
+        # the guided scenario on a dense (sampled) q = 2 medium: each level's
+        # estimate is sigma_max / sigma_min of its whole whitened matrix
+        inc = q.IncidenceSpec.from_alpha(K_EX, ALPHA_EX, 1.0)
+        med = q.MediumModel.sampled(np.full((8, 8, 1), 2.0), 1.0)
+        disc = q.Discretization(N=1, M=16)
+        op = q.assemble(inc, med, disc)
+        assert not op.block_diagonal
+        scn = q.LapScenario(inc=inc, medium=med, disc=disc, kernel=q.kernel(op))
+        res = q.eps_sweep(scn)
+        assert len(res.cond_estimates) == len(scn.eps_schedule) == 11
+        for eps, cond in zip(scn.eps_schedule, res.cond_estimates):
+            op_e = q.assemble(inc.with_k(K_EX + 1j * eps), med, disc, scn.space)
+            s = np.linalg.svd(op_e.whitened(), compute_uv=False)
+            assert cond == pytest.approx(s[0] / s[-1], rel=1e-12)
+
     def test_kernel_active_synthetic_load(self, scenario):
         # a fixed load in the range of A(0) makes the limit pick up a nonzero
         # kernel coefficient; the sweep still converges to the constrained
