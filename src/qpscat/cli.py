@@ -125,7 +125,11 @@ class RunConfig:
                     layers.append((float(z0), float(z1), complex(q)))
                 return MediumModel.slab_stack(layers, h)
             if kind == "sampled":
-                return load_sampled_medium(self._get("medium", "path"))
+                medium = load_sampled_medium(self._get("medium", "path"))
+                if abs(medium.h - h) > 1e-12:
+                    raise ValueError(f"sampled file has h = {medium.h!r}, "
+                                     f"[incidence] h = {h!r}")
+                return medium
         except (ValueError, QpscatError) as e:
             raise ConfigError(f"bad medium: {e}") from e
         raise ConfigError(f"unknown medium kind {kind!r}")

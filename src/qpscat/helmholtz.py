@@ -27,7 +27,7 @@ W^{-1/2} G W^{-1/2}, whose conditioning stays O(1) in the resolution.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,11 +57,18 @@ FD_MASS_BLEND = 0.5
 
 @dataclass(frozen=True)
 class Discretization:
-    """Transverse truncation |n|_inf <= N and M depth nodes on [-h, h]."""
+    """Transverse truncation |n|_inf <= N and M depth nodes on [-h, h].
+
+    Owns one FieldSpace per layer half-height h (see `space`), so repeated
+    solves on one discretization build the depth grid and the W_n factors
+    once.  The cache takes no part in equality, hashing or repr.
+    """
 
     N: int
     M: int
     depth_scheme: str = CHEBYSHEV
+    _spaces: dict = field(default_factory=dict, init=False, compare=False,
+                          hash=False, repr=False)
 
     def __post_init__(self):
         if self.M < 8:
@@ -74,6 +81,13 @@ class Discretization:
     @property
     def unknowns(self) -> int:
         return (2 * self.N + 1) ** 2 * self.M
+
+    def space(self, h: float) -> FieldSpace:
+        """The FieldSpace of this discretization on [-h, h], built on first use."""
+        h = float(h)
+        if h not in self._spaces:
+            self._spaces[h] = FieldSpace(self, h)
+        return self._spaces[h]
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +307,9 @@ class DiscreteOperator:
     """Assembled bilinear-form matrix of the layer problem at one wavenumber.
 
     Block-diagonal over the transverse modes whenever the medium is
-    transversely uniform; otherwise dense over the full layout.  `matrix`
-    exposes the flat representation with row (mode index) * M + (depth
-    index).
+    transversely uniform (`blocks`, one (modes, M, M) array); otherwise
+    dense over the full layout.  `matrix` exposes the flat representation
+    with row (mode index) * M + (depth index).
     """
 
     def __init__(self, inc, disc, space, betas, blocks=None, dense=None,
@@ -471,20 +485,19 @@ def _build_operator(inc, medium, disc, space, betas, volume, boundary, scale,
                     kind) -> DiscreteOperator:
     """Assemble the operator for both `assemble` and `assemble_eps_derivative`.
 
-    Mode n gets the diagonal block volume(n) - scale C_0, with i boundary[n]
+    `volume` stacks one (M, M) block per mode, in the order of space.modes.
+    Mode n gets the diagonal block volume[n] - scale C_0, with i boundary[n]
     subtracted at both end nodes; off the diagonal, block (n, m) is
     -scale C_{n-m}.  Here C_d = int qhat_d(x3) l_i l_j dx3, except that C_0
-    integrates qhat_0 - 1 (the background sits in volume(n)).
+    integrates qhat_0 - 1 (the background sits in volume).
     """
     grid = space.grid
     profs = _medium_profiles(medium, grid, disc.N)
     c0 = scale * grid.weighted_mass(profs[(0, 0)] - np.ones_like(grid.quad_x))
-    blocks = []
-    for n in space.modes:
-        B = volume(n) - c0
-        B[0, 0] -= 1j * boundary[n]
-        B[-1, -1] -= 1j * boundary[n]
-        blocks.append(B)
+    ib = 1j * np.array([boundary[n] for n in space.modes])
+    blocks = volume - c0
+    blocks[:, 0, 0] -= ib
+    blocks[:, -1, -1] -= ib
     if medium.transversely_uniform:
         return DiscreteOperator(inc, disc, space, betas, blocks=blocks,
                                 medium=medium, kind=kind)
@@ -498,7 +511,8 @@ def _build_operator(inc, medium, disc, space, betas, volume, boundary, scale,
     n = np.array(space.modes)
     d = n[:, None, :] - n[None, :, :] + N2  # (n - m) + 2N, shape (nm, nm, 2)
     dense = np.empty((nm, M, nm, M), dtype=complex)
-    dense.transpose(0, 2, 1, 3)[...] = coupling[d[..., 0], d[..., 1]]
+    for i in range(nm):  # one mode row at a time: no (nm, nm, M, M) gather
+        dense[i] = coupling[d[i, :, 0], d[i, :, 1]].transpose(1, 0, 2)
     diag = np.arange(nm)
     dense[diag, :, diag, :] = blocks
     return DiscreteOperator(inc, disc, space, betas, dense=dense.reshape(space.size, -1),
@@ -509,6 +523,8 @@ def assemble(inc: IncidenceSpec, medium: MediumModel, disc: Discretization,
              space: FieldSpace | None = None) -> DiscreteOperator:
     """Assemble the layer operator at inc.k (real or complex).
 
+    Without `space` the discretization's own `disc.space(inc.h)` is used, so
+    the depth grid and W_n factors are shared by every call on one disc.
     Raises CutoffViolation if some order sits at a grazing cut-off (real k
     only), AliasError if a sampled medium under-resolves the couplings, and
     OperatorTooLarge, before allocating, if the operator exceeds physical
@@ -518,7 +534,7 @@ def assemble(inc: IncidenceSpec, medium: MediumModel, disc: Discretization,
         raise ValueError("incidence h and medium h disagree")
     _check_operator_bytes(medium, disc)
     if space is None:
-        space = FieldSpace(disc, inc.h)
+        space = disc.space(inc.h)
     grid = space.grid
     k = inc.k
     if k.imag == 0:
@@ -526,11 +542,8 @@ def assemble(inc: IncidenceSpec, medium: MediumModel, disc: Discretization,
         betas = dict(bt.entries)
     else:
         betas = {n: beta(n, inc) for n in space.modes}
-
-    def volume(n):
-        b = betas[n]
-        return grid.stiffness.astype(complex) - (b * b) * grid.mass
-
+    b2 = np.array([betas[n] * betas[n] for n in space.modes])
+    volume = grid.stiffness.astype(complex) - b2[:, None, None] * grid.mass
     return _build_operator(inc, medium, disc, space, betas, volume, betas,
                            k * k, "operator")
 
@@ -542,32 +555,34 @@ def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
 
     Volume coefficient -2i(k cos^2 t1 - n.tilde_theta) per mode plus
     -2ik times the (q - 1) coupling; boundary entries -i d(beta_n)/d(eps).
+    Without `space`, `disc.space(inc.h)` is used, as in `assemble`.
     """
     if inc.k.imag != 0:
         raise ValueError("derivative operator is defined at real k")
     _check_operator_bytes(medium, disc)
     if space is None:
-        space = FieldSpace(disc, inc.h)
+        space = disc.space(inc.h)
     grid = space.grid
     k = inc.k.real
     tt = inc.tilde_theta
     c2 = inc.cos2_theta1
     betas = dict(beta_table(inc, disc.N).entries)
     dbetas = {n: d_beta_d_eps(n, inc) for n in space.modes}
-
-    def volume(n):
-        nv = np.asarray(n, dtype=float)
-        return (-2j * (k * c2 - float(nv @ tt))) * grid.mass.astype(complex)
-
+    coef = np.array([-2j * (k * c2 - float(np.asarray(n, dtype=float) @ tt))
+                     for n in space.modes])
+    volume = coef[:, None, None] * grid.mass.astype(complex)
     return _build_operator(inc, medium, disc, space, betas, volume, dbetas,
                            2j * k, "eps_derivative")
 
 
 def rhs(inc: IncidenceSpec, disc: Discretization,
         space: FieldSpace | None = None) -> np.ndarray:
-    """Incident load: -2ik cos(t1) e^{-ikh cos(t1)} in the n = 0 top boundary row."""
+    """Incident load: -2ik cos(t1) e^{-ikh cos(t1)} in the n = 0 top boundary row.
+
+    Laid out on `space`, by default the discretization's `disc.space(inc.h)`.
+    """
     if space is None:
-        space = FieldSpace(disc, inc.h)
+        space = disc.space(inc.h)
     load = space.zeros()
     k = inc.k
     ct = inc.cos_theta1
@@ -577,9 +592,12 @@ def rhs(inc: IncidenceSpec, disc: Discretization,
 
 def rhs_eps_derivative(inc: IncidenceSpec, disc: Discretization,
                        space: FieldSpace | None = None) -> np.ndarray:
-    """d/d eps at eps = 0 of the load: 2 cos(t1)(1 - ikh cos(t1)) e^{-ikh cos(t1)}."""
+    """d/d eps at eps = 0 of the load: 2 cos(t1)(1 - ikh cos(t1)) e^{-ikh cos(t1)}.
+
+    Laid out on `space`, by default the discretization's `disc.space(inc.h)`.
+    """
     if space is None:
-        space = FieldSpace(disc, inc.h)
+        space = disc.space(inc.h)
     load = space.zeros()
     k = inc.k
     ct = inc.cos_theta1
@@ -625,8 +643,8 @@ def solve(op: DiscreteOperator, load: np.ndarray) -> FieldCoefficients:
             smallest_singular_value=smin, sigma_max=smax)
 
     def direct(b):
-        if op.block_diagonal:
-            return np.stack([np.linalg.solve(B, b[i]) for i, B in enumerate(op.blocks)])
+        if op.block_diagonal:  # one batched LAPACK call over the mode blocks
+            return np.linalg.solve(op.blocks, b[..., None])[..., 0]
         return np.linalg.solve(op.dense, b.reshape(-1)).reshape(b.shape)
 
     vals = direct(load)

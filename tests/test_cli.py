@@ -259,3 +259,18 @@ def test_oversized_operator_exits_3_with_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ") and "physical memory" in err[0]
+
+
+def test_sampled_file_h_mismatch_is_a_config_error(tmp_path, capsys):
+    # the file says h = 2, the [incidence] section h = 1
+    med_path = tmp_path / "medium.dat"
+    q.save_sampled_medium(med_path, np.full((8, 8, 4), 2.0), 2.0)
+    text = SLAB_SOLVE.replace(
+        "kind = homogeneous\nq0 = 2.0",
+        f"kind = sampled\npath = {med_path}")
+    cfg = write_cfg(tmp_path, text)
+    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: ") and "h = 2.0" in err[0]

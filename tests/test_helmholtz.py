@@ -400,6 +400,72 @@ class TestFieldSpace:
         assert np.linalg.norm(y.ravel()) == pytest.approx(sp.norm(u), rel=1e-12)
 
 
+STACK_LAYERS = ((-1.0, -0.3, 2.0), (-0.3, 0.45, 3.2), (0.45, 1.0, 1.4))
+
+
+class TestSharedSpace:
+    """A Discretization builds one FieldSpace per h and every solve shares it."""
+
+    def test_space_is_built_once_per_h(self):
+        disc = q.Discretization(N=1, M=16)
+        assert disc.space(1.0) is disc.space(1.0)
+        assert disc.space(1) is disc.space(1.0)
+        assert disc.space(2.0) is not disc.space(1.0)
+        assert disc.space(2.0).h == 2.0
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.0, 1.0)
+        op = q.assemble(inc, q.MediumModel.homogeneous(2.0, 1.0), disc)
+        assert op.space is disc.space(1.0)
+        assert q.rhs(inc, disc).shape == (9, 16)
+
+    def test_cache_takes_no_part_in_equality(self):
+        a, b = q.Discretization(N=1, M=16), q.Discretization(N=1, M=16)
+        a.space(1.0)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b)
+        assert a != q.Discretization(N=1, M=16, depth_scheme=q.FINITE_DIFFERENCE)
+
+    def test_w_factors_built_once_across_solves(self, monkeypatch):
+        calls, eigh = [], np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        disc = q.Discretization(N=2, M=16)
+        med = q.MediumModel.slab_stack(STACK_LAYERS, 1.0)
+        for k in (1.1, 1.7):
+            inc = q.IncidenceSpec.from_angles(k, 0.3, 0.7, 1.0)
+            op = q.assemble(inc, med, disc)
+            q.solve(op, q.rhs(inc, disc))
+        distinct = {n[0] ** 2 + n[1] ** 2 for n in q.mode_range(disc.N)}
+        assert len(calls) == len(distinct)
+
+    @pytest.mark.parametrize("medium, disc", [
+        (q.MediumModel.slab_stack(STACK_LAYERS, 1.0), q.Discretization(N=2, M=32)),
+        (inclusion_medium(), q.Discretization(N=2, M=16)),
+    ])
+    def test_shared_space_gives_identical_coefficients(self, medium, disc):
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        got = []
+        for space in (disc.space(1.0), q.FieldSpace(disc, 1.0)):
+            op = q.assemble(inc, medium, disc, space)
+            rd = q.rayleigh_data(q.solve(op, q.rhs(inc, disc, space)), inc)
+            got.append([rd.u_plus[n] for n in space.modes]
+                       + [rd.u_minus[n] for n in space.modes])
+        assert np.array_equal(got[0], got[1])
+
+    def test_batched_block_solve_equals_per_block_solve(self):
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        disc = q.Discretization(N=2, M=32)
+        op = q.assemble(inc, q.MediumModel.slab_stack(STACK_LAYERS, 1.0), disc)
+        assert op.blocks.shape == (25, 32, 32)
+        load = q.rhs(inc, disc)
+        v = q.solve(op, load)
+        ref = np.stack([np.linalg.solve(B, load[i]) for i, B in enumerate(op.blocks)])
+        assert np.array_equal(v.values, ref)
+
+
 class TestStructuralInvariants:
     def test_reciprocity_of_symbols(self):
         # beta_n(alpha) = beta_{-n}(-alpha) at the symbol level
