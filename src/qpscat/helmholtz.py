@@ -221,15 +221,17 @@ class DepthGrid:
                 out[a] = t / t.sum()
         return out
 
-    def interpolate(self, values: np.ndarray, x3: float) -> complex:
-        """Evaluate the nodal profile at a point in [-h, h]."""
+    def interpolate(self, values: np.ndarray, x3: float) -> np.ndarray:
+        """Evaluate nodal profiles, shape (..., M), at a point in [-h, h].
+
+        The interpolation row is built once and applied to every profile.
+        """
         if self.scheme == CHEBYSHEV:
-            row = self._interp_matrix(np.array([x3]))[0]
-            return complex(row @ values)
+            return values @ self._interp_matrix(np.array([x3]))[0]
         j = np.searchsorted(self.nodes, x3) - 1
         j = min(max(j, 0), self.M - 2)
         t = (x3 - self.nodes[j]) / (self.nodes[j + 1] - self.nodes[j])
-        return complex((1 - t) * values[j] + t * values[j + 1])
+        return (1 - t) * values[..., j] + t * values[..., j + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +311,9 @@ class DiscreteOperator:
     Block-diagonal over the transverse modes whenever the medium is
     transversely uniform (`blocks`, one (modes, M, M) array); otherwise
     dense over the full layout.  `matrix` exposes the flat representation
-    with row (mode index) * M + (depth index).
+    with row (mode index) * M + (depth index).  A dense operator caches its
+    whitened singular values and, when it is mirror-symmetric in depth, its
+    whitened parity halves, which serve both the screen and `solve`.
     """
 
     def __init__(self, inc, disc, space, betas, blocks=None, dense=None,
@@ -324,6 +328,7 @@ class DiscreteOperator:
         self.kind = kind
         self._whitened = None
         self._svals = None
+        self._parity = None
 
     @property
     def k(self) -> complex:
@@ -404,46 +409,81 @@ class DiscreteOperator:
         return float(s[-1]), float(s[0])
 
 
+def _parity_halves(op: DiscreteOperator):
+    """The whitened depth-parity halves of a dense operator, or None; cached.
+
+    The depth reflection x3 -> -x3 maps node j to M-1-j, and every W_n
+    commutes with it.  For even M the orthonormal parity basis P, columns
+    (e_j +- e_{M-1-j}) / sqrt(2) for j < M/2 (even ones first), splits each
+    mode block of G into even/even, even/odd, odd/even and odd/odd parts.
+    When the cross parts vanish (a medium mirror-symmetric in depth, e.g.
+    z-invariant), the whitened matrix is orthogonally similar to the direct
+    sum of its even and odd halves, whitened by the parity parts of
+    W_n^{-1/2}.  The halves are built one mode row at a time, so the full
+    whitened matrix is never formed.
+
+    Returns (P, S, halves): S of shape (2, modes, M/2, M/2) holds the even
+    and odd parity blocks of P^T W_n^{-1/2} P, and halves of shape
+    (2, n/2, n/2) the whitened even and odd blocks of G, rows and columns
+    ordered (mode, parity node).  None for odd M, or when the cross parts
+    exceed _PARITY_CROSS_TOL of the total.
+    """
+    if op._parity is None:
+        op._parity = False  # not split, unless the test below passes
+        sp = op.space
+        nm, M = len(sp.modes), sp.M
+        if M % 2 == 0:
+            h = M // 2
+            j = np.arange(h)
+            P = np.zeros((M, M))
+            P[j, j] = P[M - 1 - j, j] = P[j, h + j] = np.sqrt(0.5)
+            P[M - 1 - j, h + j] = -np.sqrt(0.5)
+            Sfull = P.T @ np.stack([sp.w_isqrt(n) for n in sp.modes]) @ P
+            S = np.stack([Sfull[:, :h, :h], Sfull[:, h:, h:]])
+            sls = (slice(None, h), slice(h, None))
+            halves = np.empty((2, nm, h, nm, h), dtype=complex)
+            cross = total = 0.0
+            for i, row in enumerate(op.dense.reshape(nm, M, nm * M)):
+                t = ((P.T @ row).reshape(M * nm, M) @ P).reshape(M, nm, M)
+                eo, oe = t[:h, :, h:], t[h:, :, :h]
+                cross += np.vdot(eo, eo).real + np.vdot(oe, oe).real
+                total += np.vdot(t, t).real
+                for p, sl in enumerate(sls):
+                    # column mode m times S[p, m], then row mode i times S[p, i]
+                    b = np.matmul(t[sl, :, sl].transpose(1, 0, 2), S[p])
+                    halves[p, i] = (S[p, i] @ b).transpose(1, 0, 2)
+            if cross <= _PARITY_CROSS_TOL ** 2 * total:
+                op._parity = (P, S, halves.reshape(2, nm * h, nm * h))
+    return op._parity or None
+
+
 def _dense_singular_values(op: DiscreteOperator) -> np.ndarray:
     """Singular values of a dense operator's whitened matrix, descending.
 
-    The depth reflection x3 -> -x3 maps node j to M-1-j, and every W_n
-    commutes with it.  For even M the orthonormal parity basis
-    (e_j +- e_{M-1-j}) / sqrt(2), j < M/2, splits each mode block of G into
-    even/even, even/odd, odd/even and odd/odd parts.  When the cross parts
-    vanish (a medium mirror-symmetric in depth, e.g. z-invariant), the
-    whitened matrix is orthogonally similar to the direct sum of its even
-    and odd halves, whitened by the parity parts of W_n^{-1/2}; one batched
-    SVD of the two halves costs about a quarter of the full one.  The
-    halves are built one mode row at a time, so the full whitened matrix
-    is never formed.  For odd M, or cross parts above _PARITY_CROSS_TOL of
-    the total, the full whitened matrix is decomposed instead.
+    One batched SVD of the two `_parity_halves` when the operator splits
+    (about a quarter of the work), else of the full whitened matrix.
     """
-    sp = op.space
-    nm, M = len(sp.modes), sp.M
-    if M % 2 == 0:
-        h = M // 2
-        j = np.arange(h)
-        P = np.zeros((M, M))  # columns: the even basis, then the odd one
-        P[j, j] = P[M - 1 - j, j] = P[j, h + j] = np.sqrt(0.5)
-        P[M - 1 - j, h + j] = -np.sqrt(0.5)
-        S = P.T @ np.stack([sp.w_isqrt(n) for n in sp.modes]) @ P
-        parts = [(slice(None, h), S[:, :h, :h]), (slice(h, None), S[:, h:, h:])]
-        halves = np.empty((2, nm, h, nm, h), dtype=complex)
-        cross = total = 0.0
-        for i, row in enumerate(op.dense.reshape(nm, M, nm * M)):
-            t = ((P.T @ row).reshape(M * nm, M) @ P).reshape(M, nm, M)
-            eo, oe = t[:h, :, h:], t[h:, :, :h]
-            cross += np.vdot(eo, eo).real + np.vdot(oe, oe).real
-            total += np.vdot(t, t).real
-            for p, (sl, Sp) in enumerate(parts):
-                # column mode m times Sp[m], then row mode i times Sp[i]
-                b = np.matmul(t[sl, :, sl].transpose(1, 0, 2), Sp)
-                halves[p, i] = (Sp[i] @ b).transpose(1, 0, 2)
-        if cross <= _PARITY_CROSS_TOL ** 2 * total:
-            s = np.linalg.svd(halves.reshape(2, nm * h, nm * h), compute_uv=False)
-            return np.sort(s.ravel())[::-1]
+    parity = _parity_halves(op)
+    if parity is not None:
+        s = np.linalg.svd(parity[2], compute_uv=False)
+        return np.sort(s.ravel())[::-1]
     return np.linalg.svd(op.whitened(), compute_uv=False)
+
+
+def _solve_parity(parity, b: np.ndarray) -> np.ndarray:
+    """Solve G v = b through the whitened parity halves of `_parity_halves`.
+
+    With H = S P^T G P S the direct sum of the halves, G v = b reads
+    H z = g for g = S P^T b and v = P S z (per mode); both halves are
+    factored in one batched LAPACK call.
+    """
+    P, S, halves = parity
+    nm, M = b.shape
+    h = M // 2
+    g = np.matmul(S, (b @ P).reshape(nm, 2, h).transpose(1, 0, 2)[..., None])
+    z = np.linalg.solve(halves, g.reshape(2, nm * h, 1))
+    w = np.matmul(S, z.reshape(2, nm, h, 1))
+    return w.reshape(2, nm, h).transpose(1, 0, 2).reshape(nm, M) @ P.T
 
 
 def _check_operator_bytes(medium: MediumModel, disc: Discretization) -> None:
@@ -633,7 +673,12 @@ def solve(op: DiscreteOperator, load: np.ndarray) -> FieldCoefficients:
     Raises NearSingular when the whitened relative smallest singular value
     drops below NEAR_SINGULAR_THRESHOLD (the signature of a propagative wave
     vector; route such scenarios to the kernel/limiting-absorption tools).
-    The returned profiles satisfy ||A v - load|| <= 1e-10 ||load||.
+    Block-diagonal operators are factored block by block, and dense ones
+    that the screen split by depth parity through their two whitened
+    half-size blocks, in one batched LAPACK call either way; other dense
+    operators by one full LU.  The residual is always checked against the
+    assembled matrix: the returned profiles satisfy
+    ||A v - load|| <= 1e-10 ||load||, after at most one refinement sweep.
     """
     smin, smax = op.singularity_report()
     if smin < NEAR_SINGULAR_THRESHOLD * smax:
@@ -642,9 +687,13 @@ def solve(op: DiscreteOperator, load: np.ndarray) -> FieldCoefficients:
             f"{smin / smax:.3e} (propagative wave vector?)",
             smallest_singular_value=smin, sigma_max=smax)
 
+    parity = None if op.block_diagonal else _parity_halves(op)
+
     def direct(b):
         if op.block_diagonal:  # one batched LAPACK call over the mode blocks
             return np.linalg.solve(op.blocks, b[..., None])[..., 0]
+        if parity is not None:
+            return _solve_parity(parity, b)
         return np.linalg.solve(op.dense, b.reshape(-1)).reshape(b.shape)
 
     vals = direct(load)
@@ -707,10 +756,8 @@ def rayleigh_data(v: FieldCoefficients, inc: IncidenceSpec,
 def _interior_field(v: FieldCoefficients, inc: IncidenceSpec, x) -> complex:
     """e^{i alpha.x~} sum_n v_n(x3) e^{i n.x~} at a point x inside the layer."""
     xt, x3 = x[:2], x[2]
-    total = 0.0 + 0.0j
-    for i, n in enumerate(v.space.modes):
-        total += v.space.grid.interpolate(v.values[i], x3) * \
-            np.exp(1j * (n[0] * xt[0] + n[1] * xt[1]))
+    phases = np.exp(1j * (np.array(v.space.modes) @ xt))
+    total = v.space.grid.interpolate(v.values, x3) @ phases
     return complex(np.exp(1j * (inc.alpha_vec @ xt)) * total)
 
 

@@ -147,19 +147,25 @@ def inclusion_medium(n=12, h=1.0):
     return q.MediumModel.sampled(vals[:, :, None], h)
 
 
+def recorded_shapes(monkeypatch, name):
+    """Patch numpy.linalg.<name> to record the shape of its first argument."""
+    shapes, fn = [], getattr(np.linalg, name)
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return fn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recording)
+    return shapes
+
+
 class TestParityScreen:
     """The dense singularity screen against a full SVD of the whitened matrix."""
 
     def svd_shapes(self, monkeypatch, op):
         """Singular values from the screen, and the shape of each SVD it ran."""
-        shapes, svd = [], np.linalg.svd
-
-        def recording(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
-
         with monkeypatch.context() as m:
-            m.setattr(np.linalg, "svd", recording)
+            shapes = recorded_shapes(m, "svd")
             return op.whitened_singular_values(), shapes
 
     @pytest.mark.parametrize("scheme", [q.CHEBYSHEV, q.FINITE_DIFFERENCE])
@@ -194,6 +200,47 @@ class TestParityScreen:
         with pytest.raises(q.NearSingular) as exc:
             q.solve(op, q.rhs(inc, disc, op.space))
         assert exc.value.smallest_singular_value < 1e-8 * exc.value.sigma_max
+
+
+class TestParitySolve:
+    """Dense solves through the screen's parity halves against the full LU."""
+
+    @pytest.mark.parametrize("scheme", [q.CHEBYSHEV, q.FINITE_DIFFERENCE])
+    @pytest.mark.parametrize("k", [1.3, 1.3 + 0.05j])
+    def test_symmetric_medium_solves_in_two_halves(self, monkeypatch, scheme, k):
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0).with_k(k)
+        disc = q.Discretization(N=2, M=16, depth_scheme=scheme)
+        op = q.assemble(inc, inclusion_medium(), disc)
+        load = q.rhs(inc, disc)
+        full = np.linalg.solve(op.dense, load.ravel()).reshape(load.shape)
+        shapes = recorded_shapes(monkeypatch, "solve")
+        v = q.solve(op, load).values
+        half = disc.unknowns // 2
+        assert shapes == [(2, half, half)]  # one batched LU, no refinement
+        assert np.linalg.norm((v - full).ravel()) <= 1e-12 * np.linalg.norm(full.ravel())
+
+    @pytest.mark.parametrize("medium, M", [(coupled_medium, 16), (inclusion_medium, 15)])
+    def test_fallback_is_the_full_lu(self, monkeypatch, medium, M):
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        disc = q.Discretization(N=2, M=M)
+        op = q.assemble(inc, medium(), disc)
+        load = q.rhs(inc, disc)
+        full = np.linalg.solve(op.dense, load.ravel()).reshape(load.shape)
+        shapes = recorded_shapes(monkeypatch, "solve")
+        v = q.solve(op, load).values
+        assert shapes == [(disc.unknowns, disc.unknowns)]
+        assert np.array_equal(v, full)
+
+    def test_near_singular_before_any_factorization(self, monkeypatch):
+        inc = q.IncidenceSpec.from_alpha(K_EX, ALPHA_EX, 1.0)
+        med = q.MediumModel.sampled(np.full((8, 8, 1), 2.0), 1.0)
+        disc = q.Discretization(N=1, M=16)
+        op = q.assemble(inc, med, disc)
+        shapes = recorded_shapes(monkeypatch, "solve")
+        with pytest.raises(q.NearSingular):
+            q.solve(op, q.rhs(inc, disc))
+        assert q.helmholtz._parity_halves(op) is not None  # the split path
+        assert shapes == []
 
 
 class TestOperatorSizeGuard:
@@ -377,6 +424,32 @@ class TestQuasiperiodicLift:
             inside = q.quasiperiodic_lift(v, inc, (0.7, 1.1, x3 - np.sign(x3) * d))
             outside = q.quasiperiodic_lift(v, inc, (0.7, 1.1, x3 + np.sign(x3) * d))
             assert inside == pytest.approx(outside, rel=1e-7)
+
+    @pytest.mark.parametrize("scheme", [q.CHEBYSHEV, q.FINITE_DIFFERENCE])
+    def test_interior_lift_matches_per_mode_sum(self, monkeypatch, scheme):
+        disc = q.Discretization(N=2, M=16, depth_scheme=scheme)
+        space = q.FieldSpace(disc, 1.0)
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        rng = np.random.default_rng(7)
+        vals = rng.normal(size=(25, 16)) + 1j * rng.normal(size=(25, 16))
+        v = q.FieldCoefficients(space=space, inc=inc, values=vals)
+        grid = space.grid
+        calls, interp = [], q.helmholtz.DepthGrid._interp_matrix
+
+        def counting(self, pts):
+            calls.append(len(pts))
+            return interp(self, pts)
+
+        monkeypatch.setattr(q.helmholtz.DepthGrid, "_interp_matrix", counting)
+        for x in ((0.7, 1.1, 0.23), (5.0, 2.0, -0.81), (0.1, 0.2, 1.0)):
+            calls.clear()
+            got = q.quasiperiodic_lift(v, inc, x)
+            assert len(calls) == (scheme == q.CHEBYSHEV)  # one row per lift
+            want = sum(complex(grid.interpolate(vals[i], x[2]))
+                       * np.exp(1j * (n[0] * x[0] + n[1] * x[1]))
+                       for i, n in enumerate(space.modes))
+            want *= np.exp(1j * (inc.alpha_vec @ np.array(x[:2])))
+            assert abs(got - want) <= 1e-14 * abs(want)
 
 
 class TestFieldSpace:

@@ -4,6 +4,9 @@ Each case writes its config (and sampled medium, if any) to a temporary
 directory, runs the command in-process and compares every report with the
 copy under tests/golden/<case>/: numbers at rel=1e-12, abs=1e-12, strings
 exactly.  `config_sha256` hashes the temporary medium path and is skipped.
+`slope`, a log-log least-squares fit over eps down to 1e-4, is compared at
+rel=1e-10: its round-off floor is about 1e-11, so a reordered LU or another
+BLAS thread count moves it past 1e-12 while every other field stays put.
 
 Regenerate the goldens (only when a report change is intended) with
 
@@ -25,6 +28,8 @@ from qpscat.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RTOL = ATOL = 1e-12
+#: relative tolerance of the fields named here, in place of RTOL
+FIELD_RTOL = {"slope": 1e-10}
 K_GUIDED = float(np.pi / (2 * np.sqrt(2)))
 ALPHA_GUIDED = float(1 - np.pi * np.sqrt(3) / 4)
 
@@ -147,28 +152,29 @@ def _number(s):
         return None
 
 
-def _assert_close(got, want, where):
+def _assert_close(got, want, where, rtol=RTOL):
     if isinstance(want, dict):
         assert isinstance(got, dict) and sorted(got) == sorted(want), where
         for key in want:
             if key != "config_sha256":
-                _assert_close(got[key], want[key], f"{where}.{key}")
+                _assert_close(got[key], want[key], f"{where}.{key}",
+                              FIELD_RTOL.get(key, rtol))
     elif isinstance(want, list):
         assert isinstance(got, list) and len(got) == len(want), where
         for i, (g, w) in enumerate(zip(got, want)):
-            _assert_close(g, w, f"{where}[{i}]")
+            _assert_close(g, w, f"{where}[{i}]", rtol)
     elif isinstance(want, str):
         gw, ww = _number(got), _number(want)
         if ww is None:
             assert got == want, where
         else:
-            _assert_close(gw, ww, where)
+            _assert_close(gw, ww, where, rtol)
     elif isinstance(want, bool) or want is None:
         assert got is want, where
     elif math.isnan(want):
         assert math.isnan(got), where
     else:
-        assert got == pytest.approx(want, rel=RTOL, abs=ATOL), where
+        assert got == pytest.approx(want, rel=rtol, abs=ATOL), where
 
 
 def _load(path: Path):
