@@ -147,14 +147,16 @@ class RunConfig:
     def eps_schedule(self) -> tuple[float, ...]:
         start = self._getfloat("lap", "eps_start", "0.1")
         levels = self._getint("lap", "eps_levels", "11")
-        if start <= 0 or levels < 2:
-            raise ConfigError("eps_start must be > 0 and eps_levels >= 2")
+        # the last level must not underflow to 0; this also caps eps_levels
+        if levels < 2 or not (np.isfinite(start) and start * 2.0 ** (1 - levels) > 0):
+            raise ConfigError("eps_start must be finite and > 0, eps_levels >= 2, and "
+                              "the last level eps_start * 2^(1 - eps_levels) > 0")
         return tuple(start * 2.0 ** -j for j in range(levels))
 
     def svd_threshold(self) -> float:
         t = self._getfloat("lap", "svd_threshold", "1e-8")
-        if t <= 0:
-            raise ConfigError("svd_threshold must be positive")
+        if not 0.0 < t < 1.0:  # also rejects NaN
+            raise ConfigError(f"svd_threshold must lie in (0, 1), got {t!r}")
         return t
 
     def config_hash(self) -> str:

@@ -26,6 +26,7 @@ W^{-1/2} G W^{-1/2}, whose conditioning stays O(1) in the resolution.
 """
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import AliasError, NearSingular, OperatorTooLarge, SolveFailed
 from .medium import MediumModel
-from .qpcore import IncidenceSpec, ModeIndex, beta, beta_table, \
+from .qpcore import IncidenceSpec, ModeIndex, _field_point, beta, beta_table, \
     classify_modes, d_beta_d_eps, mode_range, rayleigh_eval
 
 CHEBYSHEV = "chebyshev_collocation"
@@ -60,8 +61,9 @@ class Discretization:
     """Transverse truncation |n|_inf <= N and M depth nodes on [-h, h].
 
     Owns one FieldSpace per layer half-height h (see `space`), so repeated
-    solves on one discretization build the depth grid and the W_n factors
-    once.  The cache takes no part in equality, hashing or repr.
+    solves on one discretization build the depth grid, the W_n factors and
+    the depth-parity basis once.  The cache takes no part in equality,
+    hashing or repr.
     """
 
     N: int
@@ -71,6 +73,11 @@ class Discretization:
                           hash=False, repr=False)
 
     def __post_init__(self):
+        for name in ("N", "M"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.M < 8:
             raise ValueError("M must be at least 8")
         if self.N < 0:
@@ -241,64 +248,68 @@ class DepthGrid:
 class FieldSpace:
     """Layout of discrete periodic fields: Fourier modes x depth nodes.
 
-    Fields are arrays of shape (n_modes, M).  Provides the weighted inner
-    product blocks W_n and their symmetric square roots used for whitening.
+    Fields are arrays of shape (n_modes, M).  The space owns everything that
+    depends only on the discretization and h, built once at construction:
+    the depth grid; the weighted inner-product blocks W_n and their symmetric
+    square roots, stacked in mode order as W, W_sqrt and W_isqrt of shape
+    (n_modes, M, M), with one eigendecomposition per distinct |n|^2; and, for
+    even M, the depth-parity basis `parity` = (P, S) that splits operators
+    mirror-symmetric in depth (None for odd M).  The depth reflection
+    x3 -> -x3 maps node j to M-1-j; P is orthonormal with columns
+    (e_j +- e_{M-1-j}) / sqrt(2) for j < M/2, even ones first, and S, of shape
+    (2, n_modes, M/2, M/2), holds the even and odd blocks of P^T W_n^{-1/2} P,
+    whose cross blocks vanish because every W_n commutes with the reflection.
     """
 
     def __init__(self, disc: Discretization, h: float):
         self.disc = disc
         self.h = float(h)
-        self.grid = DepthGrid(disc, h)
+        self.grid = g = DepthGrid(disc, h)
         self.modes: list[ModeIndex] = mode_range(disc.N)
         self.mode_index = {n: i for i, n in enumerate(self.modes)}
-        self.M = disc.M
-        self.size = len(self.modes) * disc.M
-        self._wcache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self.M = M = disc.M
+        self.size = len(self.modes) * M
+        n2, which = np.unique([a * a + b * b for a, b in self.modes],
+                              return_inverse=True)
+        W = g.stiffness + n2[:, None, None] * g.mass
+        s = np.sqrt(1.0 + n2)
+        W[:, 0, 0] += s
+        W[:, -1, -1] += s
+        W *= 4 * np.pi ** 2
+        roots = []
+        for Wd in W:
+            lam, U = np.linalg.eigh(Wd)
+            if lam[0] <= 0:
+                raise SolveFailed("weighted inner product not positive definite")
+            roots.append((U * np.sqrt(lam) @ U.T, U * (1 / np.sqrt(lam)) @ U.T))
+        W_sqrt, W_isqrt = map(np.array, zip(*roots))
+        self.W, self.W_sqrt, self.W_isqrt = W[which], W_sqrt[which], W_isqrt[which]
+        self.parity = None
+        if M % 2 == 0:
+            half = M // 2
+            j = np.arange(half)
+            P = np.zeros((M, M))
+            P[j, j] = P[M - 1 - j, j] = P[j, half + j] = np.sqrt(0.5)
+            P[M - 1 - j, half + j] = -np.sqrt(0.5)
+            S = P.T @ self.W_isqrt @ P
+            self.parity = (P, np.stack([S[:, :half, :half], S[:, half:, half:]]))
 
     def zeros(self) -> np.ndarray:
         return np.zeros((len(self.modes), self.M), dtype=complex)
 
-    def _wfactors(self, n: ModeIndex):
-        n2 = n[0] * n[0] + n[1] * n[1]
-        if n2 not in self._wcache:
-            g = self.grid
-            W = g.stiffness + n2 * g.mass
-            W = W.copy()
-            s = np.sqrt(1.0 + n2)
-            W[0, 0] += s
-            W[-1, -1] += s
-            W *= 4 * np.pi ** 2
-            lam, U = np.linalg.eigh(W)
-            if lam[0] <= 0:
-                raise SolveFailed("weighted inner product not positive definite")
-            self._wcache[n2] = (W, U * np.sqrt(lam) @ U.T, U * (1 / np.sqrt(lam)) @ U.T)
-        return self._wcache[n2]
-
-    def w_block(self, n: ModeIndex) -> np.ndarray:
-        return self._wfactors(n)[0]
-
-    def w_sqrt(self, n: ModeIndex) -> np.ndarray:
-        return self._wfactors(n)[1]
-
-    def w_isqrt(self, n: ModeIndex) -> np.ndarray:
-        return self._wfactors(n)[2]
-
     def inner(self, u: np.ndarray, v: np.ndarray) -> complex:
         """<u, v> in the weighted product (conjugate-linear in v)."""
-        total = 0.0 + 0.0j
-        for i, n in enumerate(self.modes):
-            total += np.conj(v[i]) @ (self.w_block(n) @ u[i])
-        return complex(total)
+        return complex(np.vdot(v, (self.W @ u[..., None])[..., 0]))
 
     def norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(max(self.inner(u, u).real, 0.0)))
 
     def whiten(self, u: np.ndarray) -> np.ndarray:
         """Map a field to whitened coordinates y = W^{1/2} u (per mode)."""
-        return np.stack([self.w_sqrt(n) @ u[i] for i, n in enumerate(self.modes)])
+        return (self.W_sqrt @ u[..., None])[..., 0]
 
     def unwhiten(self, y: np.ndarray) -> np.ndarray:
-        return np.stack([self.w_isqrt(n) @ y[i] for i, n in enumerate(self.modes)])
+        return (self.W_isqrt @ y[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -311,28 +322,21 @@ class DiscreteOperator:
     Block-diagonal over the transverse modes whenever the medium is
     transversely uniform (`blocks`, one (modes, M, M) array); otherwise
     dense over the full layout.  `matrix` exposes the flat representation
-    with row (mode index) * M + (depth index).  A dense operator caches its
-    whitened singular values and, when it is mirror-symmetric in depth, its
-    whitened parity halves, which serve both the screen and `solve`.
+    with row (mode index) * M + (depth index).  Everything that depends only
+    on the layout and the weighted product lives on `space`; the operator
+    keeps its matrix and caches its whitened matrix, its whitened singular
+    values and, when it is dense and mirror-symmetric in depth, its whitened
+    parity halves, which serve both the screen and `solve`.
     """
 
-    def __init__(self, inc, disc, space, betas, blocks=None, dense=None,
-                 medium=None, kind="operator"):
+    def __init__(self, inc, space, blocks=None, dense=None):
         self.inc = inc
-        self.disc = disc
         self.space = space
-        self.betas = betas
         self.blocks = blocks
         self.dense = dense
-        self.medium = medium
-        self.kind = kind
         self._whitened = None
         self._svals = None
-        self._parity = None
-
-    @property
-    def k(self) -> complex:
-        return self.inc.k
+        self._halves = None
 
     @property
     def block_diagonal(self) -> bool:
@@ -342,48 +346,38 @@ class DiscreteOperator:
     def matrix(self) -> np.ndarray:
         if self.dense is not None:
             return self.dense
-        M = self.space.M
-        size = self.space.size
-        out = np.zeros((size, size), dtype=complex)
-        for i, n in enumerate(self.space.modes):
-            out[i * M:(i + 1) * M, i * M:(i + 1) * M] = self.blocks[i]
-        return out
-
-    def block(self, n: ModeIndex) -> np.ndarray:
-        i = self.space.mode_index[tuple(n)]
-        if self.block_diagonal:
-            return self.blocks[i]
-        M = self.space.M
-        return self.dense[i * M:(i + 1) * M, i * M:(i + 1) * M]
+        nm, M = self.blocks.shape[:2]
+        out = np.zeros((nm, M, nm, M), dtype=complex)
+        diag = np.arange(nm)
+        out[diag, :, diag, :] = self.blocks
+        return out.reshape(self.space.size, -1)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Matrix action on a field of shape (n_modes, M)."""
         if self.block_diagonal:
-            return np.stack([B @ u[i] for i, B in enumerate(self.blocks)])
-        flat = self.dense @ u.reshape(-1)
-        return flat.reshape(u.shape)
+            return (self.blocks @ u[..., None])[..., 0]
+        return (self.dense @ u.reshape(-1)).reshape(u.shape)
 
     def apply_adjoint(self, u: np.ndarray) -> np.ndarray:
         if self.block_diagonal:
-            return np.stack([B.conj().T @ u[i] for i, B in enumerate(self.blocks)])
-        flat = self.dense.conj().T @ u.reshape(-1)
-        return flat.reshape(u.shape)
+            return (self.blocks.conj().swapaxes(1, 2) @ u[..., None])[..., 0]
+        return (self.dense.conj().T @ u.reshape(-1)).reshape(u.shape)
 
-    def whitened(self):
-        """W^{-1/2} G W^{-1/2}: list of blocks, or a dense matrix."""
+    def whitened(self) -> np.ndarray:
+        """W^{-1/2} G W^{-1/2}: stacked (modes, M, M) blocks, or a dense matrix."""
         if self._whitened is None:
             sp = self.space
             if self.block_diagonal:
-                self._whitened = [sp.w_isqrt(n) @ self.blocks[i] @ sp.w_isqrt(n)
-                                  for i, n in enumerate(sp.modes)]
+                # faster than a batched real @ complex product or np.stack
+                Gt = np.empty_like(self.blocks)
+                for i, (S, B) in enumerate(zip(sp.W_isqrt, self.blocks)):
+                    np.matmul(S @ B, S, out=Gt[i])
+                self._whitened = Gt
             else:
                 M = sp.M
-                Gt = self.dense.copy()
-                for i, n in enumerate(sp.modes):
-                    S = sp.w_isqrt(n)
-                    Gt[i * M:(i + 1) * M, :] = S @ Gt[i * M:(i + 1) * M, :]
-                for j, n in enumerate(sp.modes):
-                    S = sp.w_isqrt(n)
+                Gt = sp.W_isqrt @ self.dense.reshape(len(sp.modes), M, -1)
+                Gt = Gt.reshape(sp.size, -1)
+                for j, S in enumerate(sp.W_isqrt):
                     Gt[:, j * M:(j + 1) * M] = Gt[:, j * M:(j + 1) * M] @ S
                 self._whitened = Gt
         return self._whitened
@@ -412,34 +406,25 @@ class DiscreteOperator:
 def _parity_halves(op: DiscreteOperator):
     """The whitened depth-parity halves of a dense operator, or None; cached.
 
-    The depth reflection x3 -> -x3 maps node j to M-1-j, and every W_n
-    commutes with it.  For even M the orthonormal parity basis P, columns
-    (e_j +- e_{M-1-j}) / sqrt(2) for j < M/2 (even ones first), splits each
-    mode block of G into even/even, even/odd, odd/even and odd/odd parts.
-    When the cross parts vanish (a medium mirror-symmetric in depth, e.g.
-    z-invariant), the whitened matrix is orthogonally similar to the direct
-    sum of its even and odd halves, whitened by the parity parts of
-    W_n^{-1/2}.  The halves are built one mode row at a time, so the full
-    whitened matrix is never formed.
+    In the parity basis P of `op.space.parity` each mode block of G splits
+    into even/even, even/odd, odd/even and odd/odd parts.  When the cross
+    parts vanish (a medium mirror-symmetric in depth, e.g. z-invariant), the
+    whitened matrix is orthogonally similar to the direct sum of its even and
+    odd halves, whitened by the space's parity blocks S of W_n^{-1/2}.  The
+    halves are built one mode row at a time, so the full whitened matrix is
+    never formed.
 
-    Returns (P, S, halves): S of shape (2, modes, M/2, M/2) holds the even
-    and odd parity blocks of P^T W_n^{-1/2} P, and halves of shape
-    (2, n/2, n/2) the whitened even and odd blocks of G, rows and columns
-    ordered (mode, parity node).  None for odd M, or when the cross parts
-    exceed _PARITY_CROSS_TOL of the total.
+    Returns the halves, shape (2, n/2, n/2): the whitened even and odd blocks
+    of G, rows and columns ordered (mode, parity node).  None for odd M, or
+    when the cross parts exceed _PARITY_CROSS_TOL of the total.
     """
-    if op._parity is None:
-        op._parity = False  # not split, unless the test below passes
+    if op._halves is None:
+        op._halves = False  # not split, unless the test below passes
         sp = op.space
-        nm, M = len(sp.modes), sp.M
-        if M % 2 == 0:
+        if sp.parity is not None:
+            P, S = sp.parity
+            nm, M = len(sp.modes), sp.M
             h = M // 2
-            j = np.arange(h)
-            P = np.zeros((M, M))
-            P[j, j] = P[M - 1 - j, j] = P[j, h + j] = np.sqrt(0.5)
-            P[M - 1 - j, h + j] = -np.sqrt(0.5)
-            Sfull = P.T @ np.stack([sp.w_isqrt(n) for n in sp.modes]) @ P
-            S = np.stack([Sfull[:, :h, :h], Sfull[:, h:, h:]])
             sls = (slice(None, h), slice(h, None))
             halves = np.empty((2, nm, h, nm, h), dtype=complex)
             cross = total = 0.0
@@ -453,8 +438,8 @@ def _parity_halves(op: DiscreteOperator):
                     b = np.matmul(t[sl, :, sl].transpose(1, 0, 2), S[p])
                     halves[p, i] = (S[p, i] @ b).transpose(1, 0, 2)
             if cross <= _PARITY_CROSS_TOL ** 2 * total:
-                op._parity = (P, S, halves.reshape(2, nm * h, nm * h))
-    return op._parity or None
+                op._halves = halves.reshape(2, nm * h, nm * h)
+    return None if op._halves is False else op._halves
 
 
 def _dense_singular_values(op: DiscreteOperator) -> np.ndarray:
@@ -463,21 +448,21 @@ def _dense_singular_values(op: DiscreteOperator) -> np.ndarray:
     One batched SVD of the two `_parity_halves` when the operator splits
     (about a quarter of the work), else of the full whitened matrix.
     """
-    parity = _parity_halves(op)
-    if parity is not None:
-        s = np.linalg.svd(parity[2], compute_uv=False)
+    halves = _parity_halves(op)
+    if halves is not None:
+        s = np.linalg.svd(halves, compute_uv=False)
         return np.sort(s.ravel())[::-1]
     return np.linalg.svd(op.whitened(), compute_uv=False)
 
 
-def _solve_parity(parity, b: np.ndarray) -> np.ndarray:
+def _solve_parity(space: FieldSpace, halves: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve G v = b through the whitened parity halves of `_parity_halves`.
 
-    With H = S P^T G P S the direct sum of the halves, G v = b reads
-    H z = g for g = S P^T b and v = P S z (per mode); both halves are
-    factored in one batched LAPACK call.
+    With (P, S) = space.parity and H = S P^T G P S the direct sum of the
+    halves, G v = b reads H z = g for g = S P^T b and v = P S z (per mode);
+    both halves are factored in one batched LAPACK call.
     """
-    P, S, halves = parity
+    P, S = space.parity
     nm, M = b.shape
     h = M // 2
     g = np.matmul(S, (b @ P).reshape(nm, 2, h).transpose(1, 0, 2)[..., None])
@@ -521,8 +506,7 @@ def _medium_profiles(medium: MediumModel, grid: DepthGrid, N: int):
     return medium.fourier_profiles(grid.quad_x, 2 * N)
 
 
-def _build_operator(inc, medium, disc, space, betas, volume, boundary, scale,
-                    kind) -> DiscreteOperator:
+def _build_operator(inc, medium, space, volume, boundary, scale) -> DiscreteOperator:
     """Assemble the operator for both `assemble` and `assemble_eps_derivative`.
 
     `volume` stacks one (M, M) block per mode, in the order of space.modes.
@@ -532,18 +516,17 @@ def _build_operator(inc, medium, disc, space, betas, volume, boundary, scale,
     integrates qhat_0 - 1 (the background sits in volume).
     """
     grid = space.grid
-    profs = _medium_profiles(medium, grid, disc.N)
+    profs = _medium_profiles(medium, grid, space.disc.N)
     c0 = scale * grid.weighted_mass(profs[(0, 0)] - np.ones_like(grid.quad_x))
     ib = 1j * np.array([boundary[n] for n in space.modes])
     blocks = volume - c0
     blocks[:, 0, 0] -= ib
     blocks[:, -1, -1] -= ib
     if medium.transversely_uniform:
-        return DiscreteOperator(inc, disc, space, betas, blocks=blocks,
-                                medium=medium, kind=kind)
+        return DiscreteOperator(inc, space, blocks=blocks)
     # -scale C_d for every |d|_inf <= 2N, as 0 - x so a vanishing coupling
     # gives +0.0 entries
-    N2 = 2 * disc.N
+    N2 = 2 * space.disc.N
     span = range(-N2, N2 + 1)
     coupling = np.subtract(0.0, np.array(
         [[scale * grid.weighted_mass(profs[(d1, d2)]) for d2 in span] for d1 in span]))
@@ -555,8 +538,7 @@ def _build_operator(inc, medium, disc, space, betas, volume, boundary, scale,
         dense[i] = coupling[d[i, :, 0], d[i, :, 1]].transpose(1, 0, 2)
     diag = np.arange(nm)
     dense[diag, :, diag, :] = blocks
-    return DiscreteOperator(inc, disc, space, betas, dense=dense.reshape(space.size, -1),
-                            medium=medium, kind=kind)
+    return DiscreteOperator(inc, space, dense=dense.reshape(space.size, -1))
 
 
 def assemble(inc: IncidenceSpec, medium: MediumModel, disc: Discretization,
@@ -584,8 +566,7 @@ def assemble(inc: IncidenceSpec, medium: MediumModel, disc: Discretization,
         betas = {n: beta(n, inc) for n in space.modes}
     b2 = np.array([betas[n] * betas[n] for n in space.modes])
     volume = grid.stiffness.astype(complex) - b2[:, None, None] * grid.mass
-    return _build_operator(inc, medium, disc, space, betas, volume, betas,
-                           k * k, "operator")
+    return _build_operator(inc, medium, space, volume, betas, k * k)
 
 
 def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
@@ -606,13 +587,12 @@ def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
     k = inc.k.real
     tt = inc.tilde_theta
     c2 = inc.cos2_theta1
-    betas = dict(beta_table(inc, disc.N).entries)
+    beta_table(inc, disc.N)  # raises CutoffViolation at grazing orders
     dbetas = {n: d_beta_d_eps(n, inc) for n in space.modes}
     coef = np.array([-2j * (k * c2 - float(np.asarray(n, dtype=float) @ tt))
                      for n in space.modes])
     volume = coef[:, None, None] * grid.mass.astype(complex)
-    return _build_operator(inc, medium, disc, space, betas, volume, dbetas,
-                           2j * k, "eps_derivative")
+    return _build_operator(inc, medium, space, volume, dbetas, 2j * k)
 
 
 def rhs(inc: IncidenceSpec, disc: Discretization,
@@ -687,13 +667,13 @@ def solve(op: DiscreteOperator, load: np.ndarray) -> FieldCoefficients:
             f"{smin / smax:.3e} (propagative wave vector?)",
             smallest_singular_value=smin, sigma_max=smax)
 
-    parity = None if op.block_diagonal else _parity_halves(op)
+    halves = None if op.block_diagonal else _parity_halves(op)
 
     def direct(b):
         if op.block_diagonal:  # one batched LAPACK call over the mode blocks
             return np.linalg.solve(op.blocks, b[..., None])[..., 0]
-        if parity is not None:
-            return _solve_parity(parity, b)
+        if halves is not None:
+            return _solve_parity(op.space, halves, b)
         return np.linalg.solve(op.dense, b.reshape(-1)).reshape(b.shape)
 
     vals = direct(load)
@@ -767,7 +747,7 @@ def quasiperiodic_lift(v: FieldCoefficients, inc: IncidenceSpec, x) -> complex:
     Inside the layer the modal profiles are interpolated; outside, the
     Rayleigh extension is used, with the incident wave added above.
     """
-    x = np.asarray(x, dtype=float)
+    x = _field_point(x)
     xt, x3 = x[:2], x[2]
     h = inc.h
     if abs(x3) <= h:

@@ -48,8 +48,8 @@ class LapScenario:
         if self.inc.k.imag != 0:
             raise ValueError("scenario wavenumber must be real")
         eps = np.asarray(self.eps_schedule, dtype=float)
-        if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
-            raise ValueError("eps_schedule must be positive and decreasing")
+        if not np.all(np.isfinite(eps)) or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
+            raise ValueError("eps_schedule must be finite, positive and decreasing")
 
     @property
     def space(self) -> FieldSpace:

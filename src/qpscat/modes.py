@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import ThresholdAmbiguity
 from .helmholtz import DiscreteOperator, FieldCoefficients, _interior_field
-from .qpcore import IncidenceSpec, ModeIndex, beta, classify_modes, rayleigh_eval
+from .qpcore import IncidenceSpec, ModeIndex, _field_point, beta, classify_modes, \
+    rayleigh_eval
 
 DEFAULT_SVD_THRESHOLD = 1e-8
 
@@ -56,9 +57,12 @@ def kernel(op: DiscreteOperator, svd_threshold: float = DEFAULT_SVD_THRESHOLD) -
     (numerically) not a propagative wave vector.  Raises ThresholdAmbiguity
     if any singular value lies within a factor 10 of the threshold, in which
     case no reliable kernel/regular split exists at this resolution.
+    Raises ValueError unless 0 < svd_threshold < 1.
     """
     if op.inc.k.imag != 0:
         raise ValueError("kernel extraction is defined at real k")
+    if not 0.0 < svd_threshold < 1.0:  # also rejects NaN
+        raise ValueError(f"svd_threshold must lie in (0, 1), got {svd_threshold!r}")
     space = op.space
     svals_all = []
     members = []  # (sigma, field)
@@ -150,13 +154,11 @@ def adjoint_kernel_check(op: DiscreteOperator, basis: KernelBasis) -> float:
     space = op.space
     _, sigma_max = op.singularity_report()
     wh = op.whitened()
+    wh = wh.reshape(-1, *wh.shape[-2:])  # a dense matrix is a stack of one block
     worst = 0.0
     for v in basis.vectors:
-        y = space.whiten(v)
-        if op.block_diagonal:
-            ady = np.stack([B.conj().T @ y[i] for i, B in enumerate(wh)])
-        else:
-            ady = (wh.conj().T @ y.reshape(-1)).reshape(y.shape)
+        y = space.whiten(v).reshape(len(wh), 1, -1)
+        ady = np.conj(y) @ wh  # the row vector y^H A, the conjugate of A^H y
         worst = max(worst, float(np.linalg.norm(ady.ravel())
                                  / (sigma_max * np.linalg.norm(y.ravel()))))
     return worst
@@ -178,7 +180,7 @@ class LiftedMode:
     interior_potential: complex = 0.0
 
     def __call__(self, x) -> complex:
-        x = np.asarray(x, dtype=float)
+        x = _field_point(x)
         if abs(x[2]) <= self.inc.h:
             return _interior_field(self.field, self.inc, x)
         if x[2] > 0:

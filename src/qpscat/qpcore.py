@@ -267,6 +267,14 @@ def dtn_symbol(n, side: str, inc: IncidenceSpec) -> complex:
     return s * 1j * beta(n, inc)
 
 
+def _field_point(x) -> np.ndarray:
+    """A field point x = (x1, x2, x3) as a float array; ValueError otherwise."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (3,):
+        raise ValueError("x must be a 3-vector")
+    return x
+
+
 def rayleigh_eval(coeffs: Mapping[ModeIndex, complex], side: str, inc: IncidenceSpec,
                   x) -> complex:
     """Evaluate the outgoing Rayleigh series sum u_n e^{i alpha_n.x~ +- i beta_n (x3 -+ h)}.
@@ -275,9 +283,7 @@ def rayleigh_eval(coeffs: Mapping[ModeIndex, complex], side: str, inc: Incidence
     Only the finitely many supplied coefficients are summed; the truncation
     error is bounded by the evanescent decay at distance |x3| - h.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
-        raise ValueError("x must be a 3-vector")
+    x = _field_point(x)
     xt, x3 = x[:2], x[2]
     if side == "above":
         if x3 < inc.h:

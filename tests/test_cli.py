@@ -136,6 +136,25 @@ class TestConfigErrors:
         assert main(["solve", "--config", str(cfg), "--out",
                      str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command, override", [
+        ("lap", "lap.eps_start=nan"),
+        ("lap", "lap.eps_start=inf"),
+        ("lap", "lap.eps_start=-0.1"),
+        ("lap", "lap.eps_levels=1100"),  # the last level underflows to 0
+        ("modes", "lap.svd_threshold=nan"),
+        ("modes", "lap.svd_threshold=inf"),
+        ("modes", "lap.svd_threshold=0"),
+        ("modes", "lap.svd_threshold=1"),
+    ])
+    def test_bad_lap_setting_is_a_config_error(self, tmp_path, capsys, command,
+                                               override):
+        cfg = write_cfg(tmp_path, LAP_CONFIG)
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                   "--override", override])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+
 
 class TestModesCommand:
     def test_kernel_report(self, tmp_path):

@@ -26,6 +26,17 @@ def oracle_u(q0, k, theta1, h=1.0):
     return rd.u_plus[(0, 0)], rd.u_minus[(0, 0)]
 
 
+class TestDiscretization:
+    @pytest.mark.parametrize("N, M", [(1.5, 16), (1, 16.0), (1.0, 16), (1, "16")])
+    def test_rejects_non_integer_sizes(self, N, M):
+        with pytest.raises(ValueError, match="must be an integer"):
+            q.Discretization(N=N, M=M)
+
+    def test_accepts_numpy_integers(self):
+        disc = q.Discretization(N=np.int64(1), M=np.int32(16))
+        assert disc.unknowns == 9 * 16
+
+
 class TestAssemble:
     def test_transparent_layer_no_scattering(self):
         _, _, rd = solve_slab(1.0, 1.3, 0.37, 32, N=2)
@@ -416,6 +427,12 @@ class TestQuasiperiodicLift:
                           rng.uniform(-2.0, 2.0)])
             exact = np.exp(1j * 1.3 * (that @ x))
             assert q.quasiperiodic_lift(v, inc, x) == pytest.approx(exact, abs=1e-10)
+
+    @pytest.mark.parametrize("x", [(0.0, 0.0), (0.0, 0.0, 0.5, 1.0)])
+    def test_rejects_points_that_are_not_3_vectors(self, x):
+        inc, v, _ = solve_slab(2.0, 1.0, 0.2, 16)
+        with pytest.raises(ValueError, match="3-vector"):
+            q.quasiperiodic_lift(v, inc, x)
 
     def test_continuity_across_boundaries(self):
         inc, v, _ = solve_slab(2.0, 1.0, 0.2, 40)

@@ -52,7 +52,7 @@ class TestDerivativeOperator:
         assert -1j * q.d_beta_d_eps(n, inc) == pytest.approx(expected, rel=1e-12)
         # and it lands in the boundary corners of the derivative block
         dop = q.derivative_operator(scn)
-        B = dop.block(n)
+        B = dop.blocks[scn.space.mode_index[n]]
         grid = scn.space.grid
         k = inc.k.real
         vol_corner = (-2j * (k * inc.cos2_theta1 - np.array(n, float) @ tt)
@@ -70,7 +70,7 @@ class TestDerivativeOperator:
         space = q.FieldSpace(disc, 1.0)
         dop = q.assemble_eps_derivative(inc, med, disc, space)
         for n in space.modes:
-            B = dop.block(n).copy()
+            B = dop.blocks[space.mode_index[n]].copy()
             db = q.d_beta_d_eps(n, inc)
             B[0, 0] += 1j * db
             B[-1, -1] += 1j * db
@@ -103,8 +103,7 @@ class TestProjection:
             w = rng.standard_normal((len(sp.modes), sp.M)) \
                 + 1j * rng.standard_normal((len(sp.modes), sp.M))
             gw = op.apply(w)
-            r = np.stack([sp.w_isqrt(n) @ (sp.w_isqrt(n) @ gw[i])
-                          for i, n in enumerate(sp.modes)])  # W^-1 (G w): range field
+            r = sp.unwhiten(sp.unwhiten(gw))  # W^-1 (G w): range field
             assert sp.norm(P.apply(r)) <= 1e-7 * sp.norm(r)
 
     def test_annihilates_load_and_derivative(self, scenario):
@@ -115,8 +114,7 @@ class TestProjection:
         P = q.projection(scn)
         for vec in (q.rhs(scn.inc, scn.disc, sp),
                     q.rhs_eps_derivative(scn.inc, scn.disc, sp)):
-            f = np.stack([sp.w_isqrt(n) @ (sp.w_isqrt(n) @ vec[i])
-                          for i, n in enumerate(sp.modes)])
+            f = sp.unwhiten(sp.unwhiten(vec))
             assert sp.norm(P.apply(f)) <= 1e-8 * max(sp.norm(f), 1e-300)
 
 
@@ -196,6 +194,15 @@ class TestConstrainedSolve:
 
 
 class TestEpsSweep:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_schedule(self, scenario, bad):
+        # NaN and inf pass a plain `eps <= 0` / `diff >= 0` screen
+        scn, _ = scenario
+        for schedule in ((bad, 0.05), (0.1, bad), (bad,)):
+            with pytest.raises(ValueError, match="finite"):
+                q.LapScenario(inc=scn.inc, medium=scn.medium, disc=scn.disc,
+                              kernel=scn.kernel, eps_schedule=schedule)
+
     def test_physical_scenario(self, scenario):
         scn, _ = scenario
         res = q.eps_sweep(scn)
@@ -263,8 +270,7 @@ class TestEpsSweep:
         fnorm = 0.0
         for vec in (q.rhs(scn.inc, scn.disc, sp),
                     q.rhs_eps_derivative(scn.inc, scn.disc, sp)):
-            f = np.stack([sp.w_isqrt(n) @ (sp.w_isqrt(n) @ vec[i])
-                          for i, n in enumerate(sp.modes)])
+            f = sp.unwhiten(sp.unwhiten(vec))
             fnorm += sp.norm(f)
         assert max(norms) <= 50.0 * fnorm  # measured c ~ 22 for this scenario
         # refining the schedule does not grow the bound

@@ -111,6 +111,12 @@ class TestKernel:
         with pytest.raises(q.ThresholdAmbiguity):
             q.kernel(op, svd_threshold=mid)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1e-8, 1.0])
+    def test_rejects_threshold_outside_unit_interval(self, guided, bad):
+        *_, op, _ = guided
+        with pytest.raises(ValueError, match="svd_threshold"):
+            q.kernel(op, svd_threshold=bad)
+
     def test_orthogonal_splitting(self, guided):
         # kernel vectors are weighted-orthogonal to the operator range
         *_, op, basis = guided
@@ -208,6 +214,13 @@ class TestModeLift:
                 prof = np.cos(g) * np.exp(-g * (abs(x3) - 1.0))
             expected = c * prof * np.exp(1j * (a_mode @ xt))
             assert mode((xt[0], xt[1], x3)) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("x", [(0.0, 0.0), (0.0, 0.0, 0.5, 1.0)])
+    def test_rejects_points_that_are_not_3_vectors(self, guided, x):
+        inc, *_, basis = guided
+        [mode] = q.mode_lift(basis, inc)
+        with pytest.raises(ValueError, match="3-vector"):
+            mode(x)
 
     def test_interior_collocation_residual(self, guided):
         inc, *_, basis = guided
