@@ -192,8 +192,9 @@ def load_config(path, command: str, overrides=(), strict=False,
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    """Write strict RFC 8259 JSON: a NaN or infinity raises ValueError."""
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+                    + "\n", encoding="utf-8")
 
 
 def _write_efficiencies_csv(path: Path, rd) -> None:
@@ -289,7 +290,8 @@ def run(cfg: RunConfig) -> int:
             payload = {
                 **meta,
                 "kernel_dimension": basis.dimension,
-                "slope": result.slope,
+                # null when too few eps levels, or a zero delta, leave no fit
+                "slope": result.slope if np.isfinite(result.slope) else None,
                 "final_relative_delta": result.final_relative_delta,
                 "constraint_residuals": [abs(r) for r in result.constraint_residuals],
                 "kernel_coefficients": [_cplx(c) for c in limit.kernel_coefficients],

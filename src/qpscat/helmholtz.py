@@ -326,7 +326,8 @@ class DiscreteOperator:
     on the layout and the weighted product lives on `space`; the operator
     keeps its matrix and caches its whitened matrix, its whitened singular
     values and, when it is dense and mirror-symmetric in depth, its whitened
-    parity halves, which serve both the screen and `solve`.
+    parity halves, which serve the screen, `solve`, and through
+    `_whitened_stack` the kernel and the constrained solve.
     """
 
     def __init__(self, inc, space, blocks=None, dense=None):
@@ -346,11 +347,7 @@ class DiscreteOperator:
     def matrix(self) -> np.ndarray:
         if self.dense is not None:
             return self.dense
-        nm, M = self.blocks.shape[:2]
-        out = np.zeros((nm, M, nm, M), dtype=complex)
-        diag = np.arange(nm)
-        out[diag, :, diag, :] = self.blocks
-        return out.reshape(self.space.size, -1)
+        return _block_diag(self.blocks)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Matrix action on a field of shape (n_modes, M)."""
@@ -455,20 +452,50 @@ def _dense_singular_values(op: DiscreteOperator) -> np.ndarray:
     return np.linalg.svd(op.whitened(), compute_uv=False)
 
 
-def _solve_parity(space: FieldSpace, halves: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve G v = b through the whitened parity halves of `_parity_halves`.
+def _whitened_stack(op: DiscreteOperator):
+    """The whitened diagonal blocks of an operator, with the maps onto them.
 
-    With (P, S) = space.parity and H = S P^T G P S the direct sum of the
-    halves, G v = b reads H z = g for g = S P^T b and v = P S z (per mode);
-    both halves are factored in one batched LAPACK call.
+    Returns (blocks, to, back): `blocks` of shape (B, n, n) and two maps such
+    that G v = b reads blocks z = to(b) (one right-hand side per block, shape
+    (B, n)) with v = back(z) (a field).  `to` and `back` are one real linear
+    map and its transpose, so a row r acting on v acts on z as to(r).  Three
+    layouts, sharing the screen's caches:
+
+    * a dense operator that `_parity_halves` splits: its two halves, with
+      to(b) = S P^T b and back(z) = P S z per mode, (P, S) = space.parity;
+    * a block-diagonal operator: its whitened mode blocks, with
+      to = back = W^{-1/2} per mode;
+    * any other dense operator: its full whitened matrix as a stack of one.
     """
-    P, S = space.parity
-    nm, M = b.shape
+    sp = op.space
+    nm, M = len(sp.modes), sp.M
+    if op.block_diagonal:
+        return op.whitened(), sp.unwhiten, sp.unwhiten
+    halves = _parity_halves(op)
+    if halves is None:
+        return (op.whitened()[None], lambda b: sp.unwhiten(b).reshape(1, -1),
+                lambda z: sp.unwhiten(z.reshape(nm, M)))
+    P, S = sp.parity
     h = M // 2
-    g = np.matmul(S, (b @ P).reshape(nm, 2, h).transpose(1, 0, 2)[..., None])
-    z = np.linalg.solve(halves, g.reshape(2, nm * h, 1))
-    w = np.matmul(S, z.reshape(2, nm, h, 1))
-    return w.reshape(2, nm, h).transpose(1, 0, 2).reshape(nm, M) @ P.T
+
+    def to(b):
+        g = np.matmul(S, (b @ P).reshape(nm, 2, h).transpose(1, 0, 2)[..., None])
+        return g.reshape(2, nm * h)
+
+    def back(z):
+        w = np.matmul(S, z.reshape(2, nm, h, 1))
+        return w.reshape(2, nm, h).transpose(1, 0, 2).reshape(nm, M) @ P.T
+
+    return halves, to, back
+
+
+def _block_diag(blocks: np.ndarray) -> np.ndarray:
+    """The dense matrix of a (B, n, n) stack of diagonal blocks."""
+    B, n = blocks.shape[:2]
+    out = np.zeros((B, n, B, n), dtype=blocks.dtype)
+    diag = np.arange(B)
+    out[diag, :, diag, :] = blocks
+    return out.reshape(B * n, B * n)
 
 
 def _check_operator_bytes(medium: MediumModel, disc: Discretization) -> None:
@@ -655,10 +682,11 @@ def solve(op: DiscreteOperator, load: np.ndarray) -> FieldCoefficients:
     vector; route such scenarios to the kernel/limiting-absorption tools).
     Block-diagonal operators are factored block by block, and dense ones
     that the screen split by depth parity through their two whitened
-    half-size blocks, in one batched LAPACK call either way; other dense
-    operators by one full LU.  The residual is always checked against the
-    assembled matrix: the returned profiles satisfy
-    ||A v - load|| <= 1e-10 ||load||, after at most one refinement sweep.
+    half-size blocks and the maps of `_whitened_stack`, in one batched
+    LAPACK call either way; other dense operators by one full LU.  The
+    residual is always checked against the assembled matrix: the returned
+    profiles satisfy ||A v - load|| <= 1e-10 ||load||, after at most one
+    refinement sweep.
     """
     smin, smax = op.singularity_report()
     if smin < NEAR_SINGULAR_THRESHOLD * smax:
@@ -668,12 +696,14 @@ def solve(op: DiscreteOperator, load: np.ndarray) -> FieldCoefficients:
             smallest_singular_value=smin, sigma_max=smax)
 
     halves = None if op.block_diagonal else _parity_halves(op)
+    if halves is not None:
+        _, to, back = _whitened_stack(op)
 
     def direct(b):
         if op.block_diagonal:  # one batched LAPACK call over the mode blocks
             return np.linalg.solve(op.blocks, b[..., None])[..., 0]
         if halves is not None:
-            return _solve_parity(op.space, halves, b)
+            return back(np.linalg.solve(halves, to(b)[..., None])[..., 0])
         return np.linalg.solve(op.dense, b.reshape(-1)).reshape(b.shape)
 
     vals = direct(load)

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintSingular, NonEvanescentMode
-from .helmholtz import Discretization, DiscreteOperator, FieldCoefficients, \
-    FieldSpace, _medium_profiles, assemble, assemble_eps_derivative, \
-    rayleigh_data, rhs, rhs_eps_derivative, solve
+from .helmholtz import _PARITY_CROSS_TOL, Discretization, DiscreteOperator, \
+    FieldCoefficients, FieldSpace, _block_diag, _medium_profiles, \
+    _whitened_stack, assemble, assemble_eps_derivative, rayleigh_data, rhs, \
+    rhs_eps_derivative, solve
 from .medium import MediumModel
 from .modes import KernelBasis, LiftedMode, mode_lift
 from .qpcore import IncidenceSpec, beta, classify_modes
@@ -114,12 +115,21 @@ def constrained_solve(scn: LapScenario, load: np.ndarray | None = None,
                       method: str = "stacked") -> ConstrainedSolution:
     """Solve  A v = f  subject to  v_l^H A'(0) v = v_l^H f'(0)  per kernel vector.
 
-    method='stacked' solves the joint least-squares system; method='two_step'
-    computes a particular solution and corrects it along the kernel by the
-    m x m constraint system (raises ConstraintSingular when that system has
+    The system is solved on the whitened diagonal blocks of A
+    (`helmholtz._whitened_stack`).  A block holds a constraint when its part
+    of some mapped constraint row exceeds _PARITY_CROSS_TOL of that row's
+    norm; the blocks that hold none are regular and get one batched LU.  The
+    holding blocks, taken together as one matrix H, get one least-squares
+    call: method='stacked' solves [H; scaled rows] z = [g; d], which is
+    consistent with full column rank, so whitening leaves its solution
+    unchanged; method='two_step' takes the rcond=1e-10 least-squares
+    particular solution of H and corrects it along the kernel by the m x m
+    constraint system (raises ConstraintSingular when that system has
     condition above 1e8).  With an empty kernel both reduce to the plain
-    solve.
+    solve.  An unknown method raises ValueError before any assembly.
     """
+    if method not in ("stacked", "two_step"):
+        raise ValueError(f"unknown method {method!r}")
     sp = scn.space
     op = assemble(scn.inc, scn.medium, scn.disc, sp)
     if load is None:
@@ -143,29 +153,33 @@ def constrained_solve(scn: LapScenario, load: np.ndarray | None = None,
         raise ConstraintSingular(
             f"kernel-restricted derivative Gram has condition {gcond:.3e}")
 
-    G = op.matrix
-    size = sp.size
+    blocks, to, back = _whitened_stack(op)
+    g = to(load)
+    R = np.array([to(row.reshape(load.shape)) for row in rows])  # (m, B, n)
+    share = np.linalg.norm(R, axis=2)  # each row's part in each block
+    hold = np.any(share > _PARITY_CROSS_TOL * np.linalg.norm(share, axis=1)[:, None],
+                  axis=0)
+    z = np.zeros_like(g)
+    free = ~hold
+    if free.any():
+        z[free] = np.linalg.solve(blocks[free], g[free][..., None])[..., 0]
+    H = _block_diag(blocks[hold])
+    Rh = R[:, hold].reshape(m, -1)
+    gh = g[hold].ravel()
     if method == "stacked":
-        scale = np.linalg.norm(G, ord="fro") / np.sqrt(size)
-        stacked = np.zeros((size + m, size), dtype=complex)
-        rhsv = np.zeros(size + m, dtype=complex)
-        stacked[:size] = G
-        rhsv[:size] = load.ravel()
-        for l, row in enumerate(rows):
-            f = scale / max(np.linalg.norm(row), 1e-300)
-            stacked[size + l] = f * row
-            rhsv[size + l] = f * dvals[l]
-        sol, *_ = np.linalg.lstsq(stacked, rhsv, rcond=None)
-        vals = sol.reshape(len(sp.modes), sp.M)
-    elif method == "two_step":
-        # particular solution with kernel directions truncated
-        part, *_ = np.linalg.lstsq(G, load.ravel(), rcond=1e-10)
-        vpart = part.reshape(len(sp.modes), sp.M)
-        rhs_c = dvals - np.array([row @ part for row in rows])
-        coeffs = np.linalg.solve(gram, rhs_c)
-        vals = vpart + sum(c * v for c, v in zip(coeffs, scn.kernel.vectors))
+        scale = np.linalg.norm(H, ord="fro") / np.sqrt(len(H))
+        f = scale / np.maximum(np.linalg.norm(Rh, axis=1), 1e-300)
+        zh, *_ = np.linalg.lstsq(np.vstack([H, f[:, None] * Rh]),
+                                 np.concatenate([gh, f * dvals]), rcond=None)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        # particular solution with kernel directions truncated
+        zh, *_ = np.linalg.lstsq(H, gh, rcond=1e-10)
+    z[hold] = zh.reshape(-1, z.shape[1])
+    vals = back(z)
+    if method == "two_step":
+        rhs_c = dvals - np.array([row @ vals.ravel() for row in rows])
+        coeffs = np.linalg.solve(gram, rhs_c)
+        vals = vals + sum(c * v for c, v in zip(coeffs, scn.kernel.vectors))
 
     fieldv = FieldCoefficients(space=sp, inc=scn.inc, values=vals)
     resid = np.linalg.norm((op.apply(vals) - load).ravel())

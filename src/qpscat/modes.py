@@ -5,7 +5,8 @@ null space consisting of surface-wave fields: evanescent in depth, with no
 propagating Rayleigh orders.  Kernels are extracted from the singular
 decomposition of the whitened matrix, so the returned basis is orthonormal
 in the weighted inner product, and the adjoint-kernel coincidence can be
-checked in the same metric.
+checked in the same metric.  Each kernel vector carries a canonical phase,
+so the reports are independent of the LAPACK build.
 """
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ThresholdAmbiguity
-from .helmholtz import DiscreteOperator, FieldCoefficients, _interior_field
+from .helmholtz import DiscreteOperator, FieldCoefficients, _interior_field, \
+    _whitened_stack
 from .qpcore import IncidenceSpec, ModeIndex, _field_point, beta, classify_modes, \
     rayleigh_eval
 
@@ -49,14 +51,33 @@ class KernelBasis:
         return np.array([self.space.inner(u, v) for v in self.vectors])
 
 
+def _canonical_phase(v: np.ndarray) -> np.ndarray:
+    """v times the unit phase that makes its leading entry real and positive.
+
+    The leading entry is the first one, in (mode, node) order, whose modulus
+    is within 1e-8 of the largest; "first" breaks the exact ties between the
+    mirror nodes j and M-1-j of a depth-parity vector.  v must be nonzero.
+    """
+    flat = v.ravel()
+    a = np.abs(flat)
+    top = flat[np.flatnonzero(a >= (1.0 - 1e-8) * a.max())[0]]
+    return v * (np.conj(top) / abs(top))
+
+
 def kernel(op: DiscreteOperator, svd_threshold: float = DEFAULT_SVD_THRESHOLD) -> KernelBasis:
     """Extract the numerical null space of the assembled operator.
 
     Singular vectors of the whitened matrix with sigma < svd_threshold *
     sigma_max span the kernel; an empty basis means the quasi-momentum is
-    (numerically) not a propagative wave vector.  Raises ThresholdAmbiguity
-    if any singular value lies within a factor 10 of the threshold, in which
-    case no reliable kernel/regular split exists at this resolution.
+    (numerically) not a propagative wave vector.  The whitened matrix is
+    taken as its diagonal blocks (`helmholtz._whitened_stack`: the two
+    depth-parity halves of a mirror-symmetric dense operator, the mode blocks
+    of a block-diagonal one, else the full matrix), all decomposed in one
+    batched SVD, so every kernel vector lives in one block.  Each vector is
+    fixed up to its unit phase by `_canonical_phase`, so the reports do not
+    depend on the phase LAPACK picks.  Raises ThresholdAmbiguity if any
+    singular value lies within a factor 10 of the threshold, in which case
+    no reliable kernel/regular split exists at this resolution.
     Raises ValueError unless 0 < svd_threshold < 1.
     """
     if op.inc.k.imag != 0:
@@ -64,34 +85,10 @@ def kernel(op: DiscreteOperator, svd_threshold: float = DEFAULT_SVD_THRESHOLD) -
     if not 0.0 < svd_threshold < 1.0:  # also rejects NaN
         raise ValueError(f"svd_threshold must lie in (0, 1), got {svd_threshold!r}")
     space = op.space
-    svals_all = []
-    members = []  # (sigma, field)
-    if op.block_diagonal:
-        wh = op.whitened()
-        sigma_max = 0.0
-        per_block = []
-        for i, B in enumerate(wh):
-            U, s, Vh = np.linalg.svd(B)
-            per_block.append((i, s, Vh))
-            svals_all.extend(s.tolist())
-            sigma_max = max(sigma_max, float(s[0]))
-        for i, s, Vh in per_block:
-            for r in range(len(s)):
-                if s[r] < svd_threshold * sigma_max:
-                    y = space.zeros()
-                    y[i] = np.conj(Vh[r])
-                    members.append((float(s[r]), space.unwhiten(y)))
-    else:
-        Gt = op.whitened()
-        U, s, Vh = np.linalg.svd(Gt)
-        sigma_max = float(s[0])
-        svals_all = s.tolist()
-        M = space.M
-        for r in range(len(s)):
-            if s[r] < svd_threshold * sigma_max:
-                y = np.conj(Vh[r]).reshape(len(space.modes), M)
-                members.append((float(s[r]), space.unwhiten(y)))
-    rel = np.array(sorted(svals_all)) / sigma_max
+    blocks, _, back = _whitened_stack(op)
+    _, s, Vh = np.linalg.svd(blocks)
+    sigma_max = float(s.max())
+    rel = np.sort(s.ravel()) / sigma_max
     ambiguous = [float(t) for t in rel
                  if svd_threshold / 10.0 <= t <= svd_threshold * 10.0]
     if ambiguous:
@@ -99,6 +96,11 @@ def kernel(op: DiscreteOperator, svd_threshold: float = DEFAULT_SVD_THRESHOLD) -
             f"singular values {ambiguous} within a factor 10 of the "
             f"threshold {svd_threshold:g}; kernel dimension ill-determined",
             ambiguous=ambiguous)
+    members = []  # (sigma, field)
+    for b, r in zip(*np.nonzero(s < svd_threshold * sigma_max)):
+        z = np.zeros(s.shape, dtype=complex)
+        z[b] = np.conj(Vh[b, r])
+        members.append((float(s[b, r]), _canonical_phase(back(z))))
     members.sort(key=lambda t: t[0])
     vectors = [v for _, v in members]
     sigmas = [sg for sg, _ in members]

@@ -183,6 +183,22 @@ class TestLapCommand:
         deltas = [float(r.split(",")[1]) for r in lines[1:]]
         assert deltas[-1] < deltas[0]
 
+    @pytest.mark.parametrize("levels", [2, 5])
+    def test_short_schedule_writes_strict_json_with_null_slope(self, tmp_path, levels):
+        # the slope fit starts at the fifth level and needs two points, so
+        # 2..5 levels leave it undefined: null, never the non-JSON NaN
+        cfg = write_cfg(tmp_path, LAP_CONFIG)
+        out = tmp_path / "out"
+        assert main(["lap", "--config", str(cfg), "--out", str(out),
+                     "--override", f"lap.eps_levels={levels}"]) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        payload = json.loads((out / "lap.json").read_text(), parse_constant=reject)
+        assert payload["slope"] is None
+        assert payload["kernel_dimension"] == 1
+
 
 class TestDispersionCommand:
     def test_roots_and_grid(self, tmp_path):

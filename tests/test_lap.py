@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qpscat as q
+from test_helmholtz import recorded_shapes
 
 K_EX = np.pi / (2 * np.sqrt(2))
 ALPHA_EX = (1 - np.pi * np.sqrt(3) / 4, 0.0)
@@ -191,6 +192,78 @@ class TestConstrainedSolve:
         smin = np.linalg.svd(gram, compute_uv=False)[-1]
         norm_deriv = dop.whitened_singular_values()[0]
         assert smin > 1e-6 * norm_deriv
+
+
+def guided_sampled_scenario(M=16):
+    """The guided scenario on a dense (sampled, z-invariant) q = 2 medium, N = 1."""
+    inc = q.IncidenceSpec.from_alpha(K_EX, ALPHA_EX, 1.0)
+    med = q.MediumModel.sampled(np.full((8, 8, 1), 2.0), 1.0)
+    disc = q.Discretization(N=1, M=M)
+    op = q.assemble(inc, med, disc)
+    scn = q.LapScenario(inc=inc, medium=med, disc=disc, kernel=q.kernel(op))
+    return scn, op
+
+
+def prescribed_loads(scn, op, seed=12):
+    """A random field w with the loads A(0) w and A'(0) w that recover it."""
+    rng = np.random.default_rng(seed)
+    shape = (len(scn.space.modes), scn.space.M)
+    w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return w, op.apply(w), q.derivative_operator(scn).apply(w)
+
+
+class TestConstrainedSolveBlocks:
+    """The constrained solves on the whitened diagonal blocks of A."""
+
+    def test_split_operator_solves_one_half_by_least_squares(self, monkeypatch):
+        scn, op = guided_sampled_scenario()
+        assert q.helmholtz._parity_halves(op) is not None
+        w, load, dload = prescribed_loads(scn, op)
+        with monkeypatch.context() as m:
+            lstsq = recorded_shapes(m, "lstsq")
+            solve = recorded_shapes(m, "solve")
+            cs = q.constrained_solve(scn, load=load, load_deriv=dload)
+        n, m_ = scn.space.size, scn.kernel.dimension
+        assert lstsq == [(n // 2 + m_, n // 2)]  # the half holding the kernel
+        assert solve == [(1, n // 2, n // 2)]    # the other half, one LU
+        # the full-size stacked least squares with the unwhitened rows
+        dop = q.derivative_operator(scn)
+        G = op.matrix
+        rows = [np.conj(dop.apply_adjoint(v).ravel()) for v in scn.kernel.vectors]
+        dvals = [np.vdot(v.ravel(), dload.ravel()) for v in scn.kernel.vectors]
+        scale = np.linalg.norm(G) / np.sqrt(n)
+        f = [scale / np.linalg.norm(r) for r in rows]
+        full, *_ = np.linalg.lstsq(
+            np.vstack([G] + [fl * r for fl, r in zip(f, rows)]),
+            np.concatenate([load.ravel(), np.multiply(f, dvals)]), rcond=None)
+        got = cs.field.values.ravel()
+        assert np.linalg.norm(got - full) <= 1e-12 * np.linalg.norm(full)
+        assert np.linalg.norm(got - w.ravel()) <= 1e-10 * np.linalg.norm(w)
+
+    @pytest.mark.parametrize("layout", ["block_diagonal", "dense_M15"])
+    def test_other_layouts_agree_with_two_step(self, scenario, layout):
+        if layout == "block_diagonal":
+            scn, op = scenario
+        else:
+            scn, op = guided_sampled_scenario(M=15)
+            assert q.helmholtz._parity_halves(op) is None
+        assert scn.kernel.dimension == 1
+        w, load, dload = prescribed_loads(scn, op)
+        a = q.constrained_solve(scn, load=load, load_deriv=dload, method="stacked")
+        b = q.constrained_solve(scn, load=load, load_deriv=dload, method="two_step")
+        assert scn.space.norm(a.field.values - b.field.values) <= 1e-10 * a.field.norm()
+        assert scn.space.norm(a.field.values - w) <= 1e-8 * scn.space.norm(w)
+
+    def test_unknown_method_fails_before_assembly(self, scenario, monkeypatch):
+        scn, _ = scenario
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled before checking the method")
+
+        monkeypatch.setattr(q.lap, "assemble", no_assembly)
+        monkeypatch.setattr(q.lap, "assemble_eps_derivative", no_assembly)
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            q.constrained_solve(scn, method="bogus")
 
 
 class TestEpsSweep:

@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 import qpscat as q
+from qpscat.modes import _canonical_phase
+from test_helmholtz import recorded_shapes
 
 K_EX = np.pi / (2 * np.sqrt(2))
 ALPHA_EX = (1 - np.pi * np.sqrt(3) / 4, 0.0)
@@ -128,6 +130,79 @@ class TestKernel:
             w = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
             val = abs(np.vdot(v.ravel(), op.apply(w).ravel()))
             assert val <= 1e-7 * smax * sp.norm(w)
+
+
+def guided_sampled(M=16):
+    """The guided scenario on a dense (sampled, z-invariant) q = 2 medium, N = 1."""
+    inc = q.IncidenceSpec.from_alpha(K_EX, ALPHA_EX, 1.0)
+    disc = q.Discretization(N=1, M=M)
+    return q.assemble(inc, q.MediumModel.sampled(np.full((8, 8, 1), 2.0), 1.0), disc)
+
+
+class TestKernelBlocks:
+    """The kernel from the whitened diagonal blocks, with a canonical phase."""
+
+    def test_split_operator_takes_one_half_size_svd(self, monkeypatch):
+        op = guided_sampled()
+        assert q.helmholtz._parity_halves(op) is not None
+        with monkeypatch.context() as m:
+            shapes = recorded_shapes(m, "svd")
+            basis = q.kernel(op)
+        n = op.space.size
+        assert shapes == [(2, n // 2, n // 2)]
+        assert basis.dimension == 1
+        # the null vector of the full whitened matrix, in the same phase
+        _, s, Vh = np.linalg.svd(op.whitened())
+        assert s[-1] < 1e-8 * s[0] < s[-2]
+        full = _canonical_phase(op.space.unwhiten(
+            np.conj(Vh[-1]).reshape(basis.vectors[0].shape)))
+        v = basis.vectors[0]
+        assert np.linalg.norm((v - full).ravel()) <= 1e-10 * np.linalg.norm(full.ravel())
+        assert basis.singular_values[0] == pytest.approx(s[-1], abs=1e-15 * s[0])
+        assert basis.sigma_max == pytest.approx(s[0], rel=1e-13)
+
+    def test_block_diagonal_operator_takes_one_batched_svd(self, monkeypatch, guided):
+        *_, op, _ = guided
+        with monkeypatch.context() as m:
+            shapes = recorded_shapes(m, "svd")
+            basis = q.kernel(op)
+        assert shapes == [op.blocks.shape]
+        # the null vector of the resonant block alone, in the same phase
+        i = op.space.mode_index[(-1, 0)]
+        _, s, Vh = np.linalg.svd(op.whitened()[i])
+        y = op.space.zeros()
+        y[i] = np.conj(Vh[-1])
+        ref = _canonical_phase(op.space.unwhiten(y))
+        assert np.max(np.abs(basis.vectors[0] - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("M", [16, 15])
+    def test_tails_are_fixed_by_the_phase_rule(self, M):
+        # the (-1,0) mode is even in depth: equal, real, positive tails
+        basis = q.kernel(guided_sampled(M))
+        tp, tm = basis.tail_coeffs[0][(-1, 0)]
+        assert tp.real > 0 and tm.real > 0
+        assert abs(tp.imag) <= 1e-14 * abs(tp) and abs(tp - tm) <= 1e-12 * abs(tp)
+
+
+class TestCanonicalPhase:
+    @pytest.mark.parametrize("parity", [1.0, -1.0])
+    def test_invariant_under_a_unit_phase(self, parity):
+        rng = np.random.default_rng(11)
+        M = 16
+        v = rng.standard_normal((9, M)) + 1j * rng.standard_normal((9, M))
+        # profiles even (+1) or odd (-1) in depth, whose largest entries sit
+        # at mirror nodes j and M-1-j and tie in modulus up to one ulp, as in
+        # a computed kernel vector; in the odd case, breaking that tie by the
+        # larger modulus would flip the sign with the round-off of the phase
+        v[:, M // 2:] = parity * v[:, M // 2 - 1::-1]
+        v[4, 3], v[4, M - 4] = 10.0, parity * 10.0 * (1 + np.finfo(float).eps)
+        ref = _canonical_phase(v)
+        a = np.abs(ref.ravel())
+        lead = ref.ravel()[np.flatnonzero(a >= (1 - 1e-8) * a.max())[0]]
+        assert lead.real > 0 and abs(lead.imag) <= 1e-15 * lead.real
+        for theta in rng.uniform(0, 2 * np.pi, 32):
+            got = _canonical_phase(np.exp(1j * theta) * v)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestVerifyEvanescent:
