@@ -17,7 +17,7 @@ Configuration grammar (INI; keys grouped by section; CLI overrides win):
     [discretization]  N, M, depth_scheme
     [lap]         eps_start, eps_levels, svd_threshold
     [slab]        q0, parity, mode_radius, grid      (dispersion/slab commands)
-    [output]      directory, formats
+    [output]      directory
 
 Reports embed the resolved-configuration hash and the tool version; repeated
 runs on identical inputs are byte-identical.
@@ -68,8 +68,6 @@ class RunConfig:
         self.strict = strict
         out = out_dir or self._get("output", "directory", "out")
         self.out_dir = Path(out)
-        self.formats = [s.strip() for s in
-                        self._get("output", "formats", "json,csv").split(",")]
 
     def _get(self, section, key, default=None):
         val = self.sections.get(section, {}).get(key)
@@ -159,6 +157,28 @@ class RunConfig:
             raise ConfigError(f"svd_threshold must lie in (0, 1), got {t!r}")
         return t
 
+    def slab_q0(self, default=None) -> float:
+        q0 = self._getfloat("slab", "q0", default)
+        if not (np.isfinite(q0) and q0 > 0):
+            raise ConfigError(f"q0 must be finite and > 0, got {q0!r}")
+        return q0
+
+    def dispersion_settings(self) -> tuple[str, int, float | None]:
+        """[slab] parity, grid and mode_radius (None: the first root's |alpha|)."""
+        parity = self._get("slab", "parity", "even")
+        if parity not in ("even", "odd"):
+            raise ConfigError(f"[slab] parity must be even or odd, got {parity!r}")
+        grid = self._getint("slab", "grid", "512")
+        if grid < 1:
+            raise ConfigError(f"[slab] grid must be >= 1, got {grid!r}")
+        radius = None
+        if self.sections.get("slab", {}).get("mode_radius"):
+            radius = self._getfloat("slab", "mode_radius")
+            if not (np.isfinite(radius) and radius >= 0):
+                raise ConfigError(f"[slab] mode_radius must be finite and >= 0, "
+                                  f"got {radius!r}")
+        return parity, grid, radius
+
     def config_hash(self) -> str:
         lines = [f"command={self.command}"]
         for sec in sorted(self.sections):
@@ -235,7 +255,7 @@ def run(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     meta = cfg.meta()
     try:
-        if cfg.command == "solve":
+        if cfg.command in ("solve", "modes", "lap"):
             inc = cfg.incidence()
             medium = cfg.medium()
             rc = _check_hypotheses(cfg, medium, inc)
@@ -243,19 +263,14 @@ def run(cfg: RunConfig) -> int:
                 return rc
             disc = cfg.discretization()
             op = assemble(inc, medium, disc)
+
+        if cfg.command == "solve":
             v = solve(op, rhs(inc, disc, op.space))
             rd = rayleigh_data(v, inc)
             _write_json(cfg.out_dir / "rayleigh.json", _rayleigh_payload(rd, meta))
             _write_efficiencies_csv(cfg.out_dir / "efficiencies.csv", rd)
 
         elif cfg.command == "modes":
-            inc = cfg.incidence()
-            medium = cfg.medium()
-            rc = _check_hypotheses(cfg, medium, inc)
-            if rc:
-                return rc
-            disc = cfg.discretization()
-            op = assemble(inc, medium, disc)
             basis = kernel(op, cfg.svd_threshold())
             payload = {
                 **meta,
@@ -271,13 +286,6 @@ def run(cfg: RunConfig) -> int:
             _write_json(cfg.out_dir / "modes.json", payload)
 
         elif cfg.command == "lap":
-            inc = cfg.incidence()
-            medium = cfg.medium()
-            rc = _check_hypotheses(cfg, medium, inc)
-            if rc:
-                return rc
-            disc = cfg.discretization()
-            op = assemble(inc, medium, disc)
             basis = kernel(op, cfg.svd_threshold())
             scn = LapScenario(inc=inc, medium=medium, disc=disc, kernel=basis,
                               eps_schedule=cfg.eps_schedule())
@@ -304,14 +312,12 @@ def run(cfg: RunConfig) -> int:
         elif cfg.command == "dispersion":
             inc = cfg.incidence()
             k = inc.k.real
-            q0 = cfg._getfloat("slab", "q0")
+            q0 = cfg.slab_q0()
             h = inc.h
-            parity = cfg._get("slab", "parity", "even")
-            grid = cfg._getint("slab", "grid", "512")
+            parity, grid, mode_radius = cfg.dispersion_settings()
             roots = find_dispersion_roots(q0, h, k, parity)
-            mr_raw = cfg.sections.get("slab", {}).get("mode_radius")
-            mode_radius = float(mr_raw) if mr_raw else (
-                roots[0].abs_alpha if roots else 0.0)
+            if mode_radius is None:
+                mode_radius = roots[0].abs_alpha if roots else 0.0
             bmap = brillouin_map(k, mode_radius, grid=grid)
             write_brillouin_csv(bmap, cfg.out_dir / "brillouin.csv")
             payload = {
@@ -329,7 +335,7 @@ def run(cfg: RunConfig) -> int:
 
         elif cfg.command == "slab":
             inc = cfg.incidence()
-            q0 = cfg._getfloat("slab", "q0", cfg._get("medium", "q0", "1"))
+            q0 = cfg.slab_q0(cfg._get("medium", "q0", "1"))
             p = SlabParams(q0=q0, h=inc.h, k=inc.k.real,
                            abs_alpha=float(np.linalg.norm(inc.alpha_vec)))
             rd = transfer_matrix_scattering(p, inc)

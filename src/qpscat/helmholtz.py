@@ -250,8 +250,8 @@ class FieldSpace:
 
     Fields are arrays of shape (n_modes, M).  The space owns everything that
     depends only on the discretization and h, built once at construction:
-    the depth grid; the weighted inner-product blocks W_n and their symmetric
-    square roots, stacked in mode order as W, W_sqrt and W_isqrt of shape
+    the depth grid; the weighted inner-product blocks W_n and their inverse
+    symmetric square roots, stacked in mode order as W and W_isqrt of shape
     (n_modes, M, M), with one eigendecomposition per distinct |n|^2; and, for
     even M, the depth-parity basis `parity` = (P, S) that splits operators
     mirror-symmetric in depth (None for odd M).  The depth reflection
@@ -276,14 +276,13 @@ class FieldSpace:
         W[:, 0, 0] += s
         W[:, -1, -1] += s
         W *= 4 * np.pi ** 2
-        roots = []
+        isqrt = []
         for Wd in W:
             lam, U = np.linalg.eigh(Wd)
             if lam[0] <= 0:
                 raise SolveFailed("weighted inner product not positive definite")
-            roots.append((U * np.sqrt(lam) @ U.T, U * (1 / np.sqrt(lam)) @ U.T))
-        W_sqrt, W_isqrt = map(np.array, zip(*roots))
-        self.W, self.W_sqrt, self.W_isqrt = W[which], W_sqrt[which], W_isqrt[which]
+            isqrt.append(U * (1 / np.sqrt(lam)) @ U.T)
+        self.W, self.W_isqrt = W[which], np.array(isqrt)[which]
         self.parity = None
         if M % 2 == 0:
             half = M // 2
@@ -304,10 +303,6 @@ class FieldSpace:
     def norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(max(self.inner(u, u).real, 0.0)))
 
-    def whiten(self, u: np.ndarray) -> np.ndarray:
-        """Map a field to whitened coordinates y = W^{1/2} u (per mode)."""
-        return (self.W_sqrt @ u[..., None])[..., 0]
-
     def unwhiten(self, y: np.ndarray) -> np.ndarray:
         return (self.W_isqrt @ y[..., None])[..., 0]
 
@@ -325,9 +320,8 @@ class DiscreteOperator:
     with row (mode index) * M + (depth index).  Everything that depends only
     on the layout and the weighted product lives on `space`; the operator
     keeps its matrix and caches its whitened matrix, its whitened singular
-    values and, when it is dense and mirror-symmetric in depth, its whitened
-    parity halves, which serve the screen, `solve`, and through
-    `_whitened_stack` the kernel and the constrained solve.
+    values and its whitened diagonal blocks (`_whitened_stack`), which the
+    screen, the dense solves, the kernel and the constrained solve all read.
     """
 
     def __init__(self, inc, space, blocks=None, dense=None):
@@ -337,7 +331,7 @@ class DiscreteOperator:
         self.dense = dense
         self._whitened = None
         self._svals = None
-        self._halves = None
+        self._stack = None
 
     @property
     def block_diagonal(self) -> bool:
@@ -382,17 +376,18 @@ class DiscreteOperator:
     def whitened_singular_values(self) -> np.ndarray:
         """All singular values of W^{-1/2} G W^{-1/2}, descending, cached.
 
-        Block-diagonal operators are decomposed block by block.  Dense ones
-        go through `_dense_singular_values`: two half-size blocks when the
-        operator is mirror-symmetric in depth, else the full whitened matrix.
+        Taken from the blocks of `_whitened_stack`: one SVD per mode block of
+        a block-diagonal operator, one batched SVD of the stack of a dense
+        one (its two depth-parity halves, or the full whitened matrix).
         """
         if self._svals is None:
+            blocks = _whitened_stack(self)[0]
             if self.block_diagonal:
                 s = np.concatenate([np.linalg.svd(B, compute_uv=False)
-                                    for B in self.whitened()])
-                self._svals = np.sort(s)[::-1]
+                                    for B in blocks])
             else:
-                self._svals = _dense_singular_values(self)
+                s = np.linalg.svd(blocks, compute_uv=False).ravel()
+            self._svals = np.sort(s)[::-1]
         return self._svals
 
     def singularity_report(self) -> tuple[float, float]:
@@ -400,93 +395,66 @@ class DiscreteOperator:
         return float(s[-1]), float(s[0])
 
 
-def _parity_halves(op: DiscreteOperator):
-    """The whitened depth-parity halves of a dense operator, or None; cached.
-
-    In the parity basis P of `op.space.parity` each mode block of G splits
-    into even/even, even/odd, odd/even and odd/odd parts.  When the cross
-    parts vanish (a medium mirror-symmetric in depth, e.g. z-invariant), the
-    whitened matrix is orthogonally similar to the direct sum of its even and
-    odd halves, whitened by the space's parity blocks S of W_n^{-1/2}.  The
-    halves are built one mode row at a time, so the full whitened matrix is
-    never formed.
-
-    Returns the halves, shape (2, n/2, n/2): the whitened even and odd blocks
-    of G, rows and columns ordered (mode, parity node).  None for odd M, or
-    when the cross parts exceed _PARITY_CROSS_TOL of the total.
-    """
-    if op._halves is None:
-        op._halves = False  # not split, unless the test below passes
-        sp = op.space
-        if sp.parity is not None:
-            P, S = sp.parity
-            nm, M = len(sp.modes), sp.M
-            h = M // 2
-            sls = (slice(None, h), slice(h, None))
-            halves = np.empty((2, nm, h, nm, h), dtype=complex)
-            cross = total = 0.0
-            for i, row in enumerate(op.dense.reshape(nm, M, nm * M)):
-                t = ((P.T @ row).reshape(M * nm, M) @ P).reshape(M, nm, M)
-                eo, oe = t[:h, :, h:], t[h:, :, :h]
-                cross += np.vdot(eo, eo).real + np.vdot(oe, oe).real
-                total += np.vdot(t, t).real
-                for p, sl in enumerate(sls):
-                    # column mode m times S[p, m], then row mode i times S[p, i]
-                    b = np.matmul(t[sl, :, sl].transpose(1, 0, 2), S[p])
-                    halves[p, i] = (S[p, i] @ b).transpose(1, 0, 2)
-            if cross <= _PARITY_CROSS_TOL ** 2 * total:
-                op._halves = halves.reshape(2, nm * h, nm * h)
-    return None if op._halves is False else op._halves
-
-
-def _dense_singular_values(op: DiscreteOperator) -> np.ndarray:
-    """Singular values of a dense operator's whitened matrix, descending.
-
-    One batched SVD of the two `_parity_halves` when the operator splits
-    (about a quarter of the work), else of the full whitened matrix.
-    """
-    halves = _parity_halves(op)
-    if halves is not None:
-        s = np.linalg.svd(halves, compute_uv=False)
-        return np.sort(s.ravel())[::-1]
-    return np.linalg.svd(op.whitened(), compute_uv=False)
-
-
 def _whitened_stack(op: DiscreteOperator):
     """The whitened diagonal blocks of an operator, with the maps onto them.
 
-    Returns (blocks, to, back): `blocks` of shape (B, n, n) and two maps such
-    that G v = b reads blocks z = to(b) (one right-hand side per block, shape
-    (B, n)) with v = back(z) (a field).  `to` and `back` are one real linear
-    map and its transpose, so a row r acting on v acts on z as to(r).  Three
-    layouts, sharing the screen's caches:
+    Returns (blocks, to, back), built once and cached on the operator:
+    `blocks` of shape (B, n, n) and two maps such that G v = b reads
+    blocks z = to(b) (one right-hand side per block, shape (B, n)) with
+    v = back(z) (a field).  `to` and `back` are one real linear map and its
+    transpose, so a row r acting on v acts on z as to(r).  This is the only
+    place that picks the layout, one of three:
 
-    * a dense operator that `_parity_halves` splits: its two halves, with
-      to(b) = S P^T b and back(z) = P S z per mode, (P, S) = space.parity;
     * a block-diagonal operator: its whitened mode blocks, with
       to = back = W^{-1/2} per mode;
-    * any other dense operator: its full whitened matrix as a stack of one.
+    * a dense operator mirror-symmetric in depth: its two whitened parity
+      halves, with to(b) = S P^T b and back(z) = P S z per mode, where
+      (P, S) = space.parity.  In the basis P each mode block of G splits
+      into even/even, even/odd, odd/even and odd/odd parts; when the cross
+      parts are at most _PARITY_CROSS_TOL of the total (in Frobenius norm),
+      the whitened matrix is orthogonally similar to the direct sum of the
+      even and odd halves, rows and columns ordered (mode, parity node).
+      The halves are built one mode row at a time, before and without the
+      full whitened matrix;
+    * any other dense operator (odd M, or a failed split test): its full
+      whitened matrix as a stack of one.
     """
+    if op._stack is not None:
+        return op._stack
     sp = op.space
     nm, M = len(sp.modes), sp.M
     if op.block_diagonal:
-        return op.whitened(), sp.unwhiten, sp.unwhiten
-    halves = _parity_halves(op)
-    if halves is None:
-        return (op.whitened()[None], lambda b: sp.unwhiten(b).reshape(1, -1),
-                lambda z: sp.unwhiten(z.reshape(nm, M)))
-    P, S = sp.parity
-    h = M // 2
+        op._stack = op.whitened(), sp.unwhiten, sp.unwhiten
+        return op._stack
+    if sp.parity is not None:
+        P, S = sp.parity
+        h = M // 2
+        sls = (slice(None, h), slice(h, None))
+        halves = np.empty((2, nm, h, nm, h), dtype=complex)
+        cross = total = 0.0
+        for i, row in enumerate(op.dense.reshape(nm, M, nm * M)):
+            t = ((P.T @ row).reshape(M * nm, M) @ P).reshape(M, nm, M)
+            eo, oe = t[:h, :, h:], t[h:, :, :h]
+            cross += np.vdot(eo, eo).real + np.vdot(oe, oe).real
+            total += np.vdot(t, t).real
+            for p, sl in enumerate(sls):
+                # column mode m times S[p, m], then row mode i times S[p, i]
+                b = np.matmul(t[sl, :, sl].transpose(1, 0, 2), S[p])
+                halves[p, i] = (S[p, i] @ b).transpose(1, 0, 2)
+        if cross <= _PARITY_CROSS_TOL ** 2 * total:
+            def to(b):
+                g = np.matmul(S, (b @ P).reshape(nm, 2, h).transpose(1, 0, 2)[..., None])
+                return g.reshape(2, nm * h)
 
-    def to(b):
-        g = np.matmul(S, (b @ P).reshape(nm, 2, h).transpose(1, 0, 2)[..., None])
-        return g.reshape(2, nm * h)
+            def back(z):
+                w = np.matmul(S, z.reshape(2, nm, h, 1))
+                return w.reshape(2, nm, h).transpose(1, 0, 2).reshape(nm, M) @ P.T
 
-    def back(z):
-        w = np.matmul(S, z.reshape(2, nm, h, 1))
-        return w.reshape(2, nm, h).transpose(1, 0, 2).reshape(nm, M) @ P.T
-
-    return halves, to, back
+            op._stack = halves.reshape(2, nm * h, nm * h), to, back
+            return op._stack
+    op._stack = (op.whitened()[None], lambda b: sp.unwhiten(b).reshape(1, -1),
+                 lambda z: sp.unwhiten(z.reshape(nm, M)))
+    return op._stack
 
 
 def _block_diag(blocks: np.ndarray) -> np.ndarray:
@@ -680,10 +648,9 @@ def solve(op: DiscreteOperator, load: np.ndarray) -> FieldCoefficients:
     Raises NearSingular when the whitened relative smallest singular value
     drops below NEAR_SINGULAR_THRESHOLD (the signature of a propagative wave
     vector; route such scenarios to the kernel/limiting-absorption tools).
-    Block-diagonal operators are factored block by block, and dense ones
-    that the screen split by depth parity through their two whitened
-    half-size blocks and the maps of `_whitened_stack`, in one batched
-    LAPACK call either way; other dense operators by one full LU.  The
+    Dense operators are solved on the blocks of `_whitened_stack` through its
+    maps, block-diagonal ones on their raw mode blocks (the W^{-1/2} maps
+    would only add work there); one batched LAPACK call either way.  The
     residual is always checked against the assembled matrix: the returned
     profiles satisfy ||A v - load|| <= 1e-10 ||load||, after at most one
     refinement sweep.
@@ -695,16 +662,14 @@ def solve(op: DiscreteOperator, load: np.ndarray) -> FieldCoefficients:
             f"{smin / smax:.3e} (propagative wave vector?)",
             smallest_singular_value=smin, sigma_max=smax)
 
-    halves = None if op.block_diagonal else _parity_halves(op)
-    if halves is not None:
-        _, to, back = _whitened_stack(op)
-
-    def direct(b):
-        if op.block_diagonal:  # one batched LAPACK call over the mode blocks
+    if op.block_diagonal:
+        def direct(b):
             return np.linalg.solve(op.blocks, b[..., None])[..., 0]
-        if halves is not None:
-            return back(np.linalg.solve(halves, to(b)[..., None])[..., 0])
-        return np.linalg.solve(op.dense, b.reshape(-1)).reshape(b.shape)
+    else:
+        blocks, to, back = _whitened_stack(op)
+
+        def direct(b):
+            return back(np.linalg.solve(blocks, to(b)[..., None])[..., 0])
 
     vals = direct(load)
     resid = np.linalg.norm((op.apply(vals) - load).ravel())

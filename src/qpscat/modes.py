@@ -149,18 +149,20 @@ def adjoint_kernel_check(op: DiscreteOperator, basis: KernelBasis) -> float:
 
     Small values certify that the null spaces of the operator and its adjoint
     coincide numerically (the kernels consist of the same surface waves).
-    Returns 0.0 for an empty basis.
+    Evaluated on the blocks of `helmholtz._whitened_stack`, so a split
+    operator never builds its full whitened matrix.  Returns 0.0 for an
+    empty basis.
     """
     if basis.dimension == 0:
         return 0.0
-    space = op.space
+    W = op.space.W
     _, sigma_max = op.singularity_report()
-    wh = op.whitened()
-    wh = wh.reshape(-1, *wh.shape[-2:])  # a dense matrix is a stack of one block
+    blocks, to, _ = _whitened_stack(op)
     worst = 0.0
     for v in basis.vectors:
-        y = space.whiten(v).reshape(len(wh), 1, -1)
-        ady = np.conj(y) @ wh  # the row vector y^H A, the conjugate of A^H y
+        # W^{1/2} v in block coordinates, as `to` is the parity part of W^{-1/2}
+        y = to((W @ v[..., None])[..., 0])
+        ady = np.conj(y[:, None]) @ blocks  # rows y_b^H A_b, conjugates of A_b^H y_b
         worst = max(worst, float(np.linalg.norm(ady.ravel())
                                  / (sigma_max * np.linalg.norm(y.ravel()))))
     return worst

@@ -155,6 +155,33 @@ class TestConfigErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
 
+    @pytest.mark.parametrize("command, overrides", [
+        ("dispersion", "slab.parity=sideways"),
+        ("dispersion", "slab.parity=sideways slab.q0=0.5"),  # no roots to find
+        ("dispersion", "slab.grid=0"),
+        ("dispersion", "slab.grid=-3"),
+        ("dispersion", "slab.mode_radius=abc"),
+        ("dispersion", "slab.mode_radius=-1"),
+        ("dispersion", "slab.mode_radius=inf"),
+        ("dispersion", "slab.q0=nan"),
+        ("dispersion", "slab.q0=inf"),
+        ("dispersion", "slab.q0=0"),
+        ("slab", "slab.q0=0"),
+        ("slab", "slab.q0=-2"),
+        ("slab", "slab.q0=nan"),
+    ])
+    def test_bad_slab_setting_is_a_config_error(self, tmp_path, capsys, command,
+                                                overrides):
+        cfg = write_cfg(tmp_path, DISPERSION_CONFIG)
+        out = tmp_path / "o"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        for ov in overrides.split():
+            argv += ["--override", ov]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert not any(out.iterdir())  # refused before any report is written
+
 
 class TestModesCommand:
     def test_kernel_report(self, tmp_path):

@@ -144,7 +144,7 @@ class TestKernelBlocks:
 
     def test_split_operator_takes_one_half_size_svd(self, monkeypatch):
         op = guided_sampled()
-        assert q.helmholtz._parity_halves(op) is not None
+        assert len(q.helmholtz._whitened_stack(op)[0]) == 2
         with monkeypatch.context() as m:
             shapes = recorded_shapes(m, "svd")
             basis = q.kernel(op)
@@ -243,6 +243,25 @@ class TestAdjointKernel:
 
     def test_random_vector_control(self, guided):
         *_, op, basis = guided
+        rng = np.random.default_rng(8)
+        w = rng.standard_normal(basis.vectors[0].shape) \
+            + 1j * rng.standard_normal(basis.vectors[0].shape)
+        w /= op.space.norm(w)
+        fake = q.KernelBasis(vectors=[w], singular_values=[0.0], sigma_max=1.0,
+                             tail_coeffs=[{}], space=op.space, inc=op.inc)
+        assert q.adjoint_kernel_check(op, fake) > 1e-3
+
+    @pytest.mark.parametrize("M", [16, 15])
+    def test_dense_operator_checked_on_its_stack(self, monkeypatch, M):
+        # M = 16 splits by depth parity: the check reads the two halves and
+        # never builds the full whitened matrix; M = 15 is the stack of one
+        op = guided_sampled(M)
+        basis = q.kernel(op)
+        if M == 16:
+            def no_full_matrix(self):
+                raise AssertionError("full whitened matrix built")
+            monkeypatch.setattr(q.DiscreteOperator, "whitened", no_full_matrix)
+        assert q.adjoint_kernel_check(op, basis) <= 1e-7
         rng = np.random.default_rng(8)
         w = rng.standard_normal(basis.vectors[0].shape) \
             + 1j * rng.standard_normal(basis.vectors[0].shape)
