@@ -43,9 +43,11 @@ FINITE_DIFFERENCE = "finite_difference_order2"
 #: relative smallest singular value below which a solve refuses to proceed
 NEAR_SINGULAR_THRESHOLD = 1e-8
 
-#: relative Frobenius norm of the even/odd cross blocks below which a dense
-#: operator counts as mirror-symmetric in depth (round-off leaves ~1e-15)
-_PARITY_CROSS_TOL = 1e-13
+#: relative Frobenius norm below which a part of a dense operator counts as
+#: zero when it is split into diagonal blocks: the even/odd cross parts of a
+#: medium mirror-symmetric in depth (round-off leaves ~1e-15), and the
+#: blocks between modes that the medium does not couple
+_SPLIT_TOL = 1e-13
 
 #: mass matrix of the second-order depth scheme: average of the consistent
 #: and lumped P1 masses.  The average cancels the leading interior dispersion
@@ -378,7 +380,7 @@ class DiscreteOperator:
 
         Taken from the blocks of `_whitened_stack`: one SVD per mode block of
         a block-diagonal operator, one batched SVD of the stack of a dense
-        one (its two depth-parity halves, or the full whitened matrix).
+        one (one block per coupling component and depth parity).
         """
         if self._svals is None:
             blocks = _whitened_stack(self)[0]
@@ -395,6 +397,38 @@ class DiscreteOperator:
         return float(s[-1]), float(s[0])
 
 
+def _coupling_components(op: DiscreteOperator):
+    """The modes of a dense operator grouped by its transverse coupling.
+
+    Returns (comps, dropped, total).  `comps`, of shape (nc, c), holds the
+    mode indices of each connected component of the coupling graph, which
+    links modes n and m when block (n, m) of the operator exceeds
+    _SPLIT_TOL^2 of the squared Frobenius norm `total`; rows are ordered by
+    their first mode, modes ascending.  `dropped` is the squared norm of the
+    blocks between components.  Unless there are several components, all of
+    one size, with dropped <= _SPLIT_TOL^2 total, all modes form one
+    component and nothing is dropped.
+    """
+    nm, M = len(op.space.modes), op.space.M
+    F = op.dense.view(float).reshape(nm, M, nm, 2 * M)
+    mass = np.einsum("iajb,iajb->ij", F, F)  # squared norm of each mode block
+    total = float(mass.sum())
+    link = mass > _SPLIT_TOL ** 2 * total
+    link |= link.T
+    label = np.arange(nm)
+    while True:  # every mode takes the least label among its neighbours
+        new = np.minimum(label, np.where(link, label, nm).min(axis=1))
+        if np.array_equal(new, label):
+            break
+        label = new
+    _, comp, sizes = np.unique(label, return_inverse=True, return_counts=True)
+    if len(sizes) > 1 and np.all(sizes == sizes[0]):
+        dropped = float(mass[comp[:, None] != comp[None, :]].sum())
+        if dropped <= _SPLIT_TOL ** 2 * total:
+            return np.argsort(comp, kind="stable").reshape(len(sizes), -1), dropped, total
+    return np.arange(nm)[None], 0.0, total
+
+
 def _whitened_stack(op: DiscreteOperator):
     """The whitened diagonal blocks of an operator, with the maps onto them.
 
@@ -403,21 +437,26 @@ def _whitened_stack(op: DiscreteOperator):
     blocks z = to(b) (one right-hand side per block, shape (B, n)) with
     v = back(z) (a field).  `to` and `back` are one real linear map and its
     transpose, so a row r acting on v acts on z as to(r).  This is the only
-    place that picks the layout, one of three:
+    place that picks the layout:
 
     * a block-diagonal operator: its whitened mode blocks, with
       to = back = W^{-1/2} per mode;
-    * a dense operator mirror-symmetric in depth: its two whitened parity
-      halves, with to(b) = S P^T b and back(z) = P S z per mode, where
-      (P, S) = space.parity.  In the basis P each mode block of G splits
-      into even/even, even/odd, odd/even and odd/odd parts; when the cross
-      parts are at most _PARITY_CROSS_TOL of the total (in Frobenius norm),
-      the whitened matrix is orthogonally similar to the direct sum of the
-      even and odd halves, rows and columns ordered (mode, parity node).
-      The halves are built one mode row at a time, before and without the
-      full whitened matrix;
-    * any other dense operator (odd M, or a failed split test): its full
-      whitened matrix as a stack of one.
+    * a dense operator: one block per (coupling component x depth parity).
+      The components are those of `_coupling_components` (all modes in one
+      when the operator does not split transversely); to(b) gathers their
+      modes in turn and back(z) scatters them back.  In the parity basis
+      (P, S) = space.parity each mode block of G splits into even/even,
+      even/odd, odd/even and odd/odd parts.  When the cross parts within the
+      components and the blocks between components are together at most
+      _SPLIT_TOL of the total (in Frobenius norm), the whitened matrix is
+      orthogonally similar, up to that remainder, to the direct sum of each
+      component's even and odd halves, rows and columns ordered (mode,
+      parity node), with to(b) = S P^T b and back(z) = P S z per mode.  The
+      halves are built one mode row at a time, before and without the full
+      whitened matrix, the blocks of component g in rows 2g and 2g + 1;
+    * with odd M, or when the parity test fails: the full whitened matrix
+      of each component, with to = back = W^{-1/2} per mode (a stack of one
+      for an operator that does not split).
     """
     if op._stack is not None:
         return op._stack
@@ -426,34 +465,53 @@ def _whitened_stack(op: DiscreteOperator):
     if op.block_diagonal:
         op._stack = op.whitened(), sp.unwhiten, sp.unwhiten
         return op._stack
+    comps, dropped, total = _coupling_components(op)
+    nc, c = comps.shape
+    order = comps.ravel()
+    inv = np.argsort(order)
+
+    def gather(y):  # (K, nm, x) in mode order -> (nc K, c x), component-major
+        K, x = y.shape[0], y.shape[-1]
+        return y[:, order].reshape(K, nc, c * x).swapaxes(0, 1).reshape(nc * K, c * x)
+
+    def scatter(z, K):  # the inverse of gather
+        return z.reshape(nc, K, c, -1).swapaxes(0, 1).reshape(K, nm, -1)[:, inv]
+
     if sp.parity is not None:
         P, S = sp.parity
+        D = op.dense.reshape(nm, M, nm, M)
         h = M // 2
         sls = (slice(None, h), slice(h, None))
-        halves = np.empty((2, nm, h, nm, h), dtype=complex)
-        cross = total = 0.0
-        for i, row in enumerate(op.dense.reshape(nm, M, nm * M)):
-            t = ((P.T @ row).reshape(M * nm, M) @ P).reshape(M, nm, M)
-            eo, oe = t[:h, :, h:], t[h:, :, :h]
-            cross += np.vdot(eo, eo).real + np.vdot(oe, oe).real
-            total += np.vdot(t, t).real
-            for p, sl in enumerate(sls):
-                # column mode m times S[p, m], then row mode i times S[p, i]
-                b = np.matmul(t[sl, :, sl].transpose(1, 0, 2), S[p])
-                halves[p, i] = (S[p, i] @ b).transpose(1, 0, 2)
-        if cross <= _PARITY_CROSS_TOL ** 2 * total:
+        halves = np.empty((nc, 2, c, h, c, h), dtype=complex)
+        cross = 0.0
+        for g, idx in enumerate(comps):
+            Sg = S[:, idx]
+            for r, i in enumerate(idx):
+                row = D[i][:, idx].reshape(M, c * M)
+                t = ((P.T @ row).reshape(M * c, M) @ P).reshape(M, c, M)
+                eo, oe = t[:h, :, h:], t[h:, :, :h]
+                cross += np.vdot(eo, eo).real + np.vdot(oe, oe).real
+                for p, sl in enumerate(sls):
+                    # column mode m times S[p, m], then row mode i times S[p, i]
+                    b = np.matmul(t[sl, :, sl].transpose(1, 0, 2), Sg[p])
+                    halves[g, p, r] = (S[p, i] @ b).transpose(1, 0, 2)
+        if dropped + cross <= _SPLIT_TOL ** 2 * total:
             def to(b):
                 g = np.matmul(S, (b @ P).reshape(nm, 2, h).transpose(1, 0, 2)[..., None])
-                return g.reshape(2, nm * h)
+                return gather(g[..., 0])
 
             def back(z):
-                w = np.matmul(S, z.reshape(2, nm, h, 1))
+                w = np.matmul(S, scatter(z, 2)[..., None])
                 return w.reshape(2, nm, h).transpose(1, 0, 2).reshape(nm, M) @ P.T
 
-            op._stack = halves.reshape(2, nm * h, nm * h), to, back
+            op._stack = halves.reshape(2 * nc, c * h, c * h), to, back
             return op._stack
-    op._stack = (op.whitened()[None], lambda b: sp.unwhiten(b).reshape(1, -1),
-                 lambda z: sp.unwhiten(z.reshape(nm, M)))
+    Gt = op.whitened()
+    if nc > 1:
+        Gt = Gt.reshape(nm, M, nm, M)
+        Gt = np.stack([Gt[idx][:, :, idx] for idx in comps])
+    op._stack = (Gt.reshape(nc, c * M, c * M), lambda b: gather(sp.unwhiten(b)[None]),
+                 lambda z: sp.unwhiten(scatter(z, 1)[0]))
     return op._stack
 
 
@@ -519,12 +577,14 @@ def _build_operator(inc, medium, space, volume, boundary, scale) -> DiscreteOper
     blocks[:, -1, -1] -= ib
     if medium.transversely_uniform:
         return DiscreteOperator(inc, space, blocks=blocks)
-    # -scale C_d for every |d|_inf <= 2N, as 0 - x so a vanishing coupling
-    # gives +0.0 entries
+    # -scale C_d for every |d|_inf <= 2N, as 0 - x so that every entry of a
+    # vanishing coupling is +0.0; a vanishing profile is filled so directly
     N2 = 2 * space.disc.N
     span = range(-N2, N2 + 1)
+    zero = np.zeros((space.M, space.M), dtype=complex)
     coupling = np.subtract(0.0, np.array(
-        [[scale * grid.weighted_mass(profs[(d1, d2)]) for d2 in span] for d1 in span]))
+        [[scale * grid.weighted_mass(profs[(d1, d2)]) if np.any(profs[(d1, d2)])
+          else zero for d2 in span] for d1 in span]))
     nm, M = len(space.modes), space.M
     n = np.array(space.modes)
     d = n[:, None, :] - n[None, :, :] + N2  # (n - m) + 2N, shape (nm, nm, 2)
@@ -648,9 +708,10 @@ def solve(op: DiscreteOperator, load: np.ndarray) -> FieldCoefficients:
     Raises NearSingular when the whitened relative smallest singular value
     drops below NEAR_SINGULAR_THRESHOLD (the signature of a propagative wave
     vector; route such scenarios to the kernel/limiting-absorption tools).
-    Dense operators are solved on the blocks of `_whitened_stack` through its
-    maps, block-diagonal ones on their raw mode blocks (the W^{-1/2} maps
-    would only add work there); one batched LAPACK call either way.  The
+    Dense operators are solved on the blocks of `_whitened_stack` (one per
+    coupling component and depth parity) through its maps, block-diagonal
+    ones on their raw mode blocks (the W^{-1/2} maps would only add work
+    there); one batched LAPACK call either way.  The
     residual is always checked against the assembled matrix: the returned
     profiles satisfy ||A v - load|| <= 1e-10 ||load||, after at most one
     refinement sweep.

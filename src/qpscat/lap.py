@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintSingular, NonEvanescentMode
-from .helmholtz import _PARITY_CROSS_TOL, Discretization, DiscreteOperator, \
+from .helmholtz import _SPLIT_TOL, Discretization, DiscreteOperator, \
     FieldCoefficients, FieldSpace, _block_diag, _medium_profiles, \
     _whitened_stack, assemble, assemble_eps_derivative, rayleigh_data, rhs, \
     rhs_eps_derivative, solve
@@ -116,13 +116,15 @@ def constrained_solve(scn: LapScenario, load: np.ndarray | None = None,
     """Solve  A v = f  subject to  v_l^H A'(0) v = v_l^H f'(0)  per kernel vector.
 
     The system is solved on the whitened diagonal blocks of A
-    (`helmholtz._whitened_stack`).  A block holds a constraint when its part
-    of some mapped constraint row exceeds _PARITY_CROSS_TOL of that row's
-    norm; the blocks that hold none are regular and get one batched LU.  The
-    holding blocks, taken together as one matrix H, get one least-squares
-    call: method='stacked' solves [H; scaled rows] z = [g; d], which is
-    consistent with full column rank, so whitening leaves its solution
-    unchanged; method='two_step' takes the rcond=1e-10 least-squares
+    (`helmholtz._whitened_stack`: one per coupling component and depth
+    parity of a dense A, one per mode of a block-diagonal one).  A block
+    holds a constraint when its part of some mapped constraint row exceeds
+    _SPLIT_TOL of that row's norm: on a split operator, the blocks of the
+    kernel vectors.  The blocks that hold none are regular and get one
+    batched LU.  The holding blocks, taken together as one matrix H, get one
+    least-squares call: method='stacked' solves [H; scaled rows] z = [g; d],
+    which is consistent with full column rank, so whitening leaves its
+    solution unchanged; method='two_step' takes the rcond=1e-10 least-squares
     particular solution of H and corrects it along the kernel by the m x m
     constraint system (raises ConstraintSingular when that system has
     condition above 1e8).  With an empty kernel both reduce to the plain
@@ -157,7 +159,7 @@ def constrained_solve(scn: LapScenario, load: np.ndarray | None = None,
     g = to(load)
     R = np.array([to(row.reshape(load.shape)) for row in rows])  # (m, B, n)
     share = np.linalg.norm(R, axis=2)  # each row's part in each block
-    hold = np.any(share > _PARITY_CROSS_TOL * np.linalg.norm(share, axis=1)[:, None],
+    hold = np.any(share > _SPLIT_TOL * np.linalg.norm(share, axis=1)[:, None],
                   axis=0)
     z = np.zeros_like(g)
     free = ~hold

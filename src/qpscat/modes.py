@@ -70,10 +70,11 @@ def kernel(op: DiscreteOperator, svd_threshold: float = DEFAULT_SVD_THRESHOLD) -
     Singular vectors of the whitened matrix with sigma < svd_threshold *
     sigma_max span the kernel; an empty basis means the quasi-momentum is
     (numerically) not a propagative wave vector.  The whitened matrix is
-    taken as its diagonal blocks (`helmholtz._whitened_stack`: the two
-    depth-parity halves of a mirror-symmetric dense operator, the mode blocks
-    of a block-diagonal one, else the full matrix), all decomposed in one
-    batched SVD, so every kernel vector lives in one block.  Each vector is
+    taken as its diagonal blocks (`helmholtz._whitened_stack`: the mode
+    blocks of a block-diagonal operator; one block per coupling component
+    and depth parity of a dense one, so 98 blocks of 8 for a transversely
+    constant medium at N = 3, M = 16), all decomposed in one batched SVD, so
+    every kernel vector lives in one block.  Each vector is
     fixed up to its unit phase by `_canonical_phase`, so the reports do not
     depend on the phase LAPACK picks.  Raises ThresholdAmbiguity if any
     singular value lies within a factor 10 of the threshold, in which case

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SolveFailed
 from .helmholtz import RayleighData
 from .qpcore import IncidenceSpec, branch_sqrt
 
@@ -204,7 +204,9 @@ def transfer_matrix_scattering(p: SlabParams, inc: IncidenceSpec) -> RayleighDat
     Solves the 4-unknown continuity system (field and normal derivative at
     x3 = +-h) for the reflected/transmitted coefficients and the interior
     amplitudes; exact up to round-off.  Requires propagating incidence
-    |alpha| < k and real k.
+    |alpha| < k and real k.  Raises SolveFailed when the system is singular
+    in floating point, as it is for k below about 1e-162, where the
+    products of the derivative rows underflow.
     """
     if inc.k.imag != 0:
         raise ValueError("transfer-matrix oracle requires real k")
@@ -224,7 +226,11 @@ def transfer_matrix_scattering(p: SlabParams, inc: IncidenceSpec) -> RayleighDat
         [0.0, -1j * b0, -1j * g * emg, 1j * g * eg],
     ], dtype=complex)
     rhs = np.array([-e0, 1j * b0 * e0, 0.0, 0.0], dtype=complex)
-    up, um, _, _ = np.linalg.solve(A, rhs)
+    try:
+        up, um, _, _ = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError:
+        raise SolveFailed(f"transfer-matrix system singular in floating point "
+                          f"at k = {k:g}") from None
     eff_up = {(0, 0): float(abs(up) ** 2)}
     eff_dn = {(0, 0): float(abs(um) ** 2)}
     balance = abs(eff_up[(0, 0)] + eff_dn[(0, 0)] - 1.0)

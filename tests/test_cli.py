@@ -253,6 +253,21 @@ class TestSlabCommand:
         payload = json.loads((out / "rayleigh.json").read_text())
         assert payload["balance_residual"] < 1e-12
 
+    @pytest.mark.parametrize("k", ["1e-200", "1e-300"])
+    def test_underflowing_wavenumber_exits_3_with_one_line_error(self, tmp_path,
+                                                                 capsys, k):
+        # the transfer-matrix system is singular in floating point below
+        # k of about 1e-162; 1e-100 still solves
+        cfg = write_cfg(tmp_path, SLAB_SOLVE + "\n[slab]\nq0 = 2.0\n")
+        out = tmp_path / "out"
+        rc = main(["slab", "--config", str(cfg), "--out", str(out),
+                   "--override", f"incidence.k={k}"])
+        assert rc == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "singular" in err[0]
+        assert not (out / "rayleigh.json").exists()
+
 
 class TestMaxwellCheckCommand:
     def test_property_report(self, tmp_path):

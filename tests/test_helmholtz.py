@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qpscat as q
+from qpscat.modes import _canonical_phase
 
 K_EX = np.pi / (2 * np.sqrt(2))
 ALPHA_EX = (1 - np.pi * np.sqrt(3) / 4, 0.0)
@@ -63,6 +64,28 @@ class TestAssemble:
                 if i != j:
                     blk = G[i * M:(i + 1) * M, j * M:(j + 1) * M]
                     assert np.all(blk == 0.0)
+
+    @pytest.mark.parametrize("scheme", [q.CHEBYSHEV, q.FINITE_DIFFERENCE])
+    def test_vanishing_profiles_take_no_coupling_mass(self, monkeypatch, scheme):
+        # the constant medium: only C_0 (diagonal) and qhat_(0,0) need a mass;
+        # the (4N+1)^2 - 1 vanishing profiles fill their blocks with +0.0
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.0, 1.0)
+        disc = q.Discretization(N=1, M=12, depth_scheme=scheme)
+        calls = []
+        mass = q.helmholtz.DepthGrid.weighted_mass
+
+        def counting(grid, profile):
+            calls.append(profile)
+            return mass(grid, profile)
+
+        monkeypatch.setattr(q.helmholtz.DepthGrid, "weighted_mass", counting)
+        G = q.assemble(inc, q.MediumModel.sampled(np.full((8, 8, 4), 2.0), 1.0), disc).dense
+        assert len(calls) == 2
+        off = G.reshape(9, 12, 9, 12).swapaxes(1, 2)[~np.eye(9, dtype=bool)]
+        assert not np.any(off) and not np.signbit(off.view(float)).any()
+        calls.clear()
+        q.assemble(inc, inclusion_medium(), disc)  # no vanishing profile
+        assert len(calls) == 1 + (4 * disc.N + 1) ** 2
 
     def test_zero_order_block_matches_transfer_matrix_problem(self):
         # N=0 discrete solve converges to the analytic 1-d oracle
@@ -251,8 +274,75 @@ class TestParitySolve:
         shapes = recorded_shapes(monkeypatch, "solve")
         with pytest.raises(q.NearSingular):
             q.solve(op, q.rhs(inc, disc))
-        assert len(q.helmholtz._whitened_stack(op)[0]) == 2  # the split path
+        # every mode is its own component: 2 (2N+1)^2 parity blocks of M/2
+        assert q.helmholtz._whitened_stack(op)[0].shape == (18, 8, 8)
         assert shapes == []
+
+
+def lamellar_medium(n=12, h=1.0):
+    """A z-invariant grating varying in x1 only: couples modes of equal n2."""
+    x = 2 * np.pi * np.arange(n) / n
+    vals = 2.0 + 0.5 * np.cos(x) + 0.3 * np.sin(2 * x)
+    return q.MediumModel.sampled(vals[:, None, None] * np.ones((1, n, 1)), h)
+
+
+def diagonal_medium(n=12, h=1.0):
+    """2 + 0.5 cos(x1 + x2): couples n to n +- (1, 1), diagonals of unequal length."""
+    x = 2 * np.pi * np.arange(n) / n
+    return q.MediumModel.sampled((2.0 + 0.5 * np.cos(x[:, None] + x[None, :]))[:, :, None], h)
+
+
+class TestCouplingComponents:
+    """Dense operators split by the components of their transverse coupling."""
+
+    @pytest.mark.parametrize("medium, N, M, shape", [
+        (lamellar_medium, 2, 16, (10, 40, 40)),   # 5 rows n2 of 5 modes, x 2 parities
+        (diagonal_medium, 2, 16, (2, 200, 200)),  # unequal components: two halves
+        (lambda: q.MediumModel.sampled(np.full((16, 16, 1), 2.0), 1.0), 3, 15,
+         (49, 15, 15)),                           # odd M: one block per mode
+    ], ids=["lamellar", "diagonal", "constant_M15"])
+    def test_blocks_match_the_full_operator(self, monkeypatch, medium, N, M, shape):
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        disc = q.Discretization(N=N, M=M)
+        op = q.assemble(inc, medium(), disc)
+        assert q.helmholtz._whitened_stack(op)[0].shape == shape
+        with monkeypatch.context() as m:
+            svd = recorded_shapes(m, "svd")
+            s = op.whitened_singular_values()
+        assert svd == [shape]  # one batched SVD of the blocks
+        full = np.linalg.svd(op.whitened(), compute_uv=False)
+        assert np.max(np.abs(s - full)) <= 1e-13 * full[0]
+        load = q.rhs(inc, disc)
+        want = np.linalg.solve(op.dense, load.ravel()).reshape(load.shape)
+        with monkeypatch.context() as m:
+            solve = recorded_shapes(m, "solve")
+            v = q.solve(op, load).values
+        assert solve == [shape]  # one batched LU, no refinement
+        assert np.linalg.norm((v - want).ravel()) <= 1e-12 * np.linalg.norm(want.ravel())
+
+    def test_components_of_a_lamellar_medium(self):
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        op = q.assemble(inc, lamellar_medium(), q.Discretization(N=2, M=16))
+        comps, dropped, total = q.helmholtz._coupling_components(op)
+        modes = np.array(op.space.modes)
+        assert comps.shape == (5, 5)
+        assert [set(modes[c, 1]) for c in comps] == [{-2}, {-1}, {0}, {1}, {2}]
+        assert dropped == 0.0 < total  # lamellar couplings vanish exactly
+
+    @pytest.mark.parametrize("M", [16, 15])
+    def test_kernel_vector_is_the_full_svd_null_vector(self, M):
+        inc = q.IncidenceSpec.from_alpha(K_EX, ALPHA_EX, 1.0)
+        disc = q.Discretization(N=2, M=M)
+        op = q.assemble(inc, q.MediumModel.sampled(np.full((12, 12, 1), 2.0), 1.0), disc)
+        assert len(q.helmholtz._whitened_stack(op)[0]) == 25 * (2 if M % 2 == 0 else 1)
+        basis = q.kernel(op)
+        assert basis.dimension == 1
+        _, s, Vh = np.linalg.svd(op.whitened())
+        assert s[-1] < 1e-8 * s[0] < s[-2]
+        want = _canonical_phase(op.space.unwhiten(np.conj(Vh[-1]).reshape(len(op.space.modes), M)))
+        v = basis.vectors[0]
+        assert np.linalg.norm((v - want).ravel()) <= 1e-10 * np.linalg.norm(want.ravel())
+        assert basis.singular_values[0] == pytest.approx(s[-1], abs=1e-15 * s[0])
 
 
 class TestOperatorSizeGuard:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qpscat as q
-from test_helmholtz import recorded_shapes
+from test_helmholtz import coupled_medium, inclusion_medium, recorded_shapes
 
 K_EX = np.pi / (2 * np.sqrt(2))
 ALPHA_EX = (1 - np.pi * np.sqrt(3) / 4, 0.0)
@@ -212,41 +212,79 @@ def prescribed_loads(scn, op, seed=12):
     return w, op.apply(w), q.derivative_operator(scn).apply(w)
 
 
+def one_block_basis(op):
+    """A one-vector basis in one block of the operator's whitened stack.
+
+    The least singular vector of the stack: not a kernel, but a constraint
+    that lives in one block, for layouts where the medium has no guided mode.
+    """
+    blocks, _, back = q.helmholtz._whitened_stack(op)
+    _, s, Vh = np.linalg.svd(blocks)
+    b, r = np.unravel_index(np.argmin(s), s.shape)
+    z = np.zeros(s.shape, dtype=complex)
+    z[b] = np.conj(Vh[b, r])
+    return q.KernelBasis(vectors=[back(z)], singular_values=[float(s[b, r])],
+                         sigma_max=float(s.max()), tail_coeffs=[{}],
+                         space=op.space, inc=op.inc)
+
+
+def full_stacked_lstsq(scn, op, load, dload):
+    """The full-size stacked least squares with the unwhitened rows."""
+    dop = q.derivative_operator(scn)
+    G = op.matrix
+    rows = [np.conj(dop.apply_adjoint(v).ravel()) for v in scn.kernel.vectors]
+    dvals = [np.vdot(v.ravel(), dload.ravel()) for v in scn.kernel.vectors]
+    scale = np.linalg.norm(G) / np.sqrt(len(G))
+    f = [scale / np.linalg.norm(r) for r in rows]
+    full, *_ = np.linalg.lstsq(
+        np.vstack([G] + [fl * r for fl, r in zip(f, rows)]),
+        np.concatenate([load.ravel(), np.multiply(f, dvals)]), rcond=None)
+    return full
+
+
 class TestConstrainedSolveBlocks:
     """The constrained solves on the whitened diagonal blocks of A."""
 
     def test_split_operator_solves_one_half_by_least_squares(self, monkeypatch):
-        scn, op = guided_sampled_scenario()
-        assert len(q.helmholtz._whitened_stack(op)[0]) == 2
-        w, load, dload = prescribed_loads(scn, op)
-        with monkeypatch.context() as m:
-            lstsq = recorded_shapes(m, "lstsq")
-            solve = recorded_shapes(m, "solve")
-            cs = q.constrained_solve(scn, load=load, load_deriv=dload)
-        n, m_ = scn.space.size, scn.kernel.dimension
-        assert lstsq == [(n // 2 + m_, n // 2)]  # the half holding the kernel
-        assert solve == [(1, n // 2, n // 2)]    # the other half, one LU
-        # the full-size stacked least squares with the unwhitened rows
-        dop = q.derivative_operator(scn)
-        G = op.matrix
-        rows = [np.conj(dop.apply_adjoint(v).ravel()) for v in scn.kernel.vectors]
-        dvals = [np.vdot(v.ravel(), dload.ravel()) for v in scn.kernel.vectors]
-        scale = np.linalg.norm(G) / np.sqrt(n)
-        f = [scale / np.linalg.norm(r) for r in rows]
-        full, *_ = np.linalg.lstsq(
-            np.vstack([G] + [fl * r for fl, r in zip(f, rows)]),
-            np.concatenate([load.ravel(), np.multiply(f, dvals)]), rcond=None)
-        got = cs.field.values.ravel()
-        assert np.linalg.norm(got - full) <= 1e-12 * np.linalg.norm(full)
-        assert np.linalg.norm(got - w.ravel()) <= 1e-10 * np.linalg.norm(w)
+        # a coupled medium mirror-symmetric in depth: its two parity halves
+        inc = q.IncidenceSpec.from_alpha(K_EX, ALPHA_EX, 1.0)
+        med, disc = inclusion_medium(), q.Discretization(N=1, M=16)
+        op = q.assemble(inc, med, disc)
+        scn = q.LapScenario(inc=inc, medium=med, disc=disc, kernel=one_block_basis(op))
+        # the constant medium: every mode is its own component
+        guided = guided_sampled_scenario()
+        for (scn, op), c in (((scn, op), 9), (guided, 1)):
+            w, load, dload = prescribed_loads(scn, op)
+            with monkeypatch.context() as m:
+                lstsq = recorded_shapes(m, "lstsq")
+                solve = recorded_shapes(m, "solve")
+                cs = q.constrained_solve(scn, load=load, load_deriv=dload)
+            n, m_ = c * scn.space.M // 2, scn.kernel.dimension
+            blocks = 2 * len(scn.space.modes) // c
+            assert m_ == 1
+            assert lstsq == [(n + m_, n)]            # the block holding the constraint
+            assert solve == [(blocks - 1, n, n)]     # the other blocks, one LU
+            full = full_stacked_lstsq(scn, op, load, dload)
+            got = cs.field.values.ravel()
+            assert np.linalg.norm(got - full) <= 1e-12 * np.linalg.norm(full)
+            assert np.linalg.norm(got - w.ravel()) <= 1e-10 * np.linalg.norm(w)
 
-    @pytest.mark.parametrize("layout", ["block_diagonal", "dense_M15"])
+    @pytest.mark.parametrize("layout", ["block_diagonal", "dense_M15", "coupled_asymmetric"])
     def test_other_layouts_agree_with_two_step(self, scenario, layout):
         if layout == "block_diagonal":
             scn, op = scenario
-        else:
+        elif layout == "dense_M15":
+            # odd M: one whitened block per component, here per mode
             scn, op = guided_sampled_scenario(M=15)
+            assert q.helmholtz._whitened_stack(op)[0].shape == (9, 15, 15)
+        else:
+            # a depth-asymmetric coupled medium: the full whitened matrix
+            inc = q.IncidenceSpec.from_alpha(K_EX, ALPHA_EX, 1.0)
+            med, disc = coupled_medium(), q.Discretization(N=1, M=16)
+            op = q.assemble(inc, med, disc)
             assert len(q.helmholtz._whitened_stack(op)[0]) == 1
+            scn = q.LapScenario(inc=inc, medium=med, disc=disc,
+                                kernel=one_block_basis(op))
         assert scn.kernel.dimension == 1
         w, load, dload = prescribed_loads(scn, op)
         a = q.constrained_solve(scn, load=load, load_deriv=dload, method="stacked")

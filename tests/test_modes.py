@@ -4,7 +4,7 @@ import pytest
 
 import qpscat as q
 from qpscat.modes import _canonical_phase
-from test_helmholtz import recorded_shapes
+from test_helmholtz import inclusion_medium, recorded_shapes
 
 K_EX = np.pi / (2 * np.sqrt(2))
 ALPHA_EX = (1 - np.pi * np.sqrt(3) / 4, 0.0)
@@ -143,13 +143,24 @@ class TestKernelBlocks:
     """The kernel from the whitened diagonal blocks, with a canonical phase."""
 
     def test_split_operator_takes_one_half_size_svd(self, monkeypatch):
+        # a coupled medium mirror-symmetric in depth: its two parity halves
+        coupled = q.assemble(q.IncidenceSpec.from_alpha(K_EX, ALPHA_EX, 1.0),
+                             inclusion_medium(), q.Discretization(N=1, M=16))
+        with monkeypatch.context() as m:
+            shapes = recorded_shapes(m, "svd")
+            basis = q.kernel(coupled)
+        n = coupled.space.size
+        assert shapes == [(2, n // 2, n // 2)]
+        assert basis.dimension == 0
+        full = np.linalg.svd(coupled.whitened(), compute_uv=False)
+        assert basis.sigma_max == pytest.approx(full[0], rel=1e-13)
+        # the constant medium: every mode is its own component, so the SVD
+        # runs on 2 (2N+1)^2 parity blocks of M/2
         op = guided_sampled()
-        assert len(q.helmholtz._whitened_stack(op)[0]) == 2
         with monkeypatch.context() as m:
             shapes = recorded_shapes(m, "svd")
             basis = q.kernel(op)
-        n = op.space.size
-        assert shapes == [(2, n // 2, n // 2)]
+        assert shapes == [(18, 8, 8)]
         assert basis.dimension == 1
         # the null vector of the full whitened matrix, in the same phase
         _, s, Vh = np.linalg.svd(op.whitened())
