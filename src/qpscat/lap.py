@@ -210,8 +210,7 @@ class LapResult:
         return float(self.sweep_deltas[-1] / self.v_limit_constrained.field.norm())
 
 
-def eps_sweep(scn: LapScenario, load_provider=None, load_deriv=None,
-              slope_tail_start: int = 4) -> LapResult:
+def eps_sweep(scn: LapScenario, load_provider=None, load_deriv=None) -> LapResult:
     """Assemble-and-solve along the eps schedule; cross-validate the limits.
 
     load_provider(inc_eps) supplies the load per perturbed incidence
@@ -250,10 +249,10 @@ def eps_sweep(scn: LapScenario, load_provider=None, load_deriv=None,
         vex = v_eps[-1].values.copy()
     v_ex = FieldCoefficients(space=sp, inc=scn.inc, values=vex)
     deltas = np.array(deltas)
-    tail = slice(slope_tail_start, None)
+    tail = slice(4, None)  # the slope is fitted from the fifth eps level on
     eps_arr = np.array(scn.eps_schedule)
     slope = float(np.polyfit(np.log(eps_arr[tail]), np.log(deltas[tail]), 1)[0]) \
-        if len(deltas) - slope_tail_start >= 2 and np.all(deltas[tail] > 0) else float("nan")
+        if len(deltas[tail]) >= 2 and np.all(deltas[tail] > 0) else float("nan")
     res_limit = constraint_residual(limit.field, lifted, scn.inc, scn.medium) \
         if lifted else np.zeros(0, dtype=complex)
     return LapResult(eps_schedule=tuple(scn.eps_schedule), v_eps=v_eps,
@@ -290,6 +289,11 @@ def constraint_residual(u: FieldCoefficients, mode_basis: list[LiftedMode],
     masses = {d: grid.weighted_mass(p)
               for d, p in _medium_profiles(medium, grid, sp.disc.N).items()
               if np.max(np.abs(p)) > 0}
+    diff = np.array(sp.modes)[:, None] - np.array(sp.modes)[None]
+    qu = np.zeros_like(u.values)  # (q u)_n = sum_m C_{n-m} u_m, once per d
+    for d, qm in masses.items():
+        i, j = np.nonzero((diff == d).all(axis=2))
+        qu[i] += u.values[j] @ qm.T
     rd = rayleigh_data(u, inc)
 
     if form == "theta":
@@ -325,10 +329,7 @@ def constraint_residual(u: FieldCoefficients, mode_basis: list[LiftedMode],
             c_grad, c_shift, c_pot = vol_coeff(n)
             vn = u.values[i]
             total += (c_grad + c_shift) * (np.conj(psi) @ (grid.mass @ vn))
-            for j, m in enumerate(sp.modes):
-                qm = masses.get((n[0] - m[0], n[1] - m[1]))
-                if qm is not None:
-                    total += c_pot * (np.conj(psi) @ (qm @ u.values[j]))
+            total += c_pot * (np.conj(psi) @ qu[i])
         # evanescent tails
         for n in cls.evanescent:
             pp = phi.tail_plus.get(n, 0.0)

@@ -192,15 +192,14 @@ class BetaTable:
         return iter(self.entries)
 
 
-def beta_table(inc: IncidenceSpec, N: int, cutoff_tolerance: float | None = None) -> BetaTable:
+def beta_table(inc: IncidenceSpec, N: int) -> BetaTable:
     """Tabulate beta_n over |n|_inf <= N.
 
-    Raises CutoffViolation if any |beta_n| falls below cutoff_tolerance
-    (default 1e-9 * |k|); beta_n enters denominators downstream, so grazing
-    orders must be rejected before any table is built.
+    Raises CutoffViolation if any |beta_n| falls below 1e-9 |k|; beta_n
+    enters denominators downstream, so grazing orders must be rejected
+    before any table is built.
     """
-    if cutoff_tolerance is None:
-        cutoff_tolerance = 1e-9 * abs(inc.k)
+    cutoff_tolerance = 1e-9 * abs(inc.k)
     modes = mode_range(N)
     vals = {n: beta(n, inc) for n in modes}
     flagged = [n for n, b in vals.items() if abs(b) < cutoff_tolerance]

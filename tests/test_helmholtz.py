@@ -67,7 +67,7 @@ class TestAssemble:
 
     @pytest.mark.parametrize("scheme", [q.CHEBYSHEV, q.FINITE_DIFFERENCE])
     def test_vanishing_profiles_take_no_coupling_mass(self, monkeypatch, scheme):
-        # the constant medium: only C_0 (diagonal) and qhat_(0,0) need a mass;
+        # the constant medium: only C_0 (diagonal) needs a mass; d = 0 and
         # the (4N+1)^2 - 1 vanishing profiles fill their blocks with +0.0
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.0, 1.0)
         disc = q.Discretization(N=1, M=12, depth_scheme=scheme)
@@ -80,12 +80,12 @@ class TestAssemble:
 
         monkeypatch.setattr(q.helmholtz.DepthGrid, "weighted_mass", counting)
         G = q.assemble(inc, q.MediumModel.sampled(np.full((8, 8, 4), 2.0), 1.0), disc).dense
-        assert len(calls) == 2
+        assert len(calls) == 1
         off = G.reshape(9, 12, 9, 12).swapaxes(1, 2)[~np.eye(9, dtype=bool)]
         assert not np.any(off) and not np.signbit(off.view(float)).any()
         calls.clear()
         q.assemble(inc, inclusion_medium(), disc)  # no vanishing profile
-        assert len(calls) == 1 + (4 * disc.N + 1) ** 2
+        assert len(calls) == (4 * disc.N + 1) ** 2
 
     def test_zero_order_block_matches_transfer_matrix_problem(self):
         # N=0 discrete solve converges to the analytic 1-d oracle
@@ -343,6 +343,91 @@ class TestCouplingComponents:
         v = basis.vectors[0]
         assert np.linalg.norm((v - want).ravel()) <= 1e-10 * np.linalg.norm(want.ravel())
         assert basis.singular_values[0] == pytest.approx(s[-1], abs=1e-15 * s[0])
+
+
+def slab_operator(N=2, M=16):
+    inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+    return q.assemble(inc, q.MediumModel.slab_stack(STACK_LAYERS, 1.0),
+                      q.Discretization(N=N, M=M))
+
+
+def sampled_operator(medium, N=2, M=16):
+    inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+    return q.assemble(inc, medium(), q.Discretization(N=N, M=M))
+
+
+def constant_medium():
+    return q.MediumModel.sampled(np.full((12, 12, 1), 2.0), 1.0)
+
+
+def relative_error(got, want):
+    return np.linalg.norm((got - want).ravel()) / np.linalg.norm(want.ravel())
+
+
+class TestWhitenedBlocks:
+    """The one builder of whitened blocks and the maps onto them."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: sampled_operator(inclusion_medium),      # mirror-symmetric in depth
+        lambda: sampled_operator(coupled_medium),        # depth-asymmetric
+        lambda: sampled_operator(inclusion_medium, M=15),
+        slab_operator,                                   # block-diagonal
+    ], ids=["symmetric", "asymmetric", "odd_M", "block_diagonal"])
+    def test_whitened_is_the_weighted_product(self, build):
+        op = build()
+        S = q.helmholtz._block_diag(op.space.W_isqrt)
+        want = S @ op.matrix @ S
+        got = op.whitened()
+        if op.block_diagonal:
+            got = q.helmholtz._block_diag(got)
+        assert relative_error(got, want) <= 1e-13
+
+    @pytest.mark.parametrize("medium, comps", [
+        (inclusion_medium, 1),   # one group of all modes
+        (lamellar_medium, 5),    # five rows n2 of five modes
+        (coupled_medium, 1),     # depth-asymmetric: the cross parts do not vanish
+    ])
+    def test_parity_halves_are_blocks_of_the_parity_basis(self, medium, comps):
+        op = sampled_operator(medium)
+        sp = op.space
+        nm, M, h = len(sp.modes), sp.M, sp.M // 2
+        groups = q.helmholtz._coupling_components(op)[0]
+        assert groups.shape == (comps, nm // comps)
+        halves, cross = q.helmholtz._whitened_blocks(op, groups, sp.parity)
+        P = sp.parity[0]
+        Q = q.helmholtz._block_diag(np.broadcast_to(P, (nm, M, M)))
+        raw = (Q.T @ op.matrix @ Q).reshape(nm, 2, h, nm, 2, h)
+        eo_oe = np.sum(np.abs(raw[:, 0, :, :, 1]) ** 2 + np.abs(raw[:, 1, :, :, 0]) ** 2)
+        assert abs(cross - eo_oe) <= 1e-13 * np.linalg.norm(op.matrix) ** 2
+        T = (Q.T @ op.whitened() @ Q).reshape(nm, 2, h, nm, 2, h)
+        for g, idx in enumerate(groups):
+            for p in range(2):
+                want = T[idx][:, p][:, :, idx][:, :, :, p].reshape(len(idx) * h, -1)
+                assert relative_error(halves[2 * g + p], want) <= 1e-13
+
+    @pytest.mark.parametrize("build, shape", [
+        (slab_operator, (25, 16, 16)),
+        (lambda: sampled_operator(inclusion_medium), (2, 200, 200)),
+        (lambda: sampled_operator(lamellar_medium), (10, 40, 40)),
+        (lambda: sampled_operator(constant_medium), (50, 8, 8)),
+        (lambda: sampled_operator(coupled_medium), (1, 400, 400)),
+        (lambda: sampled_operator(lamellar_medium, M=15), (5, 75, 75)),
+    ], ids=["slab", "inclusion_parity", "lamellar", "constant_singletons",
+            "coupled_fallback", "lamellar_M15"])
+    def test_maps_are_one_transpose_pair(self, build, shape):
+        op = build()
+        sp = op.space
+        blocks, to, back = q.helmholtz._whitened_stack(op)
+        assert blocks.shape == shape
+        rng = np.random.default_rng(5)
+        x, b = (rng.standard_normal((2, len(sp.modes), sp.M))
+                + 1j * rng.standard_normal((2, len(sp.modes), sp.M)))
+        z = rng.standard_normal(shape[:2]) + 1j * rng.standard_normal(shape[:2])
+        # back(to(.)) is W^{-1}, as both maps are parts of W^{-1/2}
+        assert relative_error(back(to(b)), sp.unwhiten(sp.unwhiten(b))) <= 1e-13
+        # and back is the (real) transpose of to
+        lhs, rhs = np.sum(to(x) * z), np.sum(x * back(z))
+        assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(to(x)) * np.linalg.norm(z)
 
 
 class TestOperatorSizeGuard:

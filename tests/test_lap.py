@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import qpscat as q
-from test_helmholtz import coupled_medium, inclusion_medium, recorded_shapes
+from test_helmholtz import coupled_medium, inclusion_medium, lamellar_medium, \
+    recorded_shapes
 
 K_EX = np.pi / (2 * np.sqrt(2))
 ALPHA_EX = (1 - np.pi * np.sqrt(3) / 4, 0.0)
@@ -435,6 +436,59 @@ class TestConstraintResidual:
                            tail_minus=phi.tail_minus)
         with pytest.raises(q.NonEvanescentMode):
             q.constraint_residual(cs.field, [bad], scn.inc, scn.medium)
+
+
+def residual_double_loop(u, phi, inc, medium):
+    """The theta-form constraint residual as a plain sum over mode pairs."""
+    sp, N = u.space, u.space.disc.N
+    g, k = sp.grid, inc.k.real
+    profs = medium.fourier_profiles(g.quad_x, 2 * N)
+    total = 0.0
+    for i, n in enumerate(sp.modes):
+        psi = np.conj(phi.field.values[i])
+        nth = float(np.array(n, float) @ inc.tilde_theta)
+        total += (1j * nth + 1j * k * inc.sin2_theta1) * (psi @ g.mass @ u.values[i])
+        for j, m in enumerate(sp.modes):
+            C = g.weighted_mass(profs[(n[0] - m[0], n[1] - m[1])])
+            total += -1j * k * (psi @ C @ u.values[j])
+    rd = q.rayleigh_data(u, inc)
+    for n in q.classify_modes(inc, N).evanescent:
+        nth = float(np.array(n, float) @ inc.tilde_theta)
+        c = (1j * nth - 1j * k * inc.cos2_theta1) / (2 * abs(q.beta(n, inc)))
+        total += c * (rd.u_plus[n] * np.conj(phi.tail_plus[n])
+                      + rd.u_minus[n] * np.conj(phi.tail_minus[n]))
+    return 4 * np.pi ** 2 * total
+
+
+class TestCoupledConstraintResidual:
+    """The residual on a coupled medium, where every q_(n-m) enters."""
+
+    @pytest.mark.parametrize("medium", [inclusion_medium, lamellar_medium])
+    def test_matches_the_mode_pair_sum(self, monkeypatch, medium):
+        inc = q.IncidenceSpec.from_alpha(K_EX, ALPHA_EX, 1.0)
+        med, sp = medium(), q.FieldSpace(q.Discretization(N=2, M=16), 1.0)
+        rng = np.random.default_rng(21)
+        u, v = (rng.standard_normal((2, len(sp.modes), sp.M))
+                + 1j * rng.standard_normal((2, len(sp.modes), sp.M)))
+        for n in q.classify_modes(inc, 2).propagating:  # an evanescent phi
+            v[sp.mode_index[n], [0, -1]] = 0.0
+        phi = q.LiftedMode(field=q.FieldCoefficients(space=sp, inc=inc, values=v),
+                           inc=inc,
+                           tail_plus={n: v[i, -1] for i, n in enumerate(sp.modes)},
+                           tail_minus={n: v[i, 0] for i, n in enumerate(sp.modes)})
+        field = q.FieldCoefficients(space=sp, inc=inc, values=u)
+        calls = []
+        profiles = q.lap._medium_profiles
+
+        def counting(*args):
+            calls.append(args)
+            return profiles(*args)
+
+        monkeypatch.setattr(q.lap, "_medium_profiles", counting)
+        [got] = q.constraint_residual(field, [phi], inc, med)
+        assert len(calls) == 1
+        want = residual_double_loop(field, phi, inc, med)
+        assert abs(got - want) <= 1e-13 * abs(want)
 
 
 class TestSignStructure:
