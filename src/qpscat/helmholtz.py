@@ -28,14 +28,15 @@ from __future__ import annotations
 
 import operator
 import os
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AliasError, NearSingular, OperatorTooLarge, SolveFailed
 from .medium import MediumModel
-from .qpcore import IncidenceSpec, ModeIndex, _field_point, beta, beta_table, \
-    classify_modes, d_beta_d_eps, mode_range, rayleigh_eval
+from .qpcore import IncidenceSpec, ModeIndex, _beta_array, _field_point, beta, \
+    beta_table, classify_modes, d_beta_d_eps, mode_range, rayleigh_eval
 
 CHEBYSHEV = "chebyshev_collocation"
 FINITE_DIFFERENCE = "finite_difference_order2"
@@ -261,6 +262,8 @@ class FieldSpace:
     orthonormal with columns (e_j +- e_{M-1-j}) / sqrt(2), j < M/2, even ones
     first, and S (2, n_modes, M/2, M/2) holds the even and odd blocks of
     P^T W_n^{-1/2} P, whose cross blocks vanish (W_n commutes with it).
+    It also keeps the coupling table of each medium assembled on it
+    (`_medium_profiles`), for as long as that medium lives.
     """
 
     def __init__(self, disc: Discretization, h: float):
@@ -285,6 +288,7 @@ class FieldSpace:
                 raise SolveFailed("weighted inner product not positive definite")
             isqrt.append(U * (1 / np.sqrt(lam)) @ U.T)
         self.W, self.W_isqrt = W[which], np.array(isqrt)[which]
+        self._couplings = weakref.WeakKeyDictionary()
         self.parity = None
         if M % 2 == 0:
             half = M // 2
@@ -352,9 +356,10 @@ class DiscreteOperator:
         return (self.dense @ u.reshape(-1)).reshape(u.shape)
 
     def apply_adjoint(self, u: np.ndarray) -> np.ndarray:
+        """Action of the conjugate transpose, as (u^H G)^H: no copy of the matrix."""
         if self.block_diagonal:
-            return (self.blocks.conj().swapaxes(1, 2) @ u[..., None])[..., 0]
-        return (self.dense.conj().T @ u.reshape(-1)).reshape(u.shape)
+            return (u.conj()[:, None, :] @ self.blocks)[:, 0].conj()
+        return (u.conj().reshape(-1) @ self.dense).conj().reshape(u.shape)
 
     def whitened(self) -> np.ndarray:
         """W^{-1/2} G W^{-1/2}: stacked (modes, M, M) blocks, or a dense matrix."""
@@ -368,7 +373,7 @@ class DiscreteOperator:
                 self._whitened = Gt
             else:
                 all_modes = np.arange(len(sp.modes))[None]
-                self._whitened = _whitened_blocks(self, all_modes, None)[0][0]
+                self._whitened = _whitened_blocks(self, all_modes, None)[0]
         return self._whitened
 
     def whitened_singular_values(self) -> np.ndarray:
@@ -425,16 +430,37 @@ def _coupling_components(op: DiscreteOperator):
     return np.arange(nm)[None], 0.0, total
 
 
+def _parity_cross(op: DiscreteOperator, comps: np.ndarray) -> float:
+    """Squared norm of the raw even/odd and odd/even parts of the group blocks.
+
+    `comps` (nc, c) lists the modes of each group; M is even.  With R the
+    depth reflection of every mode (node j -> M-1-j) and P the parity basis,
+    the cross parts of P^T G P have squared norm ||G - R G R||^2 / 4, taken
+    here block by block without any product: R G R reverses both depth axes
+    of a mode block.
+    """
+    nm, M = len(op.space.modes), op.space.M
+    D = op.dense.reshape(nm, M, nm, M)
+    h = M // 2
+    cross = 0.0
+    for r in range(comps.shape[1]):
+        t = D[comps[:, r, None], :, comps]  # (group, column mode, row depth, column depth)
+        # G - R G R is odd under R: its first M/2 depth rows hold half its norm
+        t = t[..., :h, :] - t[..., ::-1, ::-1][..., :h, :]
+        cross += np.vdot(t, t).real
+    return cross / 2
+
+
 def _whitened_blocks(op: DiscreteOperator, comps: np.ndarray, parity):
     """The whitened diagonal blocks of a dense operator over mode groups.
 
     `comps` (nc, c) lists the modes of each group.  Without parity: one
     block W^{-1/2} G W^{-1/2} per group, (nc, cM, cM), ordered (mode, node).
     With parity = space.parity: each group's even and odd halves in the
-    parity basis, (2 nc, cM/2, cM/2), and `cross`, the squared norm of the
-    raw even/odd and odd/even parts they leave out.  Returns (blocks, cross).
-    One row slot of every group at a time: P^T (M x cM), (Mc x M) P, then S
-    of the column modes and of the row mode; no full-size copy is made.
+    parity basis, (2 nc, cM/2, cM/2), leaving out the even/odd cross parts
+    (`_parity_cross`).  One row slot of every group at a time: P^T (M x cM),
+    (Mc x M) P, then S of the column modes and of the row mode; no full-size
+    copy is made.
     """
     nm, M = len(op.space.modes), op.space.M
     nc, c = comps.shape
@@ -443,7 +469,6 @@ def _whitened_blocks(op: DiscreteOperator, comps: np.ndarray, parity):
     K, n = len(S), M // len(S)
     Scol = S[:, comps]  # (K, nc, c, n, n)
     out = np.empty((nc, K, c, n, c, n), dtype=complex)
-    cross = 0.0
     for r in range(c):
         rows = comps[:, r]
         # (group, row depth, column mode, column depth)
@@ -451,14 +476,12 @@ def _whitened_blocks(op: DiscreteOperator, comps: np.ndarray, parity):
         if P is not None:
             t = P.T @ t.reshape(nc, M, c * M)
             t = (t.reshape(nc, M * c, M) @ P).reshape(nc, M, c, M)
-            eo, oe = t[:, :n, :, n:], t[:, n:, :, :n]
-            cross += np.vdot(eo, eo).real + np.vdot(oe, oe).real
         for p in range(K):
             sl = slice(p * n, (p + 1) * n)
             b = np.matmul(t[:, sl, :, sl].transpose(0, 2, 1, 3), Scol[p])
             b = S[p, rows] @ b.transpose(0, 2, 1, 3).reshape(nc, n, c * n)
             out[:, p, r] = b.reshape(nc, n, c, n)
-    return out.reshape(nc * K, c * n, c * n), cross
+    return out.reshape(nc * K, c * n, c * n)
 
 
 def _whitened_stack(op: DiscreteOperator):
@@ -477,8 +500,10 @@ def _whitened_stack(op: DiscreteOperator):
     _SPLIT_TOL of the total (in Frobenius norm), the whitened matrix being
     then orthogonally similar to their direct sum up to that remainder;
     otherwise (or with odd M) each group's full whitened block (K = 1).
-    For every layout to(b) is b @ P (parity only), then S per class and
-    mode, then a gather of each group's modes; back(z) is its transpose.
+    The cross parts are measured on G alone (`_parity_cross`) before any
+    block is built, so only the chosen layout is built.  For every layout
+    to(b) is b @ P (parity only), then S per class and mode, then a gather
+    of each group's modes; back(z) is its transpose.
     """
     if op._stack is not None:
         return op._stack
@@ -489,12 +514,10 @@ def _whitened_stack(op: DiscreteOperator):
         comps, blocks = np.arange(nm)[:, None], op.whitened()
     else:
         comps, dropped, total = _coupling_components(op)
-        if sp.parity is not None:
-            blocks, cross = _whitened_blocks(op, comps, sp.parity)
-            if dropped + cross <= _SPLIT_TOL ** 2 * total:
-                parity = sp.parity
-        if parity is None:
-            blocks, _ = _whitened_blocks(op, comps, None)
+        if sp.parity is not None and \
+                dropped + _parity_cross(op, comps) <= _SPLIT_TOL ** 2 * total:
+            parity = sp.parity
+        blocks = _whitened_blocks(op, comps, parity)
     P, S = parity or (None, sp.W_isqrt[None])
     K, n = len(S), M // len(S)
     nc, c = comps.shape
@@ -544,53 +567,91 @@ def _check_operator_bytes(medium: MediumModel, disc: Discretization) -> None:
             f"GiB of physical memory; lower N or M")
 
 
-def _medium_profiles(medium: MediumModel, grid: DepthGrid, N: int):
-    """qhat_d(x3) at the quadrature depths for every difference |d|_inf <= 2N."""
-    if medium.transversely_uniform:
-        return medium.fourier_profiles(grid.quad_x, 0)
-    res = medium.transverse_resolution()
-    need = 2 * (2 * N + 1)
-    if res[0] < need or res[1] < need:
-        raise AliasError(
-            f"sampled medium resolution {res} too coarse for N={N}; "
-            f"need at least {need} points per period to resolve the "
-            f"qhat_(n-m) couplings without aliasing")
-    return medium.fourier_profiles(grid.quad_x, 2 * N)
+class _CouplingTable:
+    """What assembly takes from a medium on one FieldSpace, independent of k.
+
+    `profiles` maps each difference |d|_inf <= 2N (only d = 0 for a
+    transversely uniform medium) to qhat_d at the quadrature depths.
+    `diffs` lists, in that order, the d whose profile is not identically
+    zero, and `masses` stacks their C_d = int qhat_d l_i l_j, (len(diffs),
+    M, M); `c0` is C_0 of qhat_0 - 1, the diagonal coupling (the background
+    sits in the volume term).  `pairs[t]` holds the (rows, columns) of the
+    mode pairs (n, m) with n - m = diffs[t], and `rows` the mode rows with a
+    nonvanishing coupling off the diagonal as (row, columns, indices into
+    diffs).
+    """
+
+    def __init__(self, medium: MediumModel, space: FieldSpace):
+        grid, N = space.grid, space.disc.N
+        uniform = medium.transversely_uniform
+        self.profiles = medium.fourier_profiles(grid.quad_x, 0 if uniform else 2 * N)
+        live = np.any(np.array(list(self.profiles.values())), axis=1)
+        self.diffs = [d for d, on in zip(self.profiles, live) if on]
+        self.masses = np.array([grid.weighted_mass(self.profiles[d]) for d in self.diffs])
+        self.c0 = grid.weighted_mass(self.profiles[(0, 0)] - np.ones_like(grid.quad_x))
+        n = np.array(space.modes)
+        d = n[:, None, :] - n[None, :, :] + 2 * N  # (n - m) + 2N, shape (nm, nm, 2)
+        index = np.full((4 * N + 1, 4 * N + 1), -1)
+        for t, (d1, d2) in enumerate(self.diffs):
+            index[d1 + 2 * N, d2 + 2 * N] = t
+        didx = index[d[..., 0], d[..., 1]]  # (nm, nm): index into diffs, or -1
+        self.pairs = [np.nonzero(didx == t) for t in range(len(self.diffs))]
+        np.fill_diagonal(didx, -1)
+        live = didx >= 0
+        self.rows = [(i, np.flatnonzero(live[i]), didx[i, live[i]])
+                     for i in np.flatnonzero(live.any(axis=1))]
+
+
+def _medium_profiles(medium: MediumModel, space: FieldSpace) -> _CouplingTable:
+    """The coupling table of `medium` on `space`: qhat_d and the masses C_d.
+
+    Built on first use and kept on the space for as long as the medium
+    lives (keyed weakly by the medium object), so every assembly and
+    constraint residual on one (medium, space) shares one table.  A sampled
+    medium too coarse for the |d|_inf <= 2N couplings raises AliasError on
+    every call.
+    """
+    table = space._couplings.get(medium)
+    if table is not None:
+        return table
+    if not medium.transversely_uniform:
+        res = medium.transverse_resolution()
+        need = 2 * (2 * space.disc.N + 1)
+        if res[0] < need or res[1] < need:
+            raise AliasError(
+                f"sampled medium resolution {res} too coarse for N={space.disc.N}; "
+                f"need at least {need} points per period to resolve the "
+                f"qhat_(n-m) couplings without aliasing")
+    table = space._couplings[medium] = _CouplingTable(medium, space)
+    return table
 
 
 def _build_operator(inc, medium, space, volume, boundary, scale) -> DiscreteOperator:
     """Assemble the operator for both `assemble` and `assemble_eps_derivative`.
 
-    `volume` stacks one (M, M) block per mode, in the order of space.modes.
-    Mode n gets the diagonal block volume[n] - scale C_0, with i boundary[n]
-    subtracted at both end nodes; off the diagonal, block (n, m) is
-    -scale C_{n-m}.  Here C_d = int qhat_d(x3) l_i l_j dx3, except that C_0
-    integrates qhat_0 - 1 (the background sits in volume).
+    `volume` stacks one (M, M) block per mode and `boundary` one value per
+    mode, in the order of space.modes.  Mode n gets the diagonal block
+    volume[n] - scale C_0, with i boundary[n] subtracted at both end nodes;
+    off the diagonal, block (n, m) is -scale C_{n-m}.  Here C_d = int
+    qhat_d(x3) l_i l_j dx3, except that C_0 integrates qhat_0 - 1 (the
+    background sits in volume).  The C_d come from the cached coupling
+    table (`_medium_profiles`), so a call forms only the scaled couplings,
+    the diagonal and the fill; the dense matrix itself is never cached.
     """
-    grid = space.grid
-    profs = _medium_profiles(medium, grid, space.disc.N)
-    c0 = scale * grid.weighted_mass(profs[(0, 0)] - np.ones_like(grid.quad_x))
-    ib = 1j * np.array([boundary[n] for n in space.modes])
-    blocks = volume - c0
+    table = _medium_profiles(medium, space)
+    ib = 1j * boundary
+    blocks = volume - scale * table.c0
     blocks[:, 0, 0] -= ib
     blocks[:, -1, -1] -= ib
     if medium.transversely_uniform:
         return DiscreteOperator(inc, space, blocks=blocks)
-    # -scale C_d for every |d|_inf <= 2N, as 0 - x so that every entry of a vanishing
-    # coupling is +0.0; so are d = 0 (the diagonal, written below) and zero profiles
-    N2 = 2 * space.disc.N
-    span = range(-N2, N2 + 1)
-    zero = np.zeros((space.M, space.M), dtype=complex)
-    coupling = np.subtract(0.0, np.array(
-        [[scale * grid.weighted_mass(profs[(d1, d2)])
-          if (d1 or d2) and np.any(profs[(d1, d2)]) else zero
-          for d2 in span] for d1 in span]))
+    # -scale C_d as 0 - x, so that no entry is -0.0; blocks of vanishing
+    # couplings keep the +0.0 of np.zeros
+    coupling = np.subtract(0.0, scale * table.masses)
     nm, M = len(space.modes), space.M
-    n = np.array(space.modes)
-    d = n[:, None, :] - n[None, :, :] + N2  # (n - m) + 2N, shape (nm, nm, 2)
-    dense = np.empty((nm, M, nm, M), dtype=complex)
-    for i in range(nm):  # one mode row at a time: no (nm, nm, M, M) gather
-        dense[i] = coupling[d[i, :, 0], d[i, :, 1]].transpose(1, 0, 2)
+    dense = np.zeros((nm, M, nm, M), dtype=complex)
+    for i, cols, idx in table.rows:  # one mode row at a time: no (nm, nm, M, M) gather
+        dense[i][:, cols] = coupling[idx].transpose(1, 0, 2)
     diag = np.arange(nm)
     dense[diag, :, diag, :] = blocks
     return DiscreteOperator(inc, space, dense=dense.reshape(space.size, -1))
@@ -603,9 +664,10 @@ def assemble(inc: IncidenceSpec, medium: MediumModel, disc: Discretization,
     Without `space` the discretization's own `disc.space(inc.h)` is used, so
     the depth grid and W_n factors are shared by every call on one disc.
     Raises CutoffViolation if some order sits at a grazing cut-off (real k
-    only), AliasError if a sampled medium under-resolves the couplings, and
-    OperatorTooLarge, before allocating, if the operator exceeds physical
-    memory.
+    only), CutProximity if some beta_n^2 lies on the branch cut, AliasError
+    if a sampled medium under-resolves the couplings, and OperatorTooLarge,
+    before allocating, if the operator exceeds physical memory.  All beta_n
+    come from one array operation (`qpcore.beta_table`).
     """
     if abs(inc.h - medium.h) > 1e-12:
         raise ValueError("incidence h and medium h disagree")
@@ -615,11 +677,11 @@ def assemble(inc: IncidenceSpec, medium: MediumModel, disc: Discretization,
     grid = space.grid
     k = inc.k
     if k.imag == 0:
-        bt = beta_table(inc, disc.N)  # raises CutoffViolation at grazing orders
-        betas = dict(bt.entries)
+        betas = beta_table(inc, disc.N).values  # raises CutoffViolation at grazing orders
     else:
-        betas = {n: beta(n, inc) for n in space.modes}
-    b2 = np.array([betas[n] * betas[n] for n in space.modes])
+        betas = _beta_array(inc, disc.N)
+    # beta_n^2 by Python's complex product: numpy's may fuse and round differently
+    b2 = np.array([b * b for b in betas.tolist()])
     volume = grid.stiffness.astype(complex) - b2[:, None, None] * grid.mass
     return _build_operator(inc, medium, space, volume, betas, k * k)
 
@@ -643,7 +705,7 @@ def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
     tt = inc.tilde_theta
     c2 = inc.cos2_theta1
     beta_table(inc, disc.N)  # raises CutoffViolation at grazing orders
-    dbetas = {n: d_beta_d_eps(n, inc) for n in space.modes}
+    dbetas = np.array([d_beta_d_eps(n, inc) for n in space.modes])
     coef = np.array([-2j * (k * c2 - float(np.asarray(n, dtype=float) @ tt))
                      for n in space.modes])
     volume = coef[:, None, None] * grid.mass.astype(complex)

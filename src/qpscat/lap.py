@@ -272,7 +272,10 @@ def constraint_residual(u: FieldCoefficients, mode_basis: list[LiftedMode],
     [tilde_theta . grad_x~ u - i k q u] conj(phi)   (form='theta'), or the
     k-scaled variant [alpha . grad_x~ u - i k^2 q u] conj(phi)
     (form='alpha', exactly k times the former), by mass-matrix quadrature
-    over the layer plus closed-form evanescent tail integrals.  Modes must
+    over the layer plus closed-form evanescent tail integrals.  The q u term
+    takes the masses C_d of the nonvanishing differences d from the coupling
+    table that assembly caches per (medium, space) (`_medium_profiles`), so
+    repeated residuals on one medium build no mass.  Modes must
     be evanescent: propagating tail content above evanescence_tol raises
     NonEvanescentMode.  The incident-wave tail pairs only with the (absent)
     propagating mode content and is dropped.
@@ -285,14 +288,9 @@ def constraint_residual(u: FieldCoefficients, mode_basis: list[LiftedMode],
     tt = inc.tilde_theta
     al = inc.alpha_vec
     cls = classify_modes(inc, sp.disc.N)
-    # C_d = int qhat_d l_i l_j, built once; vanishing couplings are skipped
-    masses = {d: grid.weighted_mass(p)
-              for d, p in _medium_profiles(medium, grid, sp.disc.N).items()
-              if np.max(np.abs(p)) > 0}
-    diff = np.array(sp.modes)[:, None] - np.array(sp.modes)[None]
+    table = _medium_profiles(medium, sp)
     qu = np.zeros_like(u.values)  # (q u)_n = sum_m C_{n-m} u_m, once per d
-    for d, qm in masses.items():
-        i, j = np.nonzero((diff == d).all(axis=2))
+    for qm, (i, j) in zip(table.masses, table.pairs):
         qu[i] += u.values[j] @ qm.T
     rd = rayleigh_data(u, inc)
 

@@ -47,7 +47,8 @@ class MediumModel:
 
     Use the constructors `homogeneous`, `slab_stack`, `sampled` or
     `load_sampled_medium`; q values must satisfy Re q >= q_floor > 0 and
-    Im q >= 0 (lossless or absorbing).
+    Im q >= 0 (lossless or absorbing).  A sampled medium keeps its own
+    read-only copy of the values it was given.
     """
 
     def __init__(self, kind, h, q_floor=1e-6, q0=None, layers=None, values=None):
@@ -60,6 +61,11 @@ class MediumModel:
         self.q_floor = float(q_floor)
         self.q0 = q0
         self.layers = layers
+        if values is not None:
+            # a private, read-only copy: no later edit can bypass the checks
+            # or leave the coupling tables cached from it stale
+            values = np.array(values, order="C")
+            values.flags.writeable = False
         self.values = values
         self._check_values()
 
@@ -89,8 +95,8 @@ class MediumModel:
         if v.ndim != 3:
             raise ValueError("sampled values must be a 3-d array")
         if np.iscomplexobj(v) and np.allclose(v.imag, 0.0):
-            v = v.real.copy()
-        return cls("sampled", h, q_floor, values=np.ascontiguousarray(v))
+            v = v.real
+        return cls("sampled", h, q_floor, values=v)
 
     def _check_values(self):
         re, im = self._extents()

@@ -47,7 +47,7 @@ def branch_sqrt(z: complex) -> complex:
 
 
 def _branch_sqrt_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized branch_sqrt without the cut guard (caller checks)."""
+    """Vectorized branch_sqrt without the cut guard (see `_beta_array`)."""
     r = np.sqrt(z.astype(complex))
     a = np.angle(r)
     flip = (a <= -np.pi / 4) | (a > 3 * np.pi / 4)
@@ -153,6 +153,39 @@ def _beta_squared(n, inc: IncidenceSpec) -> complex:
     return complex(k.real ** 2 - float(an @ an))
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i . b_i for each row of (n, 2) arrays (b may be one 2-vector).
+
+    Each 2-term dot goes through the same routine as the 1-d `a_i @ b_i` of
+    the per-mode formulas, so array results equal theirs bit for bit; a
+    row-wise multiply-and-sum rounds differently.
+    """
+    return (a[:, None, :] @ np.broadcast_to(b, a.shape)[..., None])[:, 0, 0]
+
+
+def _beta_squared_array(modes: np.ndarray, inc: IncidenceSpec) -> np.ndarray:
+    """`_beta_squared` for every row of the (n, 2) float array `modes`."""
+    k = inc.k
+    if inc.angle_derived or k.imag != 0.0:
+        return (k * k * inc.cos2_theta1 - (2.0 * k) * _row_dot(modes, inc.tilde_theta)
+                - _row_dot(modes, modes))
+    an = modes + inc.alpha_vec
+    return (k.real ** 2 - _row_dot(an, an)).astype(complex)
+
+
+def _beta_array(inc: IncidenceSpec, N: int) -> np.ndarray:
+    """beta_n for all |n|_inf <= N in mode_range order, as one array operation.
+
+    Equal to `beta` mode by mode; raises CutProximity where `beta` would,
+    for the first such mode.
+    """
+    z = _beta_squared_array(np.array(mode_range(N), dtype=float), inc)
+    cut = (z.imag < 0.0) & (np.abs(z.real) < CUT_RTOL * np.abs(z))
+    if cut.any():
+        branch_sqrt(z[np.argmax(cut)])  # raises with the scalar message
+    return _branch_sqrt_array(z)
+
+
 def beta(n, inc: IncidenceSpec) -> complex:
     """Vertical wavenumber beta_n = sqrt(k^2 - |n + alpha|^2) on the fixed branch.
 
@@ -178,9 +211,13 @@ def d_beta_d_eps(n, inc: IncidenceSpec) -> complex:
 
 @dataclass(frozen=True)
 class BetaTable:
-    """beta_n for all |n|_inf <= N, with cut-off screening already applied."""
+    """beta_n for all |n|_inf <= N, with cut-off screening already applied.
+
+    `values` holds the same numbers as `entries`, in mode_range order.
+    """
 
     entries: Mapping[ModeIndex, complex]
+    values: np.ndarray
     k: complex
     alpha: tuple[float, float]
     cutoff_tolerance: float
@@ -193,32 +230,29 @@ class BetaTable:
 
 
 def beta_table(inc: IncidenceSpec, N: int) -> BetaTable:
-    """Tabulate beta_n over |n|_inf <= N.
+    """Tabulate beta_n over |n|_inf <= N, all modes in one array operation.
 
     Raises CutoffViolation if any |beta_n| falls below 1e-9 |k|; beta_n
     enters denominators downstream, so grazing orders must be rejected
-    before any table is built.
+    before any table is built.  The values equal `beta` mode by mode, and
+    CutProximity is raised where `beta` would raise it.
     """
     cutoff_tolerance = 1e-9 * abs(inc.k)
     modes = mode_range(N)
-    vals = {n: beta(n, inc) for n in modes}
-    flagged = [n for n, b in vals.items() if abs(b) < cutoff_tolerance]
+    vals = _beta_array(inc, N)
+    flagged = [modes[i] for i in np.flatnonzero(np.abs(vals) < cutoff_tolerance)]
     if flagged:
         raise CutoffViolation(
             f"orders {flagged} are at cut-off (|beta| < {cutoff_tolerance:g})", flagged)
-    return BetaTable(entries=vals, k=inc.k, alpha=inc.alpha,
-                     cutoff_tolerance=float(cutoff_tolerance))
+    return BetaTable(entries=dict(zip(modes, vals.tolist())), values=vals, k=inc.k,
+                     alpha=inc.alpha, cutoff_tolerance=float(cutoff_tolerance))
 
 
 def min_im_beta(inc: IncidenceSpec, N: int) -> float:
     """min over |n|_inf <= N of Im beta_n(k + i eps); strictly positive for eps > 0."""
     if inc.k.imag <= 0:
         raise ValueError("min_im_beta requires Im k > 0")
-    n1, n2 = np.meshgrid(np.arange(-N, N + 1), np.arange(-N, N + 1), indexing="ij")
-    nv = np.stack([n1.ravel(), n2.ravel()], axis=1).astype(float)
-    k = inc.k
-    tt = inc.tilde_theta
-    b2 = k * k * inc.cos2_theta1 - 2.0 * k * (nv @ tt) - (nv * nv).sum(axis=1)
+    b2 = _beta_squared_array(np.array(mode_range(N), dtype=float), inc)
     return float(np.min(_branch_sqrt_array(b2).imag))
 
 
@@ -239,15 +273,11 @@ def classify_modes(inc: IncidenceSpec, N: int, tol: float = 1e-9,
     if inc.k.imag != 0:
         raise ValueError("classify_modes requires real k")
     k = inc.k.real
-    prop, evan, flags = [], [], []
-    for n in mode_range(N):
-        r = float(np.linalg.norm(np.asarray(n, dtype=float) + inc.alpha_vec))
-        if abs(r - k) < tol:
-            flags.append(n)
-        if r < k:
-            prop.append(n)
-        elif r > k:
-            evan.append(n)
+    modes = mode_range(N)
+    an = np.array(modes, dtype=float) + inc.alpha_vec
+    r = np.sqrt(_row_dot(an, an))  # |n + alpha|, as np.linalg.norm of each row
+    prop, evan, flags = ([modes[i] for i in np.flatnonzero(m)]
+                         for m in (r < k, r > k, np.abs(r - k) < tol))
     if strict and flags:
         raise CutoffViolation(f"cut-off orders within tol={tol:g}: {flags}", flags)
     return ModeClassification(propagating=prop, evanescent=evan, cutoff_flags=flags)

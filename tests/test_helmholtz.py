@@ -1,4 +1,5 @@
 """Assembly, solve, Rayleigh extraction, lift: oracles and invariants."""
+import gc
 import time
 
 import numpy as np
@@ -67,8 +68,9 @@ class TestAssemble:
 
     @pytest.mark.parametrize("scheme", [q.CHEBYSHEV, q.FINITE_DIFFERENCE])
     def test_vanishing_profiles_take_no_coupling_mass(self, monkeypatch, scheme):
-        # the constant medium: only C_0 (diagonal) needs a mass; d = 0 and
-        # the (4N+1)^2 - 1 vanishing profiles fill their blocks with +0.0
+        # the constant medium: only d = 0 takes masses, C_0 of qhat_0 - 1 (the
+        # diagonal) and of qhat_0 (constraint residuals); the (4N+1)^2 - 1
+        # vanishing profiles take none and fill their blocks with +0.0
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.0, 1.0)
         disc = q.Discretization(N=1, M=12, depth_scheme=scheme)
         calls = []
@@ -80,12 +82,12 @@ class TestAssemble:
 
         monkeypatch.setattr(q.helmholtz.DepthGrid, "weighted_mass", counting)
         G = q.assemble(inc, q.MediumModel.sampled(np.full((8, 8, 4), 2.0), 1.0), disc).dense
-        assert len(calls) == 1
+        assert len(calls) == 2
         off = G.reshape(9, 12, 9, 12).swapaxes(1, 2)[~np.eye(9, dtype=bool)]
         assert not np.any(off) and not np.signbit(off.view(float)).any()
         calls.clear()
         q.assemble(inc, inclusion_medium(), disc)  # no vanishing profile
-        assert len(calls) == (4 * disc.N + 1) ** 2
+        assert len(calls) == 1 + (4 * disc.N + 1) ** 2
 
     def test_zero_order_block_matches_transfer_matrix_problem(self):
         # N=0 discrete solve converges to the analytic 1-d oracle
@@ -393,7 +395,8 @@ class TestWhitenedBlocks:
         nm, M, h = len(sp.modes), sp.M, sp.M // 2
         groups = q.helmholtz._coupling_components(op)[0]
         assert groups.shape == (comps, nm // comps)
-        halves, cross = q.helmholtz._whitened_blocks(op, groups, sp.parity)
+        halves = q.helmholtz._whitened_blocks(op, groups, sp.parity)
+        cross = q.helmholtz._parity_cross(op, groups)
         P = sp.parity[0]
         Q = q.helmholtz._block_diag(np.broadcast_to(P, (nm, M, M)))
         raw = (Q.T @ op.matrix @ Q).reshape(nm, 2, h, nm, 2, h)
@@ -404,6 +407,25 @@ class TestWhitenedBlocks:
             for p in range(2):
                 want = T[idx][:, p][:, :, idx][:, :, :, p].reshape(len(idx) * h, -1)
                 assert relative_error(halves[2 * g + p], want) <= 1e-13
+
+    @pytest.mark.parametrize("medium, parity", [
+        (coupled_medium, False),   # depth-asymmetric: no halves, the full block only
+        (inclusion_medium, True),  # mirror-symmetric: the halves only
+    ])
+    def test_only_the_chosen_layout_is_built(self, monkeypatch, medium, parity):
+        op = sampled_operator(medium)
+        comps = q.helmholtz._coupling_components(op)[0]
+        calls, builder = [], q.helmholtz._whitened_blocks
+
+        def recording(op, comps, parity):
+            calls.append(parity)
+            return builder(op, comps, parity)
+
+        monkeypatch.setattr(q.helmholtz, "_whitened_blocks", recording)
+        blocks = q.helmholtz._whitened_stack(op)[0]
+        assert [p is not None for p in calls] == [parity]
+        want = builder(op, comps, op.space.parity if parity else None)
+        assert np.array_equal(blocks, want)
 
     @pytest.mark.parametrize("build, shape", [
         (slab_operator, (25, 16, 16)),
@@ -730,6 +752,69 @@ class TestSharedSpace:
         v = q.solve(op, load)
         ref = np.stack([np.linalg.solve(B, load[i]) for i, B in enumerate(op.blocks)])
         assert np.array_equal(v.values, ref)
+
+
+class TestCouplingTable:
+    """The k-independent half of the assembly, built once per (medium, space)."""
+
+    @pytest.mark.parametrize("scheme", [q.CHEBYSHEV, q.FINITE_DIFFERENCE])
+    @pytest.mark.parametrize("medium", [
+        inclusion_medium, lamellar_medium, constant_medium,
+        lambda: q.MediumModel.slab_stack(STACK_LAYERS, 1.0),
+    ], ids=["inclusion", "lamellar", "constant", "slab_stack"])
+    def test_second_assembly_builds_no_mass(self, monkeypatch, medium, scheme):
+        med, disc = medium(), q.Discretization(N=2, M=16, depth_scheme=scheme)
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        builds = [lambda sp: q.assemble(inc, med, disc, sp),
+                  lambda sp: q.assemble(inc.with_k(1.3 + 0.05j), med, disc, sp),
+                  lambda sp: q.assemble_eps_derivative(inc, med, disc, sp)]
+        cold = [build(q.FieldSpace(disc, 1.0)).matrix for build in builds]
+        space = q.FieldSpace(disc, 1.0)
+        q.assemble(inc, med, disc, space)  # fills the table
+        calls, mass = [], q.helmholtz.DepthGrid.weighted_mass
+
+        def counting(grid, profile):
+            calls.append(profile)
+            return mass(grid, profile)
+
+        monkeypatch.setattr(q.helmholtz.DepthGrid, "weighted_mass", counting)
+        for build, want in zip(builds, cold):
+            assert np.array_equal(build(space).matrix, want)
+        assert calls == []
+
+    def test_table_lives_as_long_as_its_medium(self):
+        space = q.FieldSpace(q.Discretization(N=1, M=16), 1.0)
+        med = inclusion_medium()
+        table = q.helmholtz._medium_profiles(med, space)
+        assert q.helmholtz._medium_profiles(med, space) is table
+        other = inclusion_medium()  # equal values, another medium: its own table
+        assert q.helmholtz._medium_profiles(other, space) is not table
+        del med, other
+        gc.collect()
+        assert len(space._couplings) == 0
+
+    def test_alias_error_on_every_call(self):
+        med = q.MediumModel.sampled(np.full((8, 8, 1), 2.0), 1.0)
+        space = q.FieldSpace(q.Discretization(N=2, M=12), 1.0)
+        for _ in range(2):
+            with pytest.raises(q.AliasError):
+                q.helmholtz._medium_profiles(med, space)
+        assert len(space._couplings) == 0
+
+
+class TestApplyAdjoint:
+    @pytest.mark.parametrize("build", [
+        lambda: sampled_operator(inclusion_medium),
+        lambda: sampled_operator(coupled_medium),
+        slab_operator,
+    ], ids=["dense", "dense_asymmetric", "block_diagonal"])
+    def test_matches_the_conjugate_transpose(self, build):
+        op = build()
+        rng = np.random.default_rng(41)
+        shape = op.space.zeros().shape
+        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = (op.matrix.conj().T @ u.ravel()).reshape(u.shape)
+        assert relative_error(op.apply_adjoint(u), want) <= 1e-13
 
 
 class TestStructuralInvariants:

@@ -315,6 +315,20 @@ class TestEpsSweep:
                 q.LapScenario(inc=scn.inc, medium=scn.medium, disc=scn.disc,
                               kernel=scn.kernel, eps_schedule=schedule)
 
+    def test_repeat_sweeps_are_bitwise_equal(self):
+        # the second sweep reads every coupling mass from the cached table
+        scn, _ = guided_sampled_scenario()
+        first, second = q.eps_sweep(scn), q.eps_sweep(scn)
+        for name in ("sweep_deltas", "cond_estimates", "constraint_residuals_eps",
+                     "constraint_residuals"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
+        for a, b in zip([*first.v_eps, first.v_limit_extrapolated,
+                         first.v_limit_constrained.field],
+                        [*second.v_eps, second.v_limit_extrapolated,
+                         second.v_limit_constrained.field]):
+            assert np.array_equal(a.values, b.values)
+        assert first.slope == second.slope
+
     def test_physical_scenario(self, scenario):
         scn, _ = scenario
         res = q.eps_sweep(scn)

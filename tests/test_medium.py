@@ -127,6 +127,22 @@ class TestValidate:
             q.MediumModel.sampled(np.full((8, 8, 1), np.nan), 1.0)
 
 
+class TestSampledValues:
+    """A sampled medium keeps a private, read-only copy of its values."""
+
+    def test_editing_the_source_leaves_the_medium_unchanged(self):
+        src = np.full((8, 8, 2), 2.0)
+        med = q.MediumModel.sampled(src, 1.0)
+        src[0, 0, 0] = -5.0  # would fail the q_floor check if it reached the medium
+        assert np.all(med.values == 2.0)
+
+    def test_values_are_read_only(self):
+        med = q.MediumModel.sampled(np.full((8, 8, 2), 2.0 + 0.0j), 1.0)
+        with pytest.raises(ValueError):
+            med.values[0, 0, 0] = -5.0
+        assert med.values.dtype == float and med.values.flags.c_contiguous
+
+
 class TestIngestion:
     def test_round_trip_file(self, tmp_path):
         rng = np.random.default_rng(3)

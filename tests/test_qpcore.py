@@ -179,6 +179,89 @@ class TestBetaTable:
         assert all(b.imag > 0 for b in bt.entries.values())
 
 
+def within_ulps(got, want, ulps=2):
+    """Real and imaginary parts each within `ulps` units in the last place."""
+    got, want = np.asarray(got), np.asarray(want)
+    return all(np.all(np.abs(g - w) <= ulps * np.spacing(np.abs(w)))
+               for g, w in ((got.real, want.real), (got.imag, want.imag)))
+
+
+def incidences(seed, count):
+    """Angle-derived, alpha-derived and complex-k incidences, in turn."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        k, a = rng.uniform(0.2, 5.0), rng.uniform(-1.0, 1.0, 2)
+        t1, t2 = rng.uniform(-1.5, 1.5), rng.uniform(0.0, 2 * np.pi)
+        if i % 3 == 0:
+            yield q.IncidenceSpec.from_angles(k, t1, t2, 1.0)
+        elif i % 3 == 1:
+            yield q.IncidenceSpec.from_alpha(k, a, 1.0)
+        else:
+            kc = k + 1j * 10.0 ** rng.uniform(-8, 0)
+            yield (q.IncidenceSpec.from_angles(kc, t1, t2, 1.0) if i % 2
+                   else q.IncidenceSpec.from_alpha(kc, a, 1.0))
+
+
+def raised(fn):
+    """(type, message) of what fn() raises, or None."""
+    try:
+        fn()
+    except q.QpscatError as e:
+        return type(e), str(e)
+    return None
+
+
+class TestVectorizedBeta:
+    """beta_table and classify_modes as array operations, against per-mode formulas."""
+
+    def test_table_matches_scalar_beta(self):
+        for inc in incidences(11, 300):
+            bt = q.beta_table(inc, 4)
+            want = [q.beta(n, inc) for n in q.mode_range(4)]
+            assert within_ulps(bt.values, want)
+            assert within_ulps([bt[n] for n in q.mode_range(4)], want)
+
+    @pytest.mark.parametrize("k, alpha", [
+        (1 + 1j, (2.0, 0.0)),                      # beta_0^2 = -6i exactly: on the cut
+        (np.nextafter(1.0, 2.0) + 1j, (2.0, 0.0)),  # within CUT_RTOL of the cut
+        (1.0, (0.0, 0.0)),                         # |(1, 0) + alpha| = k: cut-off
+        (1.3 + 0.05j, (0.2, -0.3)),                # neither
+    ])
+    def test_errors_raised_where_the_scalar_path_raises(self, k, alpha):
+        inc = q.IncidenceSpec.from_alpha(k, alpha, 1.0)
+
+        def scalar_table():
+            vals = {n: q.beta(n, inc) for n in q.mode_range(1)}
+            flagged = [n for n, b in vals.items() if abs(b) < 1e-9 * abs(inc.k)]
+            if flagged:
+                raise q.CutoffViolation(
+                    f"orders {flagged} are at cut-off (|beta| < {1e-9 * abs(inc.k):g})")
+
+        assert raised(lambda: q.beta_table(inc, 1)) == raised(scalar_table)
+
+    def test_complex_k_assembly_on_the_cut(self):
+        inc = q.IncidenceSpec.from_alpha(1 + 1j, (2.0, 0.0), 1.0)
+        with pytest.raises(q.CutProximity, match="lies on the cut"):
+            q.assemble(inc, q.MediumModel.homogeneous(2.0, 1.0), q.Discretization(N=1, M=16))
+
+    def test_classification_matches_the_per_mode_loop(self):
+        for inc in incidences(12, 300):
+            if inc.k.imag != 0:
+                continue
+            for tol in (1e-9, 0.05):
+                want = ([], [], [])
+                for n in q.mode_range(3):
+                    r = float(np.linalg.norm(np.asarray(n, dtype=float) + inc.alpha_vec))
+                    if abs(r - inc.k.real) < tol:
+                        want[2].append(n)
+                    if r < inc.k.real:
+                        want[0].append(n)
+                    elif r > inc.k.real:
+                        want[1].append(n)
+                cls = q.classify_modes(inc, 3, tol=tol)
+                assert (cls.propagating, cls.evanescent, cls.cutoff_flags) == want
+
+
 class TestClassifyModes:
     def test_guided_scenario_partition(self):
         inc = q.IncidenceSpec.from_alpha(K_EX, ALPHA_EX, 1.0)
