@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AliasError, NearSingular, OperatorTooLarge, SolveFailed
+from .errors import AliasError, DomainError, NearSingular, OperatorTooLarge, \
+    SolveFailed
 from .medium import MediumModel
 from .qpcore import IncidenceSpec, ModeIndex, _beta_array, _field_point, beta, \
     beta_table, classify_modes, d_beta_d_eps, mode_range, rayleigh_eval
@@ -44,10 +45,10 @@ FINITE_DIFFERENCE = "finite_difference_order2"
 #: relative smallest singular value below which a solve refuses to proceed
 NEAR_SINGULAR_THRESHOLD = 1e-8
 
-#: relative Frobenius norm below which a part of a dense operator counts as
-#: zero when it is split into diagonal blocks: the even/odd cross parts of a
-#: medium mirror-symmetric in depth (round-off leaves ~1e-15), and the
-#: blocks between modes that the medium does not couple
+#: relative Frobenius norm below which the even/odd cross parts of a dense
+#: operator count as zero when its whitened blocks are split by depth parity
+#: (a medium mirror-symmetric in depth leaves ~1e-15 of round-off); the split
+#: between coupling groups needs none, as it is exact
 _SPLIT_TOL = 1e-13
 
 #: mass matrix of the second-order depth scheme: average of the consistent
@@ -321,20 +322,31 @@ class DiscreteOperator:
     """Assembled bilinear-form matrix of the layer problem at one wavenumber.
 
     Block-diagonal over the transverse modes whenever the medium is
-    transversely uniform (`blocks`, one (modes, M, M) array); otherwise
-    dense over the full layout.  `matrix` exposes the flat representation
-    with row (mode index) * M + (depth index).  Everything that depends only
-    on the layout and the weighted product lives on `space`.  The operator
-    caches its whitened matrix (`whitened`), its whitened singular values and
-    its whitened diagonal blocks with their maps (`_whitened_stack`), which
-    the screen, the dense solves, the kernel and the constrained solve read.
+    transversely uniform (`blocks`, one (modes, M, M) array).  Otherwise the
+    operator is stored as the diagonal blocks of its coupling groups:
+    `groups` (nc, c) lists the modes of each group (the medium's
+    `_CouplingTable.groups`) and `group_blocks` (nc, c, M, c, M) holds the
+    coupling of each group, the blocks between groups being exactly zero.
+    `dense` is the full matrix, row (mode index) * M + (depth index), when
+    there is one group (a view of `group_blocks`), and None otherwise;
+    `matrix` is the full matrix of every layout, scattered from the blocks.
+    A block-diagonal operator has one group per mode.  Everything that
+    depends only on the layout and the weighted product lives on `space`.
+    The operator caches its whitened matrix (`whitened`), its whitened
+    singular values and its whitened diagonal blocks with their maps
+    (`_whitened_stack`), which the screen, the dense solves, the kernel and
+    the constrained solve read.
     """
 
-    def __init__(self, inc, space, blocks=None, dense=None):
+    def __init__(self, inc, space, blocks=None, groups=None, group_blocks=None):
         self.inc = inc
         self.space = space
         self.blocks = blocks
-        self.dense = dense
+        self.groups = np.arange(len(space.modes))[:, None] if groups is None else groups
+        self.group_blocks = group_blocks
+        self.dense = None
+        if group_blocks is not None and len(group_blocks) == 1:
+            self.dense = group_blocks.reshape(space.size, space.size)
         self._whitened = None
         self._svals = None
         self._stack = None
@@ -345,21 +357,30 @@ class DiscreteOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense
-        return _block_diag(self.blocks)
+        if self.block_diagonal:
+            return _block_diag(self.blocks)
+        return _scatter(self.groups, self.group_blocks)
+
+    def _per_group(self, u: np.ndarray, act) -> np.ndarray:
+        """act(G, x) on the (nc, cM, cM) group blocks G and the (nc, cM) parts x of u."""
+        nc, c = self.groups.shape
+        n = c * u.shape[-1]
+        out = np.empty_like(u)
+        y = act(self.group_blocks.reshape(nc, n, n), u[self.groups].reshape(nc, n))
+        out[self.groups] = y.reshape(nc, c, -1)
+        return out
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Matrix action on a field of shape (n_modes, M)."""
         if self.block_diagonal:
             return (self.blocks @ u[..., None])[..., 0]
-        return (self.dense @ u.reshape(-1)).reshape(u.shape)
+        return self._per_group(u, lambda G, x: (G @ x[..., None])[..., 0])
 
     def apply_adjoint(self, u: np.ndarray) -> np.ndarray:
         """Action of the conjugate transpose, as (u^H G)^H: no copy of the matrix."""
         if self.block_diagonal:
             return (u.conj()[:, None, :] @ self.blocks)[:, 0].conj()
-        return (u.conj().reshape(-1) @ self.dense).conj().reshape(u.shape)
+        return self._per_group(u, lambda G, x: (x.conj()[:, None, :] @ G)[:, 0].conj())
 
     def whitened(self) -> np.ndarray:
         """W^{-1/2} G W^{-1/2}: stacked (modes, M, M) blocks, or a dense matrix."""
@@ -372,8 +393,8 @@ class DiscreteOperator:
                     np.matmul(S @ B, S, out=Gt[i])
                 self._whitened = Gt
             else:
-                all_modes = np.arange(len(sp.modes))[None]
-                self._whitened = _whitened_blocks(self, all_modes, None)[0]
+                Gt = _whitened_blocks(self, None).reshape(self.group_blocks.shape)
+                self._whitened = _scatter(self.groups, Gt)
         return self._whitened
 
     def whitened_singular_values(self) -> np.ndarray:
@@ -381,7 +402,7 @@ class DiscreteOperator:
 
         Taken from the blocks of `_whitened_stack`: one SVD per mode block of
         a block-diagonal operator, one batched SVD of the stack of a dense
-        one (one block per coupling component and depth parity).
+        one (one block per coupling group and depth parity).
         """
         if self._svals is None:
             blocks = _whitened_stack(self)[0]
@@ -398,81 +419,42 @@ class DiscreteOperator:
         return float(s[-1]), float(s[0])
 
 
-def _coupling_components(op: DiscreteOperator):
-    """The modes of a dense operator grouped by its transverse coupling.
-
-    Returns (comps, dropped, total).  `comps`, of shape (nc, c), holds the
-    mode indices of each connected component of the coupling graph, which
-    links modes n and m when block (n, m) of the operator exceeds
-    _SPLIT_TOL^2 of the squared Frobenius norm `total`; rows are ordered by
-    their first mode, modes ascending.  `dropped` is the squared norm of the
-    blocks between components.  Unless there are several components, all of
-    one size, with dropped <= _SPLIT_TOL^2 total, all modes form one
-    component and nothing is dropped.
-    """
-    nm, M = len(op.space.modes), op.space.M
-    F = op.dense.view(float).reshape(nm, M, nm, 2 * M)
-    mass = np.einsum("iajb,iajb->ij", F, F)  # squared norm of each mode block
-    total = float(mass.sum())
-    link = mass > _SPLIT_TOL ** 2 * total
-    link |= link.T
-    label = np.arange(nm)
-    while True:  # every mode takes the least label among its neighbours
-        new = np.minimum(label, np.where(link, label, nm).min(axis=1))
-        if np.array_equal(new, label):
-            break
-        label = new
-    _, comp, sizes = np.unique(label, return_inverse=True, return_counts=True)
-    if len(sizes) > 1 and np.all(sizes == sizes[0]):
-        dropped = float(mass[comp[:, None] != comp[None, :]].sum())
-        if dropped <= _SPLIT_TOL ** 2 * total:
-            return np.argsort(comp, kind="stable").reshape(len(sizes), -1), dropped, total
-    return np.arange(nm)[None], 0.0, total
-
-
-def _parity_cross(op: DiscreteOperator, comps: np.ndarray) -> float:
+def _parity_cross(op: DiscreteOperator) -> float:
     """Squared norm of the raw even/odd and odd/even parts of the group blocks.
 
-    `comps` (nc, c) lists the modes of each group; M is even.  With R the
-    depth reflection of every mode (node j -> M-1-j) and P the parity basis,
-    the cross parts of P^T G P have squared norm ||G - R G R||^2 / 4, taken
-    here block by block without any product: R G R reverses both depth axes
-    of a mode block.
+    M is even.  With R the depth reflection of every mode (node j -> M-1-j)
+    and P the parity basis, the cross parts of P^T G P have squared norm
+    ||G - R G R||^2 / 4, taken here one row slot of every group at a time,
+    without any product: R G R reverses both depth axes of a mode block.
     """
-    nm, M = len(op.space.modes), op.space.M
-    D = op.dense.reshape(nm, M, nm, M)
-    h = M // 2
+    h = op.space.M // 2
     cross = 0.0
-    for r in range(comps.shape[1]):
-        t = D[comps[:, r, None], :, comps]  # (group, column mode, row depth, column depth)
+    for t in op.group_blocks.swapaxes(0, 1):  # (group, row depth, column mode, column depth)
         # G - R G R is odd under R: its first M/2 depth rows hold half its norm
-        t = t[..., :h, :] - t[..., ::-1, ::-1][..., :h, :]
+        t = t[:, :h] - t[:, ::-1, :, ::-1][:, :h]
         cross += np.vdot(t, t).real
     return cross / 2
 
 
-def _whitened_blocks(op: DiscreteOperator, comps: np.ndarray, parity):
-    """The whitened diagonal blocks of a dense operator over mode groups.
+def _whitened_blocks(op: DiscreteOperator, parity):
+    """The whitened diagonal blocks of a dense operator over its mode groups.
 
-    `comps` (nc, c) lists the modes of each group.  Without parity: one
-    block W^{-1/2} G W^{-1/2} per group, (nc, cM, cM), ordered (mode, node).
-    With parity = space.parity: each group's even and odd halves in the
-    parity basis, (2 nc, cM/2, cM/2), leaving out the even/odd cross parts
-    (`_parity_cross`).  One row slot of every group at a time: P^T (M x cM),
-    (Mc x M) P, then S of the column modes and of the row mode; no full-size
-    copy is made.
+    Without parity: one block W^{-1/2} G W^{-1/2} per group, (nc, cM, cM),
+    ordered (mode, node).  With parity = space.parity: each group's even and
+    odd halves in the parity basis, (2 nc, cM/2, cM/2), leaving out the
+    even/odd cross parts (`_parity_cross`).  One row slot of every group at
+    a time: P^T (M x cM), (Mc x M) P, then S of the column modes and of the
+    row mode; no full-size copy is made.
     """
-    nm, M = len(op.space.modes), op.space.M
-    nc, c = comps.shape
-    D = op.dense.reshape(nm, M, nm, M)
+    M = op.space.M
+    nc, c = op.groups.shape
     P, S = parity or (None, op.space.W_isqrt[None])
     K, n = len(S), M // len(S)
-    Scol = S[:, comps]  # (K, nc, c, n, n)
+    Scol = S[:, op.groups]  # (K, nc, c, n, n)
     out = np.empty((nc, K, c, n, c, n), dtype=complex)
     for r in range(c):
-        rows = comps[:, r]
-        # (group, row depth, column mode, column depth)
-        t = D[rows[:, None], :, comps].transpose(0, 2, 1, 3)
+        rows = op.groups[:, r]
+        t = op.group_blocks[:, r]  # (group, row depth, column mode, column depth)
         if P is not None:
             t = P.T @ t.reshape(nc, M, c * M)
             t = (t.reshape(nc, M * c, M) @ P).reshape(nc, M, c, M)
@@ -492,18 +474,18 @@ def _whitened_stack(op: DiscreteOperator):
     blocks z = to(b) (one right-hand side per block, shape (B, n)) with
     v = back(z) (a field).  `to` and `back` are one real linear map and its
     transpose, so a row r acting on v acts on z as to(r).  This is the only
-    place that picks the layout: mode groups `comps` (nc, c) times K depth
-    classes, block g K + p.  A block-diagonal operator has one group per
-    mode and K = 1.  A dense one has the groups of `_coupling_components`
-    and the parity halves of `_whitened_blocks` (K = 2) when the blocks
-    between groups and the parity cross parts are together at most
-    _SPLIT_TOL of the total (in Frobenius norm), the whitened matrix being
+    place that picks the layout: the operator's mode groups (nc, c) times K
+    depth classes, block g K + p.  A block-diagonal operator has one group
+    per mode and K = 1.  A dense one keeps its coupling groups, between
+    which it is exactly zero, and takes the parity halves of
+    `_whitened_blocks` (K = 2) when the parity cross parts are at most
+    _SPLIT_TOL of the total in Frobenius norm, the whitened matrix being
     then orthogonally similar to their direct sum up to that remainder;
     otherwise (or with odd M) each group's full whitened block (K = 1).
-    The cross parts are measured on G alone (`_parity_cross`) before any
-    block is built, so only the chosen layout is built.  For every layout
-    to(b) is b @ P (parity only), then S per class and mode, then a gather
-    of each group's modes; back(z) is its transpose.
+    The cross parts are measured on the group blocks alone (`_parity_cross`)
+    before any whitened block is built, so only the chosen layout is built.
+    For every layout to(b) is b @ P (parity only), then S per class and
+    mode, then a gather of each group's modes; back(z) is its transpose.
     """
     if op._stack is not None:
         return op._stack
@@ -511,17 +493,17 @@ def _whitened_stack(op: DiscreteOperator):
     nm, M = len(sp.modes), sp.M
     parity = None
     if op.block_diagonal:
-        comps, blocks = np.arange(nm)[:, None], op.whitened()
+        blocks = op.whitened()
     else:
-        comps, dropped, total = _coupling_components(op)
-        if sp.parity is not None and \
-                dropped + _parity_cross(op, comps) <= _SPLIT_TOL ** 2 * total:
+        total = np.vdot(op.group_blocks, op.group_blocks).real
+        if sp.parity is not None and _parity_cross(op) <= _SPLIT_TOL ** 2 * total:
             parity = sp.parity
-        blocks = _whitened_blocks(op, comps, parity)
+        blocks = _whitened_blocks(op, parity)
     P, S = parity or (None, sp.W_isqrt[None])
     K, n = len(S), M // len(S)
-    nc, c = comps.shape
-    order, inv = comps.ravel(), np.argsort(comps.ravel())
+    nc, c = op.groups.shape
+    order = op.groups.ravel()
+    inv = np.argsort(order)
 
     def to(b):
         y = (b if P is None else b @ P).reshape(nm, K, n).swapaxes(0, 1)
@@ -537,20 +519,34 @@ def _whitened_stack(op: DiscreteOperator):
     return op._stack
 
 
+def _scatter(groups: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The dense matrix of the (nc, c, n, c, n) diagonal blocks of index groups.
+
+    `groups` (nc, c) lists the indices of each group; entries between groups
+    are zero.  One group (of every index, in order) is a view of its block.
+    """
+    nc, c, n = blocks.shape[:3]
+    if nc == 1:
+        return blocks.reshape(c * n, c * n)
+    B = groups.size
+    out = np.zeros((B, n, B, n), dtype=blocks.dtype)
+    out[groups[:, :, None], :, groups[:, None, :], :] = blocks.transpose(0, 1, 3, 2, 4)
+    return out.reshape(B * n, B * n)
+
+
 def _block_diag(blocks: np.ndarray) -> np.ndarray:
     """The dense matrix of a (B, n, n) stack of diagonal blocks."""
-    B, n = blocks.shape[:2]
-    out = np.zeros((B, n, B, n), dtype=blocks.dtype)
-    diag = np.arange(B)
-    out[diag, :, diag, :] = blocks
-    return out.reshape(B * n, B * n)
+    B = len(blocks)
+    return _scatter(np.arange(B)[:, None], blocks[:, None, :, None, :])
 
 
 def _check_operator_bytes(medium: MediumModel, disc: Discretization) -> None:
     """Raise OperatorTooLarge if the operator cannot fit in physical memory.
 
-    A dense operator takes unknowns^2 complex entries, a block-diagonal one
-    (2N+1)^2 blocks of M^2.  Checked before anything is allocated.
+    A coupled operator takes at most unknowns^2 complex entries (one group;
+    split groups take less, but the groups are not known yet), a
+    block-diagonal one (2N+1)^2 blocks of M^2.  Checked before anything is
+    allocated, the coupling table included.
     """
     if medium.transversely_uniform:
         need = 16 * (2 * disc.N + 1) ** 2 * disc.M ** 2
@@ -576,9 +572,16 @@ class _CouplingTable:
     zero, and `masses` stacks their C_d = int qhat_d l_i l_j, (len(diffs),
     M, M); `c0` is C_0 of qhat_0 - 1, the diagonal coupling (the background
     sits in the volume term).  `pairs[t]` holds the (rows, columns) of the
-    mode pairs (n, m) with n - m = diffs[t], and `rows` the mode rows with a
-    nonvanishing coupling off the diagonal as (row, columns, indices into
-    diffs).
+    mode pairs (n, m) with n - m = diffs[t].
+
+    `groups` (nc, c) are the mode groups of the operator: the connected
+    components of the graph that links modes n and m when n - m or m - n is
+    in `diffs`, rows ordered by their first mode, modes ascending, when
+    there are several components, all of one size; otherwise one group of
+    every mode.  No coupling runs between groups, so the split is exact.
+    `place` gives each mode's (group, slot) and `rows` the mode rows with a
+    nonvanishing coupling off the diagonal as (group, slot, column slots,
+    indices into diffs).
     """
 
     def __init__(self, medium: MediumModel, space: FieldSpace):
@@ -590,6 +593,7 @@ class _CouplingTable:
         self.masses = np.array([grid.weighted_mass(self.profiles[d]) for d in self.diffs])
         self.c0 = grid.weighted_mass(self.profiles[(0, 0)] - np.ones_like(grid.quad_x))
         n = np.array(space.modes)
+        nm = len(n)
         d = n[:, None, :] - n[None, :, :] + 2 * N  # (n - m) + 2N, shape (nm, nm, 2)
         index = np.full((4 * N + 1, 4 * N + 1), -1)
         for t, (d1, d2) in enumerate(self.diffs):
@@ -598,7 +602,22 @@ class _CouplingTable:
         self.pairs = [np.nonzero(didx == t) for t in range(len(self.diffs))]
         np.fill_diagonal(didx, -1)
         live = didx >= 0
-        self.rows = [(i, np.flatnonzero(live[i]), didx[i, live[i]])
+        link = live | live.T
+        label = np.arange(nm)
+        while True:  # every mode takes the least label among its neighbours
+            new = np.minimum(label, np.where(link, label, nm).min(axis=1))
+            if np.array_equal(new, label):
+                break
+            label = new
+        _, comp, sizes = np.unique(label, return_inverse=True, return_counts=True)
+        self.groups = np.arange(nm)[None]
+        if len(sizes) > 1 and np.all(sizes == sizes[0]):
+            self.groups = np.argsort(comp, kind="stable").reshape(len(sizes), -1)
+        nc, c = self.groups.shape
+        group, slot = np.empty(nm, dtype=int), np.empty(nm, dtype=int)
+        group[self.groups], slot[self.groups] = np.arange(nc)[:, None], np.arange(c)
+        self.place = group, slot
+        self.rows = [(group[i], slot[i], slot[live[i]], didx[i, live[i]])
                      for i in np.flatnonzero(live.any(axis=1))]
 
 
@@ -634,9 +653,10 @@ def _build_operator(inc, medium, space, volume, boundary, scale) -> DiscreteOper
     volume[n] - scale C_0, with i boundary[n] subtracted at both end nodes;
     off the diagonal, block (n, m) is -scale C_{n-m}.  Here C_d = int
     qhat_d(x3) l_i l_j dx3, except that C_0 integrates qhat_0 - 1 (the
-    background sits in volume).  The C_d come from the cached coupling
-    table (`_medium_profiles`), so a call forms only the scaled couplings,
-    the diagonal and the fill; the dense matrix itself is never cached.
+    background sits in volume).  The C_d and the mode groups come from the
+    cached coupling table (`_medium_profiles`), so a call forms only the
+    scaled couplings, the diagonal and the fill of each group's block; no
+    full matrix is built unless there is one group.
     """
     table = _medium_profiles(medium, space)
     ib = 1j * boundary
@@ -648,13 +668,20 @@ def _build_operator(inc, medium, space, volume, boundary, scale) -> DiscreteOper
     # -scale C_d as 0 - x, so that no entry is -0.0; blocks of vanishing
     # couplings keep the +0.0 of np.zeros
     coupling = np.subtract(0.0, scale * table.masses)
-    nm, M = len(space.modes), space.M
-    dense = np.zeros((nm, M, nm, M), dtype=complex)
-    for i, cols, idx in table.rows:  # one mode row at a time: no (nm, nm, M, M) gather
-        dense[i][:, cols] = coupling[idx].transpose(1, 0, 2)
-    diag = np.arange(nm)
-    dense[diag, :, diag, :] = blocks
-    return DiscreteOperator(inc, space, dense=dense.reshape(space.size, -1))
+    nc, c = table.groups.shape
+    M = space.M
+    G = np.zeros((nc, c, M, c, M), dtype=complex)
+    for g, r, cols, idx in table.rows:  # one mode row at a time: no (c, c, M, M) gather
+        G[g, r][:, cols] = coupling[idx].transpose(1, 0, 2)
+    group, slot = table.place
+    G[group, slot, :, slot, :] = blocks
+    return DiscreteOperator(inc, space, groups=table.groups, group_blocks=G)
+
+
+def _require_finite(inc: IncidenceSpec, name: str, value) -> None:
+    """Raise DomainError unless the scalar (or every entry of) `value` is finite."""
+    if not np.all(np.isfinite(value)):
+        raise DomainError(f"{name} overflows double precision at k = {inc.k:.6g}")
 
 
 def assemble(inc: IncidenceSpec, medium: MediumModel, disc: Discretization,
@@ -666,8 +693,9 @@ def assemble(inc: IncidenceSpec, medium: MediumModel, disc: Discretization,
     Raises CutoffViolation if some order sits at a grazing cut-off (real k
     only), CutProximity if some beta_n^2 lies on the branch cut, AliasError
     if a sampled medium under-resolves the couplings, and OperatorTooLarge,
-    before allocating, if the operator exceeds physical memory.  All beta_n
-    come from one array operation (`qpcore.beta_table`).
+    before allocating, if the operator exceeds physical memory, and
+    DomainError if k^2 or some beta_n^2 overflows.  All beta_n come from one
+    array operation (`qpcore.beta_table`).
     """
     if abs(inc.h - medium.h) > 1e-12:
         raise ValueError("incidence h and medium h disagree")
@@ -676,14 +704,17 @@ def assemble(inc: IncidenceSpec, medium: MediumModel, disc: Discretization,
         space = disc.space(inc.h)
     grid = space.grid
     k = inc.k
+    k2 = k * k
+    _require_finite(inc, "k^2", k2)  # also the coupling scale
     if k.imag == 0:
         betas = beta_table(inc, disc.N).values  # raises CutoffViolation at grazing orders
     else:
         betas = _beta_array(inc, disc.N)
     # beta_n^2 by Python's complex product: numpy's may fuse and round differently
     b2 = np.array([b * b for b in betas.tolist()])
+    _require_finite(inc, "beta_n^2", b2)
     volume = grid.stiffness.astype(complex) - b2[:, None, None] * grid.mass
-    return _build_operator(inc, medium, space, volume, betas, k * k)
+    return _build_operator(inc, medium, space, volume, betas, k2)
 
 
 def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
@@ -693,7 +724,8 @@ def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
 
     Volume coefficient -2i(k cos^2 t1 - n.tilde_theta) per mode plus
     -2ik times the (q - 1) coupling; boundary entries -i d(beta_n)/d(eps).
-    Without `space`, `disc.space(inc.h)` is used, as in `assemble`.
+    Without `space`, `disc.space(inc.h)` is used, as in `assemble`, and the
+    same DomainError guards k^2.
     """
     if inc.k.imag != 0:
         raise ValueError("derivative operator is defined at real k")
@@ -702,6 +734,7 @@ def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
         space = disc.space(inc.h)
     grid = space.grid
     k = inc.k.real
+    _require_finite(inc, "k^2", k * k)  # then beta_n^2 and the scale 2ik are too
     tt = inc.tilde_theta
     c2 = inc.cos2_theta1
     beta_table(inc, disc.N)  # raises CutoffViolation at grazing orders
@@ -717,13 +750,22 @@ def rhs(inc: IncidenceSpec, disc: Discretization,
     """Incident load: -2ik cos(t1) e^{-ikh cos(t1)} in the n = 0 top boundary row.
 
     Laid out on `space`, by default the discretization's `disc.space(inc.h)`.
+    Raises DomainError if the load overflows (large Im k).
     """
+    k = inc.k
+    ct = inc.cos_theta1
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = -2j * k * ct * np.exp(-1j * k * inc.h * ct)
+    return _incident_load(inc, disc, space, value)
+
+
+def _incident_load(inc, disc, space, value) -> np.ndarray:
+    """A field that is `value` in the n = 0 top boundary row and zero elsewhere."""
+    _require_finite(inc, "the incident load", value)
     if space is None:
         space = disc.space(inc.h)
     load = space.zeros()
-    k = inc.k
-    ct = inc.cos_theta1
-    load[space.mode_index[(0, 0)], -1] = -2j * k * ct * np.exp(-1j * k * inc.h * ct)
+    load[space.mode_index[(0, 0)], -1] = value
     return load
 
 
@@ -731,16 +773,14 @@ def rhs_eps_derivative(inc: IncidenceSpec, disc: Discretization,
                        space: FieldSpace | None = None) -> np.ndarray:
     """d/d eps at eps = 0 of the load: 2 cos(t1)(1 - ikh cos(t1)) e^{-ikh cos(t1)}.
 
-    Laid out on `space`, by default the discretization's `disc.space(inc.h)`.
+    Laid out on `space`, by default the discretization's `disc.space(inc.h)`;
+    DomainError as for `rhs`.
     """
-    if space is None:
-        space = disc.space(inc.h)
-    load = space.zeros()
     k = inc.k
     ct = inc.cos_theta1
-    load[space.mode_index[(0, 0)], -1] = \
-        2.0 * ct * (1.0 - 1j * k * inc.h * ct) * np.exp(-1j * k * inc.h * ct)
-    return load
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = 2.0 * ct * (1.0 - 1j * k * inc.h * ct) * np.exp(-1j * k * inc.h * ct)
+    return _incident_load(inc, disc, space, value)
 
 
 @dataclass
@@ -771,7 +811,7 @@ def solve(op: DiscreteOperator, load: np.ndarray) -> FieldCoefficients:
     drops below NEAR_SINGULAR_THRESHOLD (the signature of a propagative wave
     vector; route such scenarios to the kernel/limiting-absorption tools).
     Dense operators are solved on the blocks of `_whitened_stack` (one per
-    coupling component and depth parity) through its maps, block-diagonal
+    coupling group and depth parity) through its maps, block-diagonal
     ones on their raw mode blocks (the W^{-1/2} maps would only add work
     there); one batched LAPACK call either way.  The residual is always
     checked against the assembled matrix: the returned profiles satisfy

@@ -9,6 +9,7 @@ piecewise-constant per grid cell in every direction.
 from __future__ import annotations
 
 import io
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,26 +48,33 @@ class MediumModel:
 
     Use the constructors `homogeneous`, `slab_stack`, `sampled` or
     `load_sampled_medium`; q values must satisfy Re q >= q_floor > 0 and
-    Im q >= 0 (lossless or absorbing).  A sampled medium keeps its own
-    read-only copy of the values it was given.
+    Im q >= 0 (lossless or absorbing).  The model is immutable: its
+    attributes are read-only, and a sampled medium keeps its own read-only
+    copy of the values it was given, so no later edit can bypass the checks
+    or leave the coupling tables cached for it stale.
     """
+
+    kind = property(operator.attrgetter("_kind"))
+    h = property(operator.attrgetter("_h"))
+    q_floor = property(operator.attrgetter("_q_floor"))
+    q0 = property(operator.attrgetter("_q0"))
+    layers = property(operator.attrgetter("_layers"))
+    values = property(operator.attrgetter("_values"))
 
     def __init__(self, kind, h, q_floor=1e-6, q0=None, layers=None, values=None):
         if h <= 0:
             raise ValueError("h must be positive")
         if q_floor <= 0:
             raise ValueError("q_floor must be positive")
-        self.kind = kind
-        self.h = float(h)
-        self.q_floor = float(q_floor)
-        self.q0 = q0
-        self.layers = layers
+        self._kind = kind
+        self._h = float(h)
+        self._q_floor = float(q_floor)
+        self._q0 = q0
+        self._layers = layers
         if values is not None:
-            # a private, read-only copy: no later edit can bypass the checks
-            # or leave the coupling tables cached from it stale
             values = np.array(values, order="C")
             values.flags.writeable = False
-        self.values = values
+        self._values = values
         self._check_values()
 
     # -- constructors ------------------------------------------------------

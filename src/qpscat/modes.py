@@ -71,7 +71,7 @@ def kernel(op: DiscreteOperator, svd_threshold: float = DEFAULT_SVD_THRESHOLD) -
     sigma_max span the kernel; an empty basis means the quasi-momentum is
     (numerically) not a propagative wave vector.  The whitened matrix is
     taken as its diagonal blocks (`helmholtz._whitened_stack`: the mode
-    blocks of a block-diagonal operator; one block per coupling component
+    blocks of a block-diagonal operator; one block per coupling group
     and depth parity of a dense one, so 98 blocks of 8 for a transversely
     constant medium at N = 3, M = 16), all decomposed in one batched SVD, so
     every kernel vector lives in one block.  Each vector is

@@ -227,6 +227,26 @@ class TestLapCommand:
         assert payload["kernel_dimension"] == 1
 
 
+@pytest.mark.parametrize("command, override", [
+    ("lap", "lap.eps_start=1e160"),   # k^2 overflows at the first eps level
+    ("lap", "lap.eps_start=1e200"),
+    ("lap", "lap.eps_start=1e154"),   # k^2 is finite, the load e^{-ikh cos t1} is not
+    ("lap", "lap.eps_start=1e3"),     # so is every beta_n^2
+    ("lap", "incidence.k=1e200"),
+    ("solve", "incidence.k=1e200"),
+])
+def test_overflowing_wavenumber_exits_3_with_one_line_error(tmp_path, capsys, command,
+                                                            override):
+    cfg = write_cfg(tmp_path, LAP_CONFIG)
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), "--out", str(out), "--override", override])
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "overflows double precision" in err[0]
+    assert not any(out.iterdir())
+
+
 class TestDispersionCommand:
     def test_roots_and_grid(self, tmp_path):
         cfg = write_cfg(tmp_path, DISPERSION_CONFIG)

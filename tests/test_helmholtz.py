@@ -7,6 +7,7 @@ import pytest
 
 import qpscat as q
 from qpscat.modes import _canonical_phase
+from test_reports_golden import sampled_stack
 
 K_EX = np.pi / (2 * np.sqrt(2))
 ALPHA_EX = (1 - np.pi * np.sqrt(3) / 4, 0.0)
@@ -81,7 +82,7 @@ class TestAssemble:
             return mass(grid, profile)
 
         monkeypatch.setattr(q.helmholtz.DepthGrid, "weighted_mass", counting)
-        G = q.assemble(inc, q.MediumModel.sampled(np.full((8, 8, 4), 2.0), 1.0), disc).dense
+        G = q.assemble(inc, q.MediumModel.sampled(np.full((8, 8, 4), 2.0), 1.0), disc).matrix
         assert len(calls) == 2
         off = G.reshape(9, 12, 9, 12).swapaxes(1, 2)[~np.eye(9, dtype=bool)]
         assert not np.any(off) and not np.signbit(off.view(float)).any()
@@ -294,19 +295,25 @@ def diagonal_medium(n=12, h=1.0):
     return q.MediumModel.sampled((2.0 + 0.5 * np.cos(x[:, None] + x[None, :]))[:, :, None], h)
 
 
+def guided_medium():
+    """The guided q = 2 layer, sampled 16 x 16 x 1."""
+    return q.MediumModel.sampled(np.full((16, 16, 1), 2.0), 1.0)
+
+
 class TestCouplingComponents:
     """Dense operators split by the components of their transverse coupling."""
 
     @pytest.mark.parametrize("medium, N, M, shape", [
         (lamellar_medium, 2, 16, (10, 40, 40)),   # 5 rows n2 of 5 modes, x 2 parities
         (diagonal_medium, 2, 16, (2, 200, 200)),  # unequal components: two halves
-        (lambda: q.MediumModel.sampled(np.full((16, 16, 1), 2.0), 1.0), 3, 15,
-         (49, 15, 15)),                           # odd M: one block per mode
-    ], ids=["lamellar", "diagonal", "constant_M15"])
+        (guided_medium, 3, 15, (49, 15, 15)),    # odd M: one block per mode
+        (guided_medium, 3, 16, (98, 8, 8)),      # the guided layer
+    ], ids=["lamellar", "diagonal", "constant_M15", "guided"])
     def test_blocks_match_the_full_operator(self, monkeypatch, medium, N, M, shape):
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
-        disc = q.Discretization(N=N, M=M)
-        op = q.assemble(inc, medium(), disc)
+        med, disc = medium(), q.Discretization(N=N, M=M)
+        op = q.assemble(inc, med, disc)
+        assert op.groups is q.helmholtz._medium_profiles(med, op.space).groups
         assert q.helmholtz._whitened_stack(op)[0].shape == shape
         with monkeypatch.context() as m:
             svd = recorded_shapes(m, "svd")
@@ -315,7 +322,7 @@ class TestCouplingComponents:
         full = np.linalg.svd(op.whitened(), compute_uv=False)
         assert np.max(np.abs(s - full)) <= 1e-13 * full[0]
         load = q.rhs(inc, disc)
-        want = np.linalg.solve(op.dense, load.ravel()).reshape(load.shape)
+        want = np.linalg.solve(op.matrix, load.ravel()).reshape(load.shape)
         with monkeypatch.context() as m:
             solve = recorded_shapes(m, "solve")
             v = q.solve(op, load).values
@@ -324,12 +331,15 @@ class TestCouplingComponents:
 
     def test_components_of_a_lamellar_medium(self):
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
-        op = q.assemble(inc, lamellar_medium(), q.Discretization(N=2, M=16))
-        comps, dropped, total = q.helmholtz._coupling_components(op)
+        med = lamellar_medium()
+        op = q.assemble(inc, med, q.Discretization(N=2, M=16))
+        comps = op.groups
         modes = np.array(op.space.modes)
         assert comps.shape == (5, 5)
         assert [set(modes[c, 1]) for c in comps] == [{-2}, {-1}, {0}, {1}, {2}]
-        assert dropped == 0.0 < total  # lamellar couplings vanish exactly
+        # lamellar couplings vanish exactly: every live difference has d2 = 0
+        diffs = q.helmholtz._medium_profiles(med, op.space).diffs
+        assert {d[1] for d in diffs} == {0} and len(diffs) > 1
 
     @pytest.mark.parametrize("M", [16, 15])
     def test_kernel_vector_is_the_full_svd_null_vector(self, M):
@@ -393,10 +403,10 @@ class TestWhitenedBlocks:
         op = sampled_operator(medium)
         sp = op.space
         nm, M, h = len(sp.modes), sp.M, sp.M // 2
-        groups = q.helmholtz._coupling_components(op)[0]
+        groups = op.groups
         assert groups.shape == (comps, nm // comps)
-        halves = q.helmholtz._whitened_blocks(op, groups, sp.parity)
-        cross = q.helmholtz._parity_cross(op, groups)
+        halves = q.helmholtz._whitened_blocks(op, sp.parity)
+        cross = q.helmholtz._parity_cross(op)
         P = sp.parity[0]
         Q = q.helmholtz._block_diag(np.broadcast_to(P, (nm, M, M)))
         raw = (Q.T @ op.matrix @ Q).reshape(nm, 2, h, nm, 2, h)
@@ -414,17 +424,16 @@ class TestWhitenedBlocks:
     ])
     def test_only_the_chosen_layout_is_built(self, monkeypatch, medium, parity):
         op = sampled_operator(medium)
-        comps = q.helmholtz._coupling_components(op)[0]
         calls, builder = [], q.helmholtz._whitened_blocks
 
-        def recording(op, comps, parity):
+        def recording(op, parity):
             calls.append(parity)
-            return builder(op, comps, parity)
+            return builder(op, parity)
 
         monkeypatch.setattr(q.helmholtz, "_whitened_blocks", recording)
         blocks = q.helmholtz._whitened_stack(op)[0]
         assert [p is not None for p in calls] == [parity]
-        want = builder(op, comps, op.space.parity if parity else None)
+        want = builder(op, op.space.parity if parity else None)
         assert np.array_equal(blocks, want)
 
     @pytest.mark.parametrize("build, shape", [
@@ -815,6 +824,163 @@ class TestApplyAdjoint:
         u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         want = (op.matrix.conj().T @ u.ravel()).reshape(u.shape)
         assert relative_error(op.apply_adjoint(u), want) <= 1e-13
+
+
+def sampled_stack_medium(h=1.0):
+    """The three depth cells of the solve_sampled_stack golden case."""
+    return q.MediumModel.sampled(sampled_stack(), h)
+
+
+def filled_matrix(inc, medium, space):
+    """The operator filled here mode pair by mode pair from the table masses."""
+    table = q.helmholtz._medium_profiles(medium, space)
+    grid, M, k2 = space.grid, space.M, inc.k * inc.k
+    nm = len(space.modes)
+    G = np.zeros((nm, M, nm, M), dtype=complex)
+    for i, n in enumerate(space.modes):
+        b = q.beta(n, inc)
+        G[i, :, i] = grid.stiffness - b * b * grid.mass - k2 * table.c0
+        G[i, 0, i, 0] -= 1j * b
+        G[i, -1, i, -1] -= 1j * b
+        for j, m in enumerate(space.modes):
+            d = (n[0] - m[0], n[1] - m[1])
+            if i != j and d in table.diffs:
+                G[i, :, j] = 0.0 - k2 * table.masses[table.diffs.index(d)]
+    return G.reshape(space.size, -1)
+
+
+def matrix_components(G, nm, M):
+    """Connected components of the nonzero mode blocks of G, by first mode."""
+    link = np.any(G.reshape(nm, M, nm, M) != 0, axis=(1, 3))
+    link |= link.T
+    comps, seen = [], set()
+    for i in range(nm):
+        if i in seen:
+            continue
+        comp, todo = set(), [i]
+        while todo:
+            j = todo.pop()
+            if j not in comp:
+                comp.add(j)
+                todo.extend(np.flatnonzero(link[j]))
+        seen |= comp
+        comps.append(sorted(comp))
+    return comps
+
+
+GROUP_CASES = [  # (medium, N, M, number of groups)
+    (lamellar_medium, 2, 16, 5),
+    (constant_medium, 2, 16, 25),
+    (constant_medium, 2, 15, 25),
+    (diagonal_medium, 2, 16, 1),
+    (inclusion_medium, 2, 16, 1),
+    (sampled_stack_medium, 2, 16, 1),
+]
+GROUP_IDS = ["lamellar", "constant_M16", "constant_M15", "diagonal", "inclusion",
+             "sampled_stack"]
+
+
+class TestGroupStorage:
+    """Dense operators kept as the diagonal blocks of their coupling groups."""
+
+    @pytest.mark.parametrize("k", [1.3, 1.3 + 0.05j])
+    @pytest.mark.parametrize("medium, N, M, groups", GROUP_CASES, ids=GROUP_IDS)
+    def test_matrix_is_the_filled_operator(self, medium, N, M, groups, k):
+        med, disc = medium(), q.Discretization(N=N, M=M)
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0).with_k(k)
+        op = q.assemble(inc, med, disc)
+        nm = len(op.space.modes)
+        assert len(op.groups) == groups
+        assert (op.dense is None) == (groups > 1)
+        if op.dense is not None:
+            assert np.shares_memory(op.dense, op.group_blocks)
+        assert op.group_blocks.shape == (groups, nm // groups, M, nm // groups, M)
+        got, want = op.matrix, filled_matrix(inc, med, op.space)
+        off = ~np.eye(nm, dtype=bool)
+        assert np.array_equal(got.reshape(nm, M, nm, M).swapaxes(1, 2)[off],
+                              want.reshape(nm, M, nm, M).swapaxes(1, 2)[off])
+        assert relative_error(got, want) <= 1e-14
+
+    @pytest.mark.parametrize("derivative", [False, True], ids=["A", "dA"])
+    @pytest.mark.parametrize("medium, N, M, groups", GROUP_CASES, ids=GROUP_IDS)
+    def test_actions_agree_with_the_matrix(self, medium, N, M, groups, derivative):
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        build = q.assemble_eps_derivative if derivative else q.assemble
+        op = build(inc, medium(), q.Discretization(N=N, M=M))
+        G = op.matrix
+        rng = np.random.default_rng(17)
+        shape = op.space.zeros().shape
+        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert relative_error(op.apply(u), (G @ u.ravel()).reshape(shape)) <= 1e-13
+        assert relative_error(op.apply_adjoint(u),
+                              (G.conj().T @ u.ravel()).reshape(shape)) <= 1e-13
+        S = q.helmholtz._block_diag(op.space.W_isqrt)
+        assert relative_error(op.whitened(), S @ G @ S) <= 1e-13
+
+    @pytest.mark.parametrize("medium, N, M, groups",
+                             [c for c in GROUP_CASES if c[3] > 1],
+                             ids=[i for i, c in zip(GROUP_IDS, GROUP_CASES) if c[3] > 1])
+    def test_split_assembly_allocates_no_full_matrix(self, monkeypatch, medium, N, M,
+                                                     groups):
+        med, disc = medium(), q.Discretization(N=N, M=M)
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        shapes, zeros = [], np.zeros
+
+        def recording(shape, *args, **kwargs):
+            shapes.append(shape)
+            return zeros(shape, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "zeros", recording)
+            ops = [q.assemble(inc, med, disc), q.assemble_eps_derivative(inc, med, disc)]
+        full = disc.unknowns ** 2
+        assert shapes and max(np.prod(s) for s in shapes) < full
+        assert all(op.dense is None and op.group_blocks.size < full for op in ops)
+
+
+class TestCouplingGroups:
+    """The table's mode groups, decided once per (medium, space) and exact."""
+
+    @pytest.mark.parametrize("medium, N, M, groups", GROUP_CASES, ids=GROUP_IDS)
+    def test_groups_are_the_components_of_the_filled_operator(self, medium, N, M, groups):
+        # equal components become the groups; unequal ones stay one group
+        med, disc = medium(), q.Discretization(N=N, M=M)
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        space = q.FieldSpace(disc, 1.0)
+        table = q.helmholtz._medium_profiles(med, space)
+        comps = matrix_components(filled_matrix(inc, med, space), len(space.modes), M)
+        assert len(table.groups) == groups
+        if len({len(c) for c in comps}) == 1:
+            assert table.groups.tolist() == comps
+        else:
+            assert table.groups.tolist() == [list(range(len(space.modes)))]
+
+    @pytest.mark.parametrize("live", [((0, 0), (1, 1), (-1, -1)), ((0, 0), (-1, -1))],
+                             ids=["two_sided", "one_sided"])
+    def test_unequal_components_stay_one_group(self, monkeypatch, live):
+        # only these d live, exactly: nine diagonal components of 1 to 5 modes (a
+        # one-sided coupling, as an absorbing medium may have, links both ways)
+        med = diagonal_medium()
+        profiles = med.fourier_profiles
+
+        def diagonal_only(depths, order):
+            return {d: p if d in live else 0 * p for d, p in profiles(depths, order).items()}
+
+        monkeypatch.setattr(med, "fourier_profiles", diagonal_only)
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        space = q.FieldSpace(q.Discretization(N=2, M=16), 1.0)
+        comps = matrix_components(filled_matrix(inc, med, space), 25, 16)
+        assert sorted(len(c) for c in comps) == [1, 1, 2, 2, 3, 3, 4, 4, 5]
+        assert q.helmholtz._medium_profiles(med, space).groups.tolist() == [list(range(25))]
+
+    def test_groups_do_not_depend_on_k(self):
+        med, disc = lamellar_medium(), q.Discretization(N=2, M=16)
+        space = q.FieldSpace(disc, 1.0)
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        ops = [q.assemble(inc, med, disc, space),
+               q.assemble(inc.with_k(2.1 + 0.3j), med, disc, space),
+               q.assemble_eps_derivative(inc, med, disc, space)]
+        assert all(op.groups is ops[0].groups for op in ops)
 
 
 class TestStructuralInvariants:

@@ -143,6 +143,28 @@ class TestSampledValues:
         assert med.values.dtype == float and med.values.flags.c_contiguous
 
 
+class TestReadOnlyModel:
+    """No attribute of a medium can be rebound: checks and cached tables stay valid."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: q.MediumModel.homogeneous(2.0, 1.0),
+        lambda: q.MediumModel.slab_stack([(-1.0, 1.0, 2.0)], 1.0),
+        lambda: q.MediumModel.sampled(np.full((8, 8, 1), 2.0), 1.0),
+    ], ids=["homogeneous", "slab_stack", "sampled"])
+    @pytest.mark.parametrize("name, value", [
+        ("kind", "homogeneous"), ("h", 2.0), ("q_floor", 0.5), ("q0", -1.0),
+        ("layers", ((-1.0, 1.0, 3.0),)), ("values", np.full((8, 8, 1), 3.0)),
+    ])
+    def test_rebinding_raises(self, build, name, value):
+        med = build()
+        before = getattr(med, name)
+        with pytest.raises(AttributeError):
+            setattr(med, name, value)
+        with pytest.raises(AttributeError):
+            delattr(med, name)
+        assert getattr(med, name) is before
+
+
 class TestIngestion:
     def test_round_trip_file(self, tmp_path):
         rng = np.random.default_rng(3)
