@@ -10,7 +10,7 @@ violation, an aliased sampled medium or an operator larger than physical
 memory; reported as one `error:` line),
 4 hypothesis warning escalated by --strict.
 
-Configuration grammar (INI; keys grouped by section; CLI overrides win):
+Configuration grammar (INI in UTF-8; keys grouped by section; CLI overrides win):
 
     [incidence]   k, h, theta1+theta2 (radians) or alpha = a1,a2
     [medium]      kind = homogeneous|slab|sampled; q0 | layers = z0:z1:q,... | path
@@ -128,7 +128,7 @@ class RunConfig:
                     raise ValueError(f"sampled file has h = {medium.h!r}, "
                                      f"[incidence] h = {h!r}")
                 return medium
-        except (ValueError, QpscatError) as e:
+        except (ValueError, OSError, QpscatError) as e:
             raise ConfigError(f"bad medium: {e}") from e
         raise ConfigError(f"unknown medium kind {kind!r}")
 
@@ -195,7 +195,11 @@ def load_config(path, command: str, overrides=(), strict=False,
                 out_dir=None) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     cp.optionxform = str  # keys are case-sensitive (N vs n)
-    read = cp.read(path)
+    try:
+        read = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as e:
+        detail = " ".join(str(e).split())  # configparser spreads its message over lines
+        raise ConfigError(f"cannot parse config file {path}: {detail}") from e
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     sections = {s: dict(cp.items(s)) for s in cp.sections()}
@@ -252,7 +256,10 @@ def _check_hypotheses(cfg: RunConfig, medium, inc) -> int:
 
 def run(cfg: RunConfig) -> int:
     """Dispatch one configured command; returns the process exit code."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {cfg.out_dir}: {e}") from e
     meta = cfg.meta()
     try:
         if cfg.command in ("solve", "modes", "lap"):

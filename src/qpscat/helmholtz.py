@@ -33,11 +33,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AliasError, DomainError, NearSingular, OperatorTooLarge, \
-    SolveFailed
+from .errors import AliasError, CutoffViolation, DomainError, NearSingular, \
+    OperatorTooLarge, SolveFailed
 from .medium import MediumModel
 from .qpcore import IncidenceSpec, ModeIndex, _beta_array, _field_point, beta, \
-    beta_table, classify_modes, d_beta_d_eps, mode_range, rayleigh_eval
+    beta_table, classify_modes, mode_range, rayleigh_eval
 
 CHEBYSHEV = "chebyshev_collocation"
 FINITE_DIFFERENCE = "finite_difference_order2"
@@ -45,10 +45,11 @@ FINITE_DIFFERENCE = "finite_difference_order2"
 #: relative smallest singular value below which a solve refuses to proceed
 NEAR_SINGULAR_THRESHOLD = 1e-8
 
-#: relative Frobenius norm below which the even/odd cross parts of a dense
-#: operator count as zero when its whitened blocks are split by depth parity
-#: (a medium mirror-symmetric in depth leaves ~1e-15 of round-off); the split
-#: between coupling groups needs none, as it is exact
+#: relative Frobenius norm below which the even/odd cross parts of the
+#: k-independent pieces of a coupled operator (its couplings, the stiffness
+#: and the mass) count as zero, so that its whitened stack is split by depth
+#: parity (a medium mirror-symmetric in depth leaves ~1e-15 of round-off);
+#: the split between coupling groups needs none, as it is exact
 _SPLIT_TOL = 1e-13
 
 #: mass matrix of the second-order depth scheme: average of the consistent
@@ -264,7 +265,8 @@ class FieldSpace:
     first, and S (2, n_modes, M/2, M/2) holds the even and odd blocks of
     P^T W_n^{-1/2} P, whose cross blocks vanish (W_n commutes with it).
     It also keeps the coupling table of each medium assembled on it
-    (`_medium_profiles`), for as long as that medium lives.
+    (`_medium_profiles`), with its whitened coupling, for as long as that
+    medium lives.
     """
 
     def __init__(self, disc: Discretization, h: float):
@@ -321,66 +323,76 @@ class FieldSpace:
 class DiscreteOperator:
     """Assembled bilinear-form matrix of the layer problem at one wavenumber.
 
-    Block-diagonal over the transverse modes whenever the medium is
-    transversely uniform (`blocks`, one (modes, M, M) array).  Otherwise the
-    operator is stored as the diagonal blocks of its coupling groups:
-    `groups` (nc, c) lists the modes of each group (the medium's
-    `_CouplingTable.groups`) and `group_blocks` (nc, c, M, c, M) holds the
-    coupling of each group, the blocks between groups being exactly zero.
-    `dense` is the full matrix, row (mode index) * M + (depth index), when
-    there is one group (a view of `group_blocks`), and None otherwise;
-    `matrix` is the full matrix of every layout, scattered from the blocks.
-    A block-diagonal operator has one group per mode.  Everything that
-    depends only on the layout and the weighted product lives on `space`.
-    The operator caches its whitened matrix (`whitened`), its whitened
-    singular values and its whitened diagonal blocks with their maps
-    (`_whitened_stack`), which the screen, the dense solves, the kernel and
-    the constrained solve read.
+    `diagonal` (modes, M, M) holds the diagonal mode blocks, in the order
+    of space.modes.  For a transversely uniform medium that is the whole
+    operator: `blocks` is `diagonal` and the operator is block-diagonal.
+    Otherwise the operator is coupled: off the diagonal, block (n, m) is
+    -scale C_{n-m}, with the masses C_d of the medium's coupling table
+    `table` (`_CouplingTable`), and `blocks` is None.  A coupled operator
+    *is* its whitened stack (`_whitened_stack`): `_build_operator`
+    assembles it straight from the table's whitened coupling, in the
+    table's layout, and `groups` are the table's mode groups.  A
+    block-diagonal operator has one group per mode and builds its stack on
+    first use.  No full matrix is stored: `dense` is always None, and
+    `matrix` (row (mode index) * M + (depth index)) and the dense
+    `whitened()` of a coupled operator are built on request, for checks.
+    `apply` and `apply_adjoint` are matrix-free: the diagonal blocks plus
+    one coupling sum over the table's masses.  Everything that depends only
+    on the layout and the weighted product lives on `space`.  The operator
+    caches its whitened matrix, its whitened singular values and its stack
+    with the maps onto it, which the screen, the dense solves, the kernel
+    and the constrained solve read.
     """
 
-    def __init__(self, inc, space, blocks=None, groups=None, group_blocks=None):
+    def __init__(self, inc, space, diagonal, table=None, scale=0.0):
         self.inc = inc
         self.space = space
-        self.blocks = blocks
-        self.groups = np.arange(len(space.modes))[:, None] if groups is None else groups
-        self.group_blocks = group_blocks
+        self.diagonal = diagonal
+        self.table = table
+        self.scale = scale
         self.dense = None
-        if group_blocks is not None and len(group_blocks) == 1:
-            self.dense = group_blocks.reshape(space.size, space.size)
         self._whitened = None
         self._svals = None
         self._stack = None
+        if table is None:
+            self.blocks = diagonal
+            self.groups = np.arange(len(space.modes))[:, None]
+        else:
+            self.blocks = None
+            self.groups = table.groups
+            self._stack = (table.whitened_operator(diagonal, scale), *table.maps)
 
     @property
     def block_diagonal(self) -> bool:
         return self.blocks is not None
 
+    def _row(self, r: int) -> np.ndarray:
+        """Raw row slot r of every coupling group, (nc, M, c, M); see `_whitened_blocks`."""
+        t = self.scale * self.table.row(r)
+        t[:, :, r] = self.diagonal[self.groups[:, r]]
+        return t
+
     @property
     def matrix(self) -> np.ndarray:
         if self.block_diagonal:
             return _block_diag(self.blocks)
-        return _scatter(self.groups, self.group_blocks)
-
-    def _per_group(self, u: np.ndarray, act) -> np.ndarray:
-        """act(G, x) on the (nc, cM, cM) group blocks G and the (nc, cM) parts x of u."""
-        nc, c = self.groups.shape
-        n = c * u.shape[-1]
-        out = np.empty_like(u)
-        y = act(self.group_blocks.reshape(nc, n, n), u[self.groups].reshape(nc, n))
-        out[self.groups] = y.reshape(nc, c, -1)
-        return out
+        rows = [self._row(r) for r in range(self.groups.shape[1])]
+        return _scatter(self.groups, np.stack(rows, axis=1))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Matrix action on a field of shape (n_modes, M)."""
-        if self.block_diagonal:
-            return (self.blocks @ u[..., None])[..., 0]
-        return self._per_group(u, lambda G, x: (G @ x[..., None])[..., 0])
+        out = (self.diagonal @ u[..., None])[..., 0]
+        if self.table is not None:
+            out -= self.scale * self.table.couple(u, off_diagonal=True)
+        return out
 
     def apply_adjoint(self, u: np.ndarray) -> np.ndarray:
-        """Action of the conjugate transpose, as (u^H G)^H: no copy of the matrix."""
-        if self.block_diagonal:
-            return (u.conj()[:, None, :] @ self.blocks)[:, 0].conj()
-        return self._per_group(u, lambda G, x: (x.conj()[:, None, :] @ G)[:, 0].conj())
+        """Action of the conjugate transpose, as (u^H G)^H: no copy of any block."""
+        out = (u.conj()[:, None, :] @ self.diagonal)[:, 0].conj()
+        if self.table is not None:
+            out -= np.conj(self.scale) * self.table.couple(u, off_diagonal=True,
+                                                           adjoint=True)
+        return out
 
     def whitened(self) -> np.ndarray:
         """W^{-1/2} G W^{-1/2}: stacked (modes, M, M) blocks, or a dense matrix."""
@@ -393,8 +405,12 @@ class DiscreteOperator:
                     np.matmul(S @ B, S, out=Gt[i])
                 self._whitened = Gt
             else:
-                Gt = _whitened_blocks(self, None).reshape(self.group_blocks.shape)
-                self._whitened = _scatter(self.groups, Gt)
+                # the stack is the whole whitened operator unless it leaves
+                # out parity cross parts; then whiten the raw rows again
+                nc, c = self.groups.shape
+                Gt = self._stack[0] if self.table.parity is None else \
+                    _whitened_blocks(sp, self.groups, self._row, None)
+                self._whitened = _scatter(self.groups, Gt.reshape(nc, c, sp.M, c, sp.M))
         return self._whitened
 
     def whitened_singular_values(self) -> np.ndarray:
@@ -419,42 +435,28 @@ class DiscreteOperator:
         return float(s[-1]), float(s[0])
 
 
-def _parity_cross(op: DiscreteOperator) -> float:
-    """Squared norm of the raw even/odd and odd/even parts of the group blocks.
+def _whitened_blocks(space: FieldSpace, groups: np.ndarray, row, parity):
+    """The whitened diagonal blocks of a coupled operator over its mode groups.
 
-    M is even.  With R the depth reflection of every mode (node j -> M-1-j)
-    and P the parity basis, the cross parts of P^T G P have squared norm
-    ||G - R G R||^2 / 4, taken here one row slot of every group at a time,
-    without any product: R G R reverses both depth axes of a mode block.
+    `groups` (nc, c) lists the modes of each group, and row(r) gives the raw
+    row slot r of every group, (nc, M, c, M): block (n, m) of the operator
+    for n the r-th mode of its group and m each mode of the group.  Without
+    parity: one block W^{-1/2} G W^{-1/2} per group, (nc, cM, cM), ordered
+    (mode, node).  With parity = space.parity: each group's even and odd
+    halves in the parity basis, (2 nc, cM/2, cM/2), leaving out the
+    even/odd cross parts.  One row slot of every group at a time: P^T
+    (M x cM), (Mc x M) P, then S of the column modes and of the row mode; no
+    full-size raw matrix is made.
     """
-    h = op.space.M // 2
-    cross = 0.0
-    for t in op.group_blocks.swapaxes(0, 1):  # (group, row depth, column mode, column depth)
-        # G - R G R is odd under R: its first M/2 depth rows hold half its norm
-        t = t[:, :h] - t[:, ::-1, :, ::-1][:, :h]
-        cross += np.vdot(t, t).real
-    return cross / 2
-
-
-def _whitened_blocks(op: DiscreteOperator, parity):
-    """The whitened diagonal blocks of a dense operator over its mode groups.
-
-    Without parity: one block W^{-1/2} G W^{-1/2} per group, (nc, cM, cM),
-    ordered (mode, node).  With parity = space.parity: each group's even and
-    odd halves in the parity basis, (2 nc, cM/2, cM/2), leaving out the
-    even/odd cross parts (`_parity_cross`).  One row slot of every group at
-    a time: P^T (M x cM), (Mc x M) P, then S of the column modes and of the
-    row mode; no full-size copy is made.
-    """
-    M = op.space.M
-    nc, c = op.groups.shape
-    P, S = parity or (None, op.space.W_isqrt[None])
+    M = space.M
+    nc, c = groups.shape
+    P, S = parity or (None, space.W_isqrt[None])
     K, n = len(S), M // len(S)
-    Scol = S[:, op.groups]  # (K, nc, c, n, n)
+    Scol = S[:, groups]  # (K, nc, c, n, n)
     out = np.empty((nc, K, c, n, c, n), dtype=complex)
     for r in range(c):
-        rows = op.groups[:, r]
-        t = op.group_blocks[:, r]  # (group, row depth, column mode, column depth)
+        rows = groups[:, r]
+        t = row(r)  # (group, row depth, column mode, column depth)
         if P is not None:
             t = P.T @ t.reshape(nc, M, c * M)
             t = (t.reshape(nc, M * c, M) @ P).reshape(nc, M, c, M)
@@ -466,43 +468,13 @@ def _whitened_blocks(op: DiscreteOperator, parity):
     return out.reshape(nc * K, c * n, c * n)
 
 
-def _whitened_stack(op: DiscreteOperator):
-    """The whitened diagonal blocks of an operator, with the maps onto them.
-
-    Returns (blocks, to, back), built once and cached on the operator:
-    `blocks` of shape (B, n, n) and two maps such that G v = b reads
-    blocks z = to(b) (one right-hand side per block, shape (B, n)) with
-    v = back(z) (a field).  `to` and `back` are one real linear map and its
-    transpose, so a row r acting on v acts on z as to(r).  This is the only
-    place that picks the layout: the operator's mode groups (nc, c) times K
-    depth classes, block g K + p.  A block-diagonal operator has one group
-    per mode and K = 1.  A dense one keeps its coupling groups, between
-    which it is exactly zero, and takes the parity halves of
-    `_whitened_blocks` (K = 2) when the parity cross parts are at most
-    _SPLIT_TOL of the total in Frobenius norm, the whitened matrix being
-    then orthogonally similar to their direct sum up to that remainder;
-    otherwise (or with odd M) each group's full whitened block (K = 1).
-    The cross parts are measured on the group blocks alone (`_parity_cross`)
-    before any whitened block is built, so only the chosen layout is built.
-    For every layout to(b) is b @ P (parity only), then S per class and
-    mode, then a gather of each group's modes; back(z) is its transpose.
-    """
-    if op._stack is not None:
-        return op._stack
-    sp = op.space
-    nm, M = len(sp.modes), sp.M
-    parity = None
-    if op.block_diagonal:
-        blocks = op.whitened()
-    else:
-        total = np.vdot(op.group_blocks, op.group_blocks).real
-        if sp.parity is not None and _parity_cross(op) <= _SPLIT_TOL ** 2 * total:
-            parity = sp.parity
-        blocks = _whitened_blocks(op, parity)
-    P, S = parity or (None, sp.W_isqrt[None])
+def _stack_maps(space: FieldSpace, groups: np.ndarray, parity):
+    """The maps (to, back) onto the whitened stack of one layout; see `_whitened_stack`."""
+    nm, M = len(space.modes), space.M
+    P, S = parity or (None, space.W_isqrt[None])
     K, n = len(S), M // len(S)
-    nc, c = op.groups.shape
-    order = op.groups.ravel()
+    nc, c = groups.shape
+    order = groups.ravel()
     inv = np.argsort(order)
 
     def to(b):
@@ -515,7 +487,29 @@ def _whitened_stack(op: DiscreteOperator):
         y = np.matmul(S, y[..., None])[..., 0].swapaxes(0, 1).reshape(nm, M)
         return y if P is None else y @ P.T
 
-    op._stack = blocks, to, back
+    return to, back
+
+
+def _whitened_stack(op: DiscreteOperator):
+    """The whitened diagonal blocks of an operator, with the maps onto them.
+
+    Returns (blocks, to, back), cached on the operator: `blocks` of shape
+    (B, n, n) and two maps such that G v = b reads blocks z = to(b) (one
+    right-hand side per block, shape (B, n)) with v = back(z) (a field).
+    `to` and `back` are one real linear map and its transpose, so a row r
+    acting on v acts on z as to(r).  The layout is the operator's mode
+    groups (nc, c) times K depth classes, block g K + p.  A block-diagonal
+    operator has one group per mode and K = 1, and builds its stack here
+    on first use.  A coupled operator was assembled as its stack, in the
+    layout its coupling table decided once (`_CouplingTable`): its coupling
+    groups, between which it is exactly zero, and the parity halves (K = 2)
+    when the medium is mirror-symmetric in depth, otherwise (or with odd M)
+    each group's full whitened block (K = 1).  For every layout to(b) is
+    b @ P (parity only), then S per class and mode, then a gather of each
+    group's modes; back(z) is its transpose.
+    """
+    if op._stack is None:
+        op._stack = (op.whitened(), *_stack_maps(op.space, op.groups, None))
     return op._stack
 
 
@@ -543,15 +537,17 @@ def _block_diag(blocks: np.ndarray) -> np.ndarray:
 def _check_operator_bytes(medium: MediumModel, disc: Discretization) -> None:
     """Raise OperatorTooLarge if the operator cannot fit in physical memory.
 
-    A coupled operator takes at most unknowns^2 complex entries (one group;
-    split groups take less, but the groups are not known yet), a
-    block-diagonal one (2N+1)^2 blocks of M^2.  Checked before anything is
-    allocated, the coupling table included.
+    A coupled medium holds its cached whitened coupling (`_CouplingTable`)
+    and one whitened stack per live operator, each at most unknowns^2
+    complex entries (one group at K = 1: the layout is not known yet), so
+    2 unknowns^2 entries are counted; a block-diagonal operator takes
+    (2N+1)^2 blocks of M^2.  Checked before anything is allocated, the
+    coupling table included.
     """
     if medium.transversely_uniform:
         need = 16 * (2 * disc.N + 1) ** 2 * disc.M ** 2
     else:
-        need = 16 * disc.unknowns ** 2
+        need = 2 * 16 * disc.unknowns ** 2
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf: no guard
@@ -563,6 +559,29 @@ def _check_operator_bytes(medium: MediumModel, disc: Discretization) -> None:
             f"GiB of physical memory; lower N or M")
 
 
+def _live_pairs(index: np.ndarray, pad: int):
+    """Each row's live entries of `index` (those not equal to pad): (columns, values).
+
+    Both arrays are (rows, w), w the most live entries of any row; shorter
+    rows are filled up with entries of value pad.
+    """
+    live = index != pad
+    cols = np.argsort(~live, axis=1, kind="stable")[:, :live.sum(axis=1).max(initial=0)]
+    return cols, np.take_along_axis(index, cols, axis=1)
+
+
+def _mirror_symmetric(blocks: np.ndarray, weights) -> bool:
+    """Whether sum_i w_i ||X_i - R X_i R||^2 / 4 <= _SPLIT_TOL^2 sum_i w_i ||X_i||^2.
+
+    R reverses the depth nodes (j -> M-1-j) of the (M, M) blocks X_i, so
+    the left side is the weighted squared norm of their even/odd cross parts
+    in the parity basis.
+    """
+    def norms(x):
+        return np.dot(weights, np.sum(np.abs(x) ** 2, axis=(1, 2)))
+    return norms(blocks - blocks[:, ::-1, ::-1]) / 4 <= _SPLIT_TOL ** 2 * norms(blocks)
+
+
 class _CouplingTable:
     """What assembly takes from a medium on one FieldSpace, independent of k.
 
@@ -571,38 +590,67 @@ class _CouplingTable:
     `diffs` lists, in that order, the d whose profile is not identically
     zero, and `masses` stacks their C_d = int qhat_d l_i l_j, (len(diffs),
     M, M); `c0` is C_0 of qhat_0 - 1, the diagonal coupling (the background
-    sits in the volume term).  `pairs[t]` holds the (rows, columns) of the
-    mode pairs (n, m) with n - m = diffs[t].
+    sits in the volume term).  `index` (modes, modes) gives, for each mode
+    pair (n, m), the index into diffs of n - m, or len(diffs) when its
+    profile vanishes; `off` is `index` with every diagonal pair set to
+    len(diffs).  `couple` sums C_{n-m} u_m over the live pairs of either.
 
-    `groups` (nc, c) are the mode groups of the operator: the connected
-    components of the graph that links modes n and m when n - m or m - n is
-    in `diffs`, rows ordered by their first mode, modes ascending, when
-    there are several components, all of one size; otherwise one group of
-    every mode.  No coupling runs between groups, so the split is exact.
-    `place` gives each mode's (group, slot) and `rows` the mode rows with a
-    nonvanishing coupling off the diagonal as (group, slot, column slots,
-    indices into diffs).
+    For a transversely varying medium the table also fixes, once, the
+    layout of its operators (see `_whitened_stack`) and holds their
+    coupling in it:
+    - `groups` (nc, c) are the mode groups: the connected components of
+      the graph that links modes n and m when n - m or m - n is in `diffs`,
+      rows ordered by their first mode, modes ascending, when there are
+      several components, all of one size; otherwise one group of every
+      mode.  No coupling runs between groups, so the split is exact.
+      `place` gives each mode's (group, slot).
+    - `parity` is space.parity when every k-independent piece of the
+      operator is mirror-symmetric in depth to _SPLIT_TOL in Frobenius norm
+      (`_mirror_symmetric`): the masses C_d, d != 0, each weighted by its
+      number of mode pairs, with c0 weighted by the number of modes; the
+      stiffness; the mass.  The whitened operator at any k is then
+      orthogonally similar to the direct sum of its parity halves up to
+      that remainder.  Otherwise, and for odd M, it is None.
+    - `coupling` is the whitened stack of the unit-scale coupling: block
+      (n, m) is -C_{n-m} off the diagonal and zero in the diagonal mode
+      slots.  It is built one raw row slot at a time by `_whitened_blocks`,
+      so no full raw matrix is allocated.  `maps` are the (to, back) maps
+      of the layout.
     """
 
     def __init__(self, medium: MediumModel, space: FieldSpace):
-        grid, N = space.grid, space.disc.N
+        grid, N, M = space.grid, space.disc.N, space.M
         uniform = medium.transversely_uniform
         self.profiles = medium.fourier_profiles(grid.quad_x, 0 if uniform else 2 * N)
         live = np.any(np.array(list(self.profiles.values())), axis=1)
         self.diffs = [d for d, on in zip(self.profiles, live) if on]
         self.masses = np.array([grid.weighted_mass(self.profiles[d]) for d in self.diffs])
         self.c0 = grid.weighted_mass(self.profiles[(0, 0)] - np.ones_like(grid.quad_x))
+        T = len(self.diffs)
         n = np.array(space.modes)
         nm = len(n)
         d = n[:, None, :] - n[None, :, :] + 2 * N  # (n - m) + 2N, shape (nm, nm, 2)
-        index = np.full((4 * N + 1, 4 * N + 1), -1)
+        index = np.full((4 * N + 1, 4 * N + 1), T)
         for t, (d1, d2) in enumerate(self.diffs):
             index[d1 + 2 * N, d2 + 2 * N] = t
-        didx = index[d[..., 0], d[..., 1]]  # (nm, nm): index into diffs, or -1
-        self.pairs = [np.nonzero(didx == t) for t in range(len(self.diffs))]
-        np.fill_diagonal(didx, -1)
-        live = didx >= 0
-        link = live | live.T
+        self.index = index[d[..., 0], d[..., 1]]
+        self.off = self.index.copy()
+        np.fill_diagonal(self.off, T)
+        # C_t u_j (or C_t^H u_j) of every live t at once, as one product
+        # u @ _act: column block t of _act is C_t^T (or conj(C_t)), and a
+        # zero block T pads the rows of `_pairs` that have fewer live pairs
+        masses = np.concatenate([self.masses, np.zeros((1, M, M))])
+        self._act = (masses.transpose(2, 0, 1).reshape(M, -1),
+                     masses.conj().transpose(1, 0, 2).reshape(M, -1))
+        self._pairs = {}  # (off_diagonal, adjoint) -> the pairs `couple` gathers
+        for off, pairs in ((False, self.index), (True, self.off)):
+            self._pairs[off, False] = _live_pairs(pairs, T)
+            self._pairs[off, True] = _live_pairs(pairs.T, T)
+        if uniform:
+            return
+        self._unit = -masses
+        link = self.off < T
+        link = link | link.T
         label = np.arange(nm)
         while True:  # every mode takes the least label among its neighbours
             new = np.minimum(label, np.where(link, label, nm).min(axis=1))
@@ -617,12 +665,54 @@ class _CouplingTable:
         group, slot = np.empty(nm, dtype=int), np.empty(nm, dtype=int)
         group[self.groups], slot[self.groups] = np.arange(nc)[:, None], np.arange(c)
         self.place = group, slot
-        self.rows = [(group[i], slot[i], slot[live[i]], didx[i, live[i]])
-                     for i in np.flatnonzero(live.any(axis=1))]
+        pairs = np.bincount(self.off.ravel(), minlength=T + 1)[:T]
+        symmetric = (_mirror_symmetric(np.concatenate([self.masses, self.c0[None]]),
+                                       np.append(pairs, nm))
+                     and _mirror_symmetric(grid.stiffness[None], [1.0])
+                     and _mirror_symmetric(grid.mass[None], [1.0]))
+        self.parity = space.parity if symmetric else None
+        self._whiten = self.parity or (None, space.W_isqrt[None])
+        self.coupling = _whitened_blocks(space, self.groups, self.row, self.parity)
+        self.maps = _stack_maps(space, self.groups, self.parity)
+
+    def row(self, r: int) -> np.ndarray:
+        """Raw row slot r of every group of the unit-scale coupling, (nc, M, c, M)."""
+        g = self.groups
+        return self._unit[self.off[g[:, r, None], g]].transpose(0, 2, 1, 3)
+
+    def couple(self, u: np.ndarray, off_diagonal: bool = False,
+               adjoint: bool = False) -> np.ndarray:
+        """sum_m C_{n-m} u_m for every mode n, or sum_n C_{n-m}^H u_n for every m.
+
+        u is a field (modes, M); off_diagonal leaves out the pairs m = n.
+        One product with every mass, then one gather of the mode pairs.
+        """
+        nm, M = u.shape
+        U = (u @ self._act[adjoint]).reshape(nm, -1, M)  # U[j, t] = C_t u_j (or C_t^H u_j)
+        return U[self._pairs[off_diagonal, adjoint]].sum(axis=1)
+
+    def whitened_operator(self, diagonal: np.ndarray, scale) -> np.ndarray:
+        """The whitened stack of the operator with coupling scale and raw diagonal blocks.
+
+        scale times `coupling`, with the whitened diagonal blocks written
+        into its (zero) diagonal mode slots: per depth class p, one batched
+        S_p (P^T D P)_pp S_p over the modes.
+        """
+        out = np.multiply(self.coupling, scale)
+        P, S = self._whiten
+        K, n = len(S), diagonal.shape[1] // len(S)
+        nc, c = self.groups.shape
+        D = diagonal if P is None else P.T @ diagonal @ P
+        view = out.reshape(nc, K, c, n, c, n)
+        group, slot = self.place
+        for p in range(K):
+            sl = slice(p * n, (p + 1) * n)
+            view[group, p, slot, :, slot, :] = S[p] @ D[:, sl, sl] @ S[p]
+        return out
 
 
 def _medium_profiles(medium: MediumModel, space: FieldSpace) -> _CouplingTable:
-    """The coupling table of `medium` on `space`: qhat_d and the masses C_d.
+    """The coupling table (`_CouplingTable`) of `medium` on `space`.
 
     Built on first use and kept on the space for as long as the medium
     lives (keyed weakly by the medium object), so every assembly and
@@ -653,29 +743,21 @@ def _build_operator(inc, medium, space, volume, boundary, scale) -> DiscreteOper
     volume[n] - scale C_0, with i boundary[n] subtracted at both end nodes;
     off the diagonal, block (n, m) is -scale C_{n-m}.  Here C_d = int
     qhat_d(x3) l_i l_j dx3, except that C_0 integrates qhat_0 - 1 (the
-    background sits in volume).  The C_d and the mode groups come from the
-    cached coupling table (`_medium_profiles`), so a call forms only the
-    scaled couplings, the diagonal and the fill of each group's block; no
-    full matrix is built unless there is one group.
+    background sits in volume).  Everything else comes from the cached
+    coupling table (`_medium_profiles`): a coupled operator is assembled
+    straight into its whitened stack, as scale times the table's whitened
+    coupling with the whitened diagonal blocks written into its diagonal
+    slots (`_CouplingTable.whitened_operator`).  No raw coupling block is
+    formed.
     """
     table = _medium_profiles(medium, space)
     ib = 1j * boundary
-    blocks = volume - scale * table.c0
-    blocks[:, 0, 0] -= ib
-    blocks[:, -1, -1] -= ib
+    diagonal = volume - scale * table.c0
+    diagonal[:, 0, 0] -= ib
+    diagonal[:, -1, -1] -= ib
     if medium.transversely_uniform:
-        return DiscreteOperator(inc, space, blocks=blocks)
-    # -scale C_d as 0 - x, so that no entry is -0.0; blocks of vanishing
-    # couplings keep the +0.0 of np.zeros
-    coupling = np.subtract(0.0, scale * table.masses)
-    nc, c = table.groups.shape
-    M = space.M
-    G = np.zeros((nc, c, M, c, M), dtype=complex)
-    for g, r, cols, idx in table.rows:  # one mode row at a time: no (c, c, M, M) gather
-        G[g, r][:, cols] = coupling[idx].transpose(1, 0, 2)
-    group, slot = table.place
-    G[group, slot, :, slot, :] = blocks
-    return DiscreteOperator(inc, space, groups=table.groups, group_blocks=G)
+        return DiscreteOperator(inc, space, diagonal)
+    return DiscreteOperator(inc, space, diagonal, table=table, scale=scale)
 
 
 def _require_finite(inc: IncidenceSpec, name: str, value) -> None:
@@ -735,13 +817,15 @@ def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
     grid = space.grid
     k = inc.k.real
     _require_finite(inc, "k^2", k * k)  # then beta_n^2 and the scale 2ik are too
-    tt = inc.tilde_theta
-    c2 = inc.cos2_theta1
-    beta_table(inc, disc.N)  # raises CutoffViolation at grazing orders
-    dbetas = np.array([d_beta_d_eps(n, inc) for n in space.modes])
-    coef = np.array([-2j * (k * c2 - float(np.asarray(n, dtype=float) @ tt))
-                     for n in space.modes])
-    volume = coef[:, None, None] * grid.mass.astype(complex)
+    betas = beta_table(inc, disc.N).values  # raises CutoffViolation at grazing orders
+    zero = np.flatnonzero(betas == 0)
+    if zero.size:  # only at k = 0, where the grazing tolerance is 0
+        n = space.modes[zero[0]]
+        raise CutoffViolation(f"beta_{n} = 0: derivative undefined", [n])
+    # d beta_n / d eps = i (k cos^2 t1 - n.tilde_theta) / beta_n
+    shift = k * inc.cos2_theta1 - np.array(space.modes, dtype=float) @ inc.tilde_theta
+    dbetas = 1j * shift / betas
+    volume = (-2j * shift)[:, None, None] * grid.mass.astype(complex)
     return _build_operator(inc, medium, space, volume, dbetas, 2j * k)
 
 
@@ -810,12 +894,14 @@ def solve(op: DiscreteOperator, load: np.ndarray) -> FieldCoefficients:
     Raises NearSingular when the whitened relative smallest singular value
     drops below NEAR_SINGULAR_THRESHOLD (the signature of a propagative wave
     vector; route such scenarios to the kernel/limiting-absorption tools).
-    Dense operators are solved on the blocks of `_whitened_stack` (one per
-    coupling group and depth parity) through its maps, block-diagonal
-    ones on their raw mode blocks (the W^{-1/2} maps would only add work
-    there); one batched LAPACK call either way.  The residual is always
-    checked against the assembled matrix: the returned profiles satisfy
-    ||A v - load|| <= 1e-10 ||load||, after at most one refinement sweep.
+    Coupled operators are solved on their stack (`_whitened_stack`: one
+    block per coupling group and depth parity, as assembled) through its
+    maps, block-diagonal ones on their raw mode blocks (the W^{-1/2} maps
+    would only add work there); one batched LAPACK call either way.  The
+    residual is always checked against the assembled operator, by the
+    matrix-free `apply`, which keeps any parity cross parts the stack leaves
+    out: the returned profiles satisfy ||A v - load|| <= 1e-10 ||load||,
+    after at most one refinement sweep.
     """
     smin, smax = op.singularity_report()
     if smin < NEAR_SINGULAR_THRESHOLD * smax:

@@ -273,9 +273,10 @@ def constraint_residual(u: FieldCoefficients, mode_basis: list[LiftedMode],
     k-scaled variant [alpha . grad_x~ u - i k^2 q u] conj(phi)
     (form='alpha', exactly k times the former), by mass-matrix quadrature
     over the layer plus closed-form evanescent tail integrals.  The q u term
-    takes the masses C_d of the nonvanishing differences d from the coupling
-    table that assembly caches per (medium, space) (`_medium_profiles`), so
-    repeated residuals on one medium build no mass.  Modes must
+    is the coupling sum of the table that assembly caches per (medium,
+    space) (`_medium_profiles`, `_CouplingTable.couple`), which the
+    operator's `apply` also takes, so repeated residuals on one medium
+    build no mass.  Modes must
     be evanescent: propagating tail content above evanescence_tol raises
     NonEvanescentMode.  The incident-wave tail pairs only with the (absent)
     propagating mode content and is dropped.
@@ -288,10 +289,7 @@ def constraint_residual(u: FieldCoefficients, mode_basis: list[LiftedMode],
     tt = inc.tilde_theta
     al = inc.alpha_vec
     cls = classify_modes(inc, sp.disc.N)
-    table = _medium_profiles(medium, sp)
-    qu = np.zeros_like(u.values)  # (q u)_n = sum_m C_{n-m} u_m, once per d
-    for qm, (i, j) in zip(table.masses, table.pairs):
-        qu[i] += u.values[j] @ qm.T
+    qu = _medium_profiles(medium, sp).couple(u.values)  # (q u)_n = sum_m C_{n-m} u_m
     rd = rayleigh_data(u, inc)
 
     if form == "theta":

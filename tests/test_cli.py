@@ -182,6 +182,47 @@ class TestConfigErrors:
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert not any(out.iterdir())  # refused before any report is written
 
+    @pytest.mark.parametrize("raw", [
+        b"k = 1.0\n[incidence]\nh = 1.0\n",               # no section header first
+        b"[incidence]\nk = 1.0\nk = 2.0\n",               # a duplicated key
+        b"[medium]\nkind = homogeneous\n[incidence\nk = 1.0\n",  # unclosed header
+        b"\xff\xfe[\x00i\x00n\x00c\x00]\x00",              # UTF-16 bytes: not UTF-8
+    ], ids=["no_section", "duplicate_key", "unclosed_header", "not_utf8"])
+    def test_malformed_config_file(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(raw)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unreadable_medium_path(self, tmp_path, capsys, monkeypatch, where):
+        path = tmp_path / "medium.txt"
+        if where == "directory":
+            path.mkdir()
+        cfg = write_cfg(tmp_path, SLAB_SOLVE)
+        out = tmp_path / "o"
+        assemble = []
+        monkeypatch.setattr(q.cli, "assemble", lambda *a: assemble.append(a))
+        rc = main(["solve", "--config", str(cfg), "--out", str(out),
+                   "--override", "medium.kind=sampled",
+                   "--override", f"medium.path={path}"])
+        assert rc == 2 and assemble == []
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: bad medium")
+        assert not any(out.iterdir())
+
+    def test_output_path_is_a_file(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SLAB_SOLVE)
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert out.read_text() == "not a directory\n"
+
 
 class TestModesCommand:
     def test_kernel_report(self, tmp_path):

@@ -249,7 +249,7 @@ class TestParitySolve:
         disc = q.Discretization(N=2, M=16, depth_scheme=scheme)
         op = q.assemble(inc, inclusion_medium(), disc)
         load = q.rhs(inc, disc)
-        full = np.linalg.solve(op.dense, load.ravel()).reshape(load.shape)
+        full = np.linalg.solve(op.matrix, load.ravel()).reshape(load.shape)
         shapes = recorded_shapes(monkeypatch, "solve")
         v = q.solve(op, load).values
         half = disc.unknowns // 2
@@ -263,7 +263,7 @@ class TestParitySolve:
         disc = q.Discretization(N=2, M=M)
         op = q.assemble(inc, medium(), disc)
         load = q.rhs(inc, disc)
-        full = np.linalg.solve(op.dense, load.ravel()).reshape(load.shape)
+        full = np.linalg.solve(op.matrix, load.ravel()).reshape(load.shape)
         shapes = recorded_shapes(monkeypatch, "solve")
         v = q.solve(op, load).values
         assert shapes == [(1, disc.unknowns, disc.unknowns)]  # no refinement
@@ -405,8 +405,9 @@ class TestWhitenedBlocks:
         nm, M, h = len(sp.modes), sp.M, sp.M // 2
         groups = op.groups
         assert groups.shape == (comps, nm // comps)
-        halves = q.helmholtz._whitened_blocks(op, sp.parity)
-        cross = q.helmholtz._parity_cross(op)
+        halves = q.helmholtz._whitened_blocks(sp, groups, op._row, sp.parity)
+        G = op.matrix.reshape(nm, M, nm, M)
+        cross = np.linalg.norm(G - G[:, ::-1, :, ::-1]) ** 2 / 4  # ||G - R G R||^2 / 4
         P = sp.parity[0]
         Q = q.helmholtz._block_diag(np.broadcast_to(P, (nm, M, M)))
         raw = (Q.T @ op.matrix @ Q).reshape(nm, 2, h, nm, 2, h)
@@ -423,18 +424,18 @@ class TestWhitenedBlocks:
         (inclusion_medium, True),  # mirror-symmetric: the halves only
     ])
     def test_only_the_chosen_layout_is_built(self, monkeypatch, medium, parity):
-        op = sampled_operator(medium)
         calls, builder = [], q.helmholtz._whitened_blocks
 
-        def recording(op, parity):
+        def recording(space, groups, row, parity):
             calls.append(parity)
-            return builder(op, parity)
+            return builder(space, groups, row, parity)
 
         monkeypatch.setattr(q.helmholtz, "_whitened_blocks", recording)
-        blocks = q.helmholtz._whitened_stack(op)[0]
+        op = sampled_operator(medium)  # a fresh space: builds the coupling table
+        table = op.table
         assert [p is not None for p in calls] == [parity]
-        want = builder(op, op.space.parity if parity else None)
-        assert np.array_equal(blocks, want)
+        want = builder(op.space, op.groups, table.row, op.space.parity if parity else None)
+        assert np.array_equal(table.coupling, want)
 
     @pytest.mark.parametrize("build, shape", [
         (slab_operator, (25, 16, 16)),
@@ -462,6 +463,25 @@ class TestWhitenedBlocks:
 
 
 class TestOperatorSizeGuard:
+    @pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "block_diagonal"])
+    def test_guard_counts_the_stored_arrays(self, monkeypatch, coupled):
+        # coupled: the cached whitened coupling plus one stack, each at most
+        # 16 unknowns^2 bytes; block-diagonal: (2N+1)^2 blocks of 16 M^2 bytes
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        disc = q.Discretization(N=1, M=8)
+        med = inclusion_medium() if coupled else q.MediumModel.homogeneous(2.0, 1.0)
+        need = 2 * 16 * 72 ** 2 if coupled else 16 * 9 * 8 ** 2
+        for have, fits in ((need - 1, False), (need, True)):
+            monkeypatch.setattr(q.helmholtz.os, "sysconf", lambda name, have=have:
+                                1 if name == "SC_PAGE_SIZE" else have)
+            if fits:
+                op = q.assemble(inc, med, disc)
+                assert op.block_diagonal != coupled
+            else:
+                with pytest.raises(q.OperatorTooLarge,
+                                   match=f"needs {need / 2**30:.4g} GiB"):
+                    q.assemble(inc, med, disc)
+
     def test_terabyte_dense_operator_fails_before_allocating(self):
         # 81^2 modes x 64 nodes: a dense operator of about 2.8 TB; the 4 x 4
         # grid would also alias at N = 40, so only the guard can raise first
@@ -831,21 +851,29 @@ def sampled_stack_medium(h=1.0):
     return q.MediumModel.sampled(sampled_stack(), h)
 
 
-def filled_matrix(inc, medium, space):
-    """The operator filled here mode pair by mode pair from the table masses."""
+def filled_matrix(inc, medium, space, derivative=False):
+    """The operator, or its eps-derivative, filled here mode pair by mode pair
+    from the table masses."""
     table = q.helmholtz._medium_profiles(medium, space)
-    grid, M, k2 = space.grid, space.M, inc.k * inc.k
+    grid, M = space.grid, space.M
+    scale = 2j * inc.k.real if derivative else inc.k * inc.k
     nm = len(space.modes)
     G = np.zeros((nm, M, nm, M), dtype=complex)
     for i, n in enumerate(space.modes):
-        b = q.beta(n, inc)
-        G[i, :, i] = grid.stiffness - b * b * grid.mass - k2 * table.c0
+        if derivative:
+            b = q.d_beta_d_eps(n, inc)
+            shift = inc.k.real * inc.cos2_theta1 - float(np.dot(n, inc.tilde_theta))
+            volume = -2j * shift * grid.mass
+        else:
+            b = q.beta(n, inc)
+            volume = grid.stiffness - b * b * grid.mass
+        G[i, :, i] = volume - scale * table.c0
         G[i, 0, i, 0] -= 1j * b
         G[i, -1, i, -1] -= 1j * b
         for j, m in enumerate(space.modes):
             d = (n[0] - m[0], n[1] - m[1])
             if i != j and d in table.diffs:
-                G[i, :, j] = 0.0 - k2 * table.masses[table.diffs.index(d)]
+                G[i, :, j] = 0.0 - scale * table.masses[table.diffs.index(d)]
     return G.reshape(space.size, -1)
 
 
@@ -891,10 +919,8 @@ class TestGroupStorage:
         op = q.assemble(inc, med, disc)
         nm = len(op.space.modes)
         assert len(op.groups) == groups
-        assert (op.dense is None) == (groups > 1)
-        if op.dense is not None:
-            assert np.shares_memory(op.dense, op.group_blocks)
-        assert op.group_blocks.shape == (groups, nm // groups, M, nm // groups, M)
+        assert op.dense is None and op.blocks is None
+        assert op.groups.shape == (groups, nm // groups)
         got, want = op.matrix, filled_matrix(inc, med, op.space)
         off = ~np.eye(nm, dtype=bool)
         assert np.array_equal(got.reshape(nm, M, nm, M).swapaxes(1, 2)[off],
@@ -935,7 +961,112 @@ class TestGroupStorage:
             ops = [q.assemble(inc, med, disc), q.assemble_eps_derivative(inc, med, disc)]
         full = disc.unknowns ** 2
         assert shapes and max(np.prod(s) for s in shapes) < full
-        assert all(op.dense is None and op.group_blocks.size < full for op in ops)
+        assert all(op.dense is None and q.helmholtz._whitened_stack(op)[0].size < full
+                   for op in ops)
+
+
+STACK_CASES = GROUP_CASES + [(coupled_medium, 2, 16, 1)]
+STACK_IDS = GROUP_IDS + ["coupled"]
+#: A at real and complex k, and A'(0), which is defined at real k only
+OPERATOR_KINDS = [(1.3, False), (1.3 + 0.05j, False), (1.3, True)]
+OPERATOR_KIND_IDS = ["A", "A_complex_k", "dA"]
+
+
+def reference_rows(G, groups, M):
+    """row(r) of `_whitened_blocks` read from a full (mode, node) matrix G."""
+    nm = len(groups.ravel())
+    G4 = G.reshape(nm, M, nm, M)
+    return lambda r: np.stack([G4[g[r]][:, g] for g in groups])
+
+
+class TestCoupledStack:
+    """Coupled operators assembled straight into their whitened stack."""
+
+    @pytest.mark.parametrize("k, derivative", OPERATOR_KINDS, ids=OPERATOR_KIND_IDS)
+    @pytest.mark.parametrize("medium, N, M, groups", STACK_CASES, ids=STACK_IDS)
+    def test_stack_is_the_whitened_reference(self, medium, N, M, groups, k, derivative):
+        med, disc = medium(), q.Discretization(N=N, M=M)
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0).with_k(k)
+        build = q.assemble_eps_derivative if derivative else q.assemble
+        op = build(inc, med, disc)
+        table = op.table
+        G = filled_matrix(inc, med, op.space, derivative)
+        want = q.helmholtz._whitened_blocks(op.space, table.groups,
+                                            reference_rows(G, table.groups, M), table.parity)
+        got = q.helmholtz._whitened_stack(op)[0]
+        assert got.shape == want.shape
+        assert relative_error(got, want) <= 1e-13
+
+    @pytest.mark.parametrize("k, derivative", OPERATOR_KINDS, ids=OPERATOR_KIND_IDS)
+    @pytest.mark.parametrize("medium, N, M, groups", STACK_CASES, ids=STACK_IDS)
+    def test_parity_decision_is_the_matrix_test(self, medium, N, M, groups, k, derivative):
+        # the table decides once from k-independent pieces; the decision on
+        # the filled operator, ||G - R G R||^2 / 4 <= tol^2 ||G||^2, agrees
+        med, disc = medium(), q.Discretization(N=N, M=M)
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0).with_k(k)
+        space = q.FieldSpace(disc, 1.0)
+        nm = len(space.modes)
+        G = filled_matrix(inc, med, space, derivative).reshape(nm, M, nm, M)
+        cross = np.linalg.norm(G - G[:, ::-1, :, ::-1]) ** 2 / 4
+        split = M % 2 == 0 and cross <= q.helmholtz._SPLIT_TOL ** 2 * np.linalg.norm(G) ** 2
+        table = q.helmholtz._medium_profiles(med, space)
+        assert (table.parity is not None) == split
+
+    @pytest.mark.parametrize("k, derivative", OPERATOR_KINDS, ids=OPERATOR_KIND_IDS)
+    @pytest.mark.parametrize("medium, N, M, groups", STACK_CASES, ids=STACK_IDS)
+    def test_matrix_free_actions_match_the_matrix(self, medium, N, M, groups, k,
+                                                  derivative):
+        med, disc = medium(), q.Discretization(N=N, M=M)
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0).with_k(k)
+        build = q.assemble_eps_derivative if derivative else q.assemble
+        op = build(inc, med, disc)
+        G = op.matrix
+        assert relative_error(G, filled_matrix(inc, med, op.space, derivative)) <= 1e-14
+        rng = np.random.default_rng(23)
+        shape = op.space.zeros().shape
+        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert relative_error(op.apply(u), (G @ u.ravel()).reshape(shape)) <= 1e-13
+        assert relative_error(op.apply_adjoint(u),
+                              (G.conj().T @ u.ravel()).reshape(shape)) <= 1e-13
+
+    @pytest.mark.parametrize("medium, N, M, groups", STACK_CASES, ids=STACK_IDS)
+    def test_warm_assembly_allocates_no_raw_matrix(self, monkeypatch, medium, N, M,
+                                                   groups):
+        med, disc = medium(), q.Discretization(N=N, M=M)
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        q.assemble(inc, med, disc)  # builds the coupling table
+        calls, shapes, products = [], [], []
+        zeros, empty, multiply = np.zeros, np.empty, np.multiply
+
+        def recording(fn):
+            def wrapped(shape, *args, **kwargs):
+                shapes.append(shape)
+                return fn(shape, *args, **kwargs)
+            return wrapped
+
+        def recording_multiply(*args, **kwargs):
+            out = multiply(*args, **kwargs)
+            products.append(np.shape(out))
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(q.helmholtz, "_whitened_blocks", lambda *a: calls.append(a))
+            m.setattr(np, "zeros", recording(zeros))
+            m.setattr(np, "empty", recording(empty))
+            m.setattr(np, "multiply", recording_multiply)
+            ops = [q.assemble(inc.with_k(1.4), med, disc),
+                   q.assemble(inc.with_k(1.3 + 0.05j), med, disc),
+                   q.assemble_eps_derivative(inc, med, disc)]
+        assert calls == []
+        full = disc.unknowns ** 2
+        assert all(np.prod(s) < full for s in shapes)
+        # the one product of unknowns-size is the stack itself, scale times the
+        # table's whitened coupling; it holds unknowns^2 entries only when the
+        # layout does not split (one group at K = 1)
+        stack = q.helmholtz._whitened_stack(ops[0])[0]
+        assert products == [stack.shape] * 3
+        assert (stack.size < full) == (len(ops[0].groups) > 1 or ops[0].table.parity is not None)
+        assert all(op.dense is None and op.table is ops[0].table for op in ops)
 
 
 class TestCouplingGroups:
