@@ -590,10 +590,11 @@ class _CouplingTable:
     `diffs` lists, in that order, the d whose profile is not identically
     zero, and `masses` stacks their C_d = int qhat_d l_i l_j, (len(diffs),
     M, M); `c0` is C_0 of qhat_0 - 1, the diagonal coupling (the background
-    sits in the volume term).  `index` (modes, modes) gives, for each mode
-    pair (n, m), the index into diffs of n - m, or len(diffs) when its
-    profile vanishes; `off` is `index` with every diagonal pair set to
-    len(diffs).  `couple` sums C_{n-m} u_m over the live pairs of either.
+    sits in the volume term).  `off` (modes, modes) gives, for each mode
+    pair (n, m) with n != m, the index into diffs of n - m, or len(diffs)
+    when its profile vanishes (and on the diagonal).  `couple` sums
+    C_{n-m} u_m over the pairs whose profile lives, with or without the
+    diagonal.
 
     For a transversely varying medium the table also fixes, once, the
     layout of its operators (see `_whitened_stack`) and holds their
@@ -633,8 +634,8 @@ class _CouplingTable:
         index = np.full((4 * N + 1, 4 * N + 1), T)
         for t, (d1, d2) in enumerate(self.diffs):
             index[d1 + 2 * N, d2 + 2 * N] = t
-        self.index = index[d[..., 0], d[..., 1]]
-        self.off = self.index.copy()
+        index = index[d[..., 0], d[..., 1]]
+        self.off = index.copy()
         np.fill_diagonal(self.off, T)
         # C_t u_j (or C_t^H u_j) of every live t at once, as one product
         # u @ _act: column block t of _act is C_t^T (or conj(C_t)), and a
@@ -643,7 +644,7 @@ class _CouplingTable:
         self._act = (masses.transpose(2, 0, 1).reshape(M, -1),
                      masses.conj().transpose(1, 0, 2).reshape(M, -1))
         self._pairs = {}  # (off_diagonal, adjoint) -> the pairs `couple` gathers
-        for off, pairs in ((False, self.index), (True, self.off)):
+        for off, pairs in ((False, index), (True, self.off)):
             self._pairs[off, False] = _live_pairs(pairs, T)
             self._pairs[off, True] = _live_pairs(pairs.T, T)
         if uniform:
