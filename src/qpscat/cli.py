@@ -294,6 +294,7 @@ def run(cfg: RunConfig) -> int:
 
         elif cfg.command == "lap":
             basis = kernel(op, cfg.svd_threshold())
+            del op  # the constrained solves assemble A(0) with A'(0) again
             scn = LapScenario(inc=inc, medium=medium, disc=disc, kernel=basis,
                               eps_schedule=cfg.eps_schedule())
             result = eps_sweep(scn)

@@ -323,28 +323,26 @@ class FieldSpace:
 class DiscreteOperator:
     """Assembled bilinear-form matrix of the layer problem at one wavenumber.
 
-    `diagonal` (modes, M, M) holds the diagonal mode blocks, in the order
-    of space.modes.  For a transversely uniform medium that is the whole
-    operator: `blocks` is `diagonal` and the operator is block-diagonal.
-    Otherwise the operator is coupled: off the diagonal, block (n, m) is
-    -scale C_{n-m}, with the masses C_d of the medium's coupling table
-    `table` (`_CouplingTable`), and `blocks` is None.  A coupled operator
-    *is* its whitened stack (`_whitened_stack`): `_build_operator`
-    assembles it straight from the table's whitened coupling, in the
-    table's layout, and `groups` are the table's mode groups.  A
-    block-diagonal operator has one group per mode and builds its stack on
-    first use.  No full matrix is stored: `dense` is always None, and
-    `matrix` (row (mode index) * M + (depth index)) and the dense
-    `whitened()` of a coupled operator are built on request, for checks.
-    `apply` and `apply_adjoint` are matrix-free: the diagonal blocks plus
-    one coupling sum over the table's masses.  Everything that depends only
-    on the layout and the weighted product lives on `space`.  The operator
-    caches its whitened matrix, its whitened singular values and its stack
-    with the maps onto it, which the screen, the dense solves, the kernel
-    and the constrained solve read.
+    `diagonal` (modes, M, M) holds the raw diagonal mode blocks, in the
+    order of space.modes.  For a transversely uniform medium that is the
+    whole operator: `blocks` is `diagonal` and the operator is
+    block-diagonal.  Otherwise the operator is coupled: off the diagonal,
+    block (n, m) is -scale C_{n-m}, with the masses C_d of the medium's
+    coupling table `table` (`_CouplingTable`), and `blocks` is None.
+    Every operator is assembled as its whitened stack as well
+    (`_whitened_stack`), in the layout its table decided, and `groups` are
+    the table's mode groups (one per mode for a block-diagonal operator).
+    No full matrix is stored: `dense` is always None, and `matrix` (row
+    (mode index) * M + (depth index)) and `whitened()` are built on
+    request, for checks.  `apply` and `apply_adjoint` are matrix-free: the
+    diagonal blocks plus, when coupled, one coupling sum over the table's
+    masses.  Everything that depends only on the layout and the weighted
+    product lives on `space`.  The operator caches its whitened matrix and
+    its whitened singular values; the screen, the solves, the kernel and
+    the constrained solve read its stack.
     """
 
-    def __init__(self, inc, space, diagonal, table=None, scale=0.0):
+    def __init__(self, inc, space, diagonal, table, scale, stack):
         self.inc = inc
         self.space = space
         self.diagonal = diagonal
@@ -353,72 +351,61 @@ class DiscreteOperator:
         self.dense = None
         self._whitened = None
         self._svals = None
-        self._stack = None
-        if table is None:
-            self.blocks = diagonal
-            self.groups = np.arange(len(space.modes))[:, None]
-        else:
-            self.blocks = None
-            self.groups = table.groups
-            self._stack = (table.whitened_operator(diagonal, scale), *table.maps)
+        self._stack = (stack, *table.maps)
+        self.groups = table.groups
+        self.blocks = diagonal if table.coupling is None else None
 
     @property
     def block_diagonal(self) -> bool:
         return self.blocks is not None
 
     def _row(self, r: int) -> np.ndarray:
-        """Raw row slot r of every coupling group, (nc, M, c, M); see `_whitened_blocks`."""
+        """Raw row slot r of every mode group, (nc, M, c, M); see `_whitened_blocks`."""
         t = self.scale * self.table.row(r)
         t[:, :, r] = self.diagonal[self.groups[:, r]]
         return t
 
     @property
     def matrix(self) -> np.ndarray:
-        if self.block_diagonal:
-            return _block_diag(self.blocks)
         rows = [self._row(r) for r in range(self.groups.shape[1])]
         return _scatter(self.groups, np.stack(rows, axis=1))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Matrix action on a field of shape (n_modes, M)."""
         out = (self.diagonal @ u[..., None])[..., 0]
-        if self.table is not None:
+        if not self.block_diagonal:
             out -= self.scale * self.table.couple(u, off_diagonal=True)
         return out
 
     def apply_adjoint(self, u: np.ndarray) -> np.ndarray:
         """Action of the conjugate transpose, as (u^H G)^H: no copy of any block."""
         out = (u.conj()[:, None, :] @ self.diagonal)[:, 0].conj()
-        if self.table is not None:
+        if not self.block_diagonal:
             out -= np.conj(self.scale) * self.table.couple(u, off_diagonal=True,
                                                            adjoint=True)
         return out
 
     def whitened(self) -> np.ndarray:
-        """W^{-1/2} G W^{-1/2}: stacked (modes, M, M) blocks, or a dense matrix."""
+        """W^{-1/2} G W^{-1/2} as a dense matrix, built on request and cached.
+
+        The stack is the whole whitened operator unless it leaves out parity
+        cross parts; then the raw rows are whitened again, without parity.
+        """
         if self._whitened is None:
             sp = self.space
-            if self.block_diagonal:
-                # about half the time of `_whitened_blocks`; faster than a batched product
-                Gt = np.empty_like(self.blocks)
-                for i, (S, B) in enumerate(zip(sp.W_isqrt, self.blocks)):
-                    np.matmul(S @ B, S, out=Gt[i])
-                self._whitened = Gt
-            else:
-                # the stack is the whole whitened operator unless it leaves
-                # out parity cross parts; then whiten the raw rows again
-                nc, c = self.groups.shape
-                Gt = self._stack[0] if self.table.parity is None else \
-                    _whitened_blocks(sp, self.groups, self._row, None)
-                self._whitened = _scatter(self.groups, Gt.reshape(nc, c, sp.M, c, sp.M))
+            nc, c = self.groups.shape
+            Gt = self._stack[0] if self.table.parity is None else \
+                _whitened_blocks(sp, self.groups, self._row, None)
+            self._whitened = _scatter(self.groups, Gt.reshape(nc, c, sp.M, c, sp.M))
         return self._whitened
 
     def whitened_singular_values(self) -> np.ndarray:
         """All singular values of W^{-1/2} G W^{-1/2}, descending, cached.
 
-        Taken from the blocks of `_whitened_stack`: one SVD per mode block of
-        a block-diagonal operator, one batched SVD of the stack of a dense
-        one (one block per coupling group and depth parity).
+        Taken from the blocks of `_whitened_stack`: one SVD per stack block
+        of a block-diagonal operator (one per mode and depth parity), one
+        batched SVD of the stack of a coupled one (one block per coupling
+        group and depth parity).
         """
         if self._svals is None:
             blocks = _whitened_stack(self)[0]
@@ -436,7 +423,7 @@ class DiscreteOperator:
 
 
 def _whitened_blocks(space: FieldSpace, groups: np.ndarray, row, parity):
-    """The whitened diagonal blocks of a coupled operator over its mode groups.
+    """The whitened diagonal blocks of a (mode, node) matrix over mode groups.
 
     `groups` (nc, c) lists the modes of each group, and row(r) gives the raw
     row slot r of every group, (nc, M, c, M): block (n, m) of the operator
@@ -493,23 +480,20 @@ def _stack_maps(space: FieldSpace, groups: np.ndarray, parity):
 def _whitened_stack(op: DiscreteOperator):
     """The whitened diagonal blocks of an operator, with the maps onto them.
 
-    Returns (blocks, to, back), cached on the operator: `blocks` of shape
+    Returns (blocks, to, back), formed at assembly: `blocks` of shape
     (B, n, n) and two maps such that G v = b reads blocks z = to(b) (one
     right-hand side per block, shape (B, n)) with v = back(z) (a field).
     `to` and `back` are one real linear map and its transpose, so a row r
     acting on v acts on z as to(r).  The layout is the operator's mode
-    groups (nc, c) times K depth classes, block g K + p.  A block-diagonal
-    operator has one group per mode and K = 1, and builds its stack here
-    on first use.  A coupled operator was assembled as its stack, in the
-    layout its coupling table decided once (`_CouplingTable`): its coupling
-    groups, between which it is exactly zero, and the parity halves (K = 2)
-    when the medium is mirror-symmetric in depth, otherwise (or with odd M)
-    each group's full whitened block (K = 1).  For every layout to(b) is
-    b @ P (parity only), then S per class and mode, then a gather of each
+    groups (nc, c) times K depth classes, block g K + p, decided once per
+    (medium, space) by the coupling table (`_CouplingTable`): the coupling
+    groups, between which the operator is exactly zero (single modes for a
+    transversely uniform medium), and the parity halves (K = 2) when the
+    medium is mirror-symmetric in depth, otherwise (or with odd M) each
+    group's full whitened block (K = 1).  For every layout to(b) is b @ P
+    (parity only), then S per class and mode, then a gather of each
     group's modes; back(z) is its transpose.
     """
-    if op._stack is None:
-        op._stack = (op.whitened(), *_stack_maps(op.space, op.groups, None))
     return op._stack
 
 
@@ -535,19 +519,22 @@ def _block_diag(blocks: np.ndarray) -> np.ndarray:
 
 
 def _check_operator_bytes(medium: MediumModel, disc: Discretization) -> None:
-    """Raise OperatorTooLarge if the operator cannot fit in physical memory.
+    """Raise OperatorTooLarge if the operators cannot fit in physical memory.
 
-    A coupled medium holds its cached whitened coupling (`_CouplingTable`)
-    and one whitened stack per live operator, each at most unknowns^2
-    complex entries (one group at K = 1: the layout is not known yet), so
-    2 unknowns^2 entries are counted; a block-diagonal operator takes
-    (2N+1)^2 blocks of M^2.  Checked before anything is allocated, the
-    coupling table included.
+    Counts the peak of a run that holds two operators at once (A and A'
+    in a constrained solve), each with its raw diagonal blocks, (2N+1)^2
+    blocks of M^2 complex entries, and its whitened stack, at its largest
+    when K = 1 (the layout is not known yet): as many entries as the
+    diagonal blocks for a block-diagonal operator, at most unknowns^2 for
+    a coupled one.  The coupling table adds its whitened pieces, four per
+    diagonal block, and for a coupled medium its whitened coupling, the
+    size of a stack.  Checked before anything is allocated, the coupling
+    table included.
     """
-    if medium.transversely_uniform:
-        need = 16 * (2 * disc.N + 1) ** 2 * disc.M ** 2
-    else:
-        need = 2 * 16 * disc.unknowns ** 2
+    blocks = (2 * disc.N + 1) ** 2 * disc.M ** 2
+    stack = blocks if medium.transversely_uniform else disc.unknowns ** 2
+    coupling = 0 if medium.transversely_uniform else stack
+    need = 16 * (4 * blocks + coupling + 2 * (blocks + stack))
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf: no guard
@@ -590,21 +577,21 @@ class _CouplingTable:
     `diffs` lists, in that order, the d whose profile is not identically
     zero, and `masses` stacks their C_d = int qhat_d l_i l_j, (len(diffs),
     M, M); `c0` is C_0 of qhat_0 - 1, the diagonal coupling (the background
-    sits in the volume term).  `off` (modes, modes) gives, for each mode
-    pair (n, m) with n != m, the index into diffs of n - m, or len(diffs)
-    when its profile vanishes (and on the diagonal).  `couple` sums
-    C_{n-m} u_m over the pairs whose profile lives, with or without the
-    diagonal.
+    sits in the stiffness and mass terms).  `off` (modes, modes) gives, for
+    each mode pair (n, m) with n != m, the index into diffs of n - m, or
+    len(diffs) when its profile vanishes (and on the diagonal).  `couple`
+    sums C_{n-m} u_m over the pairs whose profile lives, with or without
+    the diagonal.
 
-    For a transversely varying medium the table also fixes, once, the
-    layout of its operators (see `_whitened_stack`) and holds their
-    coupling in it:
+    The table also fixes, once, the layout of the medium's operators (see
+    `_whitened_stack`) and holds their k-independent whitened pieces in it:
     - `groups` (nc, c) are the mode groups: the connected components of
       the graph that links modes n and m when n - m or m - n is in `diffs`,
       rows ordered by their first mode, modes ascending, when there are
       several components, all of one size; otherwise one group of every
-      mode.  No coupling runs between groups, so the split is exact.
-      `place` gives each mode's (group, slot).
+      mode.  No coupling runs between groups, so the split is exact.  A
+      transversely uniform medium has no live off-diagonal difference, so
+      its groups are single modes.  `place` gives each mode's (group, slot).
     - `parity` is space.parity when every k-independent piece of the
       operator is mirror-symmetric in depth to _SPLIT_TOL in Frobenius norm
       (`_mirror_symmetric`): the masses C_d, d != 0, each weighted by its
@@ -612,11 +599,15 @@ class _CouplingTable:
       stiffness; the mass.  The whitened operator at any k is then
       orthogonally similar to the direct sum of its parity halves up to
       that remainder.  Otherwise, and for odd M, it is None.
-    - `coupling` is the whitened stack of the unit-scale coupling: block
-      (n, m) is -C_{n-m} off the diagonal and zero in the diagonal mode
-      slots.  It is built one raw row slot at a time by `_whitened_blocks`,
-      so no full raw matrix is allocated.  `maps` are the (to, back) maps
-      of the layout.
+    - `pieces` (modes, 4, K, M/K, M/K) are the whitened stiffness, mass, c0 and
+      pair of boundary nodes (e_0 e_0^T + e_{M-1} e_{M-1}^T) of each mode,
+      each as its K diagonal blocks in the layout; `stack` combines them.
+    - `coupling` is the whitened stack of the unit-scale coupling of a
+      transversely varying medium: block (n, m) is -C_{n-m} off the
+      diagonal and zero in the diagonal mode slots.  It is built one raw
+      row slot at a time by `_whitened_blocks`, so no full raw matrix is
+      allocated.  A transversely uniform medium has none (None).
+    - `maps` are the (to, back) maps of the layout.
     """
 
     def __init__(self, medium: MediumModel, space: FieldSpace):
@@ -647,8 +638,6 @@ class _CouplingTable:
         for off, pairs in ((False, index), (True, self.off)):
             self._pairs[off, False] = _live_pairs(pairs, T)
             self._pairs[off, True] = _live_pairs(pairs.T, T)
-        if uniform:
-            return
         self._unit = -masses
         link = self.off < T
         link = link | link.T
@@ -672,8 +661,17 @@ class _CouplingTable:
                      and _mirror_symmetric(grid.stiffness[None], [1.0])
                      and _mirror_symmetric(grid.mass[None], [1.0]))
         self.parity = space.parity if symmetric else None
-        self._whiten = self.parity or (None, space.W_isqrt[None])
-        self.coupling = _whitened_blocks(space, self.groups, self.row, self.parity)
+        ends = np.zeros((M, M))
+        ends[0, 0] = ends[-1, -1] = 1.0
+        K = 1 if self.parity is None else 2
+        self.pieces = np.empty((nm, 4, K, M // K, M // K), dtype=complex)
+        single = np.arange(nm)[:, None]
+        for i, X in enumerate((grid.stiffness, grid.mass, self.c0, ends)):
+            self.pieces[:, i] = _whitened_blocks(
+                space, single, lambda r: np.broadcast_to(X, (nm, M, M))[:, :, None],
+                self.parity).reshape(nm, K, M // K, M // K)
+        self.coupling = None if uniform else \
+            _whitened_blocks(space, self.groups, self.row, self.parity)
         self.maps = _stack_maps(space, self.groups, self.parity)
 
     def row(self, r: int) -> np.ndarray:
@@ -692,23 +690,24 @@ class _CouplingTable:
         U = (u @ self._act[adjoint]).reshape(nm, -1, M)  # U[j, t] = C_t u_j (or C_t^H u_j)
         return U[self._pairs[off_diagonal, adjoint]].sum(axis=1)
 
-    def whitened_operator(self, diagonal: np.ndarray, scale) -> np.ndarray:
-        """The whitened stack of the operator with coupling scale and raw diagonal blocks.
+    def stack(self, coefficients: np.ndarray, scale) -> np.ndarray:
+        """The whitened stack of the operator with these piece coefficients.
 
-        scale times `coupling`, with the whitened diagonal blocks written
-        into its (zero) diagonal mode slots: per depth class p, one batched
-        S_p (P^T D P)_pp S_p over the modes.
+        `coefficients` (modes, 4) weigh each mode's `pieces`; their one
+        batched combination gives the whitened diagonal blocks.  A
+        block-diagonal operator's stack is those blocks; a coupled one's is
+        scale times `coupling`, with them written into its (zero) diagonal
+        mode slots.
         """
+        nm, q, K, n, _ = self.pieces.shape
+        diagonal = (coefficients[:, None, :] @ self.pieces.reshape(nm, q, -1))
+        diagonal = diagonal.reshape(nm, K, n, n)
+        if self.coupling is None:
+            return diagonal.reshape(nm * K, n, n)
         out = np.multiply(self.coupling, scale)
-        P, S = self._whiten
-        K, n = len(S), diagonal.shape[1] // len(S)
         nc, c = self.groups.shape
-        D = diagonal if P is None else P.T @ diagonal @ P
-        view = out.reshape(nc, K, c, n, c, n)
         group, slot = self.place
-        for p in range(K):
-            sl = slice(p * n, (p + 1) * n)
-            view[group, p, slot, :, slot, :] = S[p] @ D[:, sl, sl] @ S[p]
+        out.reshape(nc, K, c, n, c, n)[group, :, slot, :, slot, :] = diagonal
         return out
 
 
@@ -736,29 +735,31 @@ def _medium_profiles(medium: MediumModel, space: FieldSpace) -> _CouplingTable:
     return table
 
 
-def _build_operator(inc, medium, space, volume, boundary, scale) -> DiscreteOperator:
+def _build_operator(inc, medium, space, stiffness, mass, boundary, scale) -> DiscreteOperator:
     """Assemble the operator for both `assemble` and `assemble_eps_derivative`.
 
-    `volume` stacks one (M, M) block per mode and `boundary` one value per
-    mode, in the order of space.modes.  Mode n gets the diagonal block
-    volume[n] - scale C_0, with i boundary[n] subtracted at both end nodes;
-    off the diagonal, block (n, m) is -scale C_{n-m}.  Here C_d = int
-    qhat_d(x3) l_i l_j dx3, except that C_0 integrates qhat_0 - 1 (the
-    background sits in volume).  Everything else comes from the cached
-    coupling table (`_medium_profiles`): a coupled operator is assembled
-    straight into its whitened stack, as scale times the table's whitened
-    coupling with the whitened diagonal blocks written into its diagonal
-    slots (`_CouplingTable.whitened_operator`).  No raw coupling block is
+    The two differ only in the coefficients of the k-independent pieces:
+    the stiffness weight `stiffness`, one mass coefficient `mass` and one
+    boundary value `boundary` per mode, in the order of space.modes, and
+    the coupling scale `scale`.  Mode n gets the raw diagonal block
+    stiffness K - mass[n] Mass - scale C_0, with i boundary[n] subtracted
+    at both end nodes; off the diagonal, block (n, m) is -scale C_{n-m}.
+    Here C_d = int qhat_d(x3) l_i l_j dx3, except that C_0 integrates
+    qhat_0 - 1 (the background sits in the stiffness and mass terms).  The
+    same coefficients weigh the whitened pieces of the cached coupling
+    table (`_medium_profiles`, `_CouplingTable.stack`), so every operator
+    is assembled as its whitened stack too.  No raw coupling block is
     formed.
     """
     table = _medium_profiles(medium, space)
+    grid = space.grid
     ib = 1j * boundary
-    diagonal = volume - scale * table.c0
+    diagonal = stiffness * grid.stiffness - mass[:, None, None] * grid.mass - scale * table.c0
     diagonal[:, 0, 0] -= ib
     diagonal[:, -1, -1] -= ib
-    if medium.transversely_uniform:
-        return DiscreteOperator(inc, space, diagonal)
-    return DiscreteOperator(inc, space, diagonal, table=table, scale=scale)
+    coefficients = np.stack(np.broadcast_arrays(stiffness, -mass, -scale, -ib), axis=1)
+    return DiscreteOperator(inc, space, diagonal, table, scale,
+                            table.stack(coefficients, scale))
 
 
 def _require_finite(inc: IncidenceSpec, name: str, value) -> None:
@@ -785,7 +786,6 @@ def assemble(inc: IncidenceSpec, medium: MediumModel, disc: Discretization,
     _check_operator_bytes(medium, disc)
     if space is None:
         space = disc.space(inc.h)
-    grid = space.grid
     k = inc.k
     k2 = k * k
     _require_finite(inc, "k^2", k2)  # also the coupling scale
@@ -796,8 +796,7 @@ def assemble(inc: IncidenceSpec, medium: MediumModel, disc: Discretization,
     # beta_n^2 by Python's complex product: numpy's may fuse and round differently
     b2 = np.array([b * b for b in betas.tolist()])
     _require_finite(inc, "beta_n^2", b2)
-    volume = grid.stiffness.astype(complex) - b2[:, None, None] * grid.mass
-    return _build_operator(inc, medium, space, volume, betas, k2)
+    return _build_operator(inc, medium, space, 1.0, b2, betas, k2)
 
 
 def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
@@ -815,7 +814,6 @@ def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
     _check_operator_bytes(medium, disc)
     if space is None:
         space = disc.space(inc.h)
-    grid = space.grid
     k = inc.k.real
     _require_finite(inc, "k^2", k * k)  # then beta_n^2 and the scale 2ik are too
     betas = beta_table(inc, disc.N).values  # raises CutoffViolation at grazing orders
@@ -826,8 +824,7 @@ def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
     # d beta_n / d eps = i (k cos^2 t1 - n.tilde_theta) / beta_n
     shift = k * inc.cos2_theta1 - np.array(space.modes, dtype=float) @ inc.tilde_theta
     dbetas = 1j * shift / betas
-    volume = (-2j * shift)[:, None, None] * grid.mass.astype(complex)
-    return _build_operator(inc, medium, space, volume, dbetas, 2j * k)
+    return _build_operator(inc, medium, space, 0.0, 2j * shift, dbetas, 2j * k)
 
 
 def rhs(inc: IncidenceSpec, disc: Discretization,
@@ -895,10 +892,11 @@ def solve(op: DiscreteOperator, load: np.ndarray) -> FieldCoefficients:
     Raises NearSingular when the whitened relative smallest singular value
     drops below NEAR_SINGULAR_THRESHOLD (the signature of a propagative wave
     vector; route such scenarios to the kernel/limiting-absorption tools).
-    Coupled operators are solved on their stack (`_whitened_stack`: one
-    block per coupling group and depth parity, as assembled) through its
-    maps, block-diagonal ones on their raw mode blocks (the W^{-1/2} maps
-    would only add work there); one batched LAPACK call either way.  The
+    The screen reads the stack every operator carries from assembly
+    (`_whitened_stack`: one block per mode group and depth class).
+    Coupled operators are solved on that stack through its maps,
+    block-diagonal ones on their raw mode blocks (the W^{-1/2} maps would
+    only add work there); one batched LAPACK call either way.  The
     residual is always checked against the assembled operator, by the
     matrix-free `apply`, which keeps any parity cross parts the stack leaves
     out: the returned profiles satisfy ||A v - load|| <= 1e-10 ||load||,

@@ -116,8 +116,8 @@ def constrained_solve(scn: LapScenario, load: np.ndarray | None = None,
     """Solve  A v = f  subject to  v_l^H A'(0) v = v_l^H f'(0)  per kernel vector.
 
     The system is solved on the whitened diagonal blocks of A
-    (`helmholtz._whitened_stack`: one per coupling group and depth
-    parity of a dense A, one per mode of a block-diagonal one).  A block
+    (`helmholtz._whitened_stack`: one per mode group and depth parity,
+    as A was assembled).  A block
     holds a constraint when its part of some mapped constraint row exceeds
     _SPLIT_TOL of that row's norm: on a split operator, the blocks of the
     kernel vectors.  The blocks that hold none are regular and get one

@@ -70,10 +70,10 @@ def kernel(op: DiscreteOperator, svd_threshold: float = DEFAULT_SVD_THRESHOLD) -
     Singular vectors of the whitened matrix with sigma < svd_threshold *
     sigma_max span the kernel; an empty basis means the quasi-momentum is
     (numerically) not a propagative wave vector.  The whitened matrix is
-    taken as its diagonal blocks (`helmholtz._whitened_stack`: the mode
-    blocks of a block-diagonal operator; one block per coupling group
-    and depth parity of a dense one, so 98 blocks of 8 for a transversely
-    constant medium at N = 3, M = 16), all decomposed in one batched SVD, so
+    taken as the stack the operator was assembled as
+    (`helmholtz._whitened_stack`: one block per mode group and depth
+    parity, so 98 blocks of 8 for a transversely constant medium at N = 3,
+    M = 16, sampled or homogeneous), all decomposed in one batched SVD, so
     every kernel vector lives in one block.  Each vector is
     fixed up to its unit phase by `_canonical_phase`, so the reports do not
     depend on the phase LAPACK picks.  Raises ThresholdAmbiguity if any

@@ -1,11 +1,13 @@
 """Batch front-end: config parsing, command dispatch, reports, exit codes."""
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 import qpscat as q
 from qpscat.cli import load_config, main, run
+from test_reports_golden import run_case
 
 K_EX = float(np.pi / (2 * np.sqrt(2)))
 ALPHA_EX = float(1 - np.pi * np.sqrt(3) / 4)
@@ -238,6 +240,19 @@ class TestModesCommand:
 
 
 class TestLapCommand:
+    def test_run_holds_at_most_two_operators(self, tmp_path, monkeypatch):
+        # A(0) and A'(0) of a constrained solve; the kernel's A(0) is not kept
+        live, peak, init = [], [0], q.DiscreteOperator.__init__
+
+        def tracking(op, *args, **kwargs):
+            init(op, *args, **kwargs)
+            live.append(weakref.ref(op))
+            peak[0] = max(peak[0], sum(r() is not None for r in live))
+
+        monkeypatch.setattr(q.DiscreteOperator, "__init__", tracking)
+        run_case("lap_guided_sampled", tmp_path)
+        assert peak == [2]
+
     def test_sweep_and_report(self, tmp_path):
         cfg = write_cfg(tmp_path, LAP_CONFIG)
         out = tmp_path / "out"

@@ -354,7 +354,9 @@ class TestCouplingComponents:
         want = _canonical_phase(op.space.unwhiten(np.conj(Vh[-1]).reshape(len(op.space.modes), M)))
         v = basis.vectors[0]
         assert np.linalg.norm((v - want).ravel()) <= 1e-10 * np.linalg.norm(want.ravel())
-        assert basis.singular_values[0] == pytest.approx(s[-1], abs=1e-15 * s[0])
+        # both are round-off, a few 1e-15 of s[0]: the stack and the full
+        # whitened matrix are rounded apart
+        assert basis.singular_values[0] == pytest.approx(s[-1], abs=1e-14 * s[0])
 
 
 def slab_operator(N=2, M=16):
@@ -389,10 +391,7 @@ class TestWhitenedBlocks:
         op = build()
         S = q.helmholtz._block_diag(op.space.W_isqrt)
         want = S @ op.matrix @ S
-        got = op.whitened()
-        if op.block_diagonal:
-            got = q.helmholtz._block_diag(got)
-        assert relative_error(got, want) <= 1e-13
+        assert relative_error(op.whitened(), want) <= 1e-13
 
     @pytest.mark.parametrize("medium, comps", [
         (inclusion_medium, 1),   # one group of all modes
@@ -433,7 +432,8 @@ class TestWhitenedBlocks:
         monkeypatch.setattr(q.helmholtz, "_whitened_blocks", recording)
         op = sampled_operator(medium)  # a fresh space: builds the coupling table
         table = op.table
-        assert [p is not None for p in calls] == [parity]
+        # the four whitened pieces of the diagonal blocks, then the coupling
+        assert [p is not None for p in calls] == [parity] * 5
         want = builder(op.space, op.groups, table.row, op.space.parity if parity else None)
         assert np.array_equal(table.coupling, want)
 
@@ -465,12 +465,15 @@ class TestWhitenedBlocks:
 class TestOperatorSizeGuard:
     @pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "block_diagonal"])
     def test_guard_counts_the_stored_arrays(self, monkeypatch, coupled):
-        # coupled: the cached whitened coupling plus one stack, each at most
-        # 16 unknowns^2 bytes; block-diagonal: (2N+1)^2 blocks of 16 M^2 bytes
+        # two live operators, each its raw diagonal blocks ((2N+1)^2 blocks of
+        # 16 M^2 bytes) and its stack at K = 1 (16 unknowns^2 bytes when
+        # coupled, the size of the blocks otherwise), and the table's four
+        # whitened pieces per block, plus its whitened coupling when coupled
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
         disc = q.Discretization(N=1, M=8)
         med = inclusion_medium() if coupled else q.MediumModel.homogeneous(2.0, 1.0)
-        need = 2 * 16 * 72 ** 2 if coupled else 16 * 9 * 8 ** 2
+        blocks = 16 * 9 * 8 ** 2
+        need = 6 * blocks + 3 * 16 * 72 ** 2 if coupled else 8 * blocks
         for have, fits in ((need - 1, False), (need, True)):
             monkeypatch.setattr(q.helmholtz.os, "sysconf", lambda name, have=have:
                                 1 if name == "SC_PAGE_SIZE" else have)
@@ -965,11 +968,45 @@ class TestGroupStorage:
                    for op in ops)
 
 
-STACK_CASES = GROUP_CASES + [(coupled_medium, 2, 16, 1)]
-STACK_IDS = GROUP_IDS + ["coupled"]
+def homogeneous_medium(h=1.0):
+    """A transversely uniform layer, mirror-symmetric in depth: K = 2."""
+    return q.MediumModel.homogeneous(2.0, h)
+
+
+def slab_stack_medium(h=1.0):
+    """Three transversely uniform layers, depth-asymmetric: K = 1."""
+    return q.MediumModel.slab_stack(STACK_LAYERS, h)
+
+
+STACK_CASES = GROUP_CASES + [(coupled_medium, 2, 16, 1), (homogeneous_medium, 2, 16, 25),
+                             (slab_stack_medium, 2, 16, 25)]
+STACK_IDS = GROUP_IDS + ["coupled", "homogeneous", "slab_stack"]
 #: A at real and complex k, and A'(0), which is defined at real k only
 OPERATOR_KINDS = [(1.3, False), (1.3 + 0.05j, False), (1.3, True)]
 OPERATOR_KIND_IDS = ["A", "A_complex_k", "dA"]
+
+
+def formula_diagonal(inc, medium, space, derivative=False):
+    """The raw diagonal blocks by the assembly formula, operation by operation:
+    stiffness - beta^2 mass - k^2 c0, or -2i shift mass - 2ik c0 for A'(0),
+    less i beta (or i dbeta/deps) at both end nodes."""
+    grid, N = space.grid, space.disc.N
+    c0 = q.helmholtz._medium_profiles(medium, space).c0
+    if derivative:
+        k = inc.k.real
+        shift = k * inc.cos2_theta1 - np.array(space.modes, dtype=float) @ inc.tilde_theta
+        volume = (-2j * shift)[:, None, None] * grid.mass.astype(complex)
+        b, scale = 1j * shift / q.beta_table(inc, N).values, 2j * k
+    else:
+        b = q.beta_table(inc, N).values if inc.k.imag == 0 else \
+            q.helmholtz._beta_array(inc, N)
+        b2 = np.array([x * x for x in b.tolist()])
+        volume = grid.stiffness.astype(complex) - b2[:, None, None] * grid.mass
+        scale = inc.k * inc.k
+    G = volume - scale * c0
+    G[:, 0, 0] -= 1j * b
+    G[:, -1, -1] -= 1j * b
+    return G
 
 
 def reference_rows(G, groups, M):
@@ -980,7 +1017,26 @@ def reference_rows(G, groups, M):
 
 
 class TestCoupledStack:
-    """Coupled operators assembled straight into their whitened stack."""
+    """Every operator assembled straight into its whitened stack."""
+
+    @pytest.mark.parametrize("k, derivative", OPERATOR_KINDS, ids=OPERATOR_KIND_IDS)
+    @pytest.mark.parametrize("medium, N, M, groups", STACK_CASES, ids=STACK_IDS)
+    def test_raw_diagonal_is_the_assembly_formula(self, medium, N, M, groups, k,
+                                                  derivative):
+        med, disc = medium(), q.Discretization(N=N, M=M)
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0).with_k(k)
+        build = q.assemble_eps_derivative if derivative else q.assemble
+        op = build(inc, med, disc)
+        assert np.array_equal(op.diagonal, formula_diagonal(inc, med, op.space, derivative))
+
+    @pytest.mark.parametrize("medium, K", [(homogeneous_medium, 2), (slab_stack_medium, 1)],
+                             ids=["homogeneous", "slab_stack"])
+    def test_uniform_layout_is_single_modes_by_the_parity_test(self, medium, K):
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        op = q.assemble(inc, medium(), q.Discretization(N=2, M=16))
+        assert op.block_diagonal and op.table.coupling is None
+        assert op.groups.tolist() == [[i] for i in range(25)]
+        assert q.helmholtz._whitened_stack(op)[0].shape == (25 * K, 16 // K, 16 // K)
 
     @pytest.mark.parametrize("k, derivative", OPERATOR_KINDS, ids=OPERATOR_KIND_IDS)
     @pytest.mark.parametrize("medium, N, M, groups", STACK_CASES, ids=STACK_IDS)
@@ -1061,10 +1117,11 @@ class TestCoupledStack:
         full = disc.unknowns ** 2
         assert all(np.prod(s) < full for s in shapes)
         # the one product of unknowns-size is the stack itself, scale times the
-        # table's whitened coupling; it holds unknowns^2 entries only when the
-        # layout does not split (one group at K = 1)
+        # table's whitened coupling (none for a block-diagonal operator); it
+        # holds unknowns^2 entries only when the layout does not split (one
+        # group at K = 1)
         stack = q.helmholtz._whitened_stack(ops[0])[0]
-        assert products == [stack.shape] * 3
+        assert products == ([] if ops[0].block_diagonal else [stack.shape] * 3)
         assert (stack.size < full) == (len(ops[0].groups) > 1 or ops[0].table.parity is not None)
         assert all(op.dense is None and op.table is ops[0].table for op in ops)
 
