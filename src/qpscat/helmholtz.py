@@ -46,11 +46,17 @@ FINITE_DIFFERENCE = "finite_difference_order2"
 NEAR_SINGULAR_THRESHOLD = 1e-8
 
 #: relative Frobenius norm below which the even/odd cross parts of the
-#: k-independent pieces of a coupled operator (its couplings, the stiffness
-#: and the mass) count as zero, so that its whitened stack is split by depth
+#: k-independent pieces of an operator (its couplings, the stiffness and
+#: the mass) count as zero, so that its whitened stack is split by depth
 #: parity (a medium mirror-symmetric in depth leaves ~1e-15 of round-off);
 #: the split between coupling groups needs none, as it is exact
 _SPLIT_TOL = 1e-13
+
+#: raw entries per batch of groups in `_whitened_blocks` (128 KiB of complex):
+#: its temporaries then stay under the C allocator's default mmap threshold
+#: (128 KiB in glibc), so whitening a large stack on every assembly reuses
+#: freed heap memory instead of mapping, and page-faulting, fresh pages
+_BATCH_ENTRIES = 8192
 
 #: mass matrix of the second-order depth scheme: average of the consistent
 #: and lumped P1 masses.  The average cancels the leading interior dispersion
@@ -431,27 +437,30 @@ def _whitened_blocks(space: FieldSpace, groups: np.ndarray, row, parity):
     parity: one block W^{-1/2} G W^{-1/2} per group, (nc, cM, cM), ordered
     (mode, node).  With parity = space.parity: each group's even and odd
     halves in the parity basis, (2 nc, cM/2, cM/2), leaving out the
-    even/odd cross parts.  One row slot of every group at a time: P^T
-    (M x cM), (Mc x M) P, then S of the column modes and of the row mode; no
+    even/odd cross parts.  One row slot of every group at a time, in batches
+    of groups of at most _BATCH_ENTRIES raw entries: P^T (M x cM),
+    (Mc x M) P, then S of the column modes and of the row mode; no
     full-size raw matrix is made.
     """
     M = space.M
     nc, c = groups.shape
     P, S = parity or (None, space.W_isqrt[None])
     K, n = len(S), M // len(S)
-    Scol = S[:, groups]  # (K, nc, c, n, n)
     out = np.empty((nc, K, c, n, c, n), dtype=complex)
+    step = max(1, _BATCH_ENTRIES // (c * M * M))
     for r in range(c):
-        rows = groups[:, r]
-        t = row(r)  # (group, row depth, column mode, column depth)
-        if P is not None:
-            t = P.T @ t.reshape(nc, M, c * M)
-            t = (t.reshape(nc, M * c, M) @ P).reshape(nc, M, c, M)
-        for p in range(K):
-            sl = slice(p * n, (p + 1) * n)
-            b = np.matmul(t[:, sl, :, sl].transpose(0, 2, 1, 3), Scol[p])
-            b = S[p, rows] @ b.transpose(0, 2, 1, 3).reshape(nc, n, c * n)
-            out[:, p, r] = b.reshape(nc, n, c, n)
+        rows = row(r)  # (group, row depth, column mode, column depth)
+        for lo in range(0, nc, step):
+            g, t = groups[lo:lo + step], rows[lo:lo + step]
+            m = len(g)
+            if P is not None:
+                t = P.T @ t.reshape(m, M, c * M)
+                t = (t.reshape(m, M * c, M) @ P).reshape(m, M, c, M)
+            for p in range(K):
+                sl = slice(p * n, (p + 1) * n)
+                b = np.matmul(t[:, sl, :, sl].transpose(0, 2, 1, 3), S[p, g])
+                b = S[p, g[:, r]] @ b.transpose(0, 2, 1, 3).reshape(m, n, c * n)
+                out[lo:lo + step, p, r] = b.reshape(m, n, c, n)
     return out.reshape(nc * K, c * n, c * n)
 
 
@@ -526,15 +535,14 @@ def _check_operator_bytes(medium: MediumModel, disc: Discretization) -> None:
     blocks of M^2 complex entries, and its whitened stack, at its largest
     when K = 1 (the layout is not known yet): as many entries as the
     diagonal blocks for a block-diagonal operator, at most unknowns^2 for
-    a coupled one.  The coupling table adds its whitened pieces, four per
-    diagonal block, and for a coupled medium its whitened coupling, the
-    size of a stack.  Checked before anything is allocated, the coupling
-    table included.
+    a coupled one.  A coupled medium's table adds its whitened coupling,
+    the size of a stack.  Checked before anything is allocated, the
+    coupling table included.
     """
     blocks = (2 * disc.N + 1) ** 2 * disc.M ** 2
     stack = blocks if medium.transversely_uniform else disc.unknowns ** 2
     coupling = 0 if medium.transversely_uniform else stack
-    need = 16 * (4 * blocks + coupling + 2 * (blocks + stack))
+    need = 16 * (coupling + 2 * (blocks + stack))
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf: no guard
@@ -577,14 +585,14 @@ class _CouplingTable:
     `diffs` lists, in that order, the d whose profile is not identically
     zero, and `masses` stacks their C_d = int qhat_d l_i l_j, (len(diffs),
     M, M); `c0` is C_0 of qhat_0 - 1, the diagonal coupling (the background
-    sits in the stiffness and mass terms).  `off` (modes, modes) gives, for
-    each mode pair (n, m) with n != m, the index into diffs of n - m, or
-    len(diffs) when its profile vanishes (and on the diagonal).  `couple`
-    sums C_{n-m} u_m over the pairs whose profile lives, with or without
-    the diagonal.
+    sits in the volume term).  `off` (modes, modes) gives, for each mode
+    pair (n, m) with n != m, the index into diffs of n - m, or len(diffs)
+    when its profile vanishes (and on the diagonal).  `couple` sums
+    C_{n-m} u_m over the pairs whose profile lives, with or without the
+    diagonal.
 
     The table also fixes, once, the layout of the medium's operators (see
-    `_whitened_stack`) and holds their k-independent whitened pieces in it:
+    `_whitened_stack`), and holds a coupled medium's coupling in it:
     - `groups` (nc, c) are the mode groups: the connected components of
       the graph that links modes n and m when n - m or m - n is in `diffs`,
       rows ordered by their first mode, modes ascending, when there are
@@ -599,9 +607,6 @@ class _CouplingTable:
       stiffness; the mass.  The whitened operator at any k is then
       orthogonally similar to the direct sum of its parity halves up to
       that remainder.  Otherwise, and for odd M, it is None.
-    - `pieces` (modes, 4, K, M/K, M/K) are the whitened stiffness, mass, c0 and
-      pair of boundary nodes (e_0 e_0^T + e_{M-1} e_{M-1}^T) of each mode,
-      each as its K diagonal blocks in the layout; `stack` combines them.
     - `coupling` is the whitened stack of the unit-scale coupling of a
       transversely varying medium: block (n, m) is -C_{n-m} off the
       diagonal and zero in the diagonal mode slots.  It is built one raw
@@ -661,15 +666,6 @@ class _CouplingTable:
                      and _mirror_symmetric(grid.stiffness[None], [1.0])
                      and _mirror_symmetric(grid.mass[None], [1.0]))
         self.parity = space.parity if symmetric else None
-        ends = np.zeros((M, M))
-        ends[0, 0] = ends[-1, -1] = 1.0
-        K = 1 if self.parity is None else 2
-        self.pieces = np.empty((nm, 4, K, M // K, M // K), dtype=complex)
-        single = np.arange(nm)[:, None]
-        for i, X in enumerate((grid.stiffness, grid.mass, self.c0, ends)):
-            self.pieces[:, i] = _whitened_blocks(
-                space, single, lambda r: np.broadcast_to(X, (nm, M, M))[:, :, None],
-                self.parity).reshape(nm, K, M // K, M // K)
         self.coupling = None if uniform else \
             _whitened_blocks(space, self.groups, self.row, self.parity)
         self.maps = _stack_maps(space, self.groups, self.parity)
@@ -689,26 +685,6 @@ class _CouplingTable:
         nm, M = u.shape
         U = (u @ self._act[adjoint]).reshape(nm, -1, M)  # U[j, t] = C_t u_j (or C_t^H u_j)
         return U[self._pairs[off_diagonal, adjoint]].sum(axis=1)
-
-    def stack(self, coefficients: np.ndarray, scale) -> np.ndarray:
-        """The whitened stack of the operator with these piece coefficients.
-
-        `coefficients` (modes, 4) weigh each mode's `pieces`; their one
-        batched combination gives the whitened diagonal blocks.  A
-        block-diagonal operator's stack is those blocks; a coupled one's is
-        scale times `coupling`, with them written into its (zero) diagonal
-        mode slots.
-        """
-        nm, q, K, n, _ = self.pieces.shape
-        diagonal = (coefficients[:, None, :] @ self.pieces.reshape(nm, q, -1))
-        diagonal = diagonal.reshape(nm, K, n, n)
-        if self.coupling is None:
-            return diagonal.reshape(nm * K, n, n)
-        out = np.multiply(self.coupling, scale)
-        nc, c = self.groups.shape
-        group, slot = self.place
-        out.reshape(nc, K, c, n, c, n)[group, :, slot, :, slot, :] = diagonal
-        return out
 
 
 def _medium_profiles(medium: MediumModel, space: FieldSpace) -> _CouplingTable:
@@ -735,31 +711,41 @@ def _medium_profiles(medium: MediumModel, space: FieldSpace) -> _CouplingTable:
     return table
 
 
-def _build_operator(inc, medium, space, stiffness, mass, boundary, scale) -> DiscreteOperator:
+def _build_operator(inc, medium, space, volume, boundary, scale) -> DiscreteOperator:
     """Assemble the operator for both `assemble` and `assemble_eps_derivative`.
 
-    The two differ only in the coefficients of the k-independent pieces:
-    the stiffness weight `stiffness`, one mass coefficient `mass` and one
-    boundary value `boundary` per mode, in the order of space.modes, and
-    the coupling scale `scale`.  Mode n gets the raw diagonal block
-    stiffness K - mass[n] Mass - scale C_0, with i boundary[n] subtracted
-    at both end nodes; off the diagonal, block (n, m) is -scale C_{n-m}.
-    Here C_d = int qhat_d(x3) l_i l_j dx3, except that C_0 integrates
-    qhat_0 - 1 (the background sits in the stiffness and mass terms).  The
-    same coefficients weigh the whitened pieces of the cached coupling
-    table (`_medium_profiles`, `_CouplingTable.stack`), so every operator
-    is assembled as its whitened stack too.  No raw coupling block is
-    formed.
+    `volume` stacks one (M, M) block per mode and `boundary` one value per
+    mode, in the order of space.modes.  Mode n gets the diagonal block
+    volume[n] - scale C_0, formed in `volume` itself (a temporary of the
+    caller), with i boundary[n] subtracted at both end nodes; off the
+    diagonal, block (n, m) is -scale C_{n-m}.  Here C_d = int qhat_d(x3)
+    l_i l_j dx3, except that C_0 integrates qhat_0 - 1 (the background
+    sits in volume).  Everything else comes from the cached
+    coupling table (`_medium_profiles`): every operator is assembled as its
+    whitened stack too, in the table's layout.  The diagonal blocks are
+    whitened per mode and depth class by `_whitened_blocks`; that is the
+    stack of a block-diagonal operator, and a coupled one's is scale times
+    the table's whitened coupling with them written into its (zero)
+    diagonal mode slots.  No raw coupling block is formed.
     """
     table = _medium_profiles(medium, space)
-    grid = space.grid
     ib = 1j * boundary
-    diagonal = stiffness * grid.stiffness - mass[:, None, None] * grid.mass - scale * table.c0
+    diagonal = volume  # in place: one stack of raw blocks less per assembly
+    diagonal -= scale * table.c0
     diagonal[:, 0, 0] -= ib
     diagonal[:, -1, -1] -= ib
-    coefficients = np.stack(np.broadcast_arrays(stiffness, -mass, -scale, -ib), axis=1)
-    return DiscreteOperator(inc, space, diagonal, table, scale,
-                            table.stack(coefficients, scale))
+    nm = len(diagonal)
+    stack = _whitened_blocks(space, np.arange(nm)[:, None],
+                             lambda r: diagonal[:, :, None], table.parity)
+    if table.coupling is not None:
+        B, n, _ = stack.shape
+        nc, c = table.groups.shape
+        group, slot = table.place
+        out = np.multiply(table.coupling, scale)
+        out.reshape(nc, B // nm, c, n, c, n)[group, :, slot, :, slot, :] = \
+            stack.reshape(nm, B // nm, n, n)
+        stack = out
+    return DiscreteOperator(inc, space, diagonal, table, scale, stack)
 
 
 def _require_finite(inc: IncidenceSpec, name: str, value) -> None:
@@ -786,6 +772,7 @@ def assemble(inc: IncidenceSpec, medium: MediumModel, disc: Discretization,
     _check_operator_bytes(medium, disc)
     if space is None:
         space = disc.space(inc.h)
+    grid = space.grid
     k = inc.k
     k2 = k * k
     _require_finite(inc, "k^2", k2)  # also the coupling scale
@@ -796,7 +783,8 @@ def assemble(inc: IncidenceSpec, medium: MediumModel, disc: Discretization,
     # beta_n^2 by Python's complex product: numpy's may fuse and round differently
     b2 = np.array([b * b for b in betas.tolist()])
     _require_finite(inc, "beta_n^2", b2)
-    return _build_operator(inc, medium, space, 1.0, b2, betas, k2)
+    volume = grid.stiffness.astype(complex) - b2[:, None, None] * grid.mass
+    return _build_operator(inc, medium, space, volume, betas, k2)
 
 
 def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
@@ -814,6 +802,7 @@ def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
     _check_operator_bytes(medium, disc)
     if space is None:
         space = disc.space(inc.h)
+    grid = space.grid
     k = inc.k.real
     _require_finite(inc, "k^2", k * k)  # then beta_n^2 and the scale 2ik are too
     betas = beta_table(inc, disc.N).values  # raises CutoffViolation at grazing orders
@@ -824,7 +813,8 @@ def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
     # d beta_n / d eps = i (k cos^2 t1 - n.tilde_theta) / beta_n
     shift = k * inc.cos2_theta1 - np.array(space.modes, dtype=float) @ inc.tilde_theta
     dbetas = 1j * shift / betas
-    return _build_operator(inc, medium, space, 0.0, 2j * shift, dbetas, 2j * k)
+    volume = (-2j * shift)[:, None, None] * grid.mass.astype(complex)
+    return _build_operator(inc, medium, space, volume, dbetas, 2j * k)
 
 
 def rhs(inc: IncidenceSpec, disc: Discretization,

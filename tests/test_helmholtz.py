@@ -354,9 +354,7 @@ class TestCouplingComponents:
         want = _canonical_phase(op.space.unwhiten(np.conj(Vh[-1]).reshape(len(op.space.modes), M)))
         v = basis.vectors[0]
         assert np.linalg.norm((v - want).ravel()) <= 1e-10 * np.linalg.norm(want.ravel())
-        # both are round-off, a few 1e-15 of s[0]: the stack and the full
-        # whitened matrix are rounded apart
-        assert basis.singular_values[0] == pytest.approx(s[-1], abs=1e-14 * s[0])
+        assert basis.singular_values[0] == pytest.approx(s[-1], abs=1e-15 * s[0])
 
 
 def slab_operator(N=2, M=16):
@@ -432,8 +430,8 @@ class TestWhitenedBlocks:
         monkeypatch.setattr(q.helmholtz, "_whitened_blocks", recording)
         op = sampled_operator(medium)  # a fresh space: builds the coupling table
         table = op.table
-        # the four whitened pieces of the diagonal blocks, then the coupling
-        assert [p is not None for p in calls] == [parity] * 5
+        # the coupling, then the diagonal blocks of the assembly
+        assert [p is not None for p in calls] == [parity] * 2
         want = builder(op.space, op.groups, table.row, op.space.parity if parity else None)
         assert np.array_equal(table.coupling, want)
 
@@ -467,13 +465,13 @@ class TestOperatorSizeGuard:
     def test_guard_counts_the_stored_arrays(self, monkeypatch, coupled):
         # two live operators, each its raw diagonal blocks ((2N+1)^2 blocks of
         # 16 M^2 bytes) and its stack at K = 1 (16 unknowns^2 bytes when
-        # coupled, the size of the blocks otherwise), and the table's four
-        # whitened pieces per block, plus its whitened coupling when coupled
+        # coupled, the size of the blocks otherwise), plus the table's
+        # whitened coupling when coupled
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
         disc = q.Discretization(N=1, M=8)
         med = inclusion_medium() if coupled else q.MediumModel.homogeneous(2.0, 1.0)
         blocks = 16 * 9 * 8 ** 2
-        need = 6 * blocks + 3 * 16 * 72 ** 2 if coupled else 8 * blocks
+        need = 2 * blocks + 3 * 16 * 72 ** 2 if coupled else 4 * blocks
         for have, fits in ((need - 1, False), (need, True)):
             monkeypatch.setattr(q.helmholtz.os, "sysconf", lambda name, have=have:
                                 1 if name == "SC_PAGE_SIZE" else have)
@@ -1093,6 +1091,7 @@ class TestCoupledStack:
         q.assemble(inc, med, disc)  # builds the coupling table
         calls, shapes, products = [], [], []
         zeros, empty, multiply = np.zeros, np.empty, np.multiply
+        builder = q.helmholtz._whitened_blocks
 
         def recording(fn):
             def wrapped(shape, *args, **kwargs):
@@ -1106,14 +1105,18 @@ class TestCoupledStack:
             return out
 
         with monkeypatch.context() as m:
-            m.setattr(q.helmholtz, "_whitened_blocks", lambda *a: calls.append(a))
+            m.setattr(q.helmholtz, "_whitened_blocks",
+                      lambda *a: calls.append(a[1]) or builder(*a))
             m.setattr(np, "zeros", recording(zeros))
             m.setattr(np, "empty", recording(empty))
             m.setattr(np, "multiply", recording_multiply)
             ops = [q.assemble(inc.with_k(1.4), med, disc),
                    q.assemble(inc.with_k(1.3 + 0.05j), med, disc),
                    q.assemble_eps_derivative(inc, med, disc)]
-        assert calls == []
+        # the only whitening is of each assembly's diagonal blocks, one
+        # single-mode group per mode; the table's coupling is not built again
+        nm = len(ops[0].space.modes)
+        assert [g.tolist() for g in calls] == [[[i] for i in range(nm)]] * 3
         full = disc.unknowns ** 2
         assert all(np.prod(s) < full for s in shapes)
         # the one product of unknowns-size is the stack itself, scale times the

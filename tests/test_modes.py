@@ -169,9 +169,7 @@ class TestKernelBlocks:
             np.conj(Vh[-1]).reshape(basis.vectors[0].shape)))
         v = basis.vectors[0]
         assert np.linalg.norm((v - full).ravel()) <= 1e-10 * np.linalg.norm(full.ravel())
-        # both are round-off, a few 1e-15 of s[0]: the stack and the full
-        # whitened matrix are rounded apart
-        assert basis.singular_values[0] == pytest.approx(s[-1], abs=1e-14 * s[0])
+        assert basis.singular_values[0] == pytest.approx(s[-1], abs=1e-15 * s[0])
         assert basis.sigma_max == pytest.approx(s[0], rel=1e-13)
 
     def test_block_diagonal_operator_takes_one_batched_svd(self, monkeypatch, guided):
