@@ -331,21 +331,20 @@ class DiscreteOperator:
 
     `diagonal` (modes, M, M) holds the raw diagonal mode blocks, in the
     order of space.modes.  For a transversely uniform medium that is the
-    whole operator: `blocks` is `diagonal` and the operator is
-    block-diagonal.  Otherwise the operator is coupled: off the diagonal,
-    block (n, m) is -scale C_{n-m}, with the masses C_d of the medium's
-    coupling table `table` (`_CouplingTable`), and `blocks` is None.
-    Every operator is assembled as its whitened stack as well
-    (`_whitened_stack`), in the layout its table decided, and `groups` are
-    the table's mode groups (one per mode for a block-diagonal operator).
-    No full matrix is stored: `dense` is always None, and `matrix` (row
-    (mode index) * M + (depth index)) and `whitened()` are built on
-    request, for checks.  `apply` and `apply_adjoint` are matrix-free: the
-    diagonal blocks plus, when coupled, one coupling sum over the table's
-    masses.  Everything that depends only on the layout and the weighted
-    product lives on `space`.  The operator caches its whitened matrix and
-    its whitened singular values; the screen, the solves, the kernel and
-    the constrained solve read its stack.
+    whole operator, which is block-diagonal.  Otherwise the operator is
+    coupled: off the diagonal, block (n, m) is -scale C_{n-m}, with the
+    masses C_d of the medium's coupling table `table` (`_CouplingTable`).
+    Every operator is assembled as its whitened `stack` as well, in the
+    layout its table decided, with that layout's maps `to` and `back`
+    (see `_CouplingTable`); `groups` are the table's mode groups (one per
+    mode for a block-diagonal operator).  The screen, `solve`, the kernel
+    and the constrained solve read the stack.  No full matrix is stored:
+    `matrix` (row (mode index) * M + (depth index)) and `whitened()` are
+    built on request, for checks.  `apply` and `apply_adjoint` are
+    matrix-free: the diagonal blocks plus, when coupled, one coupling sum
+    over the table's masses.  Everything that depends only on the layout
+    and the weighted product lives on `space`.  The operator caches its
+    whitened matrix and its whitened singular values.
     """
 
     def __init__(self, inc, space, diagonal, table, scale, stack):
@@ -354,16 +353,20 @@ class DiscreteOperator:
         self.diagonal = diagonal
         self.table = table
         self.scale = scale
+        #: always None, as no full matrix is stored; qpbench's tracer
+        #: (`spans._operator_size`) still reads it
         self.dense = None
         self._whitened = None
         self._svals = None
-        self._stack = (stack, *table.maps)
+        self.stack = stack
+        self.to, self.back = table.maps
         self.groups = table.groups
-        self.blocks = diagonal if table.coupling is None else None
 
     @property
     def block_diagonal(self) -> bool:
-        return self.blocks is not None
+        # only the screen's per-block SVD loop and the matrix-free actions ask;
+        # one batched SVD of every stack would retire the flag
+        return self.table.coupling is None
 
     def _row(self, r: int) -> np.ndarray:
         """Raw row slot r of every mode group, (nc, M, c, M); see `_whitened_blocks`."""
@@ -400,7 +403,7 @@ class DiscreteOperator:
         if self._whitened is None:
             sp = self.space
             nc, c = self.groups.shape
-            Gt = self._stack[0] if self.table.parity is None else \
+            Gt = self.stack if self.table.parity is None else \
                 _whitened_blocks(sp, self.groups, self._row, None)
             self._whitened = _scatter(self.groups, Gt.reshape(nc, c, sp.M, c, sp.M))
         return self._whitened
@@ -408,18 +411,17 @@ class DiscreteOperator:
     def whitened_singular_values(self) -> np.ndarray:
         """All singular values of W^{-1/2} G W^{-1/2}, descending, cached.
 
-        Taken from the blocks of `_whitened_stack`: one SVD per stack block
-        of a block-diagonal operator (one per mode and depth parity), one
-        batched SVD of the stack of a coupled one (one block per coupling
-        group and depth parity).
+        Taken from the blocks of `stack`: one SVD per stack block of a
+        block-diagonal operator (one per mode and depth parity), one batched
+        SVD of the stack of a coupled one (one block per coupling group and
+        depth parity).
         """
         if self._svals is None:
-            blocks = _whitened_stack(self)[0]
             if self.block_diagonal:
                 s = np.concatenate([np.linalg.svd(B, compute_uv=False)
-                                    for B in blocks])
+                                    for B in self.stack])
             else:
-                s = np.linalg.svd(blocks, compute_uv=False).ravel()
+                s = np.linalg.svd(self.stack, compute_uv=False).ravel()
             self._svals = np.sort(s)[::-1]
         return self._svals
 
@@ -465,7 +467,7 @@ def _whitened_blocks(space: FieldSpace, groups: np.ndarray, row, parity):
 
 
 def _stack_maps(space: FieldSpace, groups: np.ndarray, parity):
-    """The maps (to, back) onto the whitened stack of one layout; see `_whitened_stack`."""
+    """The maps (to, back) onto the whitened stack of one layout; see `_CouplingTable`."""
     nm, M = len(space.modes), space.M
     P, S = parity or (None, space.W_isqrt[None])
     K, n = len(S), M // len(S)
@@ -484,26 +486,6 @@ def _stack_maps(space: FieldSpace, groups: np.ndarray, parity):
         return y if P is None else y @ P.T
 
     return to, back
-
-
-def _whitened_stack(op: DiscreteOperator):
-    """The whitened diagonal blocks of an operator, with the maps onto them.
-
-    Returns (blocks, to, back), formed at assembly: `blocks` of shape
-    (B, n, n) and two maps such that G v = b reads blocks z = to(b) (one
-    right-hand side per block, shape (B, n)) with v = back(z) (a field).
-    `to` and `back` are one real linear map and its transpose, so a row r
-    acting on v acts on z as to(r).  The layout is the operator's mode
-    groups (nc, c) times K depth classes, block g K + p, decided once per
-    (medium, space) by the coupling table (`_CouplingTable`): the coupling
-    groups, between which the operator is exactly zero (single modes for a
-    transversely uniform medium), and the parity halves (K = 2) when the
-    medium is mirror-symmetric in depth, otherwise (or with odd M) each
-    group's full whitened block (K = 1).  For every layout to(b) is b @ P
-    (parity only), then S per class and mode, then a gather of each
-    group's modes; back(z) is its transpose.
-    """
-    return op._stack
 
 
 def _scatter(groups: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -591,8 +573,14 @@ class _CouplingTable:
     C_{n-m} u_m over the pairs whose profile lives, with or without the
     diagonal.
 
-    The table also fixes, once, the layout of the medium's operators (see
-    `_whitened_stack`), and holds a coupled medium's coupling in it:
+    The table also fixes, once, the layout of the whitened stack of the
+    medium's operators (`DiscreteOperator.stack`), and holds a coupled
+    medium's coupling in it.  A stack of blocks (B, n, n) and the layout's
+    maps (to, back) are such that G v = b reads blocks z = to(b) (one
+    right-hand side per block, shape (B, n)) with v = back(z) (a field).
+    `to` and `back` are one real linear map and its transpose, so a row r
+    acting on v acts on z as to(r).  Block g K + p is mode group g and
+    depth class p of K:
     - `groups` (nc, c) are the mode groups: the connected components of
       the graph that links modes n and m when n - m or m - n is in `diffs`,
       rows ordered by their first mode, modes ascending, when there are
@@ -605,14 +593,17 @@ class _CouplingTable:
       (`_mirror_symmetric`): the masses C_d, d != 0, each weighted by its
       number of mode pairs, with c0 weighted by the number of modes; the
       stiffness; the mass.  The whitened operator at any k is then
-      orthogonally similar to the direct sum of its parity halves up to
-      that remainder.  Otherwise, and for odd M, it is None.
+      orthogonally similar to the direct sum of its parity halves (K = 2)
+      up to that remainder.  Otherwise, and for odd M, it is None, and
+      each group gives its full whitened block (K = 1).
     - `coupling` is the whitened stack of the unit-scale coupling of a
       transversely varying medium: block (n, m) is -C_{n-m} off the
       diagonal and zero in the diagonal mode slots.  It is built one raw
       row slot at a time by `_whitened_blocks`, so no full raw matrix is
       allocated.  A transversely uniform medium has none (None).
-    - `maps` are the (to, back) maps of the layout.
+    - `maps` are the (to, back) maps of the layout: to(b) is b @ P (parity
+      only), then S per class and mode, then a gather of each group's
+      modes; back(z) is its transpose.
     """
 
     def __init__(self, medium: MediumModel, space: FieldSpace):
@@ -754,6 +745,15 @@ def _require_finite(inc: IncidenceSpec, name: str, value) -> None:
         raise DomainError(f"{name} overflows double precision at k = {inc.k:.6g}")
 
 
+def _require_field(space: FieldSpace, name: str, value) -> None:
+    """Raise ValueError unless `value` is a finite field (n_modes, M) of `space`."""
+    shape = (len(space.modes), space.M)
+    if np.shape(value) != shape:
+        raise ValueError(f"{name} must be a field of shape {shape}, got {np.shape(value)}")
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} has non-finite entries")
+
+
 def assemble(inc: IncidenceSpec, medium: MediumModel, disc: Discretization,
              space: FieldSpace | None = None) -> DiscreteOperator:
     """Assemble the layer operator at inc.k (real or complex).
@@ -879,19 +879,20 @@ class FieldCoefficients:
 def solve(op: DiscreteOperator, load: np.ndarray) -> FieldCoefficients:
     """Direct factorization solve with singularity screening.
 
-    Raises NearSingular when the whitened relative smallest singular value
-    drops below NEAR_SINGULAR_THRESHOLD (the signature of a propagative wave
-    vector; route such scenarios to the kernel/limiting-absorption tools).
-    The screen reads the stack every operator carries from assembly
-    (`_whitened_stack`: one block per mode group and depth class).
-    Coupled operators are solved on that stack through its maps,
-    block-diagonal ones on their raw mode blocks (the W^{-1/2} maps would
-    only add work there); one batched LAPACK call either way.  The
-    residual is always checked against the assembled operator, by the
-    matrix-free `apply`, which keeps any parity cross parts the stack leaves
-    out: the returned profiles satisfy ||A v - load|| <= 1e-10 ||load||,
-    after at most one refinement sweep.
+    Raises ValueError, before any factorization, unless `load` is a finite
+    field (n_modes, M) of op.space.  Raises NearSingular when the whitened
+    relative smallest singular value drops below NEAR_SINGULAR_THRESHOLD
+    (the signature of a propagative wave vector; route such scenarios to
+    the kernel/limiting-absorption tools).  The screen and the solve read
+    the stack every operator carries from assembly
+    (`DiscreteOperator.stack`: one block per mode group and depth class):
+    every operator is solved by one batched LU of its stack, through the
+    maps `to` and `back`.  The residual is always checked against the
+    assembled operator, by the matrix-free `apply`, which keeps any parity
+    cross parts the stack leaves out: the returned profiles satisfy
+    ||A v - load|| <= 1e-10 ||load||, after at most one refinement sweep.
     """
+    _require_field(op.space, "load", load)
     smin, smax = op.singularity_report()
     if smin < NEAR_SINGULAR_THRESHOLD * smax:
         raise NearSingular(
@@ -899,14 +900,8 @@ def solve(op: DiscreteOperator, load: np.ndarray) -> FieldCoefficients:
             f"{smin / smax:.3e} (propagative wave vector?)",
             smallest_singular_value=smin, sigma_max=smax)
 
-    if op.block_diagonal:
-        def direct(b):
-            return np.linalg.solve(op.blocks, b[..., None])[..., 0]
-    else:
-        blocks, to, back = _whitened_stack(op)
-
-        def direct(b):
-            return back(np.linalg.solve(blocks, to(b)[..., None])[..., 0])
+    def direct(b):
+        return op.back(np.linalg.solve(op.stack, op.to(b)[..., None])[..., 0])
 
     vals = direct(load)
     resid = np.linalg.norm((op.apply(vals) - load).ravel())

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConstraintSingular, NonEvanescentMode
 from .helmholtz import _SPLIT_TOL, Discretization, DiscreteOperator, \
     FieldCoefficients, FieldSpace, _block_diag, _medium_profiles, \
-    _whitened_stack, assemble, assemble_eps_derivative, rayleigh_data, rhs, \
+    _require_field, assemble, assemble_eps_derivative, rayleigh_data, rhs, \
     rhs_eps_derivative, solve
 from .medium import MediumModel
 from .modes import KernelBasis, LiftedMode, mode_lift
@@ -115,9 +115,9 @@ def constrained_solve(scn: LapScenario, load: np.ndarray | None = None,
                       method: str = "stacked") -> ConstrainedSolution:
     """Solve  A v = f  subject to  v_l^H A'(0) v = v_l^H f'(0)  per kernel vector.
 
-    The system is solved on the whitened diagonal blocks of A
-    (`helmholtz._whitened_stack`: one per mode group and depth parity,
-    as A was assembled).  A block
+    The system is solved on the whitened diagonal blocks of A, through
+    their maps (`DiscreteOperator.stack`, `to` and `back`: one block per
+    mode group and depth parity, as A was assembled).  A block
     holds a constraint when its part of some mapped constraint row exceeds
     _SPLIT_TOL of that row's norm: on a split operator, the blocks of the
     kernel vectors.  The blocks that hold none are regular and get one
@@ -128,16 +128,20 @@ def constrained_solve(scn: LapScenario, load: np.ndarray | None = None,
     particular solution of H and corrects it along the kernel by the m x m
     constraint system (raises ConstraintSingular when that system has
     condition above 1e8).  With an empty kernel both reduce to the plain
-    solve.  An unknown method raises ValueError before any assembly.
+    solve.  An unknown method, or a `load` or `load_deriv` that is not a
+    finite field (n_modes, M) of the scenario's space, raises ValueError
+    before any assembly.
     """
     if method not in ("stacked", "two_step"):
         raise ValueError(f"unknown method {method!r}")
     sp = scn.space
-    op = assemble(scn.inc, scn.medium, scn.disc, sp)
     if load is None:
         load = rhs(scn.inc, scn.disc, sp)
     if load_deriv is None:
         load_deriv = rhs_eps_derivative(scn.inc, scn.disc, sp)
+    _require_field(sp, "load", load)
+    _require_field(sp, "load_deriv", load_deriv)
+    op = assemble(scn.inc, scn.medium, scn.disc, sp)
     m = scn.kernel.dimension
     if m == 0:
         fieldv = solve(op, load)
@@ -155,17 +159,16 @@ def constrained_solve(scn: LapScenario, load: np.ndarray | None = None,
         raise ConstraintSingular(
             f"kernel-restricted derivative Gram has condition {gcond:.3e}")
 
-    blocks, to, back = _whitened_stack(op)
-    g = to(load)
-    R = np.array([to(row.reshape(load.shape)) for row in rows])  # (m, B, n)
+    g = op.to(load)
+    R = np.array([op.to(row.reshape(load.shape)) for row in rows])  # (m, B, n)
     share = np.linalg.norm(R, axis=2)  # each row's part in each block
     hold = np.any(share > _SPLIT_TOL * np.linalg.norm(share, axis=1)[:, None],
                   axis=0)
     z = np.zeros_like(g)
     free = ~hold
     if free.any():
-        z[free] = np.linalg.solve(blocks[free], g[free][..., None])[..., 0]
-    H = _block_diag(blocks[hold])
+        z[free] = np.linalg.solve(op.stack[free], g[free][..., None])[..., 0]
+    H = _block_diag(op.stack[hold])
     Rh = R[:, hold].reshape(m, -1)
     gh = g[hold].ravel()
     if method == "stacked":
@@ -177,7 +180,7 @@ def constrained_solve(scn: LapScenario, load: np.ndarray | None = None,
         # particular solution with kernel directions truncated
         zh, *_ = np.linalg.lstsq(H, gh, rcond=1e-10)
     z[hold] = zh.reshape(-1, z.shape[1])
-    vals = back(z)
+    vals = op.back(z)
     if method == "two_step":
         rhs_c = dvals - np.array([row @ vals.ravel() for row in rows])
         coeffs = np.linalg.solve(gram, rhs_c)

@@ -131,10 +131,6 @@ class MediumModel:
     def transversely_uniform(self) -> bool:
         return self.kind in ("homogeneous", "slab_stack")
 
-    def mean_at(self, x3: float) -> complex:
-        """Transverse mean of q at depth x3 (= coefficient q_hat_0)."""
-        return self.fourier_slice(x3, 0)[(0, 0)]
-
     def fourier_slice(self, x3: float, M: int) -> FourierSlice:
         """Coefficients q_hat_m(x3) for |m|_inf <= M at the containing depth cell.
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ThresholdAmbiguity
-from .helmholtz import DiscreteOperator, FieldCoefficients, _interior_field, \
-    _whitened_stack
+from .helmholtz import DiscreteOperator, FieldCoefficients, _interior_field
 from .qpcore import IncidenceSpec, ModeIndex, _field_point, beta, classify_modes, \
     rayleigh_eval
 
@@ -71,10 +70,10 @@ def kernel(op: DiscreteOperator, svd_threshold: float = DEFAULT_SVD_THRESHOLD) -
     sigma_max span the kernel; an empty basis means the quasi-momentum is
     (numerically) not a propagative wave vector.  The whitened matrix is
     taken as the stack the operator was assembled as
-    (`helmholtz._whitened_stack`: one block per mode group and depth
-    parity, so 98 blocks of 8 for a transversely constant medium at N = 3,
-    M = 16, sampled or homogeneous), all decomposed in one batched SVD, so
-    every kernel vector lives in one block.  Each vector is
+    (`DiscreteOperator.stack`: one block per mode group and depth parity,
+    so 98 blocks of 8 for a transversely constant medium at N = 3, M = 16,
+    sampled or homogeneous), all decomposed in one batched SVD, so every
+    kernel vector lives in one block, mapped back by `back`.  Each vector is
     fixed up to its unit phase by `_canonical_phase`, so the reports do not
     depend on the phase LAPACK picks.  Raises ThresholdAmbiguity if any
     singular value lies within a factor 10 of the threshold, in which case
@@ -86,8 +85,7 @@ def kernel(op: DiscreteOperator, svd_threshold: float = DEFAULT_SVD_THRESHOLD) -
     if not 0.0 < svd_threshold < 1.0:  # also rejects NaN
         raise ValueError(f"svd_threshold must lie in (0, 1), got {svd_threshold!r}")
     space = op.space
-    blocks, _, back = _whitened_stack(op)
-    _, s, Vh = np.linalg.svd(blocks)
+    _, s, Vh = np.linalg.svd(op.stack)
     sigma_max = float(s.max())
     rel = np.sort(s.ravel()) / sigma_max
     ambiguous = [float(t) for t in rel
@@ -101,7 +99,7 @@ def kernel(op: DiscreteOperator, svd_threshold: float = DEFAULT_SVD_THRESHOLD) -
     for b, r in zip(*np.nonzero(s < svd_threshold * sigma_max)):
         z = np.zeros(s.shape, dtype=complex)
         z[b] = np.conj(Vh[b, r])
-        members.append((float(s[b, r]), _canonical_phase(back(z))))
+        members.append((float(s[b, r]), _canonical_phase(op.back(z))))
     members.sort(key=lambda t: t[0])
     vectors = [v for _, v in members]
     sigmas = [sg for sg, _ in members]
@@ -150,20 +148,19 @@ def adjoint_kernel_check(op: DiscreteOperator, basis: KernelBasis) -> float:
 
     Small values certify that the null spaces of the operator and its adjoint
     coincide numerically (the kernels consist of the same surface waves).
-    Evaluated on the blocks of `helmholtz._whitened_stack`, so a split
-    operator never builds its full whitened matrix.  Returns 0.0 for an
-    empty basis.
+    Evaluated on the blocks of the operator's stack, through its map `to`,
+    so a split operator never builds its full whitened matrix.  Returns 0.0
+    for an empty basis.
     """
     if basis.dimension == 0:
         return 0.0
     W = op.space.W
     _, sigma_max = op.singularity_report()
-    blocks, to, _ = _whitened_stack(op)
     worst = 0.0
     for v in basis.vectors:
         # W^{1/2} v in block coordinates, as `to` is the parity part of W^{-1/2}
-        y = to((W @ v[..., None])[..., 0])
-        ady = np.conj(y[:, None]) @ blocks  # rows y_b^H A_b, conjugates of A_b^H y_b
+        y = op.to((W @ v[..., None])[..., 0])
+        ady = np.conj(y[:, None]) @ op.stack  # rows y_b^H A_b, conjugates of A_b^H y_b
         worst = max(worst, float(np.linalg.norm(ady.ravel())
                                  / (sigma_max * np.linalg.norm(y.ravel()))))
     return worst

@@ -278,7 +278,7 @@ class TestParitySolve:
         with pytest.raises(q.NearSingular):
             q.solve(op, q.rhs(inc, disc))
         # every mode is its own component: 2 (2N+1)^2 parity blocks of M/2
-        assert q.helmholtz._whitened_stack(op)[0].shape == (18, 8, 8)
+        assert op.stack.shape == (18, 8, 8)
         assert shapes == []
 
 
@@ -314,7 +314,7 @@ class TestCouplingComponents:
         med, disc = medium(), q.Discretization(N=N, M=M)
         op = q.assemble(inc, med, disc)
         assert op.groups is q.helmholtz._medium_profiles(med, op.space).groups
-        assert q.helmholtz._whitened_stack(op)[0].shape == shape
+        assert op.stack.shape == shape
         with monkeypatch.context() as m:
             svd = recorded_shapes(m, "svd")
             s = op.whitened_singular_values()
@@ -346,7 +346,7 @@ class TestCouplingComponents:
         inc = q.IncidenceSpec.from_alpha(K_EX, ALPHA_EX, 1.0)
         disc = q.Discretization(N=2, M=M)
         op = q.assemble(inc, q.MediumModel.sampled(np.full((12, 12, 1), 2.0), 1.0), disc)
-        assert len(q.helmholtz._whitened_stack(op)[0]) == 25 * (2 if M % 2 == 0 else 1)
+        assert len(op.stack) == 25 * (2 if M % 2 == 0 else 1)
         basis = q.kernel(op)
         assert basis.dimension == 1
         _, s, Vh = np.linalg.svd(op.whitened())
@@ -447,7 +447,7 @@ class TestWhitenedBlocks:
     def test_maps_are_one_transpose_pair(self, build, shape):
         op = build()
         sp = op.space
-        blocks, to, back = q.helmholtz._whitened_stack(op)
+        blocks, to, back = op.stack, op.to, op.back
         assert blocks.shape == shape
         rng = np.random.default_rng(5)
         x, b = (rng.standard_normal((2, len(sp.modes), sp.M))
@@ -535,7 +535,29 @@ class TestRhs:
         assert errs[1] < 1e-4
 
 
+def bad_loads(load):
+    """A NaN entry, an infinite entry and a wrong shape: no finite field of the space."""
+    nan, inf = load.copy(), load.copy()
+    nan[0, 0], inf[-1, -1] = np.nan, np.inf
+    return [nan, inf, load[:, :-1]]
+
+
 class TestSolve:
+    @pytest.mark.parametrize("medium", [
+        lambda: q.MediumModel.homogeneous(2.0, 1.0),  # block-diagonal
+        inclusion_medium,                              # coupled
+    ], ids=["uniform", "coupled"])
+    def test_bad_load_fails_before_any_factorization(self, monkeypatch, medium):
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        disc = q.Discretization(N=1, M=16)
+        op = q.assemble(inc, medium(), disc)
+        for load in bad_loads(q.rhs(inc, disc)):
+            with monkeypatch.context() as m:
+                svd, lu = recorded_shapes(m, "svd"), recorded_shapes(m, "solve")
+                with pytest.raises(ValueError, match="load"):
+                    q.solve(op, load)
+            assert svd == lu == []
+
     def test_transparent_layer_field_is_incident(self):
         inc, v, _ = solve_slab(1.0, 1.3, 0.37, 32, N=1)
         x3 = v.space.grid.nodes
@@ -773,15 +795,28 @@ class TestSharedSpace:
                        + [rd.u_minus[n] for n in space.modes])
         assert np.array_equal(got[0], got[1])
 
-    def test_batched_block_solve_equals_per_block_solve(self):
+    @pytest.mark.parametrize("M", [16, 32, 64])
+    @pytest.mark.parametrize("scheme", [q.CHEBYSHEV, q.FINITE_DIFFERENCE],
+                             ids=["chebyshev", "fd"])
+    @pytest.mark.parametrize("medium, K", [
+        (lambda: q.MediumModel.slab_stack(STACK_LAYERS, 1.0), 1),  # depth-asymmetric
+        (lambda: q.MediumModel.homogeneous(2.0, 1.0), 2),          # parity halves
+    ], ids=["slab_stack", "homogeneous"])
+    def test_stack_solve_equals_per_block_solve(self, monkeypatch, medium, K, scheme, M):
+        # a block-diagonal operator is solved on its whitened stack, through
+        # the maps, as a coupled one is; its raw mode blocks give the reference
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
-        disc = q.Discretization(N=2, M=32)
-        op = q.assemble(inc, q.MediumModel.slab_stack(STACK_LAYERS, 1.0), disc)
-        assert op.blocks.shape == (25, 32, 32)
+        disc = q.Discretization(N=2, M=M, depth_scheme=scheme)
+        op = q.assemble(inc, medium(), disc)
+        assert op.block_diagonal and op.stack.shape == (25 * K, M // K, M // K)
         load = q.rhs(inc, disc)
-        v = q.solve(op, load)
-        ref = np.stack([np.linalg.solve(B, load[i]) for i, B in enumerate(op.blocks)])
-        assert np.array_equal(v.values, ref)
+        with monkeypatch.context() as m:
+            solve = recorded_shapes(m, "solve")
+            v = q.solve(op, load).values
+        assert solve == [op.stack.shape]  # one batched LU of the stack, no refinement
+        ref = np.linalg.solve(op.diagonal, load[..., None])[..., 0]
+        assert relative_error(v, ref) <= 1e-12
+        assert relative_error(op.apply(v), load) <= 1e-10
 
 
 class TestCouplingTable:
@@ -920,7 +955,7 @@ class TestGroupStorage:
         op = q.assemble(inc, med, disc)
         nm = len(op.space.modes)
         assert len(op.groups) == groups
-        assert op.dense is None and op.blocks is None
+        assert op.dense is None and not op.block_diagonal
         assert op.groups.shape == (groups, nm // groups)
         got, want = op.matrix, filled_matrix(inc, med, op.space)
         off = ~np.eye(nm, dtype=bool)
@@ -962,7 +997,7 @@ class TestGroupStorage:
             ops = [q.assemble(inc, med, disc), q.assemble_eps_derivative(inc, med, disc)]
         full = disc.unknowns ** 2
         assert shapes and max(np.prod(s) for s in shapes) < full
-        assert all(op.dense is None and q.helmholtz._whitened_stack(op)[0].size < full
+        assert all(op.dense is None and op.stack.size < full
                    for op in ops)
 
 
@@ -1034,7 +1069,7 @@ class TestCoupledStack:
         op = q.assemble(inc, medium(), q.Discretization(N=2, M=16))
         assert op.block_diagonal and op.table.coupling is None
         assert op.groups.tolist() == [[i] for i in range(25)]
-        assert q.helmholtz._whitened_stack(op)[0].shape == (25 * K, 16 // K, 16 // K)
+        assert op.stack.shape == (25 * K, 16 // K, 16 // K)
 
     @pytest.mark.parametrize("k, derivative", OPERATOR_KINDS, ids=OPERATOR_KIND_IDS)
     @pytest.mark.parametrize("medium, N, M, groups", STACK_CASES, ids=STACK_IDS)
@@ -1047,7 +1082,7 @@ class TestCoupledStack:
         G = filled_matrix(inc, med, op.space, derivative)
         want = q.helmholtz._whitened_blocks(op.space, table.groups,
                                             reference_rows(G, table.groups, M), table.parity)
-        got = q.helmholtz._whitened_stack(op)[0]
+        got = op.stack
         assert got.shape == want.shape
         assert relative_error(got, want) <= 1e-13
 
@@ -1123,7 +1158,7 @@ class TestCoupledStack:
         # table's whitened coupling (none for a block-diagonal operator); it
         # holds unknowns^2 entries only when the layout does not split (one
         # group at K = 1)
-        stack = q.helmholtz._whitened_stack(ops[0])[0]
+        stack = ops[0].stack
         assert products == ([] if ops[0].block_diagonal else [stack.shape] * 3)
         assert (stack.size < full) == (len(ops[0].groups) > 1 or ops[0].table.parity is not None)
         assert all(op.dense is None and op.table is ops[0].table for op in ops)

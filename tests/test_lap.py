@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import qpscat as q
-from test_helmholtz import coupled_medium, inclusion_medium, lamellar_medium, \
-    recorded_shapes
+from test_helmholtz import bad_loads, coupled_medium, inclusion_medium, \
+    lamellar_medium, recorded_shapes
 
 K_EX = np.pi / (2 * np.sqrt(2))
 ALPHA_EX = (1 - np.pi * np.sqrt(3) / 4, 0.0)
@@ -54,7 +54,7 @@ class TestDerivativeOperator:
         assert -1j * q.d_beta_d_eps(n, inc) == pytest.approx(expected, rel=1e-12)
         # and it lands in the boundary corners of the derivative block
         dop = q.derivative_operator(scn)
-        B = dop.blocks[scn.space.mode_index[n]]
+        B = dop.diagonal[scn.space.mode_index[n]]
         grid = scn.space.grid
         k = inc.k.real
         vol_corner = (-2j * (k * inc.cos2_theta1 - np.array(n, float) @ tt)
@@ -72,7 +72,7 @@ class TestDerivativeOperator:
         space = q.FieldSpace(disc, 1.0)
         dop = q.assemble_eps_derivative(inc, med, disc, space)
         for n in space.modes:
-            B = dop.blocks[space.mode_index[n]].copy()
+            B = dop.diagonal[space.mode_index[n]].copy()
             db = q.d_beta_d_eps(n, inc)
             B[0, 0] += 1j * db
             B[-1, -1] += 1j * db
@@ -219,12 +219,11 @@ def one_block_basis(op):
     The least singular vector of the stack: not a kernel, but a constraint
     that lives in one block, for layouts where the medium has no guided mode.
     """
-    blocks, _, back = q.helmholtz._whitened_stack(op)
-    _, s, Vh = np.linalg.svd(blocks)
+    _, s, Vh = np.linalg.svd(op.stack)
     b, r = np.unravel_index(np.argmin(s), s.shape)
     z = np.zeros(s.shape, dtype=complex)
     z[b] = np.conj(Vh[b, r])
-    return q.KernelBasis(vectors=[back(z)], singular_values=[float(s[b, r])],
+    return q.KernelBasis(vectors=[op.back(z)], singular_values=[float(s[b, r])],
                          sigma_max=float(s.max()), tail_coeffs=[{}],
                          space=op.space, inc=op.inc)
 
@@ -277,13 +276,13 @@ class TestConstrainedSolveBlocks:
         elif layout == "dense_M15":
             # odd M: one whitened block per component, here per mode
             scn, op = guided_sampled_scenario(M=15)
-            assert q.helmholtz._whitened_stack(op)[0].shape == (9, 15, 15)
+            assert op.stack.shape == (9, 15, 15)
         else:
             # a depth-asymmetric coupled medium: the full whitened matrix
             inc = q.IncidenceSpec.from_alpha(K_EX, ALPHA_EX, 1.0)
             med, disc = coupled_medium(), q.Discretization(N=1, M=16)
             op = q.assemble(inc, med, disc)
-            assert len(q.helmholtz._whitened_stack(op)[0]) == 1
+            assert len(op.stack) == 1
             scn = q.LapScenario(inc=inc, medium=med, disc=disc,
                                 kernel=one_block_basis(op))
         assert scn.kernel.dimension == 1
@@ -303,6 +302,24 @@ class TestConstrainedSolveBlocks:
         monkeypatch.setattr(q.lap, "assemble_eps_derivative", no_assembly)
         with pytest.raises(ValueError, match="unknown method 'bogus'"):
             q.constrained_solve(scn, method="bogus")
+
+    @pytest.mark.parametrize("name", ["load", "load_deriv"])
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "coupled"])
+    def test_bad_load_fails_before_assembly(self, scenario, monkeypatch, uniform, name):
+        scn, op = scenario if uniform else guided_sampled_scenario()
+        assert op.block_diagonal == uniform and scn.kernel.dimension == 1
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled before checking the loads")
+
+        monkeypatch.setattr(q.lap, "assemble", no_assembly)
+        monkeypatch.setattr(q.lap, "assemble_eps_derivative", no_assembly)
+        good = {"load": q.rhs(scn.inc, scn.disc, scn.space),
+                "load_deriv": q.rhs_eps_derivative(scn.inc, scn.disc, scn.space)}
+        for bad in bad_loads(good[name]):
+            for method in ("stacked", "two_step"):
+                with pytest.raises(ValueError, match=f"^{name} "):
+                    q.constrained_solve(scn, **{**good, name: bad}, method=method)
 
 
 class TestEpsSweep:

@@ -179,8 +179,8 @@ class TestKernelBlocks:
         with monkeypatch.context() as m:
             shapes = recorded_shapes(m, "svd")
             basis = q.kernel(op)
-        nm, M = op.blocks.shape[:2]
-        assert shapes == [q.helmholtz._whitened_stack(op)[0].shape] == [(2 * nm, M // 2, M // 2)]
+        nm, M = op.diagonal.shape[:2]
+        assert shapes == [op.stack.shape] == [(2 * nm, M // 2, M // 2)]
         # the null vector of the resonant block alone, in the same phase
         i = op.space.mode_index[(-1, 0)]
         _, s, Vh = np.linalg.svd(op.whitened().reshape(nm, M, nm, M)[i, :, i])
