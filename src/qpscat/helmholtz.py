@@ -36,7 +36,7 @@ import numpy as np
 from .errors import AliasError, CutoffViolation, DomainError, NearSingular, \
     OperatorTooLarge, SolveFailed
 from .medium import MediumModel
-from .qpcore import IncidenceSpec, ModeIndex, _beta_array, _field_point, beta, \
+from .qpcore import IncidenceSpec, ModeIndex, _beta_array, _field_point, \
     beta_table, classify_modes, mode_range, rayleigh_eval
 
 CHEBYSHEV = "chebyshev_collocation"
@@ -52,11 +52,12 @@ NEAR_SINGULAR_THRESHOLD = 1e-8
 #: the split between coupling groups needs none, as it is exact
 _SPLIT_TOL = 1e-13
 
-#: raw entries per batch of groups in `_whitened_blocks` (128 KiB of complex):
-#: its temporaries then stay under the C allocator's default mmap threshold
-#: (128 KiB in glibc), so whitening a large stack on every assembly reuses
-#: freed heap memory instead of mapping, and page-faulting, fresh pages
-_BATCH_ENTRIES = 8192
+#: real entries per batch of groups in `_whitened_blocks` (128 KiB of float64):
+#: a batch of raw blocks as its real and imaginary parts, and each real
+#: temporary of its products, then stay within the C allocator's default mmap
+#: threshold (128 KiB in glibc), so whitening a large stack on every assembly
+#: reuses freed heap memory instead of mapping, and page-faulting, fresh pages
+_BATCH_ENTRIES = 16384
 
 #: mass matrix of the second-order depth scheme: average of the consistent
 #: and lumped P1 masses.  The average cancels the leading interior dispersion
@@ -256,6 +257,21 @@ class DepthGrid:
 # discrete field space (layout + weighted inner product)
 
 
+def _real_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a real a and a complex b, in real arithmetic.
+
+    numpy would cast a to complex and multiply in complex arithmetic: four
+    times the flops, and a complex temporary the size of a.  Here a
+    multiplies the float view of b, in which each complex column is a pair
+    of real columns.  The view needs b's last axis contiguous: a b whose
+    last axis is not is copied first (a last axis of length 1, as in a field
+    of column vectors u[..., None], always is).
+    """
+    if b.shape[-1] > 1 and b.strides[-1] != b.itemsize:
+        b = np.ascontiguousarray(b)
+    return np.matmul(a, b.view(float)).view(complex)
+
+
 class FieldSpace:
     """Layout of discrete periodic fields: Fourier modes x depth nodes.
 
@@ -270,7 +286,10 @@ class FieldSpace:
     orthonormal with columns (e_j +- e_{M-1-j}) / sqrt(2), j < M/2, even ones
     first, and S (2, n_modes, M/2, M/2) holds the even and odd blocks of
     P^T W_n^{-1/2} P, whose cross blocks vanish (W_n commutes with it).
-    It also keeps the coupling table of each medium assembled on it
+    All these factors are real, and every product of one with complex data
+    is taken in real arithmetic: on fields (`inner`, `unwhiten`, the stack
+    maps) by `_real_matmul`, on raw blocks by `_whitened_blocks`.  The space
+    also keeps the coupling table of each medium assembled on it
     (`_medium_profiles`), with its whitened coupling, for as long as that
     medium lives.
     """
@@ -313,13 +332,13 @@ class FieldSpace:
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> complex:
         """<u, v> in the weighted product (conjugate-linear in v)."""
-        return complex(np.vdot(v, (self.W @ u[..., None])[..., 0]))
+        return complex(np.vdot(v, _real_matmul(self.W, u[..., None])[..., 0]))
 
     def norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(max(self.inner(u, u).real, 0.0)))
 
     def unwhiten(self, y: np.ndarray) -> np.ndarray:
-        return (self.W_isqrt @ y[..., None])[..., 0]
+        return _real_matmul(self.W_isqrt, y[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +433,18 @@ class DiscreteOperator:
         Taken from the blocks of `stack`: one SVD per stack block of a
         block-diagonal operator (one per mode and depth parity), one batched
         SVD of the stack of a coupled one (one block per coupling group and
-        depth parity).
+        depth parity).  A block of a block-diagonal operator with no
+        imaginary part (an evanescent mode of a lossless medium at real k)
+        is real symmetric, as G_n and W_n^{-1/2} are, so its SVD is taken in
+        real arithmetic from its eigenvalues (hermitian=True).
         """
         if self._svals is None:
             if self.block_diagonal:
-                s = np.concatenate([np.linalg.svd(B, compute_uv=False)
-                                    for B in self.stack])
+                real = ~self.stack.imag.any(axis=(1, 2))
+                s = np.concatenate([
+                    np.linalg.svd(B.real, compute_uv=False, hermitian=True) if r
+                    else np.linalg.svd(B, compute_uv=False)
+                    for B, r in zip(self.stack, real)])
             else:
                 s = np.linalg.svd(self.stack, compute_uv=False).ravel()
             self._svals = np.sort(s)[::-1]
@@ -440,34 +465,43 @@ def _whitened_blocks(space: FieldSpace, groups: np.ndarray, row, parity):
     (mode, node).  With parity = space.parity: each group's even and odd
     halves in the parity basis, (2 nc, cM/2, cM/2), leaving out the
     even/odd cross parts.  One row slot of every group at a time, in batches
-    of groups of at most _BATCH_ENTRIES raw entries: P^T (M x cM),
-    (Mc x M) P, then S of the column modes and of the row mode; no
-    full-size raw matrix is made.
+    of groups of at most _BATCH_ENTRIES real entries, each batch taken as
+    its real and imaginary parts stacked as one real batch (2 entries per
+    raw entry), so that every factor multiplies in real arithmetic: P^T
+    (M x cM), (Mc x M) P, then S of the column modes and of the row mode.
+    No full-size raw matrix is made.
     """
     M = space.M
     nc, c = groups.shape
     P, S = parity or (None, space.W_isqrt[None])
     K, n = len(S), M // len(S)
     out = np.empty((nc, K, c, n, c, n), dtype=complex)
-    step = max(1, _BATCH_ENTRIES // (c * M * M))
+    step = max(1, _BATCH_ENTRIES // (2 * c * M * M))
     for r in range(c):
         rows = row(r)  # (group, row depth, column mode, column depth)
         for lo in range(0, nc, step):
             g, t = groups[lo:lo + step], rows[lo:lo + step]
             m = len(g)
+            t = np.stack((t.real, t.imag))  # one real batch, (2, m, M, c, M)
             if P is not None:
-                t = P.T @ t.reshape(m, M, c * M)
-                t = (t.reshape(m, M * c, M) @ P).reshape(m, M, c, M)
+                t = P.T @ t.reshape(2, m, M, c * M)
+                t = (t.reshape(2, m, M * c, M) @ P).reshape(2, m, M, c, M)
             for p in range(K):
                 sl = slice(p * n, (p + 1) * n)
-                b = np.matmul(t[:, sl, :, sl].transpose(0, 2, 1, 3), S[p, g])
-                b = S[p, g[:, r]] @ b.transpose(0, 2, 1, 3).reshape(m, n, c * n)
-                out[lo:lo + step, p, r] = b.reshape(m, n, c, n)
+                b = np.matmul(t[:, :, sl, :, sl].transpose(0, 1, 3, 2, 4), S[p, g])
+                b = S[p, g[:, r]] @ b.transpose(0, 1, 3, 2, 4).reshape(2, m, n, c * n)
+                o = out[lo:lo + step, p, r]
+                o.real, o.imag = b.reshape(2, m, n, c, n)
     return out.reshape(nc * K, c * n, c * n)
 
 
 def _stack_maps(space: FieldSpace, groups: np.ndarray, parity):
-    """The maps (to, back) onto the whitened stack of one layout; see `_CouplingTable`."""
+    """The maps (to, back) onto the whitened stack of one layout; see `_CouplingTable`.
+
+    Both apply the real factors P and S to the float view of the field's
+    depth vectors (`_real_matmul`), in real arithmetic; a load of any memory
+    layout maps.
+    """
     nm, M = len(space.modes), space.M
     P, S = parity or (None, space.W_isqrt[None])
     K, n = len(S), M // len(S)
@@ -476,14 +510,15 @@ def _stack_maps(space: FieldSpace, groups: np.ndarray, parity):
     inv = np.argsort(order)
 
     def to(b):
-        y = (b if P is None else b @ P).reshape(nm, K, n).swapaxes(0, 1)
-        y = np.matmul(S, y[..., None])[..., 0][:, order]  # (K, nc c, n)
+        y = b if P is None else _real_matmul(P.T, b[..., None])[..., 0]
+        y = y.reshape(nm, K, n).swapaxes(0, 1)
+        y = _real_matmul(S, y[..., None])[..., 0][:, order]  # (K, nc c, n)
         return y.reshape(K, nc, c * n).swapaxes(0, 1).reshape(nc * K, c * n)
 
     def back(z):
         y = z.reshape(nc, K, c * n).swapaxes(0, 1).reshape(K, nm, n)[:, inv]
-        y = np.matmul(S, y[..., None])[..., 0].swapaxes(0, 1).reshape(nm, M)
-        return y if P is None else y @ P.T
+        y = _real_matmul(S, y[..., None])[..., 0].swapaxes(0, 1).reshape(nm, M)
+        return y if P is None else _real_matmul(P, y[..., None])[..., 0]
 
     return to, back
 
@@ -739,6 +774,18 @@ def _build_operator(inc, medium, space, volume, boundary, scale) -> DiscreteOper
     return DiscreteOperator(inc, space, diagonal, table, scale, stack)
 
 
+def _mode_products(coef: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """coef[n] * mass for every mode n, (modes, M, M) complex, in one allocation.
+
+    Filled in place, entry for entry the complex product numpy forms for
+    coef[:, None, None] * mass.
+    """
+    out = np.empty((len(coef),) + mass.shape, dtype=complex)
+    out[...] = coef[:, None, None]
+    out *= mass
+    return out
+
+
 def _require_finite(inc: IncidenceSpec, name: str, value) -> None:
     """Raise DomainError unless the scalar (or every entry of) `value` is finite."""
     if not np.all(np.isfinite(value)):
@@ -783,7 +830,8 @@ def assemble(inc: IncidenceSpec, medium: MediumModel, disc: Discretization,
     # beta_n^2 by Python's complex product: numpy's may fuse and round differently
     b2 = np.array([b * b for b in betas.tolist()])
     _require_finite(inc, "beta_n^2", b2)
-    volume = grid.stiffness.astype(complex) - b2[:, None, None] * grid.mass
+    volume = _mode_products(b2, grid.mass)
+    np.subtract(grid.stiffness, volume, out=volume)  # stiffness - beta_n^2 mass
     return _build_operator(inc, medium, space, volume, betas, k2)
 
 
@@ -813,7 +861,7 @@ def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
     # d beta_n / d eps = i (k cos^2 t1 - n.tilde_theta) / beta_n
     shift = k * inc.cos2_theta1 - np.array(space.modes, dtype=float) @ inc.tilde_theta
     dbetas = 1j * shift / betas
-    volume = (-2j * shift)[:, None, None] * grid.mass.astype(complex)
+    volume = _mode_products(-2j * shift, grid.mass)
     return _build_operator(inc, medium, space, volume, dbetas, 2j * k)
 
 
@@ -933,9 +981,10 @@ class RayleighData:
 def rayleigh_data(v: FieldCoefficients, inc: IncidenceSpec) -> RayleighData:
     """Extract u_n^+ = v_n(h) - delta_n0 e^{-ikh cos t1}, u_n^- = v_n(-h).
 
-    Efficiencies (Re beta_n / beta_0) |u_n|^2 for the propagating orders of a
-    real-k solve; the balance residual is |sum - 1| (meaningful for lossless
-    media).
+    Efficiencies (Re beta_n / beta_0) |u_n|^2, as floats, for the propagating
+    orders of a real-k solve, with every beta_n from one array operation
+    (`qpcore._beta_array`); the balance residual is |sum - 1| (meaningful
+    for lossless media).
     """
     top = v.trace_top()
     bot = v.trace_bottom()
@@ -948,12 +997,14 @@ def rayleigh_data(v: FieldCoefficients, inc: IncidenceSpec) -> RayleighData:
     eff_dn: dict[ModeIndex, float] = {}
     balance = float("nan")
     if k.imag == 0:
-        cls = classify_modes(inc, v.space.disc.N)
-        b0 = beta((0, 0), inc).real
+        N, index = v.space.disc.N, v.space.mode_index
+        cls = classify_modes(inc, N)
+        b = _beta_array(inc, N).real  # mode_range order, that of space.modes
+        b0 = b[index[(0, 0)]]
         for n in cls.propagating:
-            bn = beta(n, inc).real
-            eff_up[n] = bn / b0 * abs(u_plus[n]) ** 2
-            eff_dn[n] = bn / b0 * abs(u_minus[n]) ** 2
+            ratio = b[index[n]] / b0
+            eff_up[n] = float(ratio * abs(u_plus[n]) ** 2)
+            eff_dn[n] = float(ratio * abs(u_minus[n]) ** 2)
         balance = abs(sum(eff_up.values()) + sum(eff_dn.values()) - 1.0)
     return RayleighData(u_plus=u_plus, u_minus=u_minus, efficiencies_up=eff_up,
                         efficiencies_down=eff_dn, balance_residual=balance)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ThresholdAmbiguity
-from .helmholtz import DiscreteOperator, FieldCoefficients, _interior_field
+from .helmholtz import DiscreteOperator, FieldCoefficients, _interior_field, _real_matmul
 from .qpcore import IncidenceSpec, ModeIndex, _field_point, beta, classify_modes, \
     rayleigh_eval
 
@@ -159,7 +159,7 @@ def adjoint_kernel_check(op: DiscreteOperator, basis: KernelBasis) -> float:
     worst = 0.0
     for v in basis.vectors:
         # W^{1/2} v in block coordinates, as `to` is the parity part of W^{-1/2}
-        y = op.to((W @ v[..., None])[..., 0])
+        y = op.to(_real_matmul(W, v[..., None])[..., 0])
         ady = np.conj(y[:, None]) @ op.stack  # rows y_b^H A_b, conjugates of A_b^H y_b
         worst = max(worst, float(np.linalg.norm(ady.ravel())
                                  / (sigma_max * np.linalg.norm(y.ravel()))))

@@ -657,6 +657,23 @@ class TestRayleighData:
         rd = q.rayleigh_data(v, inc)
         assert rd.total_efficiency < 1.0 - 1e-3
 
+    def test_efficiencies_are_the_scalar_formula(self):
+        # a slab_sweep-like draw at k = 2.4 with many propagating orders: the
+        # efficiencies read from one beta array equal the per-mode formula
+        inc = q.IncidenceSpec.from_angles(2.4, 0.5, 1.1, 1.0)
+        disc = q.Discretization(N=2, M=32)
+        op = q.assemble(inc, q.MediumModel.slab_stack(STACK_LAYERS, 1.0), disc)
+        rd = q.rayleigh_data(q.solve(op, q.rhs(inc, disc, op.space)), inc)
+        propagating = q.classify_modes(inc, disc.N).propagating
+        assert len(propagating) >= 9
+        assert list(rd.efficiencies_up) == list(rd.efficiencies_down) == propagating
+        b0 = q.beta((0, 0), inc).real
+        for n in propagating:
+            ratio = q.beta(n, inc).real / b0
+            for eff, u in ((rd.efficiencies_up, rd.u_plus), (rd.efficiencies_down, rd.u_minus)):
+                assert type(eff[n]) is float
+                assert eff[n] == ratio * abs(u[n]) ** 2
+
 
 class TestQuasiperiodicLift:
     def test_pure_phase(self):
@@ -1271,3 +1288,105 @@ class TestStructuralInvariants:
         assert rd.balance_residual < 1e-10
         # the cosine coupling scatters nonzero energy into the (+-1, 0) orders
         assert abs(rd.u_plus[(1, 0)]) > 1e-4
+
+
+def complex_whitened(space, groups, row, parity):
+    """The whitened blocks of `_whitened_blocks` by the complex formula S_n G_n S_n,
+    mode pair by mode pair and in its order of operations, with every real
+    factor cast to complex."""
+    M = space.M
+    P, S = parity or (None, space.W_isqrt[None])
+    S = S.astype(complex)
+    K, n = len(S), M // len(S)
+    nc, c = groups.shape
+    out = np.empty((nc, K, c, n, c, n), dtype=complex)
+    for r in range(c):
+        rows = row(r)
+        for i, g in enumerate(groups):
+            for j in range(c):
+                G = rows[i, :, j]
+                if P is not None:
+                    G = (P.T.astype(complex) @ G) @ P.astype(complex)
+                for p in range(K):
+                    sl = slice(p * n, (p + 1) * n)
+                    out[i, p, r, :, j] = S[p, g[r]] @ (G[sl, sl] @ S[p, g[j]])
+    return out.reshape(nc * K, c * n, c * n)
+
+
+class TestRealFactors:
+    """Products of the real factors W^{-1/2}, its parity blocks and P with
+    complex data, taken in real arithmetic (the whitening's stacked batches
+    and `_real_matmul`), and the screen of real blocks."""
+
+    @pytest.mark.parametrize("medium, N, M, groups, K", [
+        case + (K,) for case in STACK_CASES for K in (1, 2) if K == 1 or case[2] % 2 == 0
+    ], ids=[f"{i}_K{K}" for i, case in zip(STACK_IDS, STACK_CASES) for K in (1, 2)
+            if K == 1 or case[2] % 2 == 0])
+    def test_whitened_blocks_are_the_complex_formula(self, medium, N, M, groups, K):
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0).with_k(1.3 + 0.05j)
+        op = q.assemble(inc, medium(), q.Discretization(N=N, M=M))
+        sp = op.space
+        parity = sp.parity if K == 2 else None
+        got = q.helmholtz._whitened_blocks(sp, op.groups, op._row, parity)
+        want = complex_whitened(sp, op.groups, op._row, parity)
+        assert got.shape == want.shape and len(got) == groups * K
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("medium, N, M, groups", STACK_CASES, ids=STACK_IDS)
+    def test_maps_are_transposes(self, medium, N, M, groups):
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        op = q.assemble(inc, medium(), q.Discretization(N=N, M=M))
+        rng = np.random.default_rng(29)
+        shape = op.space.zeros().shape
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        z = rng.standard_normal(op.stack.shape[:2]) + 1j * rng.standard_normal(op.stack.shape[:2])
+        lhs, rhs = np.sum(op.to(b) * z), np.sum(b * op.back(z))
+        assert abs(lhs - rhs) <= 1e-14 * np.linalg.norm(op.to(b)) * np.linalg.norm(z)
+
+    @pytest.mark.parametrize("medium", [homogeneous_medium, slab_stack_medium,
+                                        inclusion_medium, coupled_medium],
+                             ids=["homogeneous", "slab_stack", "inclusion", "coupled"])
+    def test_solve_reads_any_memory_layout(self, medium):
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        op = q.assemble(inc, medium(), q.Discretization(N=2, M=16))
+        rng = np.random.default_rng(31)
+        shape = op.space.zeros().shape
+        big = rng.standard_normal((2 * shape[0], 3 * shape[1])) \
+            + 1j * rng.standard_normal((2 * shape[0], 3 * shape[1]))
+        strided = big[::2, 1::3]  # a slice of a larger array
+        assert not strided.flags.c_contiguous and strided.strides[-1] != strided.itemsize
+        loads = {"C": np.ascontiguousarray(strided), "F": np.asfortranarray(strided),
+                 "strided": strided}
+        fields = {name: q.solve(op, load).values for name, load in loads.items()}
+        for name in ("F", "strided"):
+            assert relative_error(fields[name], fields["C"]) <= 1e-14
+        resid = op.apply(fields["strided"]) - strided
+        assert np.linalg.norm(resid.ravel()) <= 1e-10 * np.linalg.norm(strided.ravel())
+
+    @pytest.mark.parametrize("scheme", [q.CHEBYSHEV, q.FINITE_DIFFERENCE])
+    @pytest.mark.parametrize("medium", [homogeneous_medium, slab_stack_medium],
+                             ids=["homogeneous", "slab_stack"])
+    def test_real_blocks_are_screened_as_the_symmetric_blocks_they_are(self, medium,
+                                                                        scheme):
+        # at real k the evanescent modes of a lossless uniform medium give
+        # real blocks; the screen takes them from their eigenvalues
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        op = q.assemble(inc, medium(), q.Discretization(N=2, M=16, depth_scheme=scheme))
+        real = [not B.imag.any() for B in op.stack]
+        assert 0 < sum(real) < len(real)
+        for B in op.stack[real]:
+            assert np.max(np.abs(B - B.T)) <= 1e-14 * np.max(np.abs(B))
+        want = np.sort(np.linalg.svd(op.stack, compute_uv=False).ravel())[::-1]
+        got = op.whitened_singular_values()
+        assert np.max(np.abs(got - want)) <= 1e-14 * want[0]
+
+    def test_real_matmul_is_the_complex_product_on_any_layout(self):
+        rng = np.random.default_rng(37)
+        a = rng.standard_normal((3, 6, 6))
+        z = rng.standard_normal((3, 6, 12)) + 1j * rng.standard_normal((3, 6, 12))
+        for x in (z[..., :6], z[..., ::2], np.asfortranarray(z[..., :6]),
+                  z[..., :6].swapaxes(1, 2), z[..., :1], z[..., 0][..., None]):
+            want = a.astype(complex) @ x
+            got = q.helmholtz._real_matmul(a, x)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
