@@ -12,9 +12,9 @@ from .errors import (AliasError, ConfigError, ConstraintSingular, CutoffViolatio
                      CutProximity, DomainError, NearSingular, NonEvanescentMode,
                      OperatorTooLarge, OutOfLayer, QpscatError, SolveFailed,
                      ThresholdAmbiguity, UnsupportedMedium, WrongSide)
-from .qpcore import (BetaTable, IncidenceSpec, ModeClassification, beta,
-                     beta_table, branch_sqrt, classify_modes, d_beta_d_eps,
-                     dtn_symbol, min_im_beta, mode_range, rayleigh_eval)
+from .qpcore import (IncidenceSpec, ModeClassification, beta, beta_table,
+                     branch_sqrt, classify_modes, d_beta_d_eps, dtn_symbol,
+                     min_im_beta, mode_range, rayleigh_eval)
 from .medium import (FourierSlice, MediumModel, MediumReport,
                      load_sampled_medium, save_sampled_medium, validate)
 from .helmholtz import (CHEBYSHEV, FINITE_DIFFERENCE, Discretization,
@@ -29,8 +29,8 @@ from .slab import (BrillouinMap, DispersionRoot, SlabParams, brillouin_map,
 from .modes import (EvanescenceReport, KernelBasis, LiftedMode,
                     adjoint_kernel_check, kernel, mode_lift, verify_evanescent)
 from .lap import (ConstrainedSolution, KernelProjector, LapResult, LapScenario,
-                  constrained_solve, constraint_residual, derivative_operator,
-                  eps_sweep, projection, write_sweep_csv)
+                  constrained_solve, constraint_residual, eps_sweep,
+                  write_sweep_csv)
 from .maxwell import (FieldSegment, MaxwellIncidence, ModeField, TangentialField,
                       calderon_apply, calderon_forms, calderon_halfspace_oracle,
                       calderon_pairing, divergence_close, gradient_trace_field,

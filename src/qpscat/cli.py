@@ -6,8 +6,8 @@
 Commands: solve, modes, lap, dispersion, slab, maxwell-check.  Exit codes:
 0 success, 2 configuration error, 3 numerical failure (any solver error,
 e.g. a near-singular solve without limiting-absorption routing, a cut-off
-violation, an aliased sampled medium or an operator larger than physical
-memory; reported as one `error:` line),
+violation, an aliased sampled medium or an operator or Brillouin map larger
+than physical memory; reported as one `error:` line),
 4 hypothesis warning escalated by --strict.
 
 Configuration grammar (INI in UTF-8; keys grouped by section; CLI overrides win):

@@ -39,7 +39,7 @@ class NearSingular(QpscatError):
 
 
 class OperatorTooLarge(QpscatError):
-    """The assembled operator would not fit in the machine's physical memory."""
+    """An operator, or a Brillouin map, would not fit in the machine's physical memory."""
 
 
 class SolveFailed(QpscatError):

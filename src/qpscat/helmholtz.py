@@ -559,16 +559,24 @@ def _check_operator_bytes(medium: MediumModel, disc: Discretization) -> None:
     blocks = (2 * disc.N + 1) ** 2 * disc.M ** 2
     stack = blocks if medium.transversely_uniform else disc.unknowns ** 2
     coupling = 0 if medium.transversely_uniform else stack
-    need = 16 * (coupling + 2 * (blocks + stack))
+    _require_memory(16 * (coupling + 2 * (blocks + stack)),
+                    f"operator with {disc.unknowns} unknowns (N={disc.N}, M={disc.M})",
+                    "lower N or M")
+
+
+def _require_memory(need: int, what: str, remedy: str) -> None:
+    """Raise OperatorTooLarge if `need` bytes exceed the physical memory.
+
+    No guard where sysconf cannot tell the size of the physical memory.
+    """
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf: no guard
         return
     if 0 < have < need:
         raise OperatorTooLarge(
-            f"operator with {disc.unknowns} unknowns (N={disc.N}, M={disc.M}) "
-            f"needs {need / 2**30:.4g} GiB, more than the {have / 2**30:.4g} "
-            f"GiB of physical memory; lower N or M")
+            f"{what} needs {need / 2**30:.4g} GiB, more than the "
+            f"{have / 2**30:.4g} GiB of physical memory; {remedy}")
 
 
 def _live_pairs(index: np.ndarray, pad: int):
@@ -597,16 +605,16 @@ def _mirror_symmetric(blocks: np.ndarray, weights) -> bool:
 class _CouplingTable:
     """What assembly takes from a medium on one FieldSpace, independent of k.
 
-    `profiles` maps each difference |d|_inf <= 2N (only d = 0 for a
-    transversely uniform medium) to qhat_d at the quadrature depths.
-    `diffs` lists, in that order, the d whose profile is not identically
-    zero, and `masses` stacks their C_d = int qhat_d l_i l_j, (len(diffs),
-    M, M); `c0` is C_0 of qhat_0 - 1, the diagonal coupling (the background
-    sits in the volume term).  `off` (modes, modes) gives, for each mode
-    pair (n, m) with n != m, the index into diffs of n - m, or len(diffs)
-    when its profile vanishes (and on the diagonal).  `couple` sums
-    C_{n-m} u_m over the pairs whose profile lives, with or without the
-    diagonal.
+    `diffs` lists the differences |d|_inf <= 2N (only d = 0 for a
+    transversely uniform medium) whose profile qhat_d at the quadrature
+    depths is not identically zero, and `masses` stacks their C_d = int
+    qhat_d l_i l_j, followed by one zero block, (len(diffs) + 1, M, M); the
+    profiles themselves are not kept.  `c0` is C_0 of qhat_0 - 1, the
+    diagonal coupling (the background sits in the volume term).  `off`
+    (modes, modes) gives, for each mode pair (n, m) with n != m, the index
+    into diffs of n - m, or len(diffs), the zero block, when its profile
+    vanishes (and on the diagonal).  `couple` sums C_{n-m} u_m over the
+    pairs whose profile lives, with or without the diagonal.
 
     The table also fixes, once, the layout of the whitened stack of the
     medium's operators (`DiscreteOperator.stack`), and holds a coupled
@@ -644,12 +652,13 @@ class _CouplingTable:
     def __init__(self, medium: MediumModel, space: FieldSpace):
         grid, N, M = space.grid, space.disc.N, space.M
         uniform = medium.transversely_uniform
-        self.profiles = medium.fourier_profiles(grid.quad_x, 0 if uniform else 2 * N)
-        live = np.any(np.array(list(self.profiles.values())), axis=1)
-        self.diffs = [d for d, on in zip(self.profiles, live) if on]
-        self.masses = np.array([grid.weighted_mass(self.profiles[d]) for d in self.diffs])
-        self.c0 = grid.weighted_mass(self.profiles[(0, 0)] - np.ones_like(grid.quad_x))
+        profiles = medium.fourier_profiles(grid.quad_x, 0 if uniform else 2 * N)
+        live = np.any(np.array(list(profiles.values())), axis=1)
+        self.diffs = [d for d, on in zip(profiles, live) if on]
         T = len(self.diffs)
+        self.masses = np.array([grid.weighted_mass(profiles[d]) for d in self.diffs]
+                               + [np.zeros((M, M))])
+        self.c0 = grid.weighted_mass(profiles[(0, 0)] - np.ones_like(grid.quad_x))
         n = np.array(space.modes)
         nm = len(n)
         d = n[:, None, :] - n[None, :, :] + 2 * N  # (n - m) + 2N, shape (nm, nm, 2)
@@ -660,16 +669,14 @@ class _CouplingTable:
         self.off = index.copy()
         np.fill_diagonal(self.off, T)
         # C_t u_j (or C_t^H u_j) of every live t at once, as one product
-        # u @ _act: column block t of _act is C_t^T (or conj(C_t)), and a
+        # u @ _act: column block t of _act is C_t^T (or conj(C_t)), and the
         # zero block T pads the rows of `_pairs` that have fewer live pairs
-        masses = np.concatenate([self.masses, np.zeros((1, M, M))])
-        self._act = (masses.transpose(2, 0, 1).reshape(M, -1),
-                     masses.conj().transpose(1, 0, 2).reshape(M, -1))
+        self._act = (self.masses.transpose(2, 0, 1).reshape(M, -1),
+                     self.masses.conj().transpose(1, 0, 2).reshape(M, -1))
         self._pairs = {}  # (off_diagonal, adjoint) -> the pairs `couple` gathers
         for off, pairs in ((False, index), (True, self.off)):
             self._pairs[off, False] = _live_pairs(pairs, T)
             self._pairs[off, True] = _live_pairs(pairs.T, T)
-        self._unit = -masses
         link = self.off < T
         link = link | link.T
         label = np.arange(nm)
@@ -687,7 +694,7 @@ class _CouplingTable:
         group[self.groups], slot[self.groups] = np.arange(nc)[:, None], np.arange(c)
         self.place = group, slot
         pairs = np.bincount(self.off.ravel(), minlength=T + 1)[:T]
-        symmetric = (_mirror_symmetric(np.concatenate([self.masses, self.c0[None]]),
+        symmetric = (_mirror_symmetric(np.concatenate([self.masses[:T], self.c0[None]]),
                                        np.append(pairs, nm))
                      and _mirror_symmetric(grid.stiffness[None], [1.0])
                      and _mirror_symmetric(grid.mass[None], [1.0]))
@@ -699,7 +706,8 @@ class _CouplingTable:
     def row(self, r: int) -> np.ndarray:
         """Raw row slot r of every group of the unit-scale coupling, (nc, M, c, M)."""
         g = self.groups
-        return self._unit[self.off[g[:, r, None], g]].transpose(0, 2, 1, 3)
+        blocks = self.masses[self.off[g[:, r, None], g]]
+        return np.negative(blocks, out=blocks).transpose(0, 2, 1, 3)
 
     def couple(self, u: np.ndarray, off_diagonal: bool = False,
                adjoint: bool = False) -> np.ndarray:
@@ -824,7 +832,7 @@ def assemble(inc: IncidenceSpec, medium: MediumModel, disc: Discretization,
     k2 = k * k
     _require_finite(inc, "k^2", k2)  # also the coupling scale
     if k.imag == 0:
-        betas = beta_table(inc, disc.N).values  # raises CutoffViolation at grazing orders
+        betas = beta_table(inc, disc.N)  # raises CutoffViolation at grazing orders
     else:
         betas = _beta_array(inc, disc.N)
     # beta_n^2 by Python's complex product: numpy's may fuse and round differently
@@ -853,7 +861,7 @@ def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
     grid = space.grid
     k = inc.k.real
     _require_finite(inc, "k^2", k * k)  # then beta_n^2 and the scale 2ik are too
-    betas = beta_table(inc, disc.N).values  # raises CutoffViolation at grazing orders
+    betas = beta_table(inc, disc.N)  # raises CutoffViolation at grazing orders
     zero = np.flatnonzero(betas == 0)
     if zero.size:  # only at k = 0, where the grazing tolerance is 0
         n = space.modes[zero[0]]

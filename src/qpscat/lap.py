@@ -57,11 +57,6 @@ class LapScenario:
         return self.kernel.space
 
 
-def derivative_operator(scn: LapScenario) -> DiscreteOperator:
-    """The eps-derivative A'(0) of the assembled operator family at real k."""
-    return assemble_eps_derivative(scn.inc, scn.medium, scn.disc, scn.space)
-
-
 class KernelProjector:
     """Projection onto the kernel span along the weighted-orthogonal splitting.
 
@@ -78,10 +73,6 @@ class KernelProjector:
         for v in self.basis.vectors:
             out += self.basis.space.inner(u, v) * v
         return out
-
-
-def projection(scn: LapScenario) -> KernelProjector:
-    return KernelProjector(scn.kernel)
 
 
 @dataclass
@@ -150,7 +141,7 @@ def constrained_solve(scn: LapScenario, load: np.ndarray | None = None,
                                    solve_residual=float(resid),
                                    constraint_block_residual=0.0,
                                    gram_condition=0.0, method="plain")
-    dop = derivative_operator(scn)
+    dop = assemble_eps_derivative(scn.inc, scn.medium, scn.disc, sp)
     rows, gram = _constraint_rows(scn, dop)
     dvals = np.array([np.vdot(v.ravel(), load_deriv.ravel())
                       for v in scn.kernel.vectors])
@@ -267,8 +258,7 @@ def eps_sweep(scn: LapScenario, load_provider=None, load_deriv=None) -> LapResul
 
 def constraint_residual(u: FieldCoefficients, mode_basis: list[LiftedMode],
                         inc: IncidenceSpec, medium: MediumModel,
-                        form: str = "theta",
-                        evanescence_tol: float = 1e-6) -> np.ndarray:
+                        form: str = "theta") -> np.ndarray:
     """Orthogonality functional of the limit against each guided mode.
 
     Evaluates   integral over the infinite cell of
@@ -279,10 +269,10 @@ def constraint_residual(u: FieldCoefficients, mode_basis: list[LiftedMode],
     is the coupling sum of the table that assembly caches per (medium,
     space) (`_medium_profiles`, `_CouplingTable.couple`), which the
     operator's `apply` also takes, so repeated residuals on one medium
-    build no mass.  Modes must
-    be evanescent: propagating tail content above evanescence_tol raises
-    NonEvanescentMode.  The incident-wave tail pairs only with the (absent)
-    propagating mode content and is dropped.
+    build no mass.  Modes must be evanescent: propagating tail content
+    above 1e-6 of the mode's norm raises NonEvanescentMode.  The
+    incident-wave tail pairs only with the (absent) propagating mode content
+    and is dropped.
     """
     if form not in ("theta", "alpha"):
         raise ValueError("form must be 'theta' or 'alpha'")
@@ -316,7 +306,7 @@ def constraint_residual(u: FieldCoefficients, mode_basis: list[LiftedMode],
         nrm = max(sp.norm(phi.field.values), 1e-300)
         bad = max([max(abs(phi.tail_plus.get(n, 0.0)), abs(phi.tail_minus.get(n, 0.0)))
                    for n in cls.propagating], default=0.0)
-        if bad > evanescence_tol * nrm:
+        if bad > 1e-6 * nrm:
             raise NonEvanescentMode(
                 f"mode carries propagating Rayleigh content {bad:.3e}")
         total = 0.0 + 0.0j

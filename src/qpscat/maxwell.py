@@ -30,9 +30,10 @@ def _beta(alpha_n: np.ndarray, k: float) -> complex:
     return branch_sqrt(b2)
 
 
-def _check_cutoffs(alphas: np.ndarray, k: float, tol: float = 1e-12):
+def _check_cutoffs(alphas: np.ndarray, k: float):
+    """Raise CutoffViolation for the rows with |alpha_n| = k to 1e-12 max(k, 1)."""
     r = np.linalg.norm(alphas, axis=-1)
-    bad = np.flatnonzero(np.abs(r - k) < tol * max(k, 1.0))
+    bad = np.flatnonzero(np.abs(r - k) < 1e-12 * max(k, 1.0))
     if bad.size:
         raise CutoffViolation(f"|alpha_n| = k at rows {bad.tolist()}", bad.tolist())
 

@@ -1,7 +1,7 @@
 """Bi-periodic refractive-index models and their transverse Fourier data.
 
-Three kinds are supported: a homogeneous layer, a stack of constant-index
-sublayers, and a sampled grid on the equispaced lattice over
+Two kinds are supported: a stack of constant-index sublayers (a homogeneous
+layer is a stack of one), and a sampled grid on the equispaced lattice over
 (0,2pi)^2 x (-h,h).  The index is hard-coded to 1 outside |x3| < h; models
 are only ever queried inside the layer.  Sampled media are interpolated
 piecewise-constant per grid cell in every direction.
@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import OutOfLayer, QpscatError
 from .qpcore import IncidenceSpec
+
+#: least Re q a medium may take; the index must stay bounded away from zero
+_Q_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -47,29 +50,23 @@ class MediumModel:
     """Refractive index q(x1, x2, x3), 2pi-periodic transversely, q = 1 outside.
 
     Use the constructors `homogeneous`, `slab_stack`, `sampled` or
-    `load_sampled_medium`; q values must satisfy Re q >= q_floor > 0 and
-    Im q >= 0 (lossless or absorbing).  The model is immutable: its
-    attributes are read-only, and a sampled medium keeps its own read-only
-    copy of the values it was given, so no later edit can bypass the checks
-    or leave the coupling tables cached for it stale.
+    `load_sampled_medium`; q values must satisfy Re q >= 1e-6 and Im q >= 0
+    (lossless or absorbing).  The model is immutable: its attributes are
+    read-only, and a sampled medium keeps its own read-only copy of the
+    values it was given, so no later edit can bypass the checks or leave the
+    coupling tables cached for it stale.
     """
 
     kind = property(operator.attrgetter("_kind"))
     h = property(operator.attrgetter("_h"))
-    q_floor = property(operator.attrgetter("_q_floor"))
-    q0 = property(operator.attrgetter("_q0"))
     layers = property(operator.attrgetter("_layers"))
     values = property(operator.attrgetter("_values"))
 
-    def __init__(self, kind, h, q_floor=1e-6, q0=None, layers=None, values=None):
+    def __init__(self, kind, h, layers=None, values=None):
         if h <= 0:
             raise ValueError("h must be positive")
-        if q_floor <= 0:
-            raise ValueError("q_floor must be positive")
         self._kind = kind
         self._h = float(h)
-        self._q_floor = float(q_floor)
-        self._q0 = q0
         self._layers = layers
         if values is not None:
             values = np.array(values, order="C")
@@ -79,11 +76,12 @@ class MediumModel:
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def homogeneous(cls, q0, h, q_floor=1e-6):
-        return cls("homogeneous", h, q_floor, q0=complex(q0))
+    def homogeneous(cls, q0, h):
+        """The constant index q0 over |x3| < h: the one-layer `slab_stack`."""
+        return cls.slab_stack([(-h, h, q0)], h)
 
     @classmethod
-    def slab_stack(cls, layers, h, q_floor=1e-6):
+    def slab_stack(cls, layers, h):
         """layers: iterable of (z_lo, z_hi, q) covering [-h, h] without overlap."""
         ls = sorted(((float(a), float(b), complex(q)) for a, b, q in layers),
                     key=lambda t: t[0])
@@ -94,32 +92,29 @@ class MediumModel:
         for (a0, b0, _), (a1, b1, _) in zip(ls, ls[1:]):
             if abs(b0 - a1) > 1e-12:
                 raise ValueError("layers must tile [-h, h] without gaps/overlaps")
-        return cls("slab_stack", h, q_floor, layers=tuple(ls))
+        return cls("slab_stack", h, layers=tuple(ls))
 
     @classmethod
-    def sampled(cls, values, h, q_floor=1e-6):
+    def sampled(cls, values, h):
         """values: array (n1, n2, n3) of q on the cell lattice, row-major (x1,x2,x3)."""
         v = np.asarray(values)
         if v.ndim != 3:
             raise ValueError("sampled values must be a 3-d array")
         if np.iscomplexobj(v) and np.allclose(v.imag, 0.0):
             v = v.real
-        return cls("sampled", h, q_floor, values=v)
+        return cls("sampled", h, values=v)
 
     def _check_values(self):
         re, im = self._extents()
         if not np.all(np.isfinite(re + im)):
             raise ValueError("q values must be finite (no NaN or inf)")
-        if re[0] < self.q_floor:
-            raise ValueError(
-                f"min Re q = {re[0]:g} below q_floor = {self.q_floor:g}")
+        if re[0] < _Q_FLOOR:
+            raise ValueError(f"min Re q = {re[0]:g} below q_floor = {_Q_FLOOR:g}")
         if im[0] < 0:
             raise ValueError(f"Im q must be >= 0 (got min {im[0]:g})")
 
     def _extents(self):
-        if self.kind == "homogeneous":
-            q = np.array([self.q0])
-        elif self.kind == "slab_stack":
+        if self.kind == "slab_stack":
             q = np.array([q for _, _, q in self.layers])
         else:
             q = self.values.ravel()
@@ -129,13 +124,13 @@ class MediumModel:
     # -- queries -----------------------------------------------------------
     @property
     def transversely_uniform(self) -> bool:
-        return self.kind in ("homogeneous", "slab_stack")
+        return self.kind == "slab_stack"
 
     def fourier_slice(self, x3: float, M: int) -> FourierSlice:
         """Coefficients q_hat_m(x3) for |m|_inf <= M at the containing depth cell.
 
-        Homogeneous and stacked slabs have q_hat_0 = q(x3) and zero otherwise;
-        sampled grids are transformed by 2-d DFT of the nearest-depth slice.
+        Stacked slabs have q_hat_0 = q(x3) and zero otherwise; sampled grids
+        are transformed by 2-d DFT of the nearest-depth slice.
         """
         profs = self.fourier_profiles([x3], M)
         return FourierSlice(depth=float(x3),
@@ -158,11 +153,8 @@ class MediumModel:
             fh = np.fft.fft2(self.values, axes=(0, 1)) / (n1 * n2)
             return {m: fh[m[0] % n1, m[1] % n2, cells] for m in orders}
         out = {m: np.zeros(len(depths), dtype=complex) for m in orders}
-        if self.kind == "homogeneous":
-            out[(0, 0)][:] = self.q0
-        else:
-            out[(0, 0)][:] = [next(q for a, b, q in self.layers
-                                   if a - 1e-12 <= z <= b + 1e-12) for z in depths]
+        out[(0, 0)][:] = [next(q for a, b, q in self.layers
+                               if a - 1e-12 <= z <= b + 1e-12) for z in depths]
         return out
 
     def transverse_resolution(self) -> tuple[int, int] | None:
@@ -212,7 +204,12 @@ def validate(model: MediumModel, inc: IncidenceSpec | None = None) -> MediumRepo
 #      complex entries use Python syntax, e.g. 1.5+0.2j>
 
 def load_sampled_medium(path) -> MediumModel:
-    """Read a sampled medium in the documented text format."""
+    """Read a sampled medium in the documented text format.
+
+    Raises QpscatError for a file that is not in the format: a wrong first
+    line, no 'data' marker, a missing header key, a size n1, n2 or n3
+    below 1, or a value count other than n1 * n2 * n3.
+    """
     with open(path, "r", encoding="utf-8") as f:
         first = f.readline().strip()
         if not first.startswith("qpscat-medium"):
@@ -233,6 +230,9 @@ def load_sampled_medium(path) -> MediumModel:
             h = float(header["h"])
         except KeyError as e:
             raise QpscatError(f"{path}: missing header key {e}") from e
+        for key, n in (("n1", n1), ("n2", n2), ("n3", n3)):
+            if n < 1:
+                raise QpscatError(f"{path}: header key {key} = {n} must be >= 1")
         body = f.read().replace(",", " ")
     raw = [complex(tok) for tok in body.split()]
     if len(raw) != n1 * n2 * n3:

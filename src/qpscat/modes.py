@@ -123,12 +123,12 @@ class EvanescenceReport:
         return self.max_propagating_coeff <= self.tolerance
 
 
-def verify_evanescent(basis: KernelBasis, inc: IncidenceSpec,
-                      tolerance: float = 1e-8) -> EvanescenceReport:
+def verify_evanescent(basis: KernelBasis, inc: IncidenceSpec) -> EvanescenceReport:
     """Check that kernel vectors carry no propagating Rayleigh orders.
 
     Reports max |v_n^{+-}| over basis vectors and propagating n, scaled by
-    the vector's weighted norm.  An empty basis passes trivially.
+    the vector's weighted norm; it passes at or below the report's
+    tolerance, 1e-8.  An empty basis passes trivially.
     """
     cls = classify_modes(inc, basis.space.disc.N)
     per = []
@@ -140,7 +140,7 @@ def verify_evanescent(basis: KernelBasis, inc: IncidenceSpec,
             worst = max(worst, abs(tp), abs(tm))
         per.append(worst / nrm if nrm > 0 else 0.0)
     return EvanescenceReport(max_propagating_coeff=max(per) if per else 0.0,
-                             per_vector=tuple(per), tolerance=tolerance)
+                             per_vector=tuple(per), tolerance=1e-8)
 
 
 def adjoint_kernel_check(op: DiscreteOperator, basis: KernelBasis) -> float:

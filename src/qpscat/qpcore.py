@@ -209,28 +209,8 @@ def d_beta_d_eps(n, inc: IncidenceSpec) -> complex:
     return 1j * (k * inc.cos2_theta1 - float(nv @ inc.tilde_theta)) / b
 
 
-@dataclass(frozen=True)
-class BetaTable:
-    """beta_n for all |n|_inf <= N, with cut-off screening already applied.
-
-    `values` holds the same numbers as `entries`, in mode_range order.
-    """
-
-    entries: Mapping[ModeIndex, complex]
-    values: np.ndarray
-    k: complex
-    alpha: tuple[float, float]
-    cutoff_tolerance: float
-
-    def __getitem__(self, n: ModeIndex) -> complex:
-        return self.entries[tuple(n)]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
-def beta_table(inc: IncidenceSpec, N: int) -> BetaTable:
-    """Tabulate beta_n over |n|_inf <= N, all modes in one array operation.
+def beta_table(inc: IncidenceSpec, N: int) -> np.ndarray:
+    """beta_n over |n|_inf <= N in mode_range order, as one array operation.
 
     Raises CutoffViolation if any |beta_n| falls below 1e-9 |k|; beta_n
     enters denominators downstream, so grazing orders must be rejected
@@ -244,8 +224,7 @@ def beta_table(inc: IncidenceSpec, N: int) -> BetaTable:
     if flagged:
         raise CutoffViolation(
             f"orders {flagged} are at cut-off (|beta| < {cutoff_tolerance:g})", flagged)
-    return BetaTable(entries=dict(zip(modes, vals.tolist())), values=vals, k=inc.k,
-                     alpha=inc.alpha, cutoff_tolerance=float(cutoff_tolerance))
+    return vals
 
 
 def min_im_beta(inc: IncidenceSpec, N: int) -> float:

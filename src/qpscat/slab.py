@@ -8,12 +8,13 @@ guided modes.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, SolveFailed
-from .helmholtz import RayleighData
+from .helmholtz import RayleighData, _require_memory
 from .qpcore import IncidenceSpec, branch_sqrt
 
 
@@ -72,22 +73,21 @@ def dispersion_residual(p: SlabParams, parity: str, abs_alpha: float | None = No
     return float(d * np.sin(g * p.h) + g * np.cos(g * p.h))
 
 
-def find_dispersion_roots(q0: float, h: float, k: float, parity: str,
-                          bracket_points: int = 4000,
-                          tol: float = 1e-12) -> list[DispersionRoot]:
+def find_dispersion_roots(q0: float, h: float, k: float,
+                          parity: str) -> list[DispersionRoot]:
     """All guided-mode roots in |alpha| in (k, k sqrt(q0)), by bisection.
 
-    Scans a uniform bracket grid for sign changes and bisects each to
-    |residual| < tol.  Returns the empty list when q0 <= 1 (the admissible
-    interval is empty: no surface can both decay outside and oscillate
-    inside).
+    Scans a uniform bracket grid of 4000 points for sign changes and bisects
+    each to |residual| < 1e-12.  Returns the empty list when q0 <= 1 (the
+    admissible interval is empty: no surface can both decay outside and
+    oscillate inside).
     """
     if q0 <= 1.0:
         return []
     p = SlabParams(q0=q0, h=h, k=k)
     lo, hi = k, k * np.sqrt(q0)
     margin = (hi - lo) * 1e-9
-    grid = np.linspace(lo + margin, hi - margin, bracket_points)
+    grid = np.linspace(lo + margin, hi - margin, 4000)
     vals = np.array([dispersion_residual(p, parity, a) for a in grid])
     roots = []
     for i in range(len(grid) - 1):
@@ -100,7 +100,7 @@ def find_dispersion_roots(q0: float, h: float, k: float, parity: str,
             for _ in range(200):
                 m = 0.5 * (a + b)
                 fm = dispersion_residual(p, parity, m)
-                if abs(fm) < tol:
+                if abs(fm) < 1e-12:
                     a = b = m
                     break
                 if fa * fm < 0:
@@ -141,7 +141,6 @@ class BrillouinMap:
     grid: int
     k: float
     mode_radius: float
-    cell_tolerance: float
     classes: np.ndarray
 
     def centers(self):
@@ -153,35 +152,39 @@ class BrillouinMap:
         return int(np.count_nonzero(mask))
 
 
-def brillouin_map(k: float, mode_radius: float, grid: int = 512,
-                  cell_tolerance: float | None = None) -> BrillouinMap:
+def brillouin_map(k: float, mode_radius: float, grid: int = 512) -> BrillouinMap:
     """Mark zone cells lying on lattice translates of the two circle families.
 
     A cell is a cut-off cell when min over |l|_inf <= 2 of ||alpha + l| - k|
-    is below the cell tolerance (default: half the cell diagonal), and a
-    propagative cell with k replaced by mode_radius.  Both families restricted
-    to radii < 2 are covered by the translate range.
+    is below half the cell diagonal, and a propagative cell with k replaced
+    by mode_radius.  Both families restricted to radii < 2 are covered by
+    the translate range.  The translates are taken one at a time, so the
+    map holds a few arrays of grid^2 entries; OperatorTooLarge is raised,
+    before anything is allocated, when they exceed physical memory.
     """
+    # 74 bytes a cell at the peak under numpy 2.4: the centres, one translate
+    # with the temporaries of its norm, and the masks; 96 leaves room for
+    # numpy versions that keep one more temporary
+    _require_memory(96 * grid ** 2, f"Brillouin map on a {grid} x {grid} grid",
+                    "lower the grid")
     cell = 1.0 / grid
-    if cell_tolerance is None:
-        cell_tolerance = 0.5 * np.sqrt(2.0) * cell
+    cell_tolerance = 0.5 * np.sqrt(2.0) * cell
     c = (np.arange(grid) + 0.5) * cell - 0.5
-    A1, A2 = np.meshgrid(c, c, indexing="ij")
-    pts = np.stack([A1.ravel(), A2.ravel()], axis=1)
-    ls = np.array([(i, j) for i in range(-2, 3) for j in range(-2, 3)], dtype=float)
-    dist = np.linalg.norm(pts[:, None, :] + ls[None, :, :], axis=2)
-    classes = np.zeros(pts.shape[0], dtype=np.int8)
-    if k > 0:
-        classes |= (np.abs(dist - k) < cell_tolerance).any(axis=1).astype(np.int8)
-    if mode_radius > 0:
-        classes |= ((np.abs(dist - mode_radius) < cell_tolerance).any(axis=1)
-                    .astype(np.int8) * 2)
-    else:
+    pts = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1).reshape(-1, 2)
+    cutoff = np.zeros(len(pts), dtype=bool)
+    propagative = np.zeros(len(pts), dtype=bool)
+    for l in itertools.product(range(-2, 3), repeat=2):
+        dist = np.linalg.norm(pts + np.array(l, dtype=float), axis=1)
+        if k > 0:
+            cutoff |= np.abs(dist - k) < cell_tolerance
+        if mode_radius > 0:
+            propagative |= np.abs(dist - mode_radius) < cell_tolerance
+    if not mode_radius > 0:
         # radius zero: only the cell(s) touching the origin qualify
-        onorigin = np.linalg.norm(pts, axis=1) <= cell_tolerance * (1 + 1e-9)
-        classes |= onorigin.astype(np.int8) * 2
+        propagative = np.linalg.norm(pts, axis=1) <= cell_tolerance * (1 + 1e-9)
+    classes = cutoff.astype(np.int8)
+    classes[propagative] |= 2
     return BrillouinMap(grid=grid, k=k, mode_radius=mode_radius,
-                        cell_tolerance=float(cell_tolerance),
                         classes=classes.reshape(grid, grid))
 
 

@@ -1,5 +1,6 @@
 """Batch front-end: config parsing, command dispatch, reports, exit codes."""
 import json
+import time
 import weakref
 
 import numpy as np
@@ -216,6 +217,22 @@ class TestConfigErrors:
         assert len(err) == 1 and err[0].startswith("config error: bad medium")
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("header, values", [
+        ("n1 -1\nn2 -1\nn3 1", "2.0"),  # once numpy's "one unknown dimension"
+        ("n1 0\nn2 1\nn3 1", ""),       # once a reduction of an empty grid
+    ], ids=["negative", "zero"])
+    def test_medium_size_below_one(self, tmp_path, capsys, header, values):
+        path = tmp_path / "medium.dat"
+        path.write_text(f"qpscat-medium v1\n{header}\nh 1.0\ndata csv\n{values}\n")
+        cfg = write_cfg(tmp_path, SLAB_SOLVE)
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                   "--override", "medium.kind=sampled",
+                   "--override", f"medium.path={path}"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: bad medium")
+        assert "header key n1" in err[0]
+
     def test_output_path_is_a_file(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SLAB_SOLVE)
         out = tmp_path / "taken"
@@ -318,6 +335,22 @@ class TestDispersionCommand:
         # two circle families present
         classes = {row.split(",")[2] for row in lines[1:]}
         assert {"1", "2"} <= classes
+
+
+    def test_grid_beyond_physical_memory_exits_3_with_one_line_error(self, tmp_path,
+                                                                      capsys):
+        # 10^7 x 10^7 cells: petabytes of map, refused before any is allocated
+        cfg = write_cfg(tmp_path, DISPERSION_CONFIG)
+        out = tmp_path / "out"
+        t0 = time.perf_counter()
+        rc = main(["dispersion", "--config", str(cfg), "--out", str(out),
+                   "--override", "slab.grid=10000000"])
+        assert time.perf_counter() - t0 < 5.0
+        assert rc == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "physical memory" in err[0]
+        assert not (out / "brillouin.csv").exists()
 
 
 class TestSlabCommand:

@@ -1046,9 +1046,9 @@ def formula_diagonal(inc, medium, space, derivative=False):
         k = inc.k.real
         shift = k * inc.cos2_theta1 - np.array(space.modes, dtype=float) @ inc.tilde_theta
         volume = (-2j * shift)[:, None, None] * grid.mass.astype(complex)
-        b, scale = 1j * shift / q.beta_table(inc, N).values, 2j * k
+        b, scale = 1j * shift / q.beta_table(inc, N), 2j * k
     else:
-        b = q.beta_table(inc, N).values if inc.k.imag == 0 else \
+        b = q.beta_table(inc, N) if inc.k.imag == 0 else \
             q.helmholtz._beta_array(inc, N)
         b2 = np.array([x * x for x in b.tolist()])
         volume = grid.stiffness.astype(complex) - b2[:, None, None] * grid.mass
@@ -1087,6 +1087,20 @@ class TestCoupledStack:
         assert op.block_diagonal and op.table.coupling is None
         assert op.groups.tolist() == [[i] for i in range(25)]
         assert op.stack.shape == (25 * K, 16 // K, 16 // K)
+
+    @pytest.mark.parametrize("k, derivative", OPERATOR_KINDS, ids=OPERATOR_KIND_IDS)
+    @pytest.mark.parametrize("M", [16, 15])
+    def test_homogeneous_is_the_one_layer_stack(self, M, k, derivative):
+        h, disc = 0.8, q.Discretization(N=2, M=M)
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, h).with_k(k)
+        build = q.assemble_eps_derivative if derivative else q.assemble
+        media = (q.MediumModel.homogeneous(2.0, h), q.MediumModel.slab_stack([(-h, h, 2.0)], h))
+        assert media[0].kind == "slab_stack" and media[0].layers == media[1].layers
+        ops = [build(inc, med, disc) for med in media]
+        assert np.array_equal(ops[0].diagonal, ops[1].diagonal)
+        assert np.array_equal(ops[0].stack, ops[1].stack)
+        load = q.rhs(inc, disc, ops[0].space)
+        assert np.array_equal(q.solve(ops[0], load).values, q.solve(ops[1], load).values)
 
     @pytest.mark.parametrize("k, derivative", OPERATOR_KINDS, ids=OPERATOR_KIND_IDS)
     @pytest.mark.parametrize("medium, N, M, groups", STACK_CASES, ids=STACK_IDS)

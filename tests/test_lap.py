@@ -30,7 +30,7 @@ class TestDerivativeOperator:
     def test_forward_difference_consistency(self, scenario):
         # ||(A(d) - A(0))/d - A'(0)|| = O(d), checked at d = 1e-4, 1e-5
         scn, op = scenario
-        dop = q.derivative_operator(scn)
+        dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc, scn.space)
         A0 = dense(op)
         Ap = dense(dop)
         norm_p = np.linalg.norm(Ap)
@@ -53,7 +53,7 @@ class TestDerivativeOperator:
             / (np.pi / 4)
         assert -1j * q.d_beta_d_eps(n, inc) == pytest.approx(expected, rel=1e-12)
         # and it lands in the boundary corners of the derivative block
-        dop = q.derivative_operator(scn)
+        dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc, scn.space)
         B = dop.diagonal[scn.space.mode_index[n]]
         grid = scn.space.grid
         k = inc.k.real
@@ -83,13 +83,13 @@ class TestDerivativeOperator:
 class TestProjection:
     def test_projects_kernel_to_itself(self, scenario):
         scn, _ = scenario
-        P = q.projection(scn)
+        P = q.KernelProjector(scn.kernel)
         v = scn.kernel.vectors[0]
         assert scn.space.norm(P.apply(v) - v) < 1e-12
 
     def test_idempotent(self, scenario):
         scn, _ = scenario
-        P = q.projection(scn)
+        P = q.KernelProjector(scn.kernel)
         rng = np.random.default_rng(5)
         u = rng.standard_normal((len(scn.space.modes), scn.space.M)) \
             + 1j * rng.standard_normal((len(scn.space.modes), scn.space.M))
@@ -98,7 +98,7 @@ class TestProjection:
 
     def test_annihilates_range_vectors(self, scenario):
         scn, op = scenario
-        P = q.projection(scn)
+        P = q.KernelProjector(scn.kernel)
         sp = scn.space
         rng = np.random.default_rng(6)
         for _ in range(4):
@@ -113,7 +113,7 @@ class TestProjection:
         # does not
         scn, _ = scenario
         sp = scn.space
-        P = q.projection(scn)
+        P = q.KernelProjector(scn.kernel)
         for vec in (q.rhs(scn.inc, scn.disc, sp),
                     q.rhs_eps_derivative(scn.inc, scn.disc, sp)):
             f = sp.unwhiten(sp.unwhiten(vec))
@@ -145,7 +145,7 @@ class TestConstrainedSolve:
     def test_recovers_prescribed_solution(self, scenario):
         # with f = A(0) w and f' = A'(0) w the unique constrained solution is w
         scn, op = scenario
-        dop = q.derivative_operator(scn)
+        dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc, scn.space)
         rng = np.random.default_rng(9)
         w = rng.standard_normal((len(scn.space.modes), scn.space.M)) \
             + 1j * rng.standard_normal((len(scn.space.modes), scn.space.M))
@@ -159,7 +159,7 @@ class TestConstrainedSolve:
         # adding c * v_kernel changes only the constraint block, linearly in c;
         # the solve drives c to a unique value independent of the method
         scn, op = scenario
-        dop = q.derivative_operator(scn)
+        dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc, scn.space)
         rng = np.random.default_rng(10)
         w = np.stack([np.exp(-np.linalg.norm(n) ** 2)
                       * (rng.standard_normal(scn.space.M)
@@ -183,7 +183,7 @@ class TestConstrainedSolve:
     def test_injectivity_surrogate(self, scenario):
         # kernel-restricted derivative Gram is far from singular
         scn, _ = scenario
-        dop = q.derivative_operator(scn)
+        dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc, scn.space)
         m = scn.kernel.dimension
         gram = np.zeros((m, m), dtype=complex)
         for j, vj in enumerate(scn.kernel.vectors):
@@ -210,7 +210,8 @@ def prescribed_loads(scn, op, seed=12):
     rng = np.random.default_rng(seed)
     shape = (len(scn.space.modes), scn.space.M)
     w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return w, op.apply(w), q.derivative_operator(scn).apply(w)
+    dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc, scn.space)
+    return w, op.apply(w), dop.apply(w)
 
 
 def one_block_basis(op):
@@ -230,7 +231,7 @@ def one_block_basis(op):
 
 def full_stacked_lstsq(scn, op, load, dload):
     """The full-size stacked least squares with the unwhitened rows."""
-    dop = q.derivative_operator(scn)
+    dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc, scn.space)
     G = op.matrix
     rows = [np.conj(dop.apply_adjoint(v).ravel()) for v in scn.kernel.vectors]
     dvals = [np.vdot(v.ravel(), dload.ravel()) for v in scn.kernel.vectors]
@@ -438,7 +439,7 @@ class TestConstraintResidual:
         scn, _ = scenario
         cs = q.constrained_solve(scn)
         [phi] = q.mode_lift(scn.kernel, scn.inc)
-        dop = q.derivative_operator(scn)
+        dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc, scn.space)
         shifted = q.FieldCoefficients(space=scn.space, inc=scn.inc,
                                       values=cs.field.values + phi.field.values)
         res = q.constraint_residual(shifted, [phi], scn.inc, scn.medium)[0]

@@ -24,6 +24,8 @@ def dft2_oracle(grid):
 class TestFourierSlice:
     def test_homogeneous(self):
         med = q.MediumModel.homogeneous(2.0, 1.0)
+        assert med.kind == "slab_stack" and med.layers == ((-1.0, 1.0, 2.0 + 0j),)
+        assert med.transversely_uniform
         fs = med.fourier_slice(0.3, 2)
         assert fs[(0, 0)] == 2.0
         assert all(fs[m] == 0.0 for m in q.mode_range(2) if m != (0, 0))
@@ -105,7 +107,7 @@ class TestValidate:
         assert rep.q_ge_one
 
     def test_constructor_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="min Re q = -1 below q_floor = 1e-06"):
             q.MediumModel.homogeneous(-1.0, 1.0)
         with pytest.raises(ValueError):
             q.MediumModel.homogeneous(2.0 - 0.1j, 1.0)  # gain medium
@@ -152,9 +154,9 @@ class TestReadOnlyModel:
         lambda: q.MediumModel.sampled(np.full((8, 8, 1), 2.0), 1.0),
     ], ids=["homogeneous", "slab_stack", "sampled"])
     @pytest.mark.parametrize("name, value", [
-        ("kind", "homogeneous"), ("h", 2.0), ("q_floor", 0.5), ("q0", -1.0),
+        ("kind", "homogeneous"), ("h", 2.0),
         ("layers", ((-1.0, 1.0, 3.0),)), ("values", np.full((8, 8, 1), 3.0)),
-    ])
+    ], ids=["kind-homogeneous", "h-2.0", "layers-value4", "values-value5"])
     def test_rebinding_raises(self, build, name, value):
         med = build()
         before = getattr(med, name)
@@ -187,6 +189,20 @@ class TestIngestion:
         path = tmp_path / "bad.dat"
         path.write_text("not a medium file\n")
         with pytest.raises(q.QpscatError):
+            q.load_sampled_medium(path)
+
+    @pytest.mark.parametrize("sizes, values, key", [
+        ((-1, -1, 1), "2.0", "n1"),  # two unknown sizes once reached numpy's reshape
+        ((0, 1, 1), "", "n1"),       # an empty grid once reached a reduction of nothing
+        ((2, 0, 1), "", "n2"),
+        ((2, 2, -3), "", "n3"),
+    ])
+    def test_sizes_below_one_rejected(self, tmp_path, sizes, values, key):
+        path = tmp_path / "sizes.dat"
+        n1, n2, n3 = sizes
+        path.write_text(f"qpscat-medium v1\nn1 {n1}\nn2 {n2}\nn3 {n3}\nh 1.0\n"
+                        f"data csv\n{values}\n")
+        with pytest.raises(q.QpscatError, match=f"header key {key} = -?[0-9]+ must be >= 1"):
             q.load_sampled_medium(path)
 
     def test_wrong_count_rejected(self, tmp_path):

@@ -168,15 +168,17 @@ class TestBetaTable:
             q.beta_table(inc, 1)  # |(1,0)+0| = 1 = k exactly
 
     def test_entries_consistent(self):
+        # one beta_n per order, in mode_range order: the checked _beta_array
         inc = q.IncidenceSpec.from_angles(1.3, 0.2, 0.4, 1.0)
         bt = q.beta_table(inc, 3)
-        for n in q.mode_range(3):
-            assert bt[n] == q.beta(n, inc)
+        assert np.array_equal(bt, q.qpcore._beta_array(inc, 3))
+        for i, n in enumerate(q.mode_range(3)):
+            assert bt[i] == q.beta(n, inc)
 
     def test_complex_k_all_upper_half(self):
         inc = q.IncidenceSpec.from_angles(1.3 + 0.05j, 0.2, 0.4, 1.0)
         bt = q.beta_table(inc, 5)
-        assert all(b.imag > 0 for b in bt.entries.values())
+        assert bt.shape == (len(q.mode_range(5)),) and np.all(bt.imag > 0)
 
 
 def within_ulps(got, want, ulps=2):
@@ -218,8 +220,7 @@ class TestVectorizedBeta:
         for inc in incidences(11, 300):
             bt = q.beta_table(inc, 4)
             want = [q.beta(n, inc) for n in q.mode_range(4)]
-            assert within_ulps(bt.values, want)
-            assert within_ulps([bt[n] for n in q.mode_range(4)], want)
+            assert within_ulps(bt, want)
 
     @pytest.mark.parametrize("k, alpha", [
         (1 + 1j, (2.0, 0.0)),                      # beta_0^2 = -6i exactly: on the cut

@@ -1,4 +1,6 @@
 """Constant-slab oracles: dispersion, Brillouin map, transfer matrix, determinants."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,50 @@ class TestBrillouinMap:
         # arc-length proportionality: count ~ circumference / cell
         expected = 2 * np.pi * 0.4 * 128
         assert 0.5 * expected < marked.sum() < 2.0 * expected
+
+
+    @pytest.mark.parametrize("k, radius", [(K_EX, MODE_RADIUS), (0.4, 0.0), (1.9, 0.25)])
+    @pytest.mark.parametrize("grid", [33, 64, 128])
+    def test_classes_are_the_broadcast_formula(self, k, radius, grid):
+        # every cell against all 25 translates at once, as one (grid^2, 25) array
+        cell = 1.0 / grid
+        tol = 0.5 * np.sqrt(2.0) * cell
+        c = (np.arange(grid) + 0.5) * cell - 0.5
+        A1, A2 = np.meshgrid(c, c, indexing="ij")
+        pts = np.stack([A1.ravel(), A2.ravel()], axis=1)
+        ls = np.array([(i, j) for i in range(-2, 3) for j in range(-2, 3)], dtype=float)
+        dist = np.linalg.norm(pts[:, None, :] + ls[None, :, :], axis=2)
+        want = (np.abs(dist - k) < tol).any(axis=1).astype(np.int8)
+        if radius > 0:
+            want |= (np.abs(dist - radius) < tol).any(axis=1).astype(np.int8) * 2
+        else:
+            want |= (np.linalg.norm(pts, axis=1) <= tol * (1 + 1e-9)).astype(np.int8) * 2
+        classes = q.brillouin_map(k, radius, grid=grid).classes
+        assert classes.dtype == np.int8
+        assert np.array_equal(classes, want.reshape(grid, grid))
+
+    def test_default_grid_holds_a_few_arrays_of_cells(self):
+        # the broadcast over all 25 translates peaked at 323 MB on this grid
+        tracemalloc.start()
+        try:
+            q.brillouin_map(K_EX, MODE_RADIUS, grid=512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+    def test_guard_counts_the_map_before_allocating(self, monkeypatch):
+        grid = 64
+        need = 96 * grid ** 2
+        for have, fits in ((need - 1, False), (need, True)):
+            monkeypatch.setattr(q.helmholtz.os, "sysconf", lambda name, have=have:
+                                1 if name == "SC_PAGE_SIZE" else have)
+            if fits:
+                assert q.brillouin_map(K_EX, MODE_RADIUS, grid=grid).count(1) > 0
+            else:
+                with pytest.raises(q.OperatorTooLarge,
+                                   match=f"needs {need / 2**30:.4g} GiB"):
+                    q.brillouin_map(K_EX, MODE_RADIUS, grid=grid)
 
 
 class TestTransferMatrix:
