@@ -15,8 +15,8 @@ from .errors import (AliasError, ConfigError, ConstraintSingular, CutoffViolatio
 from .qpcore import (IncidenceSpec, ModeClassification, beta, beta_table,
                      branch_sqrt, classify_modes, d_beta_d_eps, dtn_symbol,
                      min_im_beta, mode_range, rayleigh_eval)
-from .medium import (FourierSlice, MediumModel, MediumReport,
-                     load_sampled_medium, save_sampled_medium, validate)
+from .medium import (MediumModel, MediumReport, load_sampled_medium,
+                     save_sampled_medium, validate)
 from .helmholtz import (CHEBYSHEV, FINITE_DIFFERENCE, Discretization,
                         DiscreteOperator, FieldCoefficients, FieldSpace,
                         RayleighData, assemble, assemble_eps_derivative,

@@ -272,7 +272,7 @@ def run(cfg: RunConfig) -> int:
             op = assemble(inc, medium, disc)
 
         if cfg.command == "solve":
-            v = solve(op, rhs(inc, disc, op.space))
+            v = solve(op, rhs(inc, disc))
             rd = rayleigh_data(v, inc)
             _write_json(cfg.out_dir / "rayleigh.json", _rayleigh_payload(rd, meta))
             _write_efficiencies_csv(cfg.out_dir / "efficiencies.csv", rd)
@@ -284,11 +284,12 @@ def run(cfg: RunConfig) -> int:
                 "kernel_dimension": basis.dimension,
                 "singular_values": [float(s) for s in basis.singular_values],
                 "sigma_max": basis.sigma_max,
+                # each vector's Rayleigh tails are its end nodes; modes ascending
                 "tail_coefficients": [
-                    {_mode_key(n): {"plus": _cplx(t[0]), "minus": _cplx(t[1])}
-                     for n, t in sorted(tails.items())
-                     if max(abs(t[0]), abs(t[1])) > 1e-14}
-                    for tails in basis.tail_coeffs],
+                    {_mode_key(n): {"plus": _cplx(v[i, -1]), "minus": _cplx(v[i, 0])}
+                     for i, n in enumerate(basis.space.modes)
+                     if max(abs(v[i, -1]), abs(v[i, 0])) > 1e-14}
+                    for v in basis.vectors],
             }
             _write_json(cfg.out_dir / "modes.json", payload)
 

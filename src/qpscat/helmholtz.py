@@ -358,12 +358,11 @@ class DiscreteOperator:
     (see `_CouplingTable`); `groups` are the table's mode groups (one per
     mode for a block-diagonal operator).  The screen, `solve`, the kernel
     and the constrained solve read the stack.  No full matrix is stored:
-    `matrix` (row (mode index) * M + (depth index)) and `whitened()` are
-    built on request, for checks.  `apply` and `apply_adjoint` are
-    matrix-free: the diagonal blocks plus, when coupled, one coupling sum
-    over the table's masses.  Everything that depends only on the layout
-    and the weighted product lives on `space`.  The operator caches its
-    whitened matrix and its whitened singular values.
+    `whitened()` builds the dense whitened matrix on request.  `apply` and
+    `apply_adjoint` are matrix-free: the diagonal blocks plus, when coupled,
+    one coupling sum over the table's masses.  Everything that depends only
+    on the layout and the weighted product lives on `space`.  The operator
+    caches its whitened matrix and its whitened singular values.
     """
 
     def __init__(self, inc, space, diagonal, table, scale, stack):
@@ -388,15 +387,14 @@ class DiscreteOperator:
         return self.table.coupling is None
 
     def _row(self, r: int) -> np.ndarray:
-        """Raw row slot r of every mode group, (nc, M, c, M); see `_whitened_blocks`."""
+        """Raw row slot r of every mode group, (nc, M, c, M); see `_whitened_blocks`.
+
+        Only `whitened()` reads it, to whiten a parity-split operator again
+        without parity.
+        """
         t = self.scale * self.table.row(r)
         t[:, :, r] = self.diagonal[self.groups[:, r]]
         return t
-
-    @property
-    def matrix(self) -> np.ndarray:
-        rows = [self._row(r) for r in range(self.groups.shape[1])]
-        return _scatter(self.groups, np.stack(rows, axis=1))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Matrix action on a field of shape (n_modes, M)."""
@@ -418,6 +416,9 @@ class DiscreteOperator:
 
         The stack is the whole whitened operator unless it leaves out parity
         cross parts; then the raw rows are whitened again, without parity.
+        No solver path calls it, but qpbench's tracer wraps it by name
+        (`spans.Tracer.install` looks up `vars(DiscreteOperator)["whitened"]`),
+        so every traced run needs it.
         """
         if self._whitened is None:
             sp = self.space
@@ -528,6 +529,7 @@ def _scatter(groups: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 
     `groups` (nc, c) lists the indices of each group; entries between groups
     are zero.  One group (of every index, in order) is a view of its block.
+    `whitened()` and `_block_diag` build on it.
     """
     nc, c, n = blocks.shape[:3]
     if nc == 1:
@@ -539,7 +541,11 @@ def _scatter(groups: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 
 
 def _block_diag(blocks: np.ndarray) -> np.ndarray:
-    """The dense matrix of a (B, n, n) stack of diagonal blocks."""
+    """The dense matrix of a (B, n, n) stack of diagonal blocks.
+
+    The constrained solve's least-squares call on the blocks that hold a
+    constraint takes this dense matrix (`lap.constrained_solve`).
+    """
     B = len(blocks)
     return _scatter(np.arange(B)[:, None], blocks[:, None, :, None, :])
 
@@ -673,10 +679,11 @@ class _CouplingTable:
         # zero block T pads the rows of `_pairs` that have fewer live pairs
         self._act = (self.masses.transpose(2, 0, 1).reshape(M, -1),
                      self.masses.conj().transpose(1, 0, 2).reshape(M, -1))
-        self._pairs = {}  # (off_diagonal, adjoint) -> the pairs `couple` gathers
-        for off, pairs in ((False, index), (True, self.off)):
-            self._pairs[off, False] = _live_pairs(pairs, T)
-            self._pairs[off, True] = _live_pairs(pairs.T, T)
+        # (off_diagonal, adjoint) -> the pairs `couple` gathers; no caller
+        # asks for the adjoint with the diagonal
+        self._pairs = {(False, False): _live_pairs(index, T),
+                       (True, False): _live_pairs(self.off, T),
+                       (True, True): _live_pairs(self.off.T, T)}
         link = self.off < T
         link = link | link.T
         label = np.arange(nm)
@@ -713,8 +720,9 @@ class _CouplingTable:
                adjoint: bool = False) -> np.ndarray:
         """sum_m C_{n-m} u_m for every mode n, or sum_n C_{n-m}^H u_n for every m.
 
-        u is a field (modes, M); off_diagonal leaves out the pairs m = n.
-        One product with every mass, then one gather of the mode pairs.
+        u is a field (modes, M); off_diagonal leaves out the pairs m = n, and
+        adjoint needs it.  One product with every mass, then one gather of
+        the mode pairs.
         """
         nm, M = u.shape
         U = (u @ self._act[adjoint]).reshape(nm, -1, M)  # U[j, t] = C_t u_j (or C_t^H u_j)
@@ -809,11 +817,11 @@ def _require_field(space: FieldSpace, name: str, value) -> None:
         raise ValueError(f"{name} has non-finite entries")
 
 
-def assemble(inc: IncidenceSpec, medium: MediumModel, disc: Discretization,
-             space: FieldSpace | None = None) -> DiscreteOperator:
+def assemble(inc: IncidenceSpec, medium: MediumModel,
+             disc: Discretization) -> DiscreteOperator:
     """Assemble the layer operator at inc.k (real or complex).
 
-    Without `space` the discretization's own `disc.space(inc.h)` is used, so
+    The operator lives on the discretization's own `disc.space(inc.h)`, so
     the depth grid and W_n factors are shared by every call on one disc.
     Raises CutoffViolation if some order sits at a grazing cut-off (real k
     only), CutProximity if some beta_n^2 lies on the branch cut, AliasError
@@ -825,8 +833,7 @@ def assemble(inc: IncidenceSpec, medium: MediumModel, disc: Discretization,
     if abs(inc.h - medium.h) > 1e-12:
         raise ValueError("incidence h and medium h disagree")
     _check_operator_bytes(medium, disc)
-    if space is None:
-        space = disc.space(inc.h)
+    space = disc.space(inc.h)
     grid = space.grid
     k = inc.k
     k2 = k * k
@@ -844,20 +851,18 @@ def assemble(inc: IncidenceSpec, medium: MediumModel, disc: Discretization,
 
 
 def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
-                            disc: Discretization,
-                            space: FieldSpace | None = None) -> DiscreteOperator:
+                            disc: Discretization) -> DiscreteOperator:
     """d/d eps of the assembled operator at k + i*eps, eps = 0 (real k).
 
     Volume coefficient -2i(k cos^2 t1 - n.tilde_theta) per mode plus
     -2ik times the (q - 1) coupling; boundary entries -i d(beta_n)/d(eps).
-    Without `space`, `disc.space(inc.h)` is used, as in `assemble`, and the
-    same DomainError guards k^2.
+    On `disc.space(inc.h)`, as in `assemble`, and the same DomainError
+    guards k^2.
     """
     if inc.k.imag != 0:
         raise ValueError("derivative operator is defined at real k")
     _check_operator_bytes(medium, disc)
-    if space is None:
-        space = disc.space(inc.h)
+    space = disc.space(inc.h)
     grid = space.grid
     k = inc.k.real
     _require_finite(inc, "k^2", k * k)  # then beta_n^2 and the scale 2ik are too
@@ -877,8 +882,10 @@ def rhs(inc: IncidenceSpec, disc: Discretization,
         space: FieldSpace | None = None) -> np.ndarray:
     """Incident load: -2ik cos(t1) e^{-ikh cos(t1)} in the n = 0 top boundary row.
 
-    Laid out on `space`, by default the discretization's `disc.space(inc.h)`.
-    Raises DomainError if the load overflows (large Im k).
+    Laid out on the discretization's `disc.space(inc.h)`.  A given `space`
+    only sets the layout (no value depends on its h), and `solve` refuses a
+    load of the wrong shape; the argument stays while qpbench's worker
+    passes it.  Raises DomainError if the load overflows (large Im k).
     """
     k = inc.k
     ct = inc.cos_theta1
@@ -897,18 +904,17 @@ def _incident_load(inc, disc, space, value) -> np.ndarray:
     return load
 
 
-def rhs_eps_derivative(inc: IncidenceSpec, disc: Discretization,
-                       space: FieldSpace | None = None) -> np.ndarray:
+def rhs_eps_derivative(inc: IncidenceSpec, disc: Discretization) -> np.ndarray:
     """d/d eps at eps = 0 of the load: 2 cos(t1)(1 - ikh cos(t1)) e^{-ikh cos(t1)}.
 
-    Laid out on `space`, by default the discretization's `disc.space(inc.h)`;
-    DomainError as for `rhs`.
+    Laid out on the discretization's `disc.space(inc.h)`; DomainError as for
+    `rhs`.
     """
     k = inc.k
     ct = inc.cos_theta1
     with np.errstate(over="ignore", invalid="ignore"):
         value = 2.0 * ct * (1.0 - 1j * k * inc.h * ct) * np.exp(-1j * k * inc.h * ct)
-    return _incident_load(inc, disc, space, value)
+    return _incident_load(inc, disc, None, value)
 
 
 @dataclass

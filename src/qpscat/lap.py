@@ -29,7 +29,7 @@ from .helmholtz import _SPLIT_TOL, Discretization, DiscreteOperator, \
     _require_field, assemble, assemble_eps_derivative, rayleigh_data, rhs, \
     rhs_eps_derivative, solve
 from .medium import MediumModel
-from .modes import KernelBasis, LiftedMode, mode_lift
+from .modes import KernelBasis, LiftedMode, _propagating_tail, mode_lift
 from .qpcore import IncidenceSpec, beta, classify_modes
 
 DEFAULT_EPS_SCHEDULE = tuple(0.1 * 2.0 ** -j for j in range(11))
@@ -37,7 +37,11 @@ DEFAULT_EPS_SCHEDULE = tuple(0.1 * 2.0 ** -j for j in range(11))
 
 @dataclass
 class LapScenario:
-    """A limiting-absorption run: incidence at real k, medium, grid, kernel."""
+    """A limiting-absorption run: incidence at real k, medium, grid, kernel.
+
+    Its field space is the discretization's `disc.space(inc.h)`; the kernel
+    must be laid out on an equal space (same discretization and h).
+    """
 
     inc: IncidenceSpec
     medium: MediumModel
@@ -51,10 +55,15 @@ class LapScenario:
         eps = np.asarray(self.eps_schedule, dtype=float)
         if not np.all(np.isfinite(eps)) or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
             raise ValueError("eps_schedule must be finite, positive and decreasing")
+        sp = self.kernel.space
+        if sp.disc != self.disc or sp.h != self.inc.h:
+            raise ValueError(
+                f"kernel space (N={sp.disc.N}, M={sp.disc.M}, h={sp.h!r}) does not "
+                f"match the scenario (N={self.disc.N}, M={self.disc.M}, h={self.inc.h!r})")
 
     @property
     def space(self) -> FieldSpace:
-        return self.kernel.space
+        return self.disc.space(self.inc.h)
 
 
 class KernelProjector:
@@ -127,12 +136,12 @@ def constrained_solve(scn: LapScenario, load: np.ndarray | None = None,
         raise ValueError(f"unknown method {method!r}")
     sp = scn.space
     if load is None:
-        load = rhs(scn.inc, scn.disc, sp)
+        load = rhs(scn.inc, scn.disc)
     if load_deriv is None:
-        load_deriv = rhs_eps_derivative(scn.inc, scn.disc, sp)
+        load_deriv = rhs_eps_derivative(scn.inc, scn.disc)
     _require_field(sp, "load", load)
     _require_field(sp, "load_deriv", load_deriv)
-    op = assemble(scn.inc, scn.medium, scn.disc, sp)
+    op = assemble(scn.inc, scn.medium, scn.disc)
     m = scn.kernel.dimension
     if m == 0:
         fieldv = solve(op, load)
@@ -141,7 +150,7 @@ def constrained_solve(scn: LapScenario, load: np.ndarray | None = None,
                                    solve_residual=float(resid),
                                    constraint_block_residual=0.0,
                                    gram_condition=0.0, method="plain")
-    dop = assemble_eps_derivative(scn.inc, scn.medium, scn.disc, sp)
+    dop = assemble_eps_derivative(scn.inc, scn.medium, scn.disc)
     rows, gram = _constraint_rows(scn, dop)
     dvals = np.array([np.vdot(v.ravel(), load_deriv.ravel())
                       for v in scn.kernel.vectors])
@@ -216,14 +225,14 @@ def eps_sweep(scn: LapScenario, load_provider=None, load_deriv=None) -> LapResul
     k = scn.inc.k.real
     if load_provider is None:
         def load_provider(inc_e):
-            return rhs(inc_e, scn.disc, sp)
+            return rhs(inc_e, scn.disc)
     limit = constrained_solve(scn, load=load_provider(scn.inc),
                               load_deriv=load_deriv)
     lifted = mode_lift(scn.kernel, scn.inc)
 
     def solve_at(eps):
         inc_e = scn.inc.with_k(k + 1j * eps)
-        op_e = assemble(inc_e, scn.medium, scn.disc, sp)
+        op_e = assemble(inc_e, scn.medium, scn.disc)
         smin, smax = op_e.singularity_report()
         return solve(op_e, load_provider(inc_e)), smax / smin
 
@@ -303,26 +312,26 @@ def constraint_residual(u: FieldCoefficients, mode_basis: list[LiftedMode],
 
     out = []
     for phi in mode_basis:
-        nrm = max(sp.norm(phi.field.values), 1e-300)
-        bad = max([max(abs(phi.tail_plus.get(n, 0.0)), abs(phi.tail_minus.get(n, 0.0)))
-                   for n in cls.propagating], default=0.0)
+        psis = phi.field.values
+        nrm = max(sp.norm(psis), 1e-300)
+        bad = _propagating_tail(psis, sp, cls.propagating)
         if bad > 1e-6 * nrm:
             raise NonEvanescentMode(
                 f"mode carries propagating Rayleigh content {bad:.3e}")
         total = 0.0 + 0.0j
         # interior: sum_n int [c_grad v_n + c_shift v_n + c_pot (q*v)_n] psi_n~
         for i, n in enumerate(sp.modes):
-            psi = phi.field.values[i]
+            psi = psis[i]
             if np.max(np.abs(psi)) == 0.0:
                 continue
             c_grad, c_shift, c_pot = vol_coeff(n)
             vn = u.values[i]
             total += (c_grad + c_shift) * (np.conj(psi) @ (grid.mass @ vn))
             total += c_pot * (np.conj(psi) @ qu[i])
-        # evanescent tails
+        # evanescent tails: the end nodes of the mode's profiles
         for n in cls.evanescent:
-            pp = phi.tail_plus.get(n, 0.0)
-            pm = phi.tail_minus.get(n, 0.0)
+            i = sp.mode_index[n]
+            pp, pm = psis[i, -1], psis[i, 0]
             if pp == 0.0 and pm == 0.0:
                 continue
             babs = abs(beta(n, inc))

@@ -22,17 +22,6 @@ _Q_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
-class FourierSlice:
-    """Transverse Fourier coefficients q_hat_m of the index at one depth."""
-
-    depth: float
-    coeffs: dict[tuple[int, int], complex]
-
-    def __getitem__(self, m) -> complex:
-        return self.coeffs.get(tuple(m), 0.0 + 0.0j)
-
-
-@dataclass(frozen=True)
 class MediumReport:
     min_re_q: float
     max_im_q: float
@@ -63,8 +52,8 @@ class MediumModel:
     values = property(operator.attrgetter("_values"))
 
     def __init__(self, kind, h, layers=None, values=None):
-        if h <= 0:
-            raise ValueError("h must be positive")
+        if not h > 0 or not np.isfinite(h):
+            raise ValueError(f"h must be positive and finite, got {h!r}")
         self._kind = kind
         self._h = float(h)
         self._layers = layers
@@ -87,6 +76,8 @@ class MediumModel:
                     key=lambda t: t[0])
         if not ls:
             raise ValueError("slab_stack needs at least one layer")
+        if not np.all(np.isfinite([z for a, b, _ in ls for z in (a, b)])):
+            raise ValueError("layer bounds must be finite")
         if abs(ls[0][0] + h) > 1e-12 or abs(ls[-1][1] - h) > 1e-12:
             raise ValueError("layers must cover [-h, h]")
         for (a0, b0, _), (a1, b1, _) in zip(ls, ls[1:]):
@@ -125,16 +116,6 @@ class MediumModel:
     @property
     def transversely_uniform(self) -> bool:
         return self.kind == "slab_stack"
-
-    def fourier_slice(self, x3: float, M: int) -> FourierSlice:
-        """Coefficients q_hat_m(x3) for |m|_inf <= M at the containing depth cell.
-
-        Stacked slabs have q_hat_0 = q(x3) and zero otherwise; sampled grids
-        are transformed by 2-d DFT of the nearest-depth slice.
-        """
-        profs = self.fourier_profiles([x3], M)
-        return FourierSlice(depth=float(x3),
-                            coeffs={m: complex(p[0]) for m, p in profs.items()})
 
     def fourier_profiles(self, depths, M: int) -> dict[tuple[int, int], np.ndarray]:
         """q_hat_m evaluated along an array of depths, for |m|_inf <= M.

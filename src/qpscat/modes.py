@@ -16,20 +16,22 @@ import numpy as np
 
 from .errors import ThresholdAmbiguity
 from .helmholtz import DiscreteOperator, FieldCoefficients, _interior_field, _real_matmul
-from .qpcore import IncidenceSpec, ModeIndex, _field_point, beta, classify_modes, \
-    rayleigh_eval
+from .qpcore import IncidenceSpec, _field_point, beta, classify_modes, rayleigh_eval
 
 DEFAULT_SVD_THRESHOLD = 1e-8
 
 
 @dataclass
 class KernelBasis:
-    """Discrete null-space basis, W-orthonormal, with Rayleigh tail data."""
+    """Discrete null-space basis, W-orthonormal.
+
+    The Rayleigh tails of a vector are its end nodes: v[i, -1] above and
+    v[i, 0] below, for mode space.modes[i].
+    """
 
     vectors: list[np.ndarray]            # fields of shape (n_modes, M)
     singular_values: list[float]         # retained (smallest) singular values
     sigma_max: float
-    tail_coeffs: list[dict[ModeIndex, tuple[complex, complex]]]
     space: object
     inc: IncidenceSpec
 
@@ -84,7 +86,6 @@ def kernel(op: DiscreteOperator, svd_threshold: float = DEFAULT_SVD_THRESHOLD) -
         raise ValueError("kernel extraction is defined at real k")
     if not 0.0 < svd_threshold < 1.0:  # also rejects NaN
         raise ValueError(f"svd_threshold must lie in (0, 1), got {svd_threshold!r}")
-    space = op.space
     _, s, Vh = np.linalg.svd(op.stack)
     sigma_max = float(s.max())
     rel = np.sort(s.ravel()) / sigma_max
@@ -101,15 +102,9 @@ def kernel(op: DiscreteOperator, svd_threshold: float = DEFAULT_SVD_THRESHOLD) -
         z[b] = np.conj(Vh[b, r])
         members.append((float(s[b, r]), _canonical_phase(op.back(z))))
     members.sort(key=lambda t: t[0])
-    vectors = [v for _, v in members]
-    sigmas = [sg for sg, _ in members]
-    tails = []
-    for v in vectors:
-        tails.append({n: (complex(v[i, -1]), complex(v[i, 0]))
-                      for i, n in enumerate(space.modes)})
-    return KernelBasis(vectors=vectors, singular_values=sigmas,
-                       sigma_max=sigma_max, tail_coeffs=tails,
-                       space=space, inc=op.inc)
+    return KernelBasis(vectors=[v for _, v in members],
+                       singular_values=[sg for sg, _ in members],
+                       sigma_max=sigma_max, space=op.space, inc=op.inc)
 
 
 @dataclass(frozen=True)
@@ -123,22 +118,29 @@ class EvanescenceReport:
         return self.max_propagating_coeff <= self.tolerance
 
 
+def _propagating_tail(v: np.ndarray, space, propagating) -> float:
+    """max |v_n(+-h)| over the orders n in `propagating`: the radiating content.
+
+    The end nodes of a field's mode profiles are its Rayleigh tails, so a
+    guided mode's propagating content is read off them directly.
+    """
+    rows = [space.mode_index[n] for n in propagating]
+    return float(np.abs(v[rows][:, [0, -1]]).max(initial=0.0))
+
+
 def verify_evanescent(basis: KernelBasis, inc: IncidenceSpec) -> EvanescenceReport:
     """Check that kernel vectors carry no propagating Rayleigh orders.
 
     Reports max |v_n^{+-}| over basis vectors and propagating n, scaled by
-    the vector's weighted norm; it passes at or below the report's
-    tolerance, 1e-8.  An empty basis passes trivially.
+    the vector's weighted norm (`_propagating_tail`); it passes at or below
+    the report's tolerance, 1e-8.  An empty basis passes trivially.
     """
-    cls = classify_modes(inc, basis.space.disc.N)
+    sp = basis.space
+    propagating = classify_modes(inc, sp.disc.N).propagating
     per = []
-    for v, tails in zip(basis.vectors, basis.tail_coeffs):
-        nrm = basis.space.norm(v)
-        worst = 0.0
-        for n in cls.propagating:
-            tp, tm = tails[n]
-            worst = max(worst, abs(tp), abs(tm))
-        per.append(worst / nrm if nrm > 0 else 0.0)
+    for v in basis.vectors:
+        nrm = sp.norm(v)
+        per.append(_propagating_tail(v, sp, propagating) / nrm if nrm > 0 else 0.0)
     return EvanescenceReport(max_propagating_coeff=max(per) if per else 0.0,
                              per_vector=tuple(per), tolerance=1e-8)
 
@@ -171,14 +173,13 @@ class LiftedMode:
     """Quasi-periodic guided mode: interior samples plus evanescent tails.
 
     phi(x) = e^{i alpha.x~} sum_n v_n(x3) e^{i n.x~} inside the layer and the
-    matching evanescent Rayleigh tails outside.  interior_potential is
-    k^2 (q0 - 1) of a constant layer, used by `interior_residual` only.
+    matching evanescent Rayleigh tails outside, whose coefficients are the
+    end nodes v_n(+-h) of the field.  interior_potential is k^2 (q0 - 1) of
+    a constant layer, used by `interior_residual` only.
     """
 
     field: FieldCoefficients
     inc: IncidenceSpec
-    tail_plus: dict[ModeIndex, complex]
-    tail_minus: dict[ModeIndex, complex]
     interior_potential: complex = 0.0
 
     def __call__(self, x) -> complex:
@@ -186,8 +187,8 @@ class LiftedMode:
         if abs(x[2]) <= self.inc.h:
             return _interior_field(self.field, self.inc, x)
         if x[2] > 0:
-            return rayleigh_eval(self.tail_plus, "above", self.inc, x)
-        return rayleigh_eval(self.tail_minus, "below", self.inc, x)
+            return rayleigh_eval(self.field.trace_top(), "above", self.inc, x)
+        return rayleigh_eval(self.field.trace_bottom(), "below", self.inc, x)
 
     def interior_residual(self) -> float:
         """Collocation residual of Delta phi + k^2 q phi at interior depth nodes.
@@ -217,12 +218,7 @@ def mode_lift(basis: KernelBasis, inc: IncidenceSpec,
     interior_potential, when given, is k^2 (q0 - 1) of a constant layer and
     enables the interior collocation residual diagnostic.
     """
-    out = []
-    for v, tails in zip(basis.vectors, basis.tail_coeffs):
-        fc = FieldCoefficients(space=basis.space, inc=inc, values=v.copy())
-        out.append(LiftedMode(
-            field=fc, inc=inc,
-            tail_plus={n: t[0] for n, t in tails.items()},
-            tail_minus={n: t[1] for n, t in tails.items()},
-            interior_potential=complex(interior_potential or 0.0)))
-    return out
+    potential = complex(interior_potential or 0.0)
+    return [LiftedMode(field=FieldCoefficients(space=basis.space, inc=inc, values=v.copy()),
+                       inc=inc, interior_potential=potential)
+            for v in basis.vectors]

@@ -233,6 +233,25 @@ class TestConfigErrors:
         assert len(err) == 1 and err[0].startswith("config error: bad medium")
         assert "header key n1" in err[0]
 
+    @pytest.mark.parametrize("source", ["layers", "file"])
+    def test_non_finite_medium_bound(self, tmp_path, capsys, source):
+        # NaN compares False: a NaN layer bound once passed the tiling check
+        # and a NaN file h the h-mismatch check
+        if source == "layers":
+            overrides = ["medium.kind=slab", "medium.layers=-1:nan:1.5,0.2:1:2.0"]
+        else:
+            path = tmp_path / "medium.dat"
+            q.save_sampled_medium(path, np.full((8, 8, 1), 2.0), float("nan"))
+            assert "\nh nan\n" in path.read_text()
+            overrides = ["medium.kind=sampled", f"medium.path={path}"]
+        cfg = write_cfg(tmp_path, SLAB_SOLVE)
+        argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        rc = main(argv + [a for o in overrides for a in ("--override", o)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: bad medium")
+        assert "finite" in err[0]
+
     def test_output_path_is_a_file(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SLAB_SOLVE)
         out = tmp_path / "taken"

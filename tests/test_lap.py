@@ -1,10 +1,12 @@
 """Limiting absorption: derivative operator, projection, constrained solve,
 eps-sweep cross-validation, and the orthogonality-constraint evaluator."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 import qpscat as q
-from test_helmholtz import bad_loads, coupled_medium, inclusion_medium, \
+from test_helmholtz import bad_loads, coupled_medium, dense, inclusion_medium, \
     lamellar_medium, recorded_shapes
 
 K_EX = np.pi / (2 * np.sqrt(2))
@@ -22,22 +24,18 @@ def scenario():
     return scn, op
 
 
-def dense(op_like):
-    return op_like.matrix
-
-
 class TestDerivativeOperator:
     def test_forward_difference_consistency(self, scenario):
         # ||(A(d) - A(0))/d - A'(0)|| = O(d), checked at d = 1e-4, 1e-5
         scn, op = scenario
-        dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc, scn.space)
+        dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc)
         A0 = dense(op)
         Ap = dense(dop)
         norm_p = np.linalg.norm(Ap)
         errs = []
         for delta in (1e-4, 1e-5):
             inc_d = scn.inc.with_k(scn.inc.k + 1j * delta)
-            Ad = dense(q.assemble(inc_d, scn.medium, scn.disc, scn.space))
+            Ad = dense(q.assemble(inc_d, scn.medium, scn.disc))
             errs.append(np.linalg.norm((Ad - A0) / delta - Ap) / norm_p)
         assert errs[0] <= 5e-4 and errs[1] <= 5e-5  # <= 5 * delta
         assert 2.0 < errs[0] / errs[1] < 50.0       # first-order ratio ~ 10
@@ -53,7 +51,7 @@ class TestDerivativeOperator:
             / (np.pi / 4)
         assert -1j * q.d_beta_d_eps(n, inc) == pytest.approx(expected, rel=1e-12)
         # and it lands in the boundary corners of the derivative block
-        dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc, scn.space)
+        dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc)
         B = dop.diagonal[scn.space.mode_index[n]]
         grid = scn.space.grid
         k = inc.k.real
@@ -69,8 +67,8 @@ class TestDerivativeOperator:
         inc = q.IncidenceSpec.from_angles(1.3, t1, 0.0, 1.0)
         med = q.MediumModel.homogeneous(np.sin(t1) ** 2, 1.0)
         disc = q.Discretization(N=1, M=16)
-        space = q.FieldSpace(disc, 1.0)
-        dop = q.assemble_eps_derivative(inc, med, disc, space)
+        dop = q.assemble_eps_derivative(inc, med, disc)
+        space = dop.space
         for n in space.modes:
             B = dop.diagonal[space.mode_index[n]].copy()
             db = q.d_beta_d_eps(n, inc)
@@ -114,10 +112,37 @@ class TestProjection:
         scn, _ = scenario
         sp = scn.space
         P = q.KernelProjector(scn.kernel)
-        for vec in (q.rhs(scn.inc, scn.disc, sp),
-                    q.rhs_eps_derivative(scn.inc, scn.disc, sp)):
+        for vec in (q.rhs(scn.inc, scn.disc), q.rhs_eps_derivative(scn.inc, scn.disc)):
             f = sp.unwhiten(sp.unwhiten(vec))
             assert sp.norm(P.apply(f)) <= 1e-8 * max(sp.norm(f), 1e-300)
+
+
+class TestScenarioSpace:
+    """A scenario lives on its discretization's space at its h."""
+
+    def test_kernel_of_another_space_fails_before_assembly(self, scenario, monkeypatch):
+        scn, _ = scenario
+        other_n = q.kernel(q.assemble(scn.inc, scn.medium, q.Discretization(N=1, M=32)))
+        other_h = dataclasses.replace(scn.kernel, space=scn.disc.space(0.5))
+        assert other_n.dimension == 1
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled before checking the kernel")
+
+        monkeypatch.setattr(q.lap, "assemble", no_assembly)
+        monkeypatch.setattr(q.lap, "assemble_eps_derivative", no_assembly)
+        for kern in (other_n, other_h):
+            with pytest.raises(ValueError, match="kernel space"):
+                q.LapScenario(inc=scn.inc, medium=scn.medium, disc=scn.disc, kernel=kern)
+
+    def test_kernel_on_an_equal_discretization_is_accepted(self, scenario):
+        scn, _ = scenario
+        equal = q.Discretization(N=scn.disc.N, M=scn.disc.M)
+        kern = dataclasses.replace(scn.kernel, space=equal.space(scn.inc.h))
+        scn2 = q.LapScenario(inc=scn.inc, medium=scn.medium, disc=scn.disc, kernel=kern)
+        assert scn2.space is scn.disc.space(scn.inc.h)
+        assert np.array_equal(q.constrained_solve(scn2).field.values,
+                              q.constrained_solve(scn).field.values)
 
 
 class TestConstrainedSolve:
@@ -138,14 +163,14 @@ class TestConstrainedSolve:
         basis = q.kernel(op)
         scn = q.LapScenario(inc=inc, medium=med, disc=disc, kernel=basis)
         cs = q.constrained_solve(scn)
-        plain = q.solve(op, q.rhs(inc, disc, op.space))
+        plain = q.solve(op, q.rhs(inc, disc))
         assert np.allclose(cs.field.values, plain.values, atol=1e-12)
         assert cs.method == "plain"
 
     def test_recovers_prescribed_solution(self, scenario):
         # with f = A(0) w and f' = A'(0) w the unique constrained solution is w
         scn, op = scenario
-        dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc, scn.space)
+        dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc)
         rng = np.random.default_rng(9)
         w = rng.standard_normal((len(scn.space.modes), scn.space.M)) \
             + 1j * rng.standard_normal((len(scn.space.modes), scn.space.M))
@@ -159,7 +184,7 @@ class TestConstrainedSolve:
         # adding c * v_kernel changes only the constraint block, linearly in c;
         # the solve drives c to a unique value independent of the method
         scn, op = scenario
-        dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc, scn.space)
+        dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc)
         rng = np.random.default_rng(10)
         w = np.stack([np.exp(-np.linalg.norm(n) ** 2)
                       * (rng.standard_normal(scn.space.M)
@@ -183,7 +208,7 @@ class TestConstrainedSolve:
     def test_injectivity_surrogate(self, scenario):
         # kernel-restricted derivative Gram is far from singular
         scn, _ = scenario
-        dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc, scn.space)
+        dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc)
         m = scn.kernel.dimension
         gram = np.zeros((m, m), dtype=complex)
         for j, vj in enumerate(scn.kernel.vectors):
@@ -210,7 +235,7 @@ def prescribed_loads(scn, op, seed=12):
     rng = np.random.default_rng(seed)
     shape = (len(scn.space.modes), scn.space.M)
     w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc, scn.space)
+    dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc)
     return w, op.apply(w), dop.apply(w)
 
 
@@ -225,14 +250,13 @@ def one_block_basis(op):
     z = np.zeros(s.shape, dtype=complex)
     z[b] = np.conj(Vh[b, r])
     return q.KernelBasis(vectors=[op.back(z)], singular_values=[float(s[b, r])],
-                         sigma_max=float(s.max()), tail_coeffs=[{}],
-                         space=op.space, inc=op.inc)
+                         sigma_max=float(s.max()), space=op.space, inc=op.inc)
 
 
 def full_stacked_lstsq(scn, op, load, dload):
     """The full-size stacked least squares with the unwhitened rows."""
-    dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc, scn.space)
-    G = op.matrix
+    dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc)
+    G = dense(op)
     rows = [np.conj(dop.apply_adjoint(v).ravel()) for v in scn.kernel.vectors]
     dvals = [np.vdot(v.ravel(), dload.ravel()) for v in scn.kernel.vectors]
     scale = np.linalg.norm(G) / np.sqrt(len(G))
@@ -315,8 +339,8 @@ class TestConstrainedSolveBlocks:
 
         monkeypatch.setattr(q.lap, "assemble", no_assembly)
         monkeypatch.setattr(q.lap, "assemble_eps_derivative", no_assembly)
-        good = {"load": q.rhs(scn.inc, scn.disc, scn.space),
-                "load_deriv": q.rhs_eps_derivative(scn.inc, scn.disc, scn.space)}
+        good = {"load": q.rhs(scn.inc, scn.disc),
+                "load_deriv": q.rhs_eps_derivative(scn.inc, scn.disc)}
         for bad in bad_loads(good[name]):
             for method in ("stacked", "two_step"):
                 with pytest.raises(ValueError, match=f"^{name} "):
@@ -384,7 +408,7 @@ class TestEpsSweep:
         res = q.eps_sweep(scn)
         assert len(res.cond_estimates) == len(scn.eps_schedule) == 11
         for eps, cond in zip(scn.eps_schedule, res.cond_estimates):
-            op_e = q.assemble(inc.with_k(K_EX + 1j * eps), med, disc, scn.space)
+            op_e = q.assemble(inc.with_k(K_EX + 1j * eps), med, disc)
             s = np.linalg.svd(op_e.whitened(), compute_uv=False)
             assert cond == pytest.approx(s[0] / s[-1], rel=1e-12)
 
@@ -412,8 +436,7 @@ class TestEpsSweep:
         res = q.eps_sweep(scn)
         norms = [v.norm() for v in res.v_eps]
         fnorm = 0.0
-        for vec in (q.rhs(scn.inc, scn.disc, sp),
-                    q.rhs_eps_derivative(scn.inc, scn.disc, sp)):
+        for vec in (q.rhs(scn.inc, scn.disc), q.rhs_eps_derivative(scn.inc, scn.disc)):
             f = sp.unwhiten(sp.unwhiten(vec))
             fnorm += sp.norm(f)
         assert max(norms) <= 50.0 * fnorm  # measured c ~ 22 for this scenario
@@ -439,7 +462,7 @@ class TestConstraintResidual:
         scn, _ = scenario
         cs = q.constrained_solve(scn)
         [phi] = q.mode_lift(scn.kernel, scn.inc)
-        dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc, scn.space)
+        dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc)
         shifted = q.FieldCoefficients(space=scn.space, inc=scn.inc,
                                       values=cs.field.values + phi.field.values)
         res = q.constraint_residual(shifted, [phi], scn.inc, scn.medium)[0]
@@ -463,9 +486,10 @@ class TestConstraintResidual:
         scn, _ = scenario
         cs = q.constrained_solve(scn)
         [phi] = q.mode_lift(scn.kernel, scn.inc)
-        bad = q.LiftedMode(field=phi.field, inc=phi.inc,
-                           tail_plus={**phi.tail_plus, (0, 0): 1.0 + 0j},
-                           tail_minus=phi.tail_minus)
+        vals = phi.field.values.copy()
+        vals[scn.space.mode_index[(0, 0)], -1] = 1.0  # a propagating tail above
+        bad = q.LiftedMode(field=q.FieldCoefficients(space=scn.space, inc=phi.inc,
+                                                     values=vals), inc=phi.inc)
         with pytest.raises(q.NonEvanescentMode):
             q.constraint_residual(cs.field, [bad], scn.inc, scn.medium)
 
@@ -484,11 +508,11 @@ def residual_double_loop(u, phi, inc, medium):
             C = g.weighted_mass(profs[(n[0] - m[0], n[1] - m[1])])
             total += -1j * k * (psi @ C @ u.values[j])
     rd = q.rayleigh_data(u, inc)
+    top, bottom = phi.field.trace_top(), phi.field.trace_bottom()
     for n in q.classify_modes(inc, N).evanescent:
         nth = float(np.array(n, float) @ inc.tilde_theta)
         c = (1j * nth - 1j * k * inc.cos2_theta1) / (2 * abs(q.beta(n, inc)))
-        total += c * (rd.u_plus[n] * np.conj(phi.tail_plus[n])
-                      + rd.u_minus[n] * np.conj(phi.tail_minus[n]))
+        total += c * (rd.u_plus[n] * np.conj(top[n]) + rd.u_minus[n] * np.conj(bottom[n]))
     return 4 * np.pi ** 2 * total
 
 
@@ -504,10 +528,7 @@ class TestCoupledConstraintResidual:
                 + 1j * rng.standard_normal((2, len(sp.modes), sp.M)))
         for n in q.classify_modes(inc, 2).propagating:  # an evanescent phi
             v[sp.mode_index[n], [0, -1]] = 0.0
-        phi = q.LiftedMode(field=q.FieldCoefficients(space=sp, inc=inc, values=v),
-                           inc=inc,
-                           tail_plus={n: v[i, -1] for i, n in enumerate(sp.modes)},
-                           tail_minus={n: v[i, 0] for i, n in enumerate(sp.modes)})
+        phi = q.LiftedMode(field=q.FieldCoefficients(space=sp, inc=inc, values=v), inc=inc)
         field = q.FieldCoefficients(space=sp, inc=inc, values=u)
         calls = []
         profiles = q.lap._medium_profiles
@@ -542,8 +563,7 @@ class TestSignStructure:
             m_int = float(np.real(np.conj(prof) @ (g.mass @ prof)))
             k_int = float(np.real(np.conj(prof) @ (g.stiffness @ prof)))
             babs = abs(q.beta(n, inc))
-            tails = (abs(phi.tail_plus[n]) ** 2 + abs(phi.tail_minus[n]) ** 2) \
-                / (2 * babs)
+            tails = (abs(prof[-1]) ** 2 + abs(prof[0]) ** 2) / (2 * babs)
             A += k_int + n2 * m_int + (n2 + babs ** 2) * tails
             B += -2 * nth * (m_int + tails)
             C += (q0 - s2) * m_int + (1.0 - s2) * tails

@@ -21,12 +21,17 @@ def dft2_oracle(grid):
     return out
 
 
+def slice_at(med, x3, M):
+    """q_hat_m(x3) for |m|_inf <= M: `fourier_profiles` at the one depth x3."""
+    return {m: complex(p[0]) for m, p in med.fourier_profiles([x3], M).items()}
+
+
 class TestFourierSlice:
     def test_homogeneous(self):
         med = q.MediumModel.homogeneous(2.0, 1.0)
         assert med.kind == "slab_stack" and med.layers == ((-1.0, 1.0, 2.0 + 0j),)
         assert med.transversely_uniform
-        fs = med.fourier_slice(0.3, 2)
+        fs = slice_at(med, 0.3, 2)
         assert fs[(0, 0)] == 2.0
         assert all(fs[m] == 0.0 for m in q.mode_range(2) if m != (0, 0))
 
@@ -35,7 +40,7 @@ class TestFourierSlice:
         x1 = 2 * np.pi * np.arange(n) / n
         vals = 1.0 + 0.5 * np.cos(x1)[:, None, None] * np.ones((1, n, 4))
         med = q.MediumModel.sampled(vals, 1.0)
-        fs = med.fourier_slice(0.0, 2)
+        fs = slice_at(med, 0.0, 2)
         assert fs[(0, 0)] == pytest.approx(1.0, abs=1e-14)
         assert fs[(1, 0)] == pytest.approx(0.25, abs=1e-14)
         assert fs[(-1, 0)] == pytest.approx(0.25, abs=1e-14)
@@ -45,7 +50,7 @@ class TestFourierSlice:
         rng = np.random.default_rng(5)
         vals = 1.5 + 0.3 * rng.standard_normal((8, 8, 3))
         med = q.MediumModel.sampled(vals, 1.0)
-        fs = med.fourier_slice(-0.4, 3)
+        fs = slice_at(med, -0.4, 3)
         for m in q.mode_range(3):
             assert fs[m] == pytest.approx(np.conj(fs[(-m[0], -m[1])]), abs=1e-13)
 
@@ -53,7 +58,7 @@ class TestFourierSlice:
         rng = np.random.default_rng(11)
         vals = 1.5 + 0.3 * rng.standard_normal((6, 6, 2))
         med = q.MediumModel.sampled(vals, 1.0)
-        fs = med.fourier_slice(-0.9, 2)
+        fs = slice_at(med, -0.9, 2)
         oracle = dft2_oracle(vals[:, :, 0])
         for m in q.mode_range(2):
             assert fs[m] == pytest.approx(oracle[m], abs=1e-13)
@@ -65,26 +70,26 @@ class TestFourierSlice:
         grid = (2.0 + 0.4 * np.cos(x1)[:, None] + 0.2 * np.sin(2 * x2)[None, :]
                 + 0.1 * np.cos(x1[:, None] + x2[None, :]))
         med = q.MediumModel.sampled(grid[:, :, None], 1.0)
-        fs = med.fourier_slice(0.0, 4)
+        fs = slice_at(med, 0.0, 4)
         recon = np.zeros((n, n), dtype=complex)
-        for m, c in fs.coeffs.items():
+        for m, c in fs.items():
             recon += c * np.exp(1j * (m[0] * x1[:, None] + m[1] * x2[None, :]))
         assert np.max(np.abs(recon - grid)) < 1e-12
 
     def test_slab_depth_independent(self):
         med = q.MediumModel.slab_stack([(-1.0, 1.0, 2.0)], 1.0)
         for x3 in (-0.9, 0.0, 0.75):
-            assert med.fourier_slice(x3, 1)[(0, 0)] == 2.0
+            assert slice_at(med, x3, 1)[(0, 0)] == 2.0
 
     def test_stacked_layers_lookup(self):
         med = q.MediumModel.slab_stack([(-1.0, 0.0, 2.0), (0.0, 1.0, 3.0)], 1.0)
-        assert med.fourier_slice(-0.5, 0)[(0, 0)] == 2.0
-        assert med.fourier_slice(0.5, 0)[(0, 0)] == 3.0
+        assert slice_at(med, -0.5, 0)[(0, 0)] == 2.0
+        assert slice_at(med, 0.5, 0)[(0, 0)] == 3.0
 
     def test_out_of_layer(self):
         med = q.MediumModel.homogeneous(2.0, 1.0)
         with pytest.raises(q.OutOfLayer):
-            med.fourier_slice(1.5, 1)
+            slice_at(med, 1.5, 1)
 
 
 class TestValidate:
@@ -105,6 +110,15 @@ class TestValidate:
         med = q.MediumModel.slab_stack([(-1.0, 1.0, 2.0)], 1.0)
         rep = q.validate(med)
         assert rep.q_ge_one
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constructor_rejects_non_finite_h_and_bounds(self, bad):
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            q.MediumModel.sampled(np.full((8, 8, 1), 2.0), bad)
+        with pytest.raises(ValueError, match="finite"):
+            q.MediumModel.homogeneous(2.0, bad)
+        with pytest.raises(ValueError, match="layer bounds must be finite"):
+            q.MediumModel.slab_stack([(-1.0, bad, 1.5), (0.2, 1.0, 2.0)], 1.0)
 
     def test_constructor_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="min Re q = -1 below q_floor = 1e-06"):
