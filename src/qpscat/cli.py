@@ -345,9 +345,7 @@ def run(cfg: RunConfig) -> int:
         elif cfg.command == "slab":
             inc = cfg.incidence()
             q0 = cfg.slab_q0(cfg._get("medium", "q0", "1"))
-            p = SlabParams(q0=q0, h=inc.h, k=inc.k.real,
-                           abs_alpha=float(np.linalg.norm(inc.alpha_vec)))
-            rd = transfer_matrix_scattering(p, inc)
+            rd = transfer_matrix_scattering(SlabParams(q0=q0, h=inc.h, k=inc.k.real), inc)
             _write_json(cfg.out_dir / "rayleigh.json", _rayleigh_payload(rd, meta))
             _write_efficiencies_csv(cfg.out_dir / "efficiencies.csv", rd)
 

@@ -456,6 +456,7 @@ class DiscreteOperator:
         return float(s[-1]), float(s[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # `_build_operator` refuses the overflow
 def _whitened_blocks(space: FieldSpace, groups: np.ndarray, row, parity):
     """The whitened diagonal blocks of a (mode, node) matrix over mode groups.
 
@@ -601,8 +602,12 @@ def _mirror_symmetric(blocks: np.ndarray, weights) -> bool:
 
     R reverses the depth nodes (j -> M-1-j) of the (M, M) blocks X_i, so
     the left side is the weighted squared norm of their even/odd cross parts
-    in the parity basis.
+    in the parity basis.  Blocks with an entry of modulus 1 or more are
+    first scaled exactly, by the power of two that brings their largest
+    entry into [1/2, 1), so that no square overflows.
     """
+    blocks = blocks * 2.0 ** -max(int(np.frexp(np.abs(blocks).max())[1]), 0)
+
     def norms(x):
         return np.dot(weights, np.sum(np.abs(x) ** 2, axis=(1, 2)))
     return norms(blocks - blocks[:, ::-1, ::-1]) / 4 <= _SPLIT_TOL ** 2 * norms(blocks)
@@ -787,6 +792,9 @@ def _build_operator(inc, medium, space, volume, boundary, scale) -> DiscreteOper
         out.reshape(nc, B // nm, c, n, c, n)[group, :, slot, :, slot, :] = \
             stack.reshape(nm, B // nm, n, n)
         stack = out
+    if not np.isfinite(stack).all():
+        raise DomainError(f"whitened operator overflows double precision at "
+                          f"h = {space.h:.6g}, M = {space.M}")
     return DiscreteOperator(inc, space, diagonal, table, scale, stack)
 
 
@@ -992,21 +1000,24 @@ class RayleighData:
         return sum(self.efficiencies_up.values()) + sum(self.efficiencies_down.values())
 
 
+def _rayleigh_tails(v: FieldCoefficients, inc: IncidenceSpec):
+    """u_n^+ = v_n(h) - delta_n0 e^{-ikh cos t1} and u_n^- = v_n(-h), in mode order."""
+    u_plus = v.values[:, -1].copy()
+    u_plus[v.space.mode_index[(0, 0)]] -= np.exp(-1j * inc.k * inc.h * inc.cos_theta1)
+    return u_plus, v.values[:, 0]
+
+
 def rayleigh_data(v: FieldCoefficients, inc: IncidenceSpec) -> RayleighData:
-    """Extract u_n^+ = v_n(h) - delta_n0 e^{-ikh cos t1}, u_n^- = v_n(-h).
+    """Extract u_n^+ and u_n^- (`_rayleigh_tails`) per mode.
 
     Efficiencies (Re beta_n / beta_0) |u_n|^2, as floats, for the propagating
     orders of a real-k solve, with every beta_n from one array operation
     (`qpcore._beta_array`); the balance residual is |sum - 1| (meaningful
     for lossless media).
     """
-    top = v.trace_top()
-    bot = v.trace_bottom()
     k = inc.k
-    ct = inc.cos_theta1
-    u_plus = dict(top)
-    u_plus[(0, 0)] = top[(0, 0)] - np.exp(-1j * k * inc.h * ct)
-    u_minus = dict(bot)
+    u_plus, u_minus = (dict(zip(v.space.modes, t.tolist()))
+                       for t in _rayleigh_tails(v, inc))
     eff_up: dict[ModeIndex, float] = {}
     eff_dn: dict[ModeIndex, float] = {}
     balance = float("nan")

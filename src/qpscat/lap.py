@@ -26,11 +26,11 @@ import numpy as np
 from .errors import ConstraintSingular, NonEvanescentMode
 from .helmholtz import _SPLIT_TOL, Discretization, DiscreteOperator, \
     FieldCoefficients, FieldSpace, _block_diag, _medium_profiles, \
-    _require_field, assemble, assemble_eps_derivative, rayleigh_data, rhs, \
+    _rayleigh_tails, _require_field, assemble, assemble_eps_derivative, rhs, \
     rhs_eps_derivative, solve
 from .medium import MediumModel
-from .modes import KernelBasis, LiftedMode, _propagating_tail, mode_lift
-from .qpcore import IncidenceSpec, beta, classify_modes
+from .modes import KernelBasis, _propagating_tail
+from .qpcore import IncidenceSpec, _beta_array, _row_dot, classify_modes
 
 DEFAULT_EPS_SCHEDULE = tuple(0.1 * 2.0 ** -j for j in range(11))
 
@@ -40,7 +40,8 @@ class LapScenario:
     """A limiting-absorption run: incidence at real k, medium, grid, kernel.
 
     Its field space is the discretization's `disc.space(inc.h)`; the kernel
-    must be laid out on an equal space (same discretization and h).
+    must be laid out on an equal space (same discretization and h) and
+    taken at an equal incidence, both compared by value.
     """
 
     inc: IncidenceSpec
@@ -60,28 +61,13 @@ class LapScenario:
             raise ValueError(
                 f"kernel space (N={sp.disc.N}, M={sp.disc.M}, h={sp.h!r}) does not "
                 f"match the scenario (N={self.disc.N}, M={self.disc.M}, h={self.inc.h!r})")
+        if self.kernel.inc != self.inc:
+            raise ValueError(f"kernel incidence {self.kernel.inc!r} does not match "
+                             f"the scenario incidence {self.inc!r}")
 
     @property
     def space(self) -> FieldSpace:
         return self.disc.space(self.inc.h)
-
-
-class KernelProjector:
-    """Projection onto the kernel span along the weighted-orthogonal splitting.
-
-    P u = sum_l <u, v_l> v_l for the W-orthonormal kernel basis; P^2 = P and
-    P annihilates the range of the real-k operator up to the evanescence
-    quality of the kernel.
-    """
-
-    def __init__(self, basis: KernelBasis):
-        self.basis = basis
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
-        for v in self.basis.vectors:
-            out += self.basis.space.inner(u, v) * v
-        return out
 
 
 @dataclass
@@ -228,7 +214,6 @@ def eps_sweep(scn: LapScenario, load_provider=None, load_deriv=None) -> LapResul
             return rhs(inc_e, scn.disc)
     limit = constrained_solve(scn, load=load_provider(scn.inc),
                               load_deriv=load_deriv)
-    lifted = mode_lift(scn.kernel, scn.inc)
 
     def solve_at(eps):
         inc_e = scn.inc.with_k(k + 1j * eps)
@@ -241,10 +226,7 @@ def eps_sweep(scn: LapScenario, load_provider=None, load_deriv=None) -> LapResul
         v_eps.append(ve)
         deltas.append(sp.norm(ve.values - limit.field.values))
         conds.append(cond)
-        if lifted:
-            res_eps.append(constraint_residual(ve, lifted, scn.inc, scn.medium))
-        else:
-            res_eps.append(np.zeros(0, dtype=complex))
+        res_eps.append(constraint_residual(ve, scn.kernel, scn.medium))
     if len(v_eps) >= 2:
         e1, e0 = scn.eps_schedule[-2], scn.eps_schedule[-1]
         vex = v_eps[-1].values + (v_eps[-1].values - v_eps[-2].values) * e0 / (e1 - e0)
@@ -256,8 +238,7 @@ def eps_sweep(scn: LapScenario, load_provider=None, load_deriv=None) -> LapResul
     eps_arr = np.array(scn.eps_schedule)
     slope = float(np.polyfit(np.log(eps_arr[tail]), np.log(deltas[tail]), 1)[0]) \
         if len(deltas[tail]) >= 2 and np.all(deltas[tail] > 0) else float("nan")
-    res_limit = constraint_residual(limit.field, lifted, scn.inc, scn.medium) \
-        if lifted else np.zeros(0, dtype=complex)
+    res_limit = constraint_residual(limit.field, scn.kernel, scn.medium)
     return LapResult(eps_schedule=tuple(scn.eps_schedule), v_eps=v_eps,
                      v_limit_extrapolated=v_ex, v_limit_constrained=limit,
                      sweep_deltas=deltas, cond_estimates=np.array(conds),
@@ -265,81 +246,56 @@ def eps_sweep(scn: LapScenario, load_provider=None, load_deriv=None) -> LapResul
                      constraint_residuals=res_limit, slope=slope)
 
 
-def constraint_residual(u: FieldCoefficients, mode_basis: list[LiftedMode],
-                        inc: IncidenceSpec, medium: MediumModel,
-                        form: str = "theta") -> np.ndarray:
-    """Orthogonality functional of the limit against each guided mode.
+def constraint_residual(u: FieldCoefficients, basis: KernelBasis,
+                        medium: MediumModel) -> np.ndarray:
+    """Orthogonality functional of the limit against each kernel vector.
 
-    Evaluates   integral over the infinite cell of
-    [tilde_theta . grad_x~ u - i k q u] conj(phi)   (form='theta'), or the
-    k-scaled variant [alpha . grad_x~ u - i k^2 q u] conj(phi)
-    (form='alpha', exactly k times the former), by mass-matrix quadrature
-    over the layer plus closed-form evanescent tail integrals.  The q u term
-    is the coupling sum of the table that assembly caches per (medium,
-    space) (`_medium_profiles`, `_CouplingTable.couple`), which the
-    operator's `apply` also takes, so repeated residuals on one medium
-    build no mass.  Modes must be evanescent: propagating tail content
-    above 1e-6 of the mode's norm raises NonEvanescentMode.  The
-    incident-wave tail pairs only with the (absent) propagating mode content
-    and is dropped.
+    Evaluates, for each guided mode phi of the basis, the integral over the
+    infinite cell of  [tilde_theta . grad_x~ u - i k q u] conj(phi)  at the
+    basis's real-k incidence `basis.inc`, by mass-matrix quadrature over the
+    layer plus closed-form evanescent tail integrals, for all vectors at
+    once.  The q u term is the coupling sum of the table that assembly
+    caches per (medium, space) (`_medium_profiles`, `_CouplingTable.couple`),
+    which the operator's `apply` also takes, so repeated residuals on one
+    medium build no mass.  The tails pair the Rayleigh coefficients of u
+    (`_rayleigh_tails`, as `rayleigh_data` reports them) with the modes'
+    end nodes over the evanescent orders.  Every vector must be evanescent:
+    propagating tail content above 1e-6 of its norm raises
+    NonEvanescentMode.  The incident-wave tail pairs only with the (absent)
+    propagating mode content and is dropped.  Raises ValueError unless u
+    lives on a space of the basis's discretization and h; an empty basis
+    gives an empty array.
     """
-    if form not in ("theta", "alpha"):
-        raise ValueError("form must be 'theta' or 'alpha'")
     sp = u.space
-    grid = sp.grid
+    if sp.disc != basis.space.disc or sp.h != basis.space.h:
+        raise ValueError(
+            f"field space (N={sp.disc.N}, M={sp.M}, h={sp.h!r}) does not match the "
+            f"kernel space (N={basis.space.disc.N}, M={basis.space.M}, "
+            f"h={basis.space.h!r})")
+    if not basis.vectors:
+        return np.zeros(0, dtype=complex)
+    inc = basis.inc
     k = inc.k.real
-    tt = inc.tilde_theta
-    al = inc.alpha_vec
-    cls = classify_modes(inc, sp.disc.N)
-    qu = _medium_profiles(medium, sp).couple(u.values)  # (q u)_n = sum_m C_{n-m} u_m
-    rd = rayleigh_data(u, inc)
-
-    if form == "theta":
-        def vol_coeff(n):
-            nv = np.asarray(n, dtype=float)
-            return 1j * float(nv @ tt), 1j * k * inc.sin2_theta1, -1j * k
-        def tail_coeff(n):
-            nv = np.asarray(n, dtype=float)
-            return 1j * float(nv @ tt) - 1j * k * inc.cos2_theta1
-    else:
-        k2c2 = k * k - float(al @ al)
-        def vol_coeff(n):
-            nv = np.asarray(n, dtype=float)
-            return 1j * float(nv @ al), 1j * float(al @ al), -1j * k * k
-        def tail_coeff(n):
-            nv = np.asarray(n, dtype=float)
-            return 1j * float(nv @ al) - 1j * k2c2
-
-    out = []
-    for phi in mode_basis:
-        psis = phi.field.values
-        nrm = max(sp.norm(psis), 1e-300)
-        bad = _propagating_tail(psis, sp, cls.propagating)
-        if bad > 1e-6 * nrm:
+    N = sp.disc.N
+    cls = classify_modes(inc, N)
+    for v in basis.vectors:
+        bad = _propagating_tail(v, sp, cls.propagating)
+        if bad > 1e-6 * max(sp.norm(v), 1e-300):
             raise NonEvanescentMode(
                 f"mode carries propagating Rayleigh content {bad:.3e}")
-        total = 0.0 + 0.0j
-        # interior: sum_n int [c_grad v_n + c_shift v_n + c_pot (q*v)_n] psi_n~
-        for i, n in enumerate(sp.modes):
-            psi = psis[i]
-            if np.max(np.abs(psi)) == 0.0:
-                continue
-            c_grad, c_shift, c_pot = vol_coeff(n)
-            vn = u.values[i]
-            total += (c_grad + c_shift) * (np.conj(psi) @ (grid.mass @ vn))
-            total += c_pot * (np.conj(psi) @ qu[i])
-        # evanescent tails: the end nodes of the mode's profiles
-        for n in cls.evanescent:
-            i = sp.mode_index[n]
-            pp, pm = psis[i, -1], psis[i, 0]
-            if pp == 0.0 and pm == 0.0:
-                continue
-            babs = abs(beta(n, inc))
-            c = tail_coeff(n) / (2.0 * babs)
-            total += c * (rd.u_plus.get(n, 0.0) * np.conj(pp)
-                          + rd.u_minus.get(n, 0.0) * np.conj(pm))
-        out.append(4 * np.pi ** 2 * total)
-    return np.array(out, dtype=complex)
+    V = np.conj(basis.vectors)  # (vectors, modes, M)
+    # interior: sum_n int [i (n.theta~ + k sin^2 t1) u_n - i k (q u)_n] conj(phi_n)
+    nth = _row_dot(np.array(sp.modes, dtype=float), inc.tilde_theta)
+    qu = _medium_profiles(medium, sp).couple(u.values)  # (q u)_n = sum_m C_{n-m} u_m
+    f = (1j * (nth + k * inc.sin2_theta1))[:, None] * (u.values @ sp.grid.mass) \
+        - 1j * k * qu
+    total = V.reshape(len(V), -1) @ f.ravel()
+    # evanescent tails: u's Rayleigh coefficients against the modes' end nodes
+    ev = [sp.mode_index[n] for n in cls.evanescent]
+    c = 1j * (nth[ev] - k * inc.cos2_theta1) / (2.0 * np.abs(_beta_array(inc, N)[ev]))
+    u_plus, u_minus = _rayleigh_tails(u, inc)
+    total += V[:, ev, -1] @ (c * u_plus[ev]) + V[:, ev, 0] @ (c * u_minus[ev])
+    return 4 * np.pi ** 2 * total
 
 
 def write_sweep_csv(result: LapResult, path) -> None:

@@ -354,32 +354,22 @@ def _normalize_profile(profile) -> list[tuple[float, float, complex]]:
 def maxwell_constraint_residual(E: ModeField, psi: ModeField,
                                 tilde_theta, k: float,
                                 mu_ratio_profile=None,
-                                eps_ratio_profile=None,
-                                form: str = "theta") -> complex:
+                                eps_ratio_profile=None) -> complex:
     """LHS - RHS of the electromagnetic orthogonality constraint.
 
     LHS = 2k int (eps/eps0) E . conj(psi),
     RHS = i int (mu0/mu) [(curl conj psi) . (theta_check x E)
                           - (curl E) . (theta_check x conj psi)],
-    over the half-space cell; form='alpha' evaluates the k-scaled variant
-    (theta_check replaced by (alpha, 0), LHS weight 2k^2), exactly k times
-    the former.  Fields must be slab-class: finite mode sets with
-    piecewise-exponential depth segments; material ratio profiles are
-    piecewise constant on [0, inf).
+    over the half-space cell, with theta_check = (tilde_theta, 0).  Fields
+    must be slab-class: finite mode sets with piecewise-exponential depth
+    segments; material ratio profiles are piecewise constant on [0, inf).
     """
-    if form not in ("theta", "alpha"):
-        raise ValueError("form must be 'theta' or 'alpha'")
     if E.alpha != psi.alpha:
         raise UnsupportedMedium("fields must share the quasi-momentum")
     mu_prof = _normalize_profile(mu_ratio_profile)
     eps_prof = _normalize_profile(eps_ratio_profile)
     tt = np.asarray(tilde_theta, dtype=float)
-    if form == "theta":
-        tcheck = np.array([tt[0], tt[1], 0.0], dtype=complex)
-        lhs_weight = 2.0 * k
-    else:
-        tcheck = np.array([k * tt[0], k * tt[1], 0.0], dtype=complex)
-        lhs_weight = 2.0 * k * k
+    tcheck = np.array([tt[0], tt[1], 0.0], dtype=complex)
 
     lhs = 0.0 + 0.0j
     rhs = 0.0 + 0.0j
@@ -410,6 +400,6 @@ def maxwell_constraint_residual(E: ModeField, psi: ModeField,
                     if hi > lo:
                         I = _exp_pair_integral(se.rate, se.z0, sp_.rate, sp_.z0, lo, hi)
                         lhs += eval_ * dot_lhs * I
-    lhs *= lhs_weight * PAIRING_WEIGHT
+    lhs *= 2.0 * k * PAIRING_WEIGHT
     rhs *= 1j * PAIRING_WEIGHT
     return complex(lhs - rhs)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ThresholdAmbiguity
 from .helmholtz import DiscreteOperator, FieldCoefficients, _interior_field, _real_matmul
-from .qpcore import IncidenceSpec, _field_point, beta, classify_modes, rayleigh_eval
+from .qpcore import IncidenceSpec, _field_point, classify_modes, rayleigh_eval
 
 DEFAULT_SVD_THRESHOLD = 1e-8
 
@@ -50,6 +50,18 @@ class KernelBasis:
     def coefficients(self, u: np.ndarray) -> np.ndarray:
         """Weighted-inner-product coefficients <u, v_l> of a field."""
         return np.array([self.space.inner(u, v) for v in self.vectors])
+
+    def project(self, u: np.ndarray) -> np.ndarray:
+        """P u = sum_l <u, v_l> v_l: the projection onto the kernel span.
+
+        Along the weighted-orthogonal splitting: P^2 = P, and P annihilates
+        the range of the real-k operator up to the evanescence quality of
+        the kernel.
+        """
+        out = np.zeros(u.shape, dtype=complex)
+        for c, v in zip(self.coefficients(u), self.vectors):
+            out += c * v
+        return out
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -128,15 +140,16 @@ def _propagating_tail(v: np.ndarray, space, propagating) -> float:
     return float(np.abs(v[rows][:, [0, -1]]).max(initial=0.0))
 
 
-def verify_evanescent(basis: KernelBasis, inc: IncidenceSpec) -> EvanescenceReport:
+def verify_evanescent(basis: KernelBasis) -> EvanescenceReport:
     """Check that kernel vectors carry no propagating Rayleigh orders.
 
-    Reports max |v_n^{+-}| over basis vectors and propagating n, scaled by
-    the vector's weighted norm (`_propagating_tail`); it passes at or below
-    the report's tolerance, 1e-8.  An empty basis passes trivially.
+    Reports max |v_n^{+-}| over basis vectors and the orders n propagating
+    at the basis's incidence, scaled by the vector's weighted norm
+    (`_propagating_tail`); it passes at or below the report's tolerance,
+    1e-8.  An empty basis passes trivially.
     """
     sp = basis.space
-    propagating = classify_modes(inc, sp.disc.N).propagating
+    propagating = classify_modes(basis.inc, sp.disc.N).propagating
     per = []
     for v in basis.vectors:
         nrm = sp.norm(v)
@@ -174,51 +187,23 @@ class LiftedMode:
 
     phi(x) = e^{i alpha.x~} sum_n v_n(x3) e^{i n.x~} inside the layer and the
     matching evanescent Rayleigh tails outside, whose coefficients are the
-    end nodes v_n(+-h) of the field.  interior_potential is k^2 (q0 - 1) of
-    a constant layer, used by `interior_residual` only.
+    end nodes v_n(+-h) of the field, at the field's incidence.
     """
 
     field: FieldCoefficients
-    inc: IncidenceSpec
-    interior_potential: complex = 0.0
 
     def __call__(self, x) -> complex:
         x = _field_point(x)
-        if abs(x[2]) <= self.inc.h:
-            return _interior_field(self.field, self.inc, x)
+        inc = self.field.inc
+        if abs(x[2]) <= inc.h:
+            return _interior_field(self.field, inc, x)
         if x[2] > 0:
-            return rayleigh_eval(self.field.trace_top(), "above", self.inc, x)
-        return rayleigh_eval(self.field.trace_bottom(), "below", self.inc, x)
-
-    def interior_residual(self) -> float:
-        """Collocation residual of Delta phi + k^2 q phi at interior depth nodes.
-
-        Uses the diagnostic differentiation matrix; relative to the field
-        scale.  Only meaningful for transversely uniform media (the lift
-        stores no medium; caller supplies residual checks for coupled media).
-        """
-        sp = self.field.space
-        g = sp.grid
-        worst = 0.0
-        scale = max(np.max(np.abs(self.field.values)), 1e-300)
-        for i, n in enumerate(sp.modes):
-            prof = self.field.values[i]
-            if np.max(np.abs(prof)) < 1e-13 * scale:
-                continue
-            b = beta(n, self.inc)
-            res = g.diff @ (g.diff @ prof) + (b * b + self.interior_potential) * prof
-            worst = max(worst, float(np.max(np.abs(res[1:-1])) / scale))
-        return worst
+            return rayleigh_eval(self.field.trace_top(), "above", inc, x)
+        return rayleigh_eval(self.field.trace_bottom(), "below", inc, x)
 
 
-def mode_lift(basis: KernelBasis, inc: IncidenceSpec,
-              interior_potential: complex | None = None) -> list[LiftedMode]:
-    """Lift kernel vectors to quasi-periodic modes with evanescent tails.
-
-    interior_potential, when given, is k^2 (q0 - 1) of a constant layer and
-    enables the interior collocation residual diagnostic.
-    """
-    potential = complex(interior_potential or 0.0)
-    return [LiftedMode(field=FieldCoefficients(space=basis.space, inc=inc, values=v.copy()),
-                       inc=inc, interior_potential=potential)
+def mode_lift(basis: KernelBasis) -> list[LiftedMode]:
+    """Lift kernel vectors to quasi-periodic modes at the basis's incidence."""
+    return [LiftedMode(field=FieldCoefficients(space=basis.space, inc=basis.inc,
+                                               values=v.copy()))
             for v in basis.vectors]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,11 @@ from .qpcore import IncidenceSpec, branch_sqrt
 
 @dataclass(frozen=True)
 class SlabParams:
-    """Constant layer index q0 over |x3| < h at real wavenumber k."""
+    """Constant layer index q0 over |x3| < h at real wavenumber k.
+
+    Raises ValueError unless q0, h and k are positive and abs_alpha >= 0,
+    and DomainError when k^2 or k^2 q0 overflows double precision.
+    """
 
     q0: float
     h: float
@@ -32,6 +37,10 @@ class SlabParams:
             raise ValueError("q0, h, k must be positive")
         if self.abs_alpha < 0:
             raise ValueError("abs_alpha must be >= 0")
+        k = float(self.k)
+        if not math.isfinite(k * k * float(self.q0)):  # Python floats: no warning
+            raise DomainError(f"k^2 q0 overflows double precision at k = {k:.6g}, "
+                              f"q0 = {self.q0:.6g}")
 
 
 @dataclass(frozen=True)
@@ -80,11 +89,11 @@ def find_dispersion_roots(q0: float, h: float, k: float,
     Scans a uniform bracket grid of 4000 points for sign changes and bisects
     each to |residual| < 1e-12.  Returns the empty list when q0 <= 1 (the
     admissible interval is empty: no surface can both decay outside and
-    oscillate inside).
+    oscillate inside).  Raises what SlabParams(q0, h, k) raises.
     """
+    p = SlabParams(q0=q0, h=h, k=k)
     if q0 <= 1.0:
         return []
-    p = SlabParams(q0=q0, h=h, k=k)
     lo, hi = k, k * np.sqrt(q0)
     margin = (hi - lo) * 1e-9
     grid = np.linspace(lo + margin, hi - margin, 4000)

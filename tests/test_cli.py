@@ -339,6 +339,52 @@ def test_overflowing_wavenumber_exits_3_with_one_line_error(tmp_path, capsys, co
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["dispersion", "slab"])
+@pytest.mark.parametrize("k", ["1e300", "1e154"])  # k^2 q0 overflows, k^2 too at 1e300
+def test_overflowing_slab_wavenumber_exits_3_with_one_line_error(tmp_path, capsys,
+                                                                 command, k):
+    cfg = write_cfg(tmp_path, DISPERSION_CONFIG)
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), "--out", str(out),
+               "--override", f"incidence.k={k}"])
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "overflows double precision" in err[0]
+    assert not any(out.iterdir())
+
+
+H_OVERFLOW_CONFIG = """
+[incidence]
+k = 1.0
+theta1 = 0.3
+h = 1e300
+
+[medium]
+kind = homogeneous
+q0 = 2.0
+
+[discretization]
+N = 1
+M = 17
+depth_scheme = finite_difference_order2
+"""
+
+
+@pytest.mark.parametrize("command", ["solve", "modes", "lap"])
+def test_overflowing_whitened_operator_exits_3_with_one_line_error(tmp_path, capsys,
+                                                                   command):
+    # the raw blocks are finite at h = 1e300, the whitened ones are not
+    cfg = write_cfg(tmp_path, H_OVERFLOW_CONFIG)
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "whitened operator overflows" in err[0]
+    assert not any(out.iterdir())
+
+
 class TestDispersionCommand:
     def test_roots_and_grid(self, tmp_path):
         cfg = write_cfg(tmp_path, DISPERSION_CONFIG)

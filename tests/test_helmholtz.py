@@ -111,6 +111,23 @@ class TestAssemble:
         with pytest.raises(q.CutoffViolation):
             q.assemble(inc, med, q.Discretization(N=1, M=16))
 
+    @pytest.mark.parametrize("medium", [lambda h: q.MediumModel.homogeneous(2.0, h),
+                                        lambda h: inclusion_medium(h=h)],
+                             ids=["homogeneous", "inclusion"])
+    def test_overflowing_whitened_operator_is_a_domain_error(self, monkeypatch, medium):
+        # at h = 1e300 the raw blocks are finite but their whitened blocks
+        # overflow: refused before any LAPACK call, with no numpy warning
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called on a non-finite stack")
+
+        inc = q.IncidenceSpec.from_angles(1.0, 0.3, 0.0, 1e300)
+        disc = q.Discretization(N=1, M=17, depth_scheme=q.FINITE_DIFFERENCE)
+        for name in ("svd", "solve", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, no_lapack)
+        for build in (q.assemble, q.assemble_eps_derivative):
+            with pytest.raises(q.DomainError, match="whitened operator overflows"):
+                build(inc, medium(h=1e300), disc)
+
     def test_complex_k_no_cutoff_screening(self):
         inc = q.IncidenceSpec.from_alpha(1.0 + 0.01j, (0.0, 0.0), 1.0)
         med = q.MediumModel.homogeneous(2.0, 1.0)

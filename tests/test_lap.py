@@ -7,7 +7,7 @@ import pytest
 
 import qpscat as q
 from test_helmholtz import bad_loads, coupled_medium, dense, inclusion_medium, \
-    lamellar_medium, recorded_shapes
+    lamellar_medium, recorded_shapes, sampled_stack_medium
 
 K_EX = np.pi / (2 * np.sqrt(2))
 ALPHA_EX = (1 - np.pi * np.sqrt(3) / 4, 0.0)
@@ -81,22 +81,19 @@ class TestDerivativeOperator:
 class TestProjection:
     def test_projects_kernel_to_itself(self, scenario):
         scn, _ = scenario
-        P = q.KernelProjector(scn.kernel)
         v = scn.kernel.vectors[0]
-        assert scn.space.norm(P.apply(v) - v) < 1e-12
+        assert scn.space.norm(scn.kernel.project(v) - v) < 1e-12
 
     def test_idempotent(self, scenario):
         scn, _ = scenario
-        P = q.KernelProjector(scn.kernel)
         rng = np.random.default_rng(5)
         u = rng.standard_normal((len(scn.space.modes), scn.space.M)) \
             + 1j * rng.standard_normal((len(scn.space.modes), scn.space.M))
-        pu = P.apply(u)
-        assert scn.space.norm(P.apply(pu) - pu) < 1e-12 * scn.space.norm(u)
+        pu = scn.kernel.project(u)
+        assert scn.space.norm(scn.kernel.project(pu) - pu) < 1e-12 * scn.space.norm(u)
 
     def test_annihilates_range_vectors(self, scenario):
         scn, op = scenario
-        P = q.KernelProjector(scn.kernel)
         sp = scn.space
         rng = np.random.default_rng(6)
         for _ in range(4):
@@ -104,17 +101,16 @@ class TestProjection:
                 + 1j * rng.standard_normal((len(sp.modes), sp.M))
             gw = op.apply(w)
             r = sp.unwhiten(sp.unwhiten(gw))  # W^-1 (G w): range field
-            assert sp.norm(P.apply(r)) <= 1e-7 * sp.norm(r)
+            assert sp.norm(scn.kernel.project(r)) <= 1e-7 * sp.norm(r)
 
     def test_annihilates_load_and_derivative(self, scenario):
         # P f(0) = P f'(0) = 0: the loads live in the zero order, the kernel
         # does not
         scn, _ = scenario
         sp = scn.space
-        P = q.KernelProjector(scn.kernel)
         for vec in (q.rhs(scn.inc, scn.disc), q.rhs_eps_derivative(scn.inc, scn.disc)):
             f = sp.unwhiten(sp.unwhiten(vec))
-            assert sp.norm(P.apply(f)) <= 1e-8 * max(sp.norm(f), 1e-300)
+            assert sp.norm(scn.kernel.project(f)) <= 1e-8 * max(sp.norm(f), 1e-300)
 
 
 class TestScenarioSpace:
@@ -134,6 +130,26 @@ class TestScenarioSpace:
         for kern in (other_n, other_h):
             with pytest.raises(ValueError, match="kernel space"):
                 q.LapScenario(inc=scn.inc, medium=scn.medium, disc=scn.disc, kernel=kern)
+
+    def test_kernel_of_another_incidence_fails_before_assembly(self, scenario, monkeypatch):
+        # the constraint residual reads the incidence off the kernel, so a
+        # kernel taken at another k or alpha must not pass for the scenario's
+        scn, _ = scenario
+        others = [scn.inc.with_k(1.01 * K_EX),
+                  q.IncidenceSpec.from_alpha(K_EX, (ALPHA_EX[0] + 1e-2, 0.0), 1.0)]
+        kernels = [q.kernel(q.assemble(inc, scn.medium, scn.disc)) for inc in others]
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled before checking the kernel")
+
+        monkeypatch.setattr(q.lap, "assemble", no_assembly)
+        monkeypatch.setattr(q.lap, "assemble_eps_derivative", no_assembly)
+        for kern in kernels:
+            with pytest.raises(ValueError, match="kernel incidence"):
+                q.LapScenario(inc=scn.inc, medium=scn.medium, disc=scn.disc, kernel=kern)
+        equal = q.IncidenceSpec.from_alpha(K_EX, ALPHA_EX, 1.0)
+        assert equal is not scn.inc
+        q.LapScenario(inc=equal, medium=scn.medium, disc=scn.disc, kernel=scn.kernel)
 
     def test_kernel_on_an_equal_discretization_is_accepted(self, scenario):
         scn, _ = scenario
@@ -452,8 +468,7 @@ class TestConstraintResidual:
     def test_limit_satisfies_constraint(self, scenario):
         scn, _ = scenario
         cs = q.constrained_solve(scn)
-        modes = q.mode_lift(scn.kernel, scn.inc)
-        res = q.constraint_residual(cs.field, modes, scn.inc, scn.medium)
+        res = q.constraint_residual(cs.field, scn.kernel, scn.medium)
         assert np.all(np.abs(res) < 1e-8)
 
     def test_mode_shift_breaks_constraint(self, scenario):
@@ -461,74 +476,78 @@ class TestConstraintResidual:
         # weighted derivative pairing (two-route consistency)
         scn, _ = scenario
         cs = q.constrained_solve(scn)
-        [phi] = q.mode_lift(scn.kernel, scn.inc)
+        [v] = scn.kernel.vectors
         dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc)
         shifted = q.FieldCoefficients(space=scn.space, inc=scn.inc,
-                                      values=cs.field.values + phi.field.values)
-        res = q.constraint_residual(shifted, [phi], scn.inc, scn.medium)[0]
-        v = scn.kernel.vectors[0]
+                                      values=cs.field.values + v)
+        res = q.constraint_residual(shifted, scn.kernel, scn.medium)[0]
         pairing = 0.5 * 4 * np.pi ** 2 * np.vdot(v.ravel(), dop.apply(v).ravel())
         assert abs(pairing) > 1e-3
         assert res == pytest.approx(pairing, rel=1e-8)
 
-    def test_k_scaled_form(self, scenario):
-        scn, _ = scenario
-        cs = q.constrained_solve(scn)
-        [phi] = q.mode_lift(scn.kernel, scn.inc)
-        shifted = q.FieldCoefficients(space=scn.space, inc=scn.inc,
-                                      values=cs.field.values + 0.5 * phi.field.values)
-        r_theta = q.constraint_residual(shifted, [phi], scn.inc, scn.medium)[0]
-        r_alpha = q.constraint_residual(shifted, [phi], scn.inc, scn.medium,
-                                        form="alpha")[0]
-        assert r_alpha == pytest.approx(scn.inc.k.real * r_theta, rel=1e-13)
-
     def test_rejects_non_evanescent_mode(self, scenario):
         scn, _ = scenario
         cs = q.constrained_solve(scn)
-        [phi] = q.mode_lift(scn.kernel, scn.inc)
-        vals = phi.field.values.copy()
+        vals = scn.kernel.vectors[0].copy()
         vals[scn.space.mode_index[(0, 0)], -1] = 1.0  # a propagating tail above
-        bad = q.LiftedMode(field=q.FieldCoefficients(space=scn.space, inc=phi.inc,
-                                                     values=vals), inc=phi.inc)
-        with pytest.raises(q.NonEvanescentMode):
-            q.constraint_residual(cs.field, [bad], scn.inc, scn.medium)
+        bad = dataclasses.replace(scn.kernel, vectors=[vals])
+        with pytest.raises(q.NonEvanescentMode, match="propagating Rayleigh content"):
+            q.constraint_residual(cs.field, bad, scn.medium)
+
+    def test_field_of_another_space_is_refused(self, scenario):
+        scn, _ = scenario
+        for space in (q.Discretization(N=1, M=32).space(1.0), scn.disc.space(0.5)):
+            u = q.FieldCoefficients(space=space, inc=scn.inc, values=space.zeros())
+            with pytest.raises(ValueError, match="field space"):
+                q.constraint_residual(u, scn.kernel, scn.medium)
+
+    def test_empty_basis_gives_no_residuals(self, scenario):
+        scn, _ = scenario
+        cs = q.constrained_solve(scn)
+        empty = dataclasses.replace(scn.kernel, vectors=[], singular_values=[])
+        assert q.constraint_residual(cs.field, empty, scn.medium).shape == (0,)
 
 
-def residual_double_loop(u, phi, inc, medium):
-    """The theta-form constraint residual as a plain sum over mode pairs."""
+def residual_double_loop(u, v, inc, medium):
+    """The theta-form constraint residual against the kernel vector v, as a
+    plain sum over mode pairs."""
     sp, N = u.space, u.space.disc.N
     g, k = sp.grid, inc.k.real
     profs = medium.fourier_profiles(g.quad_x, 2 * N)
     total = 0.0
     for i, n in enumerate(sp.modes):
-        psi = np.conj(phi.field.values[i])
+        psi = np.conj(v[i])
         nth = float(np.array(n, float) @ inc.tilde_theta)
         total += (1j * nth + 1j * k * inc.sin2_theta1) * (psi @ g.mass @ u.values[i])
         for j, m in enumerate(sp.modes):
             C = g.weighted_mass(profs[(n[0] - m[0], n[1] - m[1])])
             total += -1j * k * (psi @ C @ u.values[j])
     rd = q.rayleigh_data(u, inc)
-    top, bottom = phi.field.trace_top(), phi.field.trace_bottom()
     for n in q.classify_modes(inc, N).evanescent:
+        i = sp.mode_index[n]
         nth = float(np.array(n, float) @ inc.tilde_theta)
         c = (1j * nth - 1j * k * inc.cos2_theta1) / (2 * abs(q.beta(n, inc)))
-        total += c * (rd.u_plus[n] * np.conj(top[n]) + rd.u_minus[n] * np.conj(bottom[n]))
+        total += c * (rd.u_plus[n] * np.conj(v[i, -1]) + rd.u_minus[n] * np.conj(v[i, 0]))
     return 4 * np.pi ** 2 * total
 
 
 class TestCoupledConstraintResidual:
     """The residual on a coupled medium, where every q_(n-m) enters."""
 
-    @pytest.mark.parametrize("medium", [inclusion_medium, lamellar_medium])
+    @pytest.mark.parametrize("medium", [inclusion_medium, lamellar_medium,
+                                        sampled_stack_medium])
     def test_matches_the_mode_pair_sum(self, monkeypatch, medium):
+        # a two-vector basis of evanescent fields, each vector checked alone
         inc = q.IncidenceSpec.from_alpha(K_EX, ALPHA_EX, 1.0)
         med, sp = medium(), q.FieldSpace(q.Discretization(N=2, M=16), 1.0)
         rng = np.random.default_rng(21)
-        u, v = (rng.standard_normal((2, len(sp.modes), sp.M))
-                + 1j * rng.standard_normal((2, len(sp.modes), sp.M)))
-        for n in q.classify_modes(inc, 2).propagating:  # an evanescent phi
-            v[sp.mode_index[n], [0, -1]] = 0.0
-        phi = q.LiftedMode(field=q.FieldCoefficients(space=sp, inc=inc, values=v), inc=inc)
+        u, *vs = (rng.standard_normal((3, len(sp.modes), sp.M))
+                  + 1j * rng.standard_normal((3, len(sp.modes), sp.M)))
+        for v in vs:
+            for n in q.classify_modes(inc, 2).propagating:
+                v[sp.mode_index[n], [0, -1]] = 0.0
+        basis = q.KernelBasis(vectors=vs, singular_values=[0.0, 0.0], sigma_max=1.0,
+                              space=sp, inc=inc)
         field = q.FieldCoefficients(space=sp, inc=inc, values=u)
         calls = []
         profiles = q.lap._medium_profiles
@@ -538,10 +557,11 @@ class TestCoupledConstraintResidual:
             return profiles(*args)
 
         monkeypatch.setattr(q.lap, "_medium_profiles", counting)
-        [got] = q.constraint_residual(field, [phi], inc, med)
+        got = q.constraint_residual(field, basis, med)
         assert len(calls) == 1
-        want = residual_double_loop(field, phi, inc, med)
-        assert abs(got - want) <= 1e-13 * abs(want)
+        for r, v in zip(got, vs):
+            want = residual_double_loop(field, v, inc, med)
+            assert abs(r - want) <= 1e-13 * abs(want)
 
 
 class TestSignStructure:
@@ -573,12 +593,12 @@ class TestSignStructure:
     def test_green_identity_and_injectivity_structure(self, scenario):
         scn, _ = scenario
         k = scn.inc.k.real
-        [phi] = q.mode_lift(scn.kernel, scn.inc)
+        [phi] = q.mode_lift(scn.kernel)
         A, B, C = self._quadratic_forms(scn, phi)
         # the mode satisfies the quadratic identity A - k B - k^2 C = 0
         assert abs(A - k * B - k * k * C) < 1e-9 * A
         # the derivative pairing reduces to -i (B + 2 k C)
-        res = q.constraint_residual(phi.field, [phi], scn.inc, scn.medium)[0]
+        res = q.constraint_residual(phi.field, scn.kernel, scn.medium)[0]
         assert 2 * res == pytest.approx(-1j * (B + 2 * k * C), rel=1e-9)
         # positivity that forces injectivity: A + k^2 C > 0 for any nonzero mode
         assert A + k * k * C > 0

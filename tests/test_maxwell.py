@@ -265,18 +265,6 @@ class TestMaxwellConstraintResidual:
                                      - (curl @ np.cross(tch, np.conj(A)))) * integral
         assert abs(got - (lhs - rhs)) < 1e-12 * max(1.0, abs(lhs))
 
-    def test_k_scaled_form(self):
-        an = np.array([2.1, -0.4])
-        k = 1.3
-        babs = np.sqrt(an @ an - k * k)
-        A = np.array([0.1 - 0.7j, 0.4, -0.3j])
-        seg = q.FieldSegment(z0=0.0, z1=np.inf, amp=tuple(A), rate=-babs)
-        F = q.ModeField(segments={(2, 0): (seg,)}, alpha=(0.1, -0.4), k=k)
-        tt = np.array([0.1, -0.3])
-        r_t = q.maxwell_constraint_residual(F, F, tt, k)
-        r_a = q.maxwell_constraint_residual(F, F, tt, k, form="alpha")
-        assert r_a == pytest.approx(k * r_t, rel=1e-13)
-
     def test_segment_splitting_invariance(self):
         # splitting depth segments at an artificial breakpoint leaves the value
         # unchanged; same for the material profiles

@@ -222,8 +222,8 @@ class TestCanonicalPhase:
 
 class TestVerifyEvanescent:
     def test_guided_kernel_passes(self, guided):
-        inc, *_, basis = guided
-        rep = q.verify_evanescent(basis, inc)
+        *_, basis = guided
+        rep = q.verify_evanescent(basis)
         assert rep.passed
         assert rep.max_propagating_coeff <= 1e-8
 
@@ -232,7 +232,7 @@ class TestVerifyEvanescent:
         med = q.MediumModel.homogeneous(1.0, 1.0)
         op = q.assemble(inc, med, q.Discretization(N=2, M=16))
         basis = q.kernel(op)
-        rep = q.verify_evanescent(basis, inc)
+        rep = q.verify_evanescent(basis)
         assert rep.passed and rep.max_propagating_coeff == 0.0
 
     def test_negative_control_flags_solve_output(self):
@@ -244,7 +244,7 @@ class TestVerifyEvanescent:
         v = q.solve(op, q.rhs(inc, disc))
         fake = q.KernelBasis(vectors=[v.values], singular_values=[0.0], sigma_max=1.0,
                              space=op.space, inc=inc)
-        rep = q.verify_evanescent(fake, inc)
+        rep = q.verify_evanescent(fake)
         assert not rep.passed
 
 
@@ -292,7 +292,7 @@ class TestAdjointKernel:
 class TestModeLift:
     def test_matches_closed_form_up_to_scalar(self, guided):
         inc, med, disc, op, basis = guided
-        [mode] = q.mode_lift(basis, inc)
+        [mode] = q.mode_lift(basis)
         grid = op.space.grid
         prof = mode.field.profile((-1, 0))
         exact = np.cos(np.pi * grid.nodes / 4).astype(complex)
@@ -303,8 +303,8 @@ class TestModeLift:
         assert rel < 1e-10
 
     def test_point_evaluation_against_analytic_mode(self, guided):
-        inc, *_ , basis = guided
-        [mode] = q.mode_lift(basis, inc)
+        *_, basis = guided
+        [mode] = q.mode_lift(basis)
         a_mode = np.array([ALPHA_EX[0] - 1.0, 0.0])
         # fix the scalar at one interior point, predict everywhere else
         ref = np.array([0.0, 0.0, 0.0])
@@ -323,19 +323,26 @@ class TestModeLift:
 
     @pytest.mark.parametrize("x", [(0.0, 0.0), (0.0, 0.0, 0.5, 1.0)])
     def test_rejects_points_that_are_not_3_vectors(self, guided, x):
-        inc, *_, basis = guided
-        [mode] = q.mode_lift(basis, inc)
+        *_, basis = guided
+        [mode] = q.mode_lift(basis)
         with pytest.raises(ValueError, match="3-vector"):
             mode(x)
 
     def test_interior_collocation_residual(self, guided):
+        # Delta phi + k^2 q phi = 0 at the interior depth nodes, mode by mode:
+        # v_n'' + (beta_n^2 + k^2 (q0 - 1)) v_n, by the grid's differentiation
         inc, *_, basis = guided
+        [v] = basis.vectors
+        g = basis.space.grid
         pot = K_EX ** 2 * (2.0 - 1.0)
-        [mode] = q.mode_lift(basis, inc, interior_potential=pot)
-        assert mode.interior_residual() < 1e-8
+        scale = np.max(np.abs(v))
+        for n, prof in zip(basis.space.modes, v):
+            b = q.beta(n, inc)
+            res = g.diff @ (g.diff @ prof) + (b * b + pot) * prof
+            assert np.max(np.abs(res[1:-1])) < 1e-8 * scale
 
     def test_empty_basis_empty_list(self):
         inc = q.IncidenceSpec.from_alpha(K_EX, ALPHA_EX, 1.0)
         med = q.MediumModel.homogeneous(1.0, 1.0)
         op = q.assemble(inc, med, q.Discretization(N=2, M=16))
-        assert q.mode_lift(q.kernel(op), inc) == []
+        assert q.mode_lift(q.kernel(op)) == []

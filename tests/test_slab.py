@@ -40,6 +40,15 @@ class TestDispersionResidual:
             q.dispersion_residual(p, "even", 2.0)
 
 
+    @pytest.mark.parametrize("k, q0", [(1e300, 2.0), (1e300, 0.5), (1e154, 2.0)])
+    def test_overflowing_wavenumber_is_a_domain_error(self, k, q0):
+        # k^2 q0 overflows (at k = 1e154 only once multiplied by q0 = 2)
+        with pytest.raises(q.DomainError, match="overflows double precision"):
+            q.SlabParams(q0=q0, h=1.0, k=k)
+        with pytest.raises(q.DomainError, match="overflows double precision"):
+            q.find_dispersion_roots(q0, 1.0, k, "even")
+
+
 class TestFindDispersionRoots:
     def test_analytic_even_root(self):
         roots = q.find_dispersion_roots(2.0, 1.0, K_EX, "even")
