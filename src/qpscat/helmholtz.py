@@ -291,24 +291,30 @@ class FieldSpace:
     maps) by `_real_matmul`, on raw blocks by `_whitened_blocks`.  The space
     also keeps the coupling table of each medium assembled on it
     (`_medium_profiles`), with its whitened coupling, for as long as that
-    medium lives.
+    medium lives.  An h so large or so small that the grid or W overflows
+    double precision raises DomainError, before any eigendecomposition and
+    with no numpy warning.
     """
 
     def __init__(self, disc: Discretization, h: float):
         self.disc = disc
         self.h = float(h)
-        self.grid = g = DepthGrid(disc, h)
         self.modes: list[ModeIndex] = mode_range(disc.N)
         self.mode_index = {n: i for i, n in enumerate(self.modes)}
         self.M = M = disc.M
         self.size = len(self.modes) * M
         n2, which = np.unique([a * a + b * b for a, b in self.modes],
                               return_inverse=True)
-        W = g.stiffness + n2[:, None, None] * g.mass
-        s = np.sqrt(1.0 + n2)
-        W[:, 0, 0] += s
-        W[:, -1, -1] += s
-        W *= 4 * np.pi ** 2
+        with np.errstate(all="ignore"):  # an overflow is refused below
+            self.grid = g = DepthGrid(disc, h)
+            W = g.stiffness + n2[:, None, None] * g.mass
+            s = np.sqrt(1.0 + n2)
+            W[:, 0, 0] += s
+            W[:, -1, -1] += s
+            W *= 4 * np.pi ** 2
+        if not all(np.isfinite(a).all() for a in (g.nodes, g.stiffness, g.mass, W)):
+            raise DomainError(f"depth grid overflows double precision at "
+                              f"h = {self.h:.6g}, M = {M}")
         isqrt = []
         for Wd in W:
             lam, U = np.linalg.eigh(Wd)
@@ -357,12 +363,14 @@ class DiscreteOperator:
     layout its table decided, with that layout's maps `to` and `back`
     (see `_CouplingTable`); `groups` are the table's mode groups (one per
     mode for a block-diagonal operator).  The screen, `solve`, the kernel
-    and the constrained solve read the stack.  No full matrix is stored:
-    `whitened()` builds the dense whitened matrix on request.  `apply` and
-    `apply_adjoint` are matrix-free: the diagonal blocks plus, when coupled,
-    one coupling sum over the table's masses.  Everything that depends only
-    on the layout and the weighted product lives on `space`.  The operator
-    caches its whitened matrix and its whitened singular values.
+    and the constrained solve read the stack.  No full matrix is stored.
+    `apply` and `apply_adjoint` are matrix-free, on one field or a stack of
+    fields (..., n_modes, M): the diagonal blocks plus, when coupled, one
+    coupling sum over the table's masses.  Every dense view of the operator
+    is built from that action (`whitened()`, the constraint rows of
+    `lap.constrained_solve`).  Everything that depends only on the layout
+    and the weighted product lives on `space`.  The operator caches its
+    whitened singular values.
     """
 
     def __init__(self, inc, space, diagonal, table, scale, stack):
@@ -374,7 +382,6 @@ class DiscreteOperator:
         #: always None, as no full matrix is stored; qpbench's tracer
         #: (`spans._operator_size`) still reads it
         self.dense = None
-        self._whitened = None
         self._svals = None
         self.stack = stack
         self.to, self.back = table.maps
@@ -386,47 +393,39 @@ class DiscreteOperator:
         # one batched SVD of every stack would retire the flag
         return self.table.coupling is None
 
-    def _row(self, r: int) -> np.ndarray:
-        """Raw row slot r of every mode group, (nc, M, c, M); see `_whitened_blocks`.
-
-        Only `whitened()` reads it, to whiten a parity-split operator again
-        without parity.
-        """
-        t = self.scale * self.table.row(r)
-        t[:, :, r] = self.diagonal[self.groups[:, r]]
-        return t
-
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """Matrix action on a field of shape (n_modes, M)."""
+        """Matrix action on a field (n_modes, M), or on each of a stack (..., n_modes, M)."""
         out = (self.diagonal @ u[..., None])[..., 0]
         if not self.block_diagonal:
             out -= self.scale * self.table.couple(u, off_diagonal=True)
         return out
 
     def apply_adjoint(self, u: np.ndarray) -> np.ndarray:
-        """Action of the conjugate transpose, as (u^H G)^H: no copy of any block."""
-        out = (u.conj()[:, None, :] @ self.diagonal)[:, 0].conj()
+        """Action of the conjugate transpose, as (u^H G)^H: no copy of any block.
+
+        On a field or a stack of fields, as `apply`.
+        """
+        out = (u.conj()[..., None, :] @ self.diagonal)[..., 0, :].conj()
         if not self.block_diagonal:
             out -= np.conj(self.scale) * self.table.couple(u, off_diagonal=True,
                                                            adjoint=True)
         return out
 
     def whitened(self) -> np.ndarray:
-        """W^{-1/2} G W^{-1/2} as a dense matrix, built on request and cached.
+        """W^{-1/2} G W^{-1/2} as a dense matrix, built on request.
 
-        The stack is the whole whitened operator unless it leaves out parity
-        cross parts; then the raw rows are whitened again, without parity.
-        No solver path calls it, but qpbench's tracer wraps it by name
-        (`spans.Tracer.install` looks up `vars(DiscreteOperator)["whitened"]`),
-        so every traced run needs it.
+        Column by column from `apply` on the columns of W^{-1/2}
+        (`space.unwhiten` of the unit fields, one mode at a time), whitened
+        again by `space.unwhiten`; parity cross parts that the stack leaves
+        out are kept.  No solver path calls it, but qpbench's tracer wraps
+        it by name (`spans.Tracer.install` looks up
+        `vars(DiscreteOperator)["whitened"]`), so every traced run needs it.
         """
-        if self._whitened is None:
-            sp = self.space
-            nc, c = self.groups.shape
-            Gt = self.stack if self.table.parity is None else \
-                _whitened_blocks(sp, self.groups, self._row, None)
-            self._whitened = _scatter(self.groups, Gt.reshape(nc, c, sp.M, c, sp.M))
-        return self._whitened
+        sp = self.space
+        nm = len(sp.modes)
+        units = np.eye(sp.size, dtype=complex).reshape(nm, sp.M, nm, sp.M)
+        cols = [sp.unwhiten(self.apply(sp.unwhiten(e))) for e in units]
+        return np.concatenate(cols).reshape(sp.size, sp.size).T
 
     def whitened_singular_values(self) -> np.ndarray:
         """All singular values of W^{-1/2} G W^{-1/2}, descending, cached.
@@ -525,30 +524,16 @@ def _stack_maps(space: FieldSpace, groups: np.ndarray, parity):
     return to, back
 
 
-def _scatter(groups: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """The dense matrix of the (nc, c, n, c, n) diagonal blocks of index groups.
-
-    `groups` (nc, c) lists the indices of each group; entries between groups
-    are zero.  One group (of every index, in order) is a view of its block.
-    `whitened()` and `_block_diag` build on it.
-    """
-    nc, c, n = blocks.shape[:3]
-    if nc == 1:
-        return blocks.reshape(c * n, c * n)
-    B = groups.size
-    out = np.zeros((B, n, B, n), dtype=blocks.dtype)
-    out[groups[:, :, None], :, groups[:, None, :], :] = blocks.transpose(0, 1, 3, 2, 4)
-    return out.reshape(B * n, B * n)
-
-
 def _block_diag(blocks: np.ndarray) -> np.ndarray:
     """The dense matrix of a (B, n, n) stack of diagonal blocks.
 
     The constrained solve's least-squares call on the blocks that hold a
     constraint takes this dense matrix (`lap.constrained_solve`).
     """
-    B = len(blocks)
-    return _scatter(np.arange(B)[:, None], blocks[:, None, :, None, :])
+    B, n, _ = blocks.shape
+    out = np.zeros((B, n, B, n), dtype=blocks.dtype)
+    out[np.arange(B), :, np.arange(B)] = blocks
+    return out.reshape(B * n, B * n)
 
 
 def _check_operator_bytes(medium: MediumModel, disc: Discretization) -> None:
@@ -725,13 +710,14 @@ class _CouplingTable:
                adjoint: bool = False) -> np.ndarray:
         """sum_m C_{n-m} u_m for every mode n, or sum_n C_{n-m}^H u_n for every m.
 
-        u is a field (modes, M); off_diagonal leaves out the pairs m = n, and
-        adjoint needs it.  One product with every mass, then one gather of
-        the mode pairs.
+        u is a field (modes, M), or a stack of fields (..., modes, M);
+        off_diagonal leaves out the pairs m = n, and adjoint needs it.  One
+        product with every mass, then one gather of the mode pairs.
         """
-        nm, M = u.shape
-        U = (u @ self._act[adjoint]).reshape(nm, -1, M)  # U[j, t] = C_t u_j (or C_t^H u_j)
-        return U[self._pairs[off_diagonal, adjoint]].sum(axis=1)
+        M = u.shape[-1]
+        # U[..., j, t] = C_t u_j (or C_t^H u_j)
+        U = (u @ self._act[adjoint]).reshape(u.shape[:-1] + (-1, M))
+        return U[(..., *self._pairs[off_diagonal, adjoint], slice(None))].sum(axis=-2)
 
 
 def _medium_profiles(medium: MediumModel, space: FieldSpace) -> _CouplingTable:

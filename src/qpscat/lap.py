@@ -24,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintSingular, NonEvanescentMode
-from .helmholtz import _SPLIT_TOL, Discretization, DiscreteOperator, \
-    FieldCoefficients, FieldSpace, _block_diag, _medium_profiles, \
-    _rayleigh_tails, _require_field, assemble, assemble_eps_derivative, rhs, \
-    rhs_eps_derivative, solve
+from .helmholtz import _SPLIT_TOL, Discretization, FieldCoefficients, FieldSpace, \
+    _block_diag, _medium_profiles, _rayleigh_tails, _require_field, assemble, \
+    assemble_eps_derivative, rhs, rhs_eps_derivative, solve
 from .medium import MediumModel
 from .modes import KernelBasis, _propagating_tail
 from .qpcore import IncidenceSpec, _beta_array, _row_dot, classify_modes
@@ -80,22 +79,6 @@ class ConstrainedSolution:
     method: str
 
 
-def _constraint_rows(scn: LapScenario, dop: DiscreteOperator):
-    """Rows v_l^H A'(0) (flat) and the kernel-restricted Gram v_i^H A'(0) v_j."""
-    vecs = scn.kernel.vectors
-    rows = []
-    for v in vecs:
-        r = dop.apply_adjoint(v)  # A'(0)^H v
-        rows.append(np.conj(r.ravel()))
-    m = len(vecs)
-    gram = np.zeros((m, m), dtype=complex)
-    for j, vj in enumerate(vecs):
-        av = dop.apply(vj)
-        for i, vi in enumerate(vecs):
-            gram[i, j] = np.vdot(vi.ravel(), av.ravel())
-    return rows, gram
-
-
 def constrained_solve(scn: LapScenario, load: np.ndarray | None = None,
                       load_deriv: np.ndarray | None = None,
                       method: str = "stacked") -> ConstrainedSolution:
@@ -137,16 +120,17 @@ def constrained_solve(scn: LapScenario, load: np.ndarray | None = None,
                                    constraint_block_residual=0.0,
                                    gram_condition=0.0, method="plain")
     dop = assemble_eps_derivative(scn.inc, scn.medium, scn.disc)
-    rows, gram = _constraint_rows(scn, dop)
-    dvals = np.array([np.vdot(v.ravel(), load_deriv.ravel())
-                      for v in scn.kernel.vectors])
+    V = scn.kernel.vectors
+    rows = np.conj(dop.apply_adjoint(V))  # v_l^H A'(0), as fields
+    gram = np.tensordot(V.conj(), dop.apply(V), axes=([1, 2], [1, 2]))
+    dvals = np.tensordot(V.conj(), load_deriv, axes=2)
     gcond = float(np.linalg.cond(gram))
     if gcond > 1e8:
         raise ConstraintSingular(
             f"kernel-restricted derivative Gram has condition {gcond:.3e}")
 
     g = op.to(load)
-    R = np.array([op.to(row.reshape(load.shape)) for row in rows])  # (m, B, n)
+    R = np.array([op.to(row) for row in rows])  # (m, B, n)
     share = np.linalg.norm(R, axis=2)  # each row's part in each block
     hold = np.any(share > _SPLIT_TOL * np.linalg.norm(share, axis=1)[:, None],
                   axis=0)
@@ -168,13 +152,12 @@ def constrained_solve(scn: LapScenario, load: np.ndarray | None = None,
     z[hold] = zh.reshape(-1, z.shape[1])
     vals = op.back(z)
     if method == "two_step":
-        rhs_c = dvals - np.array([row @ vals.ravel() for row in rows])
-        coeffs = np.linalg.solve(gram, rhs_c)
-        vals = vals + sum(c * v for c, v in zip(coeffs, scn.kernel.vectors))
+        coeffs = np.linalg.solve(gram, dvals - np.tensordot(rows, vals, axes=2))
+        vals = vals + np.tensordot(coeffs, V, axes=1)
 
     fieldv = FieldCoefficients(space=sp, inc=scn.inc, values=vals)
     resid = np.linalg.norm((op.apply(vals) - load).ravel())
-    cres = max(abs(row @ vals.ravel() - d) for row, d in zip(rows, dvals))
+    cres = np.abs(np.tensordot(rows, vals, axes=2) - dvals).max()
     kcoeffs = scn.kernel.coefficients(vals)
     return ConstrainedSolution(field=fieldv, kernel_coefficients=kcoeffs,
                                solve_residual=float(resid),
@@ -272,17 +255,16 @@ def constraint_residual(u: FieldCoefficients, basis: KernelBasis,
             f"field space (N={sp.disc.N}, M={sp.M}, h={sp.h!r}) does not match the "
             f"kernel space (N={basis.space.disc.N}, M={basis.space.M}, "
             f"h={basis.space.h!r})")
-    if not basis.vectors:
+    if basis.dimension == 0:
         return np.zeros(0, dtype=complex)
+    for bad in _propagating_tail(basis):
+        if bad > 1e-6:
+            raise NonEvanescentMode(
+                f"mode carries propagating Rayleigh content {bad:.3e}")
     inc = basis.inc
     k = inc.k.real
     N = sp.disc.N
     cls = classify_modes(inc, N)
-    for v in basis.vectors:
-        bad = _propagating_tail(v, sp, cls.propagating)
-        if bad > 1e-6 * max(sp.norm(v), 1e-300):
-            raise NonEvanescentMode(
-                f"mode carries propagating Rayleigh content {bad:.3e}")
     V = np.conj(basis.vectors)  # (vectors, modes, M)
     # interior: sum_n int [i (n.theta~ + k sin^2 t1) u_n - i k (q u)_n] conj(phi_n)
     nth = _row_dot(np.array(sp.modes, dtype=float), inc.tilde_theta)

@@ -25,31 +25,36 @@ DEFAULT_SVD_THRESHOLD = 1e-8
 class KernelBasis:
     """Discrete null-space basis, W-orthonormal.
 
-    The Rayleigh tails of a vector are its end nodes: v[i, -1] above and
-    v[i, 0] below, for mode space.modes[i].
+    `vectors` stacks the fields as one complex array (dimension, n_modes,
+    M); any array-like of fields of the space, the empty list included, is
+    taken.  The Rayleigh tails of vector l are its end nodes: v[l, i, -1]
+    above and v[l, i, 0] below, for mode space.modes[i].
     """
 
-    vectors: list[np.ndarray]            # fields of shape (n_modes, M)
+    vectors: np.ndarray                  # (dimension, n_modes, M)
     singular_values: list[float]         # retained (smallest) singular values
     sigma_max: float
     space: object
     inc: IncidenceSpec
+
+    def __post_init__(self):
+        sp = self.space
+        self.vectors = np.asarray(self.vectors, dtype=complex).reshape(
+            -1, len(sp.modes), sp.M)
 
     @property
     def dimension(self) -> int:
         return len(self.vectors)
 
     def gram(self) -> np.ndarray:
-        d = self.dimension
-        g = np.zeros((d, d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                g[i, j] = self.space.inner(self.vectors[i], self.vectors[j])
-        return g
+        """<v_i, v_j> for every pair of vectors, (dimension, dimension)."""
+        wv = _real_matmul(self.space.W, self.vectors[..., None])[..., 0]
+        return np.tensordot(wv, self.vectors.conj(), axes=([1, 2], [1, 2]))
 
     def coefficients(self, u: np.ndarray) -> np.ndarray:
         """Weighted-inner-product coefficients <u, v_l> of a field."""
-        return np.array([self.space.inner(u, v) for v in self.vectors])
+        wu = _real_matmul(self.space.W, u[..., None])[..., 0]
+        return np.tensordot(self.vectors.conj(), wu, axes=([1, 2], [0, 1]))
 
     def project(self, u: np.ndarray) -> np.ndarray:
         """P u = sum_l <u, v_l> v_l: the projection onto the kernel span.
@@ -58,10 +63,7 @@ class KernelBasis:
         the range of the real-k operator up to the evanescence quality of
         the kernel.
         """
-        out = np.zeros(u.shape, dtype=complex)
-        for c, v in zip(self.coefficients(u), self.vectors):
-            out += c * v
-        return out
+        return np.tensordot(self.coefficients(u), self.vectors, axes=1)
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -108,14 +110,15 @@ def kernel(op: DiscreteOperator, svd_threshold: float = DEFAULT_SVD_THRESHOLD) -
             f"singular values {ambiguous} within a factor 10 of the "
             f"threshold {svd_threshold:g}; kernel dimension ill-determined",
             ambiguous=ambiguous)
-    members = []  # (sigma, field)
-    for b, r in zip(*np.nonzero(s < svd_threshold * sigma_max)):
+    b, r = np.nonzero(s < svd_threshold * sigma_max)
+    order = np.argsort(s[b, r], kind="stable")  # ascending sigma
+    b, r = b[order], r[order]
+    vectors = []
+    for bl, rl in zip(b, r):
         z = np.zeros(s.shape, dtype=complex)
-        z[b] = np.conj(Vh[b, r])
-        members.append((float(s[b, r]), _canonical_phase(op.back(z))))
-    members.sort(key=lambda t: t[0])
-    return KernelBasis(vectors=[v for _, v in members],
-                       singular_values=[sg for sg, _ in members],
+        z[bl] = np.conj(Vh[bl, rl])
+        vectors.append(_canonical_phase(op.back(z)))
+    return KernelBasis(vectors=vectors, singular_values=s[b, r].tolist(),
                        sigma_max=sigma_max, space=op.space, inc=op.inc)
 
 
@@ -130,14 +133,19 @@ class EvanescenceReport:
         return self.max_propagating_coeff <= self.tolerance
 
 
-def _propagating_tail(v: np.ndarray, space, propagating) -> float:
-    """max |v_n(+-h)| over the orders n in `propagating`: the radiating content.
+def _propagating_tail(basis: KernelBasis) -> np.ndarray:
+    """Each vector's propagating content relative to its weighted norm, (dimension,).
 
-    The end nodes of a field's mode profiles are its Rayleigh tails, so a
-    guided mode's propagating content is read off them directly.
+    max |v_n(+-h)| over the orders n propagating at the basis's incidence:
+    the end nodes of a field's mode profiles are its Rayleigh tails, so a
+    guided mode's radiating content is read off them directly.  A zero
+    vector carries none.
     """
-    rows = [space.mode_index[n] for n in propagating]
-    return float(np.abs(v[rows][:, [0, -1]]).max(initial=0.0))
+    sp = basis.space
+    rows = [sp.mode_index[n] for n in classify_modes(basis.inc, sp.disc.N).propagating]
+    tail = np.abs(basis.vectors[:, rows][..., [0, -1]]).max(axis=(1, 2), initial=0.0)
+    norm = np.sqrt(np.maximum(basis.gram().diagonal().real, 0.0))
+    return np.divide(tail, norm, out=np.zeros_like(tail), where=norm > 0)
 
 
 def verify_evanescent(basis: KernelBasis) -> EvanescenceReport:
@@ -148,14 +156,9 @@ def verify_evanescent(basis: KernelBasis) -> EvanescenceReport:
     (`_propagating_tail`); it passes at or below the report's tolerance,
     1e-8.  An empty basis passes trivially.
     """
-    sp = basis.space
-    propagating = classify_modes(basis.inc, sp.disc.N).propagating
-    per = []
-    for v in basis.vectors:
-        nrm = sp.norm(v)
-        per.append(_propagating_tail(v, sp, propagating) / nrm if nrm > 0 else 0.0)
-    return EvanescenceReport(max_propagating_coeff=max(per) if per else 0.0,
-                             per_vector=tuple(per), tolerance=1e-8)
+    per = _propagating_tail(basis)
+    return EvanescenceReport(max_propagating_coeff=float(per.max(initial=0.0)),
+                             per_vector=tuple(per.tolist()), tolerance=1e-8)
 
 
 def adjoint_kernel_check(op: DiscreteOperator, basis: KernelBasis) -> float:

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import CutoffViolation, CutProximity, WrongSide
+from .errors import CutoffViolation, CutProximity, DomainError, WrongSide
 
 ModeIndex = tuple[int, int]
 
@@ -63,7 +63,9 @@ class IncidenceSpec:
     prescribed quasi-momentum alpha (`from_alpha`).  Direct alpha exists so
     tests can place alpha exactly on a propagative wave vector, which
     floating-point angles cannot hit.  For complex k with direct alpha the
-    angle form of beta_n is used with tilde_theta := alpha / Re(k).
+    angle form of beta_n is used with tilde_theta := alpha / Re(k).  A direct
+    alpha whose sin^2(t1) = |alpha|^2 / Re(k)^2 overflows double precision
+    raises DomainError.
     """
 
     k: complex
@@ -82,9 +84,19 @@ class IncidenceSpec:
             raise ValueError(f"Im(k) must be >= 0, got {self.k}")
         if self.h <= 0:
             raise ValueError(f"h must be positive, got {self.h}")
+        if not self.angle_derived:
+            with np.errstate(over="ignore"):
+                s2 = self.sin2_theta1
+            if not np.isfinite(s2):
+                raise DomainError(f"sin^2(theta1) = |alpha|^2 / Re(k)^2 overflows "
+                                  f"double precision at k = {self.k:.6g}")
 
     @classmethod
     def from_angles(cls, k: complex, theta1: float, theta2: float, h: float) -> "IncidenceSpec":
+        # before any trigonometry, which warns on an infinite angle or k
+        if not np.all(np.isfinite([k, theta1, theta2])):
+            raise ValueError(f"k, theta1 and theta2 must be finite, got "
+                             f"k={k}, theta1={theta1}, theta2={theta2}")
         if not -np.pi / 2 < theta1 < np.pi / 2:
             raise ValueError(f"theta1 must lie in (-pi/2, pi/2), got {theta1}")
         tt = np.sin(theta1) * np.array([np.cos(theta2), np.sin(theta2)])
@@ -163,6 +175,7 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ np.broadcast_to(b, a.shape)[..., None])[:, 0, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # `assemble` refuses the overflow
 def _beta_squared_array(modes: np.ndarray, inc: IncidenceSpec) -> np.ndarray:
     """`_beta_squared` for every row of the (n, 2) float array `modes`."""
     k = inc.k

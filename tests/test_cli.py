@@ -385,6 +385,77 @@ def test_overflowing_whitened_operator_exits_3_with_one_line_error(tmp_path, cap
     assert not any(out.iterdir())
 
 
+EXTREME_H_CONFIG = """
+[incidence]
+k = 1.0
+theta1 = 0.3
+h = 1.0
+
+[medium]
+kind = homogeneous
+q0 = 2.0
+
+[discretization]
+N = 1
+M = 16
+"""
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("solve", "incidence.h=1e-310"),
+    ("modes", "incidence.h=1e-310"),
+    ("lap", "incidence.h=1e-310"),
+    ("solve", "incidence.h=1e308"),
+    ("solve", "incidence.h=1e308 discretization.M=17 "
+              "discretization.depth_scheme=finite_difference_order2"),
+    ("modes", "incidence.h=1e-310 discretization.M=17 "
+              "discretization.depth_scheme=finite_difference_order2"),
+])
+def test_overflowing_depth_grid_exits_3_with_one_line_error(tmp_path, capsys, command,
+                                                            overrides):
+    # refused before eigh of a non-finite W, with no numpy warning line
+    cfg = write_cfg(tmp_path, EXTREME_H_CONFIG)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    rc = main(argv + [a for o in overrides.split() for a in ("--override", o)])
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: depth grid overflows double precision")
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("override, code, prefix", [
+    ("incidence.theta2=inf", 2, "config error: "),
+    ("incidence.theta1=nan", 2, "config error: "),
+    ("incidence.k=inf", 2, "config error: "),
+    ("incidence.alpha=0.1,1e300", 3, "error: "),  # sin^2(theta1) overflows
+])
+def test_non_finite_incidence_gives_one_line(tmp_path, capsys, override, code, prefix):
+    # refused before any trigonometry or overflowing product warns
+    cfg = write_cfg(tmp_path, EXTREME_H_CONFIG)
+    out = tmp_path / "out"
+    rc = main(["solve", "--config", str(cfg), "--out", str(out), "--override", override])
+    assert rc == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix)
+    assert not any(out.iterdir())
+
+
+def test_overflowing_beta_squared_prints_no_numpy_warning(tmp_path, capsys):
+    # sin^2(theta1) = 1e300 is finite and breaks the uniqueness hypotheses;
+    # |n + alpha|^2 overflows, and assembly refuses it
+    cfg = write_cfg(tmp_path, EXTREME_H_CONFIG)
+    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out"),
+               "--override", "incidence.alpha=0.1,1e160",
+               "--override", "incidence.k=1e10"])
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 2
+    assert err[0].startswith("warning: ") and "uniqueness hypotheses" in err[0]
+    assert err[1].startswith("error: beta_n^2 overflows double precision")
+
+
 class TestDispersionCommand:
     def test_roots_and_grid(self, tmp_path):
         cfg = write_cfg(tmp_path, DISPERSION_CONFIG)

@@ -1,6 +1,7 @@
 """Assembly, solve, Rayleigh extraction, lift: oracles and invariants."""
 import gc
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,17 @@ def dense(op):
     sp = op.space
     units = np.eye(sp.size, dtype=complex).reshape(sp.size, len(sp.modes), sp.M)
     return np.stack([op.apply(e).ravel() for e in units], axis=1)
+
+
+def raw_rows(op):
+    """row(r) of `_whitened_blocks` for an operator: raw row slot r of every
+    mode group, (nc, M, c, M), its table's coupling row with the diagonal
+    blocks written into slot r."""
+    def row(r):
+        t = op.scale * op.table.row(r)
+        t[:, :, r] = op.diagonal[op.groups[:, r]]
+        return t
+    return row
 
 
 def oracle_u(q0, k, theta1, h=1.0):
@@ -250,7 +262,8 @@ class TestParityScreen:
         op = q.assemble(inc, medium(), disc)
         s, shapes = self.svd_shapes(monkeypatch, op)
         assert shapes == [(1, disc.unknowns, disc.unknowns)]  # a stack of one
-        assert np.array_equal(s, np.linalg.svd(op.whitened(), compute_uv=False))
+        full = np.linalg.svd(op.whitened(), compute_uv=False)
+        assert np.max(np.abs(s - full)) <= 1e-13 * s[0]
 
     def test_near_singular_on_guided_sampled_medium(self):
         inc = q.IncidenceSpec.from_alpha(K_EX, ALPHA_EX, 1.0)
@@ -426,7 +439,7 @@ class TestWhitenedBlocks:
         nm, M, h = len(sp.modes), sp.M, sp.M // 2
         groups = op.groups
         assert groups.shape == (comps, nm // comps)
-        halves = q.helmholtz._whitened_blocks(sp, groups, op._row, sp.parity)
+        halves = q.helmholtz._whitened_blocks(sp, groups, raw_rows(op), sp.parity)
         G = dense(op).reshape(nm, M, nm, M)
         cross = np.linalg.norm(G - G[:, ::-1, :, ::-1]) ** 2 / 4  # ||G - R G R||^2 / 4
         P = sp.parity[0]
@@ -776,6 +789,23 @@ class TestFieldSpace:
         assert np.linalg.norm(y.ravel()) == pytest.approx(sp.norm(sp.unwhiten(y)),
                                                           rel=1e-12)
 
+    @pytest.mark.parametrize("scheme, M, h", [
+        (q.CHEBYSHEV, 16, 1e-310),          # the differentiation matrix overflows
+        (q.CHEBYSHEV, 16, 1e308),           # W does
+        (q.FINITE_DIFFERENCE, 17, 1e-310),  # the element stiffness 1/d does
+        (q.FINITE_DIFFERENCE, 17, 1e308),   # the grid spacing 2h does
+    ])
+    def test_overflowing_h_is_refused_before_the_eigendecomposition(self, monkeypatch,
+                                                                     scheme, M, h):
+        disc = q.Discretization(N=1, M=M, depth_scheme=scheme)
+        eigh = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: eigh.append(a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning escapes
+            with pytest.raises(q.DomainError, match="depth grid overflows double precision"):
+                disc.space(h)
+        assert eigh == [] and disc._spaces == {}
+
 
 STACK_LAYERS = ((-1.0, -0.3, 2.0), (-0.3, 0.45, 3.2), (0.45, 1.0, 1.4))
 
@@ -918,6 +948,30 @@ class TestCouplingTable:
             with pytest.raises(q.AliasError):
                 q.helmholtz._medium_profiles(med, space)
         assert len(space._couplings) == 0
+
+
+class TestStackActions:
+    """`apply` and `apply_adjoint` on a stack of fields (m, n_modes, M)."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: sampled_operator(inclusion_medium),
+        lambda: sampled_operator(coupled_medium),
+        slab_operator,
+    ], ids=["coupled", "coupled_asymmetric", "block_diagonal"])
+    def test_stack_is_the_fields_one_by_one(self, build):
+        op = build()
+        rng = np.random.default_rng(43)
+        shape = (3,) + op.space.zeros().shape
+        U = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for act in (op.apply, op.apply_adjoint):
+            got = act(U)
+            assert got.shape == shape
+            assert relative_error(got, np.array([act(u) for u in U])) <= 1e-14
+
+    def test_whitened_is_built_afresh(self):
+        op = sampled_operator(inclusion_medium)
+        a, b = op.whitened(), op.whitened()
+        assert a is not b and np.array_equal(a, b)
 
 
 class TestApplyAdjoint:
@@ -1377,8 +1431,8 @@ class TestRealFactors:
         op = q.assemble(inc, medium(), q.Discretization(N=N, M=M))
         sp = op.space
         parity = sp.parity if K == 2 else None
-        got = q.helmholtz._whitened_blocks(sp, op.groups, op._row, parity)
-        want = complex_whitened(sp, op.groups, op._row, parity)
+        got = q.helmholtz._whitened_blocks(sp, op.groups, raw_rows(op), parity)
+        want = complex_whitened(sp, op.groups, raw_rows(op), parity)
         assert got.shape == want.shape and len(got) == groups * K
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 

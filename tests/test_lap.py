@@ -531,6 +531,21 @@ def residual_double_loop(u, v, inc, medium):
     return 4 * np.pi ** 2 * total
 
 
+def evanescent_pair():
+    """A field u and a two-vector basis of evanescent fields on N = 2, M = 16."""
+    inc = q.IncidenceSpec.from_alpha(K_EX, ALPHA_EX, 1.0)
+    sp = q.FieldSpace(q.Discretization(N=2, M=16), 1.0)
+    rng = np.random.default_rng(21)
+    u, *vs = (rng.standard_normal((3, len(sp.modes), sp.M))
+              + 1j * rng.standard_normal((3, len(sp.modes), sp.M)))
+    for v in vs:
+        for n in q.classify_modes(inc, 2).propagating:
+            v[sp.mode_index[n], [0, -1]] = 0.0
+    basis = q.KernelBasis(vectors=vs, singular_values=[0.0, 0.0], sigma_max=1.0,
+                          space=sp, inc=inc)
+    return u, vs, basis
+
+
 class TestCoupledConstraintResidual:
     """The residual on a coupled medium, where every q_(n-m) enters."""
 
@@ -538,16 +553,8 @@ class TestCoupledConstraintResidual:
                                         sampled_stack_medium])
     def test_matches_the_mode_pair_sum(self, monkeypatch, medium):
         # a two-vector basis of evanescent fields, each vector checked alone
-        inc = q.IncidenceSpec.from_alpha(K_EX, ALPHA_EX, 1.0)
-        med, sp = medium(), q.FieldSpace(q.Discretization(N=2, M=16), 1.0)
-        rng = np.random.default_rng(21)
-        u, *vs = (rng.standard_normal((3, len(sp.modes), sp.M))
-                  + 1j * rng.standard_normal((3, len(sp.modes), sp.M)))
-        for v in vs:
-            for n in q.classify_modes(inc, 2).propagating:
-                v[sp.mode_index[n], [0, -1]] = 0.0
-        basis = q.KernelBasis(vectors=vs, singular_values=[0.0, 0.0], sigma_max=1.0,
-                              space=sp, inc=inc)
+        u, vs, basis = evanescent_pair()
+        med, sp, inc = medium(), basis.space, basis.inc
         field = q.FieldCoefficients(space=sp, inc=inc, values=u)
         calls = []
         profiles = q.lap._medium_profiles
@@ -562,6 +569,23 @@ class TestCoupledConstraintResidual:
         for r, v in zip(got, vs):
             want = residual_double_loop(field, v, inc, med)
             assert abs(r - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("method", ["stacked", "two_step"])
+    @pytest.mark.parametrize("medium", [inclusion_medium, lamellar_medium,
+                                        sampled_stack_medium])
+    def test_two_vector_basis_recovers_prescribed_loads(self, medium, method):
+        # the constraint rows, Gram matrix and loads of two vectors at once
+        _, _, basis = evanescent_pair()
+        med = medium()
+        scn = q.LapScenario(inc=basis.inc, medium=med, disc=basis.space.disc,
+                            kernel=basis)
+        op = q.assemble(scn.inc, med, scn.disc)
+        w, load, dload = prescribed_loads(scn, op)
+        cs = q.constrained_solve(scn, load=load, load_deriv=dload, method=method)
+        assert scn.space.norm(cs.field.values - w) <= 1e-12 * scn.space.norm(w)
+        want = basis.coefficients(w)
+        assert want.shape == (2,)
+        assert np.max(np.abs(cs.kernel_coefficients - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestSignStructure:

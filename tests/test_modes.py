@@ -199,6 +199,55 @@ class TestKernelBlocks:
         assert abs(tp.imag) <= 1e-14 * abs(tp) and abs(tp - tm) <= 1e-12 * abs(tp)
 
 
+class TestKernelBasis:
+    """The basis as one (dimension, n_modes, M) array, and its contractions."""
+
+    @staticmethod
+    def fields(sp, m, seed=5):
+        rng = np.random.default_rng(seed)
+        shape = (m, len(sp.modes), sp.M)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("make", [list, np.array], ids=["list", "array"])
+    def test_built_from_fields(self, guided, make):
+        inc, _, _, op, _ = guided
+        vs = self.fields(op.space, 2)
+        basis = q.KernelBasis(vectors=make(list(vs)), singular_values=[0.0, 0.0],
+                              sigma_max=1.0, space=op.space, inc=inc)
+        assert isinstance(basis.vectors, np.ndarray) and basis.vectors.dtype == complex
+        assert basis.vectors.shape == vs.shape and basis.dimension == 2
+        assert np.array_equal(basis.vectors, vs)
+        # each contraction against the weighted product, vector by vector
+        sp = op.space
+        u = self.fields(sp, 1, seed=6)[0]
+        gram = np.array([[sp.inner(a, b) for b in vs] for a in vs])
+        coeffs = np.array([sp.inner(u, v) for v in vs])
+        assert np.max(np.abs(basis.gram() - gram)) <= 1e-14 * np.max(np.abs(gram))
+        assert np.max(np.abs(basis.coefficients(u) - coeffs)) \
+            <= 1e-14 * np.max(np.abs(coeffs))
+        want = coeffs[0] * vs[0] + coeffs[1] * vs[1]
+        assert np.max(np.abs(basis.project(u) - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_built_from_no_fields(self, guided):
+        inc, _, _, op, _ = guided
+        basis = q.KernelBasis(vectors=[], singular_values=[], sigma_max=1.0,
+                              space=op.space, inc=inc)
+        nm, M = len(op.space.modes), op.space.M
+        assert basis.vectors.shape == (0, nm, M) and basis.dimension == 0
+        assert basis.gram().shape == (0, 0)
+        u = self.fields(op.space, 1)[0]
+        assert basis.coefficients(u).shape == (0,)
+        assert np.array_equal(basis.project(u), np.zeros((nm, M)))
+        assert q.verify_evanescent(basis).per_vector == ()
+
+    @pytest.mark.parametrize("build", ["guided", "sampled"])
+    def test_computed_kernel_is_orthonormal(self, guided, build):
+        basis = guided[-1] if build == "guided" else q.kernel(guided_sampled())
+        assert isinstance(basis.vectors, np.ndarray) and basis.dimension == 1
+        g = basis.gram()
+        assert np.max(np.abs(g - np.eye(basis.dimension))) <= 1e-12
+
+
 class TestCanonicalPhase:
     @pytest.mark.parametrize("parity", [1.0, -1.0])
     def test_invariant_under_a_unit_phase(self, parity):

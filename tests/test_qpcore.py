@@ -1,5 +1,6 @@
 """Branch square root, vertical wavenumbers, mode classification, DtN symbols."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,33 @@ class TestIncidenceSpec:
             q.IncidenceSpec.from_angles(bad, 0.2, 0.0, 1.0)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
             q.IncidenceSpec.from_angles(1.0, 0.2, bad, 1.0)
+
+    @pytest.mark.parametrize("k, theta1, theta2", [
+        (np.inf, 0.2, 0.0), (np.nan, 0.2, 0.0), (1.0, np.nan, 0.0),
+        (1.0, 0.2, np.inf), (1.0, 0.2, -np.inf), (1.0, 0.2, np.nan),
+    ])
+    def test_non_finite_angle_input_is_refused_before_trigonometry(self, k, theta1,
+                                                                   theta2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning escapes
+            with pytest.raises(ValueError, match="k, theta1 and theta2 must be finite"):
+                q.IncidenceSpec.from_angles(k, theta1, theta2, 1.0)
+
+    @pytest.mark.parametrize("k, alpha", [(1.0, (0.1, 1e300)), (1e-200, (0.1, 1e150))])
+    def test_overflowing_direct_sin2_is_a_domain_error(self, k, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(q.DomainError, match="overflows double precision"):
+                q.IncidenceSpec.from_alpha(k, alpha, 1.0)
+
+    def test_overflowing_beta_squared_is_one_domain_error(self):
+        # sin^2(t1) = 1e300 is finite, |n + alpha|^2 is not
+        inc = q.IncidenceSpec.from_alpha(1e10, (0.1, 1e160), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(q.DomainError, match="beta_n\\^2 overflows"):
+                q.assemble(inc, q.MediumModel.homogeneous(2.0, 1.0),
+                           q.Discretization(N=1, M=16))
 
     def test_direct_alpha_complex_k_uses_fixed_tilde_theta(self):
         inc = q.IncidenceSpec.from_alpha(2.0, (0.5, -0.2), 1.0)
