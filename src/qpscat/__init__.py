@@ -28,7 +28,7 @@ from .slab import (BrillouinMap, DispersionRoot, SlabParams, brillouin_map,
                    transfer_matrix_scattering, write_brillouin_csv)
 from .modes import (EvanescenceReport, KernelBasis, LiftedMode,
                     adjoint_kernel_check, kernel, mode_lift, verify_evanescent)
-from .lap import (ConstrainedSolution, LapResult, LapScenario, constrained_solve,
+from .lap import (ConstrainedSolution, LapResult, constrained_solve,
                   constraint_residual, eps_sweep, write_sweep_csv)
 from .maxwell import (FieldSegment, MaxwellIncidence, ModeField, TangentialField,
                       calderon_apply, calderon_forms, calderon_halfspace_oracle,

@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, NearSingular, QpscatError
 from .helmholtz import Discretization, assemble, rayleigh_data, rhs, solve
-from .lap import LapScenario, constrained_solve, eps_sweep, write_sweep_csv
+from .lap import constrained_solve, eps_sweep, write_sweep_csv
 from .medium import MediumModel, load_sampled_medium, validate
 from .modes import kernel
 from .qpcore import IncidenceSpec
@@ -296,13 +296,11 @@ def run(cfg: RunConfig) -> int:
         elif cfg.command == "lap":
             basis = kernel(op, cfg.svd_threshold())
             del op  # the constrained solves assemble A(0) with A'(0) again
-            scn = LapScenario(inc=inc, medium=medium, disc=disc, kernel=basis,
-                              eps_schedule=cfg.eps_schedule())
-            result = eps_sweep(scn)
+            result = eps_sweep(basis, medium, cfg.eps_schedule())
             write_sweep_csv(result, cfg.out_dir / "sweep.csv")
             limit = result.v_limit_constrained
-            cross = constrained_solve(scn, method="two_step")
-            agree = scn.space.norm(cross.field.values - limit.field.values) \
+            cross = constrained_solve(basis, medium, method="two_step")
+            agree = basis.space.norm(cross.field.values - limit.field.values) \
                 / max(limit.field.norm(), 1e-300)
             payload = {
                 **meta,

@@ -341,7 +341,13 @@ class FieldSpace:
         return complex(np.vdot(v, _real_matmul(self.W, u[..., None])[..., 0]))
 
     def norm(self, u: np.ndarray) -> float:
-        return float(np.sqrt(max(self.inner(u, u).real, 0.0)))
+        """sqrt <u, u>, u first scaled exactly by the power of two that brings
+        its largest real or imaginary part into [1/2, 1): no square under- or
+        overflows, and in the normal range the result is unchanged bit for bit."""
+        x = np.ascontiguousarray(u, dtype=complex).view(float)
+        e = int(np.frexp(np.abs(x).max(initial=0.0))[1])
+        y = np.ldexp(x, -e).view(complex)
+        return float(np.ldexp(np.sqrt(max(self.inner(y, y).real, 0.0)), e))
 
     def unwhiten(self, y: np.ndarray) -> np.ndarray:
         return _real_matmul(self.W_isqrt, y[..., None])[..., 0]
@@ -397,7 +403,7 @@ class DiscreteOperator:
         """Matrix action on a field (n_modes, M), or on each of a stack (..., n_modes, M)."""
         out = (self.diagonal @ u[..., None])[..., 0]
         if not self.block_diagonal:
-            out -= self.scale * self.table.couple(u, off_diagonal=True)
+            out -= self.scale * self.table.couple(u)
         return out
 
     def apply_adjoint(self, u: np.ndarray) -> np.ndarray:
@@ -407,8 +413,7 @@ class DiscreteOperator:
         """
         out = (u.conj()[..., None, :] @ self.diagonal)[..., 0, :].conj()
         if not self.block_diagonal:
-            out -= np.conj(self.scale) * self.table.couple(u, off_diagonal=True,
-                                                           adjoint=True)
+            out -= np.conj(self.scale) * self.table.couple(u, adjoint=True)
         return out
 
     def whitened(self) -> np.ndarray:
@@ -601,16 +606,16 @@ def _mirror_symmetric(blocks: np.ndarray, weights) -> bool:
 class _CouplingTable:
     """What assembly takes from a medium on one FieldSpace, independent of k.
 
-    `diffs` lists the differences |d|_inf <= 2N (only d = 0 for a
+    `diffs` lists the differences 0 < |d|_inf <= 2N (none for a
     transversely uniform medium) whose profile qhat_d at the quadrature
     depths is not identically zero, and `masses` stacks their C_d = int
     qhat_d l_i l_j, followed by one zero block, (len(diffs) + 1, M, M); the
     profiles themselves are not kept.  `c0` is C_0 of qhat_0 - 1, the
     diagonal coupling (the background sits in the volume term).  `off`
-    (modes, modes) gives, for each mode pair (n, m) with n != m, the index
-    into diffs of n - m, or len(diffs), the zero block, when its profile
-    vanishes (and on the diagonal).  `couple` sums C_{n-m} u_m over the
-    pairs whose profile lives, with or without the diagonal.
+    (modes, modes) gives, for each mode pair (n, m), the index into diffs
+    of n - m, or len(diffs), the zero block, when its profile vanishes and
+    on the diagonal.  `couple` sums C_{n-m} u_m over the pairs n != m whose
+    profile lives.
 
     The table also fixes, once, the layout of the whitened stack of the
     medium's operators (`DiscreteOperator.stack`), and holds a coupled
@@ -650,10 +655,10 @@ class _CouplingTable:
         uniform = medium.transversely_uniform
         profiles = medium.fourier_profiles(grid.quad_x, 0 if uniform else 2 * N)
         live = np.any(np.array(list(profiles.values())), axis=1)
-        self.diffs = [d for d, on in zip(profiles, live) if on]
+        self.diffs = [d for d, on in zip(profiles, live) if on and d != (0, 0)]
         T = len(self.diffs)
         self.masses = np.array([grid.weighted_mass(profiles[d]) for d in self.diffs]
-                               + [np.zeros((M, M))])
+                               + [np.zeros((M, M), dtype=complex)])
         self.c0 = grid.weighted_mass(profiles[(0, 0)] - np.ones_like(grid.quad_x))
         n = np.array(space.modes)
         nm = len(n)
@@ -661,19 +666,14 @@ class _CouplingTable:
         index = np.full((4 * N + 1, 4 * N + 1), T)
         for t, (d1, d2) in enumerate(self.diffs):
             index[d1 + 2 * N, d2 + 2 * N] = t
-        index = index[d[..., 0], d[..., 1]]
-        self.off = index.copy()
-        np.fill_diagonal(self.off, T)
+        self.off = index[d[..., 0], d[..., 1]]
         # C_t u_j (or C_t^H u_j) of every live t at once, as one product
         # u @ _act: column block t of _act is C_t^T (or conj(C_t)), and the
         # zero block T pads the rows of `_pairs` that have fewer live pairs
         self._act = (self.masses.transpose(2, 0, 1).reshape(M, -1),
                      self.masses.conj().transpose(1, 0, 2).reshape(M, -1))
-        # (off_diagonal, adjoint) -> the pairs `couple` gathers; no caller
-        # asks for the adjoint with the diagonal
-        self._pairs = {(False, False): _live_pairs(index, T),
-                       (True, False): _live_pairs(self.off, T),
-                       (True, True): _live_pairs(self.off.T, T)}
+        # the pairs `couple` gathers, by adjoint
+        self._pairs = (_live_pairs(self.off, T), _live_pairs(self.off.T, T))
         link = self.off < T
         link = link | link.T
         label = np.arange(nm)
@@ -706,18 +706,17 @@ class _CouplingTable:
         blocks = self.masses[self.off[g[:, r, None], g]]
         return np.negative(blocks, out=blocks).transpose(0, 2, 1, 3)
 
-    def couple(self, u: np.ndarray, off_diagonal: bool = False,
-               adjoint: bool = False) -> np.ndarray:
-        """sum_m C_{n-m} u_m for every mode n, or sum_n C_{n-m}^H u_n for every m.
+    def couple(self, u: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """sum_{m != n} C_{n-m} u_m for every n, or sum_{n != m} C_{n-m}^H u_n for every m.
 
-        u is a field (modes, M), or a stack of fields (..., modes, M);
-        off_diagonal leaves out the pairs m = n, and adjoint needs it.  One
-        product with every mass, then one gather of the mode pairs.
+        u is a field (modes, M), or a stack of fields (..., modes, M).  One
+        product with every mass, then one gather of the mode pairs; the
+        diagonal pairs are the zero block.
         """
         M = u.shape[-1]
         # U[..., j, t] = C_t u_j (or C_t^H u_j)
         U = (u @ self._act[adjoint]).reshape(u.shape[:-1] + (-1, M))
-        return U[(..., *self._pairs[off_diagonal, adjoint], slice(None))].sum(axis=-2)
+        return U[(..., *self._pairs[adjoint], slice(None))].sum(axis=-2)
 
 
 def _medium_profiles(medium: MediumModel, space: FieldSpace) -> _CouplingTable:
@@ -811,6 +810,17 @@ def _require_field(space: FieldSpace, name: str, value) -> None:
         raise ValueError(f"{name} has non-finite entries")
 
 
+def _operator_space(inc: IncidenceSpec, medium: MediumModel,
+                    disc: Discretization) -> FieldSpace:
+    """The entry check of both assemblies, then their space `disc.space(inc.h)`:
+    ValueError if the incidence and medium h disagree, OperatorTooLarge as
+    `_check_operator_bytes`."""
+    if abs(inc.h - medium.h) > 1e-12:
+        raise ValueError("incidence h and medium h disagree")
+    _check_operator_bytes(medium, disc)
+    return disc.space(inc.h)
+
+
 def assemble(inc: IncidenceSpec, medium: MediumModel,
              disc: Discretization) -> DiscreteOperator:
     """Assemble the layer operator at inc.k (real or complex).
@@ -824,10 +834,7 @@ def assemble(inc: IncidenceSpec, medium: MediumModel,
     DomainError if k^2 or some beta_n^2 overflows.  All beta_n come from one
     array operation (`qpcore.beta_table`).
     """
-    if abs(inc.h - medium.h) > 1e-12:
-        raise ValueError("incidence h and medium h disagree")
-    _check_operator_bytes(medium, disc)
-    space = disc.space(inc.h)
+    space = _operator_space(inc, medium, disc)
     grid = space.grid
     k = inc.k
     k2 = k * k
@@ -850,13 +857,12 @@ def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
 
     Volume coefficient -2i(k cos^2 t1 - n.tilde_theta) per mode plus
     -2ik times the (q - 1) coupling; boundary entries -i d(beta_n)/d(eps).
-    On `disc.space(inc.h)`, as in `assemble`, and the same DomainError
-    guards k^2.
+    On `disc.space(inc.h)`, with the same entry checks as `assemble`
+    (`_operator_space`), and the same DomainError guards k^2.
     """
     if inc.k.imag != 0:
         raise ValueError("derivative operator is defined at real k")
-    _check_operator_bytes(medium, disc)
-    space = disc.space(inc.h)
+    space = _operator_space(inc, medium, disc)
     grid = space.grid
     k = inc.k.real
     _require_finite(inc, "k^2", k * k)  # then beta_n^2 and the scale 2ik are too

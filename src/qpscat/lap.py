@@ -24,49 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintSingular, NonEvanescentMode
-from .helmholtz import _SPLIT_TOL, Discretization, FieldCoefficients, FieldSpace, \
-    _block_diag, _medium_profiles, _rayleigh_tails, _require_field, assemble, \
-    assemble_eps_derivative, rhs, rhs_eps_derivative, solve
+from .helmholtz import _SPLIT_TOL, FieldCoefficients, _block_diag, _medium_profiles, \
+    _rayleigh_tails, _require_field, assemble, assemble_eps_derivative, rhs, \
+    rhs_eps_derivative, solve
 from .medium import MediumModel
 from .modes import KernelBasis, _propagating_tail
-from .qpcore import IncidenceSpec, _beta_array, _row_dot, classify_modes
+from .qpcore import _beta_array, _row_dot, classify_modes
 
 DEFAULT_EPS_SCHEDULE = tuple(0.1 * 2.0 ** -j for j in range(11))
-
-
-@dataclass
-class LapScenario:
-    """A limiting-absorption run: incidence at real k, medium, grid, kernel.
-
-    Its field space is the discretization's `disc.space(inc.h)`; the kernel
-    must be laid out on an equal space (same discretization and h) and
-    taken at an equal incidence, both compared by value.
-    """
-
-    inc: IncidenceSpec
-    medium: MediumModel
-    disc: Discretization
-    kernel: KernelBasis
-    eps_schedule: tuple[float, ...] = DEFAULT_EPS_SCHEDULE
-
-    def __post_init__(self):
-        if self.inc.k.imag != 0:
-            raise ValueError("scenario wavenumber must be real")
-        eps = np.asarray(self.eps_schedule, dtype=float)
-        if not np.all(np.isfinite(eps)) or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
-            raise ValueError("eps_schedule must be finite, positive and decreasing")
-        sp = self.kernel.space
-        if sp.disc != self.disc or sp.h != self.inc.h:
-            raise ValueError(
-                f"kernel space (N={sp.disc.N}, M={sp.disc.M}, h={sp.h!r}) does not "
-                f"match the scenario (N={self.disc.N}, M={self.disc.M}, h={self.inc.h!r})")
-        if self.kernel.inc != self.inc:
-            raise ValueError(f"kernel incidence {self.kernel.inc!r} does not match "
-                             f"the scenario incidence {self.inc!r}")
-
-    @property
-    def space(self) -> FieldSpace:
-        return self.disc.space(self.inc.h)
 
 
 @dataclass
@@ -79,15 +44,18 @@ class ConstrainedSolution:
     method: str
 
 
-def constrained_solve(scn: LapScenario, load: np.ndarray | None = None,
+def constrained_solve(basis: KernelBasis, medium: MediumModel,
+                      load: np.ndarray | None = None,
                       load_deriv: np.ndarray | None = None,
                       method: str = "stacked") -> ConstrainedSolution:
     """Solve  A v = f  subject to  v_l^H A'(0) v = v_l^H f'(0)  per kernel vector.
 
-    The system is solved on the whitened diagonal blocks of A, through
-    their maps (`DiscreteOperator.stack`, `to` and `back`: one block per
-    mode group and depth parity, as A was assembled).  A block
-    holds a constraint when its part of some mapped constraint row exceeds
+    A and A'(0) are the medium's at `basis.inc` on `disc = basis.space.disc`;
+    the fields live on `disc.space(inc.h)`, `basis.space` for every basis of
+    `kernel`.  The system is solved on the whitened diagonal blocks of A,
+    through their maps (`DiscreteOperator.stack`, `to` and `back`: one block
+    per mode group and depth parity, as A was assembled).  A block holds a
+    constraint when its part of some mapped constraint row exceeds
     _SPLIT_TOL of that row's norm: on a split operator, the blocks of the
     kernel vectors.  The blocks that hold none are regular and get one
     batched LU.  The holding blocks, taken together as one matrix H, get one
@@ -98,20 +66,21 @@ def constrained_solve(scn: LapScenario, load: np.ndarray | None = None,
     constraint system (raises ConstraintSingular when that system has
     condition above 1e8).  With an empty kernel both reduce to the plain
     solve.  An unknown method, or a `load` or `load_deriv` that is not a
-    finite field (n_modes, M) of the scenario's space, raises ValueError
-    before any assembly.
+    finite field (n_modes, M) of that space, raises ValueError before any
+    assembly.
     """
     if method not in ("stacked", "two_step"):
         raise ValueError(f"unknown method {method!r}")
-    sp = scn.space
+    inc, disc = basis.inc, basis.space.disc
+    sp = disc.space(inc.h)
     if load is None:
-        load = rhs(scn.inc, scn.disc)
+        load = rhs(inc, disc)
     if load_deriv is None:
-        load_deriv = rhs_eps_derivative(scn.inc, scn.disc)
+        load_deriv = rhs_eps_derivative(inc, disc)
     _require_field(sp, "load", load)
     _require_field(sp, "load_deriv", load_deriv)
-    op = assemble(scn.inc, scn.medium, scn.disc)
-    m = scn.kernel.dimension
+    op = assemble(inc, medium, disc)
+    m = basis.dimension
     if m == 0:
         fieldv = solve(op, load)
         resid = np.linalg.norm((op.apply(fieldv.values) - load).ravel())
@@ -119,8 +88,8 @@ def constrained_solve(scn: LapScenario, load: np.ndarray | None = None,
                                    solve_residual=float(resid),
                                    constraint_block_residual=0.0,
                                    gram_condition=0.0, method="plain")
-    dop = assemble_eps_derivative(scn.inc, scn.medium, scn.disc)
-    V = scn.kernel.vectors
+    dop = assemble_eps_derivative(inc, medium, disc)
+    V = basis.vectors
     rows = np.conj(dop.apply_adjoint(V))  # v_l^H A'(0), as fields
     gram = np.tensordot(V.conj(), dop.apply(V), axes=([1, 2], [1, 2]))
     dvals = np.tensordot(V.conj(), load_deriv, axes=2)
@@ -155,10 +124,10 @@ def constrained_solve(scn: LapScenario, load: np.ndarray | None = None,
         coeffs = np.linalg.solve(gram, dvals - np.tensordot(rows, vals, axes=2))
         vals = vals + np.tensordot(coeffs, V, axes=1)
 
-    fieldv = FieldCoefficients(space=sp, inc=scn.inc, values=vals)
+    fieldv = FieldCoefficients(space=sp, inc=inc, values=vals)
     resid = np.linalg.norm((op.apply(vals) - load).ravel())
     cres = np.abs(np.tensordot(rows, vals, axes=2) - dvals).max()
-    kcoeffs = scn.kernel.coefficients(vals)
+    kcoeffs = basis.coefficients(vals)
     return ConstrainedSolution(field=fieldv, kernel_coefficients=kcoeffs,
                                solve_residual=float(resid),
                                constraint_block_residual=float(cres),
@@ -182,47 +151,58 @@ class LapResult:
         return float(self.sweep_deltas[-1] / self.v_limit_constrained.field.norm())
 
 
-def eps_sweep(scn: LapScenario, load_provider=None, load_deriv=None) -> LapResult:
+def eps_sweep(basis: KernelBasis, medium: MediumModel,
+              eps_schedule: tuple[float, ...] = DEFAULT_EPS_SCHEDULE,
+              load_provider=None, load_deriv=None) -> LapResult:
     """Assemble-and-solve along the eps schedule; cross-validate the limits.
 
+    At k + i*eps about `basis.inc`, on the fields of `constrained_solve`.
     load_provider(inc_eps) supplies the load per perturbed incidence
     (default: the plane-wave load at k + i*eps); the constrained limit uses
     the eps-derivative of the load at 0 (load_deriv, default the plane-wave
-    one; pass a zero field for eps-independent synthetic loads).
+    one; pass a zero field for eps-independent synthetic loads).  A
+    schedule that is empty, or not finite, positive and decreasing, is a
+    ValueError, raised before any assembly.
     """
-    sp = scn.space
-    k = scn.inc.k.real
+    eps_arr = np.asarray(eps_schedule, dtype=float)
+    if not (eps_arr.size and np.all(np.isfinite(eps_arr) & (eps_arr > 0))
+            and np.all(np.diff(eps_arr) < 0)):
+        raise ValueError("eps_schedule must be non-empty, finite, positive and decreasing")
+    inc, disc = basis.inc, basis.space.disc
+    sp = disc.space(inc.h)
+    k = inc.k.real
     if load_provider is None:
         def load_provider(inc_e):
-            return rhs(inc_e, scn.disc)
-    limit = constrained_solve(scn, load=load_provider(scn.inc),
+            return rhs(inc_e, disc)
+    limit = constrained_solve(basis, medium, load=load_provider(inc),
                               load_deriv=load_deriv)
 
     def solve_at(eps):
-        inc_e = scn.inc.with_k(k + 1j * eps)
-        op_e = assemble(inc_e, scn.medium, scn.disc)
+        inc_e = inc.with_k(k + 1j * eps)
+        op_e = assemble(inc_e, medium, disc)
         smin, smax = op_e.singularity_report()
         return solve(op_e, load_provider(inc_e)), smax / smin
 
     v_eps, deltas, conds, res_eps = [], [], [], []
-    for ve, cond in map(solve_at, scn.eps_schedule):
+    for ve, cond in map(solve_at, eps_schedule):
         v_eps.append(ve)
         deltas.append(sp.norm(ve.values - limit.field.values))
         conds.append(cond)
-        res_eps.append(constraint_residual(ve, scn.kernel, scn.medium))
+        res_eps.append(constraint_residual(ve, basis, medium))
     if len(v_eps) >= 2:
-        e1, e0 = scn.eps_schedule[-2], scn.eps_schedule[-1]
-        vex = v_eps[-1].values + (v_eps[-1].values - v_eps[-2].values) * e0 / (e1 - e0)
+        # not over e1 - e0: near the underflow threshold it is subnormal, and
+        # a complex division by it overflows
+        e1, e0 = eps_schedule[-2], eps_schedule[-1]
+        vex = v_eps[-1].values + (v_eps[-1].values - v_eps[-2].values) / (e1 / e0 - 1)
     else:
         vex = v_eps[-1].values.copy()
-    v_ex = FieldCoefficients(space=sp, inc=scn.inc, values=vex)
+    v_ex = FieldCoefficients(space=sp, inc=inc, values=vex)
     deltas = np.array(deltas)
     tail = slice(4, None)  # the slope is fitted from the fifth eps level on
-    eps_arr = np.array(scn.eps_schedule)
     slope = float(np.polyfit(np.log(eps_arr[tail]), np.log(deltas[tail]), 1)[0]) \
         if len(deltas[tail]) >= 2 and np.all(deltas[tail] > 0) else float("nan")
-    res_limit = constraint_residual(limit.field, scn.kernel, scn.medium)
-    return LapResult(eps_schedule=tuple(scn.eps_schedule), v_eps=v_eps,
+    res_limit = constraint_residual(limit.field, basis, medium)
+    return LapResult(eps_schedule=tuple(eps_schedule), v_eps=v_eps,
                      v_limit_extrapolated=v_ex, v_limit_constrained=limit,
                      sweep_deltas=deltas, cond_estimates=np.array(conds),
                      constraint_residuals_eps=np.array(res_eps),
@@ -239,10 +219,11 @@ def constraint_residual(u: FieldCoefficients, basis: KernelBasis,
     layer plus closed-form evanescent tail integrals, for all vectors at
     once.  The q u term is the coupling sum of the table that assembly
     caches per (medium, space) (`_medium_profiles`, `_CouplingTable.couple`),
-    which the operator's `apply` also takes, so repeated residuals on one
-    medium build no mass.  The tails pair the Rayleigh coefficients of u
-    (`_rayleigh_tails`, as `rayleigh_data` reports them) with the modes'
-    end nodes over the evanescent orders.  Every vector must be evanescent:
+    which the operator's `apply` also takes, plus its diagonal (c0 + mass)
+    u_n, so repeated residuals on one medium build no mass.  The tails
+    pair the Rayleigh coefficients of u (`_rayleigh_tails`, as
+    `rayleigh_data` reports them) with the modes' end nodes over the
+    evanescent orders.  Every vector must be evanescent:
     propagating tail content above 1e-6 of its norm raises
     NonEvanescentMode.  The incident-wave tail pairs only with the (absent)
     propagating mode content and is dropped.  Raises ValueError unless u
@@ -268,9 +249,10 @@ def constraint_residual(u: FieldCoefficients, basis: KernelBasis,
     V = np.conj(basis.vectors)  # (vectors, modes, M)
     # interior: sum_n int [i (n.theta~ + k sin^2 t1) u_n - i k (q u)_n] conj(phi_n)
     nth = _row_dot(np.array(sp.modes, dtype=float), inc.tilde_theta)
-    qu = _medium_profiles(medium, sp).couple(u.values)  # (q u)_n = sum_m C_{n-m} u_m
-    f = (1j * (nth + k * inc.sin2_theta1))[:, None] * (u.values @ sp.grid.mass) \
-        - 1j * k * qu
+    table = _medium_profiles(medium, sp)
+    um = u.values @ sp.grid.mass
+    qu = table.couple(u.values) + (u.values @ table.c0 + um)  # (q u)_n
+    f = (1j * (nth + k * inc.sin2_theta1))[:, None] * um - 1j * k * qu
     total = V.reshape(len(V), -1) @ f.ravel()
     # evanescent tails: u's Rayleigh coefficients against the modes' end nodes
     ev = [sp.mode_index[n] for n in cls.evanescent]

@@ -28,7 +28,8 @@ class KernelBasis:
     `vectors` stacks the fields as one complex array (dimension, n_modes,
     M); any array-like of fields of the space, the empty list included, is
     taken.  The Rayleigh tails of vector l are its end nodes: v[l, i, -1]
-    above and v[l, i, 0] below, for mode space.modes[i].
+    above and v[l, i, 0] below, for mode space.modes[i].  It is taken at a
+    real-k incidence `inc`, on a space of its h (ValueError otherwise).
     """
 
     vectors: np.ndarray                  # (dimension, n_modes, M)
@@ -39,6 +40,9 @@ class KernelBasis:
 
     def __post_init__(self):
         sp = self.space
+        if self.inc.k.imag != 0 or sp.h != self.inc.h:
+            raise ValueError(f"a kernel basis needs real k and its space at the incidence "
+                             f"h, got k={self.inc.k!r}, h={self.inc.h!r}, space h={sp.h!r}")
         self.vectors = np.asarray(self.vectors, dtype=complex).reshape(
             -1, len(sp.modes), sp.M)
 
@@ -168,11 +172,16 @@ def adjoint_kernel_check(op: DiscreteOperator, basis: KernelBasis) -> float:
     coincide numerically (the kernels consist of the same surface waves).
     Evaluated on the blocks of the operator's stack, through its map `to`,
     so a split operator never builds its full whitened matrix.  Returns 0.0
-    for an empty basis.
+    for an empty basis.  ValueError unless the basis is on a space of op's
+    discretization at op's incidence (and so at its h), compared by value.
     """
+    sp, bs = op.space, basis.space
+    if bs.disc != sp.disc or basis.inc != op.inc:
+        raise ValueError(f"kernel basis (N={bs.disc.N}, M={bs.M}, {basis.inc!r}) is "
+                         f"not of the operator (N={sp.disc.N}, M={sp.M}, {op.inc!r})")
     if basis.dimension == 0:
         return 0.0
-    W = op.space.W
+    W = sp.W
     _, sigma_max = op.singularity_report()
     worst = 0.0
     for v in basis.vectors:

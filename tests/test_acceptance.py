@@ -168,8 +168,7 @@ def test_criterion_7_limiting_absorption_cross_validation():
         disc = q.Discretization(N=2, M=32)
         op = q.assemble(inc, med, disc)
         basis = q.kernel(op)
-        scn = q.LapScenario(inc=inc, medium=med, disc=disc, kernel=basis)
-        res = q.eps_sweep(scn)  # schedule 0.1 * 2^-j, j = 0..10; tail from j = 4
+        res = q.eps_sweep(basis, med)  # schedule 0.1 * 2^-j, j = 0..10; tail from j = 4
         assert 0.8 <= res.slope <= 1.2
         assert res.final_relative_delta < 1e-3
         # constraint residual of the limit, and its violation by a mode shift
@@ -177,13 +176,13 @@ def test_criterion_7_limiting_absorption_cross_validation():
         v_star = res.v_limit_constrained.field
         res_star = q.constraint_residual(v_star, basis, med)[0]
         assert abs(res_star) < 1e-8
-        shifted = q.FieldCoefficients(space=scn.space, inc=inc,
+        shifted = q.FieldCoefficients(space=basis.space, inc=inc,
                                       values=v_star.values + phi)
         res_shift = q.constraint_residual(shifted, basis, med)[0]
         # scale of the mode: k * ||phi||^2 over the infinite cell
-        g = scn.space.grid
+        g = basis.space.grid
         l2 = 0.0
-        for i, n in enumerate(scn.space.modes):
+        for i, n in enumerate(basis.space.modes):
             prof = phi[i]
             if np.max(np.abs(prof)) == 0.0:
                 continue

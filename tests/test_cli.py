@@ -456,6 +456,23 @@ def test_overflowing_beta_squared_prints_no_numpy_warning(tmp_path, capsys):
     assert err[1].startswith("error: beta_n^2 overflows double precision")
 
 
+@pytest.mark.parametrize("override", ["medium.q0=1e200", "medium.q0=1e300",
+                                      "lap.eps_start=1e-320"])
+def test_extreme_lap_setting_exits_0_with_no_stderr(tmp_path, capsys, override):
+    # q0 = 1e200 leaves a field whose squares underflow; eps_start = 1e-320 a
+    # subnormal eps step.  A RuntimeWarning would fail the test.
+    text = SLAB_SOLVE.replace("theta1 = 0.0", "theta1 = 0.3").replace(
+        "N = 0", "N = 1").replace("M = 32", "M = 16")
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    rc = main(["lap", "--config", str(cfg), "--out", str(out), "--override", override])
+    assert rc == 0
+    assert capsys.readouterr().err.strip().splitlines() == []
+    payload = json.loads((out / "lap.json").read_text())
+    assert 0.0 <= payload["final_relative_delta"] < 1e-3
+    assert payload["two_step_agreement"] < 1e-10
+
+
 class TestDispersionCommand:
     def test_roots_and_grid(self, tmp_path):
         cfg = write_cfg(tmp_path, DISPERSION_CONFIG)

@@ -89,9 +89,9 @@ class TestAssemble:
 
     @pytest.mark.parametrize("scheme", [q.CHEBYSHEV, q.FINITE_DIFFERENCE])
     def test_vanishing_profiles_take_no_coupling_mass(self, monkeypatch, scheme):
-        # the constant medium: only d = 0 takes masses, C_0 of qhat_0 - 1 (the
-        # diagonal) and of qhat_0 (constraint residuals); the (4N+1)^2 - 1
-        # vanishing profiles take none and fill their blocks with +0.0
+        # the constant medium: only d = 0 takes a mass, C_0 of qhat_0 - 1 (the
+        # diagonal); the (4N+1)^2 - 1 vanishing profiles take none and fill
+        # their blocks with +0.0
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.0, 1.0)
         disc = q.Discretization(N=1, M=12, depth_scheme=scheme)
         calls = []
@@ -103,12 +103,12 @@ class TestAssemble:
 
         monkeypatch.setattr(q.helmholtz.DepthGrid, "weighted_mass", counting)
         G = dense(q.assemble(inc, q.MediumModel.sampled(np.full((8, 8, 4), 2.0), 1.0), disc))
-        assert len(calls) == 2
+        assert len(calls) == 1
         off = G.reshape(9, 12, 9, 12).swapaxes(1, 2)[~np.eye(9, dtype=bool)]
         assert not np.any(off) and not np.signbit(off.view(float)).any()
         calls.clear()
         q.assemble(inc, inclusion_medium(), disc)  # no vanishing profile
-        assert len(calls) == 1 + (4 * disc.N + 1) ** 2
+        assert len(calls) == (4 * disc.N + 1) ** 2  # c0 and every d != 0
 
     def test_zero_order_block_matches_transfer_matrix_problem(self):
         # N=0 discrete solve converges to the analytic 1-d oracle
@@ -780,6 +780,23 @@ class TestFieldSpace:
         assert abs(sp.inner(u, u).imag) < 1e-12 * sp.inner(u, u).real
         assert sp.inner(u, v) == pytest.approx(np.conj(sp.inner(v, u)), rel=1e-12)
 
+    @pytest.mark.parametrize("e", [-1050, -700, 0, 700])
+    def test_norm_scales_exactly_by_powers_of_two(self, e):
+        # the squares of a field of max |v| ~ 2^-700 underflow and of 2^700
+        # overflow; the norm scales u by a power of two first
+        sp = q.FieldSpace(q.Discretization(N=1, M=16), 1.0)
+        rng = np.random.default_rng(33)
+        u = rng.standard_normal((9, 16)) + 1j * rng.standard_normal((9, 16))
+        plain = float(np.sqrt(sp.inner(u, u).real))
+        assert sp.norm(u) == plain  # bit for bit in the normal range
+        if e > -1000:
+            assert sp.norm(np.ldexp(u.real, e) + 1j * np.ldexp(u.imag, e)) \
+                == np.ldexp(plain, e)
+        else:  # subnormal entries: rounded to about 24 bits
+            tiny = np.ldexp(u.real, e) + 1j * np.ldexp(u.imag, e)
+            assert sp.norm(tiny) == pytest.approx(np.ldexp(plain, e), rel=1e-5, abs=0)
+        assert sp.norm(sp.zeros()) == 0.0
+
     def test_whiten_roundtrip_and_isometry(self):
         # W^{-1/2} maps whitened coordinates y isometrically onto fields
         disc = q.Discretization(N=1, M=16)
@@ -824,6 +841,19 @@ class TestSharedSpace:
         assert q.assemble(inc, med, disc).space is disc.space(1.0)
         assert q.assemble_eps_derivative(inc, med, disc).space is disc.space(1.0)
         assert q.rhs(inc, disc).shape == (9, 16)
+
+    @pytest.mark.parametrize("build", [q.assemble, q.assemble_eps_derivative])
+    def test_both_assemblies_refuse_another_medium_h(self, monkeypatch, build):
+        # one entry check: h agreement, then the memory guard, then the space
+        disc = q.Discretization(N=1, M=16)
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.0, 0.5)
+        with pytest.raises(ValueError, match="incidence h and medium h disagree"):
+            build(inc, q.MediumModel.homogeneous(2.0, 1.0), disc)
+        assert disc._spaces == {}
+        monkeypatch.setattr(q.helmholtz.os, "sysconf", lambda name: 1)
+        with pytest.raises(q.OperatorTooLarge):
+            build(inc, q.MediumModel.homogeneous(2.0, 0.5), disc)
+        assert disc._spaces == {}
 
     def test_operators_take_no_space(self):
         # the space is fixed by (disc, inc.h): one of another h or N cannot be passed
@@ -940,6 +970,18 @@ class TestCouplingTable:
         del med, other
         gc.collect()
         assert len(space._couplings) == 0
+
+    @pytest.mark.parametrize("medium", [constant_medium,
+                                        lambda: q.MediumModel.homogeneous(2.0, 1.0)],
+                             ids=["constant", "homogeneous"])
+    def test_uniform_medium_has_no_coupling_difference(self, medium):
+        # qhat_0 sits in the diagonal c0; the coupling sum has no term
+        space = q.FieldSpace(q.Discretization(N=1, M=16), 1.0)
+        table = q.helmholtz._medium_profiles(medium(), space)
+        assert table.diffs == []
+        assert table.masses.shape == (1, 16, 16) and not table.masses.any()
+        u = space.zeros() + 1.0
+        assert np.array_equal(table.couple(u), space.zeros())
 
     def test_alias_error_on_every_call(self):
         med = q.MediumModel.sampled(np.full((8, 8, 1), 2.0), 1.0)

@@ -19,23 +19,21 @@ def scenario():
     med = q.MediumModel.homogeneous(2.0, 1.0)
     disc = q.Discretization(N=2, M=32)
     op = q.assemble(inc, med, disc)
-    basis = q.kernel(op)
-    scn = q.LapScenario(inc=inc, medium=med, disc=disc, kernel=basis)
-    return scn, op
+    return q.kernel(op), med, op
 
 
 class TestDerivativeOperator:
     def test_forward_difference_consistency(self, scenario):
         # ||(A(d) - A(0))/d - A'(0)|| = O(d), checked at d = 1e-4, 1e-5
-        scn, op = scenario
-        dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc)
+        basis, med, op = scenario
+        dop = q.assemble_eps_derivative(basis.inc, med, basis.space.disc)
         A0 = dense(op)
         Ap = dense(dop)
         norm_p = np.linalg.norm(Ap)
         errs = []
         for delta in (1e-4, 1e-5):
-            inc_d = scn.inc.with_k(scn.inc.k + 1j * delta)
-            Ad = dense(q.assemble(inc_d, scn.medium, scn.disc))
+            inc_d = basis.inc.with_k(basis.inc.k + 1j * delta)
+            Ad = dense(q.assemble(inc_d, med, basis.space.disc))
             errs.append(np.linalg.norm((Ad - A0) / delta - Ap) / norm_p)
         assert errs[0] <= 5e-4 and errs[1] <= 5e-5  # <= 5 * delta
         assert 2.0 < errs[0] / errs[1] < 50.0       # first-order ratio ~ 10
@@ -43,17 +41,17 @@ class TestDerivativeOperator:
     def test_evanescent_boundary_entry_value(self, scenario):
         # order (-1,0): -i dbeta/deps = i (n.theta~ - k cos^2 t1)/sqrt(...) with
         # sqrt(|n+alpha|^2 - k^2) = pi/4
-        scn, _ = scenario
-        inc = scn.inc
+        basis, med, _ = scenario
+        inc = basis.inc
         n = (-1, 0)
         tt = inc.tilde_theta
         expected = 1j * (np.array(n, dtype=float) @ tt - K_EX * inc.cos2_theta1) \
             / (np.pi / 4)
         assert -1j * q.d_beta_d_eps(n, inc) == pytest.approx(expected, rel=1e-12)
         # and it lands in the boundary corners of the derivative block
-        dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc)
-        B = dop.diagonal[scn.space.mode_index[n]]
-        grid = scn.space.grid
+        dop = q.assemble_eps_derivative(basis.inc, med, basis.space.disc)
+        B = dop.diagonal[basis.space.mode_index[n]]
+        grid = basis.space.grid
         k = inc.k.real
         vol_corner = (-2j * (k * inc.cos2_theta1 - np.array(n, float) @ tt)
                       * grid.mass[-1, -1]
@@ -80,93 +78,63 @@ class TestDerivativeOperator:
 
 class TestProjection:
     def test_projects_kernel_to_itself(self, scenario):
-        scn, _ = scenario
-        v = scn.kernel.vectors[0]
-        assert scn.space.norm(scn.kernel.project(v) - v) < 1e-12
+        basis, med, _ = scenario
+        v = basis.vectors[0]
+        assert basis.space.norm(basis.project(v) - v) < 1e-12
 
     def test_idempotent(self, scenario):
-        scn, _ = scenario
+        basis, med, _ = scenario
         rng = np.random.default_rng(5)
-        u = rng.standard_normal((len(scn.space.modes), scn.space.M)) \
-            + 1j * rng.standard_normal((len(scn.space.modes), scn.space.M))
-        pu = scn.kernel.project(u)
-        assert scn.space.norm(scn.kernel.project(pu) - pu) < 1e-12 * scn.space.norm(u)
+        u = rng.standard_normal((len(basis.space.modes), basis.space.M)) \
+            + 1j * rng.standard_normal((len(basis.space.modes), basis.space.M))
+        pu = basis.project(u)
+        assert basis.space.norm(basis.project(pu) - pu) < 1e-12 * basis.space.norm(u)
 
     def test_annihilates_range_vectors(self, scenario):
-        scn, op = scenario
-        sp = scn.space
+        basis, med, op = scenario
+        sp = basis.space
         rng = np.random.default_rng(6)
         for _ in range(4):
             w = rng.standard_normal((len(sp.modes), sp.M)) \
                 + 1j * rng.standard_normal((len(sp.modes), sp.M))
             gw = op.apply(w)
             r = sp.unwhiten(sp.unwhiten(gw))  # W^-1 (G w): range field
-            assert sp.norm(scn.kernel.project(r)) <= 1e-7 * sp.norm(r)
+            assert sp.norm(basis.project(r)) <= 1e-7 * sp.norm(r)
 
     def test_annihilates_load_and_derivative(self, scenario):
         # P f(0) = P f'(0) = 0: the loads live in the zero order, the kernel
         # does not
-        scn, _ = scenario
-        sp = scn.space
-        for vec in (q.rhs(scn.inc, scn.disc), q.rhs_eps_derivative(scn.inc, scn.disc)):
+        basis, med, _ = scenario
+        sp = basis.space
+        for vec in (q.rhs(basis.inc, basis.space.disc),
+                    q.rhs_eps_derivative(basis.inc, basis.space.disc)):
             f = sp.unwhiten(sp.unwhiten(vec))
-            assert sp.norm(scn.kernel.project(f)) <= 1e-8 * max(sp.norm(f), 1e-300)
+            assert sp.norm(basis.project(f)) <= 1e-8 * max(sp.norm(f), 1e-300)
 
 
-class TestScenarioSpace:
-    """A scenario lives on its discretization's space at its h."""
-
-    def test_kernel_of_another_space_fails_before_assembly(self, scenario, monkeypatch):
-        scn, _ = scenario
-        other_n = q.kernel(q.assemble(scn.inc, scn.medium, q.Discretization(N=1, M=32)))
-        other_h = dataclasses.replace(scn.kernel, space=scn.disc.space(0.5))
-        assert other_n.dimension == 1
-
-        def no_assembly(*args, **kwargs):
-            raise AssertionError("assembled before checking the kernel")
-
-        monkeypatch.setattr(q.lap, "assemble", no_assembly)
-        monkeypatch.setattr(q.lap, "assemble_eps_derivative", no_assembly)
-        for kern in (other_n, other_h):
-            with pytest.raises(ValueError, match="kernel space"):
-                q.LapScenario(inc=scn.inc, medium=scn.medium, disc=scn.disc, kernel=kern)
-
-    def test_kernel_of_another_incidence_fails_before_assembly(self, scenario, monkeypatch):
-        # the constraint residual reads the incidence off the kernel, so a
-        # kernel taken at another k or alpha must not pass for the scenario's
-        scn, _ = scenario
-        others = [scn.inc.with_k(1.01 * K_EX),
-                  q.IncidenceSpec.from_alpha(K_EX, (ALPHA_EX[0] + 1e-2, 0.0), 1.0)]
-        kernels = [q.kernel(q.assemble(inc, scn.medium, scn.disc)) for inc in others]
-
-        def no_assembly(*args, **kwargs):
-            raise AssertionError("assembled before checking the kernel")
-
-        monkeypatch.setattr(q.lap, "assemble", no_assembly)
-        monkeypatch.setattr(q.lap, "assemble_eps_derivative", no_assembly)
-        for kern in kernels:
-            with pytest.raises(ValueError, match="kernel incidence"):
-                q.LapScenario(inc=scn.inc, medium=scn.medium, disc=scn.disc, kernel=kern)
-        equal = q.IncidenceSpec.from_alpha(K_EX, ALPHA_EX, 1.0)
-        assert equal is not scn.inc
-        q.LapScenario(inc=equal, medium=scn.medium, disc=scn.disc, kernel=scn.kernel)
+class TestBasisSpace:
+    """The LAP runs on its kernel basis's discretization at its h."""
 
     def test_kernel_on_an_equal_discretization_is_accepted(self, scenario):
-        scn, _ = scenario
-        equal = q.Discretization(N=scn.disc.N, M=scn.disc.M)
-        kern = dataclasses.replace(scn.kernel, space=equal.space(scn.inc.h))
-        scn2 = q.LapScenario(inc=scn.inc, medium=scn.medium, disc=scn.disc, kernel=kern)
-        assert scn2.space is scn.disc.space(scn.inc.h)
-        assert np.array_equal(q.constrained_solve(scn2).field.values,
-                              q.constrained_solve(scn).field.values)
+        basis, med, _ = scenario
+        disc = basis.space.disc
+        equal = q.Discretization(N=disc.N, M=disc.M)
+        kern = dataclasses.replace(basis, space=equal.space(basis.inc.h))
+        got = q.constrained_solve(kern, med)
+        assert got.field.space is equal.space(basis.inc.h)
+        assert np.array_equal(got.field.values,
+                              q.constrained_solve(basis, med).field.values)
+        for a, b in zip(q.eps_sweep(kern, med, (0.1, 0.05)).v_eps,
+                        q.eps_sweep(basis, med, (0.1, 0.05)).v_eps):
+            assert np.array_equal(a.values, b.values)
 
 
 class TestConstrainedSolve:
     def test_methods_agree(self, scenario):
-        scn, _ = scenario
-        a = q.constrained_solve(scn, method="stacked")
-        b = q.constrained_solve(scn, method="two_step")
-        d = scn.space.norm(a.field.values - b.field.values)
+        basis, med, _ = scenario
+        a = q.constrained_solve(basis, med, method="stacked")
+        b = q.constrained_solve(basis, med, method="two_step")
+        d = basis.space.norm(a.field.values - b.field.values)
         assert d <= 1e-8 * a.field.norm()
         assert a.solve_residual < 1e-8
         assert a.constraint_block_residual < 1e-8
@@ -176,45 +144,43 @@ class TestConstrainedSolve:
         med = q.MediumModel.homogeneous(1.0, 1.0)
         disc = q.Discretization(N=1, M=16)
         op = q.assemble(inc, med, disc)
-        basis = q.kernel(op)
-        scn = q.LapScenario(inc=inc, medium=med, disc=disc, kernel=basis)
-        cs = q.constrained_solve(scn)
+        cs = q.constrained_solve(q.kernel(op), med)
         plain = q.solve(op, q.rhs(inc, disc))
         assert np.allclose(cs.field.values, plain.values, atol=1e-12)
         assert cs.method == "plain"
 
     def test_recovers_prescribed_solution(self, scenario):
         # with f = A(0) w and f' = A'(0) w the unique constrained solution is w
-        scn, op = scenario
-        dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc)
+        basis, med, op = scenario
+        dop = q.assemble_eps_derivative(basis.inc, med, basis.space.disc)
         rng = np.random.default_rng(9)
-        w = rng.standard_normal((len(scn.space.modes), scn.space.M)) \
-            + 1j * rng.standard_normal((len(scn.space.modes), scn.space.M))
+        w = rng.standard_normal((len(basis.space.modes), basis.space.M)) \
+            + 1j * rng.standard_normal((len(basis.space.modes), basis.space.M))
         load = op.apply(w)
         dload = dop.apply(w)
         for method in ("stacked", "two_step"):
-            cs = q.constrained_solve(scn, load=load, load_deriv=dload, method=method)
-            assert scn.space.norm(cs.field.values - w) <= 1e-8 * scn.space.norm(w)
+            cs = q.constrained_solve(basis, med, load=load, load_deriv=dload, method=method)
+            assert basis.space.norm(cs.field.values - w) <= 1e-8 * basis.space.norm(w)
 
     def test_kernel_coefficient_pinned_by_constraint(self, scenario):
         # adding c * v_kernel changes only the constraint block, linearly in c;
         # the solve drives c to a unique value independent of the method
-        scn, op = scenario
-        dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc)
+        basis, med, op = scenario
+        dop = q.assemble_eps_derivative(basis.inc, med, basis.space.disc)
         rng = np.random.default_rng(10)
         w = np.stack([np.exp(-np.linalg.norm(n) ** 2)
-                      * (rng.standard_normal(scn.space.M)
-                         + 1j * rng.standard_normal(scn.space.M))
-                      for n in scn.space.modes])
+                      * (rng.standard_normal(basis.space.M)
+                         + 1j * rng.standard_normal(basis.space.M))
+                      for n in basis.space.modes])
         load = op.apply(w)  # in the range of A(0); eps-independent
         zero = np.zeros_like(load)
-        a = q.constrained_solve(scn, load=load, load_deriv=zero, method="stacked")
-        b = q.constrained_solve(scn, load=load, load_deriv=zero, method="two_step")
-        assert scn.space.norm(a.field.values - b.field.values) \
+        a = q.constrained_solve(basis, med, load=load, load_deriv=zero, method="stacked")
+        b = q.constrained_solve(basis, med, load=load, load_deriv=zero, method="two_step")
+        assert basis.space.norm(a.field.values - b.field.values) \
             <= 1e-8 * a.field.norm()
         assert abs(a.kernel_coefficients[0]) > 1e-3  # genuinely kernel-active
         # linearity of the constraint block in the kernel coefficient
-        v = scn.kernel.vectors[0]
+        v = basis.vectors[0]
         row = np.conj(dop.apply_adjoint(v).ravel())
         r0 = row @ a.field.values.ravel()
         r1 = row @ (a.field.values + 1.0 * v).ravel()
@@ -223,13 +189,13 @@ class TestConstrainedSolve:
 
     def test_injectivity_surrogate(self, scenario):
         # kernel-restricted derivative Gram is far from singular
-        scn, _ = scenario
-        dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc)
-        m = scn.kernel.dimension
+        basis, med, _ = scenario
+        dop = q.assemble_eps_derivative(basis.inc, med, basis.space.disc)
+        m = basis.dimension
         gram = np.zeros((m, m), dtype=complex)
-        for j, vj in enumerate(scn.kernel.vectors):
+        for j, vj in enumerate(basis.vectors):
             av = dop.apply(vj)
-            for i, vi in enumerate(scn.kernel.vectors):
+            for i, vi in enumerate(basis.vectors):
                 gram[i, j] = np.vdot(vi.ravel(), av.ravel())
         smin = np.linalg.svd(gram, compute_uv=False)[-1]
         norm_deriv = dop.whitened_singular_values()[0]
@@ -242,16 +208,15 @@ def guided_sampled_scenario(M=16):
     med = q.MediumModel.sampled(np.full((8, 8, 1), 2.0), 1.0)
     disc = q.Discretization(N=1, M=M)
     op = q.assemble(inc, med, disc)
-    scn = q.LapScenario(inc=inc, medium=med, disc=disc, kernel=q.kernel(op))
-    return scn, op
+    return q.kernel(op), med, op
 
 
-def prescribed_loads(scn, op, seed=12):
+def prescribed_loads(basis, med, op, seed=12):
     """A random field w with the loads A(0) w and A'(0) w that recover it."""
     rng = np.random.default_rng(seed)
-    shape = (len(scn.space.modes), scn.space.M)
+    shape = (len(basis.space.modes), basis.space.M)
     w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc)
+    dop = q.assemble_eps_derivative(basis.inc, med, basis.space.disc)
     return w, op.apply(w), dop.apply(w)
 
 
@@ -269,12 +234,12 @@ def one_block_basis(op):
                          sigma_max=float(s.max()), space=op.space, inc=op.inc)
 
 
-def full_stacked_lstsq(scn, op, load, dload):
+def full_stacked_lstsq(basis, med, op, load, dload):
     """The full-size stacked least squares with the unwhitened rows."""
-    dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc)
+    dop = q.assemble_eps_derivative(basis.inc, med, basis.space.disc)
     G = dense(op)
-    rows = [np.conj(dop.apply_adjoint(v).ravel()) for v in scn.kernel.vectors]
-    dvals = [np.vdot(v.ravel(), dload.ravel()) for v in scn.kernel.vectors]
+    rows = [np.conj(dop.apply_adjoint(v).ravel()) for v in basis.vectors]
+    dvals = [np.vdot(v.ravel(), dload.ravel()) for v in basis.vectors]
     scale = np.linalg.norm(G) / np.sqrt(len(G))
     f = [scale / np.linalg.norm(r) for r in rows]
     full, *_ = np.linalg.lstsq(
@@ -291,21 +256,20 @@ class TestConstrainedSolveBlocks:
         inc = q.IncidenceSpec.from_alpha(K_EX, ALPHA_EX, 1.0)
         med, disc = inclusion_medium(), q.Discretization(N=1, M=16)
         op = q.assemble(inc, med, disc)
-        scn = q.LapScenario(inc=inc, medium=med, disc=disc, kernel=one_block_basis(op))
         # the constant medium: every mode is its own component
         guided = guided_sampled_scenario()
-        for (scn, op), c in (((scn, op), 9), (guided, 1)):
-            w, load, dload = prescribed_loads(scn, op)
+        for (basis, med, op), c in (((one_block_basis(op), med, op), 9), (guided, 1)):
+            w, load, dload = prescribed_loads(basis, med, op)
             with monkeypatch.context() as m:
                 lstsq = recorded_shapes(m, "lstsq")
                 solve = recorded_shapes(m, "solve")
-                cs = q.constrained_solve(scn, load=load, load_deriv=dload)
-            n, m_ = c * scn.space.M // 2, scn.kernel.dimension
-            blocks = 2 * len(scn.space.modes) // c
+                cs = q.constrained_solve(basis, med, load=load, load_deriv=dload)
+            n, m_ = c * basis.space.M // 2, basis.dimension
+            blocks = 2 * len(basis.space.modes) // c
             assert m_ == 1
             assert lstsq == [(n + m_, n)]            # the block holding the constraint
             assert solve == [(blocks - 1, n, n)]     # the other blocks, one LU
-            full = full_stacked_lstsq(scn, op, load, dload)
+            full = full_stacked_lstsq(basis, med, op, load, dload)
             got = cs.field.values.ravel()
             assert np.linalg.norm(got - full) <= 1e-12 * np.linalg.norm(full)
             assert np.linalg.norm(got - w.ravel()) <= 1e-10 * np.linalg.norm(w)
@@ -313,10 +277,10 @@ class TestConstrainedSolveBlocks:
     @pytest.mark.parametrize("layout", ["block_diagonal", "dense_M15", "coupled_asymmetric"])
     def test_other_layouts_agree_with_two_step(self, scenario, layout):
         if layout == "block_diagonal":
-            scn, op = scenario
+            basis, med, op = scenario
         elif layout == "dense_M15":
             # odd M: one whitened block per component, here per mode
-            scn, op = guided_sampled_scenario(M=15)
+            basis, med, op = guided_sampled_scenario(M=15)
             assert op.stack.shape == (9, 15, 15)
         else:
             # a depth-asymmetric coupled medium: the full whitened matrix
@@ -324,17 +288,16 @@ class TestConstrainedSolveBlocks:
             med, disc = coupled_medium(), q.Discretization(N=1, M=16)
             op = q.assemble(inc, med, disc)
             assert len(op.stack) == 1
-            scn = q.LapScenario(inc=inc, medium=med, disc=disc,
-                                kernel=one_block_basis(op))
-        assert scn.kernel.dimension == 1
-        w, load, dload = prescribed_loads(scn, op)
-        a = q.constrained_solve(scn, load=load, load_deriv=dload, method="stacked")
-        b = q.constrained_solve(scn, load=load, load_deriv=dload, method="two_step")
-        assert scn.space.norm(a.field.values - b.field.values) <= 1e-10 * a.field.norm()
-        assert scn.space.norm(a.field.values - w) <= 1e-8 * scn.space.norm(w)
+            basis = one_block_basis(op)
+        assert basis.dimension == 1
+        w, load, dload = prescribed_loads(basis, med, op)
+        a = q.constrained_solve(basis, med, load=load, load_deriv=dload, method="stacked")
+        b = q.constrained_solve(basis, med, load=load, load_deriv=dload, method="two_step")
+        assert basis.space.norm(a.field.values - b.field.values) <= 1e-10 * a.field.norm()
+        assert basis.space.norm(a.field.values - w) <= 1e-8 * basis.space.norm(w)
 
     def test_unknown_method_fails_before_assembly(self, scenario, monkeypatch):
-        scn, _ = scenario
+        basis, med, _ = scenario
 
         def no_assembly(*args, **kwargs):
             raise AssertionError("assembled before checking the method")
@@ -342,41 +305,47 @@ class TestConstrainedSolveBlocks:
         monkeypatch.setattr(q.lap, "assemble", no_assembly)
         monkeypatch.setattr(q.lap, "assemble_eps_derivative", no_assembly)
         with pytest.raises(ValueError, match="unknown method 'bogus'"):
-            q.constrained_solve(scn, method="bogus")
+            q.constrained_solve(basis, med, method="bogus")
 
     @pytest.mark.parametrize("name", ["load", "load_deriv"])
     @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "coupled"])
     def test_bad_load_fails_before_assembly(self, scenario, monkeypatch, uniform, name):
-        scn, op = scenario if uniform else guided_sampled_scenario()
-        assert op.block_diagonal == uniform and scn.kernel.dimension == 1
+        basis, med, op = scenario if uniform else guided_sampled_scenario()
+        assert op.block_diagonal == uniform and basis.dimension == 1
 
         def no_assembly(*args, **kwargs):
             raise AssertionError("assembled before checking the loads")
 
         monkeypatch.setattr(q.lap, "assemble", no_assembly)
         monkeypatch.setattr(q.lap, "assemble_eps_derivative", no_assembly)
-        good = {"load": q.rhs(scn.inc, scn.disc),
-                "load_deriv": q.rhs_eps_derivative(scn.inc, scn.disc)}
+        good = {"load": q.rhs(basis.inc, basis.space.disc),
+                "load_deriv": q.rhs_eps_derivative(basis.inc, basis.space.disc)}
         for bad in bad_loads(good[name]):
             for method in ("stacked", "two_step"):
                 with pytest.raises(ValueError, match=f"^{name} "):
-                    q.constrained_solve(scn, **{**good, name: bad}, method=method)
+                    q.constrained_solve(basis, med, **{**good, name: bad}, method=method)
 
 
 class TestEpsSweep:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_schedule(self, scenario, bad):
+    @pytest.mark.parametrize("schedule", [(np.nan, 0.05), (0.1, np.nan), (np.inf,),
+                                          (0.1, 0.0), (-0.1,), (0.1, 0.1), (0.05, 0.1),
+                                          ()])
+    def test_rejects_bad_schedule_before_assembly(self, scenario, monkeypatch, schedule):
         # NaN and inf pass a plain `eps <= 0` / `diff >= 0` screen
-        scn, _ = scenario
-        for schedule in ((bad, 0.05), (0.1, bad), (bad,)):
-            with pytest.raises(ValueError, match="finite"):
-                q.LapScenario(inc=scn.inc, medium=scn.medium, disc=scn.disc,
-                              kernel=scn.kernel, eps_schedule=schedule)
+        basis, med, _ = scenario
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled before checking the schedule")
+
+        monkeypatch.setattr(q.lap, "assemble", no_assembly)
+        monkeypatch.setattr(q.lap, "assemble_eps_derivative", no_assembly)
+        with pytest.raises(ValueError, match="finite, positive and decreasing"):
+            q.eps_sweep(basis, med, schedule)
 
     def test_repeat_sweeps_are_bitwise_equal(self):
         # the second sweep reads every coupling mass from the cached table
-        scn, _ = guided_sampled_scenario()
-        first, second = q.eps_sweep(scn), q.eps_sweep(scn)
+        basis, med, _ = guided_sampled_scenario()
+        first, second = q.eps_sweep(basis, med), q.eps_sweep(basis, med)
         for name in ("sweep_deltas", "cond_estimates", "constraint_residuals_eps",
                      "constraint_residuals"):
             assert np.array_equal(getattr(first, name), getattr(second, name))
@@ -388,12 +357,12 @@ class TestEpsSweep:
         assert first.slope == second.slope
 
     def test_physical_scenario(self, scenario):
-        scn, _ = scenario
-        res = q.eps_sweep(scn)
+        basis, med, _ = scenario
+        res = q.eps_sweep(basis, med)
         assert 0.8 <= res.slope <= 1.2
         assert res.final_relative_delta < 1e-3
         # extrapolated limit agrees with the constrained solve
-        d = scn.space.norm(res.v_limit_extrapolated.values
+        d = basis.space.norm(res.v_limit_extrapolated.values
                            - res.v_limit_constrained.field.values)
         assert d <= 1e-6 * res.v_limit_constrained.field.norm()
         # deltas decrease monotonically along the tail
@@ -407,10 +376,30 @@ class TestEpsSweep:
         med = q.MediumModel.homogeneous(1.0, 1.0)
         disc = q.Discretization(N=1, M=16)
         op = q.assemble(inc, med, disc)
-        scn = q.LapScenario(inc=inc, medium=med, disc=disc, kernel=q.kernel(op))
-        res = q.eps_sweep(scn)
+        res = q.eps_sweep(q.kernel(op), med)
         assert 0.8 <= res.slope <= 1.2
         assert res.final_relative_delta < 1e-3
+
+    def test_schedule_near_the_underflow_threshold(self):
+        # eps down to about 1e-323, where e1 - e0 is subnormal: the
+        # extrapolation warns of nothing (a RuntimeWarning fails the test)
+        inc = q.IncidenceSpec.from_angles(1.0, 0.3, 0.0, 1.0)
+        med = q.MediumModel.homogeneous(2.0, 1.0)
+        basis = q.kernel(q.assemble(inc, med, q.Discretization(N=1, M=16)))
+        res = q.eps_sweep(basis, med, tuple(1e-320 * 2.0 ** -j for j in range(11)))
+        limit = res.v_limit_constrained.field
+        d = basis.space.norm(res.v_limit_extrapolated.values - limit.values)
+        assert d <= 1e-12 * limit.norm()
+
+    @pytest.mark.parametrize("q0", [1e200, 1e300])
+    def test_field_whose_squares_underflow(self, q0):
+        # max |v| ~ 1e-198 at q0 = 1e200: the norms still come out nonzero
+        inc = q.IncidenceSpec.from_angles(1.0, 0.3, 0.0, 1.0)
+        med = q.MediumModel.homogeneous(q0, 1.0)
+        basis = q.kernel(q.assemble(inc, med, q.Discretization(N=1, M=16)))
+        res = q.eps_sweep(basis, med)
+        assert 0.0 < res.v_limit_constrained.field.norm() < 1e-190
+        assert 0.0 < res.final_relative_delta < 1e-3
 
     def test_dense_cond_estimates_match_full_svd(self):
         # the guided scenario on a dense (sampled) q = 2 medium: each level's
@@ -420,10 +409,9 @@ class TestEpsSweep:
         disc = q.Discretization(N=1, M=16)
         op = q.assemble(inc, med, disc)
         assert not op.block_diagonal
-        scn = q.LapScenario(inc=inc, medium=med, disc=disc, kernel=q.kernel(op))
-        res = q.eps_sweep(scn)
-        assert len(res.cond_estimates) == len(scn.eps_schedule) == 11
-        for eps, cond in zip(scn.eps_schedule, res.cond_estimates):
+        res = q.eps_sweep(q.kernel(op), med)
+        assert len(res.cond_estimates) == len(q.lap.DEFAULT_EPS_SCHEDULE) == 11
+        for eps, cond in zip(q.lap.DEFAULT_EPS_SCHEDULE, res.cond_estimates):
             op_e = q.assemble(inc.with_k(K_EX + 1j * eps), med, disc)
             s = np.linalg.svd(op_e.whitened(), compute_uv=False)
             assert cond == pytest.approx(s[0] / s[-1], rel=1e-12)
@@ -432,14 +420,14 @@ class TestEpsSweep:
         # a fixed load in the range of A(0) makes the limit pick up a nonzero
         # kernel coefficient; the sweep still converges to the constrained
         # solution at first order
-        scn, op = scenario
+        basis, med, op = scenario
         rng = np.random.default_rng(7)
         w = np.stack([np.exp(-np.linalg.norm(n) ** 2)
-                      * (rng.standard_normal(scn.space.M)
-                         + 1j * rng.standard_normal(scn.space.M))
-                      for n in scn.space.modes])
+                      * (rng.standard_normal(basis.space.M)
+                         + 1j * rng.standard_normal(basis.space.M))
+                      for n in basis.space.modes])
         load = op.apply(w)
-        res = q.eps_sweep(scn, load_provider=lambda inc_e: load,
+        res = q.eps_sweep(basis, med, load_provider=lambda inc_e: load,
                           load_deriv=np.zeros_like(load))
         assert 0.8 <= res.slope <= 1.2
         assert abs(res.v_limit_constrained.kernel_coefficients[0]) > 1e-3
@@ -447,65 +435,63 @@ class TestEpsSweep:
 
     def test_boundedness_along_schedule(self, scenario):
         # sup ||v(eps)|| <= c (||f|| + ||f'||), c stable under refinement
-        scn, _ = scenario
-        sp = scn.space
-        res = q.eps_sweep(scn)
+        basis, med, _ = scenario
+        sp = basis.space
+        res = q.eps_sweep(basis, med)
         norms = [v.norm() for v in res.v_eps]
         fnorm = 0.0
-        for vec in (q.rhs(scn.inc, scn.disc), q.rhs_eps_derivative(scn.inc, scn.disc)):
+        for vec in (q.rhs(basis.inc, basis.space.disc),
+                    q.rhs_eps_derivative(basis.inc, basis.space.disc)):
             f = sp.unwhiten(sp.unwhiten(vec))
             fnorm += sp.norm(f)
         assert max(norms) <= 50.0 * fnorm  # measured c ~ 22 for this scenario
         # refining the schedule does not grow the bound
-        scn2 = q.LapScenario(inc=scn.inc, medium=scn.medium, disc=scn.disc,
-                             kernel=scn.kernel,
-                             eps_schedule=tuple(0.1 * 2.0 ** -j for j in range(14)))
-        res2 = q.eps_sweep(scn2)
+        res2 = q.eps_sweep(basis, med, tuple(0.1 * 2.0 ** -j for j in range(14)))
         assert max(v.norm() for v in res2.v_eps) <= max(norms) * 1.01
 
 
 class TestConstraintResidual:
     def test_limit_satisfies_constraint(self, scenario):
-        scn, _ = scenario
-        cs = q.constrained_solve(scn)
-        res = q.constraint_residual(cs.field, scn.kernel, scn.medium)
+        basis, med, _ = scenario
+        cs = q.constrained_solve(basis, med)
+        res = q.constraint_residual(cs.field, basis, med)
         assert np.all(np.abs(res) < 1e-8)
 
     def test_mode_shift_breaks_constraint(self, scenario):
         # u + phi has residual I(phi, phi) on phi: nonzero, and equal to the
         # weighted derivative pairing (two-route consistency)
-        scn, _ = scenario
-        cs = q.constrained_solve(scn)
-        [v] = scn.kernel.vectors
-        dop = q.assemble_eps_derivative(scn.inc, scn.medium, scn.disc)
-        shifted = q.FieldCoefficients(space=scn.space, inc=scn.inc,
+        basis, med, _ = scenario
+        cs = q.constrained_solve(basis, med)
+        [v] = basis.vectors
+        dop = q.assemble_eps_derivative(basis.inc, med, basis.space.disc)
+        shifted = q.FieldCoefficients(space=basis.space, inc=basis.inc,
                                       values=cs.field.values + v)
-        res = q.constraint_residual(shifted, scn.kernel, scn.medium)[0]
+        res = q.constraint_residual(shifted, basis, med)[0]
         pairing = 0.5 * 4 * np.pi ** 2 * np.vdot(v.ravel(), dop.apply(v).ravel())
         assert abs(pairing) > 1e-3
         assert res == pytest.approx(pairing, rel=1e-8)
 
     def test_rejects_non_evanescent_mode(self, scenario):
-        scn, _ = scenario
-        cs = q.constrained_solve(scn)
-        vals = scn.kernel.vectors[0].copy()
-        vals[scn.space.mode_index[(0, 0)], -1] = 1.0  # a propagating tail above
-        bad = dataclasses.replace(scn.kernel, vectors=[vals])
+        basis, med, _ = scenario
+        cs = q.constrained_solve(basis, med)
+        vals = basis.vectors[0].copy()
+        vals[basis.space.mode_index[(0, 0)], -1] = 1.0  # a propagating tail above
+        bad = dataclasses.replace(basis, vectors=[vals])
         with pytest.raises(q.NonEvanescentMode, match="propagating Rayleigh content"):
-            q.constraint_residual(cs.field, bad, scn.medium)
+            q.constraint_residual(cs.field, bad, med)
 
     def test_field_of_another_space_is_refused(self, scenario):
-        scn, _ = scenario
-        for space in (q.Discretization(N=1, M=32).space(1.0), scn.disc.space(0.5)):
-            u = q.FieldCoefficients(space=space, inc=scn.inc, values=space.zeros())
+        basis, med, _ = scenario
+        for space in (q.Discretization(N=1, M=32).space(1.0), basis.space.disc.space(0.5)):
+            u = q.FieldCoefficients(space=space, inc=basis.inc, values=space.zeros())
             with pytest.raises(ValueError, match="field space"):
-                q.constraint_residual(u, scn.kernel, scn.medium)
+                q.constraint_residual(u, basis, med)
 
     def test_empty_basis_gives_no_residuals(self, scenario):
-        scn, _ = scenario
-        cs = q.constrained_solve(scn)
-        empty = dataclasses.replace(scn.kernel, vectors=[], singular_values=[])
-        assert q.constraint_residual(cs.field, empty, scn.medium).shape == (0,)
+        basis, med, _ = scenario
+        cs = q.constrained_solve(basis, med)
+        empty = dataclasses.replace(basis, vectors=[], singular_values=[])
+        assert q.constraint_residual(cs.field, empty, med).shape == (0,)
 
 
 def residual_double_loop(u, v, inc, medium):
@@ -577,24 +563,22 @@ class TestCoupledConstraintResidual:
         # the constraint rows, Gram matrix and loads of two vectors at once
         _, _, basis = evanescent_pair()
         med = medium()
-        scn = q.LapScenario(inc=basis.inc, medium=med, disc=basis.space.disc,
-                            kernel=basis)
-        op = q.assemble(scn.inc, med, scn.disc)
-        w, load, dload = prescribed_loads(scn, op)
-        cs = q.constrained_solve(scn, load=load, load_deriv=dload, method=method)
-        assert scn.space.norm(cs.field.values - w) <= 1e-12 * scn.space.norm(w)
+        op = q.assemble(basis.inc, med, basis.space.disc)
+        w, load, dload = prescribed_loads(basis, med, op)
+        cs = q.constrained_solve(basis, med, load=load, load_deriv=dload, method=method)
+        assert basis.space.norm(cs.field.values - w) <= 1e-12 * basis.space.norm(w)
         want = basis.coefficients(w)
         assert want.shape == (2,)
         assert np.max(np.abs(cs.kernel_coefficients - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestSignStructure:
-    def _quadratic_forms(self, scn, phi):
+    def _quadratic_forms(self, basis, phi):
         """A = int |grad v|^2, B = 2i int (theta~.grad v) v~, C = int (q - s^2)|v|^2
         over the infinite cell, interior by matrix quadrature + exact tails."""
-        sp = scn.space
+        sp = basis.space
         g = sp.grid
-        inc = scn.inc
+        inc = basis.inc
         q0 = 2.0
         s2 = inc.sin2_theta1
         A = B = C = 0.0
@@ -615,14 +599,14 @@ class TestSignStructure:
         return w * A, w * B, w * C
 
     def test_green_identity_and_injectivity_structure(self, scenario):
-        scn, _ = scenario
-        k = scn.inc.k.real
-        [phi] = q.mode_lift(scn.kernel)
-        A, B, C = self._quadratic_forms(scn, phi)
+        basis, med, _ = scenario
+        k = basis.inc.k.real
+        [phi] = q.mode_lift(basis)
+        A, B, C = self._quadratic_forms(basis, phi)
         # the mode satisfies the quadratic identity A - k B - k^2 C = 0
         assert abs(A - k * B - k * k * C) < 1e-9 * A
         # the derivative pairing reduces to -i (B + 2 k C)
-        res = q.constraint_residual(phi.field, scn.kernel, scn.medium)[0]
+        res = q.constraint_residual(phi.field, basis, med)[0]
         assert 2 * res == pytest.approx(-1j * (B + 2 * k * C), rel=1e-9)
         # positivity that forces injectivity: A + k^2 C > 0 for any nonzero mode
         assert A + k * k * C > 0
@@ -631,14 +615,14 @@ class TestSignStructure:
 
 
 def test_sweep_csv_schema(tmp_path, scenario):
-    scn, _ = scenario
-    res = q.eps_sweep(scn)
+    basis, med, _ = scenario
+    res = q.eps_sweep(basis, med)
     path = tmp_path / "sweep.csv"
     q.write_sweep_csv(res, path)
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
     assert header[:3] == ["eps", "delta_to_constrained", "cond_estimate"]
-    assert len(header) == 3 + scn.kernel.dimension
-    assert len(lines) == 1 + len(scn.eps_schedule)
+    assert len(header) == 3 + basis.dimension
+    assert len(lines) == 1 + len(q.lap.DEFAULT_EPS_SCHEDULE)
     eps_col = [float(row.split(",")[0]) for row in lines[1:]]
     assert eps_col == sorted(eps_col, reverse=True)

@@ -1,4 +1,6 @@
 """Kernel detection, evanescence, adjoint coincidence, mode lifting."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,13 @@ class TestKernelBasis:
         assert np.array_equal(basis.project(u), np.zeros((nm, M)))
         assert q.verify_evanescent(basis).per_vector == ()
 
+    def test_refuses_complex_k_and_a_space_at_another_h(self, guided):
+        *_, disc, _, basis = guided
+        with pytest.raises(ValueError, match="needs real k"):
+            dataclasses.replace(basis, inc=basis.inc.with_k(K_EX + 1e-3j))
+        with pytest.raises(ValueError, match="needs real k"):
+            dataclasses.replace(basis, space=disc.space(0.5))
+
     @pytest.mark.parametrize("build", ["guided", "sampled"])
     def test_computed_kernel_is_orthonormal(self, guided, build):
         basis = guided[-1] if build == "guided" else q.kernel(guided_sampled())
@@ -330,6 +339,24 @@ class TestAdjointKernel:
         fake = q.KernelBasis(vectors=[w], singular_values=[0.0], sigma_max=1.0,
                              space=op.space, inc=op.inc)
         assert q.adjoint_kernel_check(op, fake) > 1e-3
+
+    def test_basis_of_another_operator_is_refused(self, guided, monkeypatch):
+        inc, med, disc, op, basis = guided
+        others = [q.assemble(inc.with_k(1.01 * K_EX), med, disc),
+                  q.assemble(inc, med, q.Discretization(N=1, M=32)),
+                  q.assemble(dataclasses.replace(inc, h=0.5),
+                             q.MediumModel.homogeneous(2.0, 0.5), disc)]
+        equal = q.assemble(q.IncidenceSpec.from_alpha(K_EX, ALPHA_EX, 1.0), med,
+                           q.Discretization(N=2, M=32))
+        assert q.adjoint_kernel_check(equal, basis) <= 1e-7
+
+        def no_product(*args):
+            raise AssertionError("multiplied before checking the basis")
+
+        monkeypatch.setattr(q.modes, "_real_matmul", no_product)
+        for other in others:
+            with pytest.raises(ValueError, match="is not of the operator"):
+                q.adjoint_kernel_check(other, basis)
 
     def test_empty_basis(self):
         inc = q.IncidenceSpec.from_alpha(K_EX, ALPHA_EX, 1.0)
