@@ -41,9 +41,6 @@ from .lap import constrained_solve, eps_sweep, write_sweep_csv
 from .medium import MediumModel, load_sampled_medium, validate
 from .modes import kernel
 from .qpcore import IncidenceSpec
-from .slab import SlabParams, brillouin_map, find_dispersion_roots, \
-    transfer_matrix_scattering, write_brillouin_csv
-from . import maxwell as mx
 
 COMMANDS = ("solve", "modes", "lap", "dispersion", "slab", "maxwell-check")
 
@@ -317,6 +314,7 @@ def run(cfg: RunConfig) -> int:
             _write_json(cfg.out_dir / "lap.json", payload)
 
         elif cfg.command == "dispersion":
+            from .slab import brillouin_map, find_dispersion_roots, write_brillouin_csv
             inc = cfg.incidence()
             k = inc.k.real
             q0 = cfg.slab_q0()
@@ -341,6 +339,7 @@ def run(cfg: RunConfig) -> int:
             _write_json(cfg.out_dir / "dispersion.json", payload)
 
         elif cfg.command == "slab":
+            from .slab import SlabParams, transfer_matrix_scattering
             inc = cfg.incidence()
             q0 = cfg.slab_q0(cfg._get("medium", "q0", "1"))
             rd = transfer_matrix_scattering(SlabParams(q0=q0, h=inc.h, k=inc.k.real), inc)
@@ -355,7 +354,10 @@ def run(cfg: RunConfig) -> int:
         raise
     except QpscatError as e:
         print(f"error: {e}", file=sys.stderr)
-        if isinstance(e, NearSingular):
+        if isinstance(e, NearSingular) and e.eps is not None:
+            print("hint: this eps level of the schedule is too close to the "
+                  "singular real-k operator; raise lap.eps_start", file=sys.stderr)
+        elif isinstance(e, NearSingular):
             print("hint: the operator is singular at this quasi-momentum; "
                   "run the 'modes' and 'lap' commands instead", file=sys.stderr)
         return 3
@@ -364,6 +366,7 @@ def run(cfg: RunConfig) -> int:
 
 def _maxwell_checks(cfg: RunConfig) -> dict:
     """Seeded randomized verification of the electromagnetic operator layer."""
+    from . import maxwell as mx
     rng = np.random.default_rng(int(cfg.config_hash()[:8], 16))
     worst_cal = 0.0
     for _ in range(100):
@@ -419,6 +422,7 @@ def _maxwell_checks(cfg: RunConfig) -> dict:
 
 
 def _random_incidence(rng, k, t1, t2) -> mx.MaxwellIncidence:
+    from . import maxwell as mx
     th = np.array([np.sin(t1) * np.cos(t2), np.sin(t1) * np.sin(t2), -np.cos(t1)])
     s = rng.standard_normal(3)
     s = s - (s @ th) * th

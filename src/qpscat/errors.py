@@ -30,12 +30,18 @@ class AliasError(QpscatError):
 
 
 class NearSingular(QpscatError):
-    """Linear system numerically singular (propagative wave vector suspected)."""
+    """Linear system numerically singular (propagative wave vector suspected).
 
-    def __init__(self, message, smallest_singular_value=None, sigma_max=None):
+    `eps` is the absorption level of the refused operator at k + i*eps when
+    the refusal comes from a limiting-absorption sweep, else None.
+    """
+
+    def __init__(self, message, smallest_singular_value=None, sigma_max=None,
+                 eps=None):
         super().__init__(message)
         self.smallest_singular_value = smallest_singular_value
         self.sigma_max = sigma_max
+        self.eps = eps
 
 
 class OperatorTooLarge(QpscatError):

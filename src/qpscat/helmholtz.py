@@ -26,6 +26,7 @@ W^{-1/2} G W^{-1/2}, whose conditioning stays O(1) in the resolution.
 """
 from __future__ import annotations
 
+import math
 import operator
 import os
 import weakref
@@ -529,6 +530,26 @@ def _stack_maps(space: FieldSpace, groups: np.ndarray, parity):
     return to, back
 
 
+def _solve_loaded(stack: np.ndarray, b: np.ndarray, among=None) -> np.ndarray:
+    """z with stack[i] z[i] = b[i] on the blocks `among` (default all), else 0.
+
+    `b` holds one right-hand side per block, (B, n).  The blocks are
+    decoupled, so a block whose right-hand side is zero has the solution 0:
+    only the loaded blocks are factorized, in one batched LU, and every
+    other block of z is exactly 0.  When every block is loaded, the stack
+    itself is passed on, with no copy.
+    """
+    loaded = b.any(axis=1)
+    if among is not None:
+        loaded &= among
+    if loaded.all():
+        return np.linalg.solve(stack, b[..., None])[..., 0]
+    z = np.zeros_like(b)
+    if loaded.any():
+        z[loaded] = np.linalg.solve(stack[loaded], b[loaded][..., None])[..., 0]
+    return z
+
+
 def _block_diag(blocks: np.ndarray) -> np.ndarray:
     """The dense matrix of a (B, n, n) stack of diagonal blocks.
 
@@ -648,6 +669,8 @@ class _CouplingTable:
     - `maps` are the (to, back) maps of the layout: to(b) is b @ P (parity
       only), then S per class and mode, then a gather of each group's
       modes; back(z) is its transpose.
+    - `largest` is the largest real or imaginary part in c0 and in the
+      whitened coupling, a Python float.
     """
 
     def __init__(self, medium: MediumModel, space: FieldSpace):
@@ -699,6 +722,9 @@ class _CouplingTable:
         self.coupling = None if uniform else \
             _whitened_blocks(space, self.groups, self.row, self.parity)
         self.maps = _stack_maps(space, self.groups, self.parity)
+        # what assembly's overflow guard scales: the largest part of c0 and Ĉ
+        self.largest = max(_largest_part(self.c0),
+                           0.0 if uniform else _largest_part(self.coupling))
 
     def row(self, r: int) -> np.ndarray:
         """Raw row slot r of every group of the unit-scale coupling, (nc, M, c, M)."""
@@ -717,6 +743,11 @@ class _CouplingTable:
         # U[..., j, t] = C_t u_j (or C_t^H u_j)
         U = (u @ self._act[adjoint]).reshape(u.shape[:-1] + (-1, M))
         return U[(..., *self._pairs[adjoint], slice(None))].sum(axis=-2)
+
+
+def _largest_part(a: np.ndarray) -> float:
+    """The largest |Re| or |Im| over the entries of a complex array, with no temporary."""
+    return float(max(a.real.max(), -a.real.min(), a.imag.max(), -a.imag.min()))
 
 
 def _medium_profiles(medium: MediumModel, space: FieldSpace) -> _CouplingTable:
@@ -758,9 +789,17 @@ def _build_operator(inc, medium, space, volume, boundary, scale) -> DiscreteOper
     whitened per mode and depth class by `_whitened_blocks`; that is the
     stack of a block-diagonal operator, and a coupled one's is scale times
     the table's whitened coupling with them written into its (zero)
-    diagonal mode slots.  No raw coupling block is formed.
+    diagonal mode slots.  No raw coupling block is formed.  Raises
+    DomainError, before either product, if scale times the largest part of
+    c0 or of the whitened coupling (`_CouplingTable.largest`) may overflow.
     """
     table = _medium_profiles(medium, space)
+    # each part of scale times an entry of c0 or of the whitened coupling is
+    # a sum of two products of parts, so this bound refuses any overflow
+    s = complex(scale)
+    if not math.isfinite(2.0 * max(abs(s.real), abs(s.imag)) * table.largest):
+        raise DomainError(f"the (q - 1) term of the operator overflows double "
+                          f"precision at k = {inc.k:.6g}")
     ib = 1j * boundary
     diagonal = volume  # in place: one stack of raw blocks less per assembly
     diagonal -= scale * table.c0
@@ -948,10 +987,11 @@ def solve(op: DiscreteOperator, load: np.ndarray) -> FieldCoefficients:
     the kernel/limiting-absorption tools).  The screen and the solve read
     the stack every operator carries from assembly
     (`DiscreteOperator.stack`: one block per mode group and depth class):
-    every operator is solved by one batched LU of its stack, through the
-    maps `to` and `back`.  The residual is always checked against the
-    assembled operator, by the matrix-free `apply`, which keeps any parity
-    cross parts the stack leaves out: the returned profiles satisfy
+    every operator is solved by one batched LU of the stack blocks its
+    mapped load reaches (`_solve_loaded`), through the maps `to` and
+    `back`; the other blocks of the solution are exactly 0.  The residual
+    is always checked against the assembled operator, by the matrix-free
+    `apply`, which keeps any parity cross parts the stack leaves out: the returned profiles satisfy
     ||A v - load|| <= 1e-10 ||load||, after at most one refinement sweep.
     """
     _require_field(op.space, "load", load)
@@ -963,7 +1003,7 @@ def solve(op: DiscreteOperator, load: np.ndarray) -> FieldCoefficients:
             smallest_singular_value=smin, sigma_max=smax)
 
     def direct(b):
-        return op.back(np.linalg.solve(op.stack, op.to(b)[..., None])[..., 0])
+        return op.back(_solve_loaded(op.stack, op.to(b)))
 
     vals = direct(load)
     resid = np.linalg.norm((op.apply(vals) - load).ravel())

@@ -23,13 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintSingular, NonEvanescentMode
+from .errors import ConstraintSingular, NearSingular, NonEvanescentMode
 from .helmholtz import _SPLIT_TOL, FieldCoefficients, _block_diag, _medium_profiles, \
-    _rayleigh_tails, _require_field, assemble, assemble_eps_derivative, rhs, \
-    rhs_eps_derivative, solve
+    _rayleigh_tails, _require_field, _solve_loaded, assemble, assemble_eps_derivative, \
+    rhs, rhs_eps_derivative, solve
 from .medium import MediumModel
-from .modes import KernelBasis, _propagating_tail
-from .qpcore import _beta_array, _row_dot, classify_modes
+from .modes import KernelBasis
 
 DEFAULT_EPS_SCHEDULE = tuple(0.1 * 2.0 ** -j for j in range(11))
 
@@ -57,8 +56,9 @@ def constrained_solve(basis: KernelBasis, medium: MediumModel,
     per mode group and depth parity, as A was assembled).  A block holds a
     constraint when its part of some mapped constraint row exceeds
     _SPLIT_TOL of that row's norm: on a split operator, the blocks of the
-    kernel vectors.  The blocks that hold none are regular and get one
-    batched LU.  The holding blocks, taken together as one matrix H, get one
+    kernel vectors.  The blocks that hold none are regular: those that the
+    mapped load reaches get one batched LU (`_solve_loaded`), and the rest
+    solve to 0.  The holding blocks, taken together as one matrix H, get one
     least-squares call: method='stacked' solves [H; scaled rows] z = [g; d],
     which is consistent with full column rank, so whitening leaves its
     solution unchanged; method='two_step' takes the rcond=1e-10 least-squares
@@ -103,10 +103,7 @@ def constrained_solve(basis: KernelBasis, medium: MediumModel,
     share = np.linalg.norm(R, axis=2)  # each row's part in each block
     hold = np.any(share > _SPLIT_TOL * np.linalg.norm(share, axis=1)[:, None],
                   axis=0)
-    z = np.zeros_like(g)
-    free = ~hold
-    if free.any():
-        z[free] = np.linalg.solve(op.stack[free], g[free][..., None])[..., 0]
+    z = _solve_loaded(op.stack, g, ~hold)
     H = _block_diag(op.stack[hold])
     Rh = R[:, hold].reshape(m, -1)
     gh = g[hold].ravel()
@@ -162,7 +159,8 @@ def eps_sweep(basis: KernelBasis, medium: MediumModel,
     the eps-derivative of the load at 0 (load_deriv, default the plane-wave
     one; pass a zero field for eps-independent synthetic loads).  A
     schedule that is empty, or not finite, positive and decreasing, is a
-    ValueError, raised before any assembly.
+    ValueError, raised before any assembly.  A level whose operator the
+    solve screen refuses raises NearSingular with that level as its `eps`.
     """
     eps_arr = np.asarray(eps_schedule, dtype=float)
     if not (eps_arr.size and np.all(np.isfinite(eps_arr) & (eps_arr > 0))
@@ -181,7 +179,11 @@ def eps_sweep(basis: KernelBasis, medium: MediumModel,
         inc_e = inc.with_k(k + 1j * eps)
         op_e = assemble(inc_e, medium, disc)
         smin, smax = op_e.singularity_report()
-        return solve(op_e, load_provider(inc_e)), smax / smin
+        try:
+            return solve(op_e, load_provider(inc_e)), smax / smin
+        except NearSingular as e:
+            raise NearSingular(f"at eps = {eps:.3e}: {e}", e.smallest_singular_value,
+                               e.sigma_max, eps=eps) from e
 
     v_eps, deltas, conds, res_eps = [], [], [], []
     for ve, cond in map(solve_at, eps_schedule):
@@ -223,7 +225,10 @@ def constraint_residual(u: FieldCoefficients, basis: KernelBasis,
     u_n, so repeated residuals on one medium build no mass.  The tails
     pair the Rayleigh coefficients of u (`_rayleigh_tails`, as
     `rayleigh_data` reports them) with the modes' end nodes over the
-    evanescent orders.  Every vector must be evanescent:
+    evanescent orders.  What depends on the basis alone (the mode weights,
+    the evanescent orders and their tail coefficients, the conjugated
+    vectors and their propagating content) is computed on the first call
+    and kept on the basis.  Every vector must be evanescent, on every call:
     propagating tail content above 1e-6 of its norm raises
     NonEvanescentMode.  The incident-wave tail pairs only with the (absent)
     propagating mode content and is dropped.  Raises ValueError unless u
@@ -238,27 +243,21 @@ def constraint_residual(u: FieldCoefficients, basis: KernelBasis,
             f"h={basis.space.h!r})")
     if basis.dimension == 0:
         return np.zeros(0, dtype=complex)
-    for bad in _propagating_tail(basis):
+    for bad in basis._propagating_tail:
         if bad > 1e-6:
             raise NonEvanescentMode(
                 f"mode carries propagating Rayleigh content {bad:.3e}")
-    inc = basis.inc
-    k = inc.k.real
-    N = sp.disc.N
-    cls = classify_modes(inc, N)
-    V = np.conj(basis.vectors)  # (vectors, modes, M)
+    w, ev, c, V, V_top, V_bottom = basis._constraint_terms
+    k = basis.inc.k.real
     # interior: sum_n int [i (n.theta~ + k sin^2 t1) u_n - i k (q u)_n] conj(phi_n)
-    nth = _row_dot(np.array(sp.modes, dtype=float), inc.tilde_theta)
     table = _medium_profiles(medium, sp)
     um = u.values @ sp.grid.mass
     qu = table.couple(u.values) + (u.values @ table.c0 + um)  # (q u)_n
-    f = (1j * (nth + k * inc.sin2_theta1))[:, None] * um - 1j * k * qu
-    total = V.reshape(len(V), -1) @ f.ravel()
+    f = w[:, None] * um - 1j * k * qu
+    total = V @ f.ravel()
     # evanescent tails: u's Rayleigh coefficients against the modes' end nodes
-    ev = [sp.mode_index[n] for n in cls.evanescent]
-    c = 1j * (nth[ev] - k * inc.cos2_theta1) / (2.0 * np.abs(_beta_array(inc, N)[ev]))
-    u_plus, u_minus = _rayleigh_tails(u, inc)
-    total += V[:, ev, -1] @ (c * u_plus[ev]) + V[:, ev, 0] @ (c * u_minus[ev])
+    u_plus, u_minus = _rayleigh_tails(u, basis.inc)
+    total += V_top @ (c * u_plus[ev]) + V_bottom @ (c * u_minus[ev])
     return 4 * np.pi ** 2 * total
 
 

@@ -11,17 +11,19 @@ so the reports are independent of the LAPACK build.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ThresholdAmbiguity
 from .helmholtz import DiscreteOperator, FieldCoefficients, _interior_field, _real_matmul
-from .qpcore import IncidenceSpec, _field_point, classify_modes, rayleigh_eval
+from .qpcore import IncidenceSpec, _beta_array, _field_point, _row_dot, classify_modes, \
+    rayleigh_eval
 
 DEFAULT_SVD_THRESHOLD = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelBasis:
     """Discrete null-space basis, W-orthonormal.
 
@@ -30,6 +32,9 @@ class KernelBasis:
     taken.  The Rayleigh tails of vector l are its end nodes: v[l, i, -1]
     above and v[l, i, 0] below, for mode space.modes[i].  It is taken at a
     real-k incidence `inc`, on a space of its h (ValueError otherwise).
+    The basis is immutable: its fields cannot be rebound and `vectors` is
+    a read-only copy of the fields given, so the terms it computes once
+    and keeps (`_propagating_tail`, `_constraint_terms`) cannot go stale.
     """
 
     vectors: np.ndarray                  # (dimension, n_modes, M)
@@ -43,8 +48,9 @@ class KernelBasis:
         if self.inc.k.imag != 0 or sp.h != self.inc.h:
             raise ValueError(f"a kernel basis needs real k and its space at the incidence "
                              f"h, got k={self.inc.k!r}, h={self.inc.h!r}, space h={sp.h!r}")
-        self.vectors = np.asarray(self.vectors, dtype=complex).reshape(
-            -1, len(sp.modes), sp.M)
+        vectors = np.array(self.vectors, dtype=complex).reshape(-1, len(sp.modes), sp.M)
+        vectors.flags.writeable = False
+        object.__setattr__(self, "vectors", vectors)
 
     @property
     def dimension(self) -> int:
@@ -68,6 +74,41 @@ class KernelBasis:
         the kernel.
         """
         return np.tensordot(self.coefficients(u), self.vectors, axes=1)
+
+    @cached_property
+    def _propagating_tail(self) -> np.ndarray:
+        """Each vector's propagating content relative to its weighted norm, (dimension,).
+
+        max |v_n(+-h)| over the orders n propagating at the basis's
+        incidence: the end nodes of a field's mode profiles are its
+        Rayleigh tails, so a guided mode's radiating content is read off
+        them directly.  A zero vector carries none.  Computed on first use.
+        """
+        sp = self.space
+        rows = [sp.mode_index[n] for n in classify_modes(self.inc, sp.disc.N).propagating]
+        tail = np.abs(self.vectors[:, rows][..., [0, -1]]).max(axis=(1, 2), initial=0.0)
+        norm = np.sqrt(np.maximum(self.gram().diagonal().real, 0.0))
+        return np.divide(tail, norm, out=np.zeros_like(tail), where=norm > 0)
+
+    @cached_property
+    def _constraint_terms(self):
+        """What `lap.constraint_residual` takes of the basis alone, computed on first use.
+
+        (w, ev, c, V, V_top, V_bottom): the interior weight
+        w_n = i (n.theta~ + k sin^2 t1) per mode; the indices `ev` of the
+        evanescent orders and their tail coefficients
+        c_n = i (n.theta~ - k cos^2 t1) / (2 |beta_n|); the conjugated
+        vectors V, one flat row per vector; and their end nodes above and
+        below over `ev`.
+        """
+        sp, inc = self.space, self.inc
+        k, N = inc.k.real, sp.disc.N
+        nth = _row_dot(np.array(sp.modes, dtype=float), inc.tilde_theta)
+        w = 1j * (nth + k * inc.sin2_theta1)
+        ev = [sp.mode_index[n] for n in classify_modes(inc, N).evanescent]
+        c = 1j * (nth[ev] - k * inc.cos2_theta1) / (2.0 * np.abs(_beta_array(inc, N)[ev]))
+        V = np.conj(self.vectors)
+        return w, ev, c, V.reshape(len(V), -1), V[:, ev, -1], V[:, ev, 0]
 
 
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -137,30 +178,15 @@ class EvanescenceReport:
         return self.max_propagating_coeff <= self.tolerance
 
 
-def _propagating_tail(basis: KernelBasis) -> np.ndarray:
-    """Each vector's propagating content relative to its weighted norm, (dimension,).
-
-    max |v_n(+-h)| over the orders n propagating at the basis's incidence:
-    the end nodes of a field's mode profiles are its Rayleigh tails, so a
-    guided mode's radiating content is read off them directly.  A zero
-    vector carries none.
-    """
-    sp = basis.space
-    rows = [sp.mode_index[n] for n in classify_modes(basis.inc, sp.disc.N).propagating]
-    tail = np.abs(basis.vectors[:, rows][..., [0, -1]]).max(axis=(1, 2), initial=0.0)
-    norm = np.sqrt(np.maximum(basis.gram().diagonal().real, 0.0))
-    return np.divide(tail, norm, out=np.zeros_like(tail), where=norm > 0)
-
-
 def verify_evanescent(basis: KernelBasis) -> EvanescenceReport:
     """Check that kernel vectors carry no propagating Rayleigh orders.
 
     Reports max |v_n^{+-}| over basis vectors and the orders n propagating
     at the basis's incidence, scaled by the vector's weighted norm
-    (`_propagating_tail`); it passes at or below the report's tolerance,
-    1e-8.  An empty basis passes trivially.
+    (`KernelBasis._propagating_tail`); it passes at or below the report's
+    tolerance, 1e-8.  An empty basis passes trivially.
     """
-    per = _propagating_tail(basis)
+    per = basis._propagating_tail
     return EvanescenceReport(max_propagating_coeff=float(per.max(initial=0.0)),
                              per_vector=tuple(per.tolist()), tolerance=1e-8)
 

@@ -456,6 +456,36 @@ def test_overflowing_beta_squared_prints_no_numpy_warning(tmp_path, capsys):
     assert err[1].startswith("error: beta_n^2 overflows double precision")
 
 
+@pytest.mark.parametrize("command", ["solve", "modes", "lap"])
+def test_overflowing_medium_term_exits_3_with_one_line_error(tmp_path, capsys, command):
+    # k^2 = 1e10 and every beta_n^2 are finite, k^2 (q - 1) is not
+    cfg = write_cfg(tmp_path, EXTREME_H_CONFIG)
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), "--out", str(out),
+               "--override", "medium.q0=1e300", "--override", "incidence.k=1e5"])
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: the (q - 1) term of the operator overflows")
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, overrides, hint", [
+    # the real-k operator of a plain solve: route to the LAP tools
+    ("solve", [], "run the 'modes' and 'lap' commands instead"),
+    # an eps level of the lap schedule itself: the schedule is to change
+    ("lap", ["lap.eps_start=1e-12"], "raise lap.eps_start"),
+])
+def test_near_singular_hint_names_the_remedy(tmp_path, capsys, command, overrides, hint):
+    cfg = write_cfg(tmp_path, LAP_CONFIG)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(argv + [a for o in overrides for a in ("--override", o)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 2
+    assert err[0].startswith("error: ") and "numerically singular" in err[0]
+    assert err[1].startswith("hint: ") and err[1].endswith(hint)
+
+
 @pytest.mark.parametrize("override", ["medium.q0=1e200", "medium.q0=1e300",
                                       "lap.eps_start=1e-320"])
 def test_extreme_lap_setting_exits_0_with_no_stderr(tmp_path, capsys, override):

@@ -140,6 +140,27 @@ class TestAssemble:
             with pytest.raises(q.DomainError, match="whitened operator overflows"):
                 build(inc, medium(h=1e300), disc)
 
+    @pytest.mark.parametrize("medium", [
+        lambda: q.MediumModel.homogeneous(1e300, 1.0),
+        lambda: q.MediumModel.sampled(
+            1e300 * (2.0 + np.cos(2 * np.pi * np.arange(12) / 12))[:, None, None]
+            * np.ones((1, 12, 1)), 1.0),
+    ], ids=["homogeneous", "lamellar"])
+    def test_overflowing_medium_term_is_a_domain_error(self, monkeypatch, medium):
+        # k^2 and every beta_n^2 are finite, k^2 (q - 1) is not: refused before
+        # the product, with no numpy warning and no LAPACK call
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called on a non-finite stack")
+
+        inc = q.IncidenceSpec.from_angles(1e10, 0.3, 0.0, 1.0)
+        disc = q.Discretization(N=1, M=16)
+        med = medium()
+        for name in ("svd", "solve", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, no_lapack)
+        for build in (q.assemble, q.assemble_eps_derivative):
+            with pytest.raises(q.DomainError, match=r"\(q - 1\) term of the operator"):
+                build(inc, med, disc)
+
     def test_complex_k_no_cutoff_screening(self):
         inc = q.IncidenceSpec.from_alpha(1.0 + 0.01j, (0.0, 0.0), 1.0)
         med = q.MediumModel.homogeneous(2.0, 1.0)
@@ -340,13 +361,15 @@ def guided_medium():
 class TestCouplingComponents:
     """Dense operators split by the components of their transverse coupling."""
 
-    @pytest.mark.parametrize("medium, N, M, shape", [
-        (lamellar_medium, 2, 16, (10, 40, 40)),   # 5 rows n2 of 5 modes, x 2 parities
-        (diagonal_medium, 2, 16, (2, 200, 200)),  # unequal components: two halves
-        (guided_medium, 3, 15, (49, 15, 15)),    # odd M: one block per mode
-        (guided_medium, 3, 16, (98, 8, 8)),      # the guided layer
+    # the plane-wave load reaches the group of mode (0, 0), in each depth parity
+    @pytest.mark.parametrize("medium, N, M, shape, loaded", [
+        (lamellar_medium, 2, 16, (10, 40, 40), (2, 40, 40)),  # 5 rows n2 of 5 modes
+        (diagonal_medium, 2, 16, (2, 200, 200), (2, 200, 200)),  # unequal: two halves
+        (guided_medium, 3, 15, (49, 15, 15), (1, 15, 15)),  # odd M: one block per mode
+        (guided_medium, 3, 16, (98, 8, 8), (2, 8, 8)),      # the guided layer
     ], ids=["lamellar", "diagonal", "constant_M15", "guided"])
-    def test_blocks_match_the_full_operator(self, monkeypatch, medium, N, M, shape):
+    def test_blocks_match_the_full_operator(self, monkeypatch, medium, N, M, shape,
+                                            loaded):
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
         med, disc = medium(), q.Discretization(N=N, M=M)
         op = q.assemble(inc, med, disc)
@@ -363,8 +386,34 @@ class TestCouplingComponents:
         with monkeypatch.context() as m:
             solve = recorded_shapes(m, "solve")
             v = q.solve(op, load).values
-        assert solve == [shape]  # one batched LU, no refinement
+        assert solve == [loaded]  # one batched LU of the loaded blocks, no refinement
         assert np.linalg.norm((v - want).ravel()) <= 1e-12 * np.linalg.norm(want.ravel())
+
+    def test_fully_loaded_stack_is_solved_without_a_copy(self, monkeypatch):
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        op = q.assemble(inc, diagonal_medium(), q.Discretization(N=2, M=16))
+        seen, solve = [], np.linalg.solve
+
+        def recording(a, *args, **kwargs):
+            seen.append(a)
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        q.solve(op, q.rhs(inc, op.space.disc))
+        assert len(seen) == 1 and seen[0].shape == op.stack.shape
+        assert np.shares_memory(seen[0], op.stack)
+
+    def test_unloaded_blocks_solve_to_exact_zeros(self):
+        # the loaded blocks get the bits of the full batched LU
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        op = q.assemble(inc, guided_medium(), q.Discretization(N=3, M=16))
+        g = op.to(q.rhs(inc, op.space.disc))
+        z = q.helmholtz._solve_loaded(op.stack, g)
+        full = np.linalg.solve(op.stack, g[..., None])[..., 0]
+        loaded = g.any(axis=1)
+        assert loaded.sum() == 2
+        assert np.array_equal(z[loaded], full[loaded])
+        assert not z[~loaded].any() and not full[~loaded].any()
 
     def test_components_of_a_lamellar_medium(self):
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
@@ -925,7 +974,8 @@ class TestSharedSpace:
         with monkeypatch.context() as m:
             solve = recorded_shapes(m, "solve")
             v = q.solve(op, load).values
-        assert solve == [op.stack.shape]  # one batched LU of the stack, no refinement
+        # one batched LU of the blocks of mode (0, 0), one per depth class, no refinement
+        assert solve == [(K, M // K, M // K)]
         ref = np.linalg.solve(op.diagonal, load[..., None])[..., 0]
         assert relative_error(v, ref) <= 1e-12
         assert relative_error(op.apply(v), load) <= 1e-10

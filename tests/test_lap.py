@@ -477,8 +477,33 @@ class TestConstraintResidual:
         vals = basis.vectors[0].copy()
         vals[basis.space.mode_index[(0, 0)], -1] = 1.0  # a propagating tail above
         bad = dataclasses.replace(basis, vectors=[vals])
-        with pytest.raises(q.NonEvanescentMode, match="propagating Rayleigh content"):
-            q.constraint_residual(cs.field, bad, med)
+        for _ in range(2):  # on every call: a refusal is never kept as a pass
+            with pytest.raises(q.NonEvanescentMode, match="propagating Rayleigh content"):
+                q.constraint_residual(cs.field, bad, med)
+
+    def test_kept_basis_terms_give_the_residuals_of_a_fresh_basis(self, scenario):
+        # the terms computed on the first call and kept on the basis
+        basis, med, _ = scenario
+        cs = q.constrained_solve(basis, med)
+        res = q.eps_sweep(basis, med, (0.1, 0.05))
+        for u in (cs.field, *res.v_eps):
+            warm = q.constraint_residual(u, basis, med)
+            fresh = dataclasses.replace(basis)
+            assert "_constraint_terms" not in vars(fresh)
+            assert np.array_equal(q.constraint_residual(u, fresh, med), warm)
+        assert "_constraint_terms" in vars(basis)
+
+    def test_basis_is_immutable(self, scenario):
+        basis, _, _ = scenario
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            basis.inc = basis.inc.with_k(1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            basis.vectors[0, 0, 0] = 1.0
+        fields = np.array(basis.vectors)
+        copy = q.KernelBasis(vectors=fields, singular_values=[0.0], sigma_max=1.0,
+                             space=basis.space, inc=basis.inc)
+        fields[0, 0, 0] += 1.0  # the basis keeps its own copy
+        assert np.array_equal(copy.vectors, basis.vectors)
 
     def test_field_of_another_space_is_refused(self, scenario):
         basis, med, _ = scenario
