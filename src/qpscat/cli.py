@@ -354,12 +354,14 @@ def run(cfg: RunConfig) -> int:
         raise
     except QpscatError as e:
         print(f"error: {e}", file=sys.stderr)
-        if isinstance(e, NearSingular) and e.eps is not None:
-            print("hint: this eps level of the schedule is too close to the "
-                  "singular real-k operator; raise lap.eps_start", file=sys.stderr)
-        elif isinstance(e, NearSingular):
-            print("hint: the operator is singular at this quasi-momentum; "
-                  "run the 'modes' and 'lap' commands instead", file=sys.stderr)
+        if isinstance(e, NearSingular):  # name what to change
+            print("hint: " + (
+                "this eps level of the schedule is too close to the singular real-k "
+                "operator; raise lap.eps_start" if e.eps is not None else
+                "the kernel misses a singular direction of the operator; "
+                "raise lap.svd_threshold" if cfg.command == "lap" else
+                "the operator is singular at this quasi-momentum; "
+                "run the 'modes' and 'lap' commands instead"), file=sys.stderr)
         return 3
     return 0
 

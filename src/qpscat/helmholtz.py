@@ -37,8 +37,8 @@ import numpy as np
 from .errors import AliasError, CutoffViolation, DomainError, NearSingular, \
     OperatorTooLarge, SolveFailed
 from .medium import MediumModel
-from .qpcore import IncidenceSpec, ModeIndex, _beta_array, _field_point, \
-    beta_table, classify_modes, mode_range, rayleigh_eval
+from .qpcore import IncidenceSpec, ModeIndex, _beta_array, _field_point, _rayleigh_sum, \
+    beta_table, classify_modes, mode_range
 
 CHEBYSHEV = "chebyshev_collocation"
 FINITE_DIFFERENCE = "finite_difference_order2"
@@ -967,12 +967,6 @@ class FieldCoefficients:
     def profile(self, n: ModeIndex) -> np.ndarray:
         return self.values[self.space.mode_index[tuple(n)]]
 
-    def trace_top(self) -> dict[ModeIndex, complex]:
-        return {n: complex(self.values[i, -1]) for i, n in enumerate(self.space.modes)}
-
-    def trace_bottom(self) -> dict[ModeIndex, complex]:
-        return {n: complex(self.values[i, 0]) for i, n in enumerate(self.space.modes)}
-
     def norm(self) -> float:
         return self.space.norm(self.values)
 
@@ -1067,27 +1061,34 @@ def rayleigh_data(v: FieldCoefficients, inc: IncidenceSpec) -> RayleighData:
                         efficiencies_down=eff_dn, balance_residual=balance)
 
 
-def _interior_field(v: FieldCoefficients, inc: IncidenceSpec, x) -> complex:
-    """e^{i alpha.x~} sum_n v_n(x3) e^{i n.x~} at a point x inside the layer."""
+def _field_value(v: FieldCoefficients, x, incident: bool) -> complex:
+    """The field e^{i alpha.x~} v(x) at a point x: the one field evaluator.
+
+    Inside the layer, one interpolation row for every profile; outside, the
+    Rayleigh series (`qpcore._rayleigh_sum`) on the end nodes v_n(+-h), or
+    with `incident` on `_rayleigh_tails`, plus the incident wave above.
+    """
+    x = _field_point(x)
+    inc, sp = v.inc, v.space
+    modes = np.array(sp.modes, dtype=float)
     xt, x3 = x[:2], x[2]
-    phases = np.exp(1j * (np.array(v.space.modes) @ xt))
-    total = v.space.grid.interpolate(v.values, x3) @ phases
-    return complex(np.exp(1j * (inc.alpha_vec @ xt)) * total)
+    if abs(x3) <= inc.h:
+        total = sp.grid.interpolate(v.values, x3) @ np.exp(1j * (modes @ xt))
+        return complex(np.exp(1j * (inc.alpha_vec @ xt)) * total)
+    if x3 < 0:
+        return _rayleigh_sum(modes, v.values[:, 0], inc, x)
+    if not incident:
+        return _rayleigh_sum(modes, v.values[:, -1], inc, x)
+    wave = np.exp(1j * (inc.alpha_vec @ xt) - 1j * inc.k * inc.cos_theta1 * x3)
+    return complex(wave + _rayleigh_sum(modes, _rayleigh_tails(v, inc)[0], inc, x))
 
 
 def quasiperiodic_lift(v: FieldCoefficients, inc: IncidenceSpec, x) -> complex:
     """Total quasi-periodic field u(x) = e^{i alpha.x~} v(x) everywhere.
 
-    Inside the layer the modal profiles are interpolated; outside, the
-    Rayleigh extension is used, with the incident wave added above.
+    Inside the layer the modal profiles are interpolated; outside, the Rayleigh
+    extension is used, with the incident wave added above.  Needs inc == v.inc.
     """
-    x = _field_point(x)
-    xt, x3 = x[:2], x[2]
-    h = inc.h
-    if abs(x3) <= h:
-        return _interior_field(v, inc, x)
-    rd = rayleigh_data(v, inc)
-    if x3 > h:
-        inc_wave = np.exp(1j * (inc.alpha_vec @ xt) - 1j * inc.k * inc.cos_theta1 * x3)
-        return complex(inc_wave + rayleigh_eval(rd.u_plus, "above", inc, x))
-    return rayleigh_eval(rd.u_minus, "below", inc, x)
+    if inc != v.inc:
+        raise ValueError(f"incidence {inc!r} is not the field's {v.inc!r}")
+    return _field_value(v, x, incident=True)

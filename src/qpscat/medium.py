@@ -3,8 +3,9 @@
 Two kinds are supported: a stack of constant-index sublayers (a homogeneous
 layer is a stack of one), and a sampled grid on the equispaced lattice over
 (0,2pi)^2 x (-h,h).  The index is hard-coded to 1 outside |x3| < h; models
-are only ever queried inside the layer.  Sampled media are interpolated
-piecewise-constant per grid cell in every direction.
+are only ever queried inside the layer.  A sampled value fills its depth cell;
+transversely the coefficients are the samples' DFT, so the medium is their
+trigonometric interpolant, not their cells (ROADMAP item 16 changes this).
 """
 from __future__ import annotations
 

@@ -16,9 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ThresholdAmbiguity
-from .helmholtz import DiscreteOperator, FieldCoefficients, _interior_field, _real_matmul
-from .qpcore import IncidenceSpec, _beta_array, _field_point, _row_dot, classify_modes, \
-    rayleigh_eval
+from .helmholtz import DiscreteOperator, FieldCoefficients, _field_value, _real_matmul
+from .qpcore import IncidenceSpec, _beta_array, _row_dot, classify_modes
 
 DEFAULT_SVD_THRESHOLD = 1e-8
 
@@ -225,19 +224,13 @@ class LiftedMode:
 
     phi(x) = e^{i alpha.x~} sum_n v_n(x3) e^{i n.x~} inside the layer and the
     matching evanescent Rayleigh tails outside, whose coefficients are the
-    end nodes v_n(+-h) of the field, at the field's incidence.
+    end nodes v_n(+-h): `helmholtz._field_value` with no incident wave.
     """
 
     field: FieldCoefficients
 
     def __call__(self, x) -> complex:
-        x = _field_point(x)
-        inc = self.field.inc
-        if abs(x[2]) <= inc.h:
-            return _interior_field(self.field, inc, x)
-        if x[2] > 0:
-            return rayleigh_eval(self.field.trace_top(), "above", inc, x)
-        return rayleigh_eval(self.field.trace_bottom(), "below", inc, x)
+        return _field_value(self.field, x, incident=False)
 
 
 def mode_lift(basis: KernelBasis) -> list[LiftedMode]:

@@ -2,7 +2,7 @@
 
 Branch-cut square root, vertical wavenumbers beta_n of the Rayleigh orders,
 their classification into propagating/evanescent, the diagonal DtN symbols,
-and evaluation of Rayleigh series above/below the layer.
+and the one Rayleigh series sum above/below the layer (`_rayleigh_sum`).
 
 Conventions: the transverse period is 2*pi in both directions, the layer
 occupies |x3| < h, and a plane wave e^{ik theta_hat . x} comes in from above
@@ -186,17 +186,22 @@ def _beta_squared_array(modes: np.ndarray, inc: IncidenceSpec) -> np.ndarray:
     return (k.real ** 2 - _row_dot(an, an)).astype(complex)
 
 
-def _beta_array(inc: IncidenceSpec, N: int) -> np.ndarray:
-    """beta_n for all |n|_inf <= N in mode_range order, as one array operation.
+def _beta_rows(modes: np.ndarray, inc: IncidenceSpec) -> np.ndarray:
+    """beta_n for every row n of the (n, 2) float array `modes`, as one array operation.
 
     Equal to `beta` mode by mode; raises CutProximity where `beta` would,
     for the first such mode.
     """
-    z = _beta_squared_array(np.array(mode_range(N), dtype=float), inc)
+    z = _beta_squared_array(modes, inc)
     cut = (z.imag < 0.0) & (np.abs(z.real) < CUT_RTOL * np.abs(z))
     if cut.any():
         branch_sqrt(z[np.argmax(cut)])  # raises with the scalar message
     return _branch_sqrt_array(z)
+
+
+def _beta_array(inc: IncidenceSpec, N: int) -> np.ndarray:
+    """beta_n for all |n|_inf <= N in mode_range order (`_beta_rows`)."""
+    return _beta_rows(np.array(mode_range(N), dtype=float), inc)
 
 
 def beta(n, inc: IncidenceSpec) -> complex:
@@ -296,6 +301,13 @@ def _field_point(x) -> np.ndarray:
     return x
 
 
+def _rayleigh_sum(modes: np.ndarray, coeffs: np.ndarray, inc: IncidenceSpec, x) -> complex:
+    """sum_n c_n e^{i alpha_n.x~ + i beta_n (|x3| - h)} over the rows n of `modes`: the
+    outgoing Rayleigh series at a point x outside the layer, above or below alike."""
+    phase = _row_dot(modes + inc.alpha_vec, x[:2]) + _beta_rows(modes, inc) * (abs(x[2]) - inc.h)
+    return complex(coeffs @ np.exp(1j * phase))
+
+
 def rayleigh_eval(coeffs: Mapping[ModeIndex, complex], side: str, inc: IncidenceSpec,
                   x) -> complex:
     """Evaluate the outgoing Rayleigh series sum u_n e^{i alpha_n.x~ +- i beta_n (x3 -+ h)}.
@@ -305,19 +317,9 @@ def rayleigh_eval(coeffs: Mapping[ModeIndex, complex], side: str, inc: Incidence
     error is bounded by the evanescent decay at distance |x3| - h.
     """
     x = _field_point(x)
-    xt, x3 = x[:2], x[2]
-    if side == "above":
-        if x3 < inc.h:
-            raise WrongSide(f"x3 = {x3} is below Gamma_h = {inc.h}")
-        sgn, z = 1.0, x3 - inc.h
-    elif side == "below":
-        if x3 > -inc.h:
-            raise WrongSide(f"x3 = {x3} is above Gamma_-h = {-inc.h}")
-        sgn, z = -1.0, x3 + inc.h
-    else:
+    if side not in ("above", "below"):
         raise ValueError("side must be 'above' or 'below'")
-    total = 0.0 + 0.0j
-    for n, c in coeffs.items():
-        an = np.asarray(n, dtype=float) + inc.alpha_vec
-        total += c * np.exp(1j * (an @ xt) + sgn * 1j * beta(n, inc) * z)
-    return complex(total)
+    if (x[2] < inc.h) if side == "above" else (x[2] > -inc.h):
+        raise WrongSide(f"x3 = {x[2]} is not {side} the layer |x3| < {inc.h}")
+    modes = np.array(list(coeffs), dtype=float).reshape(-1, 2)
+    return _rayleigh_sum(modes, np.array(list(coeffs.values()), dtype=complex), inc, x)

@@ -475,6 +475,9 @@ def test_overflowing_medium_term_exits_3_with_one_line_error(tmp_path, capsys, c
     ("solve", [], "run the 'modes' and 'lap' commands instead"),
     # an eps level of the lap schedule itself: the schedule is to change
     ("lap", ["lap.eps_start=1e-12"], "raise lap.eps_start"),
+    # a threshold below the singular direction leaves the kernel empty, so the
+    # plain solve at eps = 0 is refused: the threshold is to change
+    ("lap", ["lap.svd_threshold=1e-17"], "raise lap.svd_threshold"),
 ])
 def test_near_singular_hint_names_the_remedy(tmp_path, capsys, command, overrides, hint):
     cfg = write_cfg(tmp_path, LAP_CONFIG)

@@ -783,6 +783,23 @@ class TestQuasiperiodicLift:
         with pytest.raises(ValueError, match="3-vector"):
             q.quasiperiodic_lift(v, inc, x)
 
+    def test_rejects_an_incidence_not_the_fields(self, monkeypatch):
+        inc, v, _ = solve_slab(2.0, 1.0, 0.2, 16)
+        x = (0.7, 1.1, 1.5)
+        equal = q.IncidenceSpec.from_angles(1.0, 0.2, 0.0, 1.0)
+        assert equal is not inc
+        assert q.quasiperiodic_lift(v, equal, x) == q.quasiperiodic_lift(v, inc, x)
+
+        def evaluate(*args, **kwargs):
+            raise AssertionError("evaluated at a mismatched incidence")
+
+        monkeypatch.setattr(q.helmholtz, "_field_value", evaluate)
+        for other in (inc.with_k(1.1), q.IncidenceSpec.from_angles(1.0, 0.25, 0.0, 1.0),
+                      q.IncidenceSpec.from_alpha(1.0, inc.alpha, 1.0),
+                      q.IncidenceSpec.from_angles(1.0, 0.2, 0.0, 1.5)):
+            with pytest.raises(ValueError, match="not the field's"):
+                q.quasiperiodic_lift(v, other, x)
+
     def test_continuity_across_boundaries(self):
         inc, v, _ = solve_slab(2.0, 1.0, 0.2, 40)
         d = 1e-9

@@ -404,6 +404,24 @@ class TestModeLift:
         with pytest.raises(ValueError, match="3-vector"):
             mode(x)
 
+    def test_lift_and_mode_differ_by_the_incident_part(self, guided):
+        # a kernel vector read as a total field: quasiperiodic_lift adds the
+        # incident wave above the layer and takes its trace e^{-ikh cos t1}
+        # out of the propagating (0, 0) tail, so above the two evaluators
+        # differ by e^{i alpha.x~} (e^{-ik cos t1 x3} - e^{-ikh cos t1} e^{i beta_0 (x3 - h)}),
+        # and inside and below not at all
+        inc, *_, basis = guided
+        [mode] = q.mode_lift(basis)
+        h, kc, b0 = inc.h, inc.k * inc.cos_theta1, q.beta((0, 0), inc)
+        rng = np.random.default_rng(5)
+        for x3 in (0.3, -0.95, 1.0, -1.0, 1.0001, 1.7, -1.0001, -2.2):
+            x = np.array([*rng.uniform(0, 2 * np.pi, 2), x3])
+            incident = 0.0
+            if x3 > h:
+                incident = np.exp(1j * (inc.alpha_vec @ x[:2])) * (
+                    np.exp(-1j * kc * x3) - np.exp(-1j * kc * h + 1j * b0 * (x3 - h)))
+            assert abs(q.quasiperiodic_lift(mode.field, inc, x) - incident - mode(x)) <= 1e-14
+
     def test_interior_collocation_residual(self, guided):
         # Delta phi + k^2 q phi = 0 at the interior depth nodes, mode by mode:
         # v_n'' + (beta_n^2 + k^2 (q0 - 1)) v_n, by the grid's differentiation

@@ -37,6 +37,14 @@ def test_import_loads_neither_slab_nor_maxwell(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
+def test_library_imports_neither_test_tool(tmp_path):
+    probe = ("import sys, qpscat, qpscat.cli, qpscat.slab, qpscat.maxwell; "
+             "print([m for m in ('pytest', 'hypothesis') if m in sys.modules])")
+    done = run_python(["-c", probe], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_lap_command_imports_neither_slab_nor_maxwell(tmp_path):
     cfg = tmp_path / "lap.ini"
     cfg.write_text(LAP_CONFIG)

@@ -337,6 +337,24 @@ class TestRayleighEval:
         closed = np.cos(np.pi / 4) * np.exp(-np.pi / 4) * np.exp(1j * (a_mode @ xt))
         assert val == pytest.approx(closed, rel=1e-13)
 
+    @pytest.mark.parametrize("inc", [q.IncidenceSpec.from_angles(1.7, 0.4, 0.9, 0.8),
+                                     q.IncidenceSpec.from_angles(1.7 + 0.3j, 0.4, 0.9, 0.8),
+                                     q.IncidenceSpec.from_alpha(2.2, (0.3, -0.6), 0.8)])
+    def test_matches_the_per_mode_sum(self, inc):
+        # the one phase product against the per-mode loop with the scalar beta,
+        # on orders in no particular order; the sums accumulate differently
+        rng = np.random.default_rng(11)
+        orders = [tuple(int(t) for t in rng.integers(-4, 5, 2)) for _ in range(30)]
+        coeffs = {n: complex(*rng.standard_normal(2)) for n in orders}
+        for side, x3 in (("above", 0.8), ("above", 1.9), ("below", -0.8), ("below", -2.3)):
+            x = np.array([*rng.uniform(0, 2 * np.pi, 2), x3])
+            terms = [c * np.exp(1j * ((np.array(n) + inc.alpha_vec) @ x[:2])
+                                + 1j * q.beta(n, inc) * (abs(x3) - inc.h))
+                     for n, c in coeffs.items()]
+            got = q.rayleigh_eval(coeffs, side, inc, x)
+            assert abs(got - sum(terms)) <= 1e-14 * sum(abs(t) for t in terms)
+        assert q.rayleigh_eval({}, "below", inc, (0.0, 0.0, -1.0)) == 0.0
+
     def test_wrong_side(self):
         inc = q.IncidenceSpec.from_angles(2.0, 0.0, 0.0, 1.0)
         with pytest.raises(q.WrongSide):
