@@ -157,9 +157,9 @@ def _cheb_bary_weights(M: int) -> np.ndarray:
 class DepthGrid:
     """Nodal basis in depth with exact (or scheme-consistent) Galerkin matrices.
 
-    Exposes nodes, stiffness K = int l_i' l_j', mass = int l_i l_j, a
-    differentiation matrix for diagnostics, quadrature data for profile-
-    weighted mass matrices, and barycentric/linear interpolation.
+    Exposes nodes, stiffness K = int l_i' l_j', mass = int l_i l_j,
+    quadrature data for profile-weighted mass matrices (`weighted_mass`),
+    and barycentric/linear interpolation.
     """
 
     def __init__(self, disc: Discretization, h: float):
@@ -168,7 +168,7 @@ class DepthGrid:
         self.h = float(h)
         M = disc.M
         if self.scheme == CHEBYSHEV:
-            self.nodes, self.diff = _cheb_nodes_diff(M, h)
+            self.nodes, D = _cheb_nodes_diff(M, h)
             self._bary = _cheb_bary_weights(M)
             Q = 2 * M
             self.quad_x, _ = _cheb_nodes_diff(Q, h)
@@ -177,7 +177,7 @@ class DepthGrid:
             self.quad_interp = E
             mass = E.T @ (self.quad_w[:, None] * E)
             self.mass = 0.5 * (mass + mass.T)
-            ED = E @ self.diff
+            ED = E @ D
             stiff = ED.T @ (self.quad_w[:, None] * ED)
             self.stiffness = 0.5 * (stiff + stiff.T)
         else:
@@ -191,12 +191,6 @@ class DepthGrid:
             np.add.at(K, (idx + 1, idx), -1.0 / d)
             self.stiffness = K
             self.mass = self._fd_weighted_mass(np.ones(M)).real
-            D = np.zeros((M, M))
-            D[1:-1, 2:] += np.eye(M - 2) / (2 * d)
-            D[1:-1, :-2] -= np.eye(M - 2) / (2 * d)
-            D[0, :3] = np.array([-3.0, 4.0, -1.0]) / (2 * d)
-            D[-1, -3:] = np.array([1.0, -4.0, 3.0]) / (2 * d)
-            self.diff = D
             self.quad_x = self.nodes
             w = np.full(M, d)
             w[0] = w[-1] = d / 2
@@ -278,6 +272,7 @@ class FieldSpace:
 
     Fields are arrays of shape (n_modes, M).  The space owns everything that
     depends only on the discretization and h, built once at construction:
+    the modes also as one read-only (n_modes, 2) float array `mode_array`;
     the depth grid; the weighted inner-product blocks W_n and their inverse
     symmetric square roots, stacked in mode order as W and W_isqrt of shape
     (n_modes, M, M), with one eigendecomposition per distinct |n|^2; and, for
@@ -302,10 +297,11 @@ class FieldSpace:
         self.h = float(h)
         self.modes: list[ModeIndex] = mode_range(disc.N)
         self.mode_index = {n: i for i, n in enumerate(self.modes)}
+        self.mode_array = np.array(self.modes, dtype=float)
+        self.mode_array.flags.writeable = False
         self.M = M = disc.M
         self.size = len(self.modes) * M
-        n2, which = np.unique([a * a + b * b for a, b in self.modes],
-                              return_inverse=True)
+        n2, which = np.unique((self.mode_array ** 2).sum(axis=1), return_inverse=True)
         with np.errstate(all="ignore"):  # an overflow is refused below
             self.grid = g = DepthGrid(disc, h)
             W = g.stiffness + n2[:, None, None] * g.mass
@@ -364,8 +360,9 @@ class DiscreteOperator:
     `diagonal` (modes, M, M) holds the raw diagonal mode blocks, in the
     order of space.modes.  For a transversely uniform medium that is the
     whole operator, which is block-diagonal.  Otherwise the operator is
-    coupled: off the diagonal, block (n, m) is -scale C_{n-m}, with the
-    masses C_d of the medium's coupling table `table` (`_CouplingTable`).
+    coupled: off the diagonal, block (n, m) is -scale C_{n-m}, with
+    C_d = sum_c qhat^(c)_d M_c from the medium's coupling table `table`
+    (`_CouplingTable`), one mass per depth cell.
     Every operator is assembled as its whitened `stack` as well, in the
     layout its table decided, with that layout's maps `to` and `back`
     (see `_CouplingTable`); `groups` are the table's mode groups (one per
@@ -373,7 +370,7 @@ class DiscreteOperator:
     and the constrained solve read the stack.  No full matrix is stored.
     `apply` and `apply_adjoint` are matrix-free, on one field or a stack of
     fields (..., n_modes, M): the diagonal blocks plus, when coupled, one
-    coupling sum over the table's masses.  Every dense view of the operator
+    coupling sum over the table's cells.  Every dense view of the operator
     is built from that action (`whitened()`, the constraint rows of
     `lap.constrained_solve`).  Everything that depends only on the layout
     and the weighted product lives on `space`.  The operator caches its
@@ -597,46 +594,37 @@ def _require_memory(need: int, what: str, remedy: str) -> None:
             f"{have / 2**30:.4g} GiB of physical memory; {remedy}")
 
 
-def _live_pairs(index: np.ndarray, pad: int):
-    """Each row's live entries of `index` (those not equal to pad): (columns, values).
+def _mirror_symmetric(blocks: np.ndarray, coef: np.ndarray) -> bool:
+    """Whether sum_p ||X_p - R X_p R||^2 / 4 <= _SPLIT_TOL^2 sum_p ||X_p||^2.
 
-    Both arrays are (rows, w), w the most live entries of any row; shorter
-    rows are filled up with entries of value pad.
+    X_p = sum_c coef[p, c] blocks[c] over the rows of coef (P, C); R
+    reverses the depth nodes of the real (M, M) blocks, so the left side is
+    the squared norm of the even/odd cross parts.  Each side is a form in
+    the Gram matrix coef^H coef = r^H r, taken as ||r Y||^2 (Y the flat
+    blocks or their defects): C rows, and mirror cells' cancelling defects
+    cancel in r Y, not in a sum of squares.  Both arrays are first scaled
+    exactly so that no square overflows.
     """
-    live = index != pad
-    cols = np.argsort(~live, axis=1, kind="stable")[:, :live.sum(axis=1).max(initial=0)]
-    return cols, np.take_along_axis(index, cols, axis=1)
-
-
-def _mirror_symmetric(blocks: np.ndarray, weights) -> bool:
-    """Whether sum_i w_i ||X_i - R X_i R||^2 / 4 <= _SPLIT_TOL^2 sum_i w_i ||X_i||^2.
-
-    R reverses the depth nodes (j -> M-1-j) of the (M, M) blocks X_i, so
-    the left side is the weighted squared norm of their even/odd cross parts
-    in the parity basis.  Blocks with an entry of modulus 1 or more are
-    first scaled exactly, by the power of two that brings their largest
-    entry into [1/2, 1), so that no square overflows.
-    """
-    blocks = blocks * 2.0 ** -max(int(np.frexp(np.abs(blocks).max())[1]), 0)
+    def scaled(a):
+        return a * 2.0 ** -max(int(np.frexp(np.abs(a).max())[1]), 0)
+    r, blocks = np.linalg.qr(scaled(coef), mode="r"), scaled(blocks)
 
     def norms(x):
-        return np.dot(weights, np.sum(np.abs(x) ** 2, axis=(1, 2)))
+        return np.sum(np.abs(r @ x.reshape(len(x), -1)) ** 2)
     return norms(blocks - blocks[:, ::-1, ::-1]) / 4 <= _SPLIT_TOL ** 2 * norms(blocks)
 
 
 class _CouplingTable:
     """What assembly takes from a medium on one FieldSpace, independent of k.
 
-    `diffs` lists the differences 0 < |d|_inf <= 2N (none for a
-    transversely uniform medium) whose profile qhat_d at the quadrature
-    depths is not identically zero, and `masses` stacks their C_d = int
-    qhat_d l_i l_j, followed by one zero block, (len(diffs) + 1, M, M); the
-    profiles themselves are not kept.  `c0` is C_0 of qhat_0 - 1, the
-    diagonal coupling (the background sits in the volume term).  `off`
-    (modes, modes) gives, for each mode pair (n, m), the index into diffs
-    of n - m, or len(diffs), the zero block, when its profile vanishes and
-    on the diagonal.  `couple` sums C_{n-m} u_m over the pairs n != m whose
-    profile lives.
+    Every medium is piecewise constant in depth, so its coupling is
+    sum_c Q_c (x) M_c over the depth cells c that hold a quadrature node:
+    `cell_masses` (C, M, M) stacks the real symmetric M_c = int_c l_i l_j
+    (`DepthGrid.weighted_mass` of the cell's indicator), `toeplitz`
+    (C, modes, modes) the Toeplitz matrices Q_c[n, m] = qhat^(c)_{n-m} off
+    the diagonal (zero for a transversely uniform medium).  Block (n, m)
+    is C_{n-m} = sum_c qhat^(c)_{n-m} M_c, and `c0` = sum_c (qhat^(c)_0 - 1)
+    M_c the diagonal coupling (the background sits in the volume term).
 
     The table also fixes, once, the layout of the whitened stack of the
     medium's operators (`DiscreteOperator.stack`), and holds a coupled
@@ -647,20 +635,20 @@ class _CouplingTable:
     acting on v acts on z as to(r).  Block g K + p is mode group g and
     depth class p of K:
     - `groups` (nc, c) are the mode groups: the connected components of
-      the graph that links modes n and m when n - m or m - n is in `diffs`,
-      rows ordered by their first mode, modes ascending, when there are
-      several components, all of one size; otherwise one group of every
-      mode.  No coupling runs between groups, so the split is exact.  A
-      transversely uniform medium has no live off-diagonal difference, so
-      its groups are single modes.  `place` gives each mode's (group, slot).
+      the graph that links modes n and m when some Q_c[n, m] or Q_c[m, n]
+      is nonzero, rows ordered by their first mode, modes ascending, when
+      there are several components, all of one size; otherwise one group
+      of every mode.  No coupling runs between groups, so the split is
+      exact.  A transversely uniform medium has no nonzero Q_c, so its
+      groups are single modes.  `place` gives each mode's (group, slot).
     - `parity` is space.parity when every k-independent piece of the
       operator is mirror-symmetric in depth to _SPLIT_TOL in Frobenius norm
-      (`_mirror_symmetric`): the masses C_d, d != 0, each weighted by its
-      number of mode pairs, with c0 weighted by the number of modes; the
-      stiffness; the mass.  The whitened operator at any k is then
-      orthogonally similar to the direct sum of its parity halves (K = 2)
-      up to that remainder.  Otherwise, and for odd M, it is None, and
-      each group gives its full whitened block (K = 1).
+      (`_mirror_symmetric`): the couplings C_{n-m} of every mode pair
+      n != m together with c0 once per mode; the stiffness; the mass.
+      The whitened operator at any k is then orthogonally similar to the
+      direct sum of its parity halves (K = 2) up to that remainder.
+      Otherwise, and for odd M, it is None, and each group gives its full
+      whitened block (K = 1).
     - `coupling` is the whitened stack of the unit-scale coupling of a
       transversely varying medium: block (n, m) is -C_{n-m} off the
       diagonal and zero in the diagonal mode slots.  It is built one raw
@@ -674,30 +662,19 @@ class _CouplingTable:
     """
 
     def __init__(self, medium: MediumModel, space: FieldSpace):
-        grid, N, M = space.grid, space.disc.N, space.M
+        grid, N = space.grid, space.disc.N
         uniform = medium.transversely_uniform
-        profiles = medium.fourier_profiles(grid.quad_x, 0 if uniform else 2 * N)
-        live = np.any(np.array(list(profiles.values())), axis=1)
-        self.diffs = [d for d, on in zip(profiles, live) if on and d != (0, 0)]
-        T = len(self.diffs)
-        self.masses = np.array([grid.weighted_mass(profiles[d]) for d in self.diffs]
-                               + [np.zeros((M, M), dtype=complex)])
-        self.c0 = grid.weighted_mass(profiles[(0, 0)] - np.ones_like(grid.quad_x))
-        n = np.array(space.modes)
-        nm = len(n)
-        d = n[:, None, :] - n[None, :, :] + 2 * N  # (n - m) + 2N, shape (nm, nm, 2)
-        index = np.full((4 * N + 1, 4 * N + 1), T)
-        for t, (d1, d2) in enumerate(self.diffs):
-            index[d1 + 2 * N, d2 + 2 * N] = t
-        self.off = index[d[..., 0], d[..., 1]]
-        # C_t u_j (or C_t^H u_j) of every live t at once, as one product
-        # u @ _act: column block t of _act is C_t^T (or conj(C_t)), and the
-        # zero block T pads the rows of `_pairs` that have fewer live pairs
-        self._act = (self.masses.transpose(2, 0, 1).reshape(M, -1),
-                     self.masses.conj().transpose(1, 0, 2).reshape(M, -1))
-        # the pairs `couple` gathers, by adjoint
-        self._pairs = (_live_pairs(self.off, T), _live_pairs(self.off.T, T))
-        link = self.off < T
+        at, coef = medium.cell_coefficients(grid.quad_x, 2 * N)
+        held = np.flatnonzero(np.bincount(at))
+        masses = np.array([grid.weighted_mass(1.0 * (at == c)).real for c in held])
+        self.cell_masses = 0.5 * (masses + masses.swapaxes(1, 2))
+        a = coef[held, 2 * N, 2 * N] - 1.0
+        self.c0 = np.tensordot(a, self.cell_masses, axes=1)
+        nm = len(space.modes)
+        d = (space.mode_array[:, None] - space.mode_array[None]).astype(int) + 2 * N
+        self.toeplitz = coef[held][:, d[..., 0], d[..., 1]]  # (C, nm, nm)
+        self.toeplitz[:, np.arange(nm), np.arange(nm)] = 0.0  # qhat_0 sits in c0
+        link = self.toeplitz.any(axis=0)
         link = link | link.T
         label = np.arange(nm)
         while True:  # every mode takes the least label among its neighbours
@@ -713,11 +690,10 @@ class _CouplingTable:
         group, slot = np.empty(nm, dtype=int), np.empty(nm, dtype=int)
         group[self.groups], slot[self.groups] = np.arange(nc)[:, None], np.arange(c)
         self.place = group, slot
-        pairs = np.bincount(self.off.ravel(), minlength=T + 1)[:T]
-        symmetric = (_mirror_symmetric(np.concatenate([self.masses[:T], self.c0[None]]),
-                                       np.append(pairs, nm))
-                     and _mirror_symmetric(grid.stiffness[None], [1.0])
-                     and _mirror_symmetric(grid.mass[None], [1.0]))
+        # one row of cell weights per mode pair (n, m), and c0's once per mode
+        weights = np.vstack([self.toeplitz.reshape(len(held), -1).T, np.sqrt(nm) * a])
+        symmetric = _mirror_symmetric(self.cell_masses, weights) and all(
+            _mirror_symmetric(X[None], np.ones((1, 1))) for X in (grid.stiffness, grid.mass))
         self.parity = space.parity if symmetric else None
         self.coupling = None if uniform else \
             _whitened_blocks(space, self.groups, self.row, self.parity)
@@ -729,20 +705,20 @@ class _CouplingTable:
     def row(self, r: int) -> np.ndarray:
         """Raw row slot r of every group of the unit-scale coupling, (nc, M, c, M)."""
         g = self.groups
-        blocks = self.masses[self.off[g[:, r, None], g]]
-        return np.negative(blocks, out=blocks).transpose(0, 2, 1, 3)
+        q = self.toeplitz[:, g[:, r, None], g]  # (C, nc, c)
+        return np.tensordot(-q, self.cell_masses, axes=(0, 0)).transpose(0, 2, 1, 3)
 
     def couple(self, u: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """sum_{m != n} C_{n-m} u_m for every n, or sum_{n != m} C_{n-m}^H u_n for every m.
 
-        u is a field (modes, M), or a stack of fields (..., modes, M).  One
-        product with every mass, then one gather of the mode pairs; the
-        diagonal pairs are the zero block.
+        u is a field (modes, M), or a stack of fields (..., modes, M): per
+        cell, M_c on every mode's depth vector, then Q_c (or Q_c^H) across
+        the modes, summed over the cells.
         """
-        M = u.shape[-1]
-        # U[..., j, t] = C_t u_j (or C_t^H u_j)
-        U = (u @ self._act[adjoint]).reshape(u.shape[:-1] + (-1, M))
-        return U[(..., *self._pairs[adjoint], slice(None))].sum(axis=-2)
+        U = u[..., None, :, :] @ self.cell_masses  # M_c u_m, as M_c is symmetric
+        if adjoint:
+            return np.conj((self.toeplitz.swapaxes(1, 2) @ np.conj(U)).sum(axis=-3))
+        return (self.toeplitz @ U).sum(axis=-3)
 
 
 def _largest_part(a: np.ndarray) -> float:
@@ -911,7 +887,7 @@ def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
         n = space.modes[zero[0]]
         raise CutoffViolation(f"beta_{n} = 0: derivative undefined", [n])
     # d beta_n / d eps = i (k cos^2 t1 - n.tilde_theta) / beta_n
-    shift = k * inc.cos2_theta1 - np.array(space.modes, dtype=float) @ inc.tilde_theta
+    shift = k * inc.cos2_theta1 - space.mode_array @ inc.tilde_theta
     dbetas = 1j * shift / betas
     volume = _mode_products(-2j * shift, grid.mass)
     return _build_operator(inc, medium, space, volume, dbetas, 2j * k)
@@ -1070,8 +1046,7 @@ def _field_value(v: FieldCoefficients, x, incident: bool) -> complex:
     """
     x = _field_point(x)
     inc, sp = v.inc, v.space
-    modes = np.array(sp.modes, dtype=float)
-    xt, x3 = x[:2], x[2]
+    modes, xt, x3 = sp.mode_array, x[:2], x[2]
     if abs(x3) <= inc.h:
         total = sp.grid.interpolate(v.values, x3) @ np.exp(1j * (modes @ xt))
         return complex(np.exp(1j * (inc.alpha_vec @ xt)) * total)

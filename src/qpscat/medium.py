@@ -118,26 +118,34 @@ class MediumModel:
     def transversely_uniform(self) -> bool:
         return self.kind == "slab_stack"
 
-    def fourier_profiles(self, depths, M: int) -> dict[tuple[int, int], np.ndarray]:
-        """q_hat_m evaluated along an array of depths, for |m|_inf <= M.
-
-        A sampled grid is transformed once (one fft2 over the transverse
-        axes of every depth cell); each depth then picks its cell.
+    def cell_coefficients(self, depths, M: int) -> tuple[np.ndarray, np.ndarray]:
+        """(cells, coefficients): the depth cell (a layer, or one of the n3
+        equal cells of a sampled grid) of each depth, and q_hat_m of every
+        cell c for |m|_inf <= M at [c, m1 + M, m2 + M].  A sampled grid is
+        transformed once (one fft2 over the transverse axes of every cell).
         """
         depths = np.asarray(depths, dtype=float)
         if np.any(np.abs(depths) > self.h + 1e-12):
             raise OutOfLayer(f"|x3| = {np.max(np.abs(depths)):g} exceeds h = {self.h:g}")
-        orders = [(m1, m2) for m1 in range(-M, M + 1) for m2 in range(-M, M + 1)]
+        m = np.arange(-M, M + 1)
         if self.kind == "sampled":
             n1, n2, n3 = self.values.shape
             cells = np.clip(np.floor((depths + self.h) / (2 * self.h / n3)).astype(int),
                             0, n3 - 1)
             fh = np.fft.fft2(self.values, axes=(0, 1)) / (n1 * n2)
-            return {m: fh[m[0] % n1, m[1] % n2, cells] for m in orders}
-        out = {m: np.zeros(len(depths), dtype=complex) for m in orders}
-        out[(0, 0)][:] = [next(q for a, b, q in self.layers
-                               if a - 1e-12 <= z <= b + 1e-12) for z in depths]
-        return out
+            return cells, fh[(m % n1)[:, None], m % n2].transpose(2, 0, 1)
+        cells = np.array([next(i for i, (a, b, _) in enumerate(self.layers)
+                               if a - 1e-12 <= z <= b + 1e-12) for z in depths], dtype=int)
+        coefficients = np.zeros((len(self.layers), 2 * M + 1, 2 * M + 1), dtype=complex)
+        coefficients[:, M, M] = [q for _, _, q in self.layers]
+        return cells, coefficients
+
+    def fourier_profiles(self, depths, M: int) -> dict[tuple[int, int], np.ndarray]:
+        """q_hat_m evaluated along an array of depths, for |m|_inf <= M: each
+        depth's cell's coefficients (`cell_coefficients`)."""
+        cells, coefficients = self.cell_coefficients(depths, M)
+        return {(m1, m2): coefficients[cells, m1 + M, m2 + M]
+                for m1 in range(-M, M + 1) for m2 in range(-M, M + 1)}
 
     def transverse_resolution(self) -> tuple[int, int] | None:
         if self.kind == "sampled":

@@ -102,7 +102,7 @@ class KernelBasis:
         """
         sp, inc = self.space, self.inc
         k, N = inc.k.real, sp.disc.N
-        nth = _row_dot(np.array(sp.modes, dtype=float), inc.tilde_theta)
+        nth = _row_dot(sp.mode_array, inc.tilde_theta)
         w = 1j * (nth + k * inc.sin2_theta1)
         ev = [sp.mode_index[n] for n in classify_modes(inc, N).evanescent]
         c = 1j * (nth[ev] - k * inc.cos2_theta1) / (2.0 * np.abs(_beta_array(inc, N)[ev]))

@@ -155,7 +155,19 @@ def mode_range(N: int) -> list[ModeIndex]:
     return [(n1, n2) for n1 in range(-N, N + 1) for n2 in range(-N, N + 1)]
 
 
+#: least |k| whose square is a normal double (about 1.49e-154)
+_K_MIN = float(np.sqrt(np.finfo(float).tiny))
+
+
+def _require_normal_k2(inc: IncidenceSpec) -> None:
+    """DomainError where k^2 is subnormal or 0: beta_0 would lose digits or read 0."""
+    if abs(inc.k) < _K_MIN:
+        raise DomainError(f"k^2 underflows double precision at k = {inc.k:.6g}; "
+                          f"|k| must be at least {_K_MIN:.3g}")
+
+
 def _beta_squared(n, inc: IncidenceSpec) -> complex:
+    _require_normal_k2(inc)
     nv = np.asarray(n, dtype=float)
     k = inc.k
     if inc.angle_derived or k.imag != 0.0:
@@ -178,6 +190,7 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")  # `assemble` refuses the overflow
 def _beta_squared_array(modes: np.ndarray, inc: IncidenceSpec) -> np.ndarray:
     """`_beta_squared` for every row of the (n, 2) float array `modes`."""
+    _require_normal_k2(inc)
     k = inc.k
     if inc.angle_derived or k.imag != 0.0:
         return (k * k * inc.cos2_theta1 - (2.0 * k) * _row_dot(modes, inc.tilde_theta)

@@ -456,6 +456,21 @@ def test_overflowing_beta_squared_prints_no_numpy_warning(tmp_path, capsys):
     assert err[1].startswith("error: beta_n^2 overflows double precision")
 
 
+@pytest.mark.parametrize("k", ["1e-160", "1e-200"])
+@pytest.mark.parametrize("command", ["solve", "modes", "lap"])
+def test_underflowing_k_squared_exits_3_with_one_line_error(tmp_path, capsys, command, k):
+    # k^2 is subnormal or 0: refused before any beta_n, not a silent cut-off
+    cfg = write_cfg(tmp_path, EXTREME_H_CONFIG)
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), "--out", str(out),
+               "--override", f"incidence.k={k}"])
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: k^2 underflows double precision at k = {k}")
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command", ["solve", "modes", "lap"])
 def test_overflowing_medium_term_exits_3_with_one_line_error(tmp_path, capsys, command):
     # k^2 = 1e10 and every beta_n^2 are finite, k^2 (q - 1) is not

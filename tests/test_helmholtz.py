@@ -89,9 +89,10 @@ class TestAssemble:
 
     @pytest.mark.parametrize("scheme", [q.CHEBYSHEV, q.FINITE_DIFFERENCE])
     def test_vanishing_profiles_take_no_coupling_mass(self, monkeypatch, scheme):
-        # the constant medium: only d = 0 takes a mass, C_0 of qhat_0 - 1 (the
-        # diagonal); the (4N+1)^2 - 1 vanishing profiles take none and fill
-        # their blocks with +0.0
+        # masses are built per depth cell that holds a quadrature node, none per
+        # difference d: four for the constant 8 x 8 x 4 medium, whose
+        # (4N+1)^2 - 1 vanishing profiles fill their blocks with +0.0, and one
+        # for the depth-invariant inclusion
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.0, 1.0)
         disc = q.Discretization(N=1, M=12, depth_scheme=scheme)
         calls = []
@@ -103,12 +104,12 @@ class TestAssemble:
 
         monkeypatch.setattr(q.helmholtz.DepthGrid, "weighted_mass", counting)
         G = dense(q.assemble(inc, q.MediumModel.sampled(np.full((8, 8, 4), 2.0), 1.0), disc))
-        assert len(calls) == 1
+        assert len(calls) == 4
         off = G.reshape(9, 12, 9, 12).swapaxes(1, 2)[~np.eye(9, dtype=bool)]
         assert not np.any(off) and not np.signbit(off.view(float)).any()
         calls.clear()
         q.assemble(inc, inclusion_medium(), disc)  # no vanishing profile
-        assert len(calls) == (4 * disc.N + 1) ** 2  # c0 and every d != 0
+        assert len(calls) == 1  # its one depth cell serves c0 and every d != 0
 
     def test_zero_order_block_matches_transfer_matrix_problem(self):
         # N=0 discrete solve converges to the analytic 1-d oracle
@@ -198,14 +199,16 @@ class TestCoupledMedium:
         grid, M, k = self.space.grid, self.M, self.inc.k
         slices = [self.med.fourier_profiles([z], 2 * self.N) for z in grid.quad_x]
         G = dense(q.assemble(self.inc, self.med, self.disc))
+        got, want = [], []
         for i, n in enumerate(self.space.modes):
             for j, m in enumerate(self.space.modes):
                 if i == j:
                     continue
                 d = (n[0] - m[0], n[1] - m[1])
                 qhat = np.array([s[d][0] for s in slices])
-                want = -k * k * grid.weighted_mass(qhat)
-                assert np.array_equal(G[i * M:(i + 1) * M, j * M:(j + 1) * M], want)
+                want.append(-k * k * grid.weighted_mass(qhat))
+                got.append(G[i * M:(i + 1) * M, j * M:(j + 1) * M])
+        assert relative_error(np.array(got), np.array(want)) <= 1e-14
 
     def test_eps_derivative_matches_finite_difference(self):
         A0 = dense(q.assemble(self.inc, self.med, self.disc))
@@ -424,7 +427,8 @@ class TestCouplingComponents:
         assert comps.shape == (5, 5)
         assert [set(modes[c, 1]) for c in comps] == [{-2}, {-1}, {0}, {1}, {2}]
         # lamellar couplings vanish exactly: every live difference has d2 = 0
-        diffs = q.helmholtz._medium_profiles(med, op.space).diffs
+        n, m = np.nonzero(op.table.toeplitz.any(axis=0))
+        diffs = {tuple(d) for d in modes[n] - modes[m]}
         assert {d[1] for d in diffs} == {0} and len(diffs) > 1
 
     @pytest.mark.parametrize("M", [16, 15])
@@ -1045,8 +1049,7 @@ class TestCouplingTable:
         # qhat_0 sits in the diagonal c0; the coupling sum has no term
         space = q.FieldSpace(q.Discretization(N=1, M=16), 1.0)
         table = q.helmholtz._medium_profiles(medium(), space)
-        assert table.diffs == []
-        assert table.masses.shape == (1, 16, 16) and not table.masses.any()
+        assert table.toeplitz.shape == (1, 9, 9) and not table.toeplitz.any()
         u = space.zeros() + 1.0
         assert np.array_equal(table.couple(u), space.zeros())
 
@@ -1103,10 +1106,19 @@ def sampled_stack_medium(h=1.0):
     return q.MediumModel.sampled(sampled_stack(), h)
 
 
+def reference_masses(medium, space):
+    """C_d = int qhat_d l_i l_j for every |d|_inf <= 2N, by `DepthGrid.weighted_mass`
+    of the profile qhat_d at the grid's quadrature depths; C_0 of qhat_0 - 1."""
+    grid, N = space.grid, space.disc.N
+    profiles = medium.fourier_profiles(grid.quad_x, 2 * N)
+    profiles[(0, 0)] = profiles[(0, 0)] - 1.0
+    return {d: grid.weighted_mass(p) for d, p in profiles.items()}
+
+
 def filled_matrix(inc, medium, space, derivative=False):
     """The operator, or its eps-derivative, filled here mode pair by mode pair
-    from the table masses."""
-    table = q.helmholtz._medium_profiles(medium, space)
+    from the reference masses (`reference_masses`)."""
+    C = reference_masses(medium, space)
     grid, M = space.grid, space.M
     scale = 2j * inc.k.real if derivative else inc.k * inc.k
     nm = len(space.modes)
@@ -1119,13 +1131,12 @@ def filled_matrix(inc, medium, space, derivative=False):
         else:
             b = q.beta(n, inc)
             volume = grid.stiffness - b * b * grid.mass
-        G[i, :, i] = volume - scale * table.c0
+        G[i, :, i] = volume - scale * C[(0, 0)]
         G[i, 0, i, 0] -= 1j * b
         G[i, -1, i, -1] -= 1j * b
         for j, m in enumerate(space.modes):
-            d = (n[0] - m[0], n[1] - m[1])
-            if i != j and d in table.diffs:
-                G[i, :, j] = 0.0 - scale * table.masses[table.diffs.index(d)]
+            if i != j:
+                G[i, :, j] = 0.0 - scale * C[(n[0] - m[0], n[1] - m[1])]
     return G.reshape(space.size, -1)
 
 
@@ -1174,9 +1185,11 @@ class TestGroupStorage:
         assert op.dense is None and not op.block_diagonal
         assert op.groups.shape == (groups, nm // groups)
         got, want = dense(op), filled_matrix(inc, med, op.space)
+        # a vanishing coupling block is exactly zero
         off = ~np.eye(nm, dtype=bool)
-        assert np.array_equal(got.reshape(nm, M, nm, M).swapaxes(1, 2)[off],
-                              want.reshape(nm, M, nm, M).swapaxes(1, 2)[off])
+        blocks = [G.reshape(nm, M, nm, M).swapaxes(1, 2)[off].any(axis=(1, 2))
+                  for G in (got, want)]
+        assert np.array_equal(*blocks)
         assert relative_error(got, want) <= 1e-14
 
     @pytest.mark.parametrize("derivative", [False, True], ids=["A", "dA"])
@@ -1228,9 +1241,15 @@ def slab_stack_medium(h=1.0):
     return q.MediumModel.slab_stack(STACK_LAYERS, h)
 
 
+def mirrored_stack_medium(h=1.0):
+    """Four depth cells mirrored about x3 = 0, two of sampled_stack's each twice:
+    the mirror cells' defects cancel, and the table still splits by parity (K = 2)."""
+    return q.MediumModel.sampled(sampled_stack()[:, :, [0, 1, 1, 0]], h)
+
+
 STACK_CASES = GROUP_CASES + [(coupled_medium, 2, 16, 1), (homogeneous_medium, 2, 16, 25),
-                             (slab_stack_medium, 2, 16, 25)]
-STACK_IDS = GROUP_IDS + ["coupled", "homogeneous", "slab_stack"]
+                             (slab_stack_medium, 2, 16, 25), (mirrored_stack_medium, 2, 16, 1)]
+STACK_IDS = GROUP_IDS + ["coupled", "homogeneous", "slab_stack", "mirrored_stack"]
 #: A at real and complex k, and A'(0), which is defined at real k only
 OPERATOR_KINDS = [(1.3, False), (1.3 + 0.05j, False), (1.3, True)]
 OPERATOR_KIND_IDS = ["A", "A_complex_k", "dA"]
@@ -1395,6 +1414,76 @@ class TestCoupledStack:
         assert all(op.dense is None and op.table is ops[0].table for op in ops)
 
 
+def many_cell_medium(mirrored=False):
+    """8 x 8 x 32 random cells, more depth cells than an M = 8 grid has nodes;
+    `mirrored` averages the cells with their mirror images about x3 = 0."""
+    v = 1.5 + 0.5 * np.random.default_rng(5).random((8, 8, 32))
+    return q.MediumModel.sampled(0.5 * (v + v[:, :, ::-1]) if mirrored else v, 1.0)
+
+
+def close(got, want, tol=1e-14):
+    """||got - want|| <= tol ||want||, in Frobenius norm (both may be zero)."""
+    return np.linalg.norm((got - want).ravel()) <= tol * np.linalg.norm(want.ravel())
+
+
+class TestCellCoupling:
+    """The table's coupling as sum_c Q_c (x) M_c over the depth cells that hold a node."""
+
+    @pytest.mark.parametrize("scheme", [q.CHEBYSHEV, q.FINITE_DIFFERENCE])
+    @pytest.mark.parametrize("M", [12, 16, 17])
+    @pytest.mark.parametrize("medium", [inclusion_medium, sampled_stack_medium,
+                                        slab_stack_medium],
+                             ids=["inclusion", "sampled_stack", "slab_stack"])
+    def test_cell_sum_is_the_per_difference_mass(self, medium, M, scheme):
+        med, N = medium(), 2
+        space = q.FieldSpace(q.Discretization(N=N, M=M, depth_scheme=scheme), 1.0)
+        table = q.helmholtz._medium_profiles(med, space)
+        cells, coef = med.cell_coefficients(space.grid.quad_x, 2 * N)
+        qhat = coef[np.unique(cells)]
+        qhat[:, 2 * N, 2 * N] -= 1.0
+        want = reference_masses(med, space)
+        for (d1, d2), C in want.items():
+            got = np.tensordot(qhat[:, d1 + 2 * N, d2 + 2 * N], table.cell_masses, axes=1)
+            assert close(got, C)
+        assert close(table.c0, want[(0, 0)])
+        # the coupling sum, both ways, against the dense sum of those masses
+        nm = len(space.modes)
+        dense_sum = np.zeros((nm, M, nm, M), dtype=complex)
+        for i, n in enumerate(space.modes):
+            for j, m in enumerate(space.modes):
+                if i != j:
+                    dense_sum[i, :, j] = want[(n[0] - m[0], n[1] - m[1])]
+        dense_sum = dense_sum.reshape(space.size, -1)
+        rng = np.random.default_rng(29)
+        u = rng.standard_normal((nm, M)) + 1j * rng.standard_normal((nm, M))
+        assert close(table.couple(u), (dense_sum @ u.ravel()).reshape(nm, M))
+        assert close(table.couple(u, adjoint=True),
+                     (dense_sum.conj().T @ u.ravel()).reshape(nm, M))
+
+    @pytest.mark.parametrize("mirrored, K", [(False, 1), (True, 2)],
+                             ids=["random", "mirrored"])
+    def test_more_cells_than_nodes(self, mirrored, K):
+        # FD at M = 8: eight of the 32 cells hold a node, and only those take a
+        # mass; groups, parity and the actions are the per-difference operator's
+        med = many_cell_medium(mirrored)
+        disc = q.Discretization(N=1, M=8, depth_scheme=q.FINITE_DIFFERENCE)
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        op = q.assemble(inc, med, disc)
+        space, table = op.space, op.table
+        assert len(table.cell_masses) == 8
+        G = filled_matrix(inc, med, space)
+        nm = len(space.modes)
+        assert table.groups.tolist() == matrix_components(G, nm, 8) == [list(range(nm))]
+        G4 = G.reshape(nm, 8, nm, 8)
+        cross = np.linalg.norm(G4 - G4[:, ::-1, :, ::-1]) ** 2 / 4
+        assert (cross <= q.helmholtz._SPLIT_TOL ** 2 * np.linalg.norm(G) ** 2) == (K == 2)
+        assert op.stack.shape == (K, nm * 8 // K, nm * 8 // K)
+        rng = np.random.default_rng(31)
+        u = rng.standard_normal((nm, 8)) + 1j * rng.standard_normal((nm, 8))
+        assert close(op.apply(u), (G @ u.ravel()).reshape(nm, 8))
+        assert close(op.apply_adjoint(u), (G.conj().T @ u.ravel()).reshape(nm, 8))
+
+
 class TestCouplingGroups:
     """The table's mode groups, decided once per (medium, space) and exact."""
 
@@ -1418,12 +1507,16 @@ class TestCouplingGroups:
         # only these d live, exactly: nine diagonal components of 1 to 5 modes (a
         # one-sided coupling, as an absorbing medium may have, links both ways)
         med = diagonal_medium()
-        profiles = med.fourier_profiles
+        coefficients = med.cell_coefficients
 
         def diagonal_only(depths, order):
-            return {d: p if d in live else 0 * p for d, p in profiles(depths, order).items()}
+            cells, coef = coefficients(depths, order)
+            kept = np.zeros_like(coef)
+            for d1, d2 in live:
+                kept[:, d1 + order, d2 + order] = coef[:, d1 + order, d2 + order]
+            return cells, kept
 
-        monkeypatch.setattr(med, "fourier_profiles", diagonal_only)
+        monkeypatch.setattr(med, "cell_coefficients", diagonal_only)
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
         space = q.FieldSpace(q.Discretization(N=2, M=16), 1.0)
         comps = matrix_components(filled_matrix(inc, med, space), 25, 16)
@@ -1452,13 +1545,13 @@ class TestStructuralInvariants:
         # the weak radiation closure enforces v' = +-i beta v at the traces
         # (and the inhomogeneous variant at the driven order)
         inc, v, _ = solve_slab(2.0, 1.0, 0.3, 48, N=1)
-        g = v.space.grid
+        D = q.helmholtz._cheb_nodes_diff(v.space.M, v.space.h)[1]  # differentiation
         k, ct = 1.0, np.cos(0.3)
         for n in v.space.modes:
             prof = v.profile(n)
             b = q.beta(n, inc)
-            top = (g.diff @ prof)[-1] - 1j * b * prof[-1]
-            bot = (g.diff @ prof)[0] + 1j * b * prof[0]
+            top = (D @ prof)[-1] - 1j * b * prof[-1]
+            bot = (D @ prof)[0] + 1j * b * prof[0]
             drive = -2j * k * ct * np.exp(-1j * k * ct) if n == (0, 0) else 0.0
             assert abs(top - drive) < 1e-7
             assert abs(bot) < 1e-7

@@ -121,6 +121,35 @@ class TestIncidenceSpec:
                 q.assemble(inc, q.MediumModel.homogeneous(2.0, 1.0),
                            q.Discretization(N=1, M=16))
 
+    @pytest.mark.parametrize("make", [
+        lambda k: q.IncidenceSpec.from_angles(k, 0.3, 0.0, 1.0),
+        lambda k: q.IncidenceSpec.from_alpha(k, (0.0, 0.0), 1.0),
+        lambda k: q.IncidenceSpec.from_angles(complex(k, k), 0.3, 0.0, 1.0),
+    ], ids=["angles", "alpha", "complex_k"])
+    @pytest.mark.parametrize("k", [1e-160, 1e-200])
+    def test_underflowing_k_squared_is_one_domain_error(self, k, make):
+        # k^2 subnormal (1e-160: beta_0 7e-5 off k cos t1) or 0 (1e-200: a
+        # silent cut-off): refused wherever beta_n^2 is formed
+        inc = make(k)
+        med, disc = q.MediumModel.homogeneous(2.0, 1.0), q.Discretization(N=1, M=16)
+        calls = [lambda: q.beta((0, 0), inc), lambda: q.beta_table(inc, 1),
+                 lambda: q.assemble(inc, med, disc)]
+        if inc.k.imag == 0:
+            calls.append(lambda: q.assemble_eps_derivative(inc, med, disc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(q.DomainError, match=r"k\^2 underflows double precision"):
+                    call()
+
+    def test_smallest_normal_k_squared_keeps_beta(self):
+        k = q.qpcore._K_MIN
+        assert k * k >= np.finfo(float).tiny > np.nextafter(k, 0) ** 2
+        inc = q.IncidenceSpec.from_angles(k, 0.3, 0.0, 1.0)
+        assert q.beta((0, 0), inc) == pytest.approx(k * np.cos(0.3), rel=1e-15)
+        with pytest.raises(q.DomainError):
+            q.beta((0, 0), inc.with_k(np.nextafter(k, 0)))
+
     def test_direct_alpha_complex_k_uses_fixed_tilde_theta(self):
         inc = q.IncidenceSpec.from_alpha(2.0, (0.5, -0.2), 1.0)
         inc_e = inc.with_k(2.0 + 0.01j)
