@@ -16,7 +16,7 @@ import importlib
 
 from .errors import (AliasError, ConfigError, ConstraintSingular, CutoffViolation,
                      CutProximity, DomainError, NearSingular, NonEvanescentMode,
-                     OperatorTooLarge, OutOfLayer, QpscatError, SolveFailed,
+                     OperatorTooLarge, QpscatError, SolveFailed,
                      ThresholdAmbiguity, UnsupportedMedium, WrongSide)
 from .qpcore import (IncidenceSpec, ModeClassification, beta, beta_table,
                      branch_sqrt, classify_modes, d_beta_d_eps, dtn_symbol,

@@ -17,10 +17,6 @@ class CutoffViolation(QpscatError):
         self.flagged = list(flagged) if flagged is not None else []
 
 
-class OutOfLayer(QpscatError):
-    """Depth coordinate outside the inhomogeneous layer."""
-
-
 class WrongSide(QpscatError):
     """Evaluation point on the wrong side of the layer for the requested expansion."""
 

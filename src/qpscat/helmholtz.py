@@ -127,26 +127,6 @@ def _cheb_nodes_diff(M: int, h: float):
     return h * x[::-1], D[::-1, ::-1] / h
 
 
-def _clencurt(M: int, h: float):
-    """Clenshaw-Curtis weights on the M Chebyshev-Lobatto points, ascending."""
-    n = M - 1
-    theta = np.pi * np.arange(M) / n
-    w = np.zeros(M)
-    ii = np.arange(1, n)
-    v = np.ones(n - 1)
-    if n % 2 == 0:
-        w[0] = w[n] = 1.0 / (n * n - 1)
-        for m in range(1, n // 2):
-            v -= 2.0 * np.cos(2 * m * theta[ii]) / (4 * m * m - 1)
-        v -= np.cos(n * theta[ii]) / (n * n - 1)
-    else:
-        w[0] = w[n] = 1.0 / (n * n)
-        for m in range(1, (n - 1) // 2 + 1):
-            v -= 2.0 * np.cos(2 * m * theta[ii]) / (4 * m * m - 1)
-    w[ii] = 2.0 * v / n
-    return h * w[::-1]
-
-
 def _cheb_bary_weights(M: int) -> np.ndarray:
     wb = np.ones(M)
     wb[0] = wb[-1] = 0.5
@@ -157,28 +137,23 @@ def _cheb_bary_weights(M: int) -> np.ndarray:
 class DepthGrid:
     """Nodal basis in depth with exact (or scheme-consistent) Galerkin matrices.
 
-    Exposes nodes, stiffness K = int l_i' l_j', mass = int l_i l_j,
-    quadrature data for profile-weighted mass matrices (`weighted_mass`),
-    and barycentric/linear interpolation.
+    Exposes the nodes, stiffness K = int l_i' l_j', mass = int l_i l_j, the
+    mass of each depth cell between given breaks (`cell_masses`), and
+    barycentric/linear interpolation.  The Chebyshev matrices are integrated
+    by M-point Gauss-Legendre, exact for their degrees 2M - 2 and 2M - 4;
+    the mass is the cell mass of the whole layer.
     """
 
     def __init__(self, disc: Discretization, h: float):
         self.scheme = disc.depth_scheme
-        self.M = disc.M
+        self.M = M = disc.M
         self.h = float(h)
-        M = disc.M
         if self.scheme == CHEBYSHEV:
             self.nodes, D = _cheb_nodes_diff(M, h)
             self._bary = _cheb_bary_weights(M)
-            Q = 2 * M
-            self.quad_x, _ = _cheb_nodes_diff(Q, h)
-            self.quad_w = _clencurt(Q, h)
-            E = self._interp_matrix(self.quad_x)
-            self.quad_interp = E
-            mass = E.T @ (self.quad_w[:, None] * E)
-            self.mass = 0.5 * (mass + mass.T)
-            ED = E @ D
-            stiff = ED.T @ (self.quad_w[:, None] * ED)
+            t, w = np.polynomial.legendre.leggauss(M)
+            ED = self._interp_matrix(h * t) @ D
+            stiff = ED.T @ (h * w[:, None] * ED)
             self.stiffness = 0.5 * (stiff + stiff.T)
         else:
             self.nodes = np.linspace(-h, h, M)
@@ -190,49 +165,48 @@ class DepthGrid:
             np.add.at(K, (idx, idx + 1), -1.0 / d)
             np.add.at(K, (idx + 1, idx), -1.0 / d)
             self.stiffness = K
-            self.mass = self._fd_weighted_mass(np.ones(M)).real
-            self.quad_x = self.nodes
-            w = np.full(M, d)
-            w[0] = w[-1] = d / 2
-            self.quad_w = w
-            self.quad_interp = np.eye(M)
+        self.mass = self.cell_masses(np.array([-self.h, self.h]))[0]
 
-    def _fd_weighted_mass(self, profile_at_nodes: np.ndarray) -> np.ndarray:
-        """Per-element blended mass with a piecewise-constant profile."""
+    def cell_masses(self, breaks: np.ndarray) -> np.ndarray:
+        """The exact mass M_c of each cell between ascending breaks, (L, M, M).
+
+        Chebyshev: int_c l_i l_j by M-point Gauss-Legendre inside the cell.
+        Finite differences: the blended P1 element mass (FD_MASS_BLEND) of
+        each element, times the fraction of the element inside the cell.
+        Over cells that tile [-h, h] the masses sum to `mass`.  Each M_c is
+        real symmetric.
+        """
+        a, b = breaks[:-1, None], breaks[1:, None]
         M = self.M
-        d = self.nodes[1] - self.nodes[0]
-        th = FD_MASS_BLEND
-        diag_c, off_c = d / 3.0, d / 6.0       # consistent element mass
-        diag_l = d / 2.0                       # lumped element mass
-        out = np.zeros((M, M), dtype=complex)
-        pe = 0.5 * (profile_at_nodes[:-1] + profile_at_nodes[1:])
-        dg = th * diag_c + (1 - th) * diag_l
-        off = th * off_c
-        idx = np.arange(M - 1)
-        np.add.at(out, (idx, idx), pe * dg)
-        np.add.at(out, (idx + 1, idx + 1), pe * dg)
-        np.add.at(out, (idx, idx + 1), pe * off)
-        np.add.at(out, (idx + 1, idx), pe * off)
-        return out
-
-    def weighted_mass(self, profile_at_quad: np.ndarray) -> np.ndarray:
-        """Matrix of int p(x3) l_i(x3) l_j(x3) dx3 for p given at the quadrature nodes."""
-        if self.scheme == FINITE_DIFFERENCE:
-            return self._fd_weighted_mass(np.asarray(profile_at_quad))
-        E = self.quad_interp
-        return E.T.astype(complex) @ ((self.quad_w * profile_at_quad)[:, None] * E)
+        if self.scheme == CHEBYSHEV:
+            t, w = np.polynomial.legendre.leggauss(M)
+            half = 0.5 * (b - a)
+            E = self._interp_matrix((0.5 * (a + b) + half * t).ravel()).reshape(-1, M, M)
+            out = E.swapaxes(1, 2) @ ((half * w)[..., None] * E)
+        else:
+            x = self.nodes
+            d = x[1] - x[0]
+            inside = np.minimum(b, x[1:]) - np.maximum(a, x[:-1])
+            frac = np.maximum(inside, 0.0) / (x[1:] - x[:-1])  # (L, M - 1)
+            th = FD_MASS_BLEND
+            diag = th * (d / 3.0) + (1 - th) * (d / 2.0)  # consistent and lumped
+            e = np.arange(M - 1)
+            out = np.zeros((len(frac), M, M))
+            out[:, e, e] = frac * diag
+            out[:, e + 1, e + 1] += frac * diag
+            out[:, e, e + 1] = out[:, e + 1, e] = frac * (th * (d / 6.0))
+        return 0.5 * (out + out.swapaxes(1, 2))
 
     def _interp_matrix(self, pts: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(pts), self.M))
-        x = self.nodes
-        for a, xx in enumerate(pts):
-            diff = xx - x
-            hit = np.flatnonzero(np.abs(diff) < 1e-13 * max(self.h, 1.0))
-            if hit.size:
-                out[a, hit[0]] = 1.0
-            else:
-                t = self._bary / diff
-                out[a] = t / t.sum()
+        """Rows of the barycentric interpolant at each point: a point within
+        1e-13 h of a node takes that node's value.  Distances are taken in
+        units of h, so no weight overflows at any h."""
+        diff = (pts[:, None] - self.nodes) / self.h
+        hit = np.abs(diff) < 1e-13
+        t = self._bary / np.where(hit, 1.0, diff)
+        out = t / t.sum(axis=1, keepdims=True)
+        on = hit.any(axis=1)
+        out[on] = np.arange(self.M) == hit[on].argmax(axis=1)[:, None]
         return out
 
     def interpolate(self, values: np.ndarray, x3: float) -> np.ndarray:
@@ -560,21 +534,27 @@ def _block_diag(blocks: np.ndarray) -> np.ndarray:
 
 
 def _check_operator_bytes(medium: MediumModel, disc: Discretization) -> None:
-    """Raise OperatorTooLarge if the operators cannot fit in physical memory.
+    """Raise OperatorTooLarge if a run's arrays cannot fit in physical memory.
 
-    Counts the peak of a run that holds two operators at once (A and A'
-    in a constrained solve), each with its raw diagonal blocks, (2N+1)^2
-    blocks of M^2 complex entries, and its whitened stack, at its largest
-    when K = 1 (the layout is not known yet): as many entries as the
-    diagonal blocks for a block-diagonal operator, at most unknowns^2 for
-    a coupled one.  A coupled medium's table adds its whitened coupling,
-    the size of a stack.  Checked before anything is allocated, the
-    coupling table included.
+    Counts the space's real factors W and W_isqrt, modes M^2 entries each,
+    and for even M its parity blocks S, half as many; then the peak of a
+    run that holds two operators at once (A and A' in a constrained
+    solve), each with its raw diagonal blocks, (2N+1)^2 blocks of M^2
+    complex entries, and its whitened stack, at its largest when K = 1
+    (the layout is not known yet): as many entries as the diagonal blocks
+    for a block-diagonal operator, at most unknowns^2 for a coupled one.
+    A coupled medium's table adds its whitened coupling, the size of a
+    stack, and its Toeplitz matrices, modes^2 complex entries per depth
+    cell.  Checked before anything is allocated, the space included.
     """
-    blocks = (2 * disc.N + 1) ** 2 * disc.M ** 2
-    stack = blocks if medium.transversely_uniform else disc.unknowns ** 2
-    coupling = 0 if medium.transversely_uniform else stack
-    _require_memory(16 * (coupling + 2 * (blocks + stack)),
+    modes = (2 * disc.N + 1) ** 2
+    blocks = modes * disc.M ** 2
+    space = 8 * (2 * blocks + (blocks // 2 if disc.M % 2 == 0 else 0))
+    stack, table = blocks, 0
+    if not medium.transversely_uniform:
+        stack = disc.unknowns ** 2
+        table = stack + (len(medium.breaks) - 1) * modes ** 2
+    _require_memory(space + 16 * (table + 2 * (blocks + stack)),
                     f"operator with {disc.unknowns} unknowns (N={disc.N}, M={disc.M})",
                     "lower N or M")
 
@@ -618,13 +598,16 @@ class _CouplingTable:
     """What assembly takes from a medium on one FieldSpace, independent of k.
 
     Every medium is piecewise constant in depth, so its coupling is
-    sum_c Q_c (x) M_c over the depth cells c that hold a quadrature node:
-    `cell_masses` (C, M, M) stacks the real symmetric M_c = int_c l_i l_j
-    (`DepthGrid.weighted_mass` of the cell's indicator), `toeplitz`
-    (C, modes, modes) the Toeplitz matrices Q_c[n, m] = qhat^(c)_{n-m} off
-    the diagonal (zero for a transversely uniform medium).  Block (n, m)
-    is C_{n-m} = sum_c qhat^(c)_{n-m} M_c, and `c0` = sum_c (qhat^(c)_0 - 1)
-    M_c the diagonal coupling (the background sits in the volume term).
+    sum_c Q_c (x) M_c over the C depth cells between its breaks
+    (`MediumModel.breaks`): `cell_masses` (C, M, M) stacks the real
+    symmetric exact cell masses M_c (`DepthGrid.cell_masses`), and `c0` =
+    sum_c (qhat^(c)_0 - 1) M_c is the diagonal coupling (the background
+    sits in the volume term).  When some off-diagonal coefficient
+    qhat^(c)_d, d != 0, is nonzero, `toeplitz` (C, modes, modes) holds the
+    Toeplitz matrices Q_c[n, m] = qhat^(c)_{n-m} off the diagonal, and
+    block (n, m) is C_{n-m} = sum_c qhat^(c)_{n-m} M_c.  Otherwise, as for
+    every transversely uniform medium, it is None, and the table holds no
+    array of modes^2 entries.
 
     The table also fixes, once, the layout of the whitened stack of the
     medium's operators (`DiscreteOperator.stack`), and holds a coupled
@@ -639,8 +622,8 @@ class _CouplingTable:
       is nonzero, rows ordered by their first mode, modes ascending, when
       there are several components, all of one size; otherwise one group
       of every mode.  No coupling runs between groups, so the split is
-      exact.  A transversely uniform medium has no nonzero Q_c, so its
-      groups are single modes.  `place` gives each mode's (group, slot).
+      exact.  Without a Toeplitz the groups are single modes.  `place`
+      gives each mode's (group, slot).
     - `parity` is space.parity when every k-independent piece of the
       operator is mirror-symmetric in depth to _SPLIT_TOL in Frobenius norm
       (`_mirror_symmetric`): the couplings C_{n-m} of every mode pair
@@ -653,7 +636,8 @@ class _CouplingTable:
       transversely varying medium: block (n, m) is -C_{n-m} off the
       diagonal and zero in the diagonal mode slots.  It is built one raw
       row slot at a time by `_whitened_blocks`, so no full raw matrix is
-      allocated.  A transversely uniform medium has none (None).
+      allocated (all zero without a Toeplitz).  A transversely uniform
+      medium has none (None).
     - `maps` are the (to, back) maps of the layout: to(b) is b @ P (parity
       only), then S per class and mode, then a gather of each group's
       modes; back(z) is its transpose.
@@ -663,25 +647,26 @@ class _CouplingTable:
 
     def __init__(self, medium: MediumModel, space: FieldSpace):
         grid, N = space.grid, space.disc.N
-        uniform = medium.transversely_uniform
-        at, coef = medium.cell_coefficients(grid.quad_x, 2 * N)
-        held = np.flatnonzero(np.bincount(at))
-        masses = np.array([grid.weighted_mass(1.0 * (at == c)).real for c in held])
-        self.cell_masses = 0.5 * (masses + masses.swapaxes(1, 2))
-        a = coef[held, 2 * N, 2 * N] - 1.0
+        coef = medium.cell_coefficients(2 * N)
+        self.cell_masses = grid.cell_masses(medium.breaks)
+        a = coef[:, 2 * N, 2 * N] - 1.0
         self.c0 = np.tensordot(a, self.cell_masses, axes=1)
+        coef[:, 2 * N, 2 * N] = 0.0  # qhat_0 sits in c0
         nm = len(space.modes)
-        d = (space.mode_array[:, None] - space.mode_array[None]).astype(int) + 2 * N
-        self.toeplitz = coef[held][:, d[..., 0], d[..., 1]]  # (C, nm, nm)
-        self.toeplitz[:, np.arange(nm), np.arange(nm)] = 0.0  # qhat_0 sits in c0
-        link = self.toeplitz.any(axis=0)
-        link = link | link.T
-        label = np.arange(nm)
-        while True:  # every mode takes the least label among its neighbours
-            new = np.minimum(label, np.where(link, label, nm).min(axis=1))
-            if np.array_equal(new, label):
-                break
-            label = new
+        self.toeplitz, label = None, np.arange(nm)
+        weights = np.sqrt(nm) * a[None]  # c0's cell weights, once per mode
+        if coef.any():
+            d = (space.mode_array[:, None] - space.mode_array[None]).astype(int) + 2 * N
+            self.toeplitz = coef[:, d[..., 0], d[..., 1]]  # (C, nm, nm)
+            link = self.toeplitz.any(axis=0)
+            link = link | link.T
+            while True:  # every mode takes the least label among its neighbours
+                new = np.minimum(label, np.where(link, label, nm).min(axis=1))
+                if np.array_equal(new, label):
+                    break
+                label = new
+            # and one row of cell weights per mode pair (n, m)
+            weights = np.vstack([self.toeplitz.reshape(len(a), -1).T, weights])
         _, comp, sizes = np.unique(label, return_inverse=True, return_counts=True)
         self.groups = np.arange(nm)[None]
         if len(sizes) > 1 and np.all(sizes == sizes[0]):
@@ -690,11 +675,10 @@ class _CouplingTable:
         group, slot = np.empty(nm, dtype=int), np.empty(nm, dtype=int)
         group[self.groups], slot[self.groups] = np.arange(nc)[:, None], np.arange(c)
         self.place = group, slot
-        # one row of cell weights per mode pair (n, m), and c0's once per mode
-        weights = np.vstack([self.toeplitz.reshape(len(held), -1).T, np.sqrt(nm) * a])
         symmetric = _mirror_symmetric(self.cell_masses, weights) and all(
             _mirror_symmetric(X[None], np.ones((1, 1))) for X in (grid.stiffness, grid.mass))
         self.parity = space.parity if symmetric else None
+        uniform = medium.transversely_uniform
         self.coupling = None if uniform else \
             _whitened_blocks(space, self.groups, self.row, self.parity)
         self.maps = _stack_maps(space, self.groups, self.parity)
@@ -705,6 +689,9 @@ class _CouplingTable:
     def row(self, r: int) -> np.ndarray:
         """Raw row slot r of every group of the unit-scale coupling, (nc, M, c, M)."""
         g = self.groups
+        if self.toeplitz is None:
+            M = len(self.c0)
+            return np.zeros((len(g), M, g.shape[1], M), dtype=complex)
         q = self.toeplitz[:, g[:, r, None], g]  # (C, nc, c)
         return np.tensordot(-q, self.cell_masses, axes=(0, 0)).transpose(0, 2, 1, 3)
 
@@ -713,8 +700,10 @@ class _CouplingTable:
 
         u is a field (modes, M), or a stack of fields (..., modes, M): per
         cell, M_c on every mode's depth vector, then Q_c (or Q_c^H) across
-        the modes, summed over the cells.
+        the modes, summed over the cells; zero without a Toeplitz.
         """
+        if self.toeplitz is None:
+            return np.zeros(u.shape, dtype=complex)
         U = u[..., None, :, :] @ self.cell_masses  # M_c u_m, as M_c is symmetric
         if adjoint:
             return np.conj((self.toeplitz.swapaxes(1, 2) @ np.conj(U)).sum(axis=-3))

@@ -3,9 +3,12 @@
 Two kinds are supported: a stack of constant-index sublayers (a homogeneous
 layer is a stack of one), and a sampled grid on the equispaced lattice over
 (0,2pi)^2 x (-h,h).  The index is hard-coded to 1 outside |x3| < h; models
-are only ever queried inside the layer.  A sampled value fills its depth cell;
-transversely the coefficients are the samples' DFT, so the medium is their
-trigonometric interpolant, not their cells (ROADMAP item 16 changes this).
+are only ever queried inside the layer.  Every model is constant in depth
+between its breaks -h = z_0 < ... < z_L = h (`MediumModel.breaks`): a stack's
+layer bounds, or the n3 equal cells of a sampled grid, whose values fill their
+depth cells.  Transversely a cell's coefficients are its samples' DFT, so the
+medium is their trigonometric interpolant, not their cells (ROADMAP item 16
+changes this).
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfLayer, QpscatError
+from .errors import QpscatError
 from .qpcore import IncidenceSpec
 
 #: least Re q a medium may take; the index must stay bounded away from zero
@@ -41,7 +44,11 @@ class MediumModel:
 
     Use the constructors `homogeneous`, `slab_stack`, `sampled` or
     `load_sampled_medium`; q values must satisfy Re q >= 1e-6 and Im q >= 0
-    (lossless or absorbing).  The model is immutable: its attributes are
+    (lossless or absorbing).  `breaks` (L + 1,) are the depths
+    -h = z_0 < ... < z_L = h between which q is constant in depth: a stack's
+    layer bounds with the outer two set to -h and h, or h times
+    linspace(-1, 1, n3 + 1) for a sampled grid; cells of no width are
+    refused (ValueError).  The model is immutable: its attributes are
     read-only, and a sampled medium keeps its own read-only copy of the
     values it was given, so no later edit can bypass the checks or leave the
     coupling tables cached for it stale.
@@ -51,6 +58,7 @@ class MediumModel:
     h = property(operator.attrgetter("_h"))
     layers = property(operator.attrgetter("_layers"))
     values = property(operator.attrgetter("_values"))
+    breaks = property(operator.attrgetter("_breaks"))
 
     def __init__(self, kind, h, layers=None, values=None):
         if not h > 0 or not np.isfinite(h):
@@ -63,6 +71,15 @@ class MediumModel:
             values.flags.writeable = False
         self._values = values
         self._check_values()
+        if layers is not None:
+            inner = [a for a, _, _ in layers[1:]]
+        else:
+            inner = self._h * np.linspace(-1.0, 1.0, values.shape[2] + 1)[1:-1]
+        self._breaks = np.array([-self._h, *inner, self._h])
+        if not np.all(self._breaks[1:] > self._breaks[:-1]):
+            raise ValueError(f"depth cells must have positive width, got breaks "
+                             f"{self._breaks.tolist()}")
+        self._breaks.flags.writeable = False
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -118,34 +135,20 @@ class MediumModel:
     def transversely_uniform(self) -> bool:
         return self.kind == "slab_stack"
 
-    def cell_coefficients(self, depths, M: int) -> tuple[np.ndarray, np.ndarray]:
-        """(cells, coefficients): the depth cell (a layer, or one of the n3
-        equal cells of a sampled grid) of each depth, and q_hat_m of every
-        cell c for |m|_inf <= M at [c, m1 + M, m2 + M].  A sampled grid is
-        transformed once (one fft2 over the transverse axes of every cell).
+    def cell_coefficients(self, M: int) -> np.ndarray:
+        """q_hat_m of every depth cell c (between breaks c and c + 1) for
+        |m|_inf <= M at [c, m1 + M, m2 + M], (L, 2M + 1, 2M + 1).  A sampled
+        grid is transformed once (one fft2 over the transverse axes of every
+        cell).
         """
-        depths = np.asarray(depths, dtype=float)
-        if np.any(np.abs(depths) > self.h + 1e-12):
-            raise OutOfLayer(f"|x3| = {np.max(np.abs(depths)):g} exceeds h = {self.h:g}")
         m = np.arange(-M, M + 1)
         if self.kind == "sampled":
-            n1, n2, n3 = self.values.shape
-            cells = np.clip(np.floor((depths + self.h) / (2 * self.h / n3)).astype(int),
-                            0, n3 - 1)
+            n1, n2, _ = self.values.shape
             fh = np.fft.fft2(self.values, axes=(0, 1)) / (n1 * n2)
-            return cells, fh[(m % n1)[:, None], m % n2].transpose(2, 0, 1)
-        cells = np.array([next(i for i, (a, b, _) in enumerate(self.layers)
-                               if a - 1e-12 <= z <= b + 1e-12) for z in depths], dtype=int)
+            return fh[(m % n1)[:, None], m % n2].transpose(2, 0, 1)
         coefficients = np.zeros((len(self.layers), 2 * M + 1, 2 * M + 1), dtype=complex)
         coefficients[:, M, M] = [q for _, _, q in self.layers]
-        return cells, coefficients
-
-    def fourier_profiles(self, depths, M: int) -> dict[tuple[int, int], np.ndarray]:
-        """q_hat_m evaluated along an array of depths, for |m|_inf <= M: each
-        depth's cell's coefficients (`cell_coefficients`)."""
-        cells, coefficients = self.cell_coefficients(depths, M)
-        return {(m1, m2): coefficients[cells, m1 + M, m2 + M]
-                for m1 in range(-M, M + 1) for m2 in range(-M, M + 1)}
+        return coefficients
 
     def transverse_resolution(self) -> tuple[int, int] | None:
         if self.kind == "sampled":

@@ -1,6 +1,7 @@
 """Batch front-end: config parsing, command dispatch, reports, exit codes."""
 import json
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -646,6 +647,30 @@ def test_oversized_operator_exits_3_with_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ") and "physical memory" in err[0]
+
+
+def test_operator_and_space_beyond_memory_exit_3_before_the_space(tmp_path, capsys,
+                                                                   monkeypatch):
+    # N = 300, M = 16 on a homogeneous layer with 6 GiB of memory: its two
+    # operators take 5.5 GiB and its space's W, W_isqrt and S 1.7 GiB more;
+    # refused before the space is built, with nothing large allocated
+    def no_space(*args):
+        raise AssertionError("FieldSpace built")
+
+    monkeypatch.setattr(q.helmholtz.os, "sysconf", lambda name:
+                        4096 if name == "SC_PAGE_SIZE" else 6 * 2 ** 30 // 4096)
+    monkeypatch.setattr(q.helmholtz.FieldSpace, "__init__", no_space)
+    cfg = write_cfg(tmp_path, SLAB_SOLVE.replace("N = 0", "N = 300").replace("M = 32", "M = 16"))
+    tracemalloc.start()
+    try:
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3 and peak < 16e6
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "needs 7.234 GiB" in err[0]
 
 
 def test_sampled_file_h_mismatch_is_a_config_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Assembly, solve, Rayleigh extraction, lift: oracles and invariants."""
 import gc
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import qpscat as q
 from qpscat.modes import _canonical_phase
+from test_medium import depth_coefficients
 from test_reports_golden import sampled_stack
 
 K_EX = np.pi / (2 * np.sqrt(2))
@@ -89,27 +91,28 @@ class TestAssemble:
 
     @pytest.mark.parametrize("scheme", [q.CHEBYSHEV, q.FINITE_DIFFERENCE])
     def test_vanishing_profiles_take_no_coupling_mass(self, monkeypatch, scheme):
-        # masses are built per depth cell that holds a quadrature node, none per
-        # difference d: four for the constant 8 x 8 x 4 medium, whose
-        # (4N+1)^2 - 1 vanishing profiles fill their blocks with +0.0, and one
-        # for the depth-invariant inclusion
+        # masses are built per depth cell, none per difference d: four in one
+        # call for the constant 8 x 8 x 4 medium, whose (4N+1)^2 - 1 vanishing
+        # profiles fill their blocks with +0.0, and one for the depth-invariant
+        # inclusion
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.0, 1.0)
         disc = q.Discretization(N=1, M=12, depth_scheme=scheme)
+        disc.space(1.0)  # the grid's own mass is not counted
         calls = []
-        mass = q.helmholtz.DepthGrid.weighted_mass
+        masses = q.helmholtz.DepthGrid.cell_masses
 
-        def counting(grid, profile):
-            calls.append(profile)
-            return mass(grid, profile)
+        def counting(grid, breaks):
+            calls.append(len(breaks) - 1)
+            return masses(grid, breaks)
 
-        monkeypatch.setattr(q.helmholtz.DepthGrid, "weighted_mass", counting)
+        monkeypatch.setattr(q.helmholtz.DepthGrid, "cell_masses", counting)
         G = dense(q.assemble(inc, q.MediumModel.sampled(np.full((8, 8, 4), 2.0), 1.0), disc))
-        assert len(calls) == 4
+        assert calls == [4]
         off = G.reshape(9, 12, 9, 12).swapaxes(1, 2)[~np.eye(9, dtype=bool)]
         assert not np.any(off) and not np.signbit(off.view(float)).any()
         calls.clear()
         q.assemble(inc, inclusion_medium(), disc)  # no vanishing profile
-        assert len(calls) == 1  # its one depth cell serves c0 and every d != 0
+        assert calls == [1]  # its one depth cell serves c0 and every d != 0
 
     def test_zero_order_block_matches_transfer_matrix_problem(self):
         # N=0 discrete solve converges to the analytic 1-d oracle
@@ -196,17 +199,15 @@ class TestCoupledMedium:
         self.inc = q.IncidenceSpec.from_alpha(K_EX, ALPHA_EX, 1.0)
 
     def test_dense_blocks_are_fourier_coupling_masses(self):
-        grid, M, k = self.space.grid, self.M, self.inc.k
-        slices = [self.med.fourier_profiles([z], 2 * self.N) for z in grid.quad_x]
+        M, k = self.M, self.inc.k
+        C = reference_masses(self.med, self.space)
         G = dense(q.assemble(self.inc, self.med, self.disc))
         got, want = [], []
         for i, n in enumerate(self.space.modes):
             for j, m in enumerate(self.space.modes):
                 if i == j:
                     continue
-                d = (n[0] - m[0], n[1] - m[1])
-                qhat = np.array([s[d][0] for s in slices])
-                want.append(-k * k * grid.weighted_mass(qhat))
+                want.append(-k * k * C[(n[0] - m[0], n[1] - m[1])])
                 got.append(G[i * M:(i + 1) * M, j * M:(j + 1) * M])
         assert relative_error(np.array(got), np.array(want)) <= 1e-14
 
@@ -222,18 +223,15 @@ class TestCoupledMedium:
             assert errs[-1] <= 5 * delta
         assert 2.0 < errs[0] / errs[1] < 50.0  # first order
 
-    def test_fourier_profiles_match_per_depth_slices(self):
-        depths = self.space.grid.quad_x
+    def test_cell_coefficients_are_each_cells_dft(self):
+        coef = self.med.cell_coefficients(2 * self.N)
         vals = self.med.values
-        profs = self.med.fourier_profiles(depths, 2 * self.N)
-        assert sorted(profs) == sorted(q.mode_range(2 * self.N))
-        for a, z in enumerate(depths):
-            cell = min(int((z + 1.0) // (2.0 / 3)), 2)
-            fh = np.fft.fft2(vals[:, :, cell]) / vals[:, :, cell].size
-            fs = self.med.fourier_profiles([z], 2 * self.N)
-            for m, p in profs.items():
-                assert p[a] == fs[m][0]
-                assert p[a] == pytest.approx(fh[m[0] % 12, m[1] % 12], abs=1e-15)
+        assert self.med.breaks.tolist() == np.linspace(-1.0, 1.0, 4).tolist()
+        for c in range(3):
+            fh = np.fft.fft2(vals[:, :, c]) / vals[:, :, c].size
+            for m in q.mode_range(2 * self.N):
+                assert coef[c, m[0] + 2 * self.N, m[1] + 2 * self.N] == \
+                    pytest.approx(fh[m[0] % 12, m[1] % 12], abs=1e-15)
 
 
 def inclusion_medium(n=12, h=1.0):
@@ -553,15 +551,19 @@ class TestWhitenedBlocks:
 class TestOperatorSizeGuard:
     @pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "block_diagonal"])
     def test_guard_counts_the_stored_arrays(self, monkeypatch, coupled):
-        # two live operators, each its raw diagonal blocks ((2N+1)^2 blocks of
-        # 16 M^2 bytes) and its stack at K = 1 (16 unknowns^2 bytes when
-        # coupled, the size of the blocks otherwise), plus the table's
-        # whitened coupling when coupled
+        # the space's W and W_isqrt ((2N+1)^2 blocks of 8 M^2 bytes each) and
+        # its parity blocks S (half of one); two live operators, each its raw
+        # diagonal blocks ((2N+1)^2 blocks of 16 M^2 bytes) and its stack at
+        # K = 1 (16 unknowns^2 bytes when coupled, the size of the blocks
+        # otherwise), plus, when coupled, the table's whitened coupling and
+        # the Toeplitz matrix of its one depth cell (16 (2N+1)^4 bytes)
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
         disc = q.Discretization(N=1, M=8)
         med = inclusion_medium() if coupled else q.MediumModel.homogeneous(2.0, 1.0)
+        space = 8 * 9 * 8 ** 2 * 5 // 2
         blocks = 16 * 9 * 8 ** 2
-        need = 2 * blocks + 3 * 16 * 72 ** 2 if coupled else 4 * blocks
+        need = space + (2 * blocks + 3 * 16 * 72 ** 2 + 16 * 9 ** 2 if coupled
+                        else 4 * blocks)
         for have, fits in ((need - 1, False), (need, True)):
             monkeypatch.setattr(q.helmholtz.os, "sysconf", lambda name, have=have:
                                 1 if name == "SC_PAGE_SIZE" else have)
@@ -893,8 +895,69 @@ class TestFieldSpace:
                 disc.space(h)
         assert eigh == [] and disc._spaces == {}
 
+    @pytest.mark.parametrize("h", [1.0, 1e-300, 1e300])
+    def test_interpolation_rows_are_the_pointwise_barycentric_formula(self, h):
+        # one point at a time, distances in units of h; a node takes its own row
+        grid = q.helmholtz.DepthGrid(q.Discretization(N=0, M=17), h)
+        t = np.concatenate([np.linspace(-1.0, 1.0, 41), grid.nodes[[3, 8]] / h])
+        want = []
+        for x in h * t:
+            diff = (x - grid.nodes) / h
+            hit = np.flatnonzero(np.abs(diff) < 1e-13)
+            row = np.eye(17)[hit[0]] if hit.size else grid._bary / diff
+            want.append(row / row.sum())
+        assert np.max(np.abs(grid._interp_matrix(h * t) - want)) <= 1e-15
 
-STACK_LAYERS = ((-1.0, -0.3, 2.0), (-0.3, 0.45, 3.2), (0.45, 1.0, 1.4))
+
+STACK_LAYERS =((-1.0, -0.3, 2.0), (-0.3, 0.45, 3.2), (0.45, 1.0, 1.4))
+
+
+def stack_oracle(inc, layers):
+    """(u+, u-) of order (0, 0) through transversely uniform layers, by the
+    exact 2 x 2 transfer matrix of (u, u') from x3 = -h to x3 = h."""
+    k, h, a2 = inc.k.real, inc.h, float(inc.alpha_vec @ inc.alpha_vec)
+    b0 = np.sqrt(k * k - a2)
+    state = np.array([1.0, -1j * b0])  # the transmitted wave u- e^{-i b0 (x3 + h)}
+    for z0, z1, qc in layers:
+        g, d = np.sqrt(complex(k * k * qc - a2)), z1 - z0
+        state = np.array([[np.cos(g * d), np.sin(g * d) / g],
+                          [-g * np.sin(g * d), np.cos(g * d)]]) @ state
+    incident = np.exp(-1j * b0 * h)
+    um = -2j * b0 * incident / (state[1] - 1j * b0 * state[0])
+    return um * state[0] - incident, um
+
+
+class TestStackConvergence:
+    """The three-layer stack against its transfer matrix: every depth cell's
+    mass is exact, so the error is the depth scheme's own."""
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        rng = np.random.default_rng(0)
+        return [q.IncidenceSpec.from_angles(rng.uniform(0.5, 2.5), rng.uniform(0.0, 1.2),
+                                            rng.uniform(0.0, 2 * np.pi), 1.0)
+                for _ in range(20)]
+
+    @staticmethod
+    def worst_error(draws, M, scheme):
+        med, disc = slab_stack_medium(), q.Discretization(N=0, M=M, depth_scheme=scheme)
+        worst = 0.0
+        for inc in draws:
+            rd = q.rayleigh_data(q.solve(q.assemble(inc, med, disc), q.rhs(inc, disc)), inc)
+            up, um = stack_oracle(inc, STACK_LAYERS)
+            worst = max(worst, abs(rd.u_plus[(0, 0)] - up), abs(rd.u_minus[(0, 0)] - um))
+        return worst
+
+    def test_chebyshev_is_third_order(self, draws):
+        errs = [self.worst_error(draws, M, q.CHEBYSHEV) for M in (32, 64, 128)]
+        assert errs[0] <= 1e-4
+        assert errs[0] >= 6 * errs[1] and errs[1] >= 6 * errs[2]
+
+    def test_finite_difference_is_second_order(self, draws):
+        Ms = (32, 64, 128, 256)
+        errs = [self.worst_error(draws, M, q.FINITE_DIFFERENCE) for M in Ms]
+        slope = -np.polyfit(np.log(Ms), np.log(errs), 1)[0]
+        assert 1.6 < slope < 2.6
 
 
 class TestSharedSpace:
@@ -1020,13 +1083,13 @@ class TestCouplingTable:
         cold = [dense(build(q.Discretization(N=2, M=16, depth_scheme=scheme)))
                 for build in builds]
         q.assemble(inc, med, disc)  # fills the table
-        calls, mass = [], q.helmholtz.DepthGrid.weighted_mass
+        calls, masses = [], q.helmholtz.DepthGrid.cell_masses
 
-        def counting(grid, profile):
-            calls.append(profile)
-            return mass(grid, profile)
+        def counting(grid, breaks):
+            calls.append(breaks)
+            return masses(grid, breaks)
 
-        monkeypatch.setattr(q.helmholtz.DepthGrid, "weighted_mass", counting)
+        monkeypatch.setattr(q.helmholtz.DepthGrid, "cell_masses", counting)
         for build, want in zip(builds, cold):
             assert np.array_equal(dense(build(disc)), want)
         assert calls == []
@@ -1049,9 +1112,32 @@ class TestCouplingTable:
         # qhat_0 sits in the diagonal c0; the coupling sum has no term
         space = q.FieldSpace(q.Discretization(N=1, M=16), 1.0)
         table = q.helmholtz._medium_profiles(medium(), space)
-        assert table.toeplitz.shape == (1, 9, 9) and not table.toeplitz.any()
+        assert table.toeplitz is None
+        assert table.groups.tolist() == [[i] for i in range(9)]
         u = space.zeros() + 1.0
         assert np.array_equal(table.couple(u), space.zeros())
+
+    @pytest.mark.parametrize("medium, K", [(lambda: homogeneous_medium(), 2),
+                                           (lambda: slab_stack_medium(), 1)],
+                             ids=["homogeneous", "slab_stack"])
+    def test_uniform_table_holds_no_mode_pair_array(self, medium, K):
+        # N = 20, 1681 modes: one complex modes^2 array would take 45 MB, and
+        # a Toeplitz per cell, a difference index and per-pair weight rows
+        # several; the table's build peaks below 2 MB
+        med, space = medium(), q.FieldSpace(q.Discretization(N=20, M=16), 1.0)
+        tracemalloc.start()
+        try:
+            table = q.helmholtz._medium_profiles(med, space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        assert table.toeplitz is None and table.coupling is None
+        assert table.groups.tolist() == [[i] for i in range(1681)]
+        assert (table.parity is space.parity) == (K == 2)
+        qs = np.array([qc for _, _, qc in med.layers])
+        want = np.tensordot(qs - 1.0, space.grid.cell_masses(med.breaks), axes=1)
+        assert np.array_equal(table.c0, want)
 
     def test_alias_error_on_every_call(self):
         med = q.MediumModel.sampled(np.full((8, 8, 1), 2.0), 1.0)
@@ -1107,12 +1193,31 @@ def sampled_stack_medium(h=1.0):
 
 
 def reference_masses(medium, space):
-    """C_d = int qhat_d l_i l_j for every |d|_inf <= 2N, by `DepthGrid.weighted_mass`
-    of the profile qhat_d at the grid's quadrature depths; C_0 of qhat_0 - 1."""
-    grid, N = space.grid, space.disc.N
-    profiles = medium.fourier_profiles(grid.quad_x, 2 * N)
-    profiles[(0, 0)] = profiles[(0, 0)] - 1.0
-    return {d: grid.weighted_mass(p) for d, p in profiles.items()}
+    """C_d = int qhat_d l_i l_j dx3 for every |d|_inf <= 2N, C_0 of qhat_0 - 1.
+
+    Integrated piece by piece between the medium's breaks and the grid's
+    nodes, qhat_d of each piece from `depth_coefficients` at its midpoint:
+    Chebyshev by (M + 2)-point Gauss-Legendre on every piece; finite
+    differences as each element's mean of qhat_d times its blended P1 mass.
+    """
+    grid, N, M = space.grid, space.disc.N, space.M
+    cuts = np.union1d(medium.breaks, grid.nodes)
+    a, b = cuts[:-1], cuts[1:]
+    qhat = depth_coefficients(medium, 0.5 * (a + b), 2 * N)
+    qhat[:, 2 * N, 2 * N] -= 1.0
+    if grid.scheme == q.CHEBYSHEV:
+        t, w = np.polynomial.legendre.leggauss(M + 2)
+        x = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * t
+        E = grid._interp_matrix(x.ravel()).reshape(len(a), M + 2, M)
+        pieces = np.einsum("pk,pki,pkj->pij", 0.5 * (b - a)[:, None] * w, E, E)
+    else:
+        d, th = grid.nodes[1] - grid.nodes[0], q.helmholtz.FD_MASS_BLEND
+        element = d * (th * np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]]) + (1 - th) / 2 * np.eye(2))
+        pieces = np.zeros((len(a), M, M))
+        for p, e in enumerate(np.searchsorted(grid.nodes, 0.5 * (a + b)) - 1):
+            pieces[p, e:e + 2, e:e + 2] = (b[p] - a[p]) / d * element
+    C = np.tensordot(qhat, pieces, axes=(0, 0))
+    return {d: C[d[0] + 2 * N, d[1] + 2 * N] for d in q.mode_range(2 * N)}
 
 
 def filled_matrix(inc, medium, space, derivative=False):
@@ -1427,7 +1532,7 @@ def close(got, want, tol=1e-14):
 
 
 class TestCellCoupling:
-    """The table's coupling as sum_c Q_c (x) M_c over the depth cells that hold a node."""
+    """The table's coupling as sum_c Q_c (x) M_c over the medium's depth cells."""
 
     @pytest.mark.parametrize("scheme", [q.CHEBYSHEV, q.FINITE_DIFFERENCE])
     @pytest.mark.parametrize("M", [12, 16, 17])
@@ -1438,8 +1543,7 @@ class TestCellCoupling:
         med, N = medium(), 2
         space = q.FieldSpace(q.Discretization(N=N, M=M, depth_scheme=scheme), 1.0)
         table = q.helmholtz._medium_profiles(med, space)
-        cells, coef = med.cell_coefficients(space.grid.quad_x, 2 * N)
-        qhat = coef[np.unique(cells)]
+        qhat = med.cell_coefficients(2 * N)
         qhat[:, 2 * N, 2 * N] -= 1.0
         want = reference_masses(med, space)
         for (d1, d2), C in want.items():
@@ -1463,14 +1567,15 @@ class TestCellCoupling:
     @pytest.mark.parametrize("mirrored, K", [(False, 1), (True, 2)],
                              ids=["random", "mirrored"])
     def test_more_cells_than_nodes(self, mirrored, K):
-        # FD at M = 8: eight of the 32 cells hold a node, and only those take a
-        # mass; groups, parity and the actions are the per-difference operator's
+        # FD at M = 8: each of the 32 cells takes its mass, though only eight
+        # hold a node; groups, parity and the actions are the per-difference
+        # operator's
         med = many_cell_medium(mirrored)
         disc = q.Discretization(N=1, M=8, depth_scheme=q.FINITE_DIFFERENCE)
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
         op = q.assemble(inc, med, disc)
         space, table = op.space, op.table
-        assert len(table.cell_masses) == 8
+        assert len(table.cell_masses) == 32
         G = filled_matrix(inc, med, space)
         nm = len(space.modes)
         assert table.groups.tolist() == matrix_components(G, nm, 8) == [list(range(nm))]
@@ -1509,12 +1614,12 @@ class TestCouplingGroups:
         med = diagonal_medium()
         coefficients = med.cell_coefficients
 
-        def diagonal_only(depths, order):
-            cells, coef = coefficients(depths, order)
+        def diagonal_only(order):
+            coef = coefficients(order)
             kept = np.zeros_like(coef)
             for d1, d2 in live:
                 kept[:, d1 + order, d2 + order] = coef[:, d1 + order, d2 + order]
-            return cells, kept
+            return kept
 
         monkeypatch.setattr(med, "cell_coefficients", diagonal_only)
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)

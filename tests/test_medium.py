@@ -1,4 +1,4 @@
-"""Medium models: Fourier slices, validation, sampled-grid ingestion."""
+"""Medium models: Fourier slices, depth breaks, validation, sampled-grid ingestion."""
 import numpy as np
 import pytest
 
@@ -21,9 +21,18 @@ def dft2_oracle(grid):
     return out
 
 
+def depth_coefficients(med, depths, M):
+    """q_hat_m at each depth for |m|_inf <= M, (len(depths), 2M + 1, 2M + 1):
+    the `cell_coefficients` of the cell between the medium's breaks that holds
+    the depth (the upper cell on an inner break)."""
+    cells = np.searchsorted(med.breaks, depths, side="right") - 1
+    return med.cell_coefficients(M)[np.clip(cells, 0, len(med.breaks) - 2)]
+
+
 def slice_at(med, x3, M):
-    """q_hat_m(x3) for |m|_inf <= M: `fourier_profiles` at the one depth x3."""
-    return {m: complex(p[0]) for m, p in med.fourier_profiles([x3], M).items()}
+    """q_hat_m(x3) for |m|_inf <= M at the one depth x3 (`depth_coefficients`)."""
+    qhat = depth_coefficients(med, [x3], M)[0]
+    return {m: complex(qhat[m[0] + M, m[1] + M]) for m in q.mode_range(M)}
 
 
 class TestFourierSlice:
@@ -86,10 +95,43 @@ class TestFourierSlice:
         assert slice_at(med, -0.5, 0)[(0, 0)] == 2.0
         assert slice_at(med, 0.5, 0)[(0, 0)] == 3.0
 
-    def test_out_of_layer(self):
-        med = q.MediumModel.homogeneous(2.0, 1.0)
-        with pytest.raises(q.OutOfLayer):
-            slice_at(med, 1.5, 1)
+    def test_cell_coefficients_are_each_cells_dft(self):
+        rng = np.random.default_rng(7)
+        vals = 1.5 + 0.3 * rng.standard_normal((6, 4, 3))
+        coef = q.MediumModel.sampled(vals, 1.0).cell_coefficients(2)
+        assert coef.shape == (3, 5, 5)
+        for c in range(3):
+            fh = np.fft.fft2(vals[:, :, c]) / 24
+            for m1, m2 in q.mode_range(2):
+                assert coef[c, m1 + 2, m2 + 2] == fh[m1 % 6, m2 % 4]
+
+
+class TestBreaks:
+    """The depth breaks -h = z_0 < ... < z_L = h between which q is constant."""
+
+    def test_stack_breaks_are_its_layer_bounds(self):
+        layers = [(0.45, 1.0 + 5e-13, 1.4), (-1.0 - 5e-13, -0.3, 2.0), (-0.3, 0.45, 3.2)]
+        med = q.MediumModel.slab_stack(layers, 1.0)
+        assert med.breaks.tolist() == [-1.0, -0.3, 0.45, 1.0]
+        assert q.MediumModel.homogeneous(2.0, 0.8).breaks.tolist() == [-0.8, 0.8]
+
+    def test_sampled_breaks_are_equal_cells(self):
+        med = q.MediumModel.sampled(np.full((4, 4, 5), 2.0), 0.7)
+        assert med.breaks.tolist() == (0.7 * np.linspace(-1.0, 1.0, 6)).tolist()
+        assert med.breaks[0] == -0.7 and med.breaks[-1] == 0.7
+
+    def test_zero_width_cells_are_refused(self):
+        for layers in ([(-1.0, 0.2, 2.0), (0.2, 0.2, 3.0), (0.2, 1.0, 1.5)],
+                       [(-1.0, -1.0, 2.0), (-1.0, 1.0, 1.5)]):
+            with pytest.raises(ValueError, match="positive width"):
+                q.MediumModel.slab_stack(layers, 1.0)
+        with pytest.raises(ValueError, match="positive width"):
+            q.MediumModel.sampled(np.full((2, 2, 4), 2.0), 5e-324)
+
+    def test_breaks_are_read_only(self):
+        med = q.MediumModel.sampled(np.full((4, 4, 2), 2.0), 1.0)
+        with pytest.raises(ValueError):
+            med.breaks[1] = 0.5
 
 
 class TestValidate:
@@ -170,7 +212,8 @@ class TestReadOnlyModel:
     @pytest.mark.parametrize("name, value", [
         ("kind", "homogeneous"), ("h", 2.0),
         ("layers", ((-1.0, 1.0, 3.0),)), ("values", np.full((8, 8, 1), 3.0)),
-    ], ids=["kind-homogeneous", "h-2.0", "layers-value4", "values-value5"])
+        ("breaks", np.array([-2.0, 2.0])),
+    ], ids=["kind-homogeneous", "h-2.0", "layers-value4", "values-value5", "breaks"])
     def test_rebinding_raises(self, build, name, value):
         med = build()
         before = getattr(med, name)
