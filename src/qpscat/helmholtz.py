@@ -26,6 +26,7 @@ W^{-1/2} G W^{-1/2}, whose conditioning stays O(1) in the resolution.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -37,8 +38,8 @@ import numpy as np
 from .errors import AliasError, CutoffViolation, DomainError, NearSingular, \
     OperatorTooLarge, SolveFailed
 from .medium import MediumModel
-from .qpcore import IncidenceSpec, ModeIndex, _beta_array, _field_point, _rayleigh_sum, \
-    beta_table, classify_modes, mode_range
+from .qpcore import IncidenceSpec, ModeIndex, _beta_array, _beta_rows, _field_point, \
+    _rayleigh_sum, beta_table, classify_modes, mode_range
 
 CHEBYSHEV = "chebyshev_collocation"
 FINITE_DIFFERENCE = "finite_difference_order2"
@@ -56,8 +57,8 @@ _SPLIT_TOL = 1e-13
 #: real entries per batch of groups in `_whitened_blocks` (128 KiB of float64):
 #: a batch of raw blocks as its real and imaginary parts, and each real
 #: temporary of its products, then stay within the C allocator's default mmap
-#: threshold (128 KiB in glibc), so whitening a large stack on every assembly
-#: reuses freed heap memory instead of mapping, and page-faulting, fresh pages
+#: threshold (128 KiB in glibc), so whitening a large coupling reuses freed
+#: heap memory instead of mapping, and page-faulting, fresh pages
 _BATCH_ENTRIES = 16384
 
 #: mass matrix of the second-order depth scheme: average of the consistent
@@ -249,21 +250,28 @@ class FieldSpace:
     the modes also as one read-only (n_modes, 2) float array `mode_array`;
     the depth grid; the weighted inner-product blocks W_n and their inverse
     symmetric square roots, stacked in mode order as W and W_isqrt of shape
-    (n_modes, M, M), with one eigendecomposition per distinct |n|^2; and, for
-    even M, the depth-parity basis `parity` = (P, S): the two depth classes
-    of `_whitened_blocks`, which takes W_isqrt as one class otherwise (None
-    for odd M).  The reflection x3 -> -x3 maps node j to M-1-j; P is
+    (n_modes, M, M), with one eigendecomposition per distinct |n|^2 (the
+    modes of each such class are `classes`, in mode order); and, for even
+    M, the depth-parity basis `parity` = (P, S): the two depth classes of a
+    whitened stack, which takes W_isqrt as one class otherwise (None for
+    odd M).  The reflection x3 -> -x3 maps node j to M-1-j; P is
     orthonormal with columns (e_j +- e_{M-1-j}) / sqrt(2), j < M/2, even ones
     first, and S (2, n_modes, M/2, M/2) holds the even and odd blocks of
     P^T W_n^{-1/2} P, whose cross blocks vanish (W_n commutes with it).
-    All these factors are real, and every product of one with complex data
-    is taken in real arithmetic: on fields (`inner`, `unwhiten`, the stack
-    maps) by `_real_matmul`, on raw blocks by `_whitened_blocks`.  The space
-    also keeps the coupling table of each medium assembled on it
-    (`_medium_profiles`), with its whitened coupling, for as long as that
-    medium lives.  An h so large or so small that the grid or W overflows
-    double precision raises DomainError, before any eigendecomposition and
-    with no numpy warning.
+    `pieces(parity)` gives the whitened k-independent parts of every
+    diagonal block per |n|^2 class in one layout, built on its first
+    assembly and kept: the stiffness, the mass and the end-node matrix.
+    All these factors are real, and every product
+    of one with complex data is taken in real arithmetic: on fields
+    (`inner`, `unwhiten`, the stack maps) by `_real_matmul`, on raw blocks
+    by `_whitened_blocks`.  The space also keeps the coupling table of each
+    medium assembled on it (`_medium_profiles`), with its whitened coupling,
+    for as long as that medium lives.  An h so large or so small that the
+    grid or W overflows double precision raises DomainError, before any
+    eigendecomposition and with no numpy warning; so does an h at which some
+    W_n is not positive definite in double precision (its stiffness, of
+    order 1/h, and its end-node part, of order 1, too many orders of
+    magnitude apart), before any piece is whitened.
     """
 
     def __init__(self, disc: Discretization, h: float):
@@ -290,9 +298,11 @@ class FieldSpace:
         for Wd in W:
             lam, U = np.linalg.eigh(Wd)
             if lam[0] <= 0:
-                raise SolveFailed("weighted inner product not positive definite")
+                raise DomainError(f"weighted inner product not positive definite in "
+                                  f"double precision at h = {self.h:.6g}, M = {M}")
             isqrt.append(U * (1 / np.sqrt(lam)) @ U.T)
         self.W, self.W_isqrt = W[which], np.array(isqrt)[which]
+        self.classes = [np.flatnonzero(which == j) for j in range(len(n2))]
         self._couplings = weakref.WeakKeyDictionary()
         self.parity = None
         if M % 2 == 0:
@@ -303,6 +313,34 @@ class FieldSpace:
             P[M - 1 - j, half + j] = -np.sqrt(0.5)
             S = P.T @ self.W_isqrt @ P
             self.parity = (P, np.stack([S[:, :half, :half], S[:, half:, half:]]))
+        self._pieces = {}
+
+    def pieces(self, parity) -> np.ndarray:
+        """The whitened stiffness K, mass and end-node matrix E = e_0 e_0^T +
+        e_{M-1} e_{M-1}^T of every |n|^2 class in the layout `parity`
+        (`whiten_pieces`), (classes, 3, K n^2): built on first use and kept."""
+        key = parity is not None
+        if key not in self._pieces:
+            g, E = self.grid, np.zeros((self.M, self.M))
+            E[0, 0] = E[-1, -1] = 1.0
+            self._pieces[key] = self.whiten_pieces(np.stack((g.stiffness, g.mass, E)), parity)
+        return self._pieces[key]
+
+    @np.errstate(over="ignore", invalid="ignore")  # assembly refuses the overflow
+    def whiten_pieces(self, parts: np.ndarray, parity) -> np.ndarray:
+        """S_j X_t S_j for every real (M, M) part X_t of `parts` (T, M, M) and
+        every |n|^2 class j, in the layout `parity` (None or self.parity):
+        S_j is W_n^{-1/2} of the class, or its even and odd blocks of the
+        parity basis (K = 2 blocks of M/2, the cross parts left out).
+        Returns (classes, T, K n^2) real, each block row-major."""
+        P, S = parity or (None, self.W_isqrt[None])
+        S = S[:, [idx[0] for idx in self.classes]]  # (K, classes, n, n)
+        K, n = len(S), self.M // len(S)
+        if P is not None:
+            parts = P.T @ parts @ P
+        X = np.stack([parts[:, p * n:(p + 1) * n, p * n:(p + 1) * n] for p in range(K)], 1)
+        S = S.swapaxes(0, 1)[:, None]  # (classes, 1, K, n, n)
+        return (S @ X @ S).reshape(S.shape[0], len(parts), K * n * n)
 
     def zeros(self) -> np.ndarray:
         return np.zeros((len(self.modes), self.M), dtype=complex)
@@ -331,9 +369,12 @@ class FieldSpace:
 class DiscreteOperator:
     """Assembled bilinear-form matrix of the layer problem at one wavenumber.
 
-    `diagonal` (modes, M, M) holds the raw diagonal mode blocks, in the
-    order of space.modes.  For a transversely uniform medium that is the
-    whole operator, which is block-diagonal.  Otherwise the operator is
+    The diagonal block of mode n is G_n = x K + y[n] Mass - i boundary[n] E
+    - scale c0, with K and Mass the depth grid's stiffness and mass, E =
+    e_0 e_0^T + e_{M-1} e_{M-1}^T the end nodes and c0 the medium's
+    diagonal coupling; the operator keeps these coefficients, in the order
+    of space.modes, and no block.  For a transversely uniform medium that is
+    the whole operator, which is block-diagonal.  Otherwise the operator is
     coupled: off the diagonal, block (n, m) is -scale C_{n-m}, with
     C_d = sum_c qhat^(c)_d M_c from the medium's coupling table `table`
     (`_CouplingTable`), one mass per depth cell.
@@ -343,20 +384,20 @@ class DiscreteOperator:
     mode for a block-diagonal operator).  The screen, `solve`, the kernel
     and the constrained solve read the stack.  No full matrix is stored.
     `apply` and `apply_adjoint` are matrix-free, on one field or a stack of
-    fields (..., n_modes, M): the diagonal blocks plus, when coupled, one
-    coupling sum over the table's cells.  Every dense view of the operator
-    is built from that action (`whitened()`, the constraint rows of
-    `lap.constrained_solve`).  Everything that depends only on the layout
-    and the weighted product lives on `space`.  The operator caches its
-    whitened singular values.
+    fields (..., n_modes, M): the diagonal blocks from their coefficients
+    (one product of the fields with each of K, Mass and c0, and the end
+    nodes) plus, when coupled, one coupling sum over the table's cells.
+    Every dense view of the operator is built from that action
+    (`whitened()`, the constraint rows of `lap.constrained_solve`).
+    Everything that depends only on the layout and the weighted product
+    lives on `space`.  The operator caches its whitened singular values.
     """
 
-    def __init__(self, inc, space, diagonal, table, scale, stack):
+    def __init__(self, inc, space, table, x, y, boundary, scale, stack):
         self.inc = inc
         self.space = space
-        self.diagonal = diagonal
         self.table = table
-        self.scale = scale
+        self.x, self.y, self.boundary, self.scale = x, y, boundary, scale
         #: always None, as no full matrix is stored; qpbench's tracer
         #: (`spans._operator_size`) still reads it
         self.dense = None
@@ -371,19 +412,37 @@ class DiscreteOperator:
         # one batched SVD of every stack would retire the flag
         return self.table.coupling is None
 
+    def _diagonal_action(self, u: np.ndarray) -> np.ndarray:
+        """G_n u_n for every mode n, on a field or a stack of fields.
+
+        In the order of the assembly formula, (x K u + y Mass u) - scale c0 u,
+        less i boundary u at both end nodes; every factor is symmetric, so
+        each acts on the rows of u from the right.
+        """
+        grid = self.space.grid
+        out = self.y[:, None] * (u @ grid.mass)
+        if self.x:
+            out = self.x * (u @ grid.stiffness) + out
+        out -= self.scale * (u @ self.table.c0)
+        ib = 1j * self.boundary
+        out[..., 0] -= ib * u[..., 0]
+        out[..., -1] -= ib * u[..., -1]
+        return out
+
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Matrix action on a field (n_modes, M), or on each of a stack (..., n_modes, M)."""
-        out = (self.diagonal @ u[..., None])[..., 0]
+        out = self._diagonal_action(u)
         if not self.block_diagonal:
             out -= self.scale * self.table.couple(u)
         return out
 
     def apply_adjoint(self, u: np.ndarray) -> np.ndarray:
-        """Action of the conjugate transpose, as (u^H G)^H: no copy of any block.
+        """Action of the conjugate transpose: each G_n is complex symmetric, so
+        G_n^H u_n is the conjugate of G_n applied to conj(u_n).
 
         On a field or a stack of fields, as `apply`.
         """
-        out = (u.conj()[..., None, :] @ self.diagonal)[..., 0, :].conj()
+        out = self._diagonal_action(u.conj()).conj()
         if not self.block_diagonal:
             out -= np.conj(self.scale) * self.table.couple(u, adjoint=True)
         return out
@@ -447,7 +506,9 @@ def _whitened_blocks(space: FieldSpace, groups: np.ndarray, row, parity):
     its real and imaginary parts stacked as one real batch (2 entries per
     raw entry), so that every factor multiplies in real arithmetic: P^T
     (M x cM), (Mc x M) P, then S of the column modes and of the row mode.
-    No full-size raw matrix is made.
+    No full-size raw matrix is made.  It whitens a coupling table's coupling
+    (`_CouplingTable`), once per medium and space; assembly whitens no raw
+    block (`_build_operator`).
     """
     M = space.M
     nc, c = groups.shape
@@ -537,24 +598,29 @@ def _check_operator_bytes(medium: MediumModel, disc: Discretization) -> None:
     """Raise OperatorTooLarge if a run's arrays cannot fit in physical memory.
 
     Counts the space's real factors W and W_isqrt, modes M^2 entries each,
-    and for even M its parity blocks S, half as many; then the peak of a
-    run that holds two operators at once (A and A' in a constrained
-    solve), each with its raw diagonal blocks, (2N+1)^2 blocks of M^2
-    complex entries, and its whitened stack, at its largest when K = 1
-    (the layout is not known yet): as many entries as the diagonal blocks
-    for a block-diagonal operator, at most unknowns^2 for a coupled one.
-    A coupled medium's table adds its whitened coupling, the size of a
-    stack, and its Toeplitz matrices, modes^2 complex entries per depth
-    cell.  Checked before anything is allocated, the space included.
+    and for even M its parity blocks S, half as many; then its whitened
+    pieces (`FieldSpace.pieces`), 3 M^2 real entries per |n|^2 class, and
+    half as many again for even M, with at most (N+1)(N+2)/2 classes (one
+    per 0 <= n1 <= n2 <= N); then the peak of a run that holds two
+    operators at once (A and A' in a constrained solve), each with its
+    whitened stack, at its largest when K = 1 (the layout is not known
+    yet): modes M^2 complex entries for a block-diagonal operator, at most
+    unknowns^2 for a coupled one, whose assembly also fills a temporary of
+    its modes' diagonal blocks, modes M^2 complex entries.  The table adds
+    its whitened c0, at most M^2 complex entries per class, and a coupled
+    medium's table its whitened coupling, the size of a stack, and its
+    Toeplitz matrices, modes^2 complex entries per depth cell.  Checked
+    before anything is allocated, the space included.
     """
-    modes = (2 * disc.N + 1) ** 2
-    blocks = modes * disc.M ** 2
-    space = 8 * (2 * blocks + (blocks // 2 if disc.M % 2 == 0 else 0))
-    stack, table = blocks, 0
+    modes, classes = (2 * disc.N + 1) ** 2, (disc.N + 1) * (disc.N + 2) // 2
+    blocks, pieces = modes * disc.M ** 2, 3 * classes * disc.M ** 2
+    half = disc.M % 2 == 0
+    space = 8 * (2 * blocks + pieces + (blocks // 2 + pieces // 2 if half else 0))
+    stack, table = blocks, classes * disc.M ** 2
     if not medium.transversely_uniform:
         stack = disc.unknowns ** 2
-        table = stack + (len(medium.breaks) - 1) * modes ** 2
-    _require_memory(space + 16 * (table + 2 * (blocks + stack)),
+        table += stack + (len(medium.breaks) - 1) * modes ** 2 + blocks
+    _require_memory(space + 16 * (table + 2 * stack),
                     f"operator with {disc.unknowns} unknowns (N={disc.N}, M={disc.M})",
                     "lower N or M")
 
@@ -641,8 +707,12 @@ class _CouplingTable:
     - `maps` are the (to, back) maps of the layout: to(b) is b @ P (parity
       only), then S per class and mode, then a gather of each group's
       modes; back(z) is its transpose.
-    - `largest` is the largest real or imaginary part in c0 and in the
-      whitened coupling, a Python float.
+    - `c0_pieces` (classes, T, K n^2) is c0 whitened per |n|^2 class in
+      that layout (`FieldSpace.whiten_pieces`): its real part and, when c0
+      is complex (a lossy medium), its imaginary part (T = 1 or 2).
+      Assembly combines them with the space's pieces of the same layout.
+    - `largest` is the largest real or imaginary part in c0, in its
+      whitened pieces and in the whitened coupling, a Python float.
     """
 
     def __init__(self, medium: MediumModel, space: FieldSpace):
@@ -682,8 +752,12 @@ class _CouplingTable:
         self.coupling = None if uniform else \
             _whitened_blocks(space, self.groups, self.row, self.parity)
         self.maps = _stack_maps(space, self.groups, self.parity)
-        # what assembly's overflow guard scales: the largest part of c0 and Ĉ
+        parts = (self.c0.real, self.c0.imag) if self.c0.imag.any() else (self.c0.real,)
+        self.c0_pieces = space.whiten_pieces(np.stack(parts), self.parity)
+        # what assembly's overflow guard scales: the largest part of c0, of
+        # its whitened pieces and of Ĉ
         self.largest = max(_largest_part(self.c0),
+                           float(max(self.c0_pieces.max(), -self.c0_pieces.min())),
                            0.0 if uniform else _largest_part(self.coupling))
 
     def row(self, r: int) -> np.ndarray:
@@ -739,24 +813,28 @@ def _medium_profiles(medium: MediumModel, space: FieldSpace) -> _CouplingTable:
     return table
 
 
-def _build_operator(inc, medium, space, volume, boundary, scale) -> DiscreteOperator:
+def _build_operator(inc, medium, space, x, y, boundary, scale) -> DiscreteOperator:
     """Assemble the operator for both `assemble` and `assemble_eps_derivative`.
 
-    `volume` stacks one (M, M) block per mode and `boundary` one value per
-    mode, in the order of space.modes.  Mode n gets the diagonal block
-    volume[n] - scale C_0, formed in `volume` itself (a temporary of the
-    caller), with i boundary[n] subtracted at both end nodes; off the
-    diagonal, block (n, m) is -scale C_{n-m}.  Here C_d = int qhat_d(x3)
-    l_i l_j dx3, except that C_0 integrates qhat_0 - 1 (the background
-    sits in volume).  Everything else comes from the cached
-    coupling table (`_medium_profiles`): every operator is assembled as its
-    whitened stack too, in the table's layout.  The diagonal blocks are
-    whitened per mode and depth class by `_whitened_blocks`; that is the
-    stack of a block-diagonal operator, and a coupled one's is scale times
+    Mode n gets the diagonal block G_n = x K + y[n] Mass - i boundary[n] E -
+    scale C_0 (see `DiscreteOperator`), `y` and `boundary` one value per mode
+    in the order of space.modes; off the diagonal, block (n, m) is -scale
+    C_{n-m}.  Here C_d = int qhat_d(x3) l_i l_j dx3, except that C_0
+    integrates qhat_0 - 1 (the background sits in the volume term).
+    Everything else comes from the cached coupling table
+    (`_medium_profiles`): every operator is assembled as its whitened stack
+    in the table's layout, and no raw block is formed.  The whitened
+    diagonal blocks are linear combinations of the whitened pieces of their
+    |n|^2 class: the space's K, Mass and E (`FieldSpace.pieces`) and the
+    table's c0 (`_CouplingTable.c0_pieces`): one `_real_matmul` per class
+    of its real pieces with the complex coefficients (x, y[n], -i
+    boundary[n], -scale) of its modes.  That is the stack of a
+    block-diagonal operator; a coupled one's is scale times
     the table's whitened coupling with them written into its (zero)
-    diagonal mode slots.  No raw coupling block is formed.  Raises
-    DomainError, before either product, if scale times the largest part of
-    c0 or of the whitened coupling (`_CouplingTable.largest`) may overflow.
+    diagonal mode slots.  Raises DomainError, before any product, if scale
+    times the largest part of c0, of its whitened pieces or of the whitened
+    coupling (`_CouplingTable.largest`) may overflow, and after them if the
+    stack is not finite.
     """
     table = _medium_profiles(medium, space)
     # each part of scale times an entry of c0 or of the whitened coupling is
@@ -765,38 +843,29 @@ def _build_operator(inc, medium, space, volume, boundary, scale) -> DiscreteOper
     if not math.isfinite(2.0 * max(abs(s.real), abs(s.imag)) * table.largest):
         raise DomainError(f"the (q - 1) term of the operator overflows double "
                           f"precision at k = {inc.k:.6g}")
-    ib = 1j * boundary
-    diagonal = volume  # in place: one stack of raw blocks less per assembly
-    diagonal -= scale * table.c0
-    diagonal[:, 0, 0] -= ib
-    diagonal[:, -1, -1] -= ib
-    nm = len(diagonal)
-    stack = _whitened_blocks(space, np.arange(nm)[:, None],
-                             lambda r: diagonal[:, :, None], table.parity)
+    nm, T = len(space.modes), table.c0_pieces.shape[1]
+    coef = np.empty((nm, 3 + T), dtype=complex)
+    coef[:, 0], coef[:, 1], coef[:, 2] = x, y, -1j * boundary
+    coef[:, 3:] = (-s, -1j * s)[:T]  # on c0's real and imaginary parts
+    pieces = space.pieces(table.parity)
+    K = 1 if table.parity is None else 2
+    n = space.M // K
+    stack = np.empty((nm, K * n * n), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for idx, own, c0 in zip(space.classes, pieces, table.c0_pieces):
+            stack[idx] = _real_matmul(np.concatenate((own, c0)).T, coef[idx].T).T
+    stack = stack.reshape(nm * K, n, n)
     if table.coupling is not None:
-        B, n, _ = stack.shape
         nc, c = table.groups.shape
         group, slot = table.place
-        out = np.multiply(table.coupling, scale)
-        out.reshape(nc, B // nm, c, n, c, n)[group, :, slot, :, slot, :] = \
-            stack.reshape(nm, B // nm, n, n)
-        stack = out
+        full = np.multiply(table.coupling, scale)
+        full.reshape(nc, K, c, n, c, n)[group, :, slot, :, slot, :] = \
+            stack.reshape(nm, K, n, n)
+        stack = full
     if not np.isfinite(stack).all():
         raise DomainError(f"whitened operator overflows double precision at "
                           f"h = {space.h:.6g}, M = {space.M}")
-    return DiscreteOperator(inc, space, diagonal, table, scale, stack)
-
-
-def _mode_products(coef: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """coef[n] * mass for every mode n, (modes, M, M) complex, in one allocation.
-
-    Filled in place, entry for entry the complex product numpy forms for
-    coef[:, None, None] * mass.
-    """
-    out = np.empty((len(coef),) + mass.shape, dtype=complex)
-    out[...] = coef[:, None, None]
-    out *= mass
-    return out
+    return DiscreteOperator(inc, space, table, x, y, boundary, scale, stack)
 
 
 def _require_finite(inc: IncidenceSpec, name: str, value) -> None:
@@ -839,7 +908,6 @@ def assemble(inc: IncidenceSpec, medium: MediumModel,
     array operation (`qpcore.beta_table`).
     """
     space = _operator_space(inc, medium, disc)
-    grid = space.grid
     k = inc.k
     k2 = k * k
     _require_finite(inc, "k^2", k2)  # also the coupling scale
@@ -850,9 +918,7 @@ def assemble(inc: IncidenceSpec, medium: MediumModel,
     # beta_n^2 by Python's complex product: numpy's may fuse and round differently
     b2 = np.array([b * b for b in betas.tolist()])
     _require_finite(inc, "beta_n^2", b2)
-    volume = _mode_products(b2, grid.mass)
-    np.subtract(grid.stiffness, volume, out=volume)  # stiffness - beta_n^2 mass
-    return _build_operator(inc, medium, space, volume, betas, k2)
+    return _build_operator(inc, medium, space, 1.0, -b2, betas, k2)
 
 
 def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
@@ -867,7 +933,6 @@ def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
     if inc.k.imag != 0:
         raise ValueError("derivative operator is defined at real k")
     space = _operator_space(inc, medium, disc)
-    grid = space.grid
     k = inc.k.real
     _require_finite(inc, "k^2", k * k)  # then beta_n^2 and the scale 2ik are too
     betas = beta_table(inc, disc.N)  # raises CutoffViolation at grazing orders
@@ -878,8 +943,7 @@ def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
     # d beta_n / d eps = i (k cos^2 t1 - n.tilde_theta) / beta_n
     shift = k * inc.cos2_theta1 - space.mode_array @ inc.tilde_theta
     dbetas = 1j * shift / betas
-    volume = _mode_products(-2j * shift, grid.mass)
-    return _build_operator(inc, medium, space, volume, dbetas, 2j * k)
+    return _build_operator(inc, medium, space, 0.0, -2j * shift, dbetas, 2j * k)
 
 
 def rhs(inc: IncidenceSpec, disc: Discretization,
@@ -931,6 +995,12 @@ class FieldCoefficients:
 
     def profile(self, n: ModeIndex) -> np.ndarray:
         return self.values[self.space.mode_index[tuple(n)]]
+
+    @functools.cached_property
+    def betas(self) -> np.ndarray:
+        """beta_n of every mode at the field's incidence, in mode order: computed
+        on the first evaluation outside the layer and kept for the next."""
+        return _beta_rows(self.space.mode_array, self.inc)
 
     def norm(self) -> float:
         return self.space.norm(self.values)
@@ -1031,7 +1101,8 @@ def _field_value(v: FieldCoefficients, x, incident: bool) -> complex:
 
     Inside the layer, one interpolation row for every profile; outside, the
     Rayleigh series (`qpcore._rayleigh_sum`) on the end nodes v_n(+-h), or
-    with `incident` on `_rayleigh_tails`, plus the incident wave above.
+    with `incident` on `_rayleigh_tails`, plus the incident wave above,
+    with the beta_n the field keeps (`FieldCoefficients.betas`).
     """
     x = _field_point(x)
     inc, sp = v.inc, v.space
@@ -1040,11 +1111,11 @@ def _field_value(v: FieldCoefficients, x, incident: bool) -> complex:
         total = sp.grid.interpolate(v.values, x3) @ np.exp(1j * (modes @ xt))
         return complex(np.exp(1j * (inc.alpha_vec @ xt)) * total)
     if x3 < 0:
-        return _rayleigh_sum(modes, v.values[:, 0], inc, x)
+        return _rayleigh_sum(modes, v.betas, v.values[:, 0], inc, x)
     if not incident:
-        return _rayleigh_sum(modes, v.values[:, -1], inc, x)
+        return _rayleigh_sum(modes, v.betas, v.values[:, -1], inc, x)
     wave = np.exp(1j * (inc.alpha_vec @ xt) - 1j * inc.k * inc.cos_theta1 * x3)
-    return complex(wave + _rayleigh_sum(modes, _rayleigh_tails(v, inc)[0], inc, x))
+    return complex(wave + _rayleigh_sum(modes, v.betas, _rayleigh_tails(v, inc)[0], inc, x))
 
 
 def quasiperiodic_lift(v: FieldCoefficients, inc: IncidenceSpec, x) -> complex:

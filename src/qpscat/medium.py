@@ -39,6 +39,12 @@ class MediumReport:
         return self.max_im_q == 0.0
 
 
+def _check_h(h) -> None:
+    """Raise ValueError unless the half-thickness h is positive and finite."""
+    if not h > 0 or not np.isfinite(h):
+        raise ValueError(f"h must be positive and finite, got {h!r}")
+
+
 class MediumModel:
     """Refractive index q(x1, x2, x3), 2pi-periodic transversely, q = 1 outside.
 
@@ -61,8 +67,7 @@ class MediumModel:
     breaks = property(operator.attrgetter("_breaks"))
 
     def __init__(self, kind, h, layers=None, values=None):
-        if not h > 0 or not np.isfinite(h):
-            raise ValueError(f"h must be positive and finite, got {h!r}")
+        _check_h(h)
         self._kind = kind
         self._h = float(h)
         self._layers = layers
@@ -89,7 +94,11 @@ class MediumModel:
 
     @classmethod
     def slab_stack(cls, layers, h):
-        """layers: iterable of (z_lo, z_hi, q) covering [-h, h] without overlap."""
+        """layers: iterable of (z_lo, z_hi, q) covering [-h, h] without overlap.
+
+        h is checked first, so a bad h is named as such, whatever the layers.
+        """
+        _check_h(h)
         ls = sorted(((float(a), float(b), complex(q)) for a, b, q in layers),
                     key=lambda t: t[0])
         if not ls:

@@ -314,10 +314,12 @@ def _field_point(x) -> np.ndarray:
     return x
 
 
-def _rayleigh_sum(modes: np.ndarray, coeffs: np.ndarray, inc: IncidenceSpec, x) -> complex:
+def _rayleigh_sum(modes: np.ndarray, betas: np.ndarray, coeffs: np.ndarray,
+                  inc: IncidenceSpec, x) -> complex:
     """sum_n c_n e^{i alpha_n.x~ + i beta_n (|x3| - h)} over the rows n of `modes`: the
-    outgoing Rayleigh series at a point x outside the layer, above or below alike."""
-    phase = _row_dot(modes + inc.alpha_vec, x[:2]) + _beta_rows(modes, inc) * (abs(x[2]) - inc.h)
+    outgoing Rayleigh series at a point x outside the layer, above or below alike.
+    `betas` are the rows' beta_n (`_beta_rows`), which a caller may keep."""
+    phase = _row_dot(modes + inc.alpha_vec, x[:2]) + betas * (abs(x[2]) - inc.h)
     return complex(coeffs @ np.exp(1j * phase))
 
 
@@ -335,4 +337,5 @@ def rayleigh_eval(coeffs: Mapping[ModeIndex, complex], side: str, inc: Incidence
     if (x[2] < inc.h) if side == "above" else (x[2] > -inc.h):
         raise WrongSide(f"x3 = {x[2]} is not {side} the layer |x3| < {inc.h}")
     modes = np.array(list(coeffs), dtype=float).reshape(-1, 2)
-    return _rayleigh_sum(modes, np.array(list(coeffs.values()), dtype=complex), inc, x)
+    return _rayleigh_sum(modes, _beta_rows(modes, inc),
+                         np.array(list(coeffs.values()), dtype=complex), inc, x)

@@ -426,6 +426,21 @@ def test_overflowing_depth_grid_exits_3_with_one_line_error(tmp_path, capsys, co
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("h", ["1e200", "1e300"])
+def test_indefinite_weighted_product_exits_3_with_one_line_error(tmp_path, capsys, h):
+    # a finite Chebyshev grid at M = 16 whose W_0 is not positive definite
+    # in double precision: a DomainError that names h and M
+    cfg = write_cfg(tmp_path, EXTREME_H_CONFIG)
+    out = tmp_path / "out"
+    rc = main(["solve", "--config", str(cfg), "--out", str(out),
+               "--override", f"incidence.h={h}"])
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: weighted inner product not positive definite in double "
+                   f"precision at h = {float(h):.6g}, M = 16"]
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("override, code, prefix", [
     ("incidence.theta2=inf", 2, "config error: "),
     ("incidence.theta1=nan", 2, "config error: "),
@@ -651,14 +666,15 @@ def test_oversized_operator_exits_3_with_one_line_error(tmp_path, capsys):
 
 def test_operator_and_space_beyond_memory_exit_3_before_the_space(tmp_path, capsys,
                                                                    monkeypatch):
-    # N = 300, M = 16 on a homogeneous layer with 6 GiB of memory: its two
-    # operators take 5.5 GiB and its space's W, W_isqrt and S 1.7 GiB more;
+    # N = 300, M = 16 on a homogeneous layer with 4 GiB of memory: its two
+    # operators' stacks take 2.8 GiB, its space's W, W_isqrt and S 1.7 GiB
+    # more, its whitened pieces 0.4 GiB and the table's whitened c0 0.2 GiB;
     # refused before the space is built, with nothing large allocated
     def no_space(*args):
         raise AssertionError("FieldSpace built")
 
     monkeypatch.setattr(q.helmholtz.os, "sysconf", lambda name:
-                        4096 if name == "SC_PAGE_SIZE" else 6 * 2 ** 30 // 4096)
+                        4096 if name == "SC_PAGE_SIZE" else 4 * 2 ** 30 // 4096)
     monkeypatch.setattr(q.helmholtz.FieldSpace, "__init__", no_space)
     cfg = write_cfg(tmp_path, SLAB_SOLVE.replace("N = 0", "N = 300").replace("M = 32", "M = 16"))
     tracemalloc.start()
@@ -670,7 +686,7 @@ def test_operator_and_space_beyond_memory_exit_3_before_the_space(tmp_path, caps
     assert rc == 3 and peak < 16e6
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error: ") and "needs 7.234 GiB" in err[0]
+    assert err[0].startswith("error: ") and "needs 5.042 GiB" in err[0]
 
 
 def test_sampled_file_h_mismatch_is_a_config_error(tmp_path, capsys):

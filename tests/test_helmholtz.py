@@ -1,5 +1,6 @@
 """Assembly, solve, Rayleigh extraction, lift: oracles and invariants."""
 import gc
+import re
 import time
 import tracemalloc
 import warnings
@@ -33,15 +34,16 @@ def dense(op):
     return np.stack([op.apply(e).ravel() for e in units], axis=1)
 
 
+def diagonal_blocks(op):
+    """The diagonal mode blocks of an operator, (n_modes, M, M), read from `dense`."""
+    nm, M = len(op.space.modes), op.space.M
+    return dense(op).reshape(nm, M, nm, M)[np.arange(nm), :, np.arange(nm)]
+
+
 def raw_rows(op):
     """row(r) of `_whitened_blocks` for an operator: raw row slot r of every
-    mode group, (nc, M, c, M), its table's coupling row with the diagonal
-    blocks written into slot r."""
-    def row(r):
-        t = op.scale * op.table.row(r)
-        t[:, :, r] = op.diagonal[op.groups[:, r]]
-        return t
-    return row
+    mode group, (nc, M, c, M), read from its full matrix (`dense`)."""
+    return reference_rows(dense(op), op.groups, op.space.M)
 
 
 def oracle_u(q0, k, theta1, h=1.0):
@@ -518,8 +520,8 @@ class TestWhitenedBlocks:
         monkeypatch.setattr(q.helmholtz, "_whitened_blocks", recording)
         op = sampled_operator(medium)  # a fresh space: builds the coupling table
         table = op.table
-        # the coupling, then the diagonal blocks of the assembly
-        assert [p is not None for p in calls] == [parity] * 2
+        # the coupling only: the assembly whitens no raw block
+        assert [p is not None for p in calls] == [parity]
         want = builder(op.space, op.groups, table.row, op.space.parity if parity else None)
         assert np.array_equal(table.coupling, want)
 
@@ -551,19 +553,22 @@ class TestWhitenedBlocks:
 class TestOperatorSizeGuard:
     @pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "block_diagonal"])
     def test_guard_counts_the_stored_arrays(self, monkeypatch, coupled):
-        # the space's W and W_isqrt ((2N+1)^2 blocks of 8 M^2 bytes each) and
-        # its parity blocks S (half of one); two live operators, each its raw
-        # diagonal blocks ((2N+1)^2 blocks of 16 M^2 bytes) and its stack at
-        # K = 1 (16 unknowns^2 bytes when coupled, the size of the blocks
-        # otherwise), plus, when coupled, the table's whitened coupling and
-        # the Toeplitz matrix of its one depth cell (16 (2N+1)^4 bytes)
+        # the space's W and W_isqrt ((2N+1)^2 blocks of 8 M^2 bytes each), its
+        # parity blocks S (half of one) and its whitened pieces (3 of 8 M^2
+        # bytes per |n|^2 class, 3 classes at N = 1, and half as many again
+        # for the parity halves); two live operators, each its stack at K = 1
+        # (16 unknowns^2 bytes when coupled, (2N+1)^2 blocks of 16 M^2 bytes
+        # otherwise); the table's whitened c0 (16 M^2 bytes per class) and,
+        # when coupled, its whitened coupling, the Toeplitz matrix of its one
+        # depth cell (16 (2N+1)^4 bytes) and the diagonal blocks that the
+        # assembly writes into the stack
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
         disc = q.Discretization(N=1, M=8)
         med = inclusion_medium() if coupled else q.MediumModel.homogeneous(2.0, 1.0)
-        space = 8 * 9 * 8 ** 2 * 5 // 2
-        blocks = 16 * 9 * 8 ** 2
-        need = space + (2 * blocks + 3 * 16 * 72 ** 2 + 16 * 9 ** 2 if coupled
-                        else 4 * blocks)
+        space = 8 * 9 * 8 ** 2 * 5 // 2 + 8 * 3 * 3 * 8 ** 2 * 3 // 2
+        blocks, c0 = 16 * 9 * 8 ** 2, 16 * 3 * 8 ** 2
+        need = space + c0 + (blocks + 3 * 16 * 72 ** 2 + 16 * 9 ** 2 if coupled
+                             else 2 * blocks)
         for have, fits in ((need - 1, False), (need, True)):
             monkeypatch.setattr(q.helmholtz.os, "sysconf", lambda name, have=have:
                                 1 if name == "SC_PAGE_SIZE" else have)
@@ -840,6 +845,29 @@ class TestQuasiperiodicLift:
             want *= np.exp(1j * (inc.alpha_vec @ np.array(x[:2])))
             assert abs(got - want) <= 1e-14 * abs(want)
 
+    def test_exterior_points_share_one_beta_table(self, monkeypatch):
+        # beta_n is computed once per field, on its first exterior point; the
+        # values are the Rayleigh sum with a fresh beta table, bit for bit,
+        # and agree with `rayleigh_eval`, which computes its own
+        disc = q.Discretization(N=2, M=16)
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        rng = np.random.default_rng(9)
+        vals = rng.normal(size=(25, 16)) + 1j * rng.normal(size=(25, 16))
+        v = q.FieldCoefficients(space=disc.space(1.0), inc=inc, values=vals)
+        points = [np.array(x) for x in ((0.7, 1.1, -1.5), (5.0, 2.0, -1.2), (0.1, 0.2, -3.0))]
+        modes = v.space.mode_array
+        want = [q.qpcore._rayleigh_sum(modes, q.qpcore._beta_rows(modes, inc), vals[:, 0],
+                                       inc, x) for x in points]
+        calls, rows = [], q.helmholtz._beta_rows
+        monkeypatch.setattr(q.helmholtz, "_beta_rows",
+                            lambda *a: calls.append(1) or rows(*a))
+        lifted = [q.modes.LiftedMode(v), q.modes.LiftedMode(v)]
+        for x, w in zip(points, want):
+            assert [f(x) for f in lifted] + [q.quasiperiodic_lift(v, inc, x)] == [w] * 3
+            tails = dict(zip(v.space.modes, vals[:, 0].tolist()))
+            assert q.rayleigh_eval(tails, "below", inc, x) == pytest.approx(w, rel=1e-14)
+        assert calls == [1]
+
 
 class TestFieldSpace:
     def test_inner_product_properties(self):
@@ -894,6 +922,19 @@ class TestFieldSpace:
             with pytest.raises(q.DomainError, match="depth grid overflows double precision"):
                 disc.space(h)
         assert eigh == [] and disc._spaces == {}
+
+    @pytest.mark.parametrize("h", [1e200, 1e300])
+    def test_indefinite_weighted_product_is_a_domain_error(self, h):
+        # a finite grid whose stiffness (order 1/h) is lost beside the end
+        # nodes (order 1) in W_0: its eigendecomposition finds a
+        # non-positive eigenvalue, a DomainError naming h and M
+        disc = q.Discretization(N=1, M=16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(q.DomainError, match=re.escape(
+                    f"not positive definite in double precision at h = {h:.6g}, M = 16")):
+                disc.space(h)
+        assert disc._spaces == {}
 
     @pytest.mark.parametrize("h", [1.0, 1e-300, 1e300])
     def test_interpolation_rows_are_the_pointwise_barycentric_formula(self, h):
@@ -1060,7 +1101,7 @@ class TestSharedSpace:
             v = q.solve(op, load).values
         # one batched LU of the blocks of mode (0, 0), one per depth class, no refinement
         assert solve == [(K, M // K, M // K)]
-        ref = np.linalg.solve(op.diagonal, load[..., None])[..., 0]
+        ref = np.linalg.solve(diagonal_blocks(op), load[..., None])[..., 0]
         assert relative_error(v, ref) <= 1e-12
         assert relative_error(op.apply(v), load) <= 1e-10
 
@@ -1360,6 +1401,21 @@ OPERATOR_KINDS = [(1.3, False), (1.3 + 0.05j, False), (1.3, True)]
 OPERATOR_KIND_IDS = ["A", "A_complex_k", "dA"]
 
 
+def lossy_stack_medium(h=1.0):
+    """The three-layer stack with an absorbing middle layer, q = 3.2 + 0.4i: a
+    complex c0, whose imaginary part is a whitened piece of its own."""
+    return q.MediumModel.slab_stack([(-1.0, -0.3, 2.0), (-0.3, 0.45, 3.2 + 0.4j),
+                                     (0.45, 1.0, 1.4)], h)
+
+
+#: every medium of STACK_CASES once, and the lossy stack
+PIECE_MEDIA = [lamellar_medium, constant_medium, diagonal_medium, inclusion_medium,
+               sampled_stack_medium, coupled_medium, homogeneous_medium, slab_stack_medium,
+               mirrored_stack_medium, lossy_stack_medium]
+PIECE_IDS = ["lamellar", "constant", "diagonal", "inclusion", "sampled_stack", "coupled",
+             "homogeneous", "slab_stack", "mirrored_stack", "lossy_stack"]
+
+
 def formula_diagonal(inc, medium, space, derivative=False):
     """The raw diagonal blocks by the assembly formula, operation by operation:
     stiffness - beta^2 mass - k^2 c0, or -2i shift mass - 2ik c0 for A'(0),
@@ -1401,7 +1457,27 @@ class TestCoupledStack:
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0).with_k(k)
         build = q.assemble_eps_derivative if derivative else q.assemble
         op = build(inc, med, disc)
-        assert np.array_equal(op.diagonal, formula_diagonal(inc, med, op.space, derivative))
+        assert np.array_equal(diagonal_blocks(op), formula_diagonal(inc, med, op.space,
+                                                                    derivative))
+
+    @pytest.mark.parametrize("k, derivative", OPERATOR_KINDS, ids=OPERATOR_KIND_IDS)
+    @pytest.mark.parametrize("M", [16, 15])
+    @pytest.mark.parametrize("scheme", [q.CHEBYSHEV, q.FINITE_DIFFERENCE],
+                             ids=["chebyshev", "fd"])
+    @pytest.mark.parametrize("medium", PIECE_MEDIA, ids=PIECE_IDS)
+    def test_pieces_build_the_whitened_operator(self, medium, scheme, M, k, derivative):
+        # the stack, a combination of whitened pieces per |n|^2 class, is
+        # W^{-1/2} G W^{-1/2} of the operator's own matrix, in its layout
+        med, disc = medium(), q.Discretization(N=2, M=M, depth_scheme=scheme)
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0).with_k(k)
+        build = q.assemble_eps_derivative if derivative else q.assemble
+        op = build(inc, med, disc)
+        table = op.table
+        assert table.c0_pieces.shape[1] == (2 if medium is lossy_stack_medium else 1)
+        want = q.helmholtz._whitened_blocks(op.space, table.groups,
+                                            raw_rows(op), table.parity)
+        assert op.stack.shape == want.shape
+        assert relative_error(op.stack, want) <= 1e-13
 
     @pytest.mark.parametrize("medium, K", [(homogeneous_medium, 2), (slab_stack_medium, 1)],
                              ids=["homogeneous", "slab_stack"])
@@ -1421,7 +1497,7 @@ class TestCoupledStack:
         media = (q.MediumModel.homogeneous(2.0, h), q.MediumModel.slab_stack([(-h, h, 2.0)], h))
         assert media[0].kind == "slab_stack" and media[0].layers == media[1].layers
         ops = [build(inc, med, disc) for med in media]
-        assert np.array_equal(ops[0].diagonal, ops[1].diagonal)
+        assert np.array_equal(dense(ops[0]), dense(ops[1]))
         assert np.array_equal(ops[0].stack, ops[1].stack)
         load = q.rhs(inc, disc)
         assert np.array_equal(q.solve(ops[0], load).values, q.solve(ops[1], load).values)
@@ -1503,17 +1579,17 @@ class TestCoupledStack:
             ops = [q.assemble(inc.with_k(1.4), med, disc),
                    q.assemble(inc.with_k(1.3 + 0.05j), med, disc),
                    q.assemble_eps_derivative(inc, med, disc)]
-        # the only whitening is of each assembly's diagonal blocks, one
-        # single-mode group per mode; the table's coupling is not built again
-        nm = len(ops[0].space.modes)
-        assert [g.tolist() for g in calls] == [[[i] for i in range(nm)]] * 3
-        full = disc.unknowns ** 2
-        assert all(np.prod(s) < full for s in shapes)
-        # the one product of unknowns-size is the stack itself, scale times the
-        # table's whitened coupling (none for a block-diagonal operator); it
-        # holds unknowns^2 entries only when the layout does not split (one
-        # group at K = 1)
+        # no raw block is whitened: the diagonal blocks are combinations of
+        # whitened pieces, and the table's coupling is not built again
+        assert calls == []
+        # nothing allocated is larger than the stack
         stack = ops[0].stack
+        assert shapes and all(np.prod(s) <= stack.size for s in shapes)
+        full = disc.unknowns ** 2
+        # the one product of the stack's size is the stack itself, scale times
+        # the table's whitened coupling (none for a block-diagonal operator);
+        # it holds unknowns^2 entries only when the layout does not split
+        # (one group at K = 1)
         assert products == ([] if ops[0].block_diagonal else [stack.shape] * 3)
         assert (stack.size < full) == (len(ops[0].groups) > 1 or ops[0].table.parity is not None)
         assert all(op.dense is None and op.table is ops[0].table for op in ops)
@@ -1738,8 +1814,9 @@ class TestRealFactors:
         op = q.assemble(inc, medium(), q.Discretization(N=N, M=M))
         sp = op.space
         parity = sp.parity if K == 2 else None
-        got = q.helmholtz._whitened_blocks(sp, op.groups, raw_rows(op), parity)
-        want = complex_whitened(sp, op.groups, raw_rows(op), parity)
+        rows = raw_rows(op)
+        got = q.helmholtz._whitened_blocks(sp, op.groups, rows, parity)
+        want = complex_whitened(sp, op.groups, rows, parity)
         assert got.shape == want.shape and len(got) == groups * K
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 

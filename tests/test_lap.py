@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import qpscat as q
-from test_helmholtz import bad_loads, coupled_medium, dense, inclusion_medium, \
-    lamellar_medium, recorded_shapes, reference_masses, sampled_stack_medium
+from test_helmholtz import bad_loads, coupled_medium, dense, diagonal_blocks, \
+    inclusion_medium, lamellar_medium, recorded_shapes, reference_masses, \
+    sampled_stack_medium
 
 K_EX = np.pi / (2 * np.sqrt(2))
 ALPHA_EX = (1 - np.pi * np.sqrt(3) / 4, 0.0)
@@ -50,7 +51,7 @@ class TestDerivativeOperator:
         assert -1j * q.d_beta_d_eps(n, inc) == pytest.approx(expected, rel=1e-12)
         # and it lands in the boundary corners of the derivative block
         dop = q.assemble_eps_derivative(basis.inc, med, basis.space.disc)
-        B = dop.diagonal[basis.space.mode_index[n]]
+        B = diagonal_blocks(dop)[basis.space.mode_index[n]]
         grid = basis.space.grid
         k = inc.k.real
         vol_corner = (-2j * (k * inc.cos2_theta1 - np.array(n, float) @ tt)
@@ -67,8 +68,9 @@ class TestDerivativeOperator:
         disc = q.Discretization(N=1, M=16)
         dop = q.assemble_eps_derivative(inc, med, disc)
         space = dop.space
+        blocks = diagonal_blocks(dop)
         for n in space.modes:
-            B = dop.diagonal[space.mode_index[n]].copy()
+            B = blocks[space.mode_index[n]]
             db = q.d_beta_d_eps(n, inc)
             B[0, 0] += 1j * db
             B[-1, -1] += 1j * db

@@ -162,6 +162,14 @@ class TestValidate:
         with pytest.raises(ValueError, match="layer bounds must be finite"):
             q.MediumModel.slab_stack([(-1.0, bad, 1.5), (0.2, 1.0, 2.0)], 1.0)
 
+    @pytest.mark.parametrize("layer", [(-1.0, 1.0, 2.0), (1.0, -1.0, 2.0)],
+                             ids=["ascending", "descending"])
+    @pytest.mark.parametrize("h", [-1.0, 0.0])
+    def test_slab_stack_checks_h_before_the_layer_cover(self, layer, h):
+        # whether or not the layers would cover [-h, h], a bad h is named
+        with pytest.raises(ValueError, match=f"h must be positive and finite, got {h!r}"):
+            q.MediumModel.slab_stack([layer], h)
+
     def test_constructor_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="min Re q = -1 below q_floor = 1e-06"):
             q.MediumModel.homogeneous(-1.0, 1.0)

@@ -181,7 +181,7 @@ class TestKernelBlocks:
         with monkeypatch.context() as m:
             shapes = recorded_shapes(m, "svd")
             basis = q.kernel(op)
-        nm, M = op.diagonal.shape[:2]
+        nm, M = len(op.space.modes), op.space.M
         assert shapes == [op.stack.shape] == [(2 * nm, M // 2, M // 2)]
         # the null vector of the resonant block alone, in the same phase
         i = op.space.mode_index[(-1, 0)]
