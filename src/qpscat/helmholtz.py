@@ -54,13 +54,6 @@ NEAR_SINGULAR_THRESHOLD = 1e-8
 #: the split between coupling groups needs none, as it is exact
 _SPLIT_TOL = 1e-13
 
-#: real entries per batch of groups in `_whitened_blocks` (128 KiB of float64):
-#: a batch of raw blocks as its real and imaginary parts, and each real
-#: temporary of its products, then stay within the C allocator's default mmap
-#: threshold (128 KiB in glibc), so whitening a large coupling reuses freed
-#: heap memory instead of mapping, and page-faulting, fresh pages
-_BATCH_ENTRIES = 16384
-
 #: mass matrix of the second-order depth scheme: average of the consistent
 #: and lumped P1 masses.  The average cancels the leading interior dispersion
 #: term of either choice (the standard reduced-dispersion mass); the scheme
@@ -263,10 +256,11 @@ class FieldSpace:
     assembly and kept: the stiffness, the mass and the end-node matrix.
     All these factors are real, and every product
     of one with complex data is taken in real arithmetic: on fields
-    (`inner`, `unwhiten`, the stack maps) by `_real_matmul`, on raw blocks
-    by `_whitened_blocks`.  The space also keeps the coupling table of each
-    medium assembled on it (`_medium_profiles`), with its whitened coupling,
-    for as long as that medium lives.  An h so large or so small that the
+    (`inner`, `unwhiten`, the stack maps) by `_real_matmul`; no raw complex
+    block is ever whitened, only real pieces (`whiten_pieces`,
+    `whiten_pairs`).  The space also keeps the coupling table of each
+    medium assembled on it (`_medium_profiles`), with its whitened cell
+    masses, for as long as that medium lives.  An h so large or so small that the
     grid or W overflows double precision raises DomainError, before any
     eigendecomposition and with no numpy warning; so does an h at which some
     W_n is not positive definite in double precision (its stiffness, of
@@ -303,6 +297,7 @@ class FieldSpace:
             isqrt.append(U * (1 / np.sqrt(lam)) @ U.T)
         self.W, self.W_isqrt = W[which], np.array(isqrt)[which]
         self.classes = [np.flatnonzero(which == j) for j in range(len(n2))]
+        self.mode_class = which
         self._couplings = weakref.WeakKeyDictionary()
         self.parity = None
         if M % 2 == 0:
@@ -326,21 +321,39 @@ class FieldSpace:
             self._pieces[key] = self.whiten_pieces(np.stack((g.stiffness, g.mass, E)), parity)
         return self._pieces[key]
 
-    @np.errstate(over="ignore", invalid="ignore")  # assembly refuses the overflow
-    def whiten_pieces(self, parts: np.ndarray, parity) -> np.ndarray:
-        """S_j X_t S_j for every real (M, M) part X_t of `parts` (T, M, M) and
-        every |n|^2 class j, in the layout `parity` (None or self.parity):
-        S_j is W_n^{-1/2} of the class, or its even and odd blocks of the
-        parity basis (K = 2 blocks of M/2, the cross parts left out).
-        Returns (classes, T, K n^2) real, each block row-major."""
+    def _class_factors(self, parts: np.ndarray, parity):
+        """S (K, classes, n, n), the factor S_j of every |n|^2 class j in the
+        layout `parity` (None or self.parity), and the blocks X (T, K, n, n)
+        of the real parts (T, M, M) in that layout: S_j is W_n^{-1/2} of the
+        class, or its even and odd blocks of the parity basis (K = 2 blocks
+        of M/2, the cross parts of X left out)."""
         P, S = parity or (None, self.W_isqrt[None])
-        S = S[:, [idx[0] for idx in self.classes]]  # (K, classes, n, n)
+        S = S[:, [idx[0] for idx in self.classes]]
         K, n = len(S), self.M // len(S)
         if P is not None:
             parts = P.T @ parts @ P
         X = np.stack([parts[:, p * n:(p + 1) * n, p * n:(p + 1) * n] for p in range(K)], 1)
+        return S, X
+
+    @np.errstate(over="ignore", invalid="ignore")  # assembly refuses the overflow
+    def whiten_pieces(self, parts: np.ndarray, parity) -> np.ndarray:
+        """S_j X_t S_j for every real (M, M) part X_t of `parts` (T, M, M) and
+        every |n|^2 class j, in the layout `parity` (`_class_factors`).
+        Returns (classes, T, K n^2) real, each block row-major."""
+        S, X = self._class_factors(parts, parity)
         S = S.swapaxes(0, 1)[:, None]  # (classes, 1, K, n, n)
-        return (S @ X @ S).reshape(S.shape[0], len(parts), K * n * n)
+        return (S @ X @ S).reshape(S.shape[0], len(parts), -1)
+
+    @np.errstate(over="ignore", invalid="ignore")  # assembly refuses the overflow
+    def whiten_pairs(self, parts: np.ndarray, parity) -> np.ndarray:
+        """S_a X_t S_b for every real part X_t of `parts` (T, M, M) and every
+        pair (a, b) of |n|^2 classes in the layout `parity` (`_class_factors`),
+        (T, K, classes, n, classes, n) real: every S_a X_t stacked by rows,
+        times every S_b side by side."""
+        S, X = self._class_factors(parts, parity)
+        K, A, n = S.shape[:3]
+        left = (S @ X[:, :, None]).reshape(len(X), K, A * n, n)
+        return (left @ S.swapaxes(1, 2).reshape(K, n, A * n)).reshape(len(X), K, A, n, A, n)
 
     def zeros(self) -> np.ndarray:
         return np.zeros((len(self.modes), self.M), dtype=complex)
@@ -410,7 +423,7 @@ class DiscreteOperator:
     def block_diagonal(self) -> bool:
         # only the screen's per-block SVD loop and the matrix-free actions ask;
         # one batched SVD of every stack would retire the flag
-        return self.table.coupling is None
+        return self.table.uniform
 
     def _diagonal_action(self, u: np.ndarray) -> np.ndarray:
         """G_n u_n for every mode n, on a field or a stack of fields.
@@ -491,49 +504,6 @@ class DiscreteOperator:
         return float(s[-1]), float(s[0])
 
 
-@np.errstate(over="ignore", invalid="ignore")  # `_build_operator` refuses the overflow
-def _whitened_blocks(space: FieldSpace, groups: np.ndarray, row, parity):
-    """The whitened diagonal blocks of a (mode, node) matrix over mode groups.
-
-    `groups` (nc, c) lists the modes of each group, and row(r) gives the raw
-    row slot r of every group, (nc, M, c, M): block (n, m) of the operator
-    for n the r-th mode of its group and m each mode of the group.  Without
-    parity: one block W^{-1/2} G W^{-1/2} per group, (nc, cM, cM), ordered
-    (mode, node).  With parity = space.parity: each group's even and odd
-    halves in the parity basis, (2 nc, cM/2, cM/2), leaving out the
-    even/odd cross parts.  One row slot of every group at a time, in batches
-    of groups of at most _BATCH_ENTRIES real entries, each batch taken as
-    its real and imaginary parts stacked as one real batch (2 entries per
-    raw entry), so that every factor multiplies in real arithmetic: P^T
-    (M x cM), (Mc x M) P, then S of the column modes and of the row mode.
-    No full-size raw matrix is made.  It whitens a coupling table's coupling
-    (`_CouplingTable`), once per medium and space; assembly whitens no raw
-    block (`_build_operator`).
-    """
-    M = space.M
-    nc, c = groups.shape
-    P, S = parity or (None, space.W_isqrt[None])
-    K, n = len(S), M // len(S)
-    out = np.empty((nc, K, c, n, c, n), dtype=complex)
-    step = max(1, _BATCH_ENTRIES // (2 * c * M * M))
-    for r in range(c):
-        rows = row(r)  # (group, row depth, column mode, column depth)
-        for lo in range(0, nc, step):
-            g, t = groups[lo:lo + step], rows[lo:lo + step]
-            m = len(g)
-            t = np.stack((t.real, t.imag))  # one real batch, (2, m, M, c, M)
-            if P is not None:
-                t = P.T @ t.reshape(2, m, M, c * M)
-                t = (t.reshape(2, m, M * c, M) @ P).reshape(2, m, M, c, M)
-            for p in range(K):
-                sl = slice(p * n, (p + 1) * n)
-                b = np.matmul(t[:, :, sl, :, sl].transpose(0, 1, 3, 2, 4), S[p, g])
-                b = S[p, g[:, r]] @ b.transpose(0, 1, 3, 2, 4).reshape(2, m, n, c * n)
-                o = out[lo:lo + step, p, r]
-                o.real, o.imag = b.reshape(2, m, n, c, n)
-    return out.reshape(nc * K, c * n, c * n)
-
-
 def _stack_maps(space: FieldSpace, groups: np.ndarray, parity):
     """The maps (to, back) onto the whitened stack of one layout; see `_CouplingTable`.
 
@@ -605,22 +575,21 @@ def _check_operator_bytes(medium: MediumModel, disc: Discretization) -> None:
     operators at once (A and A' in a constrained solve), each with its
     whitened stack, at its largest when K = 1 (the layout is not known
     yet): modes M^2 complex entries for a block-diagonal operator, at most
-    unknowns^2 for a coupled one, whose assembly also fills a temporary of
-    its modes' diagonal blocks, modes M^2 complex entries.  The table adds
-    its whitened c0, at most M^2 complex entries per class, and a coupled
-    medium's table its whitened coupling, the size of a stack, and its
-    Toeplitz matrices, modes^2 complex entries per depth cell.  Checked
-    before anything is allocated, the space included.
+    unknowns^2 for a coupled one.  The table adds its whitened c0, at most
+    M^2 complex entries per class, and a coupled medium's table, for each
+    depth cell (each may be live), its Toeplitz matrix, modes^2 complex
+    entries, and its whitened mass per pair of classes, classes^2 M^2 real
+    entries.  Checked before anything is allocated, the space included.
     """
     modes, classes = (2 * disc.N + 1) ** 2, (disc.N + 1) * (disc.N + 2) // 2
     blocks, pieces = modes * disc.M ** 2, 3 * classes * disc.M ** 2
     half = disc.M % 2 == 0
     space = 8 * (2 * blocks + pieces + (blocks // 2 + pieces // 2 if half else 0))
-    stack, table = blocks, classes * disc.M ** 2
+    stack, table = blocks, 16 * classes * disc.M ** 2
     if not medium.transversely_uniform:
-        stack = disc.unknowns ** 2
-        table += stack + (len(medium.breaks) - 1) * modes ** 2 + blocks
-    _require_memory(space + 16 * (table + 2 * stack),
+        stack, cells = disc.unknowns ** 2, len(medium.breaks) - 1
+        table += cells * (16 * modes ** 2 + 8 * classes ** 2 * disc.M ** 2)
+    _require_memory(space + table + 16 * 2 * stack,
                     f"operator with {disc.unknowns} unknowns (N={disc.N}, M={disc.M})",
                     "lower N or M")
 
@@ -673,11 +642,13 @@ class _CouplingTable:
     Toeplitz matrices Q_c[n, m] = qhat^(c)_{n-m} off the diagonal, and
     block (n, m) is C_{n-m} = sum_c qhat^(c)_{n-m} M_c.  Otherwise, as for
     every transversely uniform medium, it is None, and the table holds no
-    array of modes^2 entries.
+    array of modes^2 entries.  `uniform` is the medium's transverse
+    uniformity: its operators are block-diagonal, while every other
+    medium's, a transversely constant sampled one's too, are coupled.
 
     The table also fixes, once, the layout of the whitened stack of the
     medium's operators (`DiscreteOperator.stack`), and holds a coupled
-    medium's coupling in it.  A stack of blocks (B, n, n) and the layout's
+    medium's cell masses whitened in it.  A stack of blocks (B, n, n) and the layout's
     maps (to, back) are such that G v = b reads blocks z = to(b) (one
     right-hand side per block, shape (B, n)) with v = back(z) (a field).
     `to` and `back` are one real linear map and its transpose, so a row r
@@ -698,12 +669,14 @@ class _CouplingTable:
       direct sum of its parity halves (K = 2) up to that remainder.
       Otherwise, and for odd M, it is None, and each group gives its full
       whitened block (K = 1).
-    - `coupling` is the whitened stack of the unit-scale coupling of a
-      transversely varying medium: block (n, m) is -C_{n-m} off the
-      diagonal and zero in the diagonal mode slots.  It is built one raw
-      row slot at a time by `_whitened_blocks`, so no full raw matrix is
-      allocated (all zero without a Toeplitz).  A transversely uniform
-      medium has none (None).
+    - `live` are the cells whose Q_c is not zero, and `pair_pieces`
+      (live, K, classes, n, classes, n) their masses whitened per pair of
+      |n|^2 classes in that layout (`FieldSpace.whiten_pairs`):
+      S_a X_c S_b, X_c the parity block of P^T M_c P (M_c itself when
+      K = 1).  Block (n, m) of a coupled stack is then -scale sum_c
+      qhat^(c)_{n-m} times the piece of the classes of n and m
+      (`_build_operator`), read through `classes_of_groups`, the class of
+      each mode of `groups`.  All three are None without a Toeplitz.
     - `maps` are the (to, back) maps of the layout: to(b) is b @ P (parity
       only), then S per class and mode, then a gather of each group's
       modes; back(z) is its transpose.
@@ -711,8 +684,10 @@ class _CouplingTable:
       that layout (`FieldSpace.whiten_pieces`): its real part and, when c0
       is complex (a lossy medium), its imaginary part (T = 1 or 2).
       Assembly combines them with the space's pieces of the same layout.
-    - `largest` is the largest real or imaginary part in c0, in its
-      whitened pieces and in the whitened coupling, a Python float.
+    - `largest` is the largest real or imaginary part in c0 and in its
+      whitened pieces, or the sum over the live cells of the largest part
+      of Q_c times the largest |entry| of its pieces, a bound on every
+      part of the unit-scale whitened coupling: a Python float.
     """
 
     def __init__(self, medium: MediumModel, space: FieldSpace):
@@ -748,26 +723,22 @@ class _CouplingTable:
         symmetric = _mirror_symmetric(self.cell_masses, weights) and all(
             _mirror_symmetric(X[None], np.ones((1, 1))) for X in (grid.stiffness, grid.mass))
         self.parity = space.parity if symmetric else None
-        uniform = medium.transversely_uniform
-        self.coupling = None if uniform else \
-            _whitened_blocks(space, self.groups, self.row, self.parity)
+        self.uniform = medium.transversely_uniform
         self.maps = _stack_maps(space, self.groups, self.parity)
         parts = (self.c0.real, self.c0.imag) if self.c0.imag.any() else (self.c0.real,)
         self.c0_pieces = space.whiten_pieces(np.stack(parts), self.parity)
         # what assembly's overflow guard scales: the largest part of c0, of
-        # its whitened pieces and of Ĉ
+        # its whitened pieces, and a bound on the whitened coupling
         self.largest = max(_largest_part(self.c0),
-                           float(max(self.c0_pieces.max(), -self.c0_pieces.min())),
-                           0.0 if uniform else _largest_part(self.coupling))
-
-    def row(self, r: int) -> np.ndarray:
-        """Raw row slot r of every group of the unit-scale coupling, (nc, M, c, M)."""
-        g = self.groups
-        if self.toeplitz is None:
-            M = len(self.c0)
-            return np.zeros((len(g), M, g.shape[1], M), dtype=complex)
-        q = self.toeplitz[:, g[:, r, None], g]  # (C, nc, c)
-        return np.tensordot(-q, self.cell_masses, axes=(0, 0)).transpose(0, 2, 1, 3)
+                           float(max(self.c0_pieces.max(), -self.c0_pieces.min())))
+        self.live = self.pair_pieces = self.classes_of_groups = None
+        if self.toeplitz is not None:
+            self.live = np.flatnonzero(self.toeplitz.any(axis=(1, 2)))
+            self.pair_pieces = space.whiten_pairs(self.cell_masses[self.live], self.parity)
+            self.classes_of_groups = space.mode_class[self.groups]
+            self.largest = max(self.largest, sum(
+                _largest_part(self.toeplitz[c]) * float(np.abs(w).max())
+                for c, w in zip(self.live, self.pair_pieces)))
 
     def couple(self, u: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """sum_{m != n} C_{n-m} u_m for every n, or sum_{n != m} C_{n-m}^H u_n for every m.
@@ -828,11 +799,14 @@ def _build_operator(inc, medium, space, x, y, boundary, scale) -> DiscreteOperat
     |n|^2 class: the space's K, Mass and E (`FieldSpace.pieces`) and the
     table's c0 (`_CouplingTable.c0_pieces`): one `_real_matmul` per class
     of its real pieces with the complex coefficients (x, y[n], -i
-    boundary[n], -scale) of its modes.  That is the stack of a
-    block-diagonal operator; a coupled one's is scale times
-    the table's whitened coupling with them written into its (zero)
-    diagonal mode slots.  Raises DomainError, before any product, if scale
-    times the largest part of c0, of its whitened pieces or of the whitened
+    boundary[n], -scale) of its modes.  That is the stack of an operator
+    whose groups are single modes.  A coupled one's stack is filled by
+    `_fill_coupling`, block (n, m) -scale sum_c qhat^(c)_{n-m} times the
+    whitened mass of cell c for the classes of n and m
+    (`_CouplingTable.pair_pieces`), and the diagonal blocks are then
+    written into its diagonal mode slots.
+    Raises DomainError, before any product, if scale times the largest
+    part of c0, of its whitened pieces or the bound on the whitened
     coupling (`_CouplingTable.largest`) may overflow, and after them if the
     stack is not finite.
     """
@@ -854,18 +828,42 @@ def _build_operator(inc, medium, space, x, y, boundary, scale) -> DiscreteOperat
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         for idx, own, c0 in zip(space.classes, pieces, table.c0_pieces):
             stack[idx] = _real_matmul(np.concatenate((own, c0)).T, coef[idx].T).T
-    stack = stack.reshape(nm * K, n, n)
-    if table.coupling is not None:
-        nc, c = table.groups.shape
-        group, slot = table.place
-        full = np.multiply(table.coupling, scale)
-        full.reshape(nc, K, c, n, c, n)[group, :, slot, :, slot, :] = \
-            stack.reshape(nm, K, n, n)
-        stack = full
+        stack = stack.reshape(nm * K, n, n)
+        if table.pair_pieces is not None:
+            (nc, c), (group, slot) = table.groups.shape, table.place
+            diagonal, stack = stack, np.empty((nc * K, c * n, c * n), dtype=complex)
+            out = stack.reshape(nc, K, c, n, c, n)
+            _fill_coupling(out, table, -s)
+            out[group, :, slot, :, slot, :] = diagonal.reshape(nm, K, n, n)
     if not np.isfinite(stack).all():
         raise DomainError(f"whitened operator overflows double precision at "
                           f"h = {space.h:.6g}, M = {space.M}")
     return DiscreteOperator(inc, space, table, x, y, boundary, scale, stack)
+
+
+def _fill_coupling(out: np.ndarray, table: _CouplingTable, factor: complex) -> None:
+    """Write factor sum_c Q_c[n, m] S_a X_c S_b into every block of `out`
+    (nc, K, c, n, c, n), its diagonal mode slots too (where Q_c is 0).
+
+    Group by group, in chunks of at most c/8 row slots: per live cell, its
+    pair pieces gathered for the chunk's modes (rows, then columns, laid
+    out as the chunk is) times its Toeplitz entries repeated over each
+    column block's n nodes, written (first cell) or added to the chunk.
+    """
+    K, c, n = out.shape[1:4]
+    step = max(1, c // 8)
+    for g, cl, blocks in zip(table.groups, table.classes_of_groups, out):
+        blocks = blocks.reshape(K, c, n, c * n)
+        for lo in range(0, c, step):
+            rows = slice(lo, lo + step)
+            chunk = blocks[:, rows]
+            for i, (cell, w) in enumerate(zip(table.live, table.pair_pieces)):
+                q = np.repeat(factor * table.toeplitz[cell][g[rows, None], g], n, axis=1)
+                w = w[:, cl[rows]].take(cl, axis=3).reshape(chunk.shape)
+                if i == 0:
+                    np.multiply(q[:, None], w, out=chunk)
+                else:
+                    chunk += q[:, None] * w
 
 
 def _require_finite(inc: IncidenceSpec, name: str, value) -> None:

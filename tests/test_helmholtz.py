@@ -1,9 +1,13 @@
 """Assembly, solve, Rayleigh extraction, lift: oracles and invariants."""
 import gc
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,9 +45,28 @@ def diagonal_blocks(op):
 
 
 def raw_rows(op):
-    """row(r) of `_whitened_blocks` for an operator: raw row slot r of every
-    mode group, (nc, M, c, M), read from its full matrix (`dense`)."""
+    """Raw row slot r of every mode group of an operator, (nc, M, c, M), as a
+    function of r, read from its full matrix (`dense`)."""
     return reference_rows(dense(op), op.groups, op.space.M)
+
+
+def whitened_formula(space, groups, G, parity):
+    """The whitened blocks of a full (mode, node) matrix G by the complex
+    formula S_n G_nm S_m over each mode group, in the layout `parity` (None
+    or space.parity), with every real factor cast to complex: (nc K, c n, c n),
+    the layout of `DiscreteOperator.stack`."""
+    nm, M = len(space.modes), space.M
+    P, S = parity or (np.eye(M), space.W_isqrt[None])
+    K, n = len(S), M // len(S)
+    P, S = P.astype(complex), S.astype(complex)
+    T = P.T @ G.reshape(nm, M, nm, M).swapaxes(1, 2) @ P  # (nm, nm, M, M)
+    nc, c = groups.shape
+    out = np.empty((nc, K, c, n, c, n), dtype=complex)
+    for p in range(K):
+        sl = slice(p * n, (p + 1) * n)
+        blocks = S[p][:, None] @ T[:, :, sl, sl] @ S[p][None]  # (nm, nm, n, n)
+        out[:, p] = blocks[groups[:, :, None], groups[:, None]].swapaxes(2, 3)
+    return out.reshape(nc * K, c * n, c * n)
 
 
 def oracle_u(q0, k, theta1, h=1.0):
@@ -492,7 +515,7 @@ class TestWhitenedBlocks:
         nm, M, h = len(sp.modes), sp.M, sp.M // 2
         groups = op.groups
         assert groups.shape == (comps, nm // comps)
-        halves = q.helmholtz._whitened_blocks(sp, groups, raw_rows(op), sp.parity)
+        halves = whitened_formula(sp, groups, dense(op), sp.parity)
         G = dense(op).reshape(nm, M, nm, M)
         cross = np.linalg.norm(G - G[:, ::-1, :, ::-1]) ** 2 / 4  # ||G - R G R||^2 / 4
         P = sp.parity[0]
@@ -511,19 +534,23 @@ class TestWhitenedBlocks:
         (inclusion_medium, True),  # mirror-symmetric: the halves only
     ])
     def test_only_the_chosen_layout_is_built(self, monkeypatch, medium, parity):
-        calls, builder = [], q.helmholtz._whitened_blocks
+        # the table whitens its cell masses per class pair once, in the chosen
+        # layout only; the assembly whitens no raw block
+        calls, builder = [], q.FieldSpace.whiten_pairs
 
-        def recording(space, groups, row, parity):
+        def recording(space, parts, parity):
             calls.append(parity)
-            return builder(space, groups, row, parity)
+            return builder(space, parts, parity)
 
-        monkeypatch.setattr(q.helmholtz, "_whitened_blocks", recording)
+        monkeypatch.setattr(q.FieldSpace, "whiten_pairs", recording)
         op = sampled_operator(medium)  # a fresh space: builds the coupling table
-        table = op.table
-        # the coupling only: the assembly whitens no raw block
+        table, sp = op.table, op.space
         assert [p is not None for p in calls] == [parity]
-        want = builder(op.space, op.groups, table.row, op.space.parity if parity else None)
-        assert np.array_equal(table.coupling, want)
+        want = builder(sp, table.cell_masses[table.live], sp.parity if parity else None)
+        assert np.array_equal(table.pair_pieces, want)
+        K, classes = (2 if parity else 1), len(sp.classes)
+        assert table.pair_pieces.shape == (len(table.live), K, classes, 16 // K,
+                                           classes, 16 // K)
 
     @pytest.mark.parametrize("build, shape", [
         (slab_operator, (25, 16, 16)),
@@ -559,16 +586,16 @@ class TestOperatorSizeGuard:
         # for the parity halves); two live operators, each its stack at K = 1
         # (16 unknowns^2 bytes when coupled, (2N+1)^2 blocks of 16 M^2 bytes
         # otherwise); the table's whitened c0 (16 M^2 bytes per class) and,
-        # when coupled, its whitened coupling, the Toeplitz matrix of its one
-        # depth cell (16 (2N+1)^4 bytes) and the diagonal blocks that the
-        # assembly writes into the stack
+        # when coupled, for its one depth cell the Toeplitz matrix
+        # (16 (2N+1)^4 bytes) and the whitened mass per pair of classes
+        # (8 M^2 bytes for each of 3^2 pairs)
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
         disc = q.Discretization(N=1, M=8)
         med = inclusion_medium() if coupled else q.MediumModel.homogeneous(2.0, 1.0)
         space = 8 * 9 * 8 ** 2 * 5 // 2 + 8 * 3 * 3 * 8 ** 2 * 3 // 2
         blocks, c0 = 16 * 9 * 8 ** 2, 16 * 3 * 8 ** 2
-        need = space + c0 + (blocks + 3 * 16 * 72 ** 2 + 16 * 9 ** 2 if coupled
-                             else 2 * blocks)
+        need = space + c0 + (2 * 16 * 72 ** 2 + 16 * 9 ** 2 + 8 * 3 ** 2 * 8 ** 2
+                             if coupled else 2 * blocks)
         for have, fits in ((need - 1, False), (need, True)):
             monkeypatch.setattr(q.helmholtz.os, "sysconf", lambda name, have=have:
                                 1 if name == "SC_PAGE_SIZE" else have)
@@ -1173,7 +1200,7 @@ class TestCouplingTable:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
-        assert table.toeplitz is None and table.coupling is None
+        assert table.toeplitz is None and table.pair_pieces is None
         assert table.groups.tolist() == [[i] for i in range(1681)]
         assert (table.parity is space.parity) == (K == 2)
         qs = np.array([qc for _, _, qc in med.layers])
@@ -1187,6 +1214,62 @@ class TestCouplingTable:
             with pytest.raises(q.AliasError):
                 q.helmholtz._medium_profiles(med, space)
         assert len(space._couplings) == 0
+
+
+#: one warm N = 1 solve, then one solve of the 32 x 32 disc inclusion at
+#: N = 4, M = 16; prints the rise of the process's peak resident set over the
+#: stack's bytes.  The peak is VmHWM, the high-water mark of the process's own
+#: memory: ru_maxrss is not, as exec carries the spawning process's peak over
+#: (a test run's, larger than this whole probe)
+RSS_PROBE = """
+import numpy as np
+import qpscat as q
+
+def peak():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+
+x = (np.arange(32) + 0.5) * 2 * np.pi / 32
+r2 = (x[:, None] - np.pi) ** 2 + (x[None, :] - np.pi) ** 2
+med = q.MediumModel.sampled(np.where(r2 < (0.35 * 2 * np.pi) ** 2, 2.5, 1.5)[:, :, None], 1.0)
+inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+small = q.Discretization(N=1, M=16)
+q.solve(q.assemble(inc, med, small), q.rhs(inc, small))
+before = peak()
+disc = q.Discretization(N=4, M=16)
+op = q.assemble(inc, med, disc)
+q.solve(op, q.rhs(inc, disc))
+print((peak() - before) * 1024 / op.stack.nbytes)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+class TestCouplingMemory:
+    """A coupled run holds one stack-sized array: its stack."""
+
+    def test_inclusion_solve_peaks_below_two_stacks(self, tmp_path):
+        # the solve's resident peak rises by its stack, the SVD's and the
+        # LU's work arrays (1.6-1.7 stacks); a second stack-sized array, as a
+        # kept whitened coupling was, takes it to 2.7
+        env = dict(os.environ, PYTHONPATH=str(Path(q.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", RSS_PROBE], cwd=tmp_path, env=env,
+                              text=True, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) <= 2.0
+
+    def test_coupled_table_build_peaks_below_1_MB(self):
+        # the disc inclusion at N = 4, M = 16: its table holds 15 classes'
+        # pair pieces of one cell (230 KB), not a whitened coupling (13.4 MB)
+        med = inclusion_medium(n=32)
+        space = q.FieldSpace(q.Discretization(N=4, M=16), 1.0)
+        tracemalloc.start()
+        try:
+            table = q.helmholtz._medium_profiles(med, space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert table.pair_pieces.nbytes == 8 * 2 * 15 ** 2 * 8 ** 2
 
 
 class TestStackActions:
@@ -1440,7 +1523,8 @@ def formula_diagonal(inc, medium, space, derivative=False):
 
 
 def reference_rows(G, groups, M):
-    """row(r) of `_whitened_blocks` read from a full (mode, node) matrix G."""
+    """Raw row slot r of every mode group, as a function of r, read from a full
+    (mode, node) matrix G."""
     nm = len(groups.ravel())
     G4 = G.reshape(nm, M, nm, M)
     return lambda r: np.stack([G4[g[r]][:, g] for g in groups])
@@ -1466,16 +1550,16 @@ class TestCoupledStack:
                              ids=["chebyshev", "fd"])
     @pytest.mark.parametrize("medium", PIECE_MEDIA, ids=PIECE_IDS)
     def test_pieces_build_the_whitened_operator(self, medium, scheme, M, k, derivative):
-        # the stack, a combination of whitened pieces per |n|^2 class, is
-        # W^{-1/2} G W^{-1/2} of the operator's own matrix, in its layout
+        # the stack, a combination of whitened pieces per |n|^2 class and
+        # class pair, is W^{-1/2} G W^{-1/2} of the operator's own matrix, in
+        # its layout
         med, disc = medium(), q.Discretization(N=2, M=M, depth_scheme=scheme)
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0).with_k(k)
         build = q.assemble_eps_derivative if derivative else q.assemble
         op = build(inc, med, disc)
         table = op.table
         assert table.c0_pieces.shape[1] == (2 if medium is lossy_stack_medium else 1)
-        want = q.helmholtz._whitened_blocks(op.space, table.groups,
-                                            raw_rows(op), table.parity)
+        want = whitened_formula(op.space, table.groups, dense(op), table.parity)
         assert op.stack.shape == want.shape
         assert relative_error(op.stack, want) <= 1e-13
 
@@ -1484,7 +1568,7 @@ class TestCoupledStack:
     def test_uniform_layout_is_single_modes_by_the_parity_test(self, medium, K):
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
         op = q.assemble(inc, medium(), q.Discretization(N=2, M=16))
-        assert op.block_diagonal and op.table.coupling is None
+        assert op.block_diagonal and op.table.pair_pieces is None
         assert op.groups.tolist() == [[i] for i in range(25)]
         assert op.stack.shape == (25 * K, 16 // K, 16 // K)
 
@@ -1511,8 +1595,7 @@ class TestCoupledStack:
         op = build(inc, med, disc)
         table = op.table
         G = filled_matrix(inc, med, op.space, derivative)
-        want = q.helmholtz._whitened_blocks(op.space, table.groups,
-                                            reference_rows(G, table.groups, M), table.parity)
+        want = whitened_formula(op.space, table.groups, G, table.parity)
         got = op.stack
         assert got.shape == want.shape
         assert relative_error(got, want) <= 1e-13
@@ -1552,12 +1635,16 @@ class TestCoupledStack:
     @pytest.mark.parametrize("medium, N, M, groups", STACK_CASES, ids=STACK_IDS)
     def test_warm_assembly_allocates_no_raw_matrix(self, monkeypatch, medium, N, M,
                                                    groups):
+        # no allocation of a warm assembly is as large as its stack, apart
+        # from the stack itself
         med, disc = medium(), q.Discretization(N=N, M=M)
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
         q.assemble(inc, med, disc)  # builds the coupling table
-        calls, shapes, products = [], [], []
+        builds = [lambda: q.assemble(inc.with_k(1.4), med, disc),
+                  lambda: q.assemble(inc.with_k(1.3 + 0.05j), med, disc),
+                  lambda: q.assemble_eps_derivative(inc, med, disc)]
+        shapes, products = [], []
         zeros, empty, multiply = np.zeros, np.empty, np.multiply
-        builder = q.helmholtz._whitened_blocks
 
         def recording(fn):
             def wrapped(shape, *args, **kwargs):
@@ -1571,26 +1658,30 @@ class TestCoupledStack:
             return out
 
         with monkeypatch.context() as m:
-            m.setattr(q.helmholtz, "_whitened_blocks",
-                      lambda *a: calls.append(a[1]) or builder(*a))
             m.setattr(np, "zeros", recording(zeros))
             m.setattr(np, "empty", recording(empty))
             m.setattr(np, "multiply", recording_multiply)
-            ops = [q.assemble(inc.with_k(1.4), med, disc),
-                   q.assemble(inc.with_k(1.3 + 0.05j), med, disc),
-                   q.assemble_eps_derivative(inc, med, disc)]
-        # no raw block is whitened: the diagonal blocks are combinations of
-        # whitened pieces, and the table's coupling is not built again
-        assert calls == []
-        # nothing allocated is larger than the stack
+            ops = [build() for build in builds]
         stack = ops[0].stack
-        assert shapes and all(np.prod(s) <= stack.size for s in shapes)
+        # one allocation of the stack's size per assembly, the stack itself
+        assert [np.prod(s) for s in shapes if np.prod(s) >= stack.size] == [stack.size] * 3
+        # the coupling is written in chunks of at most 1/8 of the stack, one
+        # product per live cell and chunk (none without a live cell)
+        assert bool(products) == (ops[0].table.pair_pieces is not None)
+        assert all(np.prod(s) <= stack.size / 8 for s in products)
+        # and at its peak an assembly holds less than a second stack
+        for build in builds:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                op = build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert op.stack.nbytes <= peak < 2 * op.stack.nbytes
         full = disc.unknowns ** 2
-        # the one product of the stack's size is the stack itself, scale times
-        # the table's whitened coupling (none for a block-diagonal operator);
-        # it holds unknowns^2 entries only when the layout does not split
-        # (one group at K = 1)
-        assert products == ([] if ops[0].block_diagonal else [stack.shape] * 3)
+        # the stack holds unknowns^2 entries only when the layout does not
+        # split (one group at K = 1)
         assert (stack.size < full) == (len(ops[0].groups) > 1 or ops[0].table.parity is not None)
         assert all(op.dense is None and op.table is ops[0].table for op in ops)
 
@@ -1778,9 +1869,9 @@ class TestStructuralInvariants:
 
 
 def complex_whitened(space, groups, row, parity):
-    """The whitened blocks of `_whitened_blocks` by the complex formula S_n G_n S_n,
-    mode pair by mode pair and in its order of operations, with every real
-    factor cast to complex."""
+    """The whitened blocks of a raw operator given by its row slots `row`
+    (`raw_rows`), by the complex formula S_n G_nm S_m mode pair by mode pair,
+    with every real factor cast to complex, in the layout of a stack."""
     M = space.M
     P, S = parity or (None, space.W_isqrt[None])
     S = S.astype(complex)
@@ -1809,16 +1900,27 @@ class TestRealFactors:
         case + (K,) for case in STACK_CASES for K in (1, 2) if K == 1 or case[2] % 2 == 0
     ], ids=[f"{i}_K{K}" for i, case in zip(STACK_IDS, STACK_CASES) for K in (1, 2)
             if K == 1 or case[2] % 2 == 0])
-    def test_whitened_blocks_are_the_complex_formula(self, medium, N, M, groups, K):
+    def test_whitened_blocks_are_the_complex_formula(self, monkeypatch, medium, N, M,
+                                                     groups, K):
+        # the whitened coupling of the stack, real pieces per class pair times
+        # complex coefficients in the layout forced to K depth classes,
+        # against the complex formula on the raw operator: every slot off the
+        # diagonal mode slots (none when every group is one mode), whose
+        # combinations of per-class pieces test_pieces_build_the_whitened_operator
+        # checks
+        monkeypatch.setattr(q.helmholtz, "_mirror_symmetric", lambda *args: K == 2)
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0).with_k(1.3 + 0.05j)
         op = q.assemble(inc, medium(), q.Discretization(N=N, M=M))
         sp = op.space
         parity = sp.parity if K == 2 else None
-        rows = raw_rows(op)
-        got = q.helmholtz._whitened_blocks(sp, op.groups, rows, parity)
-        want = complex_whitened(sp, op.groups, rows, parity)
+        assert op.table.parity is parity
+        got = op.stack
+        want = complex_whitened(sp, op.groups, raw_rows(op), parity)
         assert got.shape == want.shape and len(got) == groups * K
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        c, n = op.groups.shape[1], M // K
+        off = ~np.eye(c, dtype=bool)[:, None, :, None].repeat(n, 1).repeat(n, 3)
+        off = off.reshape(c * n, c * n)
+        assert np.max(np.abs(got - want)[:, off], initial=0.0) <= 1e-15 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("medium, N, M, groups", STACK_CASES, ids=STACK_IDS)
     def test_maps_are_transposes(self, medium, N, M, groups):

@@ -8,6 +8,7 @@ import tempfile
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qpscat as q
@@ -127,3 +128,81 @@ def test_media_have_ascending_breaks_and_cell_masses_that_sum_to_the_mass(inputs
             return
         total = grid.cell_masses(z).sum(axis=0)
         assert np.max(np.abs(total - grid.mass)) <= 1e-13 * np.max(np.abs(grid.mass))
+
+
+@st.composite
+def reciprocity_cases(draw):
+    """A drawn sampled medium (n1, n2 <= 12, n3 <= 3), lossless or absorbing,
+    fine enough for its N in {1, 2}, and an incidence alpha."""
+    N = draw(st.integers(1, 2))
+    need = 2 * (2 * N + 1)
+    shape = (draw(st.integers(need, 12)), draw(st.integers(need, 12)), draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = 1.5 + rng.random(shape)
+    if draw(st.booleans()):
+        values = values + 0.3j * rng.random(shape)
+    alpha = draw(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+    return q.MediumModel.sampled(values, 1.0), N, alpha
+
+
+def stack_matrix(op):
+    """The whitened operator read off its stack, as a dense (mode, node) matrix:
+    each block put back in its group's modes and depth class, then the parity
+    basis (when the table split by it) turned back to the nodes."""
+    sp, table = op.space, op.table
+    nm, M = len(sp.modes), sp.M
+    K = 1 if table.parity is None else 2
+    n = M // K
+    nc, c = table.groups.shape
+    blocks = op.stack.reshape(nc, K, c, n, c, n)
+    T = np.zeros((nm, K, n, nm, K, n), dtype=complex)
+    for g, modes in enumerate(table.groups):
+        for p in range(K):
+            T[modes[:, None], p, :, modes[None, :], p, :] = blocks[g, p].swapaxes(1, 2)
+    T = T.reshape(nm, M, nm, M).swapaxes(1, 2)  # (nm, nm, M, M)
+    if table.parity is not None:
+        P = table.parity[0]
+        T = P @ T @ P.T
+    return T.swapaxes(1, 2).reshape(sp.size, sp.size)
+
+
+@pytest.mark.parametrize("kind", ["A", "A_complex_k", "dA"])
+@pytest.mark.parametrize("odd", [False, True], ids=["even_M", "odd_M"])
+@pytest.mark.parametrize("scheme", [q.CHEBYSHEV, q.FINITE_DIFFERENCE], ids=["chebyshev", "fd"])
+@settings(FIXED, max_examples=8)
+@given(case=reciprocity_cases(), M=st.integers(4, 8), k=st.floats(0.5, 2.5),
+       damping=st.floats(0.01, 0.5), seed=st.integers(0, 2 ** 32 - 1))
+def test_coupled_operators_are_reciprocal(scheme, odd, kind, case, M, k, damping, seed):
+    # A(alpha)^T = Pi A(-alpha) Pi, Pi: n -> -n, for A at real and complex k
+    # and for A'(0): the q term is -k^2 qhat_{n-m} M_c, symmetric in depth,
+    # and beta_n(alpha) = beta_{-n}(-alpha); W_n^{-1/2} is symmetric and
+    # depends on |n|^2 only, so the identity holds for the whitened operator.
+    # A(alpha) is read off its stack, A(-alpha) off its stack and off its
+    # matrix-free action (`whitened()`); a stack whose coupling were written
+    # with qhat_{m-n} would be the mirrored medium's and fail the second.
+    # The matrix-free actions keep it too: A(alpha)^T u is the conjugate of
+    # `apply_adjoint` on conj(u)
+    med, N, alpha = case
+    disc = q.Discretization(N=N, M=2 * M + odd, depth_scheme=scheme)
+    build = q.assemble_eps_derivative if kind == "dA" else q.assemble
+    if kind == "A_complex_k":
+        k = complex(k, damping)
+    try:
+        ops = [build(q.IncidenceSpec.from_alpha(k, a, 1.0), med, disc)
+               for a in (alpha, (-alpha[0], -alpha[1]))]
+    except q.CutoffViolation:  # a grazing order at real k
+        return
+    sp = ops[0].space
+    mirror = np.array([sp.mode_index[(-n1, -n2)] for n1, n2 in sp.modes])
+    Pi = np.arange(sp.size).reshape(len(sp.modes), sp.M)[mirror].ravel()
+    got = stack_matrix(ops[0]).T
+    scale = np.max(np.abs(got))
+    for other in (stack_matrix(ops[1]), ops[1].whitened()):
+        assert np.max(np.abs(got - other[Pi][:, Pi])) <= 1e-12 * scale
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(sp.size) + 1j * rng.standard_normal(sp.size)
+    shape = (len(sp.modes), sp.M)
+    got = np.conj(ops[0].apply_adjoint(np.conj(u).reshape(shape))).ravel()
+    want = np.empty_like(u)
+    want[Pi] = ops[1].apply(u[Pi].reshape(shape)).ravel()
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
