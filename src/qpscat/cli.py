@@ -27,10 +27,17 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import hashlib
 import json
 import sys
 from pathlib import Path
+
+try:  # CPython's builtin SHA-256: hashlib loads OpenSSL to hash a few hundred bytes
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -144,8 +151,9 @@ class RunConfig:
         levels = self._getint("lap", "eps_levels", "11")
         # the last level must not underflow to 0; this also caps eps_levels
         if levels < 2 or not (np.isfinite(start) and start * 2.0 ** (1 - levels) > 0):
-            raise ConfigError("eps_start must be finite and > 0, eps_levels >= 2, and "
-                              "the last level eps_start * 2^(1 - eps_levels) > 0")
+            raise ConfigError(f"eps_start must be finite and > 0, eps_levels >= 2, and "
+                              f"the last level eps_start * 2^(1 - eps_levels) > 0, got "
+                              f"eps_start={start!r}, eps_levels={levels!r}")
         return tuple(start * 2.0 ** -j for j in range(levels))
 
     def svd_threshold(self) -> float:
@@ -181,7 +189,7 @@ class RunConfig:
         for sec in sorted(self.sections):
             for key in sorted(self.sections[sec]):
                 lines.append(f"{sec}.{key}={self.sections[sec][key]}")
-        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        return sha256("\n".join(lines).encode()).hexdigest()
 
     def meta(self) -> dict:
         return {"tool": "qpscat", "version": __version__,

@@ -128,6 +128,34 @@ def _cheb_bary_weights(M: int) -> np.ndarray:
     return wb
 
 
+def _legendre(M: int, x: np.ndarray):
+    """P_M(x) and P_M'(x) by the three-term recurrence."""
+    p0, p, d = np.ones_like(x), x, np.ones_like(x)
+    for j in range(2, M + 1):
+        p0, p, d = p, ((2 * j - 1) * x * p - (j - 1) * p0) / j, j * p + x * d
+    return p, d
+
+
+def _gauss_legendre(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The M-point Gauss-Legendre rule on [-1, 1]: ascending nodes and weights.
+
+    Newton on `_legendre` from the cosine guesses, the nodes made exactly
+    antisymmetric.  The weight 2 / ((1 - x^2) P_M'(x)^2) is taken at the
+    root, not at its rounding x: to first order in the offset -P_M/P_M',
+    along which its logarithm has slope -2x / (1 - x^2)."""
+    x = -np.cos(np.pi * (np.arange(M) + 0.75) / (M + 0.5))
+    for _ in range(50):  # quadratic from the guesses: 4 steps up to M = 512
+        p, d = _legendre(M, x)
+        step = p / d
+        x -= step
+        if np.max(np.abs(step)) <= 1e-14:
+            break
+    x = 0.5 * (x - x[::-1])
+    p, d = _legendre(M, x)
+    s = 1.0 - x * x
+    return x, 2.0 / (s * d * d) * (1.0 + 2.0 * x * p / (d * s))
+
+
 class DepthGrid:
     """Nodal basis in depth with exact (or scheme-consistent) Galerkin matrices.
 
@@ -145,7 +173,7 @@ class DepthGrid:
         if self.scheme == CHEBYSHEV:
             self.nodes, D = _cheb_nodes_diff(M, h)
             self._bary = _cheb_bary_weights(M)
-            t, w = np.polynomial.legendre.leggauss(M)
+            t, w = _gauss_legendre(M)
             ED = self._interp_matrix(h * t) @ D
             stiff = ED.T @ (h * w[:, None] * ED)
             self.stiffness = 0.5 * (stiff + stiff.T)
@@ -173,7 +201,7 @@ class DepthGrid:
         a, b = breaks[:-1, None], breaks[1:, None]
         M = self.M
         if self.scheme == CHEBYSHEV:
-            t, w = np.polynomial.legendre.leggauss(M)
+            t, w = _gauss_legendre(M)
             half = 0.5 * (b - a)
             E = self._interp_matrix((0.5 * (a + b) + half * t).ravel()).reshape(-1, M, M)
             out = E.swapaxes(1, 2) @ ((half * w)[..., None] * E)

@@ -101,7 +101,7 @@ class IncidenceSpec:
             raise ValueError(f"theta1 must lie in (-pi/2, pi/2), got {theta1}")
         tt = np.sin(theta1) * np.array([np.cos(theta2), np.sin(theta2)])
         alpha = complex(k).real * tt
-        return cls(k=complex(k), h=float(h), alpha=(alpha[0], alpha[1]),
+        return cls(k=complex(k), h=float(h), alpha=(float(alpha[0]), float(alpha[1])),
                    theta1=float(theta1), theta2=float(theta2) % (2 * np.pi))
 
     @classmethod
@@ -109,7 +109,7 @@ class IncidenceSpec:
         a = np.asarray(alpha, dtype=float)
         if a.shape != (2,):
             raise ValueError("alpha must be a 2-vector")
-        return cls(k=complex(k), h=float(h), alpha=(a[0], a[1]))
+        return cls(k=complex(k), h=float(h), alpha=(float(a[0]), float(a[1])))
 
     @property
     def angle_derived(self) -> bool:

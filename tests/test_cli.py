@@ -159,6 +159,21 @@ class TestConfigErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
 
+    @pytest.mark.parametrize("override, got", [
+        ("lap.eps_start=0", "eps_start=0.0, eps_levels=8"),
+        ("lap.eps_start=-1", "eps_start=-1.0, eps_levels=8"),
+        ("lap.eps_start=nan", "eps_start=nan, eps_levels=8"),
+        ("lap.eps_levels=1", "eps_start=0.1, eps_levels=1"),
+    ])
+    def test_bad_eps_schedule_names_what_it_got(self, tmp_path, capsys, override, got):
+        cfg = write_cfg(tmp_path, LAP_CONFIG)
+        rc = main(["lap", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                   "--override", override])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: eps_start must be")
+        assert err[0].endswith(f", got {got}")
+
     @pytest.mark.parametrize("command, overrides", [
         ("dispersion", "slab.parity=sideways"),
         ("dispersion", "slab.parity=sideways slab.q0=0.5"),  # no roots to find
@@ -455,6 +470,21 @@ def test_non_finite_incidence_gives_one_line(tmp_path, capsys, override, code, p
     assert rc == code
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(prefix)
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("source, alpha", [("theta1 = 0.3", "(0.29552020666133955, 0.0)"),
+                                           ("alpha = 0.3,0.0", "(0.3, 0.0)")])
+def test_non_finite_h_names_plain_floats(tmp_path, capsys, source, alpha):
+    # from_angles and from_alpha store alpha as Python floats, not numpy scalars
+    cfg = write_cfg(tmp_path, EXTREME_H_CONFIG.replace("theta1 = 0.3", source))
+    out = tmp_path / "out"
+    rc = main(["solve", "--config", str(cfg), "--out", str(out),
+               "--override", "incidence.h=inf"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: k, h and alpha must be finite, got "
+                   f"k=(1+0j), h=inf, alpha={alpha}"]
     assert not any(out.iterdir())
 
 

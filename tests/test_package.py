@@ -1,13 +1,20 @@
-"""The package namespace: `slab` and `maxwell` are imported on first use."""
+"""The package namespace: `slab` and `maxwell` are imported on first use, and
+a CLI run loads neither OpenSSL nor `numpy.polynomial`."""
+import hashlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qpscat as q
-from test_cli import LAP_CONFIG
+from qpscat.cli import load_config
+from qpscat.helmholtz import _gauss_legendre
+from test_cli import LAP_CONFIG, SLAB_SOLVE
+from test_reports_golden import CASES, GOLDEN
 
 SRC = str(Path(q.__file__).resolve().parents[1])
 DEFERRED = ("qpscat.slab", "qpscat.maxwell")
@@ -45,17 +52,71 @@ def test_library_imports_neither_test_tool(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
-def test_lap_command_imports_neither_slab_nor_maxwell(tmp_path):
-    cfg = tmp_path / "lap.ini"
-    cfg.write_text(LAP_CONFIG)
-    done = run_python(["-X", "importtime", "-m", "qpscat.cli", "lap", "--config",
-                       str(cfg), "--out", str(tmp_path / "out")], tmp_path)
+def imported_modules(args, cwd) -> set[str]:
+    """The modules `python -X importtime <args>` lists."""
+    done = run_python(["-X", "importtime", *args], cwd)
     assert done.returncode == 0, done.stderr
-    imported = [line.split("|")[-1].strip() for line in done.stderr.splitlines()
-                if line.startswith("import time:")]
+    return {line.split("|")[-1].strip() for line in done.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def run_command(command, config, tmp_path) -> set[str]:
+    """The modules one `qpscat <command>` process imports; its report is written."""
+    cfg = tmp_path / f"{command}.ini"
+    cfg.write_text(config)
+    out = tmp_path / f"{command}-out"
+    imported = imported_modules(["-m", "qpscat.cli", command, "--config", str(cfg),
+                                 "--out", str(out)], tmp_path)
+    assert "qpscat.helmholtz" in imported and any(out.iterdir())
+    return imported
+
+
+def test_lap_command_imports_neither_slab_nor_maxwell(tmp_path):
+    imported = run_command("lap", LAP_CONFIG, tmp_path)
     assert "qpscat.lap" in imported
-    assert not set(DEFERRED) & set(imported)
-    assert (tmp_path / "out" / "lap.json").is_file()
+    assert not set(DEFERRED) & imported
+
+
+@pytest.mark.parametrize("command", ["lap", "solve"])
+def test_cli_run_loads_neither_openssl_nor_numpy_polynomial(tmp_path, command):
+    # numpy 1.x imports numpy.polynomial itself: only what a bare
+    # `import numpy` leaves out is the command's own
+    config = LAP_CONFIG if command == "lap" else SLAB_SOLVE
+    own = run_command(command, config, tmp_path) \
+        - imported_modules(["-c", "import numpy"], tmp_path)
+    assert not [m for m in own if m == "_hashlib" or m == "numpy.polynomial"
+                or m.startswith("numpy.polynomial.")]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_config_hash_is_the_sha256_of_the_resolved_config(tmp_path, name):
+    command, _, text = CASES[name]
+    path = tmp_path / "run.ini"
+    path.write_text(text.format(path=tmp_path / "medium.dat"), encoding="utf-8")
+    cfg = load_config(path, command)
+    lines = [f"command={command}"] + [f"{sec}.{key}={val}"
+                                      for sec in sorted(cfg.sections)
+                                      for key, val in sorted(cfg.sections[sec].items())]
+    assert cfg.config_hash() == hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    if "{path}" not in text:  # the config names no temporary file: the golden's hash
+        report = GOLDEN / name / {"solve": "rayleigh.json"}.get(command, f"{command}.json")
+        assert json.loads(report.read_text(encoding="utf-8"))["config_sha256"] \
+            == cfg.config_hash()
+
+
+def test_gauss_legendre_rule_matches_numpy():
+    # above M = 128 leggauss's end weights drift (6.8e-10 relative, 3.1e-14
+    # absolute at M = 406, and x^(2M - 2) off by up to 9.2e-14), so there the
+    # weights are held to 5e-14 and this rule's exactness to 1e-15
+    leggauss = np.polynomial.legendre.leggauss
+    for M in [*range(2, 65), 100, 128, 255, 256, 406, 511, 512]:
+        t, w = _gauss_legendre(M)
+        T, W = leggauss(M)
+        assert np.max(np.abs(t - T)) <= 2e-16, M
+        assert np.max(np.abs(w - W)) <= (1e-14 if M <= 128 else 5e-14), M
+        p, exact = 2 * M - 2, 2 / (2 * M - 1)
+        assert abs(w @ t ** p - exact) <= 1e-15, M
+        assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1]), M
 
 
 @pytest.mark.parametrize("module, names", [("slab", SLAB_EXPORTS),

@@ -206,3 +206,83 @@ def test_coupled_operators_are_reciprocal(scheme, odd, kind, case, M, k, damping
     want = np.empty_like(u)
     want[Pi] = ops[1].apply(u[Pi].reshape(shape)).ravel()
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@st.composite
+def lattice_cases(draw):
+    """A drawn sampled file (n1, n2 <= 12, n3 <= 3), lossless or absorbing, an
+    N in {1, 2} that its grid resolves, M from 8 to 17 and an incidence alpha."""
+    N = draw(st.integers(1, 2))
+    need = 2 * (2 * N + 1)
+    shape = (draw(st.integers(need, 12)), draw(st.integers(need, 12)), draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = 1.5 + rng.random(shape)
+    if draw(st.booleans()):
+        values = values + 0.3j * rng.random(shape)
+    alpha = draw(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+    return values, N, draw(st.integers(8, 17)), alpha
+
+
+def rayleigh_coefficients(values, disc, k, alpha):
+    """(u+_n, u-_n) of the sampled file, one row per mode, or None where a real
+    k grazes a cut-off or nears a guided mode."""
+    inc = q.IncidenceSpec.from_alpha(k, alpha, 1.0)
+    try:
+        op = q.assemble(inc, q.MediumModel.sampled(values, 1.0), disc)
+        rd = q.rayleigh_data(q.solve(op, q.rhs(inc, disc)), inc)
+    except (q.CutoffViolation, q.NearSingular):
+        return None
+    return np.array([[rd.u_plus[n], rd.u_minus[n]] for n in disc.space(1.0).modes])
+
+
+def lattice(test):
+    """Run a lattice property on both schemes at real and complex k, 5 draws each."""
+    test = settings(FIXED, max_examples=5)(test)
+    test = pytest.mark.parametrize("scheme", [q.CHEBYSHEV, q.FINITE_DIFFERENCE],
+                                   ids=["chebyshev", "fd"])(test)
+    return pytest.mark.parametrize("complex_k", [False, True], ids=["real_k", "complex_k"])(test)
+
+
+@lattice
+@given(case=lattice_cases(), k=st.floats(0.5, 2.5), damping=st.floats(0.01, 0.5),
+       shift=st.integers(1, 5))
+def test_lattice_translation_multiplies_the_coefficients_by_a_phase(scheme, complex_k, case,
+                                                                    k, damping, shift):
+    # rolling the file by s cells along x_j translates q by 2 pi s / n_j, so
+    # qhat_m takes the phase e^{-i m_j 2 pi s / n_j}: A' = D A D^{-1} with D
+    # that phase on each mode, the load sits in the n = 0 row, and u'+-_n =
+    # e^{-i n_j 2 pi s / n_j} u+-_n.  A coupling written with qhat_{m-n} would
+    # take the conjugate phase
+    values, N, M, alpha = case
+    disc = q.Discretization(N=N, M=M, depth_scheme=scheme)
+    k = complex(k, damping) if complex_k else k
+    base = rayleigh_coefficients(values, disc, k, alpha)
+    if base is None:
+        return
+    modes = np.array(disc.space(1.0).modes)
+    for axis in (0, 1):
+        n = values.shape[axis]
+        got = rayleigh_coefficients(np.roll(values, shift, axis=axis), disc, k, alpha)
+        phase = np.exp(-2j * np.pi * shift * modes[:, axis] / n)
+        assert np.max(np.abs(got - phase[:, None] * base)) <= 1e-12 * np.max(np.abs(base))
+
+
+@lattice
+@given(case=lattice_cases(), k=st.floats(0.5, 2.5), damping=st.floats(0.01, 0.5))
+def test_lattice_mirror_maps_the_coefficients_to_the_mirrored_orders(scheme, complex_k, case,
+                                                                     k, damping):
+    # sample j sits at x1 = 2 pi j / n1, so mirroring the file in x1 sends it
+    # to -j mod n1; with alpha1 -> -alpha1 the field is u(-x1, x2, x3), and
+    # u+-_(n1, n2) goes to u+-_(-n1, n2).  Samples read as cell centres would
+    # need values[::-1] and fail this map
+    values, N, M, alpha = case
+    disc = q.Discretization(N=N, M=M, depth_scheme=scheme)
+    k = complex(k, damping) if complex_k else k
+    base = rayleigh_coefficients(values, disc, k, alpha)
+    if base is None:
+        return
+    got = rayleigh_coefficients(np.roll(values[::-1], 1, axis=0), disc, k,
+                                (-alpha[0], alpha[1]))
+    space = disc.space(1.0)
+    mirror = [space.mode_index[(-n1, n2)] for n1, n2 in space.modes]
+    assert np.max(np.abs(got - base[mirror])) <= 1e-12 * np.max(np.abs(base))
