@@ -119,12 +119,15 @@ class RunConfig:
             if kind == "slab":
                 raw = self.sections.get("medium", {}).get("layers")
                 if raw is None:
-                    q0 = self._getfloat("medium", "q0")
-                    return MediumModel.slab_stack([(-h, h, q0)], h)
+                    return MediumModel.homogeneous(self._getfloat("medium", "q0"), h)
                 layers = []
                 for part in raw.split(","):
-                    z0, z1, q = part.split(":")
-                    layers.append((float(z0), float(z1), complex(q)))
+                    try:
+                        z0, z1, q = part.split(":")
+                        layers.append((float(z0), float(z1), complex(q)))
+                    except ValueError:
+                        raise ValueError(f"layers piece {part!r} must be z0:z1:q, "
+                                         f"three numbers") from None
                 return MediumModel.slab_stack(layers, h)
             if kind == "sampled":
                 medium = load_sampled_medium(self._get("medium", "path"))

@@ -671,8 +671,9 @@ class _CouplingTable:
     block (n, m) is C_{n-m} = sum_c qhat^(c)_{n-m} M_c.  Otherwise, as for
     every transversely uniform medium, it is None, and the table holds no
     array of modes^2 entries.  `uniform` is the medium's transverse
-    uniformity: its operators are block-diagonal, while every other
-    medium's, a transversely constant sampled one's too, are coupled.
+    uniformity (one point per period on each axis): its operators are
+    block-diagonal; every other medium's are coupled, a constant 16 x 16
+    grid's too.
 
     The table also fixes, once, the layout of the whitened stack of the
     medium's operators (`DiscreteOperator.stack`), and holds a coupled
@@ -793,21 +794,20 @@ def _medium_profiles(medium: MediumModel, space: FieldSpace) -> _CouplingTable:
 
     Built on first use and kept on the space for as long as the medium
     lives (keyed weakly by the medium object), so every assembly and
-    constraint residual on one (medium, space) shares one table.  A sampled
-    medium too coarse for the |d|_inf <= 2N couplings raises AliasError on
-    every call.
+    constraint residual on one (medium, space) shares one table.  A medium
+    with n points on a transverse axis, 1 < n < 2(2N + 1), is too coarse
+    for the |d|_inf <= 2N couplings and raises AliasError on every call; an
+    axis of one point is constant along it.
     """
     table = space._couplings.get(medium)
     if table is not None:
         return table
-    if not medium.transversely_uniform:
-        res = medium.transverse_resolution()
-        need = 2 * (2 * space.disc.N + 1)
-        if res[0] < need or res[1] < need:
-            raise AliasError(
-                f"sampled medium resolution {res} too coarse for N={space.disc.N}; "
-                f"need at least {need} points per period to resolve the "
-                f"qhat_(n-m) couplings without aliasing")
+    res, need = medium.values.shape[:2], 2 * (2 * space.disc.N + 1)
+    if any(1 < n < need for n in res):
+        raise AliasError(
+            f"sampled medium resolution {res} too coarse for N={space.disc.N}; "
+            f"need at least {need} points per period (or one) to resolve the "
+            f"qhat_(n-m) couplings without aliasing")
     table = space._couplings[medium] = _CouplingTable(medium, space)
     return table
 

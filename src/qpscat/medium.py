@@ -1,14 +1,13 @@
 """Bi-periodic refractive-index models and their transverse Fourier data.
 
-Two kinds are supported: a stack of constant-index sublayers (a homogeneous
-layer is a stack of one), and a sampled grid on the equispaced lattice over
-(0,2pi)^2 x (-h,h).  The index is hard-coded to 1 outside |x3| < h; models
-are only ever queried inside the layer.  Every model is constant in depth
-between its breaks -h = z_0 < ... < z_L = h (`MediumModel.breaks`): a stack's
-layer bounds, or the n3 equal cells of a sampled grid, whose values fill their
-depth cells.  Transversely a cell's coefficients are its samples' DFT, so the
-medium is their trigonometric interpolant, not their cells (ROADMAP item 16
-changes this).
+Every medium is cell values (n1, n2, L) on the equispaced transverse lattice
+over (0,2pi)^2, constant in depth between breaks -h = z_0 < ... < z_L = h
+(`MediumModel.breaks`): a stack of constant-index sublayers (a homogeneous
+layer is a stack of one) is n1 = n2 = 1 between its layer bounds, a sampled
+grid n3 equal cells.  The index is hard-coded to 1 outside |x3| < h.
+Transversely a cell's coefficients are its samples' DFT, so the medium is
+their trigonometric interpolant, not their cells (ROADMAP item 16 changes
+this); an axis of one sample is constant along it.
 """
 from __future__ import annotations
 
@@ -50,35 +49,35 @@ class MediumModel:
 
     Use the constructors `homogeneous`, `slab_stack`, `sampled` or
     `load_sampled_medium`; q values must satisfy Re q >= 1e-6 and Im q >= 0
-    (lossless or absorbing).  `breaks` (L + 1,) are the depths
-    -h = z_0 < ... < z_L = h between which q is constant in depth: a stack's
-    layer bounds with the outer two set to -h and h, or h times
+    (lossless or absorbing).  `values` (n1, n2, L) are the cell values and
+    `breaks` (L + 1,) the depths -h = z_0 < ... < z_L = h between which q is
+    constant in depth: a stack's layer bounds with the outer two set to -h
+    and h and one value per layer (n1 = n2 = 1), or h times
     linspace(-1, 1, n3 + 1) for a sampled grid; cells of no width are
     refused (ValueError).  The model is immutable: its attributes are
-    read-only, and a sampled medium keeps its own read-only copy of the
-    values it was given, so no later edit can bypass the checks or leave the
-    coupling tables cached for it stale.
+    read-only, and it keeps its own read-only copy of the values it was
+    given, so no later edit can bypass the checks or leave the coupling
+    tables cached for it stale.
     """
 
-    kind = property(operator.attrgetter("_kind"))
     h = property(operator.attrgetter("_h"))
-    layers = property(operator.attrgetter("_layers"))
     values = property(operator.attrgetter("_values"))
     breaks = property(operator.attrgetter("_breaks"))
 
-    def __init__(self, kind, h, layers=None, values=None):
+    def __init__(self, h, values, inner=None):
+        """values (n1, n2, L); the L - 1 `inner` breaks, or L equal cells if None."""
         _check_h(h)
-        self._kind = kind
         self._h = float(h)
-        self._layers = layers
-        if values is not None:
-            values = np.array(values, order="C")
-            values.flags.writeable = False
+        values = np.array(values, order="C")
+        if values.dtype.kind not in "iufc":
+            raise ValueError(f"q values must be numbers, got dtype {values.dtype}")
+        if 0 in values.shape:
+            raise ValueError(f"q values need at least one cell on every axis, "
+                             f"got shape {values.shape}")
+        values.flags.writeable = False
         self._values = values
         self._check_values()
-        if layers is not None:
-            inner = [a for a, _, _ in layers[1:]]
-        else:
+        if inner is None:
             inner = self._h * np.linspace(-1.0, 1.0, values.shape[2] + 1)[1:-1]
         self._breaks = np.array([-self._h, *inner, self._h])
         if not np.all(self._breaks[1:] > self._breaks[:-1]):
@@ -110,7 +109,7 @@ class MediumModel:
         for (a0, b0, _), (a1, b1, _) in zip(ls, ls[1:]):
             if abs(b0 - a1) > 1e-12:
                 raise ValueError("layers must tile [-h, h] without gaps/overlaps")
-        return cls("slab_stack", h, layers=tuple(ls))
+        return cls(h, [[[q for _, _, q in ls]]], [a for a, _, _ in ls[1:]])
 
     @classmethod
     def sampled(cls, values, h):
@@ -120,7 +119,7 @@ class MediumModel:
             raise ValueError("sampled values must be a 3-d array")
         if np.iscomplexobj(v) and np.allclose(v.imag, 0.0):
             v = v.real
-        return cls("sampled", h, values=v)
+        return cls(h, v)
 
     def _check_values(self):
         re, im = self._extents()
@@ -132,37 +131,28 @@ class MediumModel:
             raise ValueError(f"Im q must be >= 0 (got min {im[0]:g})")
 
     def _extents(self):
-        if self.kind == "slab_stack":
-            q = np.array([q for _, _, q in self.layers])
-        else:
-            q = self.values.ravel()
-        return (float(np.min(q.real)), float(np.max(q.real))), \
-               (float(np.min(np.imag(q))), float(np.max(np.imag(q))))
+        re, im = self.values.real, self.values.imag
+        return (float(re.min()), float(re.max())), (float(im.min()), float(im.max()))
 
     # -- queries -----------------------------------------------------------
     @property
     def transversely_uniform(self) -> bool:
-        return self.kind == "slab_stack"
+        return self.values.shape[:2] == (1, 1)
 
     def cell_coefficients(self, M: int) -> np.ndarray:
         """q_hat_m of every depth cell c (between breaks c and c + 1) for
-        |m|_inf <= M at [c, m1 + M, m2 + M], (L, 2M + 1, 2M + 1).  A sampled
-        grid is transformed once (one fft2 over the transverse axes of every
-        cell).
+        |m|_inf <= M at [c, m1 + M, m2 + M], (L, 2M + 1, 2M + 1): one fft2
+        over the transverse axes of every cell, read at m mod n on each
+        axis.  Along an axis of one cell the medium is constant, so there
+        only m = 0 is kept.
         """
         m = np.arange(-M, M + 1)
-        if self.kind == "sampled":
-            n1, n2, _ = self.values.shape
-            fh = np.fft.fft2(self.values, axes=(0, 1)) / (n1 * n2)
-            return fh[(m % n1)[:, None], m % n2].transpose(2, 0, 1)
-        coefficients = np.zeros((len(self.layers), 2 * M + 1, 2 * M + 1), dtype=complex)
-        coefficients[:, M, M] = [q for _, _, q in self.layers]
+        n1, n2, _ = self.values.shape
+        fh = np.fft.fft2(self.values, axes=(0, 1)) / (n1 * n2)
+        coefficients = fh[(m % n1)[:, None], m % n2].transpose(2, 0, 1)
+        coefficients[:, (m != 0) & (n1 == 1)] = 0.0
+        coefficients[:, :, (m != 0) & (n2 == 1)] = 0.0
         return coefficients
-
-    def transverse_resolution(self) -> tuple[int, int] | None:
-        if self.kind == "sampled":
-            return self.values.shape[0], self.values.shape[1]
-        return None
 
 
 def validate(model: MediumModel, inc: IncidenceSpec | None = None) -> MediumReport:

@@ -268,6 +268,21 @@ class TestConfigErrors:
         assert len(err) == 1 and err[0].startswith("config error: bad medium")
         assert "finite" in err[0]
 
+    @pytest.mark.parametrize("layers, piece", [
+        ("-1:0:2.0,0:1", "0:1"),  # once "not enough values to unpack"
+        ("-1:1:2:3", "-1:1:2:3"),  # once "too many values to unpack"
+        ("", ""),
+        ("a:1:2", "a:1:2"),  # once float()'s message
+    ], ids=["two_values", "four_values", "empty", "not_a_number"])
+    def test_bad_layers_piece_is_named(self, tmp_path, capsys, layers, piece):
+        cfg = write_cfg(tmp_path, SLAB_SOLVE)
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                   "--override", "medium.kind=slab", "--override", f"medium.layers={layers}"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"config error: bad medium: layers piece {piece!r} must be "
+                       f"z0:z1:q, three numbers"]
+
     def test_output_path_is_a_file(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SLAB_SOLVE)
         out = tmp_path / "taken"
@@ -676,6 +691,25 @@ def test_aliased_medium_exits_3_with_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ") and "too coarse" in err[0]
+
+
+def test_one_sample_per_period_file_is_its_slab_stack(tmp_path):
+    # a 1 x 1 x 3 file is the stack of its three cells: once an AliasError
+    med_path = tmp_path / "medium.dat"
+    q.save_sampled_medium(med_path, np.array([2.0, 3.2, 1.4])[None, None], 1.0)
+    text = SLAB_SOLVE.replace("N = 0", "N = 1").replace("theta1 = 0.0", "theta1 = 0.3")
+    cfg = write_cfg(tmp_path, text)
+    z = np.linspace(-1.0, 1.0, 4).tolist()
+    layers = ",".join(f"{a!r}:{b!r}:{v}" for a, b, v in zip(z, z[1:], (2.0, 3.2, 1.4)))
+    reports = []
+    for name, overrides in (("file", ["medium.kind=sampled", f"medium.path={med_path}"]),
+                            ("slab", ["medium.kind=slab", f"medium.layers={layers}"])):
+        out = tmp_path / name
+        argv = ["solve", "--config", str(cfg), "--out", str(out)]
+        assert main(argv + [a for o in overrides for a in ("--override", o)]) == 0
+        payload = json.loads((out / "rayleigh.json").read_text())
+        reports.append({s: payload[s] for s in ("u_plus", "u_minus")})
+    assert reports[0] == reports[1]
 
 
 def test_oversized_operator_exits_3_with_one_line_error(tmp_path, capsys):

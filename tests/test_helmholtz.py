@@ -1203,8 +1203,8 @@ class TestCouplingTable:
         assert table.toeplitz is None and table.pair_pieces is None
         assert table.groups.tolist() == [[i] for i in range(1681)]
         assert (table.parity is space.parity) == (K == 2)
-        qs = np.array([qc for _, _, qc in med.layers])
-        want = np.tensordot(qs - 1.0, space.grid.cell_masses(med.breaks), axes=1)
+        assert med.values.shape[:2] == (1, 1)
+        want = np.tensordot(med.values[0, 0] - 1.0, space.grid.cell_masses(med.breaks), axes=1)
         assert np.array_equal(table.c0, want)
 
     def test_alias_error_on_every_call(self):
@@ -1578,13 +1578,22 @@ class TestCoupledStack:
         h, disc = 0.8, q.Discretization(N=2, M=M)
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, h).with_k(k)
         build = q.assemble_eps_derivative if derivative else q.assemble
-        media = (q.MediumModel.homogeneous(2.0, h), q.MediumModel.slab_stack([(-h, h, 2.0)], h))
-        assert media[0].kind == "slab_stack" and media[0].layers == media[1].layers
-        ops = [build(inc, med, disc) for med in media]
-        assert np.array_equal(dense(ops[0]), dense(ops[1]))
-        assert np.array_equal(ops[0].stack, ops[1].stack)
+        # and a 1 x 1 x 3 sampled medium is the stack of its three cells
+        cells = np.array([2.0, 3.2 + 0.4j, 1.4])
+        z = h * np.linspace(-1.0, 1.0, 4)
+        pairs = [(q.MediumModel.homogeneous(2.0, h), q.MediumModel.slab_stack([(-h, h, 2.0)], h)),
+                 (q.MediumModel.sampled(cells[None, None], h),
+                  q.MediumModel.slab_stack(zip(z, z[1:], cells), h))]
         load = q.rhs(inc, disc)
-        assert np.array_equal(q.solve(ops[0], load).values, q.solve(ops[1], load).values)
+        for media in pairs:
+            assert all(med.values.shape[:2] == (1, 1) for med in media)
+            assert np.array_equal(media[0].values, media[1].values)
+            assert np.array_equal(media[0].breaks, media[1].breaks)
+            ops = [build(inc, med, disc) for med in media]
+            assert ops[0].block_diagonal and ops[1].block_diagonal
+            assert np.array_equal(dense(ops[0]), dense(ops[1]))
+            assert np.array_equal(ops[0].stack, ops[1].stack)
+            assert np.array_equal(q.solve(ops[0], load).values, q.solve(ops[1], load).values)
 
     @pytest.mark.parametrize("k, derivative", OPERATOR_KINDS, ids=OPERATOR_KIND_IDS)
     @pytest.mark.parametrize("medium, N, M, groups", STACK_CASES, ids=STACK_IDS)
@@ -1794,6 +1803,26 @@ class TestCouplingGroups:
         comps = matrix_components(filled_matrix(inc, med, space), 25, 16)
         assert sorted(len(c) for c in comps) == [1, 1, 2, 2, 3, 3, 4, 4, 5]
         assert q.helmholtz._medium_profiles(med, space).groups.tolist() == [list(range(25))]
+
+    def test_grating_of_one_x1_sample_is_its_constant_copy(self, tmp_path):
+        # a 1 x 12 file varies in x2 only: an axis of one sample is constant
+        # along it, so it is its 12 x 12 copy, constant in x1, and no alias
+        x = 2 * np.pi * np.arange(12) / 12
+        vals = 2.0 + 0.5 * np.cos(x)[None, :, None] * np.array([1.0, -0.4])
+        data = []
+        for n1 in (1, 12):
+            path = tmp_path / f"grating-{n1}.dat"
+            q.save_sampled_medium(path, vals.repeat(n1, axis=0), 1.0)
+            med, disc = q.load_sampled_medium(path), q.Discretization(N=2, M=16)
+            inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+            op = q.assemble(inc, med, disc)
+            rd = q.rayleigh_data(q.solve(op, q.rhs(inc, disc)), inc)
+            data.append((op.groups, rd))
+        (g1, r1), (g12, r12) = data
+        assert g1.shape == (5, 5) and np.array_equal(g1, g12)
+        for side in ("u_plus", "u_minus"):
+            got, want = (np.array(list(getattr(r, side).values())) for r in (r1, r12))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_groups_do_not_depend_on_k(self):
         med, disc = lamellar_medium(), q.Discretization(N=2, M=16)

@@ -1,4 +1,6 @@
 """Medium models: Fourier slices, depth breaks, validation, sampled-grid ingestion."""
+import re
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,7 @@ def slice_at(med, x3, M):
 class TestFourierSlice:
     def test_homogeneous(self):
         med = q.MediumModel.homogeneous(2.0, 1.0)
-        assert med.kind == "slab_stack" and med.layers == ((-1.0, 1.0, 2.0 + 0j),)
+        assert med.values.tolist() == [[[2.0 + 0j]]] and med.breaks.tolist() == [-1.0, 1.0]
         assert med.transversely_uniform
         fs = slice_at(med, 0.3, 2)
         assert fs[(0, 0)] == 2.0
@@ -193,6 +195,21 @@ class TestValidate:
             q.MediumModel.sampled(np.full((8, 8, 1), np.nan), 1.0)
 
 
+    @pytest.mark.parametrize("shape", [(0, 4, 2), (4, 0, 2), (4, 4, 0)])
+    def test_empty_axis_names_the_shape(self, shape):
+        # once numpy's "zero-size array to reduction operation minimum"
+        with pytest.raises(ValueError, match=re.escape(f"on every axis, got shape {shape}")):
+            q.MediumModel.sampled(np.zeros(shape), 1.0)
+
+    @pytest.mark.parametrize("values", [np.array([[["a"]]]), np.array([[[b"2"]]]),
+                                        np.array([[[None]]]), np.array([[[True]]])],
+                             ids=["str", "bytes", "object", "bool"])
+    def test_non_numbers_name_the_dtype(self, values):
+        # a string grid once raised numpy's UFuncTypeError, a TypeError
+        with pytest.raises(ValueError, match=f"q values must be numbers, got dtype {values.dtype}"):
+            q.MediumModel.sampled(values, 1.0)
+
+
 class TestSampledValues:
     """A sampled medium keeps a private, read-only copy of its values."""
 
@@ -218,10 +235,8 @@ class TestReadOnlyModel:
         lambda: q.MediumModel.sampled(np.full((8, 8, 1), 2.0), 1.0),
     ], ids=["homogeneous", "slab_stack", "sampled"])
     @pytest.mark.parametrize("name, value", [
-        ("kind", "homogeneous"), ("h", 2.0),
-        ("layers", ((-1.0, 1.0, 3.0),)), ("values", np.full((8, 8, 1), 3.0)),
-        ("breaks", np.array([-2.0, 2.0])),
-    ], ids=["kind-homogeneous", "h-2.0", "layers-value4", "values-value5", "breaks"])
+        ("h", 2.0), ("values", np.full((8, 8, 1), 3.0)), ("breaks", np.array([-2.0, 2.0])),
+    ], ids=["h-2.0", "values-value5", "breaks"])
     def test_rebinding_raises(self, build, name, value):
         med = build()
         before = getattr(med, name)

@@ -130,6 +130,68 @@ def test_media_have_ascending_breaks_and_cell_masses_that_sum_to_the_mass(inputs
         assert np.max(np.abs(total - grid.mass)) <= 1e-13 * np.max(np.abs(grid.mass))
 
 
+#: a q value: lossless or absorbing, or one time in four NUMBERS on either
+#: part, negative real and imaginary parts too
+VALID_Q = st.builds(complex, st.floats(1.0, 4.0), st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+Q_VALUES = st.one_of(VALID_Q, VALID_Q, VALID_Q,
+                     st.builds(complex, st.one_of(NUMBERS, st.floats(-4.0, 4.0)),
+                               st.one_of(st.just(0.0), NUMBERS, st.floats(-1.0, 1.0))))
+
+
+@st.composite
+def constructor_inputs(draw):
+    """(constructor name, arguments): `slab_stack` with drawn h, q and layer
+    bounds, zero-width, gapped, overlapping or non-finite ones included; or
+    `sampled` with 0 to 3 cells per axis of a numeric or non-numeric dtype."""
+    h = draw(st.floats(0.2, 2.0) if draw(st.integers(0, 3)) else
+             st.one_of(NUMBERS, st.floats(-2.0, 0.0)))
+    if draw(st.booleans()):
+        cuts = draw(st.lists(st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, 0.0, 1.0])),
+                             max_size=4))
+        bounds = [-1.0] + sorted(cuts) + [1.0]
+        layers = [[h * a, h * b, draw(Q_VALUES)] for a, b in zip(bounds, bounds[1:])]
+        if draw(st.integers(0, 3)) == 0:  # a gap, an overlap or any number at one bound
+            layer = draw(st.sampled_from(layers))
+            layer[draw(st.integers(0, 1))] = draw(st.one_of(NUMBERS, st.floats(-2.0, 2.0)))
+        return "slab_stack", (draw(st.permutations([tuple(x) for x in layers])), h)
+    shape = tuple(draw(st.lists(st.integers(0, 3), min_size=3, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = (draw(Q_VALUES) + rng.random(shape)).astype(complex)
+    if values.size and draw(st.booleans()):
+        values.flat[rng.integers(values.size)] = draw(Q_VALUES)
+    dtype = draw(st.sampled_from(["complex", "float", "int", "float32", "bool", "str",
+                                  "object"]))
+    with warnings.catch_warnings():  # the drawn cast itself may overflow or drop Im q
+        warnings.simplefilter("ignore")
+        values = values if dtype == "complex" else values.real.astype(dtype)
+    return "sampled", (values, h)
+
+
+@FIXED
+@given(constructor_inputs())
+@example(("sampled", (np.zeros((0, 4, 2)), 1.0)))  # once numpy's empty reduction error
+@example(("sampled", (np.array([[["a"]]]), 1.0)))  # once numpy's UFuncTypeError
+def test_medium_constructors_return_a_checked_medium_or_raise_value_error(inputs):
+    # a medium that is returned holds finite values with Re q >= 1e-6 and
+    # Im q >= 0 on at least one cell per axis, read-only, between
+    # ascending breaks from -h to h; any other input raises ValueError,
+    # and no numpy warning escapes
+    name, args = inputs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            med = getattr(q.MediumModel, name)(*args)
+        except ValueError:
+            return
+    v, z = med.values, med.breaks
+    assert v.ndim == 3 and min(v.shape) >= 1 and not v.flags.writeable
+    assert np.all(np.isfinite(v)) and v.real.min() >= 1e-6 and v.imag.min() >= 0
+    assert z.shape == (v.shape[2] + 1,) and not z.flags.writeable
+    assert z[0] == -med.h and z[-1] == med.h and np.all(z[1:] > z[:-1])
+    if name == "slab_stack":
+        assert v.shape[:2] == (1, 1) and med.transversely_uniform
+
+
 @st.composite
 def reciprocity_cases(draw):
     """A drawn sampled medium (n1, n2 <= 12, n3 <= 3), lossless or absorbing,
