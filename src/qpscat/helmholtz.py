@@ -22,7 +22,9 @@ The weighted inner product used for kernels/projections is
 
 realized per mode by W_n = 4 pi^2 [K + |n|^2 Mass + sqrt(1+|n|^2)(E_t + E_b)].
 Singularity detection and kernel extraction run on the whitened matrix
-W^{-1/2} G W^{-1/2}, whose conditioning stays O(1) in the resolution.
+F^T G F, F_n any real factor with F_n^T W_n F_n = I (`FieldSpace.F`), whose
+conditioning stays O(1) in the resolution; every such F gives unitarily
+similar whitened operators.
 """
 from __future__ import annotations
 
@@ -38,8 +40,8 @@ import numpy as np
 from .errors import AliasError, CutoffViolation, DomainError, NearSingular, \
     OperatorTooLarge, SolveFailed
 from .medium import MediumModel
-from .qpcore import IncidenceSpec, ModeIndex, _beta_array, _beta_rows, _field_point, \
-    _rayleigh_sum, beta_table, classify_modes, mode_range
+from .qpcore import IncidenceSpec, ModeIndex, _beta_array, _beta_rows, _d_beta_rows, \
+    _field_point, _rayleigh_sum, beta_table, classify_modes, mode_range
 
 CHEBYSHEV = "chebyshev_collocation"
 FINITE_DIFFERENCE = "finite_difference_order2"
@@ -68,8 +70,8 @@ class Discretization:
     """Transverse truncation |n|_inf <= N and M depth nodes on [-h, h].
 
     Owns one FieldSpace per layer half-height h (see `space`), so repeated
-    solves on one discretization build the depth grid, the W_n factors and
-    the depth-parity basis once.  The cache takes no part in equality,
+    solves on one discretization build the depth grid and the W_n and their
+    whitening factors once.  The cache takes no part in equality,
     hashing or repr.
     """
 
@@ -269,22 +271,24 @@ class FieldSpace:
     Fields are arrays of shape (n_modes, M).  The space owns everything that
     depends only on the discretization and h, built once at construction:
     the modes also as one read-only (n_modes, 2) float array `mode_array`;
-    the depth grid; the weighted inner-product blocks W_n and their inverse
-    symmetric square roots, stacked in mode order as W and W_isqrt of shape
-    (n_modes, M, M), with one eigendecomposition per distinct |n|^2 (the
-    modes of each such class are `classes`, in mode order); and, for even
-    M, the depth-parity basis `parity` = (P, S): the two depth classes of a
-    whitened stack, which takes W_isqrt as one class otherwise (None for
-    odd M).  The reflection x3 -> -x3 maps node j to M-1-j; P is
-    orthonormal with columns (e_j +- e_{M-1-j}) / sqrt(2), j < M/2, even ones
-    first, and S (2, n_modes, M/2, M/2) holds the even and odd blocks of
-    P^T W_n^{-1/2} P, whose cross blocks vanish (W_n commutes with it).
-    `pieces(parity)` gives the whitened k-independent parts of every
-    diagonal block per |n|^2 class in one layout, built on its first
-    assembly and kept: the stiffness, the mass and the end-node matrix.
+    the depth grid; the weighted inner-product blocks W_n and one real
+    whitening factor F_n with F_n^T W_n F_n = I, stacked in mode order as W
+    and F of shape (n_modes, M, M), with one eigendecomposition per distinct
+    |n|^2 (the modes of each such class are `classes`, in mode order).  For
+    odd M, F_n is W_n^{-1/2}.  For even M the depth parity is folded into
+    its column order: the reflection x3 -> -x3 maps node j to M-1-j, P is
+    orthonormal with columns (e_j +- e_{M-1-j}) / sqrt(2), j < M/2, even
+    ones first, and F_n = P blockdiag(S_e, S_o) with S_e and S_o the
+    diagonal blocks of P^T W_n^{-1/2} P, whose cross blocks vanish to
+    round-off (W_n commutes with the reflection).  A whitened stack of K
+    depth classes (K = 2 only for even M) takes the K column blocks of F_n
+    as its classes: its layout is K alone.  `pieces(K)` gives the whitened
+    k-independent parts of every diagonal block per |n|^2 class in that
+    layout, built on its first assembly and kept: the stiffness, the mass
+    and the end-node matrix.
     All these factors are real, and every product
     of one with complex data is taken in real arithmetic: on fields
-    (`inner`, `unwhiten`, the stack maps) by `_real_matmul`; no raw complex
+    (`inner`, `unwhiten`, `whiten`, the stack maps) by `_real_matmul`; no raw complex
     block is ever whitened, only real pieces (`whiten_pieces`,
     `whiten_pairs`).  The space also keeps the coupling table of each
     medium assembled on it (`_medium_profiles`), with its whitened cell
@@ -316,72 +320,66 @@ class FieldSpace:
         if not all(np.isfinite(a).all() for a in (g.nodes, g.stiffness, g.mass, W)):
             raise DomainError(f"depth grid overflows double precision at "
                               f"h = {self.h:.6g}, M = {M}")
-        isqrt = []
+        factors = []
         for Wd in W:
             lam, U = np.linalg.eigh(Wd)
             if lam[0] <= 0:
                 raise DomainError(f"weighted inner product not positive definite in "
                                   f"double precision at h = {self.h:.6g}, M = {M}")
-            isqrt.append(U * (1 / np.sqrt(lam)) @ U.T)
-        self.W, self.W_isqrt = W[which], np.array(isqrt)[which]
-        self.classes = [np.flatnonzero(which == j) for j in range(len(n2))]
-        self.mode_class = which
-        self._couplings = weakref.WeakKeyDictionary()
-        self.parity = None
-        if M % 2 == 0:
-            half = M // 2
-            j = np.arange(half)
+            factors.append(U * (1 / np.sqrt(lam)) @ U.T)
+        F = np.array(factors)
+        if M % 2 == 0:  # P blockdiag(S_e, S_o): the diagonal blocks of P^T F P
+            half, j = M // 2, np.arange(M // 2)
             P = np.zeros((M, M))
             P[j, j] = P[M - 1 - j, j] = P[j, half + j] = np.sqrt(0.5)
             P[M - 1 - j, half + j] = -np.sqrt(0.5)
-            S = P.T @ self.W_isqrt @ P
-            self.parity = (P, np.stack([S[:, :half, :half], S[:, half:, half:]]))
+            S = P.T @ F @ P
+            S[:, :half, half:] = S[:, half:, :half] = 0.0
+            F = P @ S
+        self.W, self.F = W[which], F[which]
+        self.classes = [np.flatnonzero(which == j) for j in range(len(n2))]
+        self.mode_class = which
+        self._couplings = weakref.WeakKeyDictionary()
         self._pieces = {}
 
-    def pieces(self, parity) -> np.ndarray:
+    def pieces(self, K: int) -> np.ndarray:
         """The whitened stiffness K, mass and end-node matrix E = e_0 e_0^T +
-        e_{M-1} e_{M-1}^T of every |n|^2 class in the layout `parity`
+        e_{M-1} e_{M-1}^T of every |n|^2 class in K depth classes
         (`whiten_pieces`), (classes, 3, K n^2): built on first use and kept."""
-        key = parity is not None
-        if key not in self._pieces:
+        if K not in self._pieces:
             g, E = self.grid, np.zeros((self.M, self.M))
             E[0, 0] = E[-1, -1] = 1.0
-            self._pieces[key] = self.whiten_pieces(np.stack((g.stiffness, g.mass, E)), parity)
-        return self._pieces[key]
+            self._pieces[K] = self.whiten_pieces(np.stack((g.stiffness, g.mass, E)), K)
+        return self._pieces[K]
 
-    def _class_factors(self, parts: np.ndarray, parity):
-        """S (K, classes, n, n), the factor S_j of every |n|^2 class j in the
-        layout `parity` (None or self.parity), and the blocks X (T, K, n, n)
-        of the real parts (T, M, M) in that layout: S_j is W_n^{-1/2} of the
-        class, or its even and odd blocks of the parity basis (K = 2 blocks
-        of M/2, the cross parts of X left out)."""
-        P, S = parity or (None, self.W_isqrt[None])
-        S = S[:, [idx[0] for idx in self.classes]]
-        K, n = len(S), self.M // len(S)
-        if P is not None:
-            parts = P.T @ parts @ P
-        X = np.stack([parts[:, p * n:(p + 1) * n, p * n:(p + 1) * n] for p in range(K)], 1)
-        return S, X
+    def _class_columns(self, K: int) -> np.ndarray:
+        """F of every |n|^2 class split into its K column blocks, (K, classes, M, M/K)."""
+        F = self.F[[idx[0] for idx in self.classes]]
+        return F.reshape(len(F), self.M, K, -1).transpose(2, 0, 1, 3)
 
     @np.errstate(over="ignore", invalid="ignore")  # assembly refuses the overflow
-    def whiten_pieces(self, parts: np.ndarray, parity) -> np.ndarray:
-        """S_j X_t S_j for every real (M, M) part X_t of `parts` (T, M, M) and
-        every |n|^2 class j, in the layout `parity` (`_class_factors`).
+    def whiten_pieces(self, parts: np.ndarray, K: int) -> np.ndarray:
+        """The K diagonal (M/K) blocks of F_j^T X_t F_j for every real (M, M)
+        part X_t of `parts` (T, M, M) and every |n|^2 class j.
         Returns (classes, T, K n^2) real, each block row-major."""
-        S, X = self._class_factors(parts, parity)
-        S = S.swapaxes(0, 1)[:, None]  # (classes, 1, K, n, n)
-        return (S @ X @ S).reshape(S.shape[0], len(parts), -1)
+        F = self._class_columns(K).swapaxes(0, 1)[:, None]  # (classes, 1, K, M, n)
+        out = F.swapaxes(-1, -2) @ parts[:, None] @ F
+        return out.reshape(len(out), len(parts), -1)
 
     @np.errstate(over="ignore", invalid="ignore")  # assembly refuses the overflow
-    def whiten_pairs(self, parts: np.ndarray, parity) -> np.ndarray:
-        """S_a X_t S_b for every real part X_t of `parts` (T, M, M) and every
-        pair (a, b) of |n|^2 classes in the layout `parity` (`_class_factors`),
-        (T, K, classes, n, classes, n) real: every S_a X_t stacked by rows,
-        times every S_b side by side."""
-        S, X = self._class_factors(parts, parity)
-        K, A, n = S.shape[:3]
-        left = (S @ X[:, :, None]).reshape(len(X), K, A * n, n)
-        return (left @ S.swapaxes(1, 2).reshape(K, n, A * n)).reshape(len(X), K, A, n, A, n)
+    def whiten_pairs(self, parts: np.ndarray, K: int) -> np.ndarray:
+        """The K diagonal (M/K) blocks of F_a^T X_t F_b for every real part X_t
+        of `parts` (T, M, M) and every pair (a, b) of |n|^2 classes,
+        (T, K, classes, n, classes, n) real: one depth class at a time, every
+        F_a^T X_t stacked by rows, times every F_b side by side."""
+        T, M = len(parts), self.M
+        cols = self._class_columns(K)
+        A, n = cols.shape[1], M // K
+        out = np.empty((T, K, A * n, A * n))
+        for p, F in enumerate(cols):
+            left = (F.swapaxes(1, 2) @ parts[:, None]).reshape(T, A * n, M)
+            np.matmul(left, F.transpose(1, 0, 2).reshape(M, A * n), out=out[:, p])
+        return out.reshape(T, K, A, n, A, n)
 
     def zeros(self) -> np.ndarray:
         return np.zeros((len(self.modes), self.M), dtype=complex)
@@ -400,7 +398,12 @@ class FieldSpace:
         return float(np.ldexp(np.sqrt(max(self.inner(y, y).real, 0.0)), e))
 
     def unwhiten(self, y: np.ndarray) -> np.ndarray:
-        return _real_matmul(self.W_isqrt, y[..., None])[..., 0]
+        """F y: the field of whitened coordinates y, (n_modes, M)."""
+        return _real_matmul(self.F, y[..., None])[..., 0]
+
+    def whiten(self, x: np.ndarray) -> np.ndarray:
+        """F^T x, the transpose of `unwhiten`: the whitened coordinates of W^{-1} x."""
+        return _real_matmul(self.F.swapaxes(1, 2), x[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -489,30 +492,30 @@ class DiscreteOperator:
         return out
 
     def whitened(self) -> np.ndarray:
-        """W^{-1/2} G W^{-1/2} as a dense matrix, built on request.
+        """F^T G F as a dense matrix, built on request.
 
-        Column by column from `apply` on the columns of W^{-1/2}
-        (`space.unwhiten` of the unit fields, one mode at a time), whitened
-        again by `space.unwhiten`; parity cross parts that the stack leaves
-        out are kept.  No solver path calls it, but qpbench's tracer wraps
-        it by name (`spans.Tracer.install` looks up
+        Column by column from `apply` on the columns of F (`space.unwhiten`
+        of the unit fields, one mode at a time), whitened again by
+        `space.whiten`; parity cross parts that the stack leaves out are
+        kept.  No solver path calls it, but qpbench's tracer wraps it by
+        name (`spans.Tracer.install` looks up
         `vars(DiscreteOperator)["whitened"]`), so every traced run needs it.
         """
         sp = self.space
         nm = len(sp.modes)
         units = np.eye(sp.size, dtype=complex).reshape(nm, sp.M, nm, sp.M)
-        cols = [sp.unwhiten(self.apply(sp.unwhiten(e))) for e in units]
+        cols = [sp.whiten(self.apply(sp.unwhiten(e))) for e in units]
         return np.concatenate(cols).reshape(sp.size, sp.size).T
 
     def whitened_singular_values(self) -> np.ndarray:
-        """All singular values of W^{-1/2} G W^{-1/2}, descending, cached.
+        """All singular values of F^T G F, descending, cached.
 
         Taken from the blocks of `stack`: one SVD per stack block of a
         block-diagonal operator (one per mode and depth parity), one batched
         SVD of the stack of a coupled one (one block per coupling group and
         depth parity).  A block of a block-diagonal operator with no
         imaginary part (an evanescent mode of a lossless medium at real k)
-        is real symmetric, as G_n and W_n^{-1/2} are, so its SVD is taken in
+        is real symmetric, as G_n is and F_n is real, so its SVD is taken in
         real arithmetic from its eigenvalues (hermitian=True).
         """
         if self._svals is None:
@@ -532,30 +535,26 @@ class DiscreteOperator:
         return float(s[-1]), float(s[0])
 
 
-def _stack_maps(space: FieldSpace, groups: np.ndarray, parity):
-    """The maps (to, back) onto the whitened stack of one layout; see `_CouplingTable`.
+def _stack_maps(space: FieldSpace, groups: np.ndarray, K: int):
+    """The maps (to, back) onto the whitened stack of K depth classes; see `_CouplingTable`.
 
-    Both apply the real factors P and S to the float view of the field's
-    depth vectors (`_real_matmul`), in real arithmetic; a load of any memory
-    layout maps.
+    `to` applies F^T to every mode's depth vector (`space.whiten`) and `back`
+    applies F (`space.unwhiten`), each one `_real_matmul` in real
+    arithmetic, with the gather into (or out of) the groups' blocks.  A load
+    of any memory layout maps.
     """
-    nm, M = len(space.modes), space.M
-    P, S = parity or (None, space.W_isqrt[None])
-    K, n = len(S), M // len(S)
+    nm, M, n = len(space.modes), space.M, space.M // K
     nc, c = groups.shape
     order = groups.ravel()
     inv = np.argsort(order)
 
     def to(b):
-        y = b if P is None else _real_matmul(P.T, b[..., None])[..., 0]
-        y = y.reshape(nm, K, n).swapaxes(0, 1)
-        y = _real_matmul(S, y[..., None])[..., 0][:, order]  # (K, nc c, n)
+        y = space.whiten(b).reshape(nm, K, n).swapaxes(0, 1)[:, order]  # (K, nc c, n)
         return y.reshape(K, nc, c * n).swapaxes(0, 1).reshape(nc * K, c * n)
 
     def back(z):
         y = z.reshape(nc, K, c * n).swapaxes(0, 1).reshape(K, nm, n)[:, inv]
-        y = _real_matmul(S, y[..., None])[..., 0].swapaxes(0, 1).reshape(nm, M)
-        return y if P is None else _real_matmul(P, y[..., None])[..., 0]
+        return space.unwhiten(y.swapaxes(0, 1).reshape(nm, M))
 
     return to, back
 
@@ -595,8 +594,7 @@ def _block_diag(blocks: np.ndarray) -> np.ndarray:
 def _check_operator_bytes(medium: MediumModel, disc: Discretization) -> None:
     """Raise OperatorTooLarge if a run's arrays cannot fit in physical memory.
 
-    Counts the space's real factors W and W_isqrt, modes M^2 entries each,
-    and for even M its parity blocks S, half as many; then its whitened
+    Counts the space's real W and F, modes M^2 entries each; then its whitened
     pieces (`FieldSpace.pieces`), 3 M^2 real entries per |n|^2 class, and
     half as many again for even M, with at most (N+1)(N+2)/2 classes (one
     per 0 <= n1 <= n2 <= N); then the peak of a run that holds two
@@ -612,7 +610,7 @@ def _check_operator_bytes(medium: MediumModel, disc: Discretization) -> None:
     modes, classes = (2 * disc.N + 1) ** 2, (disc.N + 1) * (disc.N + 2) // 2
     blocks, pieces = modes * disc.M ** 2, 3 * classes * disc.M ** 2
     half = disc.M % 2 == 0
-    space = 8 * (2 * blocks + pieces + (blocks // 2 + pieces // 2 if half else 0))
+    space = 8 * (2 * blocks + pieces + (pieces // 2 if half else 0))
     stack, table = blocks, 16 * classes * disc.M ** 2
     if not medium.transversely_uniform:
         stack, cells = disc.unknowns ** 2, len(medium.breaks) - 1
@@ -682,7 +680,7 @@ class _CouplingTable:
     right-hand side per block, shape (B, n)) with v = back(z) (a field).
     `to` and `back` are one real linear map and its transpose, so a row r
     acting on v acts on z as to(r).  Block g K + p is mode group g and
-    depth class p of K:
+    depth class p (the column block p of F) of K:
     - `groups` (nc, c) are the mode groups: the connected components of
       the graph that links modes n and m when some Q_c[n, m] or Q_c[m, n]
       is nonzero, rows ordered by their first mode, modes ascending, when
@@ -690,25 +688,23 @@ class _CouplingTable:
       of every mode.  No coupling runs between groups, so the split is
       exact.  Without a Toeplitz the groups are single modes.  `place`
       gives each mode's (group, slot).
-    - `parity` is space.parity when every k-independent piece of the
+    - `K` is 2 when M is even and every k-independent piece of the
       operator is mirror-symmetric in depth to _SPLIT_TOL in Frobenius norm
       (`_mirror_symmetric`): the couplings C_{n-m} of every mode pair
       n != m together with c0 once per mode; the stiffness; the mass.
-      The whitened operator at any k is then orthogonally similar to the
-      direct sum of its parity halves (K = 2) up to that remainder.
-      Otherwise, and for odd M, it is None, and each group gives its full
-      whitened block (K = 1).
+      The whitened operator F^T G F at any k is then the direct sum of its
+      parity halves up to that remainder.  Otherwise it is 1, and each
+      group gives its full whitened block.
     - `live` are the cells whose Q_c is not zero, and `pair_pieces`
       (live, K, classes, n, classes, n) their masses whitened per pair of
-      |n|^2 classes in that layout (`FieldSpace.whiten_pairs`):
-      S_a X_c S_b, X_c the parity block of P^T M_c P (M_c itself when
-      K = 1).  Block (n, m) of a coupled stack is then -scale sum_c
+      |n|^2 classes in that layout (`FieldSpace.whiten_pairs`): the K
+      diagonal blocks of F_a^T M_c F_b.  Block (n, m) of a coupled stack is then -scale sum_c
       qhat^(c)_{n-m} times the piece of the classes of n and m
       (`_build_operator`), read through `classes_of_groups`, the class of
       each mode of `groups`.  All three are None without a Toeplitz.
-    - `maps` are the (to, back) maps of the layout: to(b) is b @ P (parity
-      only), then S per class and mode, then a gather of each group's
-      modes; back(z) is its transpose.
+    - `maps` are the (to, back) maps of the layout: to(b) is F^T per mode,
+      then a gather of each group's modes into its K blocks; back(z) is its
+      transpose.
     - `c0_pieces` (classes, T, K n^2) is c0 whitened per |n|^2 class in
       that layout (`FieldSpace.whiten_pieces`): its real part and, when c0
       is complex (a lossy medium), its imaginary part (T = 1 or 2).
@@ -751,11 +747,11 @@ class _CouplingTable:
         self.place = group, slot
         symmetric = _mirror_symmetric(self.cell_masses, weights) and all(
             _mirror_symmetric(X[None], np.ones((1, 1))) for X in (grid.stiffness, grid.mass))
-        self.parity = space.parity if symmetric else None
+        self.K = 2 if symmetric and space.M % 2 == 0 else 1
         self.uniform = medium.transversely_uniform
-        self.maps = _stack_maps(space, self.groups, self.parity)
+        self.maps = _stack_maps(space, self.groups, self.K)
         parts = (self.c0.real, self.c0.imag) if self.c0.imag.any() else (self.c0.real,)
-        self.c0_pieces = space.whiten_pieces(np.stack(parts), self.parity)
+        self.c0_pieces = space.whiten_pieces(np.stack(parts), self.K)
         # what assembly's overflow guard scales: the largest part of c0, of
         # its whitened pieces, and a bound on the whitened coupling
         self.largest = max(_largest_part(self.c0),
@@ -763,7 +759,7 @@ class _CouplingTable:
         self.live = self.pair_pieces = self.classes_of_groups = None
         if self.toeplitz is not None:
             self.live = np.flatnonzero(self.toeplitz.any(axis=(1, 2)))
-            self.pair_pieces = space.whiten_pairs(self.cell_masses[self.live], self.parity)
+            self.pair_pieces = space.whiten_pairs(self.cell_masses[self.live], self.K)
             self.classes_of_groups = space.mode_class[self.groups]
             self.largest = max(self.largest, sum(
                 _largest_part(self.toeplitz[c]) * float(np.abs(w).max())
@@ -849,9 +845,8 @@ def _build_operator(inc, medium, space, x, y, boundary, scale) -> DiscreteOperat
     coef = np.empty((nm, 3 + T), dtype=complex)
     coef[:, 0], coef[:, 1], coef[:, 2] = x, y, -1j * boundary
     coef[:, 3:] = (-s, -1j * s)[:T]  # on c0's real and imaginary parts
-    pieces = space.pieces(table.parity)
-    K = 1 if table.parity is None else 2
-    n = space.M // K
+    K = table.K
+    pieces, n = space.pieces(K), space.M // K
     stack = np.empty((nm, K * n * n), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         for idx, own, c0 in zip(space.classes, pieces, table.c0_pieces):
@@ -870,7 +865,7 @@ def _build_operator(inc, medium, space, x, y, boundary, scale) -> DiscreteOperat
 
 
 def _fill_coupling(out: np.ndarray, table: _CouplingTable, factor: complex) -> None:
-    """Write factor sum_c Q_c[n, m] S_a X_c S_b into every block of `out`
+    """Write factor sum_c Q_c[n, m] F_a^T M_c F_b into every block of `out`
     (nc, K, c, n, c, n), its diagonal mode slots too (where Q_c is 0).
 
     Group by group, in chunks of at most c/8 row slots: per live cell, its
@@ -966,9 +961,7 @@ def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
     if zero.size:  # only at k = 0, where the grazing tolerance is 0
         n = space.modes[zero[0]]
         raise CutoffViolation(f"beta_{n} = 0: derivative undefined", [n])
-    # d beta_n / d eps = i (k cos^2 t1 - n.tilde_theta) / beta_n
-    shift = k * inc.cos2_theta1 - space.mode_array @ inc.tilde_theta
-    dbetas = 1j * shift / betas
+    shift, dbetas = _d_beta_rows(space.mode_array, inc, betas)
     return _build_operator(inc, medium, space, 0.0, -2j * shift, dbetas, 2j * k)
 
 

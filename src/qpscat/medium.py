@@ -68,9 +68,11 @@ class MediumModel:
         """values (n1, n2, L); the L - 1 `inner` breaks, or L equal cells if None."""
         _check_h(h)
         self._h = float(h)
-        values = np.array(values, order="C")
+        values = np.asarray(values)
         if values.dtype.kind not in "iufc":
             raise ValueError(f"q values must be numbers, got dtype {values.dtype}")
+        # at least double precision, so a float32 grid's coefficients are too
+        values = np.array(values, dtype=np.promote_types(values.dtype, float), order="C")
         if 0 in values.shape:
             raise ValueError(f"q values need at least one cell on every axis, "
                              f"got shape {values.shape}")
@@ -117,7 +119,7 @@ class MediumModel:
         v = np.asarray(values)
         if v.ndim != 3:
             raise ValueError("sampled values must be a 3-d array")
-        if np.iscomplexobj(v) and np.allclose(v.imag, 0.0):
+        if np.iscomplexobj(v) and not v.imag.any():
             v = v.real
         return cls(h, v)
 

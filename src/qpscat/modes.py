@@ -210,7 +210,7 @@ def adjoint_kernel_check(op: DiscreteOperator, basis: KernelBasis) -> float:
     _, sigma_max = op.singularity_report()
     worst = 0.0
     for v in basis.vectors:
-        # W^{1/2} v in block coordinates, as `to` is the parity part of W^{-1/2}
+        # to(W v) = F^T W v = F^{-1} v: v in block coordinates, as `to` is F^T
         y = op.to(_real_matmul(W, v[..., None])[..., 0])
         ady = np.conj(y[:, None]) @ op.stack  # rows y_b^H A_b, conjugates of A_b^H y_b
         worst = max(worst, float(np.linalg.norm(ady.ravel())

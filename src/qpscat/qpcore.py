@@ -166,17 +166,6 @@ def _require_normal_k2(inc: IncidenceSpec) -> None:
                           f"|k| must be at least {_K_MIN:.3g}")
 
 
-def _beta_squared(n, inc: IncidenceSpec) -> complex:
-    _require_normal_k2(inc)
-    nv = np.asarray(n, dtype=float)
-    k = inc.k
-    if inc.angle_derived or k.imag != 0.0:
-        tt = inc.tilde_theta
-        return k * k * inc.cos2_theta1 - 2.0 * k * float(nv @ tt) - float(nv @ nv)
-    an = nv + inc.alpha_vec
-    return complex(k.real ** 2 - float(an @ an))
-
-
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a_i . b_i for each row of (n, 2) arrays (b may be one 2-vector).
 
@@ -189,7 +178,8 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # `assemble` refuses the overflow
 def _beta_squared_array(modes: np.ndarray, inc: IncidenceSpec) -> np.ndarray:
-    """`_beta_squared` for every row of the (n, 2) float array `modes`."""
+    """beta_n^2 for every row n of the (n, 2) float array `modes`: k^2 - |n + alpha|^2,
+    or the polynomial-in-k form of `beta` for angle-derived incidence and complex k."""
     _require_normal_k2(inc)
     k = inc.k
     if inc.angle_derived or k.imag != 0.0:
@@ -202,8 +192,8 @@ def _beta_squared_array(modes: np.ndarray, inc: IncidenceSpec) -> np.ndarray:
 def _beta_rows(modes: np.ndarray, inc: IncidenceSpec) -> np.ndarray:
     """beta_n for every row n of the (n, 2) float array `modes`, as one array operation.
 
-    Equal to `beta` mode by mode; raises CutProximity where `beta` would,
-    for the first such mode.
+    `beta` is its one-row case; raises CutProximity where `branch_sqrt`
+    would, for the first such mode.
     """
     z = _beta_squared_array(modes, inc)
     cut = (z.imag < 0.0) & (np.abs(z.real) < CUT_RTOL * np.abs(z))
@@ -222,22 +212,30 @@ def beta(n, inc: IncidenceSpec) -> complex:
 
     Angle-derived incidence (and any complex k) uses the polynomial-in-k form
     k^2 cos^2(t1) - 2 k n.tilde_theta - |n|^2, which is the holomorphic
-    continuation in k at fixed tilde_theta.
+    continuation in k at fixed tilde_theta.  The one-row case of `_beta_rows`.
     """
-    return branch_sqrt(_beta_squared(n, inc))
+    return complex(_beta_rows(np.asarray(n, dtype=float).reshape(1, 2), inc)[0])
 
 
 def d_beta_d_eps(n, inc: IncidenceSpec) -> complex:
     """Derivative of beta_n(k + i*eps) with respect to eps at eps = 0.
 
-    Equals i (k cos^2 t1 - n.tilde_theta) / beta_n; requires beta_n != 0.
+    Equals i (k cos^2 t1 - n.tilde_theta) / beta_n (`_d_beta_rows`);
+    requires beta_n != 0.
     """
     b = beta(n, inc)
     if b == 0:
         raise CutoffViolation(f"beta_{n} = 0: derivative undefined", [tuple(n)])
-    nv = np.asarray(n, dtype=float)
-    k = inc.k
-    return 1j * (k * inc.cos2_theta1 - float(nv @ inc.tilde_theta)) / b
+    return complex(_d_beta_rows(np.asarray(n, dtype=float).reshape(1, 2), inc,
+                                np.array([b]))[1][0])
+
+
+def _d_beta_rows(modes: np.ndarray, inc: IncidenceSpec, betas: np.ndarray):
+    """(s, i s / beta_n) for every row n of `modes`, given its beta_n, with
+    s = k cos^2 t1 - n.tilde_theta: d(beta_n^2)/d eps = 2 i s and
+    d beta_n / d eps = i s / beta_n, both of k + i eps at eps = 0."""
+    shift = inc.k * inc.cos2_theta1 - modes @ inc.tilde_theta
+    return shift, 1j * shift / betas
 
 
 def beta_table(inc: IncidenceSpec, N: int) -> np.ndarray:

@@ -731,8 +731,8 @@ def test_oversized_operator_exits_3_with_one_line_error(tmp_path, capsys):
 def test_operator_and_space_beyond_memory_exit_3_before_the_space(tmp_path, capsys,
                                                                    monkeypatch):
     # N = 300, M = 16 on a homogeneous layer with 4 GiB of memory: its two
-    # operators' stacks take 2.8 GiB, its space's W, W_isqrt and S 1.7 GiB
-    # more, its whitened pieces 0.4 GiB and the table's whitened c0 0.2 GiB;
+    # operators' stacks take 2.8 GiB, its space's W and F 1.4 GiB more, its
+    # whitened pieces 0.4 GiB and the table's whitened c0 0.2 GiB;
     # refused before the space is built, with nothing large allocated
     def no_space(*args):
         raise AssertionError("FieldSpace built")
@@ -750,7 +750,7 @@ def test_operator_and_space_beyond_memory_exit_3_before_the_space(tmp_path, caps
     assert rc == 3 and peak < 16e6
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error: ") and "needs 5.042 GiB" in err[0]
+    assert err[0].startswith("error: ") and "needs 4.697 GiB" in err[0]
 
 
 def test_sampled_file_h_mismatch_is_a_config_error(tmp_path, capsys):

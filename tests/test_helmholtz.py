@@ -50,22 +50,44 @@ def raw_rows(op):
     return reference_rows(dense(op), op.groups, op.space.M)
 
 
-def whitened_formula(space, groups, G, parity):
+def parity_basis(M):
+    """The orthonormal depth-parity basis of an even M: columns
+    (e_j +- e_{M-1-j}) / sqrt(2), j < M/2, the even ones first."""
+    h, j = M // 2, np.arange(M // 2)
+    P = np.zeros((M, M))
+    P[j, j] = P[M - 1 - j, j] = P[j, h + j] = np.sqrt(0.5)
+    P[M - 1 - j, h + j] = -np.sqrt(0.5)
+    return P
+
+
+def whitening_factor(space):
+    """F_n with F_n^T W_n F_n = I for every mode, from space.W by its own eigh:
+    W_n^{-1/2} for odd M; for even M, P blockdiag(S_e, S_o), S_e and S_o the
+    diagonal blocks of P^T W_n^{-1/2} P (`parity_basis`)."""
+    lam, U = np.linalg.eigh(space.W)
+    F = (U / np.sqrt(lam)[:, None]) @ U.swapaxes(1, 2)
+    M = space.M
+    if M % 2 == 0:
+        P, h = parity_basis(M), M // 2
+        S = P.T @ F @ P
+        S[:, :h, h:] = S[:, h:, :h] = 0.0
+        F = P @ S
+    return F
+
+
+def whitened_formula(space, groups, G, K):
     """The whitened blocks of a full (mode, node) matrix G by the complex
-    formula S_n G_nm S_m over each mode group, in the layout `parity` (None
-    or space.parity), with every real factor cast to complex: (nc K, c n, c n),
+    formula F_n^T G_nm F_m over each mode group (`whitening_factor`), in K
+    depth classes, with every real factor cast to complex: (nc K, c n, c n),
     the layout of `DiscreteOperator.stack`."""
-    nm, M = len(space.modes), space.M
-    P, S = parity or (np.eye(M), space.W_isqrt[None])
-    K, n = len(S), M // len(S)
-    P, S = P.astype(complex), S.astype(complex)
-    T = P.T @ G.reshape(nm, M, nm, M).swapaxes(1, 2) @ P  # (nm, nm, M, M)
+    nm, M, n = len(space.modes), space.M, space.M // K
+    F = whitening_factor(space).astype(complex)
+    T = F.swapaxes(1, 2)[:, None] @ G.reshape(nm, M, nm, M).swapaxes(1, 2) @ F[None]
     nc, c = groups.shape
     out = np.empty((nc, K, c, n, c, n), dtype=complex)
     for p in range(K):
         sl = slice(p * n, (p + 1) * n)
-        blocks = S[p][:, None] @ T[:, :, sl, sl] @ S[p][None]  # (nm, nm, n, n)
-        out[:, p] = blocks[groups[:, :, None], groups[:, None]].swapaxes(2, 3)
+        out[:, p] = T[:, :, sl, sl][groups[:, :, None], groups[:, None]].swapaxes(2, 3)
     return out.reshape(nc * K, c * n, c * n)
 
 
@@ -500,8 +522,8 @@ class TestWhitenedBlocks:
     ], ids=["symmetric", "asymmetric", "odd_M", "block_diagonal"])
     def test_whitened_is_the_weighted_product(self, build):
         op = build()
-        S = q.helmholtz._block_diag(op.space.W_isqrt)
-        want = S @ dense(op) @ S
+        F = q.helmholtz._block_diag(whitening_factor(op.space))
+        want = F.T @ dense(op) @ F
         assert relative_error(op.whitened(), want) <= 1e-13
 
     @pytest.mark.parametrize("medium, comps", [
@@ -515,40 +537,40 @@ class TestWhitenedBlocks:
         nm, M, h = len(sp.modes), sp.M, sp.M // 2
         groups = op.groups
         assert groups.shape == (comps, nm // comps)
-        halves = whitened_formula(sp, groups, dense(op), sp.parity)
+        halves = whitened_formula(sp, groups, dense(op), 2)
         G = dense(op).reshape(nm, M, nm, M)
         cross = np.linalg.norm(G - G[:, ::-1, :, ::-1]) ** 2 / 4  # ||G - R G R||^2 / 4
-        P = sp.parity[0]
-        Q = q.helmholtz._block_diag(np.broadcast_to(P, (nm, M, M)))
+        Q = q.helmholtz._block_diag(np.broadcast_to(parity_basis(M), (nm, M, M)))
         raw = (Q.T @ G.reshape(sp.size, -1) @ Q).reshape(nm, 2, h, nm, 2, h)
         eo_oe = np.sum(np.abs(raw[:, 0, :, :, 1]) ** 2 + np.abs(raw[:, 1, :, :, 0]) ** 2)
         assert abs(cross - eo_oe) <= 1e-13 * np.linalg.norm(G) ** 2
-        T = (Q.T @ op.whitened() @ Q).reshape(nm, 2, h, nm, 2, h)
+        # F's even columns come first: whitened() is already in parity blocks
+        T = op.whitened().reshape(nm, 2, h, nm, 2, h)
         for g, idx in enumerate(groups):
             for p in range(2):
                 want = T[idx][:, p][:, :, idx][:, :, :, p].reshape(len(idx) * h, -1)
                 assert relative_error(halves[2 * g + p], want) <= 1e-13
 
-    @pytest.mark.parametrize("medium, parity", [
+    @pytest.mark.parametrize("medium, split", [
         (coupled_medium, False),   # depth-asymmetric: no halves, the full block only
         (inclusion_medium, True),  # mirror-symmetric: the halves only
     ])
-    def test_only_the_chosen_layout_is_built(self, monkeypatch, medium, parity):
+    def test_only_the_chosen_layout_is_built(self, monkeypatch, medium, split):
         # the table whitens its cell masses per class pair once, in the chosen
         # layout only; the assembly whitens no raw block
-        calls, builder = [], q.FieldSpace.whiten_pairs
+        calls, builder, K = [], q.FieldSpace.whiten_pairs, 2 if split else 1
 
-        def recording(space, parts, parity):
-            calls.append(parity)
-            return builder(space, parts, parity)
+        def recording(space, parts, K):
+            calls.append(K)
+            return builder(space, parts, K)
 
         monkeypatch.setattr(q.FieldSpace, "whiten_pairs", recording)
         op = sampled_operator(medium)  # a fresh space: builds the coupling table
         table, sp = op.table, op.space
-        assert [p is not None for p in calls] == [parity]
-        want = builder(sp, table.cell_masses[table.live], sp.parity if parity else None)
+        assert calls == [K] and table.K == K
+        want = builder(sp, table.cell_masses[table.live], K)
         assert np.array_equal(table.pair_pieces, want)
-        K, classes = (2 if parity else 1), len(sp.classes)
+        classes = len(sp.classes)
         assert table.pair_pieces.shape == (len(table.live), K, classes, 16 // K,
                                            classes, 16 // K)
 
@@ -570,8 +592,9 @@ class TestWhitenedBlocks:
         x, b = (rng.standard_normal((2, len(sp.modes), sp.M))
                 + 1j * rng.standard_normal((2, len(sp.modes), sp.M)))
         z = rng.standard_normal(shape[:2]) + 1j * rng.standard_normal(shape[:2])
-        # back(to(.)) is W^{-1}, as both maps are parts of W^{-1/2}
-        assert relative_error(back(to(b)), sp.unwhiten(sp.unwhiten(b))) <= 1e-13
+        # back(to(.)) is F F^T = W^{-1}
+        assert relative_error(back(to(b)), np.linalg.solve(sp.W, b[..., None])[..., 0]) \
+            <= 1e-13
         # and back is the (real) transpose of to
         lhs, rhs = np.sum(to(x) * z), np.sum(x * back(z))
         assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(to(x)) * np.linalg.norm(z)
@@ -580,9 +603,8 @@ class TestWhitenedBlocks:
 class TestOperatorSizeGuard:
     @pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "block_diagonal"])
     def test_guard_counts_the_stored_arrays(self, monkeypatch, coupled):
-        # the space's W and W_isqrt ((2N+1)^2 blocks of 8 M^2 bytes each), its
-        # parity blocks S (half of one) and its whitened pieces (3 of 8 M^2
-        # bytes per |n|^2 class, 3 classes at N = 1, and half as many again
+        # the space's W and F ((2N+1)^2 blocks of 8 M^2 bytes each) and its
+        # whitened pieces (3 of 8 M^2 bytes per |n|^2 class, 3 classes at N = 1, and half as many again
         # for the parity halves); two live operators, each its stack at K = 1
         # (16 unknowns^2 bytes when coupled, (2N+1)^2 blocks of 16 M^2 bytes
         # otherwise); the table's whitened c0 (16 M^2 bytes per class) and,
@@ -592,7 +614,7 @@ class TestOperatorSizeGuard:
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
         disc = q.Discretization(N=1, M=8)
         med = inclusion_medium() if coupled else q.MediumModel.homogeneous(2.0, 1.0)
-        space = 8 * 9 * 8 ** 2 * 5 // 2 + 8 * 3 * 3 * 8 ** 2 * 3 // 2
+        space = 8 * 9 * 8 ** 2 * 2 + 8 * 3 * 3 * 8 ** 2 * 3 // 2
         blocks, c0 = 16 * 9 * 8 ** 2, 16 * 3 * 8 ** 2
         need = space + c0 + (2 * 16 * 72 ** 2 + 16 * 9 ** 2 + 8 * 3 ** 2 * 8 ** 2
                              if coupled else 2 * blocks)
@@ -925,7 +947,7 @@ class TestFieldSpace:
         assert sp.norm(sp.zeros()) == 0.0
 
     def test_whiten_roundtrip_and_isometry(self):
-        # W^{-1/2} maps whitened coordinates y isometrically onto fields
+        # F maps whitened coordinates y isometrically onto fields
         disc = q.Discretization(N=1, M=16)
         sp = q.FieldSpace(disc, 1.0)
         rng = np.random.default_rng(32)
@@ -1202,7 +1224,7 @@ class TestCouplingTable:
         assert peak < 2e6
         assert table.toeplitz is None and table.pair_pieces is None
         assert table.groups.tolist() == [[i] for i in range(1681)]
-        assert (table.parity is space.parity) == (K == 2)
+        assert table.K == K
         assert med.values.shape[:2] == (1, 1)
         want = np.tensordot(med.values[0, 0] - 1.0, space.grid.cell_masses(med.breaks), axes=1)
         assert np.array_equal(table.c0, want)
@@ -1435,8 +1457,8 @@ class TestGroupStorage:
         assert relative_error(op.apply(u), (G @ u.ravel()).reshape(shape)) <= 1e-13
         assert relative_error(op.apply_adjoint(u),
                               (G.conj().T @ u.ravel()).reshape(shape)) <= 1e-13
-        S = q.helmholtz._block_diag(op.space.W_isqrt)
-        assert relative_error(op.whitened(), S @ G @ S) <= 1e-13
+        F = q.helmholtz._block_diag(whitening_factor(op.space))
+        assert relative_error(op.whitened(), F.T @ G @ F) <= 1e-13
 
     @pytest.mark.parametrize("medium, N, M, groups",
                              [c for c in GROUP_CASES if c[3] > 1],
@@ -1559,7 +1581,7 @@ class TestCoupledStack:
         op = build(inc, med, disc)
         table = op.table
         assert table.c0_pieces.shape[1] == (2 if medium is lossy_stack_medium else 1)
-        want = whitened_formula(op.space, table.groups, dense(op), table.parity)
+        want = whitened_formula(op.space, table.groups, dense(op), table.K)
         assert op.stack.shape == want.shape
         assert relative_error(op.stack, want) <= 1e-13
 
@@ -1604,7 +1626,7 @@ class TestCoupledStack:
         op = build(inc, med, disc)
         table = op.table
         G = filled_matrix(inc, med, op.space, derivative)
-        want = whitened_formula(op.space, table.groups, G, table.parity)
+        want = whitened_formula(op.space, table.groups, G, table.K)
         got = op.stack
         assert got.shape == want.shape
         assert relative_error(got, want) <= 1e-13
@@ -1622,7 +1644,7 @@ class TestCoupledStack:
         cross = np.linalg.norm(G - G[:, ::-1, :, ::-1]) ** 2 / 4
         split = M % 2 == 0 and cross <= q.helmholtz._SPLIT_TOL ** 2 * np.linalg.norm(G) ** 2
         table = q.helmholtz._medium_profiles(med, space)
-        assert (table.parity is not None) == split
+        assert table.K == (2 if split else 1)
 
     @pytest.mark.parametrize("k, derivative", OPERATOR_KINDS, ids=OPERATOR_KIND_IDS)
     @pytest.mark.parametrize("medium, N, M, groups", STACK_CASES, ids=STACK_IDS)
@@ -1691,7 +1713,7 @@ class TestCoupledStack:
         full = disc.unknowns ** 2
         # the stack holds unknowns^2 entries only when the layout does not
         # split (one group at K = 1)
-        assert (stack.size < full) == (len(ops[0].groups) > 1 or ops[0].table.parity is not None)
+        assert (stack.size < full) == (len(ops[0].groups) > 1 or ops[0].table.K == 2)
         assert all(op.dense is None and op.table is ops[0].table for op in ops)
 
 
@@ -1897,14 +1919,13 @@ class TestStructuralInvariants:
         assert abs(rd.u_plus[(1, 0)]) > 1e-4
 
 
-def complex_whitened(space, groups, row, parity):
+def complex_whitened(space, groups, row, K):
     """The whitened blocks of a raw operator given by its row slots `row`
-    (`raw_rows`), by the complex formula S_n G_nm S_m mode pair by mode pair,
-    with every real factor cast to complex, in the layout of a stack."""
-    M = space.M
-    P, S = parity or (None, space.W_isqrt[None])
-    S = S.astype(complex)
-    K, n = len(S), M // len(S)
+    (`raw_rows`), by the complex formula F_n^T G_nm F_m mode pair by mode
+    pair (`whitening_factor`), with every real factor cast to complex, in
+    the layout of a stack of K depth classes."""
+    M, n = space.M, space.M // K
+    F = whitening_factor(space).astype(complex)
     nc, c = groups.shape
     out = np.empty((nc, K, c, n, c, n), dtype=complex)
     for r in range(c):
@@ -1912,17 +1933,14 @@ def complex_whitened(space, groups, row, parity):
         for i, g in enumerate(groups):
             for j in range(c):
                 G = rows[i, :, j]
-                if P is not None:
-                    G = (P.T.astype(complex) @ G) @ P.astype(complex)
                 for p in range(K):
                     sl = slice(p * n, (p + 1) * n)
-                    out[i, p, r, :, j] = S[p, g[r]] @ (G[sl, sl] @ S[p, g[j]])
+                    out[i, p, r, :, j] = F[g[r], :, sl].T @ (G @ F[g[j], :, sl])
     return out.reshape(nc * K, c * n, c * n)
 
 
 class TestRealFactors:
-    """Products of the real factors W^{-1/2}, its parity blocks and P with
-    complex data, taken in real arithmetic (the whitening's stacked batches
+    """Products of the real whitening factors F with complex data, taken in real arithmetic (the whitening's stacked batches
     and `_real_matmul`), and the screen of real blocks."""
 
     @pytest.mark.parametrize("medium, N, M, groups, K", [
@@ -1941,10 +1959,9 @@ class TestRealFactors:
         inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0).with_k(1.3 + 0.05j)
         op = q.assemble(inc, medium(), q.Discretization(N=N, M=M))
         sp = op.space
-        parity = sp.parity if K == 2 else None
-        assert op.table.parity is parity
+        assert op.table.K == K
         got = op.stack
-        want = complex_whitened(sp, op.groups, raw_rows(op), parity)
+        want = complex_whitened(sp, op.groups, raw_rows(op), K)
         assert got.shape == want.shape and len(got) == groups * K
         c, n = op.groups.shape[1], M // K
         off = ~np.eye(c, dtype=bool)[:, None, :, None].repeat(n, 1).repeat(n, 3)

@@ -100,7 +100,7 @@ class TestProjection:
             w = rng.standard_normal((len(sp.modes), sp.M)) \
                 + 1j * rng.standard_normal((len(sp.modes), sp.M))
             gw = op.apply(w)
-            r = sp.unwhiten(sp.unwhiten(gw))  # W^-1 (G w): range field
+            r = np.linalg.solve(sp.W, gw[..., None])[..., 0]  # W^-1 (G w): range field
             assert sp.norm(basis.project(r)) <= 1e-7 * sp.norm(r)
 
     def test_annihilates_load_and_derivative(self, scenario):
@@ -110,7 +110,7 @@ class TestProjection:
         sp = basis.space
         for vec in (q.rhs(basis.inc, basis.space.disc),
                     q.rhs_eps_derivative(basis.inc, basis.space.disc)):
-            f = sp.unwhiten(sp.unwhiten(vec))
+            f = np.linalg.solve(sp.W, vec[..., None])[..., 0]
             assert sp.norm(basis.project(f)) <= 1e-8 * max(sp.norm(f), 1e-300)
 
 
@@ -444,7 +444,7 @@ class TestEpsSweep:
         fnorm = 0.0
         for vec in (q.rhs(basis.inc, basis.space.disc),
                     q.rhs_eps_derivative(basis.inc, basis.space.disc)):
-            f = sp.unwhiten(sp.unwhiten(vec))
+            f = np.linalg.solve(sp.W, vec[..., None])[..., 0]
             fnorm += sp.norm(f)
         assert max(norms) <= 50.0 * fnorm  # measured c ~ 22 for this scenario
         # refining the schedule does not grow the bound

@@ -225,6 +225,31 @@ class TestSampledValues:
             med.values[0, 0, 0] = -5.0
         assert med.values.dtype == float and med.values.flags.c_contiguous
 
+    def test_small_loss_is_kept(self):
+        # a 1 x 1 x 1 grid of 2 + 1e-9i was once stored real (an allclose test
+        # of its imaginary part), so it was solved lossless and read max_im_q 0
+        grid = q.MediumModel.sampled(np.full((1, 1, 1), 2.0 + 1e-9j), 1.0)
+        slab = q.MediumModel.homogeneous(2.0 + 1e-9j, 1.0)
+        assert q.validate(grid).max_im_q == q.validate(slab).max_im_q == 1e-9
+        inc = q.IncidenceSpec.from_angles(1.3, 0.3, 0.7, 1.0)
+        disc = q.Discretization(N=1, M=16)
+        rds = [q.rayleigh_data(q.solve(q.assemble(inc, med, disc), q.rhs(inc, disc)), inc)
+               for med in (grid, slab)]
+        for side in ("efficiencies_up", "efficiencies_down"):
+            got, want = getattr(rds[0], side), getattr(rds[1], side)
+            assert got.keys() == want.keys()
+            assert all(got[n] == pytest.approx(want[n], rel=1e-14, abs=0) for n in want)
+        assert rds[0].total_efficiency < 1.0 - 1e-9  # the loss
+
+    def test_single_precision_grid_gets_double_precision_coefficients(self):
+        # a float32 grid once kept float32, and its fft2 complex64 coefficients
+        x = 2 * np.pi * np.arange(12) / 12
+        grid = (2.0 + 0.5 * np.cos(x)[:, None, None] * np.cos(x)[None, :, None]).astype(np.float32)
+        single, double = (q.MediumModel.sampled(v, 1.0) for v in (grid, grid.astype(float)))
+        assert single.values.dtype == float
+        got, want = single.cell_coefficients(4), double.cell_coefficients(4)
+        assert got.dtype == complex and np.array_equal(got, want)
+
 
 class TestReadOnlyModel:
     """No attribute of a medium can be rebound: checks and cached tables stay valid."""

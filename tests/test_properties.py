@@ -208,12 +208,11 @@ def reciprocity_cases(draw):
 
 
 def stack_matrix(op):
-    """The whitened operator read off its stack, as a dense (mode, node) matrix:
-    each block put back in its group's modes and depth class, then the parity
-    basis (when the table split by it) turned back to the nodes."""
+    """The whitened operator read off its stack, as a dense (mode, node) matrix
+    in F coordinates: each block put back in its group's modes and depth
+    class (a column block of F)."""
     sp, table = op.space, op.table
-    nm, M = len(sp.modes), sp.M
-    K = 1 if table.parity is None else 2
+    nm, M, K = len(sp.modes), sp.M, table.K
     n = M // K
     nc, c = table.groups.shape
     blocks = op.stack.reshape(nc, K, c, n, c, n)
@@ -221,11 +220,7 @@ def stack_matrix(op):
     for g, modes in enumerate(table.groups):
         for p in range(K):
             T[modes[:, None], p, :, modes[None, :], p, :] = blocks[g, p].swapaxes(1, 2)
-    T = T.reshape(nm, M, nm, M).swapaxes(1, 2)  # (nm, nm, M, M)
-    if table.parity is not None:
-        P = table.parity[0]
-        T = P @ T @ P.T
-    return T.swapaxes(1, 2).reshape(sp.size, sp.size)
+    return T.reshape(sp.size, sp.size)
 
 
 @pytest.mark.parametrize("kind", ["A", "A_complex_k", "dA"])
@@ -237,8 +232,8 @@ def stack_matrix(op):
 def test_coupled_operators_are_reciprocal(scheme, odd, kind, case, M, k, damping, seed):
     # A(alpha)^T = Pi A(-alpha) Pi, Pi: n -> -n, for A at real and complex k
     # and for A'(0): the q term is -k^2 qhat_{n-m} M_c, symmetric in depth,
-    # and beta_n(alpha) = beta_{-n}(-alpha); W_n^{-1/2} is symmetric and
-    # depends on |n|^2 only, so the identity holds for the whitened operator.
+    # and beta_n(alpha) = beta_{-n}(-alpha); F_n depends on |n|^2 only, so
+    # the identity holds for the whitened operator F^T A F.
     # A(alpha) is read off its stack, A(-alpha) off its stack and off its
     # matrix-free action (`whitened()`); a stack whose coupling were written
     # with qhat_{m-n} would be the mirrored medium's and fail the second.
@@ -268,6 +263,68 @@ def test_coupled_operators_are_reciprocal(scheme, odd, kind, case, M, k, damping
     want = np.empty_like(u)
     want[Pi] = ops[1].apply(u[Pi].reshape(shape)).ravel()
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@st.composite
+def factor_cases(draw):
+    """A discretization of either scheme, N <= 2 and M from 8 to 40 (even and
+    odd), and a half-height h log-uniform in [1e-2, 1e2]."""
+    disc = q.Discretization(N=draw(st.integers(0, 2)), M=draw(st.integers(8, 40)),
+                            depth_scheme=draw(st.sampled_from([q.CHEBYSHEV,
+                                                               q.FINITE_DIFFERENCE])))
+    return disc, 10.0 ** draw(st.floats(-2.0, 2.0))
+
+
+@FIXED
+@given(case=factor_cases())
+def test_whitening_factor_is_as_orthonormal_as_the_symmetric_root(case):
+    # F_n^T W_n F_n = I to within twice the residual of the symmetric
+    # W_n^{-1/2} from an eigh of W_n: the parity blocks of even M, whose
+    # cross parts are dropped, cost no accuracy
+    disc, h = case
+    space = q.FieldSpace(disc, h)
+    lam, U = np.linalg.eigh(space.W)
+    root = (U / np.sqrt(lam)[:, None]) @ U.swapaxes(1, 2)
+
+    def residual(F):
+        R = F.swapaxes(1, 2) @ space.W @ F - np.eye(space.M)
+        return np.max(np.linalg.norm(R, axis=(1, 2)))
+    assert residual(space.F) <= 2 * residual(root)
+
+
+@settings(FIXED, max_examples=30)
+@given(case=factor_cases(), kh=st.floats(0.5, 2.0), coupled=st.booleans(),
+       lossy=st.booleans())
+def test_forced_layouts_give_one_operator(case, kh, coupled, lossy):
+    # one mirror-symmetric medium, its whitened stack forced to one depth
+    # class (K = 1) and, at even M, to two: orthogonally similar operators,
+    # with the same singular values and the same solution.  The medium is a
+    # symmetric three-layer stack, or a z-invariant grating along x1 (mode
+    # groups of 2N + 1 modes)
+    disc, h = case
+    q1 = 3.2 + 0.4j if lossy else 3.2
+    if coupled:
+        x = 2 * np.pi * np.arange(10) / 10
+        med = q.MediumModel.sampled((2.0 + 0.5 * np.cos(x) + (q1 - 3.2))[:, None, None], h)
+    else:
+        med = q.MediumModel.slab_stack([(-h, -h / 3, 2.0), (-h / 3, h / 3, q1),
+                                        (h / 3, h, 2.0)], h)
+    inc = q.IncidenceSpec.from_angles(kh / h, 0.3, 0.7, h)
+    svals, fields = [], []
+    for K in (1, 2):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(q.helmholtz, "_mirror_symmetric", lambda *args, K=K: K == 2)
+            fresh = q.Discretization(N=disc.N, M=disc.M, depth_scheme=disc.depth_scheme)
+            try:
+                op = q.assemble(inc, med, fresh)
+            except q.CutoffViolation:  # a grazing order
+                return
+            assert op.table.K == (2 if K == 2 and disc.M % 2 == 0 else 1)
+            svals.append(op.whitened_singular_values())
+            fields.append(q.solve(op, q.rhs(inc, fresh)).values)
+    assert np.max(np.abs(svals[0] - svals[1])) <= 1e-13 * svals[0][0]
+    assert np.linalg.norm((fields[0] - fields[1]).ravel()) \
+        <= 1e-12 * np.linalg.norm(fields[0].ravel())
 
 
 @st.composite
