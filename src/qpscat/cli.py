@@ -292,7 +292,7 @@ def run(cfg: RunConfig) -> int:
                 "kernel_dimension": basis.dimension,
                 "singular_values": [float(s) for s in basis.singular_values],
                 "sigma_max": basis.sigma_max,
-                # each vector's Rayleigh tails are its end nodes; modes ascending
+                # each vector's Rayleigh tails are its end values; modes ascending
                 "tail_coefficients": [
                     {_mode_key(n): {"plus": _cplx(v[i, -1]), "minus": _cplx(v[i, 0])}
                      for i, n in enumerate(basis.space.modes)

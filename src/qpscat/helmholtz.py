@@ -3,10 +3,10 @@
 The quasi-periodic total field u is reduced to a periodic unknown
 v = e^{-i alpha.x~} u.  Transversally v is expanded in Fourier modes
 e^{i n.x~} (exact diagonalization of the DtN closure); in depth each modal
-profile v_n(x3) lives on a nodal basis over [-h, h], either Chebyshev-Lobatto
-points with exactly integrated Galerkin matrices (default, spectral) or a
-uniform grid with the standard second-order stencil.  Per mode the operator
-realizes
+profile v_n(x3) lives on a basis over [-h, h] whose first and last
+coefficients are v_n(-h) and v_n(h) (`DepthGrid`): Legendre modes with exact
+Galerkin matrices (default, spectral) or the hats of a uniform grid with the
+standard second-order stencil.  Per mode the operator realizes
 
     v_n'' + beta_n^2 v_n + k^2 sum_m (qhat_{n-m}(x3) - delta_{nm}) v_m = 0
 
@@ -22,9 +22,10 @@ The weighted inner product used for kernels/projections is
 
 realized per mode by W_n = 4 pi^2 [K + |n|^2 Mass + sqrt(1+|n|^2)(E_t + E_b)].
 Singularity detection and kernel extraction run on the whitened matrix
-F^T G F, F_n any real factor with F_n^T W_n F_n = I (`FieldSpace.F`), whose
-conditioning stays O(1) in the resolution; every such F gives unitarily
-similar whitened operators.
+F^T G F, F_n a real factor with F_n^T W_n F_n = I (`FieldSpace.F`, from the
+Cholesky factors of the depth-parity blocks of W_n), whose conditioning
+stays O(1) in the resolution; every such F gives unitarily similar
+whitened operators.
 """
 from __future__ import annotations
 
@@ -67,7 +68,7 @@ FD_MASS_BLEND = 0.5
 
 @dataclass(frozen=True)
 class Discretization:
-    """Transverse truncation |n|_inf <= N and M depth nodes on [-h, h].
+    """Transverse truncation |n|_inf <= N and M depth basis functions on [-h, h].
 
     Owns one FieldSpace per layer half-height h (see `space`), so repeated
     solves on one discretization build the depth grid and the W_n and their
@@ -110,26 +111,6 @@ class Discretization:
 # depth grids
 
 
-def _cheb_nodes_diff(M: int, h: float):
-    """Chebyshev-Lobatto nodes (ascending) and differentiation matrix on [-h, h]."""
-    n = M - 1
-    x = np.cos(np.pi * np.arange(M) / n)
-    c = np.ones(M)
-    c[0] = c[-1] = 2.0
-    c *= (-1.0) ** np.arange(M)
-    dX = x[:, None] - x[None, :]
-    D = np.outer(c, 1.0 / c) / (dX + np.eye(M))
-    D -= np.diag(D.sum(axis=1))
-    return h * x[::-1], D[::-1, ::-1] / h
-
-
-def _cheb_bary_weights(M: int) -> np.ndarray:
-    wb = np.ones(M)
-    wb[0] = wb[-1] = 0.5
-    wb *= (-1.0) ** np.arange(M)
-    return wb
-
-
 def _legendre(M: int, x: np.ndarray):
     """P_M(x) and P_M'(x) by the three-term recurrence."""
     p0, p, d = np.ones_like(x), x, np.ones_like(x)
@@ -159,13 +140,20 @@ def _gauss_legendre(M: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class DepthGrid:
-    """Nodal basis in depth with exact (or scheme-consistent) Galerkin matrices.
+    """Depth basis on [-h, h] with exact (or scheme-consistent) Galerkin matrices.
 
-    Exposes the nodes, stiffness K = int l_i' l_j', mass = int l_i l_j, the
-    mass of each depth cell between given breaks (`cell_masses`), and
-    barycentric/linear interpolation.  The Chebyshev matrices are integrated
-    by M-point Gauss-Legendre, exact for their degrees 2M - 2 and 2M - 4;
-    the mass is the cell mass of the whole layer.
+    Chebyshev: Shen's (1994) Legendre modal basis in t = x3 / h, the end
+    functions (1 -+ t)/2 first and last and between them the bubbles psi_j
+    = (L_j - L_{j+2}) / sqrt(4j + 6), j < M - 2, zero at both ends; its
+    stiffness is exact (I/h on the bubbles, (1/2h)[[1, -1], [-1, 1]] on
+    the end pair), and `nodal` gives profiles at the Chebyshev-Lobatto
+    `nodes`.  Finite differences: the hats of a uniform grid.  Either way
+    coefficients 0 and M-1 are the values at -h and h.  Also: each depth
+    cell's mass (`cell_masses`), interpolation, the reflection x3 -> -x3 on
+    coefficients (`reflection`, a signed permutation) and the orthonormal
+    basis `parity` of its even vectors, then its odd ones ((M + 1) // 2
+    even): the end pair's sum and difference over sqrt(2) and the bubbles
+    of each parity, or those of the mirror nodes j and M-1-j.
     """
 
     def __init__(self, disc: Discretization, h: float):
@@ -173,41 +161,46 @@ class DepthGrid:
         self.M = M = disc.M
         self.h = float(h)
         if self.scheme == CHEBYSHEV:
-            self.nodes, D = _cheb_nodes_diff(M, h)
-            self._bary = _cheb_bary_weights(M)
-            t, w = _gauss_legendre(M)
-            ED = self._interp_matrix(h * t) @ D
-            stiff = ED.T @ (h * w[:, None] * ED)
-            self.stiffness = 0.5 * (stiff + stiff.T)
+            self.nodes = h * np.cos(np.pi * np.arange(M) / (M - 1))[::-1]
+            self.stiffness = np.diag(np.r_[0.5, np.ones(M - 2), 0.5]) / h
+            self.stiffness[0, -1] = self.stiffness[-1, 0] = -0.5 / h
+            mirror = np.r_[M - 1, 1:M - 1, 0]
+            sign = np.r_[1.0, (-1.0) ** np.arange(M - 2), 1.0]
         else:
             self.nodes = np.linspace(-h, h, M)
             d = self.nodes[1] - self.nodes[0]
-            K = np.zeros((M, M))
-            idx = np.arange(M - 1)
-            np.add.at(K, (idx, idx), 1.0 / d)
-            np.add.at(K, (idx + 1, idx + 1), 1.0 / d)
-            np.add.at(K, (idx, idx + 1), -1.0 / d)
-            np.add.at(K, (idx + 1, idx), -1.0 / d)
-            self.stiffness = K
+            self.stiffness = (2.0 * np.eye(M) - np.eye(M, k=1) - np.eye(M, k=-1)) / d
+            self.stiffness[0, 0] = self.stiffness[-1, -1] = 1.0 / d
+            mirror, sign = np.arange(M)[::-1], np.ones(M)
+        self.reflection = R = np.zeros((M, M))
+        R[np.arange(M), mirror] = sign
+        # (I + R) e_j and (I - R) e_j, j the later of each mirror pair (or a
+        # fixed function), less the zero columns
+        last, eye = mirror[np.arange(M) <= mirror], np.eye(M)
+        cols = np.hstack(((eye + R)[:, last], (eye - R)[:, last]))
+        cols = cols[:, cols.any(axis=0)]
+        self.parity = cols / np.linalg.norm(cols, axis=0)
         self.mass = self.cell_masses(np.array([-self.h, self.h]))[0]
 
     def cell_masses(self, breaks: np.ndarray) -> np.ndarray:
         """The exact mass M_c of each cell between ascending breaks, (L, M, M).
 
-        Chebyshev: int_c l_i l_j by M-point Gauss-Legendre inside the cell.
-        Finite differences: the blended P1 element mass (FD_MASS_BLEND) of
-        each element, times the fraction of the element inside the cell.
-        Over cells that tile [-h, h] the masses sum to `mass`.  Each M_c is
-        real symmetric.
+        Chebyshev: int_c phi_i phi_j of the basis functions by M-point
+        Gauss-Legendre inside the cell, exact for the degree 2M - 2 of the
+        products.  Finite differences:
+        the blended P1 element mass (FD_MASS_BLEND) of each element, times
+        the fraction of the element inside the cell.  Over cells that tile
+        [-h, h] the masses sum to `mass`.  Each M_c is real symmetric.
         """
-        a, b = breaks[:-1, None], breaks[1:, None]
         M = self.M
         if self.scheme == CHEBYSHEV:
+            a, b = breaks[:-1, None] / self.h, breaks[1:, None] / self.h
             t, w = _gauss_legendre(M)
             half = 0.5 * (b - a)
-            E = self._interp_matrix((0.5 * (a + b) + half * t).ravel()).reshape(-1, M, M)
-            out = E.swapaxes(1, 2) @ ((half * w)[..., None] * E)
+            E = self._modal_rows((0.5 * (a + b) + half * t).ravel()).reshape(-1, M, M)
+            out = E.swapaxes(1, 2) @ ((self.h * half * w)[..., None] * E)
         else:
+            a, b = breaks[:-1, None], breaks[1:, None]
             x = self.nodes
             d = x[1] - x[0]
             inside = np.minimum(b, x[1:]) - np.maximum(a, x[:-1])
@@ -221,25 +214,31 @@ class DepthGrid:
             out[:, e, e + 1] = out[:, e + 1, e] = frac * (th * (d / 6.0))
         return 0.5 * (out + out.swapaxes(1, 2))
 
-    def _interp_matrix(self, pts: np.ndarray) -> np.ndarray:
-        """Rows of the barycentric interpolant at each point: a point within
-        1e-13 h of a node takes that node's value.  Distances are taken in
-        units of h, so no weight overflows at any h."""
-        diff = (pts[:, None] - self.nodes) / self.h
-        hit = np.abs(diff) < 1e-13
-        t = self._bary / np.where(hit, 1.0, diff)
-        out = t / t.sum(axis=1, keepdims=True)
-        on = hit.any(axis=1)
-        out[on] = np.arange(self.M) == hit[on].argmax(axis=1)[:, None]
-        return out
+    def _modal_rows(self, t: np.ndarray) -> np.ndarray:
+        """The Chebyshev basis functions at each point t = x3 / h of [-1, 1],
+        (len(t), M): the Legendre L_j by the three-term recurrence, then the
+        end functions and the bubbles."""
+        M = self.M
+        L = np.empty((M, len(t)))
+        L[0], L[1] = 1.0, t
+        for j in range(2, M):
+            L[j] = ((2 * j - 1) * t * L[j - 1] - (j - 1) * L[j - 2]) / j
+        bubbles = (L[:-2] - L[2:]) / np.sqrt(4.0 * np.arange(M - 2) + 6.0)[:, None]
+        return np.vstack((0.5 - 0.5 * t, bubbles, 0.5 + 0.5 * t)).T
+
+    def nodal(self, values: np.ndarray) -> np.ndarray:
+        """Profiles (..., M) at the `nodes`; the identity for finite differences."""
+        if self.scheme == CHEBYSHEV:
+            return values @ self._modal_rows(self.nodes / self.h).T
+        return values
 
     def interpolate(self, values: np.ndarray, x3: float) -> np.ndarray:
-        """Evaluate nodal profiles, shape (..., M), at a point in [-h, h].
+        """Evaluate profiles, shape (..., M), at a point in [-h, h].
 
         The interpolation row is built once and applied to every profile.
         """
         if self.scheme == CHEBYSHEV:
-            return values @ self._interp_matrix(np.array([x3]))[0]
+            return values @ self._modal_rows(np.array([x3 / self.h]))[0]
         j = np.searchsorted(self.nodes, x3) - 1
         j = min(max(j, 0), self.M - 2)
         t = (x3 - self.nodes[j]) / (self.nodes[j + 1] - self.nodes[j])
@@ -266,26 +265,24 @@ def _real_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class FieldSpace:
-    """Layout of discrete periodic fields: Fourier modes x depth nodes.
+    """Layout of discrete periodic fields: Fourier modes x depth coefficients.
 
     Fields are arrays of shape (n_modes, M).  The space owns everything that
     depends only on the discretization and h, built once at construction:
     the modes also as one read-only (n_modes, 2) float array `mode_array`;
     the depth grid; the weighted inner-product blocks W_n and one real
     whitening factor F_n with F_n^T W_n F_n = I, stacked in mode order as W
-    and F of shape (n_modes, M, M), with one eigendecomposition per distinct
-    |n|^2 (the modes of each such class are `classes`, in mode order).  For
-    odd M, F_n is W_n^{-1/2}.  For even M the depth parity is folded into
-    its column order: the reflection x3 -> -x3 maps node j to M-1-j, P is
-    orthonormal with columns (e_j +- e_{M-1-j}) / sqrt(2), j < M/2, even
-    ones first, and F_n = P blockdiag(S_e, S_o) with S_e and S_o the
-    diagonal blocks of P^T W_n^{-1/2} P, whose cross blocks vanish to
-    round-off (W_n commutes with the reflection).  A whitened stack of K
+    and F of shape (n_modes, M, M), built once per distinct |n|^2 (the
+    modes of each such class are `classes`, in mode order): F_n = P
+    blockdiag(L_e^-T, L_o^-T), P the grid's `parity` basis (even columns
+    first) and L_e, L_o the Cholesky factors of the diagonal blocks of P^T
+    W_n P (the cross blocks vanish to round-off), accurate whatever the
+    scales of the stiffness (1/h) and the mass (h).  A whitened stack of K
     depth classes (K = 2 only for even M) takes the K column blocks of F_n
     as its classes: its layout is K alone.  `pieces(K)` gives the whitened
     k-independent parts of every diagonal block per |n|^2 class in that
     layout, built on its first assembly and kept: the stiffness, the mass
-    and the end-node matrix.
+    and the end-value matrix.
     All these factors are real, and every product
     of one with complex data is taken in real arithmetic: on fields
     (`inner`, `unwhiten`, `whiten`, the stack maps) by `_real_matmul`; no raw complex
@@ -294,10 +291,10 @@ class FieldSpace:
     medium assembled on it (`_medium_profiles`), with its whitened cell
     masses, for as long as that medium lives.  An h so large or so small that the
     grid or W overflows double precision raises DomainError, before any
-    eigendecomposition and with no numpy warning; so does an h at which some
-    W_n is not positive definite in double precision (its stiffness, of
-    order 1/h, and its end-node part, of order 1, too many orders of
-    magnitude apart), before any piece is whitened.
+    factorization and with no numpy warning; so does an h at which some
+    parity block of W_n is not positive definite in double precision (its
+    stiffness, of order 1/h, and its end-value part, of order 1, too many
+    orders of magnitude apart), before any piece is whitened.
     """
 
     def __init__(self, disc: Discretization, h: float):
@@ -320,22 +317,16 @@ class FieldSpace:
         if not all(np.isfinite(a).all() for a in (g.nodes, g.stiffness, g.mass, W)):
             raise DomainError(f"depth grid overflows double precision at "
                               f"h = {self.h:.6g}, M = {M}")
-        factors = []
-        for Wd in W:
-            lam, U = np.linalg.eigh(Wd)
-            if lam[0] <= 0:
-                raise DomainError(f"weighted inner product not positive definite in "
-                                  f"double precision at h = {self.h:.6g}, M = {M}")
-            factors.append(U * (1 / np.sqrt(lam)) @ U.T)
-        F = np.array(factors)
-        if M % 2 == 0:  # P blockdiag(S_e, S_o): the diagonal blocks of P^T F P
-            half, j = M // 2, np.arange(M // 2)
-            P = np.zeros((M, M))
-            P[j, j] = P[M - 1 - j, j] = P[j, half + j] = np.sqrt(0.5)
-            P[M - 1 - j, half + j] = -np.sqrt(0.5)
-            S = P.T @ F @ P
-            S[:, :half, half:] = S[:, half:, :half] = 0.0
-            F = P @ S
+        P, even = g.parity, (M + 1) // 2
+        Wp = P.T @ W @ P
+        F = np.zeros_like(W)
+        try:
+            for b in (slice(None, even), slice(even, None)):
+                F[:, b, b] = np.linalg.inv(np.linalg.cholesky(Wp[:, b, b])).swapaxes(1, 2)
+        except np.linalg.LinAlgError:
+            raise DomainError(f"weighted inner product not positive definite in "
+                              f"double precision at h = {self.h:.6g}, M = {M}") from None
+        F = P @ F
         self.W, self.F = W[which], F[which]
         self.classes = [np.flatnonzero(which == j) for j in range(len(n2))]
         self.mode_class = which
@@ -343,7 +334,7 @@ class FieldSpace:
         self._pieces = {}
 
     def pieces(self, K: int) -> np.ndarray:
-        """The whitened stiffness K, mass and end-node matrix E = e_0 e_0^T +
+        """The whitened stiffness K, mass and end-value matrix E = e_0 e_0^T +
         e_{M-1} e_{M-1}^T of every |n|^2 class in K depth classes
         (`whiten_pieces`), (classes, 3, K n^2): built on first use and kept."""
         if K not in self._pieces:
@@ -415,7 +406,7 @@ class DiscreteOperator:
 
     The diagonal block of mode n is G_n = x K + y[n] Mass - i boundary[n] E
     - scale c0, with K and Mass the depth grid's stiffness and mass, E =
-    e_0 e_0^T + e_{M-1} e_{M-1}^T the end nodes and c0 the medium's
+    e_0 e_0^T + e_{M-1} e_{M-1}^T on the end values and c0 the medium's
     diagonal coupling; the operator keeps these coefficients, in the order
     of space.modes, and no block.  For a transversely uniform medium that is
     the whole operator, which is block-diagonal.  Otherwise the operator is
@@ -430,7 +421,7 @@ class DiscreteOperator:
     `apply` and `apply_adjoint` are matrix-free, on one field or a stack of
     fields (..., n_modes, M): the diagonal blocks from their coefficients
     (one product of the fields with each of K, Mass and c0, and the end
-    nodes) plus, when coupled, one coupling sum over the table's cells.
+    values) plus, when coupled, one coupling sum over the table's cells.
     Every dense view of the operator is built from that action
     (`whitened()`, the constraint rows of `lap.constrained_solve`).
     Everything that depends only on the layout and the weighted product
@@ -460,7 +451,7 @@ class DiscreteOperator:
         """G_n u_n for every mode n, on a field or a stack of fields.
 
         In the order of the assembly formula, (x K u + y Mass u) - scale c0 u,
-        less i boundary u at both end nodes; every factor is symmetric, so
+        less i boundary u at both end values; every factor is symmetric, so
         each acts on the rows of u from the right.
         """
         grid = self.space.grid
@@ -635,11 +626,12 @@ def _require_memory(need: int, what: str, remedy: str) -> None:
             f"{have / 2**30:.4g} GiB of physical memory; {remedy}")
 
 
-def _mirror_symmetric(blocks: np.ndarray, coef: np.ndarray) -> bool:
+def _mirror_symmetric(blocks: np.ndarray, coef: np.ndarray, R: np.ndarray) -> bool:
     """Whether sum_p ||X_p - R X_p R||^2 / 4 <= _SPLIT_TOL^2 sum_p ||X_p||^2.
 
-    X_p = sum_c coef[p, c] blocks[c] over the rows of coef (P, C); R
-    reverses the depth nodes of the real (M, M) blocks, so the left side is
+    X_p = sum_c coef[p, c] blocks[c] over the rows of coef (P, C); R is the
+    grid's depth reflection (`DepthGrid.reflection`, a signed permutation)
+    acting on the real (M, M) blocks, so the left side is
     the squared norm of the even/odd cross parts.  Each side is a form in
     the Gram matrix coef^H coef = r^H r, taken as ||r Y||^2 (Y the flat
     blocks or their defects): C rows, and mirror cells' cancelling defects
@@ -652,7 +644,7 @@ def _mirror_symmetric(blocks: np.ndarray, coef: np.ndarray) -> bool:
 
     def norms(x):
         return np.sum(np.abs(r @ x.reshape(len(x), -1)) ** 2)
-    return norms(blocks - blocks[:, ::-1, ::-1]) / 4 <= _SPLIT_TOL ** 2 * norms(blocks)
+    return norms(blocks - R @ blocks @ R) / 4 <= _SPLIT_TOL ** 2 * norms(blocks)
 
 
 class _CouplingTable:
@@ -745,8 +737,9 @@ class _CouplingTable:
         group, slot = np.empty(nm, dtype=int), np.empty(nm, dtype=int)
         group[self.groups], slot[self.groups] = np.arange(nc)[:, None], np.arange(c)
         self.place = group, slot
-        symmetric = _mirror_symmetric(self.cell_masses, weights) and all(
-            _mirror_symmetric(X[None], np.ones((1, 1))) for X in (grid.stiffness, grid.mass))
+        R = grid.reflection
+        symmetric = _mirror_symmetric(self.cell_masses, weights, R) and all(
+            _mirror_symmetric(X[None], np.ones((1, 1)), R) for X in (grid.stiffness, grid.mass))
         self.K = 2 if symmetric and space.M % 2 == 0 else 1
         self.uniform = medium.transversely_uniform
         self.maps = _stack_maps(space, self.groups, self.K)
@@ -871,7 +864,7 @@ def _fill_coupling(out: np.ndarray, table: _CouplingTable, factor: complex) -> N
     Group by group, in chunks of at most c/8 row slots: per live cell, its
     pair pieces gathered for the chunk's modes (rows, then columns, laid
     out as the chunk is) times its Toeplitz entries repeated over each
-    column block's n nodes, written (first cell) or added to the chunk.
+    column block's n columns, written (first cell) or added to the chunk.
     """
     K, c, n = out.shape[1:4]
     step = max(1, c // 8)
@@ -1006,14 +999,16 @@ def rhs_eps_derivative(inc: IncidenceSpec, disc: Discretization) -> np.ndarray:
 
 @dataclass
 class FieldCoefficients:
-    """Depth profiles v_n(x3_j) of the periodic solution, per transverse mode."""
+    """Depth profiles v_n of the periodic solution, per transverse mode, as
+    coefficients in the grid's basis (`profile` gives v_n at its nodes)."""
 
     space: FieldSpace
     inc: IncidenceSpec
     values: np.ndarray  # (n_modes, M)
 
     def profile(self, n: ModeIndex) -> np.ndarray:
-        return self.values[self.space.mode_index[tuple(n)]]
+        """v_n at the depth grid's nodes (`DepthGrid.nodal`)."""
+        return self.space.grid.nodal(self.values[self.space.mode_index[tuple(n)]])
 
     @functools.cached_property
     def betas(self) -> np.ndarray:
@@ -1119,7 +1114,7 @@ def _field_value(v: FieldCoefficients, x, incident: bool) -> complex:
     """The field e^{i alpha.x~} v(x) at a point x: the one field evaluator.
 
     Inside the layer, one interpolation row for every profile; outside, the
-    Rayleigh series (`qpcore._rayleigh_sum`) on the end nodes v_n(+-h), or
+    Rayleigh series (`qpcore._rayleigh_sum`) on the end values v_n(+-h), or
     with `incident` on `_rayleigh_tails`, plus the incident wave above,
     with the beta_n the field keeps (`FieldCoefficients.betas`).
     """

@@ -81,6 +81,9 @@ class MediumModel:
         self._check_values()
         if inner is None:
             inner = self._h * np.linspace(-1.0, 1.0, values.shape[2] + 1)[1:-1]
+        elif len(inner) != values.shape[2] - 1:
+            raise ValueError(f"{values.shape[2]} depth cells need {values.shape[2] - 1} "
+                             f"inner breaks, got {len(inner)}")
         self._breaks = np.array([-self._h, *inner, self._h])
         if not np.all(self._breaks[1:] > self._breaks[:-1]):
             raise ValueError(f"depth cells must have positive width, got breaks "

@@ -110,14 +110,15 @@ class KernelBasis:
         return w, ev, c, V.reshape(len(V), -1), V[:, ev, -1], V[:, ev, 0]
 
 
-def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    """v times the unit phase that makes its leading entry real and positive.
+def _canonical_phase(v: np.ndarray, grid) -> np.ndarray:
+    """v times the unit phase that makes its leading nodal value real and positive.
 
-    The leading entry is the first one, in (mode, node) order, whose modulus
-    is within 1e-8 of the largest; "first" breaks the exact ties between the
-    mirror nodes j and M-1-j of a depth-parity vector.  v must be nonzero.
+    The leading value is the first one of v at the grid's nodes
+    (`DepthGrid.nodal`), in (mode, node) order, whose modulus is within
+    1e-8 of the largest; "first" breaks the exact ties between the mirror
+    nodes j and M-1-j of a depth-parity vector.  v must be nonzero.
     """
-    flat = v.ravel()
+    flat = grid.nodal(v).ravel()
     a = np.abs(flat)
     top = flat[np.flatnonzero(a >= (1.0 - 1e-8) * a.max())[0]]
     return v * (np.conj(top) / abs(top))
@@ -161,7 +162,7 @@ def kernel(op: DiscreteOperator, svd_threshold: float = DEFAULT_SVD_THRESHOLD) -
     for bl, rl in zip(b, r):
         z = np.zeros(s.shape, dtype=complex)
         z[bl] = np.conj(Vh[bl, rl])
-        vectors.append(_canonical_phase(op.back(z)))
+        vectors.append(_canonical_phase(op.back(z), op.space.grid))
     return KernelBasis(vectors=vectors, singular_values=s[b, r].tolist(),
                        sigma_max=sigma_max, space=op.space, inc=op.inc)
 

@@ -233,8 +233,9 @@ def d_beta_d_eps(n, inc: IncidenceSpec) -> complex:
 def _d_beta_rows(modes: np.ndarray, inc: IncidenceSpec, betas: np.ndarray):
     """(s, i s / beta_n) for every row n of `modes`, given its beta_n, with
     s = k cos^2 t1 - n.tilde_theta: d(beta_n^2)/d eps = 2 i s and
-    d beta_n / d eps = i s / beta_n, both of k + i eps at eps = 0."""
-    shift = inc.k * inc.cos2_theta1 - modes @ inc.tilde_theta
+    d beta_n / d eps = i s / beta_n, both of k + i eps at eps = 0; one row
+    rounds as in the array of every mode (`_row_dot`)."""
+    shift = inc.k * inc.cos2_theta1 - _row_dot(modes, inc.tilde_theta)
     return shift, 1j * shift / betas
 
 

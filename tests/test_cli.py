@@ -444,7 +444,7 @@ M = 16
 ])
 def test_overflowing_depth_grid_exits_3_with_one_line_error(tmp_path, capsys, command,
                                                             overrides):
-    # refused before eigh of a non-finite W, with no numpy warning line
+    # refused before the factorization of a non-finite W, with no numpy warning line
     cfg = write_cfg(tmp_path, EXTREME_H_CONFIG)
     out = tmp_path / "out"
     argv = [command, "--config", str(cfg), "--out", str(out)]
@@ -456,7 +456,7 @@ def test_overflowing_depth_grid_exits_3_with_one_line_error(tmp_path, capsys, co
     assert not any(out.iterdir())
 
 
-@pytest.mark.parametrize("h", ["1e200", "1e300"])
+@pytest.mark.parametrize("h", ["1e-100", "1e-300"])
 def test_indefinite_weighted_product_exits_3_with_one_line_error(tmp_path, capsys, h):
     # a finite Chebyshev grid at M = 16 whose W_0 is not positive definite
     # in double precision: a DomainError that names h and M
@@ -468,6 +468,20 @@ def test_indefinite_weighted_product_exits_3_with_one_line_error(tmp_path, capsy
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: weighted inner product not positive definite in double "
                    f"precision at h = {float(h):.6g}, M = 16"]
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("h", ["1e200", "1e300"])
+def test_overflowing_thick_layer_exits_3_with_one_line_error(tmp_path, capsys, h):
+    # the space builds; assembly refuses the overflow, with no numpy warning line
+    cfg = write_cfg(tmp_path, EXTREME_H_CONFIG)
+    out = tmp_path / "out"
+    rc = main(["solve", "--config", str(cfg), "--out", str(out),
+               "--override", f"incidence.h={h}"])
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "overflows double precision" in err[0]
     assert not any(out.iterdir())
 
 
@@ -553,7 +567,7 @@ def test_overflowing_medium_term_exits_3_with_one_line_error(tmp_path, capsys, c
     ("lap", ["lap.eps_start=1e-12"], "raise lap.eps_start"),
     # a threshold below the singular direction leaves the kernel empty, so the
     # plain solve at eps = 0 is refused: the threshold is to change
-    ("lap", ["lap.svd_threshold=1e-17"], "raise lap.svd_threshold"),
+    ("lap", ["lap.svd_threshold=1e-20"], "raise lap.svd_threshold"),
 ])
 def test_near_singular_hint_names_the_remedy(tmp_path, capsys, command, overrides, hint):
     cfg = write_cfg(tmp_path, LAP_CONFIG)

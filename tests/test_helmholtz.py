@@ -50,29 +50,66 @@ def raw_rows(op):
     return reference_rows(dense(op), op.groups, op.space.M)
 
 
-def parity_basis(M):
-    """The orthonormal depth-parity basis of an even M: columns
-    (e_j +- e_{M-1-j}) / sqrt(2), j < M/2, the even ones first."""
-    h, j = M // 2, np.arange(M // 2)
-    P = np.zeros((M, M))
-    P[j, j] = P[M - 1 - j, j] = P[j, h + j] = np.sqrt(0.5)
-    P[M - 1 - j, h + j] = -np.sqrt(0.5)
+def cheb_diff(M, h):
+    """The differentiation matrix of the M Chebyshev-Lobatto nodes on [-h, h],
+    ascending (`DepthGrid.nodes`): it maps a polynomial's values at the nodes
+    to its derivative's."""
+    x = np.cos(np.pi * np.arange(M) / (M - 1))
+    c = np.ones(M)
+    c[0] = c[-1] = 2.0
+    c *= (-1.0) ** np.arange(M)
+    D = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(M))
+    D -= np.diag(D.sum(axis=1))
+    return D[::-1, ::-1] / h
+
+
+def parity_basis(scheme, M):
+    """The orthonormal depth-parity basis of a grid, the even columns first.
+
+    Chebyshev, whose basis functions are the end functions (first and last)
+    and the bubbles psi_j (j + 1): (e_0 + e_{M-1}) / sqrt(2), psi_0, psi_2,
+    ..., then (e_{M-1} - e_0) / sqrt(2), psi_1, psi_3, ....  Finite
+    differences: (e_{M-1-j} +- e_j) / sqrt(2), j < M // 2, with an odd M's
+    middle node among the even columns."""
+    r, P, even = np.sqrt(0.5), np.zeros((M, M)), (M + 1) // 2
+    if scheme == q.CHEBYSHEV:
+        P[0, 0] = P[-1, 0] = P[-1, even] = r
+        P[0, even] = -r
+        j = np.arange(M - 2)
+        P[j + 1, np.where(j % 2 == 0, 1 + j // 2, even + 1 + j // 2)] = 1.0
+    else:
+        j = np.arange(M // 2)
+        P[j, j] = P[M - 1 - j, j] = P[M - 1 - j, even + j] = r
+        P[j, even + j] = -r
+        if M % 2:
+            P[M // 2, M // 2] = 1.0
     return P
 
 
+def reflection(scheme, M):
+    """The depth reflection x3 -> -x3 on a grid's basis: P diag(+-1) P^T
+    (`parity_basis`), +1 on the even columns."""
+    P = parity_basis(scheme, M)
+    return np.rint((P * np.where(np.arange(M) < (M + 1) // 2, 1.0, -1.0)) @ P.T)
+
+
+def reflect(G, R):
+    """R G R for a (mode, depth, mode, depth) matrix G, R acting on each depth index."""
+    return np.einsum("ij,ajbk,kl->aibl", R, G, R)
+
+
 def whitening_factor(space):
-    """F_n with F_n^T W_n F_n = I for every mode, from space.W by its own eigh:
-    W_n^{-1/2} for odd M; for even M, P blockdiag(S_e, S_o), S_e and S_o the
-    diagonal blocks of P^T W_n^{-1/2} P (`parity_basis`)."""
-    lam, U = np.linalg.eigh(space.W)
-    F = (U / np.sqrt(lam)[:, None]) @ U.swapaxes(1, 2)
+    """F_n with F_n^T W_n F_n = I for every mode, from space.W by its own
+    Cholesky factors: P blockdiag(L_e^-T, L_o^-T), L_e and L_o the factors
+    of the diagonal parity blocks of P^T W_n P (`parity_basis`)."""
     M = space.M
-    if M % 2 == 0:
-        P, h = parity_basis(M), M // 2
-        S = P.T @ F @ P
-        S[:, :h, h:] = S[:, h:, :h] = 0.0
-        F = P @ S
-    return F
+    P, even = parity_basis(space.grid.scheme, M), (M + 1) // 2
+    Wp = P.T @ space.W @ P
+    F = np.zeros_like(Wp)
+    for b in (slice(None, even), slice(even, None)):
+        L = np.linalg.cholesky(Wp[:, b, b])
+        F[:, b, b] = np.linalg.solve(L, np.eye(len(L[0]))).swapaxes(1, 2)
+    return P @ F
 
 
 def whitened_formula(space, groups, G, K):
@@ -486,7 +523,8 @@ class TestCouplingComponents:
         assert basis.dimension == 1
         _, s, Vh = np.linalg.svd(op.whitened())
         assert s[-1] < 1e-8 * s[0] < s[-2]
-        want = _canonical_phase(op.space.unwhiten(np.conj(Vh[-1]).reshape(len(op.space.modes), M)))
+        want = _canonical_phase(op.space.unwhiten(np.conj(Vh[-1]).reshape(len(op.space.modes), M)),
+                                op.space.grid)
         v = basis.vectors[0]
         assert np.linalg.norm((v - want).ravel()) <= 1e-10 * np.linalg.norm(want.ravel())
         assert basis.singular_values[0] == pytest.approx(s[-1], abs=1e-15 * s[0])
@@ -539,8 +577,9 @@ class TestWhitenedBlocks:
         assert groups.shape == (comps, nm // comps)
         halves = whitened_formula(sp, groups, dense(op), 2)
         G = dense(op).reshape(nm, M, nm, M)
-        cross = np.linalg.norm(G - G[:, ::-1, :, ::-1]) ** 2 / 4  # ||G - R G R||^2 / 4
-        Q = q.helmholtz._block_diag(np.broadcast_to(parity_basis(M), (nm, M, M)))
+        R = reflection(sp.grid.scheme, M)
+        cross = np.linalg.norm(G - reflect(G, R)) ** 2 / 4  # ||G - R G R||^2 / 4
+        Q = q.helmholtz._block_diag(np.broadcast_to(parity_basis(sp.grid.scheme, M), (nm, M, M)))
         raw = (Q.T @ G.reshape(sp.size, -1) @ Q).reshape(nm, 2, h, nm, 2, h)
         eo_oe = np.sum(np.abs(raw[:, 0, :, :, 1]) ** 2 + np.abs(raw[:, 1, :, :, 0]) ** 2)
         assert abs(cross - eo_oe) <= 1e-13 * np.linalg.norm(G) ** 2
@@ -742,6 +781,15 @@ class TestSolve:
         else:
             assert max(errs) < 1e-10  # at the round-off floor from M=16 on
 
+    @pytest.mark.parametrize("M", [16, 17, 64, 128])
+    def test_thin_layer_ladder_matches_the_transfer_matrix(self, M):
+        # h from 1 down to 1e-16: the stiffness (order 1/h) no longer swamps
+        # the O(1) rest of W_n, so every rung solves to round-off
+        for h in 10.0 ** -np.arange(0, 17, 2):
+            _, _, rd = solve_slab(2.0, 1.0, 0.3, M, h=h)
+            up_o, um_o = oracle_u(2.0, 1.0, 0.3, h=h)
+            assert max(abs(rd.u_plus[(0, 0)] - up_o), abs(rd.u_minus[(0, 0)] - um_o)) <= 1e-13
+
     def test_chebyshev_geometric_decay_preasymptotic(self):
         # below the round-off floor the depth error decays geometrically;
         # visible at small M for a high-contrast slab
@@ -822,8 +870,11 @@ class TestQuasiperiodicLift:
         disc = q.Discretization(N=0, M=16)
         space = q.FieldSpace(disc, 1.0)
         inc = q.IncidenceSpec.from_alpha(1.3, (1.0, 0.0), 1.0)
-        v = q.FieldCoefficients(space=space, inc=inc,
-                                values=np.ones((1, 16), dtype=complex))
+        # the constant profile 1: the sum of the two end functions
+        values = np.zeros((1, 16), dtype=complex)
+        values[0, [0, -1]] = 1.0
+        assert np.array_equal(space.grid.nodal(values), np.ones((1, 16)))
+        v = q.FieldCoefficients(space=space, inc=inc, values=values)
         val = q.quasiperiodic_lift(v, inc, (np.pi, 0.0, 0.2))
         assert val == pytest.approx(-1.0, rel=1e-13)
 
@@ -877,13 +928,13 @@ class TestQuasiperiodicLift:
         vals = rng.normal(size=(25, 16)) + 1j * rng.normal(size=(25, 16))
         v = q.FieldCoefficients(space=space, inc=inc, values=vals)
         grid = space.grid
-        calls, interp = [], q.helmholtz.DepthGrid._interp_matrix
+        calls, rows = [], q.helmholtz.DepthGrid._modal_rows
 
-        def counting(self, pts):
-            calls.append(len(pts))
-            return interp(self, pts)
+        def counting(self, t):
+            calls.append(len(t))
+            return rows(self, t)
 
-        monkeypatch.setattr(q.helmholtz.DepthGrid, "_interp_matrix", counting)
+        monkeypatch.setattr(q.helmholtz.DepthGrid, "_modal_rows", counting)
         for x in ((0.7, 1.1, 0.23), (5.0, 2.0, -0.81), (0.1, 0.2, 1.0)):
             calls.clear()
             got = q.quasiperiodic_lift(v, inc, x)
@@ -956,27 +1007,27 @@ class TestFieldSpace:
                                                           rel=1e-12)
 
     @pytest.mark.parametrize("scheme, M, h", [
-        (q.CHEBYSHEV, 16, 1e-310),          # the differentiation matrix overflows
+        (q.CHEBYSHEV, 16, 1e-310),          # the stiffness 1/h overflows
         (q.CHEBYSHEV, 16, 1e308),           # W does
         (q.FINITE_DIFFERENCE, 17, 1e-310),  # the element stiffness 1/d does
         (q.FINITE_DIFFERENCE, 17, 1e308),   # the grid spacing 2h does
     ])
-    def test_overflowing_h_is_refused_before_the_eigendecomposition(self, monkeypatch,
-                                                                     scheme, M, h):
+    def test_overflowing_h_is_refused_before_the_factorization(self, monkeypatch,
+                                                               scheme, M, h):
         disc = q.Discretization(N=1, M=M, depth_scheme=scheme)
-        eigh = []
-        monkeypatch.setattr(np.linalg, "eigh", lambda *a: eigh.append(a))
+        cholesky = []
+        monkeypatch.setattr(np.linalg, "cholesky", lambda *a: cholesky.append(a))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy warning escapes
             with pytest.raises(q.DomainError, match="depth grid overflows double precision"):
                 disc.space(h)
-        assert eigh == [] and disc._spaces == {}
+        assert cholesky == [] and disc._spaces == {}
 
-    @pytest.mark.parametrize("h", [1e200, 1e300])
+    @pytest.mark.parametrize("h", [1e-100, 1e-300])
     def test_indefinite_weighted_product_is_a_domain_error(self, h):
-        # a finite grid whose stiffness (order 1/h) is lost beside the end
-        # nodes (order 1) in W_0: its eigendecomposition finds a
-        # non-positive eigenvalue, a DomainError naming h and M
+        # a finite grid whose end-node part (order 1) is lost beside the
+        # stiffness (order 1/h) in the parity blocks of W_0: their Cholesky
+        # factorization fails, a DomainError naming h and M
         disc = q.Discretization(N=1, M=16)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -985,18 +1036,27 @@ class TestFieldSpace:
                 disc.space(h)
         assert disc._spaces == {}
 
+    @pytest.mark.parametrize("h", [1e200, 1e300])
+    def test_thick_layer_builds_and_assembly_refuses_the_overflow(self, h):
+        inc = q.IncidenceSpec.from_angles(1.0, 0.3, 0.0, h)
+        disc = q.Discretization(N=1, M=16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            disc.space(h)
+            with pytest.raises(q.DomainError, match="overflows double precision"):
+                q.assemble(inc, q.MediumModel.homogeneous(2.0, h), disc)
+
     @pytest.mark.parametrize("h", [1.0, 1e-300, 1e300])
-    def test_interpolation_rows_are_the_pointwise_barycentric_formula(self, h):
-        # one point at a time, distances in units of h; a node takes its own row
+    def test_interpolation_rows_are_the_legendre_modal_basis(self, h):
+        # the basis functions at t = x3 / h, against numpy's Legendre
+        # Vandermonde rows (`modal_rows`); the ends are exactly unit rows
         grid = q.helmholtz.DepthGrid(q.Discretization(N=0, M=17), h)
         t = np.concatenate([np.linspace(-1.0, 1.0, 41), grid.nodes[[3, 8]] / h])
-        want = []
-        for x in h * t:
-            diff = (x - grid.nodes) / h
-            hit = np.flatnonzero(np.abs(diff) < 1e-13)
-            row = np.eye(17)[hit[0]] if hit.size else grid._bary / diff
-            want.append(row / row.sum())
-        assert np.max(np.abs(grid._interp_matrix(h * t) - want)) <= 1e-15
+        want = modal_rows(t, 17)
+        assert np.max(np.abs(grid._modal_rows(t) - want)) <= 1e-15
+        rows = np.array([grid.interpolate(np.eye(17), x3) for x3 in h * t])
+        assert np.max(np.abs(rows - want)) <= 1e-15
+        assert np.array_equal(rows[[0, 40]], np.eye(17)[[0, 16]])
 
 
 STACK_LAYERS =((-1.0, -0.3, 2.0), (-0.3, 0.45, 3.2), (0.45, 1.0, 1.4))
@@ -1099,13 +1159,14 @@ class TestSharedSpace:
         assert a != q.Discretization(N=1, M=16, depth_scheme=q.FINITE_DIFFERENCE)
 
     def test_w_factors_built_once_across_solves(self, monkeypatch):
-        calls, eigh = [], np.linalg.eigh
+        # one batched Cholesky factorization per depth parity, of one W_n per |n|^2
+        calls, cholesky = [], np.linalg.cholesky
 
         def counting(a, *args, **kwargs):
             calls.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
+            return cholesky(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
         disc = q.Discretization(N=2, M=16)
         med = q.MediumModel.slab_stack(STACK_LAYERS, 1.0)
         for k in (1.1, 1.7):
@@ -1113,7 +1174,7 @@ class TestSharedSpace:
             op = q.assemble(inc, med, disc)
             q.solve(op, q.rhs(inc, disc))
         distinct = {n[0] ** 2 + n[1] ** 2 for n in q.mode_range(disc.N)}
-        assert len(calls) == len(distinct)
+        assert calls == [(len(distinct), 8, 8)] * 2
 
     @pytest.mark.parametrize("medium, disc", [
         (q.MediumModel.slab_stack(STACK_LAYERS, 1.0), q.Discretization(N=2, M=32)),
@@ -1338,12 +1399,22 @@ def sampled_stack_medium(h=1.0):
     return q.MediumModel.sampled(sampled_stack(), h)
 
 
+def modal_rows(t, M):
+    """The Chebyshev grid's basis functions at points t = x3 / h, (len(t), M),
+    from numpy's Legendre Vandermonde rows: (1 - t)/2, the bubbles
+    (L_j - L_{j+2}) / sqrt(4j + 6), j < M - 2, and (1 + t)/2."""
+    L = np.polynomial.legendre.legvander(t, M - 1)
+    bubbles = (L[:, :-2] - L[:, 2:]) / np.sqrt(4.0 * np.arange(M - 2) + 6.0)
+    return np.column_stack(((1 - t) / 2, bubbles, (1 + t) / 2))
+
+
 def reference_masses(medium, space):
     """C_d = int qhat_d l_i l_j dx3 for every |d|_inf <= 2N, C_0 of qhat_0 - 1.
 
     Integrated piece by piece between the medium's breaks and the grid's
     nodes, qhat_d of each piece from `depth_coefficients` at its midpoint:
-    Chebyshev by (M + 2)-point Gauss-Legendre on every piece; finite
+    Chebyshev by (M + 2)-point Gauss-Legendre on every piece, on the basis
+    functions of `modal_rows`; finite
     differences as each element's mean of qhat_d times its blended P1 mass.
     """
     grid, N, M = space.grid, space.disc.N, space.M
@@ -1354,7 +1425,7 @@ def reference_masses(medium, space):
     if grid.scheme == q.CHEBYSHEV:
         t, w = np.polynomial.legendre.leggauss(M + 2)
         x = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * t
-        E = grid._interp_matrix(x.ravel()).reshape(len(a), M + 2, M)
+        E = modal_rows(x.ravel() / grid.h, M).reshape(len(a), M + 2, M)
         pieces = np.einsum("pk,pki,pkj->pij", 0.5 * (b - a)[:, None] * w, E, E)
     else:
         d, th = grid.nodes[1] - grid.nodes[0], q.helmholtz.FD_MASS_BLEND
@@ -1641,7 +1712,7 @@ class TestCoupledStack:
         space = q.FieldSpace(disc, 1.0)
         nm = len(space.modes)
         G = filled_matrix(inc, med, space, derivative).reshape(nm, M, nm, M)
-        cross = np.linalg.norm(G - G[:, ::-1, :, ::-1]) ** 2 / 4
+        cross = np.linalg.norm(G - reflect(G, reflection(q.CHEBYSHEV, M))) ** 2 / 4
         split = M % 2 == 0 and cross <= q.helmholtz._SPLIT_TOL ** 2 * np.linalg.norm(G) ** 2
         table = q.helmholtz._medium_profiles(med, space)
         assert table.K == (2 if split else 1)
@@ -1778,7 +1849,7 @@ class TestCellCoupling:
         nm = len(space.modes)
         assert table.groups.tolist() == matrix_components(G, nm, 8) == [list(range(nm))]
         G4 = G.reshape(nm, 8, nm, 8)
-        cross = np.linalg.norm(G4 - G4[:, ::-1, :, ::-1]) ** 2 / 4
+        cross = np.linalg.norm(G4 - reflect(G4, reflection(q.FINITE_DIFFERENCE, 8))) ** 2 / 4
         assert (cross <= q.helmholtz._SPLIT_TOL ** 2 * np.linalg.norm(G) ** 2) == (K == 2)
         assert op.stack.shape == (K, nm * 8 // K, nm * 8 // K)
         rng = np.random.default_rng(31)
@@ -1868,7 +1939,7 @@ class TestStructuralInvariants:
         # the weak radiation closure enforces v' = +-i beta v at the traces
         # (and the inhomogeneous variant at the driven order)
         inc, v, _ = solve_slab(2.0, 1.0, 0.3, 48, N=1)
-        D = q.helmholtz._cheb_nodes_diff(v.space.M, v.space.h)[1]  # differentiation
+        D = cheb_diff(v.space.M, v.space.h)
         k, ct = 1.0, np.cos(0.3)
         for n in v.space.modes:
             prof = v.profile(n)

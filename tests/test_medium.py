@@ -130,6 +130,13 @@ class TestBreaks:
         with pytest.raises(ValueError, match="positive width"):
             q.MediumModel.sampled(np.full((2, 2, 4), 2.0), 5e-324)
 
+    @pytest.mark.parametrize("inner", [[0.0], [-0.5, 0.0, 0.5], []])
+    def test_a_wrong_count_of_inner_breaks_is_refused(self, inner):
+        # three cells take two inner breaks; the error names both counts
+        with pytest.raises(ValueError, match=f"3 depth cells need 2 inner breaks, "
+                                             f"got {len(inner)}"):
+            q.MediumModel(1.0, np.full((1, 1, 3), 2.0), inner)
+
     def test_breaks_are_read_only(self):
         med = q.MediumModel.sampled(np.full((4, 4, 2), 2.0), 1.0)
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 
 import qpscat as q
 from qpscat.modes import _canonical_phase
-from test_helmholtz import inclusion_medium, recorded_shapes
+from test_helmholtz import cheb_diff, inclusion_medium, recorded_shapes
 
 K_EX = np.pi / (2 * np.sqrt(2))
 ALPHA_EX = (1 - np.pi * np.sqrt(3) / 4, 0.0)
@@ -170,7 +170,7 @@ class TestKernelBlocks:
         _, s, Vh = np.linalg.svd(op.whitened())
         assert s[-1] < 1e-8 * s[0] < s[-2]
         full = _canonical_phase(op.space.unwhiten(
-            np.conj(Vh[-1]).reshape(basis.vectors[0].shape)))
+            np.conj(Vh[-1]).reshape(basis.vectors[0].shape)), op.space.grid)
         v = basis.vectors[0]
         assert np.linalg.norm((v - full).ravel()) <= 1e-10 * np.linalg.norm(full.ravel())
         assert basis.singular_values[0] == pytest.approx(s[-1], abs=1e-15 * s[0])
@@ -190,7 +190,7 @@ class TestKernelBlocks:
         _, s, Vh = np.linalg.svd(op.whitened().reshape(nm, M, nm, M)[i, :, i])
         y = op.space.zeros()
         y[i] = np.conj(Vh[-1])
-        ref = _canonical_phase(op.space.unwhiten(y))
+        ref = _canonical_phase(op.space.unwhiten(y), op.space.grid)
         assert np.max(np.abs(basis.vectors[0] - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("M", [16, 15])
@@ -260,23 +260,26 @@ class TestKernelBasis:
 
 
 class TestCanonicalPhase:
+    @pytest.mark.parametrize("scheme", [q.CHEBYSHEV, q.FINITE_DIFFERENCE])
     @pytest.mark.parametrize("parity", [1.0, -1.0])
-    def test_invariant_under_a_unit_phase(self, parity):
+    def test_invariant_under_a_unit_phase(self, parity, scheme):
         rng = np.random.default_rng(11)
         M = 16
-        v = rng.standard_normal((9, M)) + 1j * rng.standard_normal((9, M))
-        # profiles even (+1) or odd (-1) in depth, whose largest entries sit
+        grid = q.FieldSpace(q.Discretization(N=1, M=M, depth_scheme=scheme), 1.0).grid
+        nodal = rng.standard_normal((9, M)) + 1j * rng.standard_normal((9, M))
+        # profiles even (+1) or odd (-1) in depth, whose largest values sit
         # at mirror nodes j and M-1-j and tie in modulus up to one ulp, as in
         # a computed kernel vector; in the odd case, breaking that tie by the
         # larger modulus would flip the sign with the round-off of the phase
-        v[:, M // 2:] = parity * v[:, M // 2 - 1::-1]
-        v[4, 3], v[4, M - 4] = 10.0, parity * 10.0 * (1 + np.finfo(float).eps)
-        ref = _canonical_phase(v)
-        a = np.abs(ref.ravel())
-        lead = ref.ravel()[np.flatnonzero(a >= (1 - 1e-8) * a.max())[0]]
+        nodal[:, M // 2:] = parity * nodal[:, M // 2 - 1::-1]
+        nodal[4, 3], nodal[4, M - 4] = 10.0, parity * 10.0 * (1 + np.finfo(float).eps)
+        v = np.linalg.solve(grid.nodal(np.eye(M)).T, nodal.T).T  # in the grid's basis
+        ref = _canonical_phase(v, grid)
+        a = np.abs(grid.nodal(ref).ravel())
+        lead = grid.nodal(ref).ravel()[np.flatnonzero(a >= (1 - 1e-8) * a.max())[0]]
         assert lead.real > 0 and abs(lead.imag) <= 1e-15 * lead.real
         for theta in rng.uniform(0, 2 * np.pi, 32):
-            got = _canonical_phase(np.exp(1j * theta) * v)
+            got = _canonical_phase(np.exp(1j * theta) * v, grid)
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -372,8 +375,12 @@ class TestModeLift:
         inc, med, disc, op, basis = guided
         [mode] = q.mode_lift(basis)
         grid = op.space.grid
-        prof = mode.field.profile((-1, 0))
-        exact = np.cos(np.pi * grid.nodes / 4).astype(complex)
+        # the modal values of the lifted mode and of the interpolant of
+        # cos(pi x3/4) at the nodes
+        prof = mode.field.values[op.space.mode_index[(-1, 0)]]
+        assert np.array_equal(mode.field.profile((-1, 0)), grid.nodal(prof))
+        exact = np.linalg.solve(grid.nodal(np.eye(grid.M)).T,
+                                np.cos(np.pi * grid.nodes / 4)).astype(complex)
         c = (np.conj(exact) @ (grid.mass @ prof)) / \
             (np.conj(exact) @ (grid.mass @ exact))
         rel = np.sqrt(abs(np.conj(prof - c * exact) @ (grid.mass @ (prof - c * exact)))
@@ -429,8 +436,9 @@ class TestModeLift:
         # v_n'' + (beta_n^2 + k^2 (q0 - 1)) v_n, by the Chebyshev differentiation
         inc, *_, basis = guided
         [v] = basis.vectors
-        D = q.helmholtz._cheb_nodes_diff(basis.space.M, basis.space.h)[1]  # differentiation
+        D = cheb_diff(basis.space.M, basis.space.h)
         pot = K_EX ** 2 * (2.0 - 1.0)
+        v = basis.space.grid.nodal(v)  # at the Chebyshev nodes
         scale = np.max(np.abs(v))
         for n, prof in zip(basis.space.modes, v):
             b = q.beta(n, inc)

@@ -418,3 +418,21 @@ def test_d_beta_d_eps_matches_finite_difference():
             errs.append(abs(fd - d))
         assert errs[1] <= errs[0] + 1e-14  # first-order one-sided difference
         assert errs[1] < 1e-4 * max(abs(d), 1.0)
+
+
+def test_d_beta_d_eps_is_the_assembled_boundary_entry():
+    # bit for bit, mode by mode, on drawn real-k incidences: the scalar
+    # derivative and the boundary entries of the assembled A'(0)
+    rng = np.random.default_rng(17)
+    disc, med = q.Discretization(N=3, M=8), q.MediumModel.homogeneous(2.0, 1.0)
+    for i in range(400):
+        k, a = rng.uniform(0.2, 5.0), rng.uniform(-1.0, 1.0, 2)
+        inc = (q.IncidenceSpec.from_angles(k, rng.uniform(-1.5, 1.5),
+                                           rng.uniform(0.0, 2 * np.pi), 1.0)
+               if i % 2 else q.IncidenceSpec.from_alpha(k, a, 1.0))
+        try:
+            op = q.assemble_eps_derivative(inc, med, disc)
+        except q.CutoffViolation:  # a grazing order
+            continue
+        want = [q.d_beta_d_eps(n, inc) for n in op.space.modes]
+        assert np.array_equal(op.boundary, want)
