@@ -41,8 +41,8 @@ import numpy as np
 from .errors import AliasError, CutoffViolation, DomainError, NearSingular, \
     OperatorTooLarge, SolveFailed
 from .medium import MediumModel
-from .qpcore import IncidenceSpec, ModeIndex, _beta_array, _beta_rows, _d_beta_rows, \
-    _field_point, _rayleigh_sum, beta_table, classify_modes, mode_range
+from .qpcore import IncidenceSpec, ModeIndex, _beta_rows, _d_beta_rows, _field_point, \
+    _rayleigh_sum, beta_table, classify_modes, mode_range
 
 CHEBYSHEV = "chebyshev_collocation"
 FINITE_DIFFERENCE = "finite_difference_order2"
@@ -283,21 +283,25 @@ class FieldSpace:
     k-independent parts of every diagonal block per |n|^2 class in that
     layout, built on its first assembly and kept: the stiffness, the mass
     and the end-value matrix.
-    All these factors are real, and every product
-    of one with complex data is taken in real arithmetic: on fields
-    (`inner`, `unwhiten`, `whiten`, the stack maps) by `_real_matmul`; no raw complex
+    All these factors are real, and every product of one with complex data
+    is taken in real arithmetic: on fields (`weigh`, W u, and `inner`,
+    `unwhiten`, `whiten`, the stack maps) by `_real_matmul`; no raw complex
     block is ever whitened, only real pieces (`whiten_pieces`,
     `whiten_pairs`).  The space also keeps the coupling table of each
     medium assembled on it (`_medium_profiles`), with its whitened cell
-    masses, for as long as that medium lives.  An h so large or so small that the
-    grid or W overflows double precision raises DomainError, before any
-    factorization and with no numpy warning; so does an h at which some
+    masses, for as long as that medium lives.  A space too large for the
+    physical memory raises OperatorTooLarge first (`_space_bytes`).  An h
+    so large or so small that the grid or W overflows double precision
+    raises DomainError, before any factorization and with no numpy
+    warning; so does an h at which some
     parity block of W_n is not positive definite in double precision (its
     stiffness, of order 1/h, and its end-value part, of order 1, too many
     orders of magnitude apart), before any piece is whitened.
     """
 
     def __init__(self, disc: Discretization, h: float):
+        _require_memory(_space_bytes(disc), f"field space (N={disc.N}, M={disc.M})",
+                        "lower N or M")
         self.disc = disc
         self.h = float(h)
         self.modes: list[ModeIndex] = mode_range(disc.N)
@@ -377,7 +381,11 @@ class FieldSpace:
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> complex:
         """<u, v> in the weighted product (conjugate-linear in v)."""
-        return complex(np.vdot(v, _real_matmul(self.W, u[..., None])[..., 0]))
+        return complex(np.vdot(v, self.weigh(u)))
+
+    def weigh(self, u: np.ndarray) -> np.ndarray:
+        """W u on a field (n_modes, M) or on each of a stack (..., n_modes, M)."""
+        return _real_matmul(self.W, u[..., None])[..., 0]
 
     def norm(self, u: np.ndarray) -> float:
         """sqrt <u, u>, u first scaled exactly by the power of two that brings
@@ -408,20 +416,20 @@ class DiscreteOperator:
     - scale c0, with K and Mass the depth grid's stiffness and mass, E =
     e_0 e_0^T + e_{M-1} e_{M-1}^T on the end values and c0 the medium's
     diagonal coupling; the operator keeps these coefficients, in the order
-    of space.modes, and no block.  For a transversely uniform medium that is
-    the whole operator, which is block-diagonal.  Otherwise the operator is
-    coupled: off the diagonal, block (n, m) is -scale C_{n-m}, with
-    C_d = sum_c qhat^(c)_d M_c from the medium's coupling table `table`
-    (`_CouplingTable`), one mass per depth cell.
+    of space.modes, and no block.  Off the diagonal, block (n, m) is -scale
+    C_{n-m}, with C_d = sum_c qhat^(c)_d M_c from the medium's coupling
+    table `table` (`_CouplingTable`), one mass per depth cell; a table with
+    no Toeplitz (every transversely uniform medium) couples nothing, and
+    the diagonal blocks are the whole operator.
     Every operator is assembled as its whitened `stack` as well, in the
     layout its table decided, with that layout's maps `to` and `back`
     (see `_CouplingTable`); `groups` are the table's mode groups (one per
-    mode for a block-diagonal operator).  The screen, `solve`, the kernel
+    mode when nothing couples).  The screen, `solve`, the kernel
     and the constrained solve read the stack.  No full matrix is stored.
     `apply` and `apply_adjoint` are matrix-free, on one field or a stack of
     fields (..., n_modes, M): the diagonal blocks from their coefficients
     (one product of the fields with each of K, Mass and c0, and the end
-    values) plus, when coupled, one coupling sum over the table's cells.
+    values) less scale times the table's coupling sum (`_CouplingTable.couple`).
     Every dense view of the operator is built from that action
     (`whitened()`, the constraint rows of `lap.constrained_solve`).
     Everything that depends only on the layout and the weighted product
@@ -440,12 +448,6 @@ class DiscreteOperator:
         self.stack = stack
         self.to, self.back = table.maps
         self.groups = table.groups
-
-    @property
-    def block_diagonal(self) -> bool:
-        # only the screen's per-block SVD loop and the matrix-free actions ask;
-        # one batched SVD of every stack would retire the flag
-        return self.table.uniform
 
     def _diagonal_action(self, u: np.ndarray) -> np.ndarray:
         """G_n u_n for every mode n, on a field or a stack of fields.
@@ -467,8 +469,7 @@ class DiscreteOperator:
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Matrix action on a field (n_modes, M), or on each of a stack (..., n_modes, M)."""
         out = self._diagonal_action(u)
-        if not self.block_diagonal:
-            out -= self.scale * self.table.couple(u)
+        out -= self.scale * self.table.couple(u)
         return out
 
     def apply_adjoint(self, u: np.ndarray) -> np.ndarray:
@@ -478,8 +479,7 @@ class DiscreteOperator:
         On a field or a stack of fields, as `apply`.
         """
         out = self._diagonal_action(u.conj()).conj()
-        if not self.block_diagonal:
-            out -= np.conj(self.scale) * self.table.couple(u, adjoint=True)
+        out -= np.conj(self.scale) * self.table.couple(u, adjoint=True)
         return out
 
     def whitened(self) -> np.ndarray:
@@ -501,16 +501,15 @@ class DiscreteOperator:
     def whitened_singular_values(self) -> np.ndarray:
         """All singular values of F^T G F, descending, cached.
 
-        Taken from the blocks of `stack`: one SVD per stack block of a
-        block-diagonal operator (one per mode and depth parity), one batched
-        SVD of the stack of a coupled one (one block per coupling group and
-        depth parity).  A block of a block-diagonal operator with no
-        imaginary part (an evanescent mode of a lossless medium at real k)
-        is real symmetric, as G_n is and F_n is real, so its SVD is taken in
-        real arithmetic from its eigenvalues (hermitian=True).
+        Taken from the blocks of `stack` in one batched SVD, except that a
+        transversely uniform medium's (`table.uniform`) are screened one by
+        one, a real block (an evanescent mode of a lossless medium at real
+        k: real symmetric, as G_n is and F_n is real) from its eigenvalues
+        (hermitian=True).  That fork stays while `slab_sweep`'s pinned 25
+        SVD calls per operation depend on the per-block loop.
         """
         if self._svals is None:
-            if self.block_diagonal:
+            if self.table.uniform:
                 real = ~self.stack.imag.any(axis=(1, 2))
                 s = np.concatenate([
                     np.linalg.svd(B.real, compute_uv=False, hermitian=True) if r
@@ -582,13 +581,20 @@ def _block_diag(blocks: np.ndarray) -> np.ndarray:
     return out.reshape(B * n, B * n)
 
 
+def _space_bytes(disc: Discretization) -> int:
+    """The bytes of a FieldSpace from N and M alone: its real W and F, modes M^2
+    entries each, and its whitened pieces (`FieldSpace.pieces`), 3 M^2 real
+    entries per |n|^2 class, half as many again for even M, with at most
+    (N+1)(N+2)/2 classes (one per 0 <= n1 <= n2 <= N)."""
+    modes, classes = (2 * disc.N + 1) ** 2, (disc.N + 1) * (disc.N + 2) // 2
+    blocks, pieces = modes * disc.M ** 2, 3 * classes * disc.M ** 2
+    return 8 * (2 * blocks + pieces + (pieces // 2 if disc.M % 2 == 0 else 0))
+
+
 def _check_operator_bytes(medium: MediumModel, disc: Discretization) -> None:
     """Raise OperatorTooLarge if a run's arrays cannot fit in physical memory.
 
-    Counts the space's real W and F, modes M^2 entries each; then its whitened
-    pieces (`FieldSpace.pieces`), 3 M^2 real entries per |n|^2 class, and
-    half as many again for even M, with at most (N+1)(N+2)/2 classes (one
-    per 0 <= n1 <= n2 <= N); then the peak of a run that holds two
+    Counts the space (`_space_bytes`); then the peak of a run that holds two
     operators at once (A and A' in a constrained solve), each with its
     whitened stack, at its largest when K = 1 (the layout is not known
     yet): modes M^2 complex entries for a block-diagonal operator, at most
@@ -599,14 +605,11 @@ def _check_operator_bytes(medium: MediumModel, disc: Discretization) -> None:
     entries.  Checked before anything is allocated, the space included.
     """
     modes, classes = (2 * disc.N + 1) ** 2, (disc.N + 1) * (disc.N + 2) // 2
-    blocks, pieces = modes * disc.M ** 2, 3 * classes * disc.M ** 2
-    half = disc.M % 2 == 0
-    space = 8 * (2 * blocks + pieces + (pieces // 2 if half else 0))
-    stack, table = blocks, 16 * classes * disc.M ** 2
+    stack, table = modes * disc.M ** 2, 16 * classes * disc.M ** 2
     if not medium.transversely_uniform:
         stack, cells = disc.unknowns ** 2, len(medium.breaks) - 1
         table += cells * (16 * modes ** 2 + 8 * classes ** 2 * disc.M ** 2)
-    _require_memory(space + table + 16 * 2 * stack,
+    _require_memory(_space_bytes(disc) + table + 16 * 2 * stack,
                     f"operator with {disc.unknowns} unknowns (N={disc.N}, M={disc.M})",
                     "lower N or M")
 
@@ -661,9 +664,9 @@ class _CouplingTable:
     block (n, m) is C_{n-m} = sum_c qhat^(c)_{n-m} M_c.  Otherwise, as for
     every transversely uniform medium, it is None, and the table holds no
     array of modes^2 entries.  `uniform` is the medium's transverse
-    uniformity (one point per period on each axis): its operators are
-    block-diagonal; every other medium's are coupled, a constant 16 x 16
-    grid's too.
+    uniformity (one point per period on each axis), read only by the screen
+    (`DiscreteOperator.whitened_singular_values`), which takes such stacks
+    block by block; a constant 16 x 16 grid is not uniform.
 
     The table also fixes, once, the layout of the whitened stack of the
     medium's operators (`DiscreteOperator.stack`), and holds a coupled
@@ -763,10 +766,10 @@ class _CouplingTable:
 
         u is a field (modes, M), or a stack of fields (..., modes, M): per
         cell, M_c on every mode's depth vector, then Q_c (or Q_c^H) across
-        the modes, summed over the cells; zero without a Toeplitz.
+        the modes, summed over the cells; the scalar 0, and no field, without a Toeplitz.
         """
         if self.toeplitz is None:
-            return np.zeros(u.shape, dtype=complex)
+            return 0
         U = u[..., None, :, :] @ self.cell_masses  # M_c u_m, as M_c is symmetric
         if adjoint:
             return np.conj((self.toeplitz.swapaxes(1, 2) @ np.conj(U)).sum(axis=-3))
@@ -928,7 +931,7 @@ def assemble(inc: IncidenceSpec, medium: MediumModel,
     if k.imag == 0:
         betas = beta_table(inc, disc.N)  # raises CutoffViolation at grazing orders
     else:
-        betas = _beta_array(inc, disc.N)
+        betas = _beta_rows(space.mode_array, inc)
     # beta_n^2 by Python's complex product: numpy's may fuse and round differently
     b2 = np.array([b * b for b in betas.tolist()])
     _require_finite(inc, "beta_n^2", b2)
@@ -1086,8 +1089,8 @@ def rayleigh_data(v: FieldCoefficients, inc: IncidenceSpec) -> RayleighData:
     """Extract u_n^+ and u_n^- (`_rayleigh_tails`) per mode.
 
     Efficiencies (Re beta_n / beta_0) |u_n|^2, as floats, for the propagating
-    orders of a real-k solve, with every beta_n from one array operation
-    (`qpcore._beta_array`); the balance residual is |sum - 1| (meaningful
+    orders of a real-k solve, with the beta_n the field keeps (`v.betas`, so
+    `inc` is the field's); the balance residual is |sum - 1| (meaningful
     for lossless media).
     """
     k = inc.k
@@ -1097,11 +1100,9 @@ def rayleigh_data(v: FieldCoefficients, inc: IncidenceSpec) -> RayleighData:
     eff_dn: dict[ModeIndex, float] = {}
     balance = float("nan")
     if k.imag == 0:
-        N, index = v.space.disc.N, v.space.mode_index
-        cls = classify_modes(inc, N)
-        b = _beta_array(inc, N).real  # mode_range order, that of space.modes
+        index, b = v.space.mode_index, v.betas.real
         b0 = b[index[(0, 0)]]
-        for n in cls.propagating:
+        for n in classify_modes(inc, v.space.disc.N).propagating:
             ratio = b[index[n]] / b0
             eff_up[n] = float(ratio * abs(u_plus[n]) ** 2)
             eff_dn[n] = float(ratio * abs(u_minus[n]) ** 2)

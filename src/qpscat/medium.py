@@ -240,8 +240,11 @@ def load_sampled_medium(path) -> MediumModel:
 
 
 def save_sampled_medium(path, values, h):
-    """Write a sampled grid in the documented text format (CSV body)."""
+    """Write a sampled 3-D grid in the documented text format (CSV body);
+    any other shape raises ValueError before the file is opened."""
     v = np.asarray(values)
+    if v.ndim != 3:
+        raise ValueError(f"a sampled medium is a 3-D grid (n1, n2, n3), got shape {v.shape}")
     with open(path, "w", encoding="utf-8") as f:
         f.write("qpscat-medium v1\n")
         f.write(f"n1 {v.shape[0]}\nn2 {v.shape[1]}\nn3 {v.shape[2]}\n")

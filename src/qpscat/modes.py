@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ThresholdAmbiguity
-from .helmholtz import DiscreteOperator, FieldCoefficients, _field_value, _real_matmul
-from .qpcore import IncidenceSpec, _beta_array, _row_dot, classify_modes
+from .helmholtz import DiscreteOperator, FieldCoefficients, _field_value
+from .qpcore import IncidenceSpec, _beta_rows, _row_dot, classify_modes
 
 DEFAULT_SVD_THRESHOLD = 1e-8
 
@@ -57,13 +57,12 @@ class KernelBasis:
 
     def gram(self) -> np.ndarray:
         """<v_i, v_j> for every pair of vectors, (dimension, dimension)."""
-        wv = _real_matmul(self.space.W, self.vectors[..., None])[..., 0]
-        return np.tensordot(wv, self.vectors.conj(), axes=([1, 2], [1, 2]))
+        return np.tensordot(self.space.weigh(self.vectors), self.vectors.conj(),
+                            axes=([1, 2], [1, 2]))
 
     def coefficients(self, u: np.ndarray) -> np.ndarray:
         """Weighted-inner-product coefficients <u, v_l> of a field."""
-        wu = _real_matmul(self.space.W, u[..., None])[..., 0]
-        return np.tensordot(self.vectors.conj(), wu, axes=([1, 2], [0, 1]))
+        return np.tensordot(self.vectors.conj(), self.space.weigh(u), axes=([1, 2], [0, 1]))
 
     def project(self, u: np.ndarray) -> np.ndarray:
         """P u = sum_l <u, v_l> v_l: the projection onto the kernel span.
@@ -105,7 +104,8 @@ class KernelBasis:
         nth = _row_dot(sp.mode_array, inc.tilde_theta)
         w = 1j * (nth + k * inc.sin2_theta1)
         ev = [sp.mode_index[n] for n in classify_modes(inc, N).evanescent]
-        c = 1j * (nth[ev] - k * inc.cos2_theta1) / (2.0 * np.abs(_beta_array(inc, N)[ev]))
+        b = np.abs(_beta_rows(sp.mode_array, inc)[ev])
+        c = 1j * (nth[ev] - k * inc.cos2_theta1) / (2.0 * b)
         V = np.conj(self.vectors)
         return w, ev, c, V.reshape(len(V), -1), V[:, ev, -1], V[:, ev, 0]
 
@@ -207,12 +207,11 @@ def adjoint_kernel_check(op: DiscreteOperator, basis: KernelBasis) -> float:
                          f"not of the operator (N={sp.disc.N}, M={sp.M}, {op.inc!r})")
     if basis.dimension == 0:
         return 0.0
-    W = sp.W
     _, sigma_max = op.singularity_report()
     worst = 0.0
     for v in basis.vectors:
         # to(W v) = F^T W v = F^{-1} v: v in block coordinates, as `to` is F^T
-        y = op.to(_real_matmul(W, v[..., None])[..., 0])
+        y = op.to(sp.weigh(v))
         ady = np.conj(y[:, None]) @ op.stack  # rows y_b^H A_b, conjugates of A_b^H y_b
         worst = max(worst, float(np.linalg.norm(ady.ravel())
                                  / (sigma_max * np.linalg.norm(y.ravel()))))

@@ -47,7 +47,7 @@ def branch_sqrt(z: complex) -> complex:
 
 
 def _branch_sqrt_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized branch_sqrt without the cut guard (see `_beta_array`)."""
+    """Vectorized branch_sqrt without the cut guard, which `_beta_rows` adds."""
     r = np.sqrt(z.astype(complex))
     a = np.angle(r)
     flip = (a <= -np.pi / 4) | (a > 3 * np.pi / 4)
@@ -202,11 +202,6 @@ def _beta_rows(modes: np.ndarray, inc: IncidenceSpec) -> np.ndarray:
     return _branch_sqrt_array(z)
 
 
-def _beta_array(inc: IncidenceSpec, N: int) -> np.ndarray:
-    """beta_n for all |n|_inf <= N in mode_range order (`_beta_rows`)."""
-    return _beta_rows(np.array(mode_range(N), dtype=float), inc)
-
-
 def beta(n, inc: IncidenceSpec) -> complex:
     """Vertical wavenumber beta_n = sqrt(k^2 - |n + alpha|^2) on the fixed branch.
 
@@ -249,7 +244,7 @@ def beta_table(inc: IncidenceSpec, N: int) -> np.ndarray:
     """
     cutoff_tolerance = 1e-9 * abs(inc.k)
     modes = mode_range(N)
-    vals = _beta_array(inc, N)
+    vals = _beta_rows(np.array(modes, dtype=float), inc)
     flagged = [modes[i] for i in np.flatnonzero(np.abs(vals) < cutoff_tolerance)]
     if flagged:
         raise CutoffViolation(

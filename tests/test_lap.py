@@ -313,7 +313,7 @@ class TestConstrainedSolveBlocks:
     @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "coupled"])
     def test_bad_load_fails_before_assembly(self, scenario, monkeypatch, uniform, name):
         basis, med, op = scenario if uniform else guided_sampled_scenario()
-        assert op.block_diagonal == uniform and basis.dimension == 1
+        assert op.table.uniform == uniform and basis.dimension == 1
 
         def no_assembly(*args, **kwargs):
             raise AssertionError("assembled before checking the loads")
@@ -410,7 +410,7 @@ class TestEpsSweep:
         med = q.MediumModel.sampled(np.full((8, 8, 1), 2.0), 1.0)
         disc = q.Discretization(N=1, M=16)
         op = q.assemble(inc, med, disc)
-        assert not op.block_diagonal
+        assert not op.table.uniform
         res = q.eps_sweep(q.kernel(op), med)
         assert len(res.cond_estimates) == len(q.lap.DEFAULT_EPS_SCHEDULE) == 11
         for eps, cond in zip(q.lap.DEFAULT_EPS_SCHEDULE, res.cond_estimates):

@@ -297,6 +297,15 @@ class TestIngestion:
         med = q.load_sampled_medium(path)
         assert np.allclose(med.values, vals)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 2, 2, 2)])
+    def test_a_grid_that_is_not_3d_is_refused_before_writing(self, tmp_path, shape):
+        # a 2-D grid once left a file of its first line, a 4-D one a header
+        # that counted 8 of its 16 values
+        path = tmp_path / "medium.dat"
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            q.save_sampled_medium(path, np.full(shape, 2.0), 1.0)
+        assert not path.exists()
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.dat"
         path.write_text("not a medium file\n")

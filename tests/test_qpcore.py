@@ -225,10 +225,10 @@ class TestBetaTable:
             q.beta_table(inc, 1)  # |(1,0)+0| = 1 = k exactly
 
     def test_entries_consistent(self):
-        # one beta_n per order, in mode_range order: the checked _beta_array
+        # one beta_n per order, in mode_range order: the checked _beta_rows
         inc = q.IncidenceSpec.from_angles(1.3, 0.2, 0.4, 1.0)
         bt = q.beta_table(inc, 3)
-        assert np.array_equal(bt, q.qpcore._beta_array(inc, 3))
+        assert np.array_equal(bt, q.qpcore._beta_rows(np.array(q.mode_range(3), float), inc))
         for i, n in enumerate(q.mode_range(3)):
             assert bt[i] == q.beta(n, inc)
 
