@@ -38,11 +38,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AliasError, CutoffViolation, DomainError, NearSingular, \
-    OperatorTooLarge, SolveFailed
+from .errors import AliasError, DomainError, NearSingular, OperatorTooLarge, SolveFailed
 from .medium import MediumModel
 from .qpcore import IncidenceSpec, ModeIndex, _beta_rows, _d_beta_rows, _field_point, \
-    _rayleigh_sum, beta_table, classify_modes, mode_range
+    _rayleigh_sum, _require_finite, beta_table, classify_modes, mode_range
 
 CHEBYSHEV = "chebyshev_collocation"
 FINITE_DIFFERENCE = "finite_difference_order2"
@@ -885,12 +884,6 @@ def _fill_coupling(out: np.ndarray, table: _CouplingTable, factor: complex) -> N
                     chunk += q[:, None] * w
 
 
-def _require_finite(inc: IncidenceSpec, name: str, value) -> None:
-    """Raise DomainError unless the scalar (or every entry of) `value` is finite."""
-    if not np.all(np.isfinite(value)):
-        raise DomainError(f"{name} overflows double precision at k = {inc.k:.6g}")
-
-
 def _require_field(space: FieldSpace, name: str, value) -> None:
     """Raise ValueError unless `value` is a finite field (n_modes, M) of `space`."""
     shape = (len(space.modes), space.M)
@@ -921,13 +914,11 @@ def assemble(inc: IncidenceSpec, medium: MediumModel,
     only), CutProximity if some beta_n^2 lies on the branch cut, AliasError
     if a sampled medium under-resolves the couplings, and OperatorTooLarge,
     before allocating, if the operator exceeds physical memory, and
-    DomainError if k^2 or some beta_n^2 overflows.  All beta_n come from one
-    array operation (`qpcore.beta_table`).
+    DomainError if k^2 or some beta_n^2 under- or overflows.  All beta_n come
+    from one array operation (`qpcore.beta_table`).
     """
     space = _operator_space(inc, medium, disc)
     k = inc.k
-    k2 = k * k
-    _require_finite(inc, "k^2", k2)  # also the coupling scale
     if k.imag == 0:
         betas = beta_table(inc, disc.N)  # raises CutoffViolation at grazing orders
     else:
@@ -935,7 +926,7 @@ def assemble(inc: IncidenceSpec, medium: MediumModel,
     # beta_n^2 by Python's complex product: numpy's may fuse and round differently
     b2 = np.array([b * b for b in betas.tolist()])
     _require_finite(inc, "beta_n^2", b2)
-    return _build_operator(inc, medium, space, 1.0, -b2, betas, k2)
+    return _build_operator(inc, medium, space, 1.0, -b2, betas, k * k)
 
 
 def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
@@ -945,18 +936,13 @@ def assemble_eps_derivative(inc: IncidenceSpec, medium: MediumModel,
     Volume coefficient -2i(k cos^2 t1 - n.tilde_theta) per mode plus
     -2ik times the (q - 1) coupling; boundary entries -i d(beta_n)/d(eps).
     On `disc.space(inc.h)`, with the same entry checks as `assemble`
-    (`_operator_space`), and the same DomainError guards k^2.
+    (`_operator_space`), and the same DomainError guards k^2 and beta_n^2.
     """
     if inc.k.imag != 0:
         raise ValueError("derivative operator is defined at real k")
     space = _operator_space(inc, medium, disc)
     k = inc.k.real
-    _require_finite(inc, "k^2", k * k)  # then beta_n^2 and the scale 2ik are too
     betas = beta_table(inc, disc.N)  # raises CutoffViolation at grazing orders
-    zero = np.flatnonzero(betas == 0)
-    if zero.size:  # only at k = 0, where the grazing tolerance is 0
-        n = space.modes[zero[0]]
-        raise CutoffViolation(f"beta_{n} = 0: derivative undefined", [n])
     shift, dbetas = _d_beta_rows(space.mode_array, inc, betas)
     return _build_operator(inc, medium, space, 0.0, -2j * shift, dbetas, 2j * k)
 

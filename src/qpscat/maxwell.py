@@ -63,15 +63,14 @@ class TangentialField:
 class MaxwellIncidence:
     """Polarized plane wave from above: E = p e^{ik x . theta_hat}.
 
-    The electric and magnetic polarizations satisfy p = eta (s x theta_hat)
-    and s . theta_hat = 0 with eta = sqrt(mu0/eps0).
+    The electric and magnetic polarizations satisfy p = s x theta_hat and
+    s . theta_hat = 0, in units with sqrt(mu0/eps0) = 1.
     """
 
     k: float
     theta1: float
     theta2: float
     s: tuple[complex, complex, complex]
-    eta: float = 1.0
 
     @property
     def theta_hat(self) -> np.ndarray:
@@ -98,7 +97,7 @@ class MaxwellIncidence:
 
     @property
     def p(self) -> np.ndarray:
-        return self.eta * np.cross(self.s_vec, self.theta_hat.astype(complex))
+        return np.cross(self.s_vec, self.theta_hat.astype(complex))
 
     def __post_init__(self):
         if abs(np.asarray(self.s, dtype=complex) @ self.theta_hat) > 1e-12:
@@ -261,8 +260,7 @@ def incident_trace_vector_dk(minc: MaxwellIncidence, h: float) -> np.ndarray:
     return q / k + q * (-1j * h * ct)
 
 
-def maxwell_slab_determinant(q0_em: float, k: float, abs_alpha_n: float,
-                             h: float = 1.0) -> float:
+def maxwell_slab_determinant(q0_em: float, k: float, abs_alpha_n: float) -> float:
     """Guided-mode determinant of the constant electromagnetic slab.
 
     For contrast q0 = eps0 mu0 / (eps1 mu1) < 1 and an evanescent order
@@ -274,15 +272,15 @@ def maxwell_slab_determinant(q0_em: float, k: float, abs_alpha_n: float,
 
     so only the trivial solution exists: no guided electromagnetic surface
     waves on such slabs.  The unit-thickness normalization h = 1 of the
-    underlying expansion is used; other h rescale |gamma_n| by h.
+    underlying expansion is used.
     """
     if not 0 < q0_em < 1:
         raise DomainError(f"contrast q0 = {q0_em:g} must lie in (0, 1)")
     if abs_alpha_n <= k:
         raise DomainError(f"|alpha_n| = {abs_alpha_n:g} must exceed k = {k:g}")
     babs = np.sqrt(abs_alpha_n ** 2 - k ** 2)
-    gabs = np.sqrt(abs_alpha_n ** 2 - k ** 2 * q0_em) * h
-    return float(k * k * (1.0 + q0_em * (babs / (gabs / h)) / np.tanh(gabs)))
+    gabs = np.sqrt(abs_alpha_n ** 2 - k ** 2 * q0_em)
+    return float(k * k * (1.0 + q0_em * (babs / gabs) / np.tanh(gabs)))
 
 
 # ---------------------------------------------------------------------------

@@ -25,30 +25,31 @@ CUT_RTOL = 1e-14
 
 
 def branch_sqrt(z: complex) -> complex:
-    """Square root holomorphic off the cut i*R_{<=0}.
+    """Square root holomorphic off the cut i*R_{<=0}: the one-entry case of
+    `_branch_sqrt`, with z = 0 returning 0.
 
-    Realized by negating the principal square root whenever its argument
-    falls outside (-pi/4, 3pi/4]; in particular sqrt(t) = i sqrt(|t|) for
-    negative real t.  Raises CutProximity for arguments on the negative
-    imaginary axis (within CUT_RTOL relative tolerance); z = 0 returns 0.
+    sqrt(t) = i sqrt(|t|) for negative real t.  Raises CutProximity for
+    arguments on or within CUT_RTOL of the negative imaginary axis.
     """
     z = complex(z)
-    if z == 0:
-        return 0.0 + 0.0j
-    if z.real == 0.0 and z.imag < 0.0:
-        raise CutProximity(f"sqrt argument {z} lies on the cut i*R_<0")
-    if abs(z.real) < CUT_RTOL * abs(z) and z.imag < 0.0:
-        raise CutProximity(f"sqrt argument {z} within {CUT_RTOL:g}*|z| of the cut")
-    r = complex(np.sqrt(z))
-    a = np.angle(r)
-    if a <= -np.pi / 4 or a > 3 * np.pi / 4:
-        r = -r
-    return r
+    return complex(_branch_sqrt(np.array([z]))[0]) if z else 0j
 
 
-def _branch_sqrt_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized branch_sqrt without the cut guard, which `_beta_rows` adds."""
-    r = np.sqrt(z.astype(complex))
+def _branch_sqrt(z: np.ndarray) -> np.ndarray:
+    """The fixed branch of sqrt for every entry of the complex array `z`.
+
+    The principal square root, negated wherever its argument falls outside
+    (-pi/4, 3pi/4].  Raises CutProximity, for the first entry in C order,
+    where Im z < 0 and |Re z| < CUT_RTOL |Im z| (|Im z| rather than |z|,
+    which can overflow where z does not).
+    """
+    cut = (z.imag < 0.0) & (np.abs(z.real) < CUT_RTOL * np.abs(z.imag))
+    if cut.any():
+        w = complex(z[cut][0])
+        if w.real == 0.0:
+            raise CutProximity(f"sqrt argument {w} lies on the cut i*R_<0")
+        raise CutProximity(f"sqrt argument {w} within {CUT_RTOL:g}*|z| of the cut")
+    r = np.sqrt(z)
     a = np.angle(r)
     flip = (a <= -np.pi / 4) | (a > 3 * np.pi / 4)
     r[flip] = -r[flip]
@@ -159,8 +160,16 @@ def mode_range(N: int) -> list[ModeIndex]:
 _K_MIN = float(np.sqrt(np.finfo(float).tiny))
 
 
+def _require_finite(inc: IncidenceSpec, name: str, value) -> None:
+    """Raise DomainError unless the scalar (or every entry of) `value` is finite."""
+    if not np.all(np.isfinite(value)):
+        raise DomainError(f"{name} overflows double precision at k = {inc.k:.6g}")
+
+
 def _require_normal_k2(inc: IncidenceSpec) -> None:
-    """DomainError where k^2 is subnormal or 0: beta_0 would lose digits or read 0."""
+    """DomainError unless k^2 is finite and |k|^2 normal: a subnormal or 0 k^2
+    would make beta_0 lose digits or read 0."""
+    _require_finite(inc, "k^2", inc.k * inc.k)  # first: abs() raises on a huge complex k
     if abs(inc.k) < _K_MIN:
         raise DomainError(f"k^2 underflows double precision at k = {inc.k:.6g}; "
                           f"|k| must be at least {_K_MIN:.3g}")
@@ -176,30 +185,26 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ np.broadcast_to(b, a.shape)[..., None])[:, 0, 0]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # `assemble` refuses the overflow
-def _beta_squared_array(modes: np.ndarray, inc: IncidenceSpec) -> np.ndarray:
-    """beta_n^2 for every row n of the (n, 2) float array `modes`: k^2 - |n + alpha|^2,
-    or the polynomial-in-k form of `beta` for angle-derived incidence and complex k."""
+@np.errstate(over="ignore", invalid="ignore")  # refused below, with no warning
+def _beta_rows(modes: np.ndarray, inc: IncidenceSpec) -> np.ndarray:
+    """beta_n for every row n of the (n, 2) float array `modes`, as one array
+    operation, from beta_n^2 = k^2 - |n + alpha|^2, or the polynomial-in-k form
+    of `beta` for angle-derived incidence and complex k.
+
+    `beta` is its one-row case.  DomainError where k^2 is not normal
+    (`_require_normal_k2`) or some beta_n^2 overflows; CutProximity as
+    `_branch_sqrt`.
+    """
     _require_normal_k2(inc)
     k = inc.k
     if inc.angle_derived or k.imag != 0.0:
-        return (k * k * inc.cos2_theta1 - (2.0 * k) * _row_dot(modes, inc.tilde_theta)
-                - _row_dot(modes, modes))
-    an = modes + inc.alpha_vec
-    return (k.real ** 2 - _row_dot(an, an)).astype(complex)
-
-
-def _beta_rows(modes: np.ndarray, inc: IncidenceSpec) -> np.ndarray:
-    """beta_n for every row n of the (n, 2) float array `modes`, as one array operation.
-
-    `beta` is its one-row case; raises CutProximity where `branch_sqrt`
-    would, for the first such mode.
-    """
-    z = _beta_squared_array(modes, inc)
-    cut = (z.imag < 0.0) & (np.abs(z.real) < CUT_RTOL * np.abs(z))
-    if cut.any():
-        branch_sqrt(z[np.argmax(cut)])  # raises with the scalar message
-    return _branch_sqrt_array(z)
+        b2 = (k * k * inc.cos2_theta1 - (2.0 * k) * _row_dot(modes, inc.tilde_theta)
+              - _row_dot(modes, modes))
+    else:
+        an = modes + inc.alpha_vec
+        b2 = (k.real ** 2 - _row_dot(an, an)).astype(complex)
+    _require_finite(inc, "beta_n^2", b2)
+    return _branch_sqrt(b2)
 
 
 def beta(n, inc: IncidenceSpec) -> complex:
@@ -207,7 +212,9 @@ def beta(n, inc: IncidenceSpec) -> complex:
 
     Angle-derived incidence (and any complex k) uses the polynomial-in-k form
     k^2 cos^2(t1) - 2 k n.tilde_theta - |n|^2, which is the holomorphic
-    continuation in k at fixed tilde_theta.  The one-row case of `_beta_rows`.
+    continuation in k at fixed tilde_theta.  The one-row case of `_beta_rows`:
+    DomainError where k^2 or beta_n^2 under- or overflows, CutProximity where
+    beta_n^2 lies on or near the cut.
     """
     return complex(_beta_rows(np.asarray(n, dtype=float).reshape(1, 2), inc)[0])
 
@@ -215,8 +222,9 @@ def beta(n, inc: IncidenceSpec) -> complex:
 def d_beta_d_eps(n, inc: IncidenceSpec) -> complex:
     """Derivative of beta_n(k + i*eps) with respect to eps at eps = 0.
 
-    Equals i (k cos^2 t1 - n.tilde_theta) / beta_n (`_d_beta_rows`);
-    requires beta_n != 0.
+    Equals i (k cos^2 t1 - n.tilde_theta) / beta_n (`_d_beta_rows`).  Raises
+    CutoffViolation where beta_n = 0, and DomainError and CutProximity as
+    `beta`.
     """
     b = beta(n, inc)
     if b == 0:
@@ -240,11 +248,11 @@ def beta_table(inc: IncidenceSpec, N: int) -> np.ndarray:
     Raises CutoffViolation if any |beta_n| falls below 1e-9 |k|; beta_n
     enters denominators downstream, so grazing orders must be rejected
     before any table is built.  The values equal `beta` mode by mode, and
-    CutProximity is raised where `beta` would raise it.
+    DomainError and CutProximity are raised where `beta` would raise them.
     """
-    cutoff_tolerance = 1e-9 * abs(inc.k)
     modes = mode_range(N)
     vals = _beta_rows(np.array(modes, dtype=float), inc)
+    cutoff_tolerance = 1e-9 * abs(inc.k)
     flagged = [modes[i] for i in np.flatnonzero(np.abs(vals) < cutoff_tolerance)]
     if flagged:
         raise CutoffViolation(
@@ -253,11 +261,13 @@ def beta_table(inc: IncidenceSpec, N: int) -> np.ndarray:
 
 
 def min_im_beta(inc: IncidenceSpec, N: int) -> float:
-    """min over |n|_inf <= N of Im beta_n(k + i eps); strictly positive for eps > 0."""
+    """min over |n|_inf <= N of Im beta_n(k + i eps); strictly positive for eps > 0.
+
+    ValueError unless Im k > 0; DomainError and CutProximity as `beta`.
+    """
     if inc.k.imag <= 0:
         raise ValueError("min_im_beta requires Im k > 0")
-    b2 = _beta_squared_array(np.array(mode_range(N), dtype=float), inc)
-    return float(np.min(_branch_sqrt_array(b2).imag))
+    return float(np.min(_beta_rows(np.array(mode_range(N), dtype=float), inc).imag))
 
 
 @dataclass(frozen=True)
@@ -272,14 +282,18 @@ def classify_modes(inc: IncidenceSpec, N: int, tol: float = 1e-9,
     """Partition |n|_inf <= N into propagating (|n+alpha| < k) and evanescent orders.
 
     Orders with ||n+alpha| - k| < tol are flagged as cut-offs; with
-    strict=True any flag raises CutoffViolation.  Real k only.
+    strict=True any flag raises CutoffViolation.  Real k only; DomainError
+    where some |n + alpha|^2 overflows.
     """
     if inc.k.imag != 0:
         raise ValueError("classify_modes requires real k")
     k = inc.k.real
     modes = mode_range(N)
     an = np.array(modes, dtype=float) + inc.alpha_vec
-    r = np.sqrt(_row_dot(an, an))  # |n + alpha|, as np.linalg.norm of each row
+    with np.errstate(over="ignore"):
+        r2 = _row_dot(an, an)
+    _require_finite(inc, "|n + alpha|^2", r2)
+    r = np.sqrt(r2)  # |n + alpha|, as np.linalg.norm of each row
     prop, evan, flags = ([modes[i] for i in np.flatnonzero(m)]
                          for m in (r < k, r > k, np.abs(r - k) < tol))
     if strict and flags:

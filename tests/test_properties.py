@@ -192,6 +192,68 @@ def test_medium_constructors_return_a_checked_medium_or_raise_value_error(inputs
         assert v.shape[:2] == (1, 1) and med.transversely_uniform
 
 
+#: a part of a wavenumber: ordinary, or at or past an end of double precision
+K_PARTS = st.one_of(st.floats(0.3, 3.0), st.floats(0.3, 3.0), st.sampled_from(
+    [1e-320, 1e-160, 1e154, 1e200, 1e308, np.nan, np.inf, 0.0, -1.0]))
+
+
+@st.composite
+def incidence_inputs(draw):
+    """(kind, k, a, b, h, N, k2): `from_angles(k, a, b, h)` or `from_alpha(k,
+    (a, b), h)`, then `with_k(k2)` unless k2 is None; k and k2 real or
+    complex with parts from K_PARTS, angles, alpha and h ordinary or not, N <= 3."""
+    def wavenumber():
+        return complex(draw(K_PARTS), draw(st.one_of(st.just(0.0), K_PARTS)))
+
+    def one_in_four(ordinary, odd):
+        return draw(st.one_of(ordinary, ordinary, ordinary, st.sampled_from(odd)))
+
+    kind = draw(st.sampled_from(["angles", "alpha"]))
+    odd = [1e160, -1e300, np.nan, np.inf]
+    if kind == "angles":
+        a, b = one_in_four(st.floats(-1.5, 1.5), odd), one_in_four(st.floats(0.0, 7.0), odd)
+    else:
+        a, b = (one_in_four(st.floats(-3.0, 3.0), odd) for _ in range(2))
+    h = one_in_four(st.floats(0.2, 2.0), [1e-300, 1e300, 0.0, np.nan])
+    k2 = draw(st.one_of(st.none(), st.builds(wavenumber)))
+    return kind, wavenumber(), a, b, h, draw(st.integers(0, 3)), k2
+
+
+@settings(FIXED, max_examples=300)
+@given(incidence_inputs())
+@example(("alpha", 1e200, 0.1, 0.0, 1.0, 1, None))  # once a bare OverflowError
+@example(("angles", 1e200, 0.3, 0.0, 1.0, 1, None))  # once inf+nanj and a warning
+@example(("angles", 1e200 + 1e200j, 0.3, 0.0, 1.0, 1, None))  # once NaN
+@example(("alpha", 1e300, 1e300, 0.0, 1.0, 1, None))  # once an overflow in matmul
+@example(("angles", 1.0, 0.3, 0.0, 1.0, 1, 1e308 + 1e308j))  # once abs(k) overflowed
+def test_the_beta_family_returns_finite_values_or_raises_a_named_error(inputs):
+    # an incidence is built or refused, and each beta-family call on it
+    # returns finite values or raises ValueError or QpscatError; no numpy
+    # warning escapes
+    kind, k, a, b, h, N, k2 = inputs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            inc = (q.IncidenceSpec.from_angles(k, a, b, h) if kind == "angles"
+                   else q.IncidenceSpec.from_alpha(k, (a, b), h))
+            if k2 is not None:
+                inc = inc.with_k(k2)
+        except (ValueError, q.QpscatError):
+            return
+        x = (0.3, -0.2, inc.h + 0.5)
+        calls = [lambda: inc.cos_theta1, lambda: q.beta((1, 0), inc),
+                 lambda: q.beta_table(inc, N), lambda: q.d_beta_d_eps((1, 0), inc),
+                 lambda: q.dtn_symbol((1, 0), "+", inc), lambda: q.min_im_beta(inc, N),
+                 lambda: q.classify_modes(inc, N).propagating,
+                 lambda: q.rayleigh_eval({n: 1.0 for n in q.mode_range(N)}, "above", inc, x)]
+        for call in calls:
+            try:
+                value = call()
+            except (ValueError, q.QpscatError):
+                continue
+            assert np.all(np.isfinite(np.asarray(value, dtype=complex)))
+
+
 @st.composite
 def reciprocity_cases(draw):
     """A drawn sampled medium (n1, n2 <= 12, n3 <= 3), lossless or absorbing,

@@ -55,13 +55,20 @@ class TestBranchSqrt:
         assert gaps[2] < 1e-9
 
     def test_cut_raises(self):
-        with pytest.raises(q.CutProximity):
+        with pytest.raises(q.CutProximity, match="lies on the cut"):
             q.branch_sqrt(-1j)
-        with pytest.raises(q.CutProximity):
+        with pytest.raises(q.CutProximity, match="lies on the cut"):
             q.branch_sqrt(-3.7e5j)
+        with pytest.raises(q.CutProximity, match=r"within 1e-14\*\|z\| of the cut"):
+            q.branch_sqrt(1e-20 - 1j)
 
     def test_zero_allowed(self):
         assert q.branch_sqrt(0.0) == 0.0
+
+    def test_array_kernel_names_the_first_entry_on_the_cut(self):
+        z = np.array([4.0, -3.0 - 1e-20j, 1e-20 - 3j, -2.0j], dtype=complex)
+        with pytest.raises(q.CutProximity, match=r"\(1e-20-3j\) within"):
+            q.qpcore._branch_sqrt(z)
 
 
 class TestIncidenceSpec:
@@ -113,13 +120,18 @@ class TestIncidenceSpec:
                 q.IncidenceSpec.from_alpha(k, alpha, 1.0)
 
     def test_overflowing_beta_squared_is_one_domain_error(self):
-        # sin^2(t1) = 1e300 is finite, |n + alpha|^2 is not
+        # sin^2(t1) = 1e300 is finite, |n + alpha|^2 is not: the beta family
+        # refuses it as the assembly does
         inc = q.IncidenceSpec.from_alpha(1e10, (0.1, 1e160), 1.0)
+        calls = [lambda: q.beta((0, 0), inc), lambda: q.beta_table(inc, 1),
+                 lambda: q.d_beta_d_eps((0, 0), inc), lambda: q.dtn_symbol((0, 0), "-", inc),
+                 lambda: q.assemble(inc, q.MediumModel.homogeneous(2.0, 1.0),
+                                    q.Discretization(N=1, M=16))]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(q.DomainError, match="beta_n\\^2 overflows"):
-                q.assemble(inc, q.MediumModel.homogeneous(2.0, 1.0),
-                           q.Discretization(N=1, M=16))
+            for call in calls:
+                with pytest.raises(q.DomainError, match="beta_n\\^2 overflows"):
+                    call()
 
     @pytest.mark.parametrize("make", [
         lambda k: q.IncidenceSpec.from_angles(k, 0.3, 0.0, 1.0),
@@ -140,6 +152,31 @@ class TestIncidenceSpec:
             warnings.simplefilter("error")
             for call in calls:
                 with pytest.raises(q.DomainError, match=r"k\^2 underflows double precision"):
+                    call()
+
+    @pytest.mark.parametrize("inc", [
+        q.IncidenceSpec.from_alpha(1e200, (0.1, 0.0), 1.0),          # once OverflowError
+        q.IncidenceSpec.from_angles(1e200, 0.3, 0.0, 1.0),           # once inf+nanj
+        q.IncidenceSpec.from_angles(1e200 + 1e200j, 0.3, 0.0, 1.0),  # once nan
+        q.IncidenceSpec.from_angles(1e308 + 1e308j, 0.3, 0.0, 1.0),  # once abs() overflowed
+    ], ids=["alpha", "angles", "complex_k", "huge_complex_k"])
+    def test_overflowing_k_squared_is_one_domain_error(self, inc):
+        # the beta family refuses what both assemblies refuse, with their text
+        med, disc = q.MediumModel.homogeneous(2.0, 1.0), q.Discretization(N=1, M=16)
+        x = (0.3, -0.2, inc.h + 0.5)
+        calls = [lambda: q.beta((1, 0), inc), lambda: q.beta_table(inc, 1),
+                 lambda: q.dtn_symbol((1, 0), "+", inc), lambda: q.assemble(inc, med, disc),
+                 lambda: q.rayleigh_eval({(0, 0): 1.0}, "above", inc, x)]
+        if inc.k.imag == 0:
+            calls += [lambda: q.d_beta_d_eps((1, 0), inc),
+                      lambda: q.assemble_eps_derivative(inc, med, disc)]
+        else:
+            calls.append(lambda: q.min_im_beta(inc, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(q.DomainError,
+                                   match=r"^k\^2 overflows double precision at k = "):
                     call()
 
     def test_smallest_normal_k_squared_keeps_beta(self):
@@ -339,6 +376,13 @@ class TestClassifyModes:
         assert (1, 0) in cls.cutoff_flags
         with pytest.raises(q.CutoffViolation):
             q.classify_modes(inc, 1, strict=True)
+
+    def test_overflowing_order_norm_is_a_domain_error(self):
+        inc = q.IncidenceSpec.from_alpha(1e300, (1e300, 0.0), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # once numpy's overflow in matmul
+            with pytest.raises(q.DomainError, match=r"\|n \+ alpha\|\^2 overflows"):
+                q.classify_modes(inc, 1)
 
 
 class TestRayleighEval:
